@@ -1,4 +1,5 @@
-// Benchmarks, one per reproduction experiment (see DESIGN.md section 3):
+// Benchmarks, one per reproduction experiment (`walkbench -list` prints the
+// index):
 // each BenchmarkE* regenerates the corresponding table/series at small
 // scale, and the micro-benchmarks below report simulated rounds/op for the
 // individual algorithms so regressions in round complexity (not just wall

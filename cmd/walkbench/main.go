@@ -1,5 +1,5 @@
-// Command walkbench runs the reproduction experiments (E1-E11; see
-// DESIGN.md for the index) and prints the paper-shaped tables.
+// Command walkbench runs the reproduction experiments (E1-E12; -list
+// prints the index) and prints the paper-shaped tables.
 //
 // Usage:
 //

@@ -25,9 +25,9 @@
 //	res, _ := svc.SingleRandomWalk(ctx, 1, 0, 100_000)
 //	fmt.Println(res.Destination, res.Cost.Rounds) // ≪ 100000 rounds
 //
-// Tuning is functional-options style (WithEta, WithTheory, WithMetropolis,
-// WithTrials, ...), at construction for service defaults and per request
-// for overrides. Failures wrap the exported sentinel errors (ErrBadNode,
+// Tuning is functional-options style (WithParams, WithRSTOptions,
+// WithMixingOptions, WithTrials, ...), at construction for service
+// defaults and per request for overrides. Failures wrap the exported sentinel errors (ErrBadNode,
 // ErrBudgetExceeded, ErrDisconnected, ...) and are errors.Is-able; see
 // errors.go for the taxonomy.
 //
@@ -66,8 +66,8 @@ type (
 	Graph = graph.G
 	// NodeID identifies a vertex (0..n-1).
 	NodeID = graph.NodeID
-	// Params tunes the walk algorithms; see DefaultParams. Prefer the
-	// functional options (WithEta, WithTheory, ...) with Service.
+	// Params tunes the walk algorithms; see DefaultParams. Pass it to a
+	// Service with WithParams.
 	Params = core.Params
 	// WalkResult describes one completed walk and its simulated cost.
 	WalkResult = core.WalkResult
@@ -84,12 +84,12 @@ type (
 	// cluster mode; see Service.Stats and the WithCluster option.
 	ClusterEngineStats = wire.EngineStats
 	// RSTOptions tunes the random-spanning-tree driver; see the
-	// WithStartLength/WithWalksPerPhase/WithDeliverTree options.
+	// WithRSTOptions option.
 	RSTOptions = spanning.Options
 	// RSTResult is a sampled spanning tree plus its cost.
 	RSTResult = spanning.Result
 	// MixingOptions tunes the mixing-time estimator; see the
-	// WithTrials/WithEps/WithMaxEll options.
+	// WithMixingOptions/WithTrials/WithMaxEll options.
 	MixingOptions = mixing.Options
 	// MixingEstimate is the decentralized mixing-time estimate.
 	MixingEstimate = mixing.Estimate

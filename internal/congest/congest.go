@@ -4,31 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
-	"distwalk/internal/fault"
 	"distwalk/internal/graph"
 	"distwalk/internal/rng"
 )
-
-// halfIndex sorts one node's neighbor segment by (To, directed index).
-// The key is total (directed indices are distinct), so the sorted order
-// is unique regardless of sort stability.
-type halfIndex struct {
-	to, edge []int32
-}
-
-func (s *halfIndex) Len() int { return len(s.to) }
-func (s *halfIndex) Less(i, j int) bool {
-	if s.to[i] != s.to[j] {
-		return s.to[i] < s.to[j]
-	}
-	return s.edge[i] < s.edge[j]
-}
-func (s *halfIndex) Swap(i, j int) {
-	s.to[i], s.to[j] = s.to[j], s.to[i]
-	s.edge[i], s.edge[j] = s.edge[j], s.edge[i]
-}
 
 // PayloadWords is the inline payload capacity of a Message in engine words.
 // Every payload in this module fits (the CONGEST model only allows O(log n)
@@ -138,42 +117,23 @@ const DefaultMaxRounds = 50_000_000
 
 // Network is a simulated CONGEST network over a fixed graph.
 type Network struct {
-	g       *graph.G
-	cap     int
-	capOf   []int32 // optional per-directed-edge capacity (overrides cap)
+	links // the directed-edge index, queues, fault schedules and round
+
 	nodeRNG []*rng.RNG
+	inbox   [][]Message
+	awake   []bool // nodes that requested Step without messages
 
-	// Directed-edge machinery: the j-th half-edge of node u has directed
-	// index off[u]+j and carries messages u -> adj[u][j].To. For Send
-	// lookups, nbrTo[off[u]:off[u+1]] lists u's neighbor IDs in ascending
-	// order and nbrEdge the matching directed indices (parallel edges form
-	// a contiguous run, in adjacency order).
-	off     []int32
-	nbrTo   []int32
-	nbrEdge []int32
+	// shards partition the nodes (and with them the directed edges) into
+	// contiguous ascending ranges, each a node half plus an edge half of
+	// the round kernel. There is always at least one; see shard.go.
+	shards []*shard
 
-	queues  []ring // per directed edge, reused across rounds and runs
-	active  *sched // directed edges with queued messages
-	stepSet *sched // nodes scheduled for Step this round
-
-	inbox      [][]Message
-	crashAt    []int          // per node: round from which it is crashed (-1 = never)
-	awake      []bool         // nodes that requested Step without messages
-	awakeNodes []graph.NodeID // lazily-compacted list of awake nodes
-	awakeCount int
-
-	// Fault injection (nil/zero on the fault-free path): the compiled
-	// fault plan, whether any WithCrash is armed (downCount guard), the
-	// first-loss record since Reseed, and any invalid fault configuration
+	// The first loss since Reseed, and any invalid fault configuration
 	// recorded at construction and returned by Run. See fault.go.
-	flt      *faultState
-	hasCrash bool
-	loss     lossInfo
-	optErr   error
+	loss   LossRecord
+	optErr error
 
-	round    int
 	res      Result
-	runErr   error
 	maxRound int
 	ctx      context.Context // optional; checked periodically by Run
 
@@ -182,11 +142,6 @@ type Network struct {
 	// graph it was last (re)shaped for, and compares it against the
 	// current epoch on prepare. See reshape.go.
 	topoGen uint64
-
-	// Sharded execution (nil/empty = sequential): the shard workers and
-	// the node -> shard index; see shard.go.
-	sh      []*shard
-	shardOf []int32
 
 	// Cluster execution (nil = in-process): the remote shard engines, the
 	// node -> engine index, the per-engine send buffers and the reusable
@@ -295,15 +250,20 @@ func WithMaxRounds(r int) Option {
 // multi-fault scenarios see WithFaultPlan.
 func WithCrash(v graph.NodeID, round int) Option {
 	return func(n *Network) {
-		if v < 0 || int(v) >= len(n.crashAt) || round < 0 {
+		if v < 0 || int(v) >= n.g.N() || round < 0 {
 			if n.optErr == nil {
 				n.optErr = fmt.Errorf("%w: WithCrash(%d, %d): node outside [0,%d) or negative round",
-					ErrBadFault, v, round, len(n.crashAt))
+					ErrBadFault, v, round, n.g.N())
 			}
 			return
 		}
+		if n.crashAt == nil {
+			n.crashAt = make([]int, n.g.N())
+			for u := range n.crashAt {
+				n.crashAt[u] = -1
+			}
+		}
 		n.crashAt[v] = round
-		n.hasCrash = true
 	}
 }
 
@@ -312,56 +272,19 @@ func WithCrash(v graph.NodeID, round int) Option {
 func NewNetwork(g *graph.G, seed uint64, opts ...Option) *Network {
 	n := g.N()
 	net := &Network{
-		g:        g,
-		cap:      1,
+		links:    links{g: g, cap: 1},
 		maxRound: DefaultMaxRounds,
 		nodeRNG:  make([]*rng.RNG, n),
-		off:      make([]int32, n+1),
 		inbox:    make([][]Message, n),
 		awake:    make([]bool, n),
-		crashAt:  make([]int, n),
 	}
-	for v := range net.crashAt {
-		net.crashAt[v] = -1
-	}
-	base := rng.New(seed)
-	for v := 0; v < n; v++ {
-		net.nodeRNG[v] = base.Stream(uint64(v))
-	}
+	net.Reseed(seed)
 	net.buildIndex()
-	net.stepSet = newSched(n)
+	net.applyShardBounds([]int32{0, int32(n)})
 	for _, opt := range opts {
 		opt(net)
 	}
 	return net
-}
-
-// buildIndex (re)builds the directed-edge machinery — off, nbrTo,
-// nbrEdge, queues and the edge scheduler — from the current n.g. Shared
-// by NewNetwork and Reshape so the index layout cannot drift between
-// construction and re-shaping.
-func (n *Network) buildIndex() {
-	nn := n.g.N()
-	n.off[0] = 0
-	for v := 0; v < nn; v++ {
-		n.off[v+1] = n.off[v] + int32(n.g.Degree(graph.NodeID(v)))
-	}
-	total := n.off[nn]
-	n.queues = make([]ring, total)
-	n.nbrTo = make([]int32, total)
-	n.nbrEdge = make([]int32, total)
-	for v := 0; v < nn; v++ {
-		lo, hi := n.off[v], n.off[v+1]
-		for j, h := range n.g.Neighbors(graph.NodeID(v)) {
-			n.nbrTo[lo+int32(j)] = int32(h.To)
-			n.nbrEdge[lo+int32(j)] = lo + int32(j)
-		}
-		// Sort by (To, directed index): the directed-index tie-break keeps
-		// parallel edges in adjacency order, so Send's least-loaded
-		// tie-break matches the old map index exactly.
-		sort.Sort(&halfIndex{to: n.nbrTo[lo:hi], edge: n.nbrEdge[lo:hi]})
-	}
-	n.active = newSched(int(total))
 }
 
 // Graph returns the underlying topology.
@@ -396,7 +319,7 @@ func (n *Network) Reseed(seed uint64) {
 	for v := range n.nodeRNG {
 		n.nodeRNG[v] = base.Stream(uint64(v))
 	}
-	n.loss = lossInfo{}
+	n.loss = LossRecord{}
 }
 
 // NodeRNG returns node v's persistent random stream. Protocol code uses it
@@ -405,295 +328,106 @@ func (n *Network) NodeRNG(v graph.NodeID) *rng.RNG { return n.nodeRNG[v] }
 
 // Run executes p until quiescence, a Halter stop, the round budget, or —
 // when a context is installed with SetContext — cancellation. It returns
-// the cost of this run; the Result is also retained so drivers can sum
-// sequential phases. An invalid fault configuration recorded at
+// the cost of this run. An invalid fault configuration recorded at
 // construction (WithCrash/WithFaultPlan) fails every Run with that error.
+//
+// The three drivers run the same kernel (kernel.go) and are chosen by
+// what the network can observe: attached remote engines, more than one
+// shard, or neither. They differ only in how transfer buffers move.
 func (n *Network) Run(p Proto) (Result, error) {
 	if n.optErr != nil {
 		return Result{}, n.optErr
 	}
-	var (
-		res Result
-		err error
-	)
-	switch {
-	case len(n.remote) > 0:
-		res, err = n.runRemote(p)
-	case len(n.sh) > 1:
-		res, err = n.runSharded(p)
-	default:
-		res, err = n.runSeq(p)
-	}
-	if n.hasCrash || n.flt != nil {
-		// Crashed is a post-run census (nodes down by the final round), not
-		// a delivery-path counter, so it is charged once here for both
-		// engines — identical by construction at any shard count.
-		n.res.Faults.Crashed = n.downCount()
-		res.Faults.Crashed = n.res.Faults.Crashed
-	}
-	return res, err
-}
-
-// runSeq is the sequential engine's round loop; see Run.
-func (n *Network) runSeq(p Proto) (Result, error) {
 	n.reset()
 	if n.ctx != nil {
 		if err := n.ctx.Err(); err != nil {
 			return n.res, fmt.Errorf("congest: run aborted before round 1: %w", err)
 		}
 	}
-	ctx := &Ctx{net: n}
-	for v := 0; v < n.g.N(); v++ {
-		ctx.node = graph.NodeID(v)
-		ctx.inbox = nil
-		p.Init(ctx)
-		if n.runErr != nil {
-			return n.res, n.runErr
-		}
-	}
 	halter, _ := p.(Halter)
-	if halter != nil && halter.Halted() {
-		return n.res, nil
+	var err error
+	switch {
+	case len(n.remote) > 0:
+		err = n.runRemote(p, halter)
+	case len(n.shards) > 1:
+		err = n.runSharded(p, halter)
+	default:
+		err = n.runLocal(p, halter)
 	}
-	for !n.quiescent() {
-		if n.round >= n.maxRound {
-			return n.res, fmt.Errorf("%w after %d rounds", ErrRoundLimit, n.round)
-		}
-		if n.ctx != nil && n.round&ctxCheckMask == 0 {
-			if err := n.ctx.Err(); err != nil {
-				return n.res, fmt.Errorf("congest: run aborted at round %d: %w", n.round, err)
-			}
-		}
-		n.round++
-		n.res.Rounds = n.round
-		n.deliver()
-		n.step(p, ctx)
-		if n.runErr != nil {
-			return n.res, n.runErr
-		}
-		if halter != nil && halter.Halted() {
-			break
-		}
+	if n.crashAt != nil || n.flt != nil {
+		// Crashed is a post-run census (nodes down by the final round), not
+		// a delivery-path counter, so it is charged once here for every
+		// driver.
+		n.res.Faults.Crashed = n.downCount()
 	}
-	return n.res, nil
+	return n.res, err
 }
 
-// reset clears transient run state (queues are empty between runs by
-// construction: a run only ends at quiescence, halt, error, budget or
-// cancellation; on the non-quiescent ends we still drop leftovers so the
-// next run starts clean).
-// Ring buffers and inbox slices keep their capacity: the steady state of
-// repeated runs allocates nothing.
+// reset clears the transient state of the previous run in every shard
+// (queues are empty between runs that ended at quiescence; a halt, error,
+// budget or cancellation end leaves leftovers, which are dropped here so
+// the next run starts clean) and rewinds the round and counters.
 func (n *Network) reset() {
-	n.active.drain(func(e int32) { n.queues[e].clear() })
-	n.stepSet.drain(func(int32) {})
-	for v := range n.awake {
-		n.awake[v] = false
-		n.inbox[v] = n.inbox[v][:0]
+	for _, sh := range n.shards {
+		sh.edgeHalf.reset()
+		sh.nodeHalf.reset()
 	}
-	n.awakeNodes = n.awakeNodes[:0]
-	n.awakeCount = 0
-	n.round = 0
+	n.resetRun()
 	n.res = Result{}
-	n.runErr = nil
-	if n.flt != nil {
-		n.flt.resetRun()
+}
+
+// runLocal is the single-shard driver: the kernel's round on the caller's
+// goroutine, the shard's one transfer buffer handed straight from its
+// edge half to its node half. No barrier, no clock, no allocation.
+func (n *Network) runLocal(p Proto, halter Halter) error {
+	sh := n.shards[0]
+	sh.init(p)
+	for {
+		if stop, err := n.verdict(halter, sh.active.count); stop {
+			n.collectShards()
+			return err
+		}
+		sh.drain()
+		sh.wake()
+		sh.mergeIn(sh.out[0])
+		sh.step(p)
 	}
 }
 
-func (n *Network) quiescent() bool {
-	return n.active.count == 0 && n.awakeCount == 0
-}
-
-// deliver moves up to cap messages per active directed edge into inboxes
-// and builds the step set. Draining the scheduler visits edges in
-// ascending directed-index order — the deterministic ID order the old
-// engine obtained by sorting — and edges with leftover queue re-mark
-// themselves for the next round (their scheduler word has already been
-// consumed, so the re-add cannot be visited twice in one round).
-//
-// KEEP IN LOCKSTEP with shard.deliverOut (shard.go): the sharded engine
-// runs this same per-edge drain — delay gate, MaxQueue sampling, capacity
-// clamp, crash drop, lossy-link roll, counter charging, leftover re-add —
-// split per shard, and the bit-identity contract depends on the two
-// bodies computing the same values at the same points. Any semantic
-// change here must be mirrored there (the shard-identity stress tests
-// catch divergence). Fault-charging order per message: the crash check
-// precedes the lossy-link roll, so a message to a down receiver never
-// consumes a drop-decision ordinal.
-func (n *Network) deliver() {
-	n.active.drain(func(e int32) {
-		q := &n.queues[e]
-		if f := n.flt; f != nil && f.delay != nil && f.delay[e] > 0 {
-			if int32(n.round) < f.release[e] {
-				// The link is still "in transit": skip this round, keep the
-				// edge scheduled (its word is consumed, the re-add cannot be
-				// visited twice this round).
-				n.res.Faults.Delayed++
-				n.active.add(e)
-				return
-			}
-		}
-		depth := int(q.size)
-		if depth > n.res.MaxQueue {
-			n.res.MaxQueue = depth
-		}
-		k := n.cap
-		if n.capOf != nil {
-			k = int(n.capOf[e])
-		}
-		if k > depth {
-			k = depth
-		}
-		for i := 0; i < k; i++ {
-			m := q.at(int32(i))
-			to := m.To
-			if n.crashed(to) {
-				n.res.Faults.Dropped++
-				n.noteLoss(e, m, false)
-				continue
-			}
-			if f := n.flt; f != nil && f.drop != nil {
-				if th := f.drop[e]; th != 0 {
-					f.seq[e]++
-					if fault.Roll(f.key, uint64(e), f.seq[e]) < th {
-						n.res.Faults.LinkDropped++
-						n.noteLoss(e, m, true)
-						continue
-					}
-				}
-			}
-			n.inbox[to] = append(n.inbox[to], *m)
-			n.res.Messages++
-			n.res.Words += int64(m.words)
-			n.stepSet.add(int32(to))
-		}
-		q.popN(int32(k))
-		if q.size > 0 {
-			n.active.add(e)
-		}
-		if f := n.flt; f != nil && f.delay != nil && f.delay[e] > 0 {
-			// Serialize the slow link: next delivery no earlier than
-			// 1+delay rounds from now.
-			f.release[e] = int32(n.round) + 1 + f.delay[e]
-		}
-	})
-	// Compact the awake list (SetActive(false) leaves stale entries) and
-	// schedule the remaining awake nodes.
-	live := n.awakeNodes[:0]
-	for _, v := range n.awakeNodes {
-		if !n.awake[v] {
-			continue
-		}
-		if n.crashed(v) {
-			// Crash-stop: the node can no longer keep itself awake, or the
-			// run would never reach quiescence.
-			n.awake[v] = false
-			n.awakeCount--
-			continue
-		}
-		live = append(live, v)
-		n.stepSet.add(int32(v))
+// collectShards folds every in-process shard's counters and first loss
+// into the run's Result (shard Rounds are 0).
+func (n *Network) collectShards() {
+	held := n.loss.Valid
+	for _, sh := range n.shards {
+		n.collect(sh.res, sh.loss, held)
 	}
-	n.awakeNodes = live
 }
 
-// step invokes the protocol on every scheduled node in ascending ID order
-// (the drain order of the node scheduler).
-func (n *Network) step(p Proto, ctx *Ctx) {
-	n.stepSet.drain(func(v int32) {
-		node := graph.NodeID(v)
-		if n.runErr != nil || n.crashed(node) {
-			n.inbox[v] = n.inbox[v][:0]
-			return
-		}
-		ctx.node = node
-		ctx.inbox = n.inbox[v]
-		p.Step(ctx)
-		n.inbox[v] = n.inbox[v][:0]
-	})
-}
-
-// crashed reports whether v is down at the current round: crash-stopped
-// via WithCrash, or scheduled down (crash or churn window) by the
-// installed fault plan.
-func (n *Network) crashed(v graph.NodeID) bool {
-	if n.crashAt[v] >= 0 && n.round >= n.crashAt[v] {
-		return true
-	}
-	if f := n.flt; f != nil {
-		return f.down(v, n.round)
-	}
-	return false
-}
-
-// send validates and enqueues a message from the executing node to a
-// neighbor. With parallel edges the least-loaded one is used (ties to the
-// first in adjacency order, as before the flat index). A node only ever
-// writes its own outgoing edge queues, so under sharded execution the push
-// is shard-local; only the activity mark and the error sink route through
-// the caller's shard.
-func (n *Network) send(c *Ctx, to graph.NodeID, kind uint16, words int, w [PayloadWords]uint64) {
-	if n.remote != nil && c.sh == nil {
-		// Cluster mode: the owning engine resolves the edge; see remote.go.
-		n.sendRemote(c, to, kind, words, w)
+// send enqueues a message from the executing node to a neighbor. A node
+// only ever writes its own outgoing edge queues, so the push, the
+// activity mark and the error sink are all local to the caller's shard.
+// In cluster mode the owning engine resolves the edge — the least-loaded
+// pick needs queue depths only it knows — so the validated send is
+// buffered for it unresolved (see remote.go).
+func (n *Network) send(c *Ctx, to graph.NodeID, kind uint16, words int, w *[PayloadWords]uint64) {
+	sh := c.sh
+	if sh.runErr != nil {
 		return
 	}
-	from := c.node
-	errp := &n.runErr
-	if c.sh != nil {
-		errp = &c.sh.runErr
-	}
-	if *errp != nil {
+	if n.remote == nil {
+		sh.runErr = sh.enqueue(c.node, to, kind, words, w)
 		return
 	}
-	if words < 1 {
-		*errp = fmt.Errorf("congest: node %d sent an invalid payload", from)
+	if words < 1 || n.nbrIndex(c.node, to) < 0 {
+		sh.runErr = sendError(c.node, to, words)
 		return
 	}
-	// Binary search the smallest index with nbrTo >= to in from's segment.
-	lo, hi := n.off[from], n.off[from+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if n.nbrTo[mid] < int32(to) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == n.off[from+1] || n.nbrTo[lo] != int32(to) {
-		*errp = fmt.Errorf("congest: node %d sent to non-neighbor %d", from, to)
-		return
-	}
-	best := n.nbrEdge[lo]
-	for j := lo + 1; j < n.off[from+1] && n.nbrTo[j] == int32(to); j++ {
-		e := n.nbrEdge[j]
-		if n.queues[e].size < n.queues[best].size {
-			best = e
-		}
-	}
-	n.queues[best].push(Message{From: from, To: to, Kind: kind, words: uint16(words), W: w})
-	if f := n.flt; f != nil && f.delay != nil {
-		// A message entering an idle delayed link starts its transit now:
-		// eligible 1+delay rounds out (max with any pending release, so
-		// back-to-back bursts stay serialized). The sending node owns this
-		// edge, so under sharded execution the write is shard-local.
-		if d := f.delay[best]; d > 0 && n.queues[best].size == 1 {
-			if r := int32(n.round) + 1 + d; r > f.release[best] {
-				f.release[best] = r
-			}
-		}
-	}
-	if c.sh != nil {
-		c.sh.active.add(best - c.sh.edgeLo)
-	} else {
-		n.active.add(best)
-	}
+	d := n.remoteOf[c.node]
+	n.pushBuf[d] = append(n.pushBuf[d], Message{From: c.node, To: to, Kind: kind, words: uint16(words), W: *w})
 }
 
-// Ctx is the per-node view handed to protocol callbacks. Under sharded
-// execution each shard worker owns one Ctx (sh non-nil), so activity and
-// send bookkeeping stay shard-local.
+// Ctx is the per-node view handed to protocol callbacks. Each shard owns
+// one, so activity and send bookkeeping stay shard-local.
 type Ctx struct {
 	net   *Network
 	sh    *shard
@@ -716,7 +450,8 @@ func (c *Ctx) Inbox() []Message { return c.inbox }
 // methods cannot be generic; the concrete payload type makes the
 // encode a static call with no interface boxing.
 func Send[V Payload](c *Ctx, to graph.NodeID, p V) {
-	c.net.send(c, to, p.Kind(), p.Words(), p.Encode())
+	w := p.Encode() // handed on by address: re-copying it per call level stalls the send path
+	c.net.send(c, to, p.Kind(), p.Words(), &w)
 }
 
 // RNG returns this node's persistent random stream.
@@ -735,25 +470,13 @@ func (c *Ctx) N() int { return c.net.g.N() }
 // SetActive requests (or cancels) a Step call next round even if no
 // messages arrive.
 func (c *Ctx) SetActive(active bool) {
-	n := c.net
-	v := c.node
-	if sh := c.sh; sh != nil {
-		if active && !n.awake[v] {
-			n.awake[v] = true
-			sh.awakeCount++
-			sh.awakeNodes = append(sh.awakeNodes, v)
-		} else if !active && n.awake[v] {
-			n.awake[v] = false
-			sh.awakeCount--
-		}
-		return
-	}
-	if active && !n.awake[v] {
-		n.awake[v] = true
-		n.awakeCount++
-		n.awakeNodes = append(n.awakeNodes, v)
-	} else if !active && n.awake[v] {
-		n.awake[v] = false
-		n.awakeCount--
+	awake, sh, v := c.net.awake, c.sh, c.node
+	if active && !awake[v] {
+		awake[v] = true
+		sh.awakeCount++
+		sh.awakeNodes = append(sh.awakeNodes, v)
+	} else if !active && awake[v] {
+		awake[v] = false
+		sh.awakeCount--
 	}
 }

@@ -107,94 +107,99 @@
 // and the BFS build marks visited nodes by stamping. One scratch suffices
 // because the engine executes one Run at a time.
 //
-// # Sharded execution
+// # One round kernel, three transports
 //
-// SetShards(S) (or the WithShards option) partitions the nodes into S
-// contiguous ranges, degree-balanced over the flat half-edge index, and
-// runs each round's per-node processing on one worker goroutine per shard
-// (shard.go). A round becomes three phases: every shard drains its own
-// active edges into per-(source, destination)-shard transfer buffers;
-// a barrier; every shard merges its inbound buffers and steps its
-// scheduled nodes; a second barrier, inside which one goroutine runs the
-// serial round bookkeeping (quiescence, halters, budget, cancellation) in
-// exactly the sequential engine's order.
+// The code that charges a round exists once (kernel.go). A shard is a
+// contiguous ascending node range, split into two halves:
 //
-// Determinism argument — why WithShards(S) is bit-identical to
-// WithShards(1): the engine's only order-sensitive operation is inbox
-// append order (protocols see Inbox() in delivery order, and RNG draws
-// follow message handling). Sequential delivery iterates directed edges in
-// ascending global index. Shards own contiguous ascending edge ranges, in
-// shard order; each shard drains its own edges ascending; and the
-// destination merges inbound buffers in ascending source-shard order. The
-// concatenation (source shard ascending, edge ascending within shard) IS
-// the global ascending edge order, so every node's inbox is byte-identical
-// to the sequential engine's — the barrier merge order equals the global
-// edge (and hence node) order. Node steps within a shard run in ascending
-// ID order; steps in different shards interleave arbitrarily, which is
-// unobservable because protocol state is per-node (each node's Step
-// touches only its own slots of per-node stores, plus its own outgoing
-// queues and RNG stream — the same locality the CONGEST model itself
-// prescribes). Counters are charged at the sending side with sequential
-// values: Messages/Words/Dropped are sums over shards, MaxQueue a max —
-// all order-free merges. The engine's RNG consumption is nil, and per-node
-// streams are consumed only by their owner's Init/Step. Hence Result
-// counters, walk outputs and RNG traces are invariant in S, which the
-// shard-identity stress tests (engine-level, pathverify, and full-stack
-// under -race) pin at S = 2, 4, 8.
+//   - The edge half owns the directed edges leaving those nodes. enqueue
+//     is the only way a message enters one of its queues (neighbor
+//     lookup, least-loaded parallel-edge pick, delay-start write,
+//     activity mark); drain is the only way one leaves: it visits the
+//     half's active edges in ascending index order, applies the delay
+//     gate, samples MaxQueue, clamps to the capacity, charges crash drops
+//     and lossy-link rolls, and appends the survivors to one transfer
+//     buffer per destination.
+//   - The node half owns the nodes: mergeIn appends a transfer buffer to
+//     their inboxes and schedules the receivers, wake schedules the nodes
+//     that asked to stay awake, step runs the protocol on the scheduled
+//     nodes in ascending ID order.
 //
-// Two caveats. Error paths diverge benignly: an invalid send aborts the
-// run in both modes, but sharded execution finishes the round in other
-// shards and reports the lowest-erring-shard's error rather than the
-// first in step order (errors are protocol bugs, not outcomes). And
-// protocols whose nodes share mutable state would race: the one shared
-// scratch in this module's protocols (the GET-MORE-WALKS aggregation
-// buffer) became per-node, and pathverify's first-verifier tie-break an
-// atomic CAS-min, as part of introducing sharding.
+// A round is drain, move the buffers, mergeIn in ascending source order,
+// wake, step; then one serial verdict (protocol error, Halter, quiescence,
+// round budget, cancellation — in that order) either stops the run or
+// opens the next round, and at the end one collect folds each edge half's
+// counters and first loss into the Result. Run picks the driver from what
+// it can observe, and the drivers differ only in how buffers move:
+//
+//   - One shard (the default): the caller's goroutine runs the round and
+//     hands the single buffer from the edge half to the node half — no
+//     barrier, no clock, no per-Run allocation.
+//   - SetShards(S>1) / WithShards: S degree-balanced shards, one worker
+//     goroutine each (shard.go). Every shard drains; a barrier; every
+//     shard merges the buffers addressed to it and steps; a second
+//     barrier, inside which the last arriver runs the verdict.
+//   - ConnectRemote: the edge halves run as ShardEngines in other
+//     processes (engine.go, internal/wire, cmd/distwalkd) and the client
+//     keeps one node half over all nodes (remote.go). A send is validated
+//     here and shipped unresolved to the engine owning the sender; each
+//     round the client writes every engine its sends and awaits every ack
+//     (the acks carry the queued-edge counts the verdict needs), then
+//     asks every engine to drain and merges the returned buffers in
+//     engine order.
+//
+// Determinism argument — why every transport computes the same
+// execution. The only order-sensitive operation is inbox append order
+// (protocols see Inbox() in delivery order, and RNG draws follow message
+// handling). Shards own contiguous ascending edge ranges, in shard order;
+// each edge half drains its own edges ascending; and every node half
+// merges sources in ascending order. The concatenation (source ascending,
+// edge ascending within source) IS the global ascending directed-edge
+// order, so every inbox is byte-identical at any shard count and on any
+// side of a process boundary. TCP may interleave frames from different
+// engines arbitrarily; the merge order is fixed by engine index, not
+// arrival time, so network timing is unobservable. Node steps within a
+// half run in ascending ID order; steps in different halves interleave
+// arbitrarily, which is unobservable because protocol state is per-node
+// (each node's Step touches only its own slots of per-node stores, plus
+// its own outgoing queues and RNG stream — the same locality the CONGEST
+// model itself prescribes). Every queue and every fault decision is
+// per-edge state owned by exactly one edge half, so charging happens at
+// the sending side with the same values wherever the half runs:
+// Messages/Words/Dropped are sums over halves, MaxQueue a max, the first
+// loss the minimum (round, edge) — all order-free merges. The kernel
+// consumes no randomness, and per-node streams are consumed only by their
+// owner's Init/Step. Hence Result counters, walk outputs, RNG traces,
+// fault census and LossError are invariant across one shard,
+// WithShards(S) and an S-engine cluster — pinned by the shard-identity
+// stress tests (engine-level, pathverify, and full-stack under -race) at
+// S = 2, 4, 8, the wire-level run identity tests (internal/wire) and the
+// full-stack cluster suite (cluster_test.go) against real distwalkd
+// processes at S = 2, 4. The suites compare transports against each
+// other; there is no separate reference loop.
+//
+// Errors. An invalid send (empty payload, non-neighbor) is recorded by
+// the erring node's half, which stops stepping its remaining nodes; the
+// round finishes and the verdict reports the lowest half's error. Halves
+// are ascending and each keeps its first, so on every transport the run
+// fails with the lowest erring node's error, at the same round and with
+// the same partial Result; remote engines still receive FinishRun, and
+// after Reseed the network serves its next run exactly like a fresh one
+// (TestShardedErrorAborts). What does differ is which of the nodes above
+// the erring one got to run that round — state nobody may read after an
+// abort. A remote transport failure, by contrast, abandons the session.
+//
+// One caveat: protocols whose nodes share mutable state would race under
+// S > 1. The one shared scratch in this module's protocols (the
+// GET-MORE-WALKS aggregation buffer) became per-node, and pathverify's
+// first-verifier tie-break an atomic CAS-min, when sharding was
+// introduced.
 //
 // Wall-clock: sharding pays when per-round work is large (big graphs,
 // many tokens in flight) and costs two barrier synchronizations per round
-// when it is not; S=1 — the default — runs the unchanged sequential hot
-// loop with zero overhead. ShardStats reports per-shard occupancy and
-// barrier wait so imbalance is observable.
-//
-// # Cross-process boundary exchange (cluster mode)
-//
-// ConnectRemote replaces the in-process shard group with remote shard
-// engines reached through the internal/wire protocol (distwalkd
-// processes). The determinism argument above survives the process
-// boundary unchanged, because the protocol is a transcription of the
-// barrier discipline, not a relaxation of it:
-//
-//   - Each remote ShardEngine owns the same contiguous ascending
-//     directed-edge range the in-process shard would own (the client
-//     sends the identical PlanShards bounds in the handshake), and owns
-//     only transport state: edge rings, fault charging, delivery
-//     counters. Protocol state, per-node RNG streams, the awake list and
-//     the round bookkeeping stay on the client, so the split moves
-//     *where* edges drain without moving any order-sensitive decision.
-//   - The push barrier is write-all-then-read-all: the client sends every
-//     engine its round's boundary messages, then awaits every PushAck.
-//     No engine's delivery can begin before the barrier completes, same
-//     as the in-process phase structure.
-//   - The delivery barrier returns each engine's inbound buffer as one
-//     frame, messages in the engine's drain order — ascending edge index
-//     within the engine's range, FIFO within an edge. The client merges
-//     buffers in ascending engine (= shard) order; the concatenation is
-//     the global ascending directed-edge order, so every inbox is
-//     byte-identical to the sequential engine's, by the same argument as
-//     the in-process merge. TCP may interleave frames from different
-//     engines arbitrarily; the merge order is fixed by shard index, not
-//     arrival time, so network timing is unobservable.
-//   - Fault charging runs inside the engine that owns the edge, with the
-//     same per-edge ordinal streams (pure functions of plan key, edge,
-//     ordinal — no engine-side RNG), and the first-loss record merges by
-//     minimal (round, edge) across engines, exactly as across shards.
-//
-// Hence Result counters, walk outputs, RNG traces, fault census and
-// LossError are invariant across in-process sequential, WithShards(S)
-// and a WithCluster S-engine deployment — pinned by the wire-level run
-// identity tests (internal/wire) and the full-stack cluster suite
-// (cluster_test.go) against real distwalkd processes at S = 2, 4.
+// when it is not; a cluster pays two round trips per round. ShardStats
+// reports per-shard occupancy and barrier wait so imbalance is
+// observable.
 //
 // # Warm-reuse lifecycle
 //
@@ -268,11 +273,10 @@
 // crash-stop faults and churn windows (round-indexed node-down lookups),
 // lossy links (per-message drop decisions) and slow links (per-edge fixed
 // delays). All fault state lives behind one nil-checked pointer, so a
-// network without a plan runs the unchanged hot loop — the zero-cost
-// contract the goldens pin.
+// network without a plan pays one nil check per edge drained — the
+// zero-cost contract the goldens pin.
 //
-// Charging order within a directed edge's delivery, which both engines
-// follow exactly:
+// Charging order within a directed edge's delivery (edgeHalf.drain):
 //
 //  1. Delay gate. A slow link whose release round is in the future skips
 //     the whole burst, charges Faults.Delayed once per skipped round, and
@@ -294,9 +298,9 @@
 // per-edge release rounds owned by the edge's shard; node-down lookups
 // are pure functions of (node, round). The first-loss record (LossError)
 // is merged across shards by minimal (round, edge), which is exactly the
-// first loss the sequential drain order encounters. Faults.Crashed is a
+// first loss a single ascending drain encounters. Faults.Crashed is a
 // post-run census (high-water, including recovered churn nodes) computed
-// once in the Run wrapper, identically for both engines.
+// once in the Run wrapper, identically for every driver.
 //
 // The loss record persists across a request's multiple engine runs and is
 // cleared by Reseed — request scope, matching the service's per-request

@@ -8,41 +8,31 @@ import (
 	"distwalk/internal/graph"
 )
 
-// ShardEngine is the server side of cluster mode: the transport layer of
-// one shard — the per-directed-edge queues, fault-charging state and
-// delivery counters for a contiguous node range — factored out of the
-// Network so it can run in a separate process (cmd/distwalkd) behind the
-// internal/wire protocol. The protocol layer (Init/Step, per-node RNG
-// streams, awake bookkeeping) stays in the client process; each round the
-// client pushes that round's sends to the engine owning the sender and
-// asks every engine to deliver, merging the returned buffers in ascending
-// shard order. Because engines own ascending contiguous edge ranges and
-// deliver in ascending edge order, the merge reproduces the sequential
-// engine's global directed-edge delivery order bit for bit — the same
-// argument that makes the in-process sharded engine exact (see doc.go).
+// ShardEngine is the server side of cluster mode: the edge half of one
+// shard — the per-directed-edge queues, fault-charging state and delivery
+// counters for a contiguous node range — running in a separate process
+// (cmd/distwalkd) behind the internal/wire protocol. The node half
+// (Init/Step, per-node RNG streams, awake bookkeeping) stays in the
+// client process; each round the client pushes that round's sends to the
+// engine owning the sender and asks every engine to deliver, merging the
+// returned buffers in ascending shard order. It is the same kernel the
+// in-process shards run (kernel.go), so the merge reproduces their
+// delivery order bit for bit (see doc.go).
 //
 // A ShardEngine serves one client session: per-edge state (queue contents,
 // drop-decision ordinals, delay release rounds) is session state, exactly
 // like one pooled worker's Network in-process. Engines are not safe for
 // concurrent use; cmd/distwalkd builds one per connection.
 type ShardEngine struct {
-	// net hosts the shared machinery the engine borrows from the
-	// sequential engine — the flat half-edge index, the ring queues, the
-	// compiled fault plan — so the two delivery bodies can never drift on
-	// index layout or plan compilation. Its run loop is never used; its
-	// round counter is slaved to the client's round via Push/Deliver.
-	net *Network
+	// links is the engine's own edge index, queues and compiled fault
+	// plan; its round is slaved to the client's via Push/Deliver. edges
+	// drains into one buffer: the client is the only destination.
+	links links
+	edges edgeHalf
 
 	index  int
 	nodeLo int32 // global node range [nodeLo, nodeHi)
 	nodeHi int32
-	edgeLo int32 // == off[nodeLo]; the engine owns edges [edgeLo, off[nodeHi])
-
-	active *sched    // engine-local edge indices (global edge - edgeLo)
-	out    []Message // deliver buffer, ascending edge order, reused
-
-	res  Result
-	loss lossInfo
 
 	// Cumulative occupancy counters (survive RunBegin; exported via the
 	// distwalkd expvar endpoint).
@@ -112,24 +102,16 @@ func NewShardEngine(g *graph.G, bounds []int32, index, edgeCap int, plan *fault.
 	if index < 0 || index >= len(bounds)-1 {
 		return nil, fmt.Errorf("%w: shard index %d outside [0,%d)", ErrShardPlan, index, len(bounds)-1)
 	}
-	net := NewNetwork(g, 0)
-	if edgeCap > 1 {
-		net.cap = edgeCap
-	}
+	e := &ShardEngine{index: index, nodeLo: bounds[index], nodeHi: bounds[index+1]}
+	e.links = links{g: g, cap: max(edgeCap, 1)}
+	e.links.buildIndex()
 	if plan != nil {
-		if err := net.SetFaultPlan(plan); err != nil {
+		if err := e.links.SetFaultPlan(plan); err != nil {
 			return nil, err
 		}
 	}
-	lo, hi := bounds[index], bounds[index+1]
-	return &ShardEngine{
-		net:    net,
-		index:  index,
-		nodeLo: lo,
-		nodeHi: hi,
-		edgeLo: net.off[lo],
-		active: newSched(int(net.off[hi] - net.off[lo])),
-	}, nil
+	e.edges = newEdgeHalf(&e.links, e.nodeLo, e.nodeHi, nil, 1)
+	return e, nil
 }
 
 // Shard reports the engine's shard index.
@@ -143,7 +125,7 @@ func (e *ShardEngine) NodeRange() (lo, hi graph.NodeID) {
 // Active reports the number of edges with queued (or in-transit delayed)
 // messages — this engine's contribution to the client's quiescence check,
 // the exact analogue of the in-process shard's active.count.
-func (e *ShardEngine) Active() int { return e.active.count }
+func (e *ShardEngine) Active() int { return e.edges.active.count }
 
 // Stats reports the engine's cumulative occupancy counters: runs served,
 // messages pushed and messages delivered.
@@ -153,185 +135,49 @@ func (e *ShardEngine) Stats() (runs, pushed, delivered int64) {
 
 // RunBegin resets the engine for a fresh run: leftover queues from an
 // aborted run drain, counters and the first-loss record clear, the
-// per-run fault decision state (drop ordinals, delay releases) resets —
-// exactly the per-shard portion of resetSharded.
+// per-run fault decision state (drop ordinals, delay releases) resets.
 func (e *ShardEngine) RunBegin() {
-	n := e.net
-	e.active.drain(func(le int32) { n.queues[e.edgeLo+le].clear() })
-	e.out = e.out[:0]
-	e.res = Result{}
-	e.loss = lossInfo{}
-	n.round = 0
-	if n.flt != nil {
-		n.flt.resetRun()
-	}
+	e.edges.reset()
+	e.links.resetRun()
 	e.runs++
 }
 
-// Push enqueues the client's sends for the given round, resolving each to
-// a directed edge with the sequential engine's exact semantics: binary
-// search of the sender's neighbor segment, least-loaded pick among
-// parallel edges (ties to the first in adjacency order), and the
-// delay-start release write for a message entering an idle slow link.
-// The client has already validated the send at the protocol boundary
-// (runErr semantics stay client-side); a send that still violates the
-// contract here — sender outside the engine's range, non-neighbor
-// destination, empty payload — is a protocol violation and fails the
-// session with ErrBadPush.
-//
-// KEEP IN LOCKSTEP with Network.send (congest.go): the edge resolution,
-// tie-break, delay-start write and activity mark must compute the same
-// values or cluster runs diverge from in-process runs.
+// Push enqueues the client's sends for the given round. The client has
+// already validated each send at the protocol boundary (runErr semantics
+// stay client-side); one that still violates the contract here — sender
+// outside the engine's range, non-neighbor destination, empty payload —
+// is a protocol violation and fails the session with ErrBadPush.
 func (e *ShardEngine) Push(round int, msgs []Message) error {
-	n := e.net
-	n.round = round
+	e.links.round = round
 	for i := range msgs {
 		m := &msgs[i]
-		from, to := m.From, m.To
-		if from < graph.NodeID(e.nodeLo) || from >= graph.NodeID(e.nodeHi) {
+		if int32(m.From) < e.nodeLo || int32(m.From) >= e.nodeHi {
 			return fmt.Errorf("%w: sender %d outside shard %d range [%d,%d)",
-				ErrBadPush, from, e.index, e.nodeLo, e.nodeHi)
+				ErrBadPush, m.From, e.index, e.nodeLo, e.nodeHi)
 		}
-		if to < 0 || int(to) >= n.g.N() || m.words < 1 {
-			return fmt.Errorf("%w: node %d sent an invalid message", ErrBadPush, from)
+		if err := e.edges.enqueue(m.From, m.To, m.Kind, int(m.words), &m.W); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadPush, err)
 		}
-		lo, hi := n.off[from], n.off[from+1]
-		for lo < hi {
-			mid := (lo + hi) >> 1
-			if n.nbrTo[mid] < int32(to) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == n.off[from+1] || n.nbrTo[lo] != int32(to) {
-			return fmt.Errorf("%w: node %d sent to non-neighbor %d", ErrBadPush, from, to)
-		}
-		best := n.nbrEdge[lo]
-		for j := lo + 1; j < n.off[from+1] && n.nbrTo[j] == int32(to); j++ {
-			ed := n.nbrEdge[j]
-			if n.queues[ed].size < n.queues[best].size {
-				best = ed
-			}
-		}
-		n.queues[best].push(*m)
-		if f := n.flt; f != nil && f.delay != nil {
-			if d := f.delay[best]; d > 0 && n.queues[best].size == 1 {
-				if r := int32(round) + 1 + d; r > f.release[best] {
-					f.release[best] = r
-				}
-			}
-		}
-		e.active.add(best - e.edgeLo)
 	}
 	e.pushed += int64(len(msgs))
 	return nil
 }
 
-// Deliver drains the engine's active edges for the given round in
-// ascending edge order — this shard's slice of the global deterministic
-// delivery order — charging delays, crash drops and lossy-link rolls in
-// the canonical order and appending survivors to the returned buffer.
-// The buffer is reused across rounds; callers must consume it before the
-// next Deliver.
-//
-// KEEP IN LOCKSTEP with shard.deliverOut (shard.go) and Network.deliver
-// (congest.go): this is the same per-edge drain with the transfer-buffer
-// append replaced by a single wire buffer (the client is the only
-// destination). Any semantic change to any of the three bodies must be
-// mirrored in the others or the bit-identity contract breaks.
+// Deliver drains the engine's active edges for the given round and
+// returns the survivors in ascending edge order. The buffer is reused
+// across rounds; callers must consume it before the next Deliver.
 func (e *ShardEngine) Deliver(round int) []Message {
-	n := e.net
-	n.round = round
-	e.out = e.out[:0]
-	e.active.drain(func(le int32) {
-		ei := e.edgeLo + le
-		q := &n.queues[ei]
-		if f := n.flt; f != nil && f.delay != nil && f.delay[ei] > 0 {
-			if int32(round) < f.release[ei] {
-				e.res.Faults.Delayed++
-				e.active.add(le)
-				return
-			}
-		}
-		depth := int(q.size)
-		if depth > e.res.MaxQueue {
-			e.res.MaxQueue = depth
-		}
-		k := n.cap
-		if n.capOf != nil {
-			k = int(n.capOf[ei])
-		}
-		if k > depth {
-			k = depth
-		}
-		for i := 0; i < k; i++ {
-			m := q.at(int32(i))
-			to := m.To
-			if n.crashed(to) {
-				e.res.Faults.Dropped++
-				e.noteLoss(ei, m, false)
-				continue
-			}
-			if f := n.flt; f != nil && f.drop != nil {
-				if th := f.drop[ei]; th != 0 {
-					f.seq[ei]++
-					if fault.Roll(f.key, uint64(ei), f.seq[ei]) < th {
-						e.res.Faults.LinkDropped++
-						e.noteLoss(ei, m, true)
-						continue
-					}
-				}
-			}
-			e.out = append(e.out, *m)
-			e.res.Messages++
-			e.res.Words += int64(m.words)
-		}
-		q.popN(int32(k))
-		if q.size > 0 {
-			e.active.add(le)
-		}
-		if f := n.flt; f != nil && f.delay != nil && f.delay[ei] > 0 {
-			f.release[ei] = int32(round) + 1 + f.delay[ei]
-		}
-	})
-	e.delivered += int64(len(e.out))
-	return e.out
+	e.links.round = round
+	e.edges.drain()
+	out := e.edges.out[0]
+	e.delivered += int64(len(out))
+	return out
 }
 
-// noteLoss records a dropped message if it is the run's first loss; the
-// engine-local twin of shard.noteLoss.
-func (e *ShardEngine) noteLoss(ei int32, m *Message, link bool) {
-	if e.loss.valid {
-		return
-	}
-	e.loss = lossInfo{valid: true, link: link, round: int32(e.net.round), edge: ei, from: m.From, to: m.To}
-}
-
-// RunEnd returns the run's counters and first-loss record; the client
-// merges them exactly as runSharded merges per-shard results (counters
-// sum, MaxQueue maxes, losses pick the minimum (round, edge)).
+// RunEnd returns the run's counters and first-loss record for the
+// client to collect.
 func (e *ShardEngine) RunEnd() (Result, LossRecord) {
-	return e.res, LossRecord{
-		Valid: e.loss.valid,
-		Link:  e.loss.link,
-		Round: e.loss.round,
-		Edge:  e.loss.edge,
-		From:  e.loss.from,
-		To:    e.loss.to,
-	}
-}
-
-// LossRecord is the exported form of a shard engine's first-loss record,
-// carried over the wire at run end and merged into the client network's
-// request-level loss (see Network.LossError).
-type LossRecord struct {
-	Valid bool
-	Link  bool // lossy-link drop (vs down-receiver drop)
-	Round int32
-	Edge  int32 // global directed-edge index, for the merge order
-	From  graph.NodeID
-	To    graph.NodeID
+	return e.edges.res, e.edges.loss
 }
 
 // MakeMessage constructs a Message explicitly; the wire codec uses it to

@@ -86,17 +86,20 @@ func (f *FaultStats) add(other FaultStats) {
 	}
 }
 
-// lossInfo records the first injected-fault message loss since the
-// network was (re)seeded. The protocol layer turns it into the typed
-// fault error for the whole request, so it persists across the several
-// engine runs a request performs and is cleared by Reseed.
-type lossInfo struct {
-	valid bool
-	link  bool // lossy-link drop (vs down-receiver drop)
-	round int32
-	edge  int32 // global directed-edge index, for the sharded merge order
-	from  graph.NodeID
-	to    graph.NodeID
+// LossRecord is a first injected-fault message loss. Each edge half
+// keeps the first one of its run; the network keeps the first since it
+// was (re)seeded — the minimum (round, edge) over its halves, see collect
+// — which the protocol layer turns into the typed fault error for the
+// whole request, so it persists across the several engine runs a request
+// performs and is cleared by Reseed. Remote engines ship theirs over the
+// wire at run end.
+type LossRecord struct {
+	Valid bool
+	Link  bool // lossy-link drop (vs down-receiver drop)
+	Round int32
+	Edge  int32 // global directed-edge index, for the merge order
+	From  graph.NodeID
+	To    graph.NodeID
 }
 
 // LossError returns a typed error describing the first message lost to
@@ -105,51 +108,14 @@ type lossInfo struct {
 // *MessageLostError for a lossy-link drop. Protocol drivers call it to
 // convert a stalled or incomplete run into a typed, retryable failure.
 func (n *Network) LossError() error {
-	if !n.loss.valid {
+	l := n.loss
+	if !l.Valid {
 		return nil
 	}
-	if n.loss.link {
-		return &MessageLostError{From: n.loss.from, To: n.loss.to, Round: int(n.loss.round)}
+	if l.Link {
+		return &MessageLostError{From: l.From, To: l.To, Round: int(l.Round)}
 	}
-	return &NodeCrashedError{Node: n.loss.to, Round: int(n.loss.round)}
-}
-
-// noteLoss records a dropped message if it is the request's first loss.
-// Sequential-engine path; the sharded engine records per shard and
-// merges at the round barrier (mergeLoss).
-func (n *Network) noteLoss(e int32, m *Message, link bool) {
-	if n.loss.valid {
-		return
-	}
-	n.loss = lossInfo{valid: true, link: link, round: int32(n.round), edge: e, from: m.From, to: m.To}
-}
-
-// noteLoss is the shard-local twin of Network.noteLoss.
-func (sh *shard) noteLoss(e int32, m *Message, link bool) {
-	if sh.loss.valid {
-		return
-	}
-	sh.loss = lossInfo{valid: true, link: link, round: int32(sh.net.round), edge: e, from: m.From, to: m.To}
-}
-
-// mergeLoss folds the per-shard first losses of a sharded run into the
-// network's request-level record, picking the minimum (round, edge) —
-// exactly the loss the sequential engine would have recorded first,
-// since its drain visits edges in ascending index order within a round.
-func (n *Network) mergeLoss() {
-	if n.loss.valid {
-		return // an earlier run of this request already lost a message
-	}
-	for _, sh := range n.sh {
-		l := sh.loss
-		if !l.valid {
-			continue
-		}
-		if !n.loss.valid || l.round < n.loss.round ||
-			(l.round == n.loss.round && l.edge < n.loss.edge) {
-			n.loss = l
-		}
-	}
+	return &NodeCrashedError{Node: l.To, Round: int(l.Round)}
 }
 
 // faultState is a fault.Plan compiled against one network: per-node down
@@ -215,8 +181,8 @@ func (f *faultState) downEver(v graph.NodeID, round int) bool {
 // ended run — the Crashed high-water mark reported in Result.Faults.
 func (n *Network) downCount() int {
 	c := 0
-	for v := range n.crashAt {
-		down := n.crashAt[v] >= 0 && n.crashAt[v] <= n.round
+	for v := 0; v < n.g.N(); v++ {
+		down := n.crashAt != nil && n.crashAt[v] >= 0 && n.crashAt[v] <= n.round
 		if !down && n.flt != nil {
 			down = n.flt.downEver(graph.NodeID(v), n.round)
 		}
@@ -235,7 +201,7 @@ func (n *Network) downCount() int {
 // are not edges fail with an error wrapping ErrBadFault (and
 // fault.ErrBadPlan where the plan itself is malformed). Not safe to call
 // concurrently with Run.
-func (n *Network) SetFaultPlan(p *fault.Plan) error {
+func (n *links) SetFaultPlan(p *fault.Plan) error {
 	if p == nil {
 		n.flt = nil
 		return nil
@@ -321,21 +287,13 @@ func (n *Network) FaultPlan() *fault.Plan {
 // linkEdges resolves the directed link from→to to its directed edge
 // indices (several with parallel edges), or fails with ErrBadFault when
 // the pair is not an edge of the graph.
-func (n *Network) linkEdges(from, to graph.NodeID) ([]int32, error) {
-	lo, hi := n.off[from], n.off[from+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if n.nbrTo[mid] < int32(to) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == n.off[from+1] || n.nbrTo[lo] != int32(to) {
+func (n *links) linkEdges(from, to graph.NodeID) ([]int32, error) {
+	i := n.nbrIndex(from, to)
+	if i < 0 {
 		return nil, fmt.Errorf("%w: fault plan references %d->%d, which is not an edge", ErrBadFault, from, to)
 	}
 	var out []int32
-	for j := lo; j < n.off[from+1] && n.nbrTo[j] == int32(to); j++ {
+	for j := i; j < n.off[from+1] && n.nbrTo[j] == int32(to); j++ {
 		out = append(out, n.nbrEdge[j])
 	}
 	return out, nil

@@ -7,17 +7,15 @@ import (
 	"distwalk/internal/graph"
 )
 
-// Cluster-mode client: the network's shards run as ShardEngines in other
-// processes (cmd/distwalkd), reached through the RemoteShard transport
-// below. The protocol layer — Init/Step, per-node RNG streams, the awake
-// list — runs here, single-threaded like the sequential engine; the
-// transport layer (edge queues, fault charging, delivery) runs remotely.
-// Each round the client ships its sends to the engine owning the sender,
-// asks every engine to deliver, and merges the returned buffers in
-// ascending shard order — the exact deliverIn merge, so inboxes, RNG
-// traces, counters and fault charging stay bit-identical to the
-// in-process engines at the same shard plan (see the determinism argument
-// in doc.go).
+// Cluster-mode client: the network's edge halves run as ShardEngines in
+// other processes (cmd/distwalkd), reached through the RemoteShard
+// transport below. The node half — Init/Step, per-node RNG streams, the
+// awake list — runs here as the network's single shard; its own edge half
+// stays idle. Each round the client ships its sends to the engine owning
+// the sender, asks every engine to deliver, and merges the returned
+// buffers in ascending engine order — the kernel's mergeIn, so inboxes,
+// RNG traces, counters and fault charging stay bit-identical to the
+// in-process drivers (see doc.go).
 
 // RemoteShard is one remote shard engine as seen by the client: a
 // strictly alternating request/reply transport over the engine's
@@ -74,7 +72,7 @@ func (n *Network) ConnectRemote(group []RemoteShard, bounds []int32) error {
 		return fmt.Errorf("%w: %d engines against bounds %v over [0,%d]",
 			ErrShardPlan, len(group), bounds, n.g.N())
 	}
-	if n.hasCrash {
+	if n.crashAt != nil {
 		return fmt.Errorf("%w: WithCrash schedules are not supported in cluster mode (use a fault plan)", ErrShardPlan)
 	}
 	if n.capOf != nil {
@@ -102,38 +100,6 @@ func remoteFail(i int, err error) error {
 	return fmt.Errorf("%w: shard %d: %w", ErrRemoteShard, i, err)
 }
 
-// sendRemote is Send's cluster-mode body: the same validation (and
-// runErr semantics) as the in-process path, with the queue push replaced
-// by an append to the owning engine's push buffer. The least-loaded
-// parallel-edge pick needs queue depths only the engine knows, so the
-// send ships unresolved (from, to) and the engine resolves it with
-// Network.send's exact tie-break.
-func (n *Network) sendRemote(c *Ctx, to graph.NodeID, kind uint16, words int, w [PayloadWords]uint64) {
-	from := c.node
-	if n.runErr != nil {
-		return
-	}
-	if words < 1 {
-		n.runErr = fmt.Errorf("congest: node %d sent an invalid payload", from)
-		return
-	}
-	lo, hi := n.off[from], n.off[from+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if n.nbrTo[mid] < int32(to) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == n.off[from+1] || n.nbrTo[lo] != int32(to) {
-		n.runErr = fmt.Errorf("congest: node %d sent to non-neighbor %d", from, to)
-		return
-	}
-	d := n.remoteOf[from]
-	n.pushBuf[d] = append(n.pushBuf[d], Message{From: from, To: to, Kind: kind, words: uint16(words), W: w})
-}
-
 // flushPushes ships the buffered sends of the current round to every
 // engine (writes first, then reads, so engines resolve concurrently) and
 // returns the summed active edge count — the cluster analogue of
@@ -157,13 +123,10 @@ func (n *Network) flushPushes() (int, error) {
 }
 
 // remoteDeliver runs one round's delivery: every engine drains its edge
-// range for the current round, and the returned buffers merge here in
-// ascending shard order — engines own ascending contiguous edge ranges
-// and deliver in ascending edge order, so the concatenation appends to
-// each inbox in ascending global directed-edge order, byte for byte the
-// sequential delivery order (the deliverIn argument). The awake-list
-// compaction then mirrors the in-process engines exactly.
-func (n *Network) remoteDeliver() error {
+// range for the current round (requests first, so they drain
+// concurrently), and the returned buffers merge into the client's node
+// half in ascending engine order.
+func (n *Network) remoteDeliver(sh *shard) error {
 	for i, r := range n.remote {
 		if err := r.SendDeliver(n.round); err != nil {
 			return remoteFail(i, err)
@@ -174,69 +137,16 @@ func (n *Network) remoteDeliver() error {
 		if err != nil {
 			return remoteFail(i, err)
 		}
-		for j := range buf {
-			m := &buf[j]
-			n.inbox[m.To] = append(n.inbox[m.To], *m)
-			n.stepSet.add(int32(m.To))
-		}
+		sh.mergeIn(buf)
 		n.recvBuf = buf[:0]
 	}
-	live := n.awakeNodes[:0]
-	for _, v := range n.awakeNodes {
-		if !n.awake[v] {
-			continue
-		}
-		if n.crashed(v) {
-			n.awake[v] = false
-			n.awakeCount--
-			continue
-		}
-		live = append(live, v)
-		n.stepSet.add(int32(v))
-	}
-	n.awakeNodes = live
 	return nil
 }
 
-// remoteAdvance is the serial verdict at the end of a round (and after
-// Init), in exactly shardRun.advance's order: protocol error, halt,
-// quiescence, round budget, cancellation — otherwise the next round
-// opens. active is the engines' summed active edge count from the
-// round's push barrier.
-func (n *Network) remoteAdvance(halter Halter, active int) (bool, error) {
-	if n.runErr != nil {
-		return true, n.runErr
-	}
-	if halter != nil && halter.Halted() {
-		return true, nil
-	}
-	if active == 0 && n.awakeCount == 0 {
-		return true, nil
-	}
-	if n.round >= n.maxRound {
-		return true, fmt.Errorf("%w after %d rounds", ErrRoundLimit, n.round)
-	}
-	if n.ctx != nil && n.round&ctxCheckMask == 0 {
-		if err := n.ctx.Err(); err != nil {
-			return true, fmt.Errorf("congest: run aborted at round %d: %w", n.round, err)
-		}
-	}
-	n.round++
-	n.res.Rounds = n.round
-	return false, nil
-}
-
-// finishRemote collects every engine's counters and first-loss record,
-// merging them exactly as runSharded merges per-shard results: Result
-// counters sum in shard order (MaxQueue maxes), losses keep the minimum
-// (round, edge) unless an earlier run of this request already recorded
-// one.
+// finishRemote collects every engine's counters and first-loss record.
 func (n *Network) finishRemote() error {
 	var firstErr error
-	// An earlier run of this request may already hold the request-level
-	// first loss; this run's losses then never displace it (mergeLoss's
-	// contract). Latch the flag before merging starts mutating n.loss.
-	lossHeld := n.loss.valid
+	held := n.loss.Valid
 	for i, r := range n.remote {
 		rr, err := r.FinishRun()
 		if err != nil {
@@ -245,67 +155,43 @@ func (n *Network) finishRemote() error {
 			}
 			continue
 		}
-		n.res.Add(rr.Res)
-		l := rr.Loss
-		if !l.Valid || lossHeld {
-			continue
-		}
-		if !n.loss.valid || l.Round < n.loss.round ||
-			(l.Round == n.loss.round && l.Edge < n.loss.edge) {
-			n.loss = lossInfo{valid: true, link: l.Link, round: l.Round, edge: l.Edge, from: l.From, to: l.To}
-		}
+		n.collect(rr.Res, rr.Loss, held)
 	}
 	return firstErr
 }
 
-// runRemote is the cluster-mode round loop; see Run. Structure and check
-// order mirror runSharded: reset, cancellation pre-check, Init, then the
-// push-barrier / verdict / deliver / step cadence with the serial
-// verdict in shardRun.advance's exact order.
-func (n *Network) runRemote(p Proto) (Result, error) {
-	n.reset()
+// runRemote is the cluster driver: the kernel's round with the transfer
+// buffers crossing the RemoteShard transport — sends flushed to the
+// engines (whose acks carry the queued-edge count the verdict needs),
+// deliveries read back and merged. A transport failure abandons the
+// session; any other end tells every engine to finish the run.
+func (n *Network) runRemote(p Proto, halter Halter) error {
 	for i := range n.pushBuf {
 		n.pushBuf[i] = n.pushBuf[i][:0]
 	}
-	if n.ctx != nil {
-		if err := n.ctx.Err(); err != nil {
-			return n.res, fmt.Errorf("congest: run aborted before round 1: %w", err)
-		}
-	}
 	for i, r := range n.remote {
 		if err := r.RunBegin(); err != nil {
-			return n.res, remoteFail(i, err)
+			return remoteFail(i, err)
 		}
 	}
-	ctx := &Ctx{net: n}
-	for v := 0; v < n.g.N(); v++ {
-		ctx.node = graph.NodeID(v)
-		ctx.inbox = nil
-		p.Init(ctx)
-		if n.runErr != nil {
-			break
-		}
-	}
-	halter, _ := p.(Halter)
-	active, err := n.flushPushes()
-	if err != nil {
-		return n.res, err
-	}
+	sh := n.shards[0]
+	sh.init(p)
 	for {
-		stop, verdict := n.remoteAdvance(halter, active)
-		if stop {
-			if ferr := n.finishRemote(); verdict == nil && ferr != nil {
-				verdict = ferr
+		queued, err := n.flushPushes()
+		if err != nil {
+			return err
+		}
+		if stop, err := n.verdict(halter, queued); stop {
+			if ferr := n.finishRemote(); err == nil {
+				err = ferr
 			}
-			return n.res, verdict
+			return err
 		}
-		if err := n.remoteDeliver(); err != nil {
-			return n.res, err
+		if err := n.remoteDeliver(sh); err != nil {
+			return err
 		}
-		n.step(p, ctx)
-		if active, err = n.flushPushes(); err != nil {
-			return n.res, err
-		}
+		sh.wake()
+		sh.step(p)
 	}
 }
 

@@ -101,33 +101,25 @@ func (n *Network) Reshape(g2 *graph.G) (ReshapeKind, error) {
 	case g2.N() != n.g.N():
 		return ReshapeNone, fmt.Errorf("congest: Reshape changes node count %d -> %d", n.g.N(), g2.N())
 	}
-	s := n.Shards()
-	var oldBounds []int32
-	if s > 1 {
-		oldBounds = make([]int32, s+1)
-		for i, sh := range n.sh {
-			oldBounds[i] = sh.nodeLo
-		}
-		oldBounds[s] = n.sh[s-1].nodeHi
-	}
-	n.drainAll()
+	oldBounds := n.shardBounds()
+	s := len(oldBounds) - 1
+	n.reset()
 	n.g = g2
 	n.buildIndex()
+	kind := ReshapeFull
+	if s > 1 && boundsBalanced(n.off, oldBounds) {
+		n.applyShardBounds(oldBounds)
+		kind = ReshapeIncremental
+	} else {
+		n.applyShardBounds(planShards(n.off, n.g.N(), s))
+	}
 	if plan := n.FaultPlan(); plan != nil {
 		n.flt = nil
 		if err := n.SetFaultPlan(plan); err != nil {
 			return ReshapeFull, fmt.Errorf("congest: fault plan invalid after reshape: %w", err)
 		}
 	}
-	if s <= 1 {
-		return ReshapeFull, nil
-	}
-	if boundsBalanced(n.off, oldBounds) {
-		n.applyShardBounds(oldBounds)
-		return ReshapeIncremental, nil
-	}
-	n.applyShardBounds(planShards(n.off, n.g.N(), s))
-	return ReshapeFull, nil
+	return kind, nil
 }
 
 // boundsBalanced reports whether the old node bounds still split the

@@ -68,10 +68,10 @@ func TestReshapeShardedKinds(t *testing.T) {
 	g := reshapeGraph(t)
 	net := NewNetwork(g, 7, WithShards(4))
 	preBounds := make([]int32, 5)
-	for i, sh := range net.sh {
+	for i, sh := range net.shards {
 		preBounds[i] = sh.nodeLo
 	}
-	preBounds[4] = net.sh[3].nodeHi
+	preBounds[4] = net.shards[3].nodeHi
 
 	// One removed and one added edge leave the per-shard edge balance
 	// essentially untouched: the old partition must be kept.
@@ -86,7 +86,7 @@ func TestReshapeShardedKinds(t *testing.T) {
 	if kind != ReshapeIncremental {
 		t.Fatalf("balanced mutation reshaped as %v, want ReshapeIncremental", kind)
 	}
-	for i, sh := range net.sh {
+	for i, sh := range net.shards {
 		if sh.nodeLo != preBounds[i] {
 			t.Fatalf("incremental reshape moved shard %d lower bound %d -> %d", i, preBounds[i], sh.nodeLo)
 		}
@@ -110,7 +110,7 @@ func TestReshapeShardedKinds(t *testing.T) {
 		t.Fatalf("skewed mutation reshaped as %v, want ReshapeFull", kind)
 	}
 	moved := false
-	for i, sh := range net.sh {
+	for i, sh := range net.shards {
 		if sh.nodeLo != preBounds[i] {
 			moved = true
 			break

@@ -11,12 +11,15 @@ type ring struct {
 	size int32
 }
 
-func (r *ring) push(m Message) {
+// next extends the queue by one slot and returns it for the caller to
+// fill in place.
+func (r *ring) next() *Message {
 	if int(r.size) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(int(r.head)+int(r.size))&(len(r.buf)-1)] = m
+	m := &r.buf[(int(r.head)+int(r.size))&(len(r.buf)-1)]
 	r.size++
+	return m
 }
 
 // at returns the i-th queued message from the front (0 <= i < size).

@@ -1,60 +1,28 @@
 package congest
 
 import (
-	"fmt"
 	"sync"
 	"time"
-
-	"distwalk/internal/fault"
-	"distwalk/internal/graph"
 )
 
 // Sharded execution: the network's nodes are partitioned into S contiguous,
-// degree-balanced ranges ("shards"), and each round's per-node processing —
-// edge delivery and protocol Step calls — runs on one worker goroutine per
-// shard. The simulated execution stays bit-identical to the sequential
-// engine (see the determinism argument in doc.go): cross-shard messages
-// travel through per-(src,dst)-shard transfer buffers that the destination
-// shard merges in ascending source-shard order at the round barrier, which
-// reproduces the sequential engine's ascending-directed-edge delivery order
-// exactly, because shards own contiguous ascending edge ranges.
+// degree-balanced ranges ("shards"), each a node half plus the edge half
+// over its nodes' outgoing edges (kernel.go). With S = 1 — the default —
+// Run drives the one shard on the caller's goroutine; with S > 1 each
+// shard gets a worker goroutine and the transfer buffers cross a round
+// barrier. Results are bit-identical at every S (see doc.go).
 //
 // Sharding pays off when per-round work is large (big graphs, many tokens
-// in flight); for small networks the barrier overhead dominates and S=1
-// (the default, plain sequential path) is the right choice.
+// in flight); for small networks the barrier overhead dominates.
 
-// shard is one worker's slice of the network: the node range [nodeLo,
-// nodeHi), the contiguous directed-edge range starting at edgeLo, and the
-// per-shard run state that replaces the sequential engine's global
-// schedulers and counters.
+// shard is one contiguous slice of the network: nodes [nodeLo, nodeHi)
+// and the directed edges leaving them. out[d] of its edge half is the
+// transfer buffer for shard d; same-shard deliveries take the same route,
+// so the merge order is uniform.
 type shard struct {
-	net    *Network
-	id     int
-	nodeLo int32 // global node range [nodeLo, nodeHi)
-	nodeHi int32
-	edgeLo int32 // == off[nodeLo]; the shard owns edges [edgeLo, off[nodeHi])
-
-	active  *sched // shard-local edge indices (global edge - edgeLo)
-	stepSet *sched // shard-local node indices (global node - nodeLo)
-
-	awakeNodes []graph.NodeID // this shard's awake list (global IDs)
-	awakeCount int
-
-	// out[d] buffers this shard's deliveries addressed to shard d this
-	// round, in ascending-edge order; the destination merges all sources in
-	// shard order at the barrier. Same-shard deliveries take the same route
-	// so the merge order is uniform.
-	out [][]Message
-
-	res    Result   // per-shard counters, merged into Network.res at run end
-	loss   lossInfo // this shard's first loss this run; merged by (round, edge)
-	runErr error
-	ctx    Ctx // this shard's protocol context (ctx.sh == this shard)
-
-	// Cumulative occupancy counters (survive reset; see ShardStats).
-	stepped   int64
-	delivered int64
-	waitNs    int64
+	nodeHalf
+	edgeHalf
+	id int
 }
 
 // roundBarrier synchronizes the shard workers twice per round. The last
@@ -127,11 +95,10 @@ func planShards(off []int32, n, s int) []int32 {
 	return bounds
 }
 
-// SetShards partitions the network into s parallel shards (clamped to
-// [1, n]); s = 1 restores the plain sequential engine. Repartitioning
-// drops any in-flight messages left by an aborted run, exactly like the
-// reset at the start of the next Run would. Not safe to call concurrently
-// with Run.
+// SetShards partitions the network into s shards (clamped to [1, n]).
+// Repartitioning drops any in-flight messages left by an aborted run,
+// exactly like the reset at the start of the next Run would. Not safe to
+// call concurrently with Run.
 func (n *Network) SetShards(s int) {
 	nn := n.g.N()
 	if s < 1 {
@@ -140,107 +107,52 @@ func (n *Network) SetShards(s int) {
 	if s > nn {
 		s = nn
 	}
-	n.drainAll()
-	if s == 1 {
-		n.sh = nil
-		n.shardOf = nil
-		return
-	}
+	n.reset()
 	n.applyShardBounds(planShards(n.off, nn, s))
 }
 
-// applyShardBounds rebuilds the shard workers over the given node
-// boundaries (len s+1, bounds[0]==0, bounds[s]==n). Callers must have
-// drained transient run state first. Factored out of SetShards so
-// Reshape can keep an old partition's bounds (the incremental re-shard)
-// while still rebuilding the off-dependent per-shard state.
+// applyShardBounds rebuilds the shards over the given node boundaries
+// (len s+1, bounds[0]==0, bounds[s]==n). Callers must have reset the old
+// layout first. Reshape uses it directly to keep an old partition's
+// bounds over a rebuilt edge index.
 func (n *Network) applyShardBounds(bounds []int32) {
-	nn := n.g.N()
 	s := len(bounds) - 1
-	if n.shardOf == nil || len(n.shardOf) != nn {
-		n.shardOf = make([]int32, nn)
+	var shardOf []int32 // node -> shard; a single shard needs no lookup
+	if s > 1 {
+		shardOf = make([]int32, n.g.N())
 	}
-	n.sh = make([]*shard, s)
-	for i := 0; i < s; i++ {
+	n.shards = make([]*shard, s)
+	for i := range n.shards {
 		lo, hi := bounds[i], bounds[i+1]
 		sh := &shard{
-			net:     n,
-			id:      i,
-			nodeLo:  lo,
-			nodeHi:  hi,
-			edgeLo:  n.off[lo],
-			active:  newSched(int(n.off[hi] - n.off[lo])),
-			stepSet: newSched(int(hi - lo)),
-			out:     make([][]Message, s),
+			nodeHalf: nodeHalf{net: n, nodeLo: lo, nodeHi: hi, stepSet: newSched(int(hi - lo))},
+			edgeHalf: newEdgeHalf(&n.links, lo, hi, shardOf, s),
+			id:       i,
 		}
 		sh.ctx = Ctx{net: n, sh: sh}
-		n.sh[i] = sh
-		for v := lo; v < hi; v++ {
-			n.shardOf[v] = int32(i)
+		n.shards[i] = sh
+		if s > 1 {
+			for v := lo; v < hi; v++ {
+				shardOf[v] = int32(i)
+			}
 		}
 	}
 }
 
-// Shards reports the current shard count (1 = sequential).
-func (n *Network) Shards() int {
-	if len(n.sh) == 0 {
-		return 1
+// shardBounds returns the current partition's S+1 node boundaries.
+func (n *Network) shardBounds() []int32 {
+	bounds := make([]int32, len(n.shards)+1)
+	for i, sh := range n.shards {
+		bounds[i+1] = sh.nodeHi
 	}
-	return len(n.sh)
+	return bounds
 }
 
-// drainAll clears transient run state in whichever execution mode left it:
-// the sequential schedulers, every shard's schedulers (emptying the
-// underlying edge queues), awake flags and inboxes. Used when switching
-// shard layouts; the per-mode resets keep the hot paths lean.
-func (n *Network) drainAll() {
-	n.active.drain(func(e int32) { n.queues[e].clear() })
-	n.stepSet.drain(func(int32) {})
-	for _, sh := range n.sh {
-		base := sh.edgeLo
-		sh.active.drain(func(le int32) { n.queues[base+le].clear() })
-		sh.stepSet.drain(func(int32) {})
-		sh.awakeNodes = sh.awakeNodes[:0]
-		sh.awakeCount = 0
-	}
-	for v := range n.awake {
-		n.awake[v] = false
-		n.inbox[v] = n.inbox[v][:0]
-	}
-	n.awakeNodes = n.awakeNodes[:0]
-	n.awakeCount = 0
-}
+// Shards reports the current shard count.
+func (n *Network) Shards() int { return len(n.shards) }
 
-// resetSharded is reset() for the sharded engine: per-shard schedulers and
-// counters clear, global per-node state sweeps, slabs keep capacity.
-func (n *Network) resetSharded() {
-	for _, sh := range n.sh {
-		base := sh.edgeLo
-		sh.active.drain(func(le int32) { n.queues[base+le].clear() })
-		sh.stepSet.drain(func(int32) {})
-		sh.awakeNodes = sh.awakeNodes[:0]
-		sh.awakeCount = 0
-		sh.res = Result{}
-		sh.loss = lossInfo{}
-		sh.runErr = nil
-		for d := range sh.out {
-			sh.out[d] = sh.out[d][:0]
-		}
-	}
-	for v := range n.awake {
-		n.awake[v] = false
-		n.inbox[v] = n.inbox[v][:0]
-	}
-	n.round = 0
-	n.res = Result{}
-	n.runErr = nil
-	if n.flt != nil {
-		n.flt.resetRun()
-	}
-}
-
-// shardRun is the shared control state of one sharded Run: the barrier and
-// the serial verdict (stop/err) the last arriver publishes each round.
+// shardRun is the shared control state of one multi-shard Run: the
+// barrier and the serial verdict the last arriver publishes each round.
 type shardRun struct {
 	net    *Network
 	halter Halter
@@ -249,257 +161,66 @@ type shardRun struct {
 	err    error
 }
 
-// advance is the serial section at the end of a round (and after Init): it
-// decides, in the same order as the sequential engine's round loop, whether
-// the run stops (error, halt, quiescence, budget, cancellation) and
-// otherwise opens the next round. It runs under the barrier lock, so every
-// worker observes the verdict after its wait returns.
+// advance runs the verdict under the barrier lock, so every worker
+// observes it after its wait returns.
 func (sr *shardRun) advance() {
-	n := sr.net
-	for _, sh := range n.sh {
-		if sh.runErr != nil {
-			// With several shards erring in one round the lowest shard wins —
-			// deterministic, though the message may differ from the
-			// sequential engine's first-in-step-order error. Either way the
-			// run aborts; errors here are protocol bugs, not outcomes.
-			sr.err = sh.runErr
-			sr.stop = true
-			return
-		}
+	queued := 0
+	for _, sh := range sr.net.shards {
+		queued += sh.active.count
 	}
-	if sr.halter != nil && sr.halter.Halted() {
-		sr.stop = true
-		return
-	}
-	quiescent := true
-	for _, sh := range n.sh {
-		if sh.active.count != 0 || sh.awakeCount != 0 {
-			quiescent = false
-			break
-		}
-	}
-	if quiescent {
-		sr.stop = true
-		return
-	}
-	if n.round >= n.maxRound {
-		sr.err = fmt.Errorf("%w after %d rounds", ErrRoundLimit, n.round)
-		sr.stop = true
-		return
-	}
-	if n.ctx != nil && n.round&ctxCheckMask == 0 {
-		if err := n.ctx.Err(); err != nil {
-			sr.err = fmt.Errorf("congest: run aborted at round %d: %w", n.round, err)
-			sr.stop = true
-			return
-		}
-	}
-	n.round++
-	n.res.Rounds = n.round
+	sr.stop, sr.err = sr.net.verdict(sr.halter, queued)
 }
 
-// runSharded executes p on the shard workers. The calling goroutine drives
+// runSharded is the multi-shard driver. The calling goroutine drives
 // shard 0; shards 1..S-1 get a goroutine each for the duration of the run.
-func (n *Network) runSharded(p Proto) (Result, error) {
-	n.resetSharded()
-	if n.ctx != nil {
-		if err := n.ctx.Err(); err != nil {
-			return n.res, fmt.Errorf("congest: run aborted before round 1: %w", err)
-		}
-	}
-	halter, _ := p.(Halter)
+func (n *Network) runSharded(p Proto, halter Halter) error {
 	sr := &shardRun{net: n, halter: halter}
-	sr.bar.init(len(n.sh))
+	sr.bar.init(len(n.shards))
 	var wg sync.WaitGroup
-	for _, sh := range n.sh[1:] {
+	for _, sh := range n.shards[1:] {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
 			sh.loop(sr, p)
 		}(sh)
 	}
-	n.sh[0].loop(sr, p)
+	n.shards[0].loop(sr, p)
 	wg.Wait()
-	for _, sh := range n.sh {
-		n.res.Add(sh.res) // shard Rounds are 0; counters sum, MaxQueue maxes
-	}
-	n.mergeLoss()
-	if sr.err != nil {
-		return n.res, sr.err
-	}
-	return n.res, nil
+	n.collectShards()
+	return sr.err
 }
 
 // loop is the per-shard worker body: Init over the shard's nodes, then the
-// two-barrier round cadence — deliver queued messages outward, barrier,
-// merge inbound transfers and step, barrier (with the serial round
-// bookkeeping) — until the serial section calls the run over.
+// two-barrier round cadence — drain owned edges into the transfer buffers,
+// barrier, merge the buffers addressed here in ascending source order and
+// step, barrier (with the serial verdict) — until the verdict stops the run.
 func (sh *shard) loop(sr *shardRun, p Proto) {
-	ctx := &sh.ctx
-	for v := sh.nodeLo; v < sh.nodeHi; v++ {
-		ctx.node = graph.NodeID(v)
-		ctx.inbox = nil
-		p.Init(ctx)
-		if sh.runErr != nil {
-			break
-		}
-	}
-	sh.barrier(sr)
+	sh.init(p)
+	sh.wait(sr, sr.advance)
 	for !sr.stop {
-		sh.deliverOut()
-		sh.barrierNoSerial(sr)
-		sh.deliverIn()
+		sh.drain()
+		sh.wake()
+		sh.wait(sr, nil)
+		for _, src := range sr.net.shards {
+			sh.mergeIn(src.out[sh.id])
+		}
 		sh.step(p)
-		sh.barrier(sr)
+		sh.wait(sr, sr.advance)
 	}
 }
 
-func (sh *shard) barrier(sr *shardRun) {
+// wait crosses the round barrier, charging the time to this shard.
+func (sh *shard) wait(sr *shardRun, serial func()) {
 	t0 := time.Now()
-	sr.bar.wait(sr.advance)
+	sr.bar.wait(serial)
 	sh.waitNs += time.Since(t0).Nanoseconds()
-}
-
-func (sh *shard) barrierNoSerial(sr *shardRun) {
-	t0 := time.Now()
-	sr.bar.wait(nil)
-	sh.waitNs += time.Since(t0).Nanoseconds()
-}
-
-// deliverOut drains this shard's active edges in ascending order — the
-// shard's slice of the global deterministic edge order — moving up to cap
-// messages per edge into the per-destination-shard transfer buffers.
-// Counters (Messages, Words, Faults, MaxQueue) are charged here, at the
-// sending side, with exactly the sequential engine's values: every
-// fault decision is per-edge state (delay release rounds, drop-decision
-// ordinals) owned by this shard, so charging order across shards cannot
-// change any decision (see internal/fault's determinism argument).
-//
-// KEEP IN LOCKSTEP with Network.deliver (congest.go): this is the same
-// per-edge drain with the inbox append swapped for a transfer-buffer
-// append; any semantic change to either body must be mirrored in the
-// other or the bit-identity contract breaks.
-func (sh *shard) deliverOut() {
-	n := sh.net
-	for d := range sh.out {
-		sh.out[d] = sh.out[d][:0]
-	}
-	sh.active.drain(func(le int32) {
-		e := sh.edgeLo + le
-		q := &n.queues[e]
-		if f := n.flt; f != nil && f.delay != nil && f.delay[e] > 0 {
-			if int32(n.round) < f.release[e] {
-				sh.res.Faults.Delayed++
-				sh.active.add(le)
-				return
-			}
-		}
-		depth := int(q.size)
-		if depth > sh.res.MaxQueue {
-			sh.res.MaxQueue = depth
-		}
-		k := n.cap
-		if n.capOf != nil {
-			k = int(n.capOf[e])
-		}
-		if k > depth {
-			k = depth
-		}
-		for i := 0; i < k; i++ {
-			m := q.at(int32(i))
-			to := m.To
-			if n.crashed(to) {
-				sh.res.Faults.Dropped++
-				sh.noteLoss(e, m, false)
-				continue
-			}
-			if f := n.flt; f != nil && f.drop != nil {
-				if th := f.drop[e]; th != 0 {
-					f.seq[e]++
-					if fault.Roll(f.key, uint64(e), f.seq[e]) < th {
-						sh.res.Faults.LinkDropped++
-						sh.noteLoss(e, m, true)
-						continue
-					}
-				}
-			}
-			d := n.shardOf[to]
-			sh.out[d] = append(sh.out[d], *m)
-			sh.res.Messages++
-			sh.res.Words += int64(m.words)
-		}
-		q.popN(int32(k))
-		if q.size > 0 {
-			sh.active.add(le)
-		}
-		if f := n.flt; f != nil && f.delay != nil && f.delay[e] > 0 {
-			f.release[e] = int32(n.round) + 1 + f.delay[e]
-		}
-	})
-	// Compact this shard's awake list and schedule the survivors, exactly
-	// like the sequential deliver does for the global list.
-	live := sh.awakeNodes[:0]
-	for _, v := range sh.awakeNodes {
-		if !n.awake[v] {
-			continue
-		}
-		if n.crashed(v) {
-			n.awake[v] = false
-			sh.awakeCount--
-			continue
-		}
-		live = append(live, v)
-		sh.stepSet.add(int32(v) - sh.nodeLo)
-	}
-	sh.awakeNodes = live
-}
-
-// deliverIn merges the transfer buffers addressed to this shard, visiting
-// source shards in ascending order. Sources own ascending contiguous edge
-// ranges and filled their buffers in ascending edge order, so the
-// concatenation appends to each inbox in ascending global directed-edge
-// order — byte for byte the sequential delivery order.
-func (sh *shard) deliverIn() {
-	n := sh.net
-	for _, src := range n.sh {
-		buf := src.out[sh.id]
-		for i := range buf {
-			m := &buf[i]
-			n.inbox[m.To] = append(n.inbox[m.To], *m)
-			sh.stepSet.add(int32(m.To) - sh.nodeLo)
-		}
-		sh.delivered += int64(len(buf))
-	}
-}
-
-// step invokes the protocol on this shard's scheduled nodes in ascending
-// ID order. Cross-shard step interleaving is unobservable to protocols
-// that keep the model's locality discipline (each node touches only its
-// own per-node state); the shard-identity stress tests pin this.
-func (sh *shard) step(p Proto) {
-	n := sh.net
-	ctx := &sh.ctx
-	sh.stepSet.drain(func(lv int32) {
-		v := sh.nodeLo + lv
-		node := graph.NodeID(v)
-		if sh.runErr != nil || n.crashed(node) {
-			n.inbox[v] = n.inbox[v][:0]
-			return
-		}
-		ctx.node = node
-		ctx.inbox = n.inbox[v]
-		p.Step(ctx)
-		n.inbox[v] = n.inbox[v][:0]
-		sh.stepped++
-	})
 }
 
 // ShardStats is a snapshot of the per-shard occupancy counters, cumulative
 // since the network was built (they survive Run resets): protocol steps
 // executed and messages merged per shard, plus the wall-clock time each
 // shard spent waiting at (or synchronizing through) round barriers. With
-// one shard (sequential mode) only Shards is set. Not safe to call
-// concurrently with Run.
+// one shard only Shards is set. Not safe to call concurrently with Run.
 type ShardStats struct {
 	Shards      int
 	Stepped     []int64
@@ -545,14 +266,14 @@ func (st *ShardStats) Add(other ShardStats) {
 
 // ShardStats snapshots the network's per-shard occupancy counters.
 func (n *Network) ShardStats() ShardStats {
-	st := ShardStats{Shards: n.Shards()}
-	if len(n.sh) == 0 {
+	st := ShardStats{Shards: len(n.shards)}
+	if st.Shards == 1 {
 		return st
 	}
-	st.Stepped = make([]int64, len(n.sh))
-	st.Delivered = make([]int64, len(n.sh))
-	st.BarrierWait = make([]time.Duration, len(n.sh))
-	for i, sh := range n.sh {
+	st.Stepped = make([]int64, st.Shards)
+	st.Delivered = make([]int64, st.Shards)
+	st.BarrierWait = make([]time.Duration, st.Shards)
+	for i, sh := range n.shards {
 		st.Stepped[i] = sh.stepped
 		st.Delivered[i] = sh.delivered
 		st.BarrierWait[i] = time.Duration(sh.waitNs)

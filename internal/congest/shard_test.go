@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"distwalk/internal/graph"
@@ -101,9 +102,9 @@ func TestSetShardsClamps(t *testing.T) {
 	if got := net.Shards(); got != 1 {
 		t.Fatalf("Shards() = %d after SetShards(0), want 1", got)
 	}
-	net.SetShards(1) // S = 1 must take the sequential path
-	if net.sh != nil {
-		t.Fatal("SetShards(1) left shard workers installed; want the plain sequential engine")
+	net.SetShards(1) // S = 1 must take the single-shard driver
+	if len(net.shards) != 1 {
+		t.Fatalf("SetShards(1) left %d shards installed; want one", len(net.shards))
 	}
 }
 
@@ -433,32 +434,117 @@ func TestShardStatsOccupancy(t *testing.T) {
 	}
 }
 
+// TestShardedErrorAborts pins the error path of the one kernel on all
+// three transports: an invalid send — in Init, or in Step at a later
+// round — aborts the run with the lowest erring node's error and the same
+// partial Result everywhere, remote engines are told the run is over, and
+// after Reseed the network serves its next run exactly like a fresh one.
 func TestShardedErrorAborts(t *testing.T) {
 	g, err := graph.Path(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(g, 1, WithShards(2))
-	p := &badSend{from: 6, to: 1} // non-neighbor send from shard 1
-	if _, err := net.Run(p); err == nil {
-		t.Fatal("sharded run with invalid send did not fail")
+	type build func(t *testing.T) (*Network, []*finishCounter)
+	transports := []struct {
+		name  string
+		build build
+	}{
+		{"S=1", func(*testing.T) (*Network, []*finishCounter) { return NewNetwork(g, 1), nil }},
+		{"S=2", func(*testing.T) (*Network, []*finishCounter) { return NewNetwork(g, 1, WithShards(2)), nil }},
+		{"loopback2", func(t *testing.T) (*Network, []*finishCounter) {
+			group, bounds, err := NewLoopbackGroup(g, 2, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counters := make([]*finishCounter, len(group))
+			for i, r := range group {
+				counters[i] = &finishCounter{RemoteShard: r}
+				group[i] = counters[i]
+			}
+			net := NewNetwork(g, 1)
+			if err := net.ConnectRemote(group, bounds); err != nil {
+				t.Fatal(err)
+			}
+			return net, counters
+		}},
 	}
-	// The network stays usable after the abort.
-	net.Reseed(1)
-	if _, err := net.Run((&stressProto{seeds: 1, hops: 5}).prepare(g.N())); err != nil {
-		t.Fatalf("run after aborted sharded run: %v", err)
+	stress := func(net *Network) (Result, *stressProto) {
+		p := (&stressProto{seeds: 2, hops: 9, awakeRounds: 4}).prepare(g.N())
+		res, err := net.Run(p)
+		if err != nil {
+			t.Fatalf("run after aborted run: %v", err)
+		}
+		return res, p
+	}
+	for _, atRound := range []int{0, 2} {
+		// Nodes 2 and 6 sit in different shards of the two-way plan and
+		// both err in the same round; node 2's error must win everywhere.
+		const want = "congest: node 2 sent to non-neighbor 7"
+		var first *Result
+		for _, tr := range transports {
+			t.Run(fmt.Sprintf("round%d/%s", atRound, tr.name), func(t *testing.T) {
+				net, counters := tr.build(t)
+				net.SetMaxRounds(10) // the flood only ends by erring
+				res, err := net.Run(&badSend{to: map[graph.NodeID]graph.NodeID{2: 7, 6: 1}, atRound: atRound})
+				if err == nil || err.Error() != want {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+				if res.Rounds != atRound {
+					t.Fatalf("aborted at round %d, want %d", res.Rounds, atRound)
+				}
+				if first == nil {
+					first = &res
+				} else if res != *first {
+					t.Fatalf("partial Result %+v differs from %s's %+v", res, transports[0].name, *first)
+				}
+				for i, c := range counters {
+					if c.finished != 1 {
+						t.Fatalf("engine %d saw %d FinishRun calls after the abort, want 1", i, c.finished)
+					}
+				}
+				// The network stays usable, and bit-identical to a fresh one.
+				net.Reseed(1)
+				net.SetMaxRounds(DefaultMaxRounds)
+				gotRes, got := stress(net)
+				fresh, _ := tr.build(t)
+				wantRes, wantP := stress(fresh)
+				if gotRes != wantRes || !reflect.DeepEqual(got, wantP) {
+					t.Fatalf("run after abort diverged from a fresh network: %+v vs %+v", gotRes, wantRes)
+				}
+			})
+		}
 	}
 }
 
-// badSend sends to a non-neighbor during Init.
-type badSend struct{ from, to graph.NodeID }
+// finishCounter counts the FinishRun calls a remote engine receives.
+type finishCounter struct {
+	RemoteShard
+	finished int
+}
 
-func (p *badSend) Init(ctx *Ctx) {
-	if ctx.Node() == p.from {
-		Send(ctx, p.to, intPayload(1))
+func (f *finishCounter) FinishRun() (RemoteResult, error) {
+	f.finished++
+	return f.RemoteShard.FinishRun()
+}
+
+// badSend has every node pass a token to each neighbor every round; at
+// round atRound (0 = Init) the nodes keyed in to also send to the given
+// non-neighbor.
+type badSend struct {
+	to      map[graph.NodeID]graph.NodeID
+	atRound int
+}
+
+func (p *badSend) Init(ctx *Ctx) { p.Step(ctx) }
+
+func (p *badSend) Step(ctx *Ctx) {
+	for _, h := range ctx.Neighbors() {
+		Send(ctx, h.To, intPayload(1))
+	}
+	if to, ok := p.to[ctx.Node()]; ok && ctx.Round() == p.atRound {
+		Send(ctx, to, intPayload(1))
 	}
 }
-func (p *badSend) Step(*Ctx) {}
 
 func TestShardedHalter(t *testing.T) {
 	// The halting round must match the sequential engine exactly.

@@ -1,6 +1,7 @@
 // Package experiments is the reproduction harness: one experiment per
-// quantitative claim of the paper (see DESIGN.md section 3 for the full
-// index). Each experiment generates its workload, runs the algorithms on
+// quantitative claim of the paper (`walkbench -list` prints the index;
+// internal/congest/doc.go describes the simulator underneath). Each
+// experiment generates its workload, runs the algorithms on
 // the CONGEST simulator, and prints the table/series the claim is judged
 // by; EXPERIMENTS.md records paper-vs-measured for every run.
 //

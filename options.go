@@ -137,47 +137,11 @@ func (c *config) applyRequest(opts []Option) error {
 
 // --- Walk parameterization (core.Params) ---
 
-// WithParams replaces the whole walk parameterization. Use the finer
-// options below for single-knob changes. Per request or service default.
+// WithParams replaces the whole walk parameterization: start from
+// DefaultParams (or DNP09Params for the PODC 2009 baseline) and set the
+// fields to change. Per request or service default.
 func WithParams(p Params) Option {
 	return newOption("WithParams", func(c *config) { c.params = p })
-}
-
-// WithLambda pins the short-walk base length λ directly (tests/ablations).
-// Per request or service default.
-func WithLambda(lambda int) Option {
-	return newOption("WithLambda", func(c *config) { c.params.Lambda = lambda })
-}
-
-// WithLambdaC scales the practical short-walk length λ = ⌈c·√(ℓD)⌉.
-// Per request or service default.
-func WithLambdaC(cc float64) Option {
-	return newOption("WithLambdaC", func(c *config) { c.params.LambdaC = cc })
-}
-
-// WithEta sets η, the Phase 1 short walks prepared per unit of degree.
-// Per request or service default.
-func WithEta(eta int) Option {
-	return newOption("WithEta", func(c *config) { c.params.Eta = eta })
-}
-
-// WithTheory applies the paper's constants verbatim
-// (λ = 24·√(ℓD)·(log₂ n)³, η = 1). Per request or service default.
-func WithTheory() Option {
-	return newOption("WithTheory", func(c *config) { c.params.Theory = true })
-}
-
-// WithMetropolis samples the Metropolis-Hastings walk with uniform target
-// distribution instead of the simple walk. Per request or service default.
-func WithMetropolis() Option {
-	return newOption("WithMetropolis", func(c *config) { c.params.Metropolis = true })
-}
-
-// WithDNP09 applies the PODC 2009 baseline parameterization
-// (Õ(ℓ^{2/3}D^{1/3}) rounds) for the given walk length and diameter.
-// Per request or service default.
-func WithDNP09(ell, diam int) Option {
-	return newOption("WithDNP09", func(c *config) { c.params = core.DNP09Params(ell, diam) })
 }
 
 // --- Spanning-tree driver (spanning.Options) ---
@@ -186,25 +150,6 @@ func WithDNP09(ell, diam int) Option {
 // Per request or service default.
 func WithRSTOptions(o RSTOptions) Option {
 	return newOption("WithRSTOptions", func(c *config) { c.rst = o })
-}
-
-// WithStartLength sets the initial walk length ℓ of the RST cover search.
-// Per request or service default.
-func WithStartLength(ell int) Option {
-	return newOption("WithStartLength", func(c *config) { c.rst.StartLength = ell })
-}
-
-// WithWalksPerPhase sets the number of candidate walks per RST doubling
-// phase (default ⌈log₂ n⌉). Per request or service default.
-func WithWalksPerPhase(k int) Option {
-	return newOption("WithWalksPerPhase", func(c *config) { c.rst.WalksPerPhase = k })
-}
-
-// WithDeliverTree additionally upcasts the sampled tree's edges to the
-// root (the paper's optional O(n) delivery). Per request or service
-// default.
-func WithDeliverTree() Option {
-	return newOption("WithDeliverTree", func(c *config) { c.rst.Deliver = true })
 }
 
 // --- Mixing-time estimator (mixing.Options) ---
@@ -219,12 +164,6 @@ func WithMixingOptions(o MixingOptions) Option {
 // mixing-time estimator (default ⌈6·√n⌉). Per request or service default.
 func WithTrials(k int) Option {
 	return newOption("WithTrials", func(c *config) { c.mix.Samples = k })
-}
-
-// WithEps sets the target ℓ₁ closeness of the mixing test (default 1/2e,
-// the paper's τ_mix definition). Per request or service default.
-func WithEps(eps float64) Option {
-	return newOption("WithEps", func(c *config) { c.mix.Eps = eps })
 }
 
 // WithMaxEll caps the mixing estimator's doubling search. Per request or

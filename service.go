@@ -892,6 +892,13 @@ func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt
 	if len(s.clusterSup) > 0 {
 		return s.executeCluster(ctx, key, cfg, seed, snap, pw, fn)
 	}
+	return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
+}
+
+// runPrepared is the tail every execution mode shares: prepare the
+// worker's walker for (seed, cfg) at snap, run fn under ctx with fault
+// outcomes typed, and fold the worker's counters into the service's.
+func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
 	w, err := s.prepare(pw, seed, cfg.params, cfg.maxRounds, snap)
 	if err != nil {
 		return err
@@ -951,14 +958,7 @@ func (s *Service) executeCluster(ctx context.Context, key uint64, cfg config, se
 			reserved := append([]*wire.EngineConn(nil), pw.conns...)
 			reserveConns(reserved)
 			defer releaseConns(reserved)
-			w, err := s.prepare(pw, seed, cfg.params, cfg.maxRounds, snap)
-			if err != nil {
-				return err
-			}
-			pw.net.SetContext(ctx)
-			err = core.Faultize(w, fn(w, cfg))
-			pw.net.SetContext(nil)
-			s.collectStats(pw)
+			err := s.runPrepared(ctx, cfg, seed, snap, pw, fn)
 			if clusterBroken(pw) {
 				s.dropClusterConns(pw, err)
 			}
@@ -996,14 +996,7 @@ func (s *Service) executeLocalShards(ctx context.Context, cfg config, seed uint6
 	}
 	pw.net.SetShards(len(s.cfg.cluster))
 	defer pw.net.SetShards(1)
-	w, err := s.prepare(pw, seed, cfg.params, cfg.maxRounds, snap)
-	if err != nil {
-		return err
-	}
-	pw.net.SetContext(ctx)
-	defer pw.net.SetContext(nil)
-	defer s.collectStats(pw)
-	return core.Faultize(w, fn(w, cfg))
+	return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
 }
 
 // syncWarm reshapes a worker network whose warm state trails the
