@@ -1,9 +1,6 @@
 package distwalk
 
 import (
-	"context"
-	"fmt"
-
 	"distwalk/internal/cache"
 	"distwalk/internal/core"
 )
@@ -27,24 +24,6 @@ type (
 // expensive result saves the most re-execution work.
 func CacheMinRounds(r int64) CacheAdmission { return cache.MinRounds(r) }
 
-// Request kinds folded into every cache digest, so requests of different
-// entry points can never share a key even with identical operands.
-const (
-	cacheKindSingle uint64 = iota + 1
-	cacheKindNaive
-	cacheKindMany
-	cacheKindTrace
-	cacheKindRST
-	cacheKindMix
-)
-
-// tracedWalk is the stored master of a WalkTrace/SubmitWalkTrace request:
-// the walk and its regenerated trace travel as one cache entry.
-type tracedWalk struct {
-	walk  *WalkResult
-	trace *Trace
-}
-
 // InvalidateCache invalidates every cached result by publishing a new
 // topology generation over the unchanged graph and purging the store —
 // the same epoch source ApplyMutations uses, minus the graph change: the
@@ -66,217 +45,6 @@ func (s *Service) InvalidateCache() error {
 	cur := s.topo.Load()
 	s.publishTopology(&topology{gen: cur.gen + 1, g: cur.g, stale: make(chan struct{})})
 	return nil
-}
-
-// requestDigest folds every result-determining input of a request into a
-// canonical cache key: topology generation, request kind, request key,
-// the full walk parameterization, the round budget, the retry budget
-// (under a fault plan, which attempt succeeds — and therefore which
-// attempt-salted seed produced the result — depends on it), the
-// partial-results mode, and the kind-specific operands. Fields that
-// cannot change a result (workers, shards, cluster transport, backoff,
-// batching windows) are deliberately absent; see internal/cache/doc.go.
-// gen is the generation the caller admitted under — passed in, not
-// re-loaded, so the digest and the caller's NoStore staleness check
-// agree on one epoch.
-func (s *Service) requestDigest(gen, kind, key uint64, cfg config, operands func(*cache.Digest)) cache.Key {
-	d := cache.NewDigest()
-	d.U64(gen)
-	d.U64(kind)
-	d.U64(key)
-	p := cfg.params
-	d.F64(p.LambdaC)
-	d.I64(int64(p.Lambda))
-	d.I64(int64(p.Eta))
-	d.Bool(p.Theory)
-	d.Bool(p.FixedLength)
-	d.Bool(p.UniformCounts)
-	d.Bool(p.PerCallBFS)
-	d.Bool(p.Metropolis)
-	d.I64(int64(cfg.maxRounds))
-	d.I64(int64(cfg.retries))
-	d.Bool(cfg.partial)
-	if operands != nil {
-		operands(d)
-	}
-	return d.Key()
-}
-
-// doCached resolves a request through the cache: hit, attach, or lead the
-// execution. The only error Do can surface unwrapped is a coalesced
-// waiter's own context expiry, which gets the request-id wrapping every
-// other failure path carries.
-func (s *Service) doCached(ctx context.Context, key uint64, k cache.Key, exec func() (cache.Execution, error)) (any, error) {
-	v, o, err := s.cache.Do(ctx, k, exec)
-	if err != nil {
-		if o == cache.Coalesced {
-			return nil, fmt.Errorf("distwalk: request %d canceled while coalesced: %w", key, err)
-		}
-		return nil, err
-	}
-	return v, nil
-}
-
-// --- Cached entry-point bodies (the public methods in service.go
-// dispatch here when WithResultCache is on) ---
-
-func (s *Service) cachedSingle(ctx context.Context, kind, key uint64, source NodeID, ell int, opts []Option, run func() (*WalkResult, error)) (*WalkResult, error) {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
-	gen := s.topo.Load().gen
-	k := s.requestDigest(gen, kind, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(source))
-		d.I64(int64(ell))
-	})
-	v, err := s.doCached(ctx, key, k, func() (cache.Execution, error) {
-		res, err := run()
-		if err != nil {
-			return cache.Execution{}, err
-		}
-		return cache.Execution{
-			Value:  res,
-			Bytes:  sizeWalkResult(res),
-			Rounds: int64(res.Cost.Rounds),
-			// An epoch-pinned result that outlived its generation would be
-			// stale on arrival under this digest's successor keys — and its
-			// own key is already unreachable. Never store it.
-			NoStore: s.topo.Load().gen != gen,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return copyWalkResult(v.(*WalkResult)), nil
-}
-
-func (s *Service) cachedMany(ctx context.Context, key uint64, sources []NodeID, ell int, opts []Option) (*ManyResult, error) {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
-	gen := s.topo.Load().gen
-	k := s.requestDigest(gen, cacheKindMany, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(len(sources)))
-		for _, src := range sources {
-			d.I64(int64(src))
-		}
-		d.I64(int64(ell))
-	})
-	v, err := s.doCached(ctx, key, k, func() (cache.Execution, error) {
-		res, err := s.manyRandomWalks(ctx, key, sources, ell, opts)
-		if err != nil {
-			return cache.Execution{}, err
-		}
-		// Partial results (some walks lost to faults) are shared with
-		// coalesced waiters but never stored: a retry deserves a chance to
-		// do better than a cached casualty list. Likewise results pinned to
-		// a generation a mutation retired mid-flight.
-		return cache.Execution{
-			Value:   res,
-			Bytes:   sizeManyResult(res),
-			Rounds:  int64(res.Cost.Rounds),
-			NoStore: res.Failed > 0 || s.topo.Load().gen != gen,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return copyManyResult(v.(*ManyResult)), nil
-}
-
-func (s *Service) cachedTrace(ctx context.Context, key uint64, source NodeID, ell int, opts []Option) (*WalkResult, *Trace, error) {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, nil, fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
-	gen := s.topo.Load().gen
-	k := s.requestDigest(gen, cacheKindTrace, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(source))
-		d.I64(int64(ell))
-	})
-	v, err := s.doCached(ctx, key, k, func() (cache.Execution, error) {
-		walk, tr, err := s.walkTrace(ctx, key, source, ell, opts)
-		if err != nil {
-			return cache.Execution{}, err
-		}
-		return cache.Execution{
-			Value:   tracedWalk{walk: walk, trace: tr},
-			Bytes:   sizeWalkResult(walk) + sizeTrace(tr),
-			Rounds:  int64(walk.Cost.Rounds + tr.Cost.Rounds),
-			NoStore: s.topo.Load().gen != gen,
-		}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	p := v.(tracedWalk)
-	return copyWalkResult(p.walk), copyTrace(p.trace), nil
-}
-
-func (s *Service) cachedRST(ctx context.Context, key uint64, root NodeID, opts []Option) (*RSTResult, error) {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
-	gen := s.topo.Load().gen
-	k := s.requestDigest(gen, cacheKindRST, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(root))
-		d.I64(int64(cfg.rst.StartLength))
-		d.I64(int64(cfg.rst.WalksPerPhase))
-		d.I64(int64(cfg.rst.MaxLength))
-		d.Bool(cfg.rst.Deliver)
-	})
-	v, err := s.doCached(ctx, key, k, func() (cache.Execution, error) {
-		res, err := s.randomSpanningTree(ctx, key, root, opts)
-		if err != nil {
-			return cache.Execution{}, err
-		}
-		return cache.Execution{
-			Value:   res,
-			Bytes:   sizeRST(res),
-			Rounds:  int64(res.Cost.Rounds),
-			NoStore: s.topo.Load().gen != gen,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return copyRST(v.(*RSTResult)), nil
-}
-
-func (s *Service) cachedMixing(ctx context.Context, key uint64, x NodeID, opts []Option) (*MixingEstimate, error) {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
-	gen := s.topo.Load().gen
-	k := s.requestDigest(gen, cacheKindMix, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(x))
-		d.I64(int64(cfg.mix.Samples))
-		d.F64(cfg.mix.Eps)
-		d.F64(cfg.mix.BucketRatio)
-		d.I64(int64(cfg.mix.MaxEll))
-		// Options.Debug only prints; it cannot change the estimate.
-	})
-	v, err := s.doCached(ctx, key, k, func() (cache.Execution, error) {
-		res, err := s.estimateMixingTime(ctx, key, x, opts)
-		if err != nil {
-			return cache.Execution{}, err
-		}
-		return cache.Execution{
-			Value:   res,
-			Bytes:   sizeMixing(res),
-			Rounds:  int64(res.Cost.Rounds),
-			NoStore: s.topo.Load().gen != gen,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e := *(v.(*MixingEstimate))
-	return &e, nil
 }
 
 // --- Copy-on-return ---
@@ -333,6 +101,10 @@ func copyTrace(t *Trace) *Trace {
 	return &out
 }
 
+func copyTracedWalk(p tracedWalk) tracedWalk {
+	return tracedWalk{walk: copyWalkResult(p.walk), trace: copyTrace(p.trace)}
+}
+
 func copyRST(r *RSTResult) *RSTResult {
 	out := *r
 	if r.Parent != nil {
@@ -341,38 +113,53 @@ func copyRST(r *RSTResult) *RSTResult {
 	return &out
 }
 
-// --- Deep size estimates, charged against the cache's byte budget ---
+func copyMixing(r *MixingEstimate) *MixingEstimate {
+	out := *r // flat struct, no slices
+	return &out
+}
+
+// --- Cache entry estimates (requestKind.entry) ---
 //
-// Struct headers are rounded constants (exactness buys nothing — the
-// budget is a pressure valve, not an allocator); the slice payloads, which
-// dominate for real results, are counted element-exact.
+// Deep size charged against the byte budget, simulated rounds the
+// execution cost, and whether the result may be stored. Struct headers
+// are rounded constants (exactness buys nothing — the budget is a pressure
+// valve, not an allocator); the slice payloads, which dominate for real
+// results, are counted element-exact.
 
 func sizeWalkResult(r *WalkResult) int64 {
 	return int64(96 + 40*len(r.Segments))
 }
 
-func sizeManyResult(r *ManyResult) int64 {
+func walkEntry(r *WalkResult) (int64, int64, bool) {
+	return sizeWalkResult(r), int64(r.Cost.Rounds), true
+}
+
+// Partial results (some walks lost to faults) are shared with coalesced
+// waiters but never stored: a retry deserves a chance to do better than a
+// cached casualty list.
+func manyEntry(r *ManyResult) (int64, int64, bool) {
 	sz := int64(112 + 4*len(r.Destinations) + 16*len(r.Errs) + 8*len(r.Walks))
 	for _, w := range r.Walks {
 		if w != nil {
 			sz += sizeWalkResult(w)
 		}
 	}
-	return sz
+	return sz, int64(r.Cost.Rounds), r.Failed == 0
 }
 
-func sizeTrace(t *Trace) int64 {
-	sz := int64(96 + 24*len(t.Positions) + 4*len(t.FirstVisitTime) + 4*len(t.FirstVisitFrom))
-	for _, p := range t.Positions {
-		sz += int64(4 * len(p))
+func traceEntry(p tracedWalk) (int64, int64, bool) {
+	t := p.trace
+	sz := sizeWalkResult(p.walk) + int64(96+24*len(t.Positions)+4*len(t.FirstVisitTime)+4*len(t.FirstVisitFrom))
+	for _, pos := range t.Positions {
+		sz += int64(4 * len(pos))
 	}
-	return sz
+	return sz, int64(p.walk.Cost.Rounds + t.Cost.Rounds), true
 }
 
-func sizeRST(r *RSTResult) int64 {
-	return int64(80 + 4*len(r.Parent))
+func rstEntry(r *RSTResult) (int64, int64, bool) {
+	return int64(80 + 4*len(r.Parent)), int64(r.Cost.Rounds), true
 }
 
-func sizeMixing(*MixingEstimate) int64 {
-	return 128 // flat struct, no slices
+func mixEntry(r *MixingEstimate) (int64, int64, bool) {
+	return 128, int64(r.Cost.Rounds), true // flat struct, no slices
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distwalk/internal/cache"
+	"distwalk/internal/sched"
 )
 
 // The tentpole contract: the cached path is provably bit-identical to a
@@ -37,11 +38,27 @@ func cacheTestPair(t *testing.T, opts ...Option) (fresh, cached *Service) {
 	return fresh, cached
 }
 
-// TestCacheBitIdentityGoldens pins the acceptance criterion: for
-// SingleRandomWalk, ManyRandomWalks and WalkTrace (plus the remaining
-// entry points), a cache-miss result and a cache-hit result both
-// deep-equal an execution on an uncached service — cost counters
-// included.
+// handleValue collects a submitted walk's outcome in the shape the
+// synchronous twin returns it (*WalkResult, or []any{walk, trace}).
+func handleValue(h *WalkHandle, traced bool) (any, BatchInfo, error) {
+	walk, err := h.Result()
+	if err != nil {
+		return nil, BatchInfo{}, err
+	}
+	if !traced {
+		return walk, h.Batch(), nil
+	}
+	tr, _ := h.Trace()
+	return []any{walk, tr}, h.Batch(), nil
+}
+
+// TestCacheBitIdentityGoldens pins the acceptance criterion: every kind,
+// through every serving mode — uncached, cache miss, cache hit and, for
+// the kinds with an async twin, async unbatched and async cached —
+// deep-equals an execution on an uncached service, cost counters
+// included. The handles' flush reasons follow the cache outcome: a
+// leader executed (FlushUnbatched), a hit was served (FlushCached) at
+// the execution's cost.
 func TestCacheBitIdentityGoldens(t *testing.T) {
 	ctx := context.Background()
 	fresh, cached := cacheTestPair(t)
@@ -50,30 +67,38 @@ func TestCacheBitIdentityGoldens(t *testing.T) {
 	checks := []struct {
 		name string
 		run  func(s *Service, key uint64) (any, error)
+		// submit is the kind's async twin, sharing its digest space (nil:
+		// the kind has none).
+		submit func(s *Service, key uint64) (*WalkHandle, error)
 	}{
 		{"single", func(s *Service, key uint64) (any, error) {
 			return s.SingleRandomWalk(ctx, key, 3, 500)
+		}, func(s *Service, key uint64) (*WalkHandle, error) {
+			return s.SubmitWalk(ctx, key, 3, 500)
 		}},
 		{"naive", func(s *Service, key uint64) (any, error) {
 			return s.NaiveWalk(ctx, key, 3, 200)
-		}},
+		}, nil},
 		{"many", func(s *Service, key uint64) (any, error) {
 			return s.ManyRandomWalks(ctx, key, sources, 400)
-		}},
+		}, nil},
 		{"trace", func(s *Service, key uint64) (any, error) {
 			w, tr, err := s.WalkTrace(ctx, key, 5, 400)
 			if err != nil {
 				return nil, err
 			}
 			return []any{w, tr}, nil
+		}, func(s *Service, key uint64) (*WalkHandle, error) {
+			return s.SubmitWalkTrace(ctx, key, 5, 400)
 		}},
 		{"rst", func(s *Service, key uint64) (any, error) {
 			return s.RandomSpanningTree(ctx, key, 0)
-		}},
+		}, nil},
 		{"mixing", func(s *Service, key uint64) (any, error) {
 			return s.EstimateMixingTime(ctx, key, 0, WithTrials(24))
-		}},
+		}, nil},
 	}
+	var misses, hits int64
 	for i, c := range checks {
 		key := uint64(1000 + i)
 		want, err := c.run(fresh, key)
@@ -88,22 +113,116 @@ func TestCacheBitIdentityGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: hit: %v", c.name, err)
 		}
+		misses, hits = misses+1, hits+1
 		if !reflect.DeepEqual(want, miss) {
 			t.Errorf("%s: cache-miss result differs from a fresh execution", c.name)
 		}
 		if !reflect.DeepEqual(want, hit) {
 			t.Errorf("%s: cache-hit result differs from a fresh execution", c.name)
 		}
+		if c.submit == nil {
+			continue
+		}
+		// Async unbatched on the uncached service, async hit on the sync
+		// path's entry, then an async leader on a new key and a hit on it.
+		var executed BatchInfo
+		for _, mode := range []struct {
+			name   string
+			svc    *Service
+			key    uint64
+			reason sched.FlushReason
+		}{
+			{"async unbatched", fresh, key, FlushUnbatched},
+			{"async cached", cached, key, FlushCached},
+			{"async leader", cached, key + 100, FlushUnbatched},
+			{"async hit on async entry", cached, key + 100, FlushCached},
+		} {
+			h, err := c.submit(mode.svc, mode.key)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, mode.name, err)
+			}
+			got, info, err := handleValue(h, c.name == "trace")
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, mode.name, err)
+			}
+			ref := want
+			if mode.key != key {
+				if ref, err = c.run(fresh, mode.key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s: %s result differs from a fresh execution", c.name, mode.name)
+			}
+			if info.Reason != mode.reason || info.Size != 1 {
+				t.Errorf("%s: %s batch info = %+v, want a size-1 %v", c.name, mode.name, info, mode.reason)
+			}
+			if mode.reason == FlushUnbatched {
+				executed = info
+			} else if info.Cost != executed.Cost || info.Seed != executed.Seed {
+				t.Errorf("%s: %s reported %+v, want the execution's cost and seed %+v", c.name, mode.name, info, executed)
+			}
+		}
+		misses, hits = misses+1, hits+2
 	}
+
+	// Same key, same operands, different entry point: the digest kinds
+	// keep NaiveWalk and SingleRandomWalk apart.
+	wantNaive, err := fresh.NaiveWalk(ctx, 1000, 3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotNaive, err := cached.NaiveWalk(ctx, 1000, 3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses++
+	if !reflect.DeepEqual(wantNaive, gotNaive) {
+		t.Error("NaiveWalk was served SingleRandomWalk's entry for the same key and operands")
+	}
+
 	st := cached.Stats().Cache
-	if st.Misses != int64(len(checks)) || st.Hits != int64(len(checks)) {
-		t.Fatalf("cache stats = %+v, want %d misses and %d hits", st, len(checks), len(checks))
+	if st.Misses != misses || st.Hits != hits {
+		t.Fatalf("cache stats = %+v, want %d misses and %d hits", st, misses, hits)
 	}
 	if st.BytesUsed <= 0 || st.HitBytes <= 0 {
 		t.Fatalf("byte accounting not live: %+v", st)
 	}
 	if fs := fresh.Stats().Cache; fs != (CacheStats{}) {
 		t.Fatalf("uncached service reported cache stats: %+v", fs)
+	}
+}
+
+// TestCacheLeaderKeepsAdmissionEpoch publishes a mutation between a
+// cached request's flight registration and its leader's execution (the
+// Gate hook sits exactly there). The request admitted under the original
+// generation — its cache key says so, and so must its execution: the
+// result is bit-identical to an uncached service on the original graph,
+// and, being pinned to a retired epoch, it is not stored.
+func TestCacheLeaderKeepsAdmissionEpoch(t *testing.T) {
+	ctx := context.Background()
+	fresh, cached := cacheTestPair(t)
+	want, err := fresh.SingleRandomWalk(ctx, 5, 3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.cache.Gate = func(cache.Key) {
+		if _, err := cached.ApplyMutations(ctx, Mutations{AddEdges: []EdgeMutation{{U: 3, V: 40}}}); err != nil {
+			t.Error(err)
+		}
+	}
+	got, err := cached.SingleRandomWalk(ctx, 5, 3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Generation() != 2 {
+		t.Fatalf("generation = %v: the gate did not publish the mutation", cached.Generation())
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("request admitted at generation 1 executed on another topology:\n  got  %+v\n  want %+v", got, want)
+	}
+	if n := cached.cache.Len(); n != 0 {
+		t.Errorf("%d entries stored for a retired generation", n)
 	}
 }
 
@@ -215,6 +334,86 @@ func TestCachedSubmitSharesSyncEntries(t *testing.T) {
 	}
 	if cached.Stats().Cache.Hits != preHits+1 {
 		t.Fatal("sync WalkTrace did not hit the async-stored entry")
+	}
+
+	// Handles coalesced onto an async leader: the leader's handle reports
+	// its own execution (FlushUnbatched), the waiters' a cached serve at
+	// that execution's cost. The Gate holds the leader until both waiters
+	// have attached.
+	release := make(chan struct{})
+	cached.cache.Gate = func(cache.Key) { <-release }
+	preCoalesced := cached.Stats().Cache.CoalescedWaiters
+	handles := make([]*WalkHandle, 3)
+	for i := range handles {
+		if handles[i], err = cached.SubmitWalk(ctx, 9, 4, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(20 * time.Second); cached.Stats().Cache.CoalescedWaiters < preCoalesced+2; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiters did not attach to the async leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	want9, err := fresh.SingleRandomWalk(ctx, 9, 4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reasons := map[sched.FlushReason]int{}
+	for _, h := range handles {
+		got, err := h.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want9, got) {
+			t.Fatal("coalesced submitted walk differs from a fresh execution")
+		}
+		if b := h.Batch(); b.Size != 1 || b.Cost != want9.Cost {
+			t.Fatalf("batch info = %+v, want size 1 at the execution's cost %+v", b, want9.Cost)
+		}
+		reasons[h.Batch().Reason]++
+	}
+	if reasons[FlushUnbatched] != 1 || reasons[FlushCached] != 2 {
+		t.Fatalf("flush reasons = %v, want one leader and two cached serves", reasons)
+	}
+	cached.cache.Gate = nil
+
+	// A batched service attaches to per-key entries instead of queueing:
+	// the sync paths store, the submissions are served from the store
+	// without a batch ever forming (the window below never flushes).
+	batched, err := NewService(fresh.Graph(), 42, WithResultCache(1<<20), WithBatching(64, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	if _, err := batched.SingleRandomWalk(ctx, 7, 4, 500); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := batched.WalkTrace(ctx, 8, 9, 400); err != nil {
+		t.Fatal(err)
+	}
+	hb, err := batched.SubmitWalk(ctx, 7, 4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hbt, err := batched.SubmitWalkTrace(ctx, 8, 9, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, infoB, errB := handleValue(hb, false)
+	gotBT, infoBT, errBT := handleValue(hbt, true)
+	if errB != nil || errBT != nil {
+		t.Fatal(errB, errBT)
+	}
+	if !reflect.DeepEqual(want, gotB) || !reflect.DeepEqual([]any{fw, ftr}, gotBT) {
+		t.Fatal("batched service's cache serve differs from a fresh execution")
+	}
+	if infoB.Reason != FlushCached || infoBT.Reason != FlushCached {
+		t.Fatalf("batched service's cache serves report %v and %v, want FlushCached", infoB.Reason, infoBT.Reason)
+	}
+	if st := batched.Stats(); st.Submitted != 0 {
+		t.Fatalf("cache-served submissions reached the scheduler: %+v", st.SchedStats)
 	}
 }
 

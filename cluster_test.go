@@ -325,6 +325,18 @@ func testClusterIdentity(t *testing.T, engines int) {
 		t.Fatalf("in-process Stats().Cluster = %+v, want empty", shdSt.Cluster)
 	}
 
+	// Batched submissions run inside the same cluster session bracket as
+	// per-key requests: full bursts are bit-identical to the same bursts
+	// on in-process shards, and none of them failed over.
+	wantBursts, _ := batchedBursts(t, g, distwalk.WithShards(engines))
+	gotBursts, bst := batchedBursts(t, g, distwalk.WithCluster(addrs...))
+	if gotBursts != wantBursts {
+		t.Errorf("batched bursts diverged:\n  sharded(%d): %s\n  cluster(%d): %s", engines, wantBursts, engines, gotBursts)
+	}
+	if bst.Batches != 2 || bst.Cluster.Failovers != 0 || len(bst.Cluster.Engines) != engines || bst.Cluster.Engines[0].Runs == 0 {
+		t.Errorf("batched cluster service: %d batches, cluster stats %+v; want 2 batches over the engines, no failover", bst.Batches, bst.Cluster)
+	}
+
 	// Close both services: every worker, reader and engine session must
 	// be gone (the goleak-style part of the shutdown satellite).
 	shd.Close()

@@ -57,9 +57,9 @@
 // and becomes the leader; it MUST Finish. Lookups that find the flight
 // attach as waiters (CoalescedWaiters) and block until the leader
 // publishes — N concurrent identical requests cost one execution.
-// Async Submit handles join the same flights: a submitted walk attaches
-// to an in-flight leader (sync or async) instead of queueing its own
-// execution.
+// Async Submit handles on an unbatched service go through Do like every
+// synchronous entry point: same digests, same flights. Only a batched
+// service's submissions use Attach + Wait — they may join, never lead.
 //
 // On success the leader publishes the frozen value to every waiter and
 // the store. On failure, waiters do NOT inherit the leader's error: the

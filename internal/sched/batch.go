@@ -231,11 +231,12 @@ func (b *Batch) Execute(w *core.Walker) {
 		Cost:      cost,
 		Amortized: core.SplitCost(cost, len(b.members)),
 	}
-	for i, p := range b.members {
-		p.out <- Result{Walk: many.Walks[i], Trace: traceOf[i], Batch: info}
-	}
+	// Counters first: a member that has its result must find it counted.
 	if b.sched != nil {
 		b.sched.noteExecuted(info)
+	}
+	for i, p := range b.members {
+		p.out <- Result{Walk: many.Walks[i], Trace: traceOf[i], Batch: info}
 	}
 }
 
@@ -245,10 +246,10 @@ func (b *Batch) Execute(w *core.Walker) {
 // itself failed, so a member error is always errors.Is-able against both
 // ErrBatchAborted and the underlying cause.
 func (b *Batch) Abort(cause error) {
-	for _, p := range b.members {
-		p.out <- Result{Err: fmt.Errorf("%w (request %d): %w", ErrBatchAborted, p.req.Key, cause)}
-	}
 	if b.sched != nil {
 		b.sched.noteAborted(len(b.members))
+	}
+	for _, p := range b.members {
+		p.out <- Result{Err: fmt.Errorf("%w (request %d): %w", ErrBatchAborted, p.req.Key, cause)}
 	}
 }

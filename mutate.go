@@ -155,7 +155,7 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 		h.Gen = next.gen
 		// Store the plan before rotating any handshake: a worker that
 		// dialed with the rotated Hello is then guaranteed to observe the
-		// new plan when it re-checks after attaching (see executeCluster).
+		// new plan when it re-checks after attaching (see clusterRun).
 		s.clusterPlan.Store(&clusterPlan{g: g2, bounds: h.Bounds})
 		for i, sv := range s.clusterSup {
 			hi := h

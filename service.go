@@ -12,10 +12,8 @@ import (
 	"distwalk/internal/cache"
 	"distwalk/internal/congest"
 	"distwalk/internal/core"
-	"distwalk/internal/mixing"
 	"distwalk/internal/rng"
 	"distwalk/internal/sched"
-	"distwalk/internal/spanning"
 	"distwalk/internal/wire"
 )
 
@@ -62,7 +60,7 @@ type Service struct {
 
 	// clusterPlan pins the graph/bounds the remote engines currently
 	// serve (nil unless WithCluster); rotated by ApplyMutations before
-	// the supervisors' handshakes, never after (see executeCluster).
+	// the supervisors' handshakes, never after (see clusterRun).
 	clusterPlan atomic.Pointer[clusterPlan]
 
 	jobs chan func(*poolWorker)
@@ -312,7 +310,7 @@ func (s *Service) initCluster(workers []*poolWorker) error {
 // session group under plan's shard bounds. With every session healthy it
 // is a no-op. Callers that loaded plan before acquiring must re-check it
 // afterwards: a mutation rotating the handshake mid-ensure can hand out
-// sessions for a newer topology (see executeCluster).
+// sessions for a newer topology (see clusterRun).
 func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clusterPlan) error {
 	if pw.conns == nil {
 		pw.conns = make([]*wire.EngineConn, len(s.clusterSup))
@@ -380,6 +378,7 @@ func (s *Service) dropClusterConns(pw *poolWorker, cause error) {
 		s.resetClusterBaseline(pw, i)
 	}
 	pw.attached = false
+	pw.clusterTopo = nil
 	pw.net.ConnectRemote(nil, nil)
 }
 
@@ -426,8 +425,7 @@ func (s *Service) armCluster(ctx context.Context, pw *poolWorker, cfg config) {
 
 // reserveConns/releaseConns bracket a cluster run: holding every
 // session's lock keeps the idle heartbeats out of the byte stream while
-// the round loop owns it. The release set is captured before the run —
-// a mid-run loss nils pw.conns entries.
+// the round loop owns it.
 func reserveConns(conns []*wire.EngineConn) {
 	for _, c := range conns {
 		if c != nil {
@@ -654,13 +652,6 @@ func (s *Service) collectShardStats(pw *poolWorker) {
 	s.shardMu.Unlock()
 }
 
-// collectStats folds the worker's post-request counter deltas into the
-// service aggregates (shards in-process, engine traffic in cluster mode).
-func (s *Service) collectStats(pw *poolWorker) {
-	s.collectShardStats(pw)
-	s.collectClusterStats(pw)
-}
-
 // collectClusterStats folds the worker's per-engine traffic deltas since
 // the previous request into the service aggregate. Like
 // collectShardStats, it runs on the worker goroutine while its sessions
@@ -728,20 +719,15 @@ func attemptSeed(seed, key uint64, attempt int) uint64 {
 
 // submit runs fn on a pool worker and waits for it (or for ctx/closure),
 // re-executing up to cfg.retries times on retryable failures (see
-// Retryable) with attempt-salted seeds and exponential backoff. The
-// topology snapshot is captured once at admission and kept across fault
-// retries (pin semantics); a stale-generation failure instead refreshes
-// the snapshot without consuming attempt salting, so the retry is
-// bit-identical to a request freshly admitted after the mutation.
-func (s *Service) submit(ctx context.Context, key uint64, opts []Option, fn func(w *core.Walker, cfg config) error) error {
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return fmt.Errorf("distwalk: request %d: %w", key, err)
-	}
+// Retryable) with attempt-salted seeds and exponential backoff. snap is
+// the topology the request admitted under; it is kept across fault
+// retries (pin semantics), while a stale-generation failure refreshes it
+// without consuming attempt salting, so the retry is bit-identical to a
+// request freshly admitted after the mutation.
+func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topology, fn func(*core.Walker) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
-	snap := s.topo.Load()
 	attempt, tries := 0, 0
 	for {
 		err := s.submitOnce(ctx, key, cfg, attempt, snap, fn)
@@ -807,7 +793,7 @@ func (s *Service) backoffWait(ctx context.Context, base time.Duration, attempt i
 }
 
 // submitOnce runs one attempt of fn on a pool worker and waits for it.
-func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, fn func(w *core.Walker, cfg config) error) error {
+func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, fn func(*core.Walker) error) error {
 	done := make(chan error, 1)
 	job := func(pw *poolWorker) {
 		done <- s.execute(ctx, key, cfg, attempt, snap, pw, fn)
@@ -844,7 +830,7 @@ func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attemp
 // published mid-run cancels the engine at its next round check; both
 // surface as a *StaleGenerationError. A caller-initiated cancellation is
 // never translated — context.Cause distinguishes the two.
-func (s *Service) execute(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
+func (s *Service) execute(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
@@ -886,84 +872,108 @@ func (s *Service) staleErr(key uint64, snap *topology) error {
 		&StaleGenerationError{Old: Generation(snap.gen), New: Generation(s.topo.Load().gen)})
 }
 
-// executeOn is execute's epoch-resolved body.
-func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
-	seed := attemptSeed(s.seed, key, attempt)
-	if len(s.clusterSup) > 0 {
-		return s.executeCluster(ctx, key, cfg, seed, snap, pw, fn)
+// runPrepared is the one executor every mode shares — per-key requests
+// (seed derived from the request key) and batches (seed derived from the
+// batch composition), in process or over the cluster. It readies the
+// worker's warm state for (seed, cfg) at snap: sync the warm topology to
+// the snapshot, reseed the private network, restore the round budget and
+// Reset the pooled walker (the first request builds it; a reshaped graph
+// forces a rebuild). Then it runs fn under ctx with fault outcomes typed,
+// and folds the worker's counters into the service's.
+func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
+	if err := s.syncWarm(pw, snap); err != nil {
+		return err
 	}
-	return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
-}
-
-// runPrepared is the tail every execution mode shares: prepare the
-// worker's walker for (seed, cfg) at snap, run fn under ctx with fault
-// outcomes typed, and fold the worker's counters into the service's.
-func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
-	w, err := s.prepare(pw, seed, cfg.params, cfg.maxRounds, snap)
-	if err != nil {
+	pw.net.Reseed(seed)
+	if cfg.maxRounds > 0 {
+		pw.net.SetMaxRounds(cfg.maxRounds)
+	} else {
+		pw.net.SetMaxRounds(congest.DefaultMaxRounds)
+	}
+	if pw.wkr == nil {
+		w, err := core.NewWalkerOn(pw.net, cfg.params)
+		if err != nil {
+			return err
+		}
+		pw.wkr = w
+	} else if err := pw.wkr.Reset(cfg.params); err != nil {
 		return err
 	}
 	pw.net.SetContext(ctx)
 	defer pw.net.SetContext(nil)
-	defer s.collectStats(pw)
-	return core.Faultize(w, fn(w, cfg))
+	defer s.collectClusterStats(pw)
+	defer s.collectShardStats(pw)
+	return core.Faultize(pw.wkr, fn(pw.wkr))
 }
 
-// executeCluster is execute's cluster-mode body: repair the worker's
-// sessions, arm the round deadlines, run fn over the remote engines —
-// and, when the cluster run is lost and WithClusterFallback is on,
-// re-execute on in-process shards with the same seed. Sharded execution
-// is bit-identical to cluster execution per (graph, seed, request), so
-// the failed-over result is exactly what the fault-free cluster run
-// would have produced.
+// errClusterMoved is clusterRun's report that the remote engines do not
+// (or no longer) serve the run's topology; nothing ran.
+var errClusterMoved = errors.New("cluster serves another topology generation")
+
+// clusterRun brackets one run over the worker's remote engine sessions,
+// for per-key requests and batches alike: repair the sessions, arm the
+// round deadlines, hold every session's lock while run owns the byte
+// streams, and drop the whole group if the run broke any of it.
 //
-// Topology epochs interact with the cluster in three ways. A request
-// pinned to a graph the remote engines no longer serve runs in-process
-// on equivalent shards (same bit-identity argument, no failover
-// counted). A worker whose sessions were handshaken for a superseded
-// graph drops them so the supervisors re-dial with the rotated Hello —
-// the server re-pins to the strictly newer generation. And a mutation
-// racing the re-dial is detected by re-loading the plan after
-// ensureCluster: ApplyMutations stores the successor plan before
-// rotating any handshake, so sessions dialed with the rotated Hello
-// imply a visible plan change.
-func (s *Service) executeCluster(ctx context.Context, key uint64, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
+// Topology epochs interact with the cluster in three ways. A run pinned
+// to a graph the engines no longer serve is refused (errClusterMoved),
+// keeping any healthy sessions for later requests. A worker whose
+// sessions were handshaken for a superseded graph drops them so the
+// supervisors re-dial with the rotated Hello — the server re-pins to the
+// strictly newer generation. And a mutation racing the re-dial shows as a
+// plan change after ensureCluster — ApplyMutations stores the successor
+// plan before rotating any handshake — so the fresh sessions are dropped
+// and the run refused likewise.
+func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, cfg config, snap *topology, run func() error) error {
 	plan := s.clusterPlan.Load()
 	if plan.g != snap.g {
-		// Pinned to a topology the cluster does not serve: run
-		// in-process, keeping any healthy sessions for later requests.
-		return s.executeLocalShards(ctx, cfg, seed, snap, pw, fn)
+		return errClusterMoved
 	}
 	if pw.clusterTopo != nil && pw.clusterTopo != plan.g {
 		// The sessions hold per-session engines built from a dead
 		// topology; drop them so ensureCluster re-dials fresh.
 		s.dropClusterConns(pw, nil)
-		pw.clusterTopo = nil
 	}
 	if err := s.syncWarm(pw, snap); err != nil {
 		return err
 	}
-	runErr := s.ensureCluster(ctx, pw, plan)
-	if runErr == nil && s.clusterPlan.Load() != plan {
-		// The cluster rotated while we dialed: freshly acquired sessions
-		// may already serve the successor topology. Drop them and run
-		// this request in-process against its own snapshot.
-		s.dropClusterConns(pw, nil)
-		pw.clusterTopo = nil
-		return s.executeLocalShards(ctx, cfg, seed, snap, pw, fn)
+	if err := s.ensureCluster(ctx, pw, plan); err != nil {
+		return err
 	}
-	if runErr == nil {
-		runErr = func() error {
-			s.armCluster(ctx, pw, cfg)
-			reserved := append([]*wire.EngineConn(nil), pw.conns...)
-			reserveConns(reserved)
-			defer releaseConns(reserved)
-			err := s.runPrepared(ctx, cfg, seed, snap, pw, fn)
-			if clusterBroken(pw) {
-				s.dropClusterConns(pw, err)
-			}
-			return err
-		}()
+	if s.clusterPlan.Load() != plan {
+		s.dropClusterConns(pw, nil)
+		return errClusterMoved
+	}
+	s.armCluster(ctx, pw, cfg)
+	// The release set is captured before the run: a mid-run loss nils
+	// pw.conns entries.
+	reserved := append([]*wire.EngineConn(nil), pw.conns...)
+	reserveConns(reserved)
+	defer releaseConns(reserved)
+	err := run()
+	if clusterBroken(pw) {
+		s.dropClusterConns(pw, err)
+	}
+	return err
+}
+
+// executeOn is execute's epoch-resolved body: run fn under the attempt's
+// seed — in process, or in cluster mode over the remote engines and, when
+// that run is lost and WithClusterFallback is on, again on in-process
+// shards with the same seed. Sharded execution is bit-identical to
+// cluster execution per (graph, seed, request), so the failed-over result
+// is what the fault-free cluster run would have produced; a request the
+// cluster has rotated past runs in-process by the same argument, no
+// failover counted.
+func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
+	seed := attemptSeed(s.seed, key, attempt)
+	run := func() error { return s.runPrepared(ctx, cfg, seed, snap, pw, fn) }
+	if len(s.clusterSup) == 0 {
+		return run()
+	}
+	runErr := s.clusterRun(ctx, pw, cfg, snap, run)
+	if runErr == errClusterMoved {
+		return s.executeLocalShards(pw, snap, run)
 	}
 	if runErr == nil || !errors.Is(runErr, ErrClusterEngine) || !cfg.clusterFallback {
 		return runErr
@@ -977,7 +987,7 @@ func (s *Service) executeCluster(ctx context.Context, key uint64, cfg config, se
 		s.dropClusterConns(pw, runErr)
 	}
 	s.clusterFailovers.Add(1)
-	return s.executeLocalShards(ctx, cfg, seed, snap, pw, fn)
+	return s.executeLocalShards(pw, snap, run)
 }
 
 // executeLocalShards runs a cluster-mode request on in-process shards —
@@ -986,7 +996,7 @@ func (s *Service) executeCluster(ctx context.Context, key uint64, cfg config, se
 // and requests pinned to a topology generation the remote engines have
 // rotated past; in the pinned case healthy sessions are kept (detached)
 // for the next current-generation request.
-func (s *Service) executeLocalShards(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(w *core.Walker, cfg config) error) error {
+func (s *Service) executeLocalShards(pw *poolWorker, snap *topology, run func() error) error {
 	if pw.attached {
 		pw.attached = false
 		pw.net.ConnectRemote(nil, nil)
@@ -996,7 +1006,7 @@ func (s *Service) executeLocalShards(ctx context.Context, cfg config, seed uint6
 	}
 	pw.net.SetShards(len(s.cfg.cluster))
 	defer pw.net.SetShards(1)
-	return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
+	return run()
 }
 
 // syncWarm reshapes a worker network whose warm state trails the
@@ -1025,97 +1035,37 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 	return nil
 }
 
-// prepare readies a worker's warm state for a run under the given seed
-// and knobs: sync the warm topology to the request's snapshot, reseed
-// the private network, restore the round budget, and Reset the pooled
-// walker (the first request builds it; a reshaped graph forces a
-// rebuild). Shared by the per-key path (seed derived from the request
-// key) and the batched path (seed derived from the batch composition).
-func (s *Service) prepare(pw *poolWorker, seed uint64, params Params, maxRounds int, snap *topology) (*core.Walker, error) {
-	if err := s.syncWarm(pw, snap); err != nil {
-		return nil, err
-	}
-	pw.net.Reseed(seed)
-	if maxRounds > 0 {
-		pw.net.SetMaxRounds(maxRounds)
-	} else {
-		pw.net.SetMaxRounds(congest.DefaultMaxRounds)
-	}
-	if pw.wkr == nil {
-		w, err := core.NewWalkerOn(pw.net, params)
-		if err != nil {
-			return nil, err
-		}
-		pw.wkr = w
-	} else if err := pw.wkr.Reset(params); err != nil {
-		return nil, err
-	}
-	return pw.wkr, nil
-}
-
 // runBatch is the scheduler's executor: hand the flushed batch to a pool
 // worker (reseeded with the batch seed — batch determinism is per
 // composition, not per worker) and block until it has run. The batch
-// executes without a member context installed: one member's cancellation
-// must not abort its batchmates, so post-flush cancellation is not
-// observed (see internal/sched's determinism notes).
+// executes under no member's context: one member's cancellation must not
+// abort its batchmates, so post-flush cancellation is not observed (see
+// internal/sched's determinism notes). In cluster mode it runs inside the
+// session bracket per-key requests use; a batch the bracket refuses or
+// fails aborts retryably (ErrBatchAborted), so under WithRetry its members
+// re-execute unbatched and can fall over in-process there.
 func (s *Service) runBatch(b *sched.Batch) {
-	snap, ok := b.Topo.(*topology)
-	if !ok || snap == nil {
-		snap = s.topo.Load()
-	}
+	snap := b.Topo.(*topology) // set by submitBatched, the only submitter
 	done := make(chan struct{})
 	job := func(pw *poolWorker) {
 		defer close(done)
-		if len(s.clusterSup) > 0 {
-			// Same session discipline as executeCluster. Batch.Execute
-			// reports failures to its members (ErrBatchAborted, a
-			// retryable error, so the unbatched retry path recovers and
-			// can fall over in-process), but a loss must still drop the
-			// desynced session group here.
-			plan := s.clusterPlan.Load()
-			if plan.g != snap.g {
-				// The batch is pinned to a topology the cluster does not
-				// serve: abort retryably; members re-execute unbatched
-				// against their own snapshots.
-				b.Abort(fmt.Errorf("batch pinned to topology generation %d, cluster serves another", snap.gen))
-				return
-			}
-			if pw.clusterTopo != nil && pw.clusterTopo != plan.g {
-				s.dropClusterConns(pw, nil)
-				pw.clusterTopo = nil
-			}
-			if err := s.syncWarm(pw, snap); err != nil {
-				b.Abort(err)
-				return
-			}
-			if err := s.ensureCluster(context.Background(), pw, plan); err != nil {
-				b.Abort(err)
-				return
-			}
-			if s.clusterPlan.Load() != plan {
-				s.dropClusterConns(pw, nil)
-				pw.clusterTopo = nil
-				b.Abort(fmt.Errorf("cluster rotated to a new topology generation mid-dial"))
-				return
-			}
-			s.armCluster(context.Background(), pw, s.cfg)
-			reserved := append([]*wire.EngineConn(nil), pw.conns...)
-			reserveConns(reserved)
-			defer releaseConns(reserved)
-			defer func() {
-				if clusterBroken(pw) {
-					s.dropClusterConns(pw, nil)
-				}
-			}()
+		ctx, cfg := context.Background(), s.cfg
+		cfg.params, cfg.maxRounds = b.Params, b.MaxRounds
+		run := func() error {
+			return s.runPrepared(ctx, cfg, b.Seed, snap, pw, func(w *core.Walker) error {
+				b.Execute(w) // reports its own failure to the members
+				return nil
+			})
 		}
-		defer s.collectStats(pw)
-		w, err := s.prepare(pw, b.Seed, b.Params, b.MaxRounds, snap)
+		var err error
+		if len(s.clusterSup) > 0 {
+			err = s.clusterRun(ctx, pw, cfg, snap, run)
+		} else {
+			err = run()
+		}
 		if err != nil {
 			b.Abort(err)
-			return
 		}
-		b.Execute(w)
 	}
 	select {
 	case s.jobs <- job:
@@ -1131,74 +1081,21 @@ func (s *Service) runBatch(b *sched.Batch) {
 // WithResultCache, repeated and concurrent identical requests are served
 // from the cache or coalesced onto one execution — bit-identically.
 func (s *Service) SingleRandomWalk(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkResult, error) {
-	if s.cache == nil {
-		return s.singleRandomWalk(ctx, key, source, ell, opts)
-	}
-	return s.cachedSingle(ctx, cacheKindSingle, key, source, ell, opts, func() (*WalkResult, error) {
-		return s.singleRandomWalk(ctx, key, source, ell, opts)
-	})
-}
-
-// singleRandomWalk is the uncached per-key execution body.
-func (s *Service) singleRandomWalk(ctx context.Context, key uint64, source NodeID, ell int, opts []Option) (*WalkResult, error) {
-	var out *WalkResult
-	err := s.submit(ctx, key, opts, func(w *core.Walker, _ config) error {
-		res, err := w.SingleRandomWalk(source, ell)
-		out = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return serve(ctx, s, &singleKind, key, operands{node: source, ell: ell}, opts)
 }
 
 // NaiveWalk runs the O(ℓ)-round token-forwarding baseline.
 func (s *Service) NaiveWalk(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkResult, error) {
-	if s.cache == nil {
-		return s.naiveWalk(ctx, key, source, ell, opts)
-	}
-	return s.cachedSingle(ctx, cacheKindNaive, key, source, ell, opts, func() (*WalkResult, error) {
-		return s.naiveWalk(ctx, key, source, ell, opts)
-	})
-}
-
-func (s *Service) naiveWalk(ctx context.Context, key uint64, source NodeID, ell int, opts []Option) (*WalkResult, error) {
-	var out *WalkResult
-	err := s.submit(ctx, key, opts, func(w *core.Walker, _ config) error {
-		res, err := w.NaiveWalk(source, ell)
-		out = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return serve(ctx, s, &naiveKind, key, operands{node: source, ell: ell}, opts)
 }
 
 // ManyRandomWalks samples k independent ℓ-step walks from the given (not
 // necessarily distinct) sources in Õ(min(√(kℓD)+k, k+ℓ)) simulated rounds
-// (Theorem 2.8), as one request. It runs on the same group-execution
-// path (sched.ExecGroup) that serves coalesced SubmitWalk batches — one
+// (Theorem 2.8), as one request. It runs on the same group-execution path
+// (sched.ExecGroup) that serves coalesced SubmitWalk batches — one
 // explicit batch under the caller's key instead of a scheduled one.
 func (s *Service) ManyRandomWalks(ctx context.Context, key uint64, sources []NodeID, ell int, opts ...Option) (*ManyResult, error) {
-	if s.cache == nil {
-		return s.manyRandomWalks(ctx, key, sources, ell, opts)
-	}
-	return s.cachedMany(ctx, key, sources, ell, opts)
-}
-
-func (s *Service) manyRandomWalks(ctx context.Context, key uint64, sources []NodeID, ell int, opts []Option) (*ManyResult, error) {
-	var out *ManyResult
-	err := s.submit(ctx, key, opts, func(w *core.Walker, cfg config) error {
-		res, _, err := sched.ExecGroup(w, sources, ell, nil, cfg.partial)
-		out = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return serve(ctx, s, &manyKind, key, operands{sources: sources, ell: ell}, opts)
 }
 
 // WalkTrace samples an ℓ-step walk from source and then regenerates it
@@ -1208,75 +1105,18 @@ func (s *Service) manyRandomWalks(ctx context.Context, key uint64, sources []Nod
 // the spanning-tree application builds on — plus the regeneration cost;
 // the WalkResult carries the walk itself.
 func (s *Service) WalkTrace(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkResult, *Trace, error) {
-	if s.cache == nil {
-		return s.walkTrace(ctx, key, source, ell, opts)
-	}
-	return s.cachedTrace(ctx, key, source, ell, opts)
-}
-
-func (s *Service) walkTrace(ctx context.Context, key uint64, source NodeID, ell int, opts []Option) (*WalkResult, *Trace, error) {
-	var (
-		walk  *WalkResult
-		trace *Trace
-	)
-	err := s.submit(ctx, key, opts, func(w *core.Walker, _ config) error {
-		res, err := w.SingleRandomWalk(source, ell)
-		if err != nil {
-			return err
-		}
-		tr, err := w.Regenerate(res)
-		if err != nil {
-			return err
-		}
-		walk, trace = res, tr
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return walk, trace, nil
+	p, err := serve(ctx, s, &traceKind, key, operands{node: source, ell: ell}, opts)
+	return p.walk, p.trace, err
 }
 
 // RandomSpanningTree samples a uniformly random spanning tree rooted at
 // root in Õ(√(mD)) simulated rounds (Theorem 4.1).
 func (s *Service) RandomSpanningTree(ctx context.Context, key uint64, root NodeID, opts ...Option) (*RSTResult, error) {
-	if s.cache == nil {
-		return s.randomSpanningTree(ctx, key, root, opts)
-	}
-	return s.cachedRST(ctx, key, root, opts)
-}
-
-func (s *Service) randomSpanningTree(ctx context.Context, key uint64, root NodeID, opts []Option) (*RSTResult, error) {
-	var out *RSTResult
-	err := s.submit(ctx, key, opts, func(w *core.Walker, cfg config) error {
-		res, err := spanning.RandomSpanningTree(w, root, cfg.rst)
-		out = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return serve(ctx, s, &rstKind, key, operands{node: root}, opts)
 }
 
 // EstimateMixingTime estimates τ^x_mix decentralized, in
 // Õ(n^{1/2} + n^{1/4}√(Dτ)) simulated rounds (Theorem 4.6).
 func (s *Service) EstimateMixingTime(ctx context.Context, key uint64, x NodeID, opts ...Option) (*MixingEstimate, error) {
-	if s.cache == nil {
-		return s.estimateMixingTime(ctx, key, x, opts)
-	}
-	return s.cachedMixing(ctx, key, x, opts)
-}
-
-func (s *Service) estimateMixingTime(ctx context.Context, key uint64, x NodeID, opts []Option) (*MixingEstimate, error) {
-	var out *MixingEstimate
-	err := s.submit(ctx, key, opts, func(w *core.Walker, cfg config) error {
-		res, err := mixing.EstimateTau(w, x, cfg.mix)
-		out = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return serve(ctx, s, &mixKind, key, operands{node: x}, opts)
 }

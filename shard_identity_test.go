@@ -294,6 +294,49 @@ func TestShardIdentityFaulty2(t *testing.T) { testShardIdentityFaulty(t, 2) }
 func TestShardIdentityFaulty4(t *testing.T) { testShardIdentityFaulty(t, 4) }
 func TestShardIdentityFaulty8(t *testing.T) { testShardIdentityFaulty(t, 8) }
 
+// batchedBursts runs two exactly-full SubmitWalk/SubmitWalkTrace bursts
+// (the second on the warm worker) on a one-worker batching service built
+// with opts, and digests everything a member can observe: walk, trace,
+// and the batch's seed, size and cost.
+func batchedBursts(t *testing.T, g *distwalk.Graph, opts ...distwalk.Option) (string, distwalk.ServiceStats) {
+	t.Helper()
+	ctx := context.Background()
+	opts = append([]distwalk.Option{distwalk.WithWorkers(1), distwalk.WithBatching(4, time.Minute)}, opts...)
+	svc, err := distwalk.NewService(g, 42, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	out := ""
+	for burst, ell := range []int{512, 384} {
+		handles := make([]*distwalk.WalkHandle, 4)
+		for i := range handles {
+			submit := svc.SubmitWalk
+			if i%2 == 1 {
+				submit = svc.SubmitWalkTrace
+			}
+			h, err := submit(ctx, uint64(10*burst+i), distwalk.NodeID(7*i), ell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[i] = h
+		}
+		for _, h := range handles {
+			res, err := h.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprintf("%d/%+v", res.Destination, res.Cost)
+			if tr, _ := h.Trace(); tr != nil {
+				out += fmt.Sprintf("/%v%v%+v", tr.FirstVisitTime, tr.FirstVisitFrom, tr.Cost)
+			}
+			b := h.Batch()
+			out += fmt.Sprintf("/%d:%d:%+v:%+v;", b.Seed, b.Size, b.Cost, b.Amortized)
+		}
+	}
+	return out, svc.Stats()
+}
+
 // TestShardIdentityBatched pins that the batching scheduler composes with
 // sharded workers: a coalesced batch executes bit-identically on sharded
 // and sequential pools.
@@ -302,35 +345,9 @@ func TestShardIdentityBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	digest := func(opts ...distwalk.Option) string {
-		opts = append([]distwalk.Option{distwalk.WithWorkers(1), distwalk.WithBatching(4, time.Second)}, opts...)
-		svc, err := distwalk.NewService(g, 42, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		handles := make([]*distwalk.WalkHandle, 4)
-		for i := range handles {
-			h, err := svc.SubmitWalk(ctx, uint64(10+i), 0, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles[i] = h
-		}
-		out := ""
-		for _, h := range handles {
-			res, err := h.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out += fmt.Sprintf("%d/%+v;", res.Destination, res.Cost)
-		}
-		return out
-	}
-	seq := digest()
+	seq, _ := batchedBursts(t, g)
 	for _, shards := range []int{2, 4} {
-		if got := digest(distwalk.WithShards(shards)); got != seq {
+		if got, _ := batchedBursts(t, g, distwalk.WithShards(shards)); got != seq {
 			t.Errorf("batched run diverged at %d shards:\n  sequential: %s\n  sharded: %s", shards, seq, got)
 		}
 	}

@@ -105,53 +105,47 @@ func (h *WalkHandle) Batch() BatchInfo {
 // SubmitWalk itself fails fast on invalid arguments, a full admission
 // queue (ErrQueueFull) or a closed service (ErrServiceClosed).
 func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkHandle, error) {
-	return s.submitAsync(ctx, key, source, ell, false, opts)
+	return submitAsync(ctx, s, &singleKind, key, source, ell, opts)
 }
 
 // SubmitWalkTrace is SubmitWalk plus regeneration: the walk's trace
 // (per-node positions and first-visit edges) is computed in the batch's
 // shared RegenerateMany pass and returned via WalkHandle.Trace.
 func (s *Service) SubmitWalkTrace(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkHandle, error) {
-	return s.submitAsync(ctx, key, source, ell, true, opts)
+	return submitAsync(ctx, s, &traceKind, key, source, ell, opts)
 }
 
-func (s *Service) submitAsync(ctx context.Context, key uint64, source NodeID, ell int, trace bool, opts []Option) (*WalkHandle, error) {
+// submitAsync admits one submitted walk of kind k — singleKind, or
+// traceKind for a traced walk: the async twins share the synchronous
+// entry points' descriptors, and with them their cache entries.
+func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, source NodeID, ell int, opts []Option) (*WalkHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := s.cfg
-	if err := cfg.applyRequest(opts); err != nil {
-		return nil, fmt.Errorf("distwalk: request %d: %w", key, err)
+	cfg, snap, err := s.admit(key, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := cfg.params.Validate(); err != nil {
 		return nil, err
 	}
-	g := s.topo.Load().g
-	if source < 0 || int(source) >= g.N() {
-		return nil, fmt.Errorf("%w: node %d not in [0,%d)", ErrBadNode, source, g.N())
+	if source < 0 || int(source) >= snap.g.N() {
+		return nil, fmt.Errorf("%w: node %d not in [0,%d)", ErrBadNode, source, snap.g.N())
 	}
 	if ell < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadLength, ell)
 	}
-	if trace && cfg.params.Metropolis {
+	if k.digest == cacheKindTrace && cfg.params.Metropolis {
 		return nil, fmt.Errorf("%w: Metropolis-Hastings walks cannot be traced", ErrNoRegen)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
+	op := operands{node: source, ell: ell}
 	if s.batch == nil {
-		// Unbatched default: the per-key deterministic path, run async —
-		// through the cache when the service has one, so submitted walks
-		// hit, lead, and coalesce exactly like the synchronous entry
-		// points.
+		// Unbatched: the synchronous entry points' request, run async.
 		ch := make(chan sched.Result, 1)
-		if s.cache != nil {
-			gen := s.topo.Load().gen
-			k := s.submitDigest(gen, key, source, ell, trace, cfg)
-			go func() { ch <- s.cachedSubmit(ctx, k, gen, key, source, ell, trace, opts) }()
-		} else {
-			go func() { ch <- s.unbatchedWalk(ctx, key, source, ell, trace, opts) }()
-		}
+		go func() { ch <- serveWalk(ctx, s, k, key, op, cfg, snap) }()
 		return newWalkHandle(ch), nil
 	}
 	if s.cache != nil {
@@ -160,25 +154,27 @@ func (s *Service) submitAsync(ctx context.Context, key uint64, source NodeID, el
 		// but a batch execution never leads a flight, because its result
 		// is deterministic per batch composition, not per key, and must
 		// not be published to per-key waiters (or the store).
-		k := s.submitDigest(s.topo.Load().gen, key, source, ell, trace, cfg)
-		if v, f, o := s.cache.Attach(k); o != cache.Miss {
+		if v, f, o := s.cache.Attach(requestDigest(snap.gen, k, key, op, cfg)); o != cache.Miss {
+			served := func(v any) sched.Result {
+				return s.walkResult(key, k.walk(k.copy(v.(T))), cache.Hit, nil)
+			}
 			ch := make(chan sched.Result, 1)
 			if o == cache.Hit {
-				ch <- s.cachedSchedResult(v, key, trace)
+				ch <- served(v)
 				return newWalkHandle(ch), nil
 			}
 			go func() {
 				wv, err := s.cache.Wait(ctx, f)
 				switch {
 				case err == nil:
-					ch <- s.cachedSchedResult(wv, key, trace)
+					ch <- served(wv)
 				case ctx.Err() != nil:
 					ch <- sched.Result{Err: fmt.Errorf("distwalk: request %d canceled while coalesced: %w", key, ctx.Err())}
 				default:
 					// The leader failed with an error that may be private
 					// to it; fall back to this request's own batched
 					// submission.
-					h, err := s.submitBatched(ctx, key, source, ell, trace, cfg, opts)
+					h, err := submitBatched(ctx, s, k, key, op, cfg, snap)
 					if err != nil {
 						ch <- sched.Result{Err: err}
 						return
@@ -190,23 +186,20 @@ func (s *Service) submitAsync(ctx context.Context, key uint64, source NodeID, el
 			return newWalkHandle(ch), nil
 		}
 	}
-	return s.submitBatched(ctx, key, source, ell, trace, cfg, opts)
+	return submitBatched(ctx, s, k, key, op, cfg, snap)
 }
 
-// submitBatched queues one submission to the batching scheduler: the
-// pre-cache submitAsync body, kept fail-fast (ErrQueueFull at submit
-// time) and wrapped with the abort-fallback when retries are on.
-func (s *Service) submitBatched(ctx context.Context, key uint64, source NodeID, ell int, trace bool, cfg config, opts []Option) (*WalkHandle, error) {
-	// The admission epoch is captured here, at queue time: it joins the
-	// batch-compatibility group (no batch ever mixes generations) and, in
-	// abort mode, marks the member for eviction should a mutation publish
-	// while it is still queued.
-	snap := s.topo.Load()
+// submitBatched queues one admitted submission to the batching scheduler,
+// fail-fast (ErrQueueFull at submit time) and wrapped with the
+// abort-fallback when retries are on. The admission epoch joins the
+// batch-compatibility group (no batch ever mixes generations) and, in
+// abort mode, marks the member for eviction at the next publish.
+func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) (*WalkHandle, error) {
 	req := sched.Request{
 		Key:        key,
-		Source:     source,
-		Ell:        ell,
-		Trace:      trace,
+		Source:     op.node,
+		Ell:        op.ell,
+		Trace:      k.digest == cacheKindTrace,
 		Params:     cfg.params,
 		MaxRounds:  cfg.maxRounds,
 		Topo:       snap,
@@ -233,15 +226,15 @@ func (s *Service) submitBatched(ctx context.Context, key uint64, source NodeID, 
 		return newWalkHandle(ch), nil
 	}
 	// Abort fallback: a batch that failed as a whole (a batchmate's fault,
-	// a poisoned shared run) completes its members with ErrBatchAborted.
-	// With WithRetry the member re-executes alone on the per-key
-	// deterministic path, which carries its own retry budget.
+	// a poisoned shared run, a stale-generation eviction) completes its
+	// members with a retryable error. With WithRetry the member re-admits
+	// alone on the per-key path, which carries its own retry budget.
 	out := make(chan sched.Result, 1)
 	go func() {
 		r := <-ch
 		if r.Err != nil && Retryable(r.Err) {
 			s.retryRetries.Add(1)
-			fb := s.unbatchedWalk(ctx, key, source, ell, trace, opts)
+			fb := serveWalk(ctx, s, k, key, op, cfg, s.topo.Load())
 			if fb.Err == nil {
 				s.retryRecovered.Add(1)
 			}
@@ -252,123 +245,31 @@ func (s *Service) submitBatched(ctx context.Context, key uint64, source NodeID, 
 	return newWalkHandle(out), nil
 }
 
-// unbatchedWalk serves one submitted request on the per-key path — the
-// same execution SingleRandomWalk/WalkTrace perform — and wraps it in a
-// size-one BatchInfo so callers can treat both modes uniformly. It runs
-// the uncached bodies: the cached submit paths call it as their leader
-// execution, and the abort-fallback must not dogpile the cache either.
-func (s *Service) unbatchedWalk(ctx context.Context, key uint64, source NodeID, ell int, trace bool, opts []Option) sched.Result {
-	if trace {
-		walk, tr, err := s.walkTrace(ctx, key, source, ell, opts)
-		if err != nil {
-			return sched.Result{Err: err}
-		}
-		cost := walk.Cost
-		cost.Add(tr.Cost)
-		return sched.Result{Walk: walk, Trace: tr, Batch: BatchInfo{
-			Size: 1, Seed: deriveSeed(s.seed, key), Reason: FlushUnbatched,
-			Cost: cost, Amortized: cost,
-		}}
-	}
-	walk, err := s.singleRandomWalk(ctx, key, source, ell, opts)
+// serveWalk serves one submitted walk on the per-key path, as a size-one
+// batch.
+func serveWalk[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) sched.Result {
+	v, o, err := serveAt(ctx, s, k, key, op, cfg, snap)
+	return s.walkResult(key, k.walk(v), o, err)
+}
+
+// walkResult wraps a per-key walk in a size-one BatchInfo so callers can
+// treat batched and unbatched services uniformly. The reason follows the
+// cache outcome: a Miss executed (FlushUnbatched), anything else was
+// served (FlushCached) at the stored execution's cost.
+func (s *Service) walkResult(key uint64, p tracedWalk, o cache.Outcome, err error) sched.Result {
 	if err != nil {
 		return sched.Result{Err: err}
 	}
-	return sched.Result{Walk: walk, Batch: BatchInfo{
-		Size: 1, Seed: deriveSeed(s.seed, key), Reason: FlushUnbatched,
-		Cost: walk.Cost, Amortized: walk.Cost,
+	cost := p.walk.Cost
+	if p.trace != nil {
+		cost.Add(p.trace.Cost)
+	}
+	reason := FlushUnbatched
+	if o != cache.Miss {
+		reason = FlushCached
+	}
+	return sched.Result{Walk: p.walk, Trace: p.trace, Batch: BatchInfo{
+		Size: 1, Seed: deriveSeed(s.seed, key), Reason: reason,
+		Cost: cost, Amortized: cost,
 	}}
-}
-
-// submitDigest is the cache key of a submitted walk. trace=false shares
-// the SingleRandomWalk digest space and trace=true the WalkTrace one —
-// they are the same pure functions, so a submitted walk hits entries the
-// synchronous entry points stored and vice versa.
-func (s *Service) submitDigest(gen, key uint64, source NodeID, ell int, trace bool, cfg config) cache.Key {
-	kind := cacheKindSingle
-	if trace {
-		kind = cacheKindTrace
-	}
-	return s.requestDigest(gen, kind, key, cfg, func(d *cache.Digest) {
-		d.I64(int64(source))
-		d.I64(int64(ell))
-	})
-}
-
-// cachedSchedResult wraps a frozen cache master (stored entry or a
-// leader's published value) as one submitted walk's outcome: a deep copy
-// of the result under a size-one FlushCached BatchInfo whose cost is the
-// saved execution's — bit-equal to what a fresh unbatched run would have
-// reported.
-func (s *Service) cachedSchedResult(v any, key uint64, trace bool) sched.Result {
-	if trace {
-		p := v.(tracedWalk)
-		walk, tr := copyWalkResult(p.walk), copyTrace(p.trace)
-		cost := walk.Cost
-		cost.Add(tr.Cost)
-		return sched.Result{Walk: walk, Trace: tr, Batch: BatchInfo{
-			Size: 1, Seed: deriveSeed(s.seed, key), Reason: FlushCached,
-			Cost: cost, Amortized: cost,
-		}}
-	}
-	walk := copyWalkResult(v.(*WalkResult))
-	return sched.Result{Walk: walk, Batch: BatchInfo{
-		Size: 1, Seed: deriveSeed(s.seed, key), Reason: FlushCached,
-		Cost: walk.Cost, Amortized: walk.Cost,
-	}}
-}
-
-// cachedSubmit resolves one submitted walk through the cache on an
-// unbatched service: serve a stored result, attach to an in-flight
-// leader (sync or async), or lead the per-key execution and publish it.
-// Mirrors cache.Do, with the leader path returning the execution's real
-// BatchInfo instead of a synthesized one.
-func (s *Service) cachedSubmit(ctx context.Context, k cache.Key, gen, key uint64, source NodeID, ell int, trace bool, opts []Option) sched.Result {
-	for {
-		v, f, o := s.cache.Begin(k)
-		switch o {
-		case cache.Hit:
-			return s.cachedSchedResult(v, key, trace)
-		case cache.Coalesced:
-			wv, err := s.cache.Wait(ctx, f)
-			if err == nil {
-				return s.cachedSchedResult(wv, key, trace)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return sched.Result{Err: fmt.Errorf("distwalk: request %d canceled while coalesced: %w", key, cerr)}
-			}
-			continue // leader failed; contend to lead the next attempt
-		default:
-			r := s.unbatchedWalk(ctx, key, source, ell, trace, opts)
-			if r.Err != nil {
-				s.cache.Finish(k, f, cache.Execution{}, r.Err)
-				return r
-			}
-			var ex cache.Execution
-			if trace {
-				ex = cache.Execution{
-					Value:  tracedWalk{walk: r.Walk, trace: r.Trace},
-					Bytes:  sizeWalkResult(r.Walk) + sizeTrace(r.Trace),
-					Rounds: int64(r.Walk.Cost.Rounds + r.Trace.Cost.Rounds),
-				}
-			} else {
-				ex = cache.Execution{
-					Value:  r.Walk,
-					Bytes:  sizeWalkResult(r.Walk),
-					Rounds: int64(r.Walk.Cost.Rounds),
-				}
-			}
-			// Epoch-pinned results of retired generations are shared with
-			// waiters but never stored (see the cached bodies).
-			ex.NoStore = s.topo.Load().gen != gen
-			s.cache.Finish(k, f, ex, nil)
-			// The masters are frozen now; the leader's own return is a
-			// copy too (uniform copy-on-return), under its real BatchInfo.
-			out := sched.Result{Batch: r.Batch, Walk: copyWalkResult(r.Walk)}
-			if trace {
-				out.Trace = copyTrace(r.Trace)
-			}
-			return out
-		}
-	}
 }
