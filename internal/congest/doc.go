@@ -204,10 +204,11 @@
 // # Warm-reuse lifecycle
 //
 // Pooling now extends one layer above the engine. The protocol layer keeps
-// its own per-node state (coupon shelves, hop logs, GET-MORE-WALKS flow
-// ledgers — see internal/core's slab-backed netState) in flat growable
-// slabs whose clear operations truncate rather than free. A pooled
-// worker's lifecycle per request is therefore:
+// its own per-node state (coupon shelves and, when a request keeps its
+// hop trail, hop logs and GET-MORE-WALKS flow ledgers — see internal/core's
+// slab-backed netState) in flat growable slabs whose clear operations
+// truncate rather than free. A pooled worker's lifecycle per request is
+// therefore:
 //
 //	Reseed(derivedSeed)  -> fresh deterministic RNG streams
 //	Walker.Reset(params) -> shelves truncate, cursors re-epoch,

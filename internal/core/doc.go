@@ -14,6 +14,12 @@
 //   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
 //   - Walk regeneration (Section 2.2): every node learns its position(s)
 //     in the sampled walk, enabling the random-spanning-tree application.
+//     The hop trail it replays is opt-in: a fresh or Reset Walker records
+//     nothing until KeepTrail, which the callers that regenerate
+//     (distwalk's trace kinds, sched.ExecGroup for a group with a traced
+//     member, spanning.RandomSpanningTree) call before their first walk;
+//     Regenerate after any trail-less walk of the epoch fails with
+//     ErrNoRegen.
 //   - The naive ℓ-round token walk and the PODC 2009 Õ(ℓ^{2/3}D^{1/3})
 //     parameterization, as baselines.
 //

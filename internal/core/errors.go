@@ -21,6 +21,8 @@ var (
 	// clean error. Use distwalk.Service for concurrency.
 	ErrConcurrentUse = errors.New("core: walker is not safe for concurrent use")
 	// ErrNoRegen reports a regeneration request the hop records cannot
-	// serve (Metropolis-Hastings walks leave no trail for stay steps).
+	// serve: Metropolis-Hastings walks leave no trail for stay steps, and
+	// a walker keeps no trail at all unless KeepTrail asked for one before
+	// the first walk since its last Reset.
 	ErrNoRegen = errors.New("core: walk cannot be regenerated")
 )

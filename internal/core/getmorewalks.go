@@ -160,5 +160,5 @@ func (w *Walker) getMoreWalks(v graph.NodeID, ell, lambda int) (congest.Result, 
 		count:  count,
 		lambda: int32(lambda),
 	}
-	return w.net.Run(p)
+	return w.walkRun(p)
 }

@@ -200,7 +200,7 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 		p.steps[i] = tl.steps
 		p.dest[i] = graph.None
 	}
-	res, err := w.net.Run(p)
+	res, err := w.walkRun(p)
 	out.Cost.Add(res)
 	if err != nil {
 		return err
@@ -244,7 +244,7 @@ func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int, par
 		p.steps[i] = int32(ell)
 		p.dest[i] = graph.None
 	}
-	res, err := w.net.Run(p)
+	res, err := w.walkRun(p)
 	out.Cost.Add(res)
 	if err != nil {
 		return err

@@ -95,8 +95,9 @@ func (p *naiveProto) forward(ctx *congest.Ctx, t naiveToken) {
 	congest.Send(ctx, next, t)
 }
 
-// naiveSegment walks `steps` hops from start by token forwarding, recording
-// hops for later regeneration, and returns the destination plus cost.
+// naiveSegment walks `steps` hops from start by token forwarding (recording
+// hops for later regeneration when the trail is kept) and returns the
+// destination plus cost.
 func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int64, congest.Result, error) {
 	p := &naiveProto{
 		w:      w,
@@ -104,7 +105,7 @@ func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int6
 		walkID: w.st.newWalkID(start),
 		steps:  int32(steps),
 	}
-	res, err := w.net.Run(p)
+	res, err := w.walkRun(p)
 	if err != nil {
 		return graph.None, 0, res, err
 	}

@@ -149,6 +149,9 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if w.prm.Metropolis {
 		return nil, fmt.Errorf("%w: Metropolis-Hastings stay steps leave no hop trail", ErrNoRegen)
 	}
+	if w.st.trailGap {
+		return nil, fmt.Errorf("%w: the walker kept no hop trail for some walk since its last Reset (call KeepTrail before the first walk)", ErrNoRegen)
+	}
 	n := w.g.N()
 	type refillAt struct {
 		seg      Segment

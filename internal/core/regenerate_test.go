@@ -49,6 +49,7 @@ func TestRegenerateStitchedWalk(t *testing.T) {
 	)
 	for seed := uint64(0); seed < 20; seed++ {
 		w = newWalker(t, g, seed, Params{Lambda: 4, LambdaC: 1, Eta: 4})
+		w.KeepTrail()
 		r, err := w.SingleRandomWalk(5, 60)
 		if err != nil {
 			t.Fatal(err)
@@ -90,6 +91,7 @@ func TestRegenerateStitchedWalk(t *testing.T) {
 func TestRegenerateNaiveWalk(t *testing.T) {
 	g := kite(t)
 	w := newWalker(t, g, 7, DefaultParams())
+	w.KeepTrail()
 	res, err := w.NaiveWalk(0, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +109,7 @@ func TestRegenerateCoverFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(t, g, 9, DefaultParams())
+	w.KeepTrail()
 	// A long walk on K4 covers it w.h.p.
 	res, err := w.NaiveWalk(0, 200)
 	if err != nil {
@@ -141,6 +144,7 @@ func TestRegenerateRefillSegmentsBackward(t *testing.T) {
 	g := kite(t)
 	prm := Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 	w := newWalker(t, g, 11, prm)
+	w.KeepTrail()
 	checked := 0
 	for i := 0; i < 20; i++ {
 		res, err := w.SingleRandomWalk(0, 80)
@@ -187,6 +191,7 @@ func TestRegenerateManyRefillCouponsFromOneBatch(t *testing.T) {
 	}
 	prm := Params{Lambda: 3, LambdaC: 1, Eta: 1, UniformCounts: true}
 	w := newWalker(t, g, 17, prm)
+	w.KeepTrail()
 	for i := 0; i < 10; i++ {
 		res, err := w.SingleRandomWalk(0, 120)
 		if err != nil {
@@ -214,6 +219,7 @@ func TestRegenerateCostComparableToWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(t, g, 13, DefaultParams())
+	w.KeepTrail()
 	res, err := w.SingleRandomWalk(0, 4000)
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ func TestWalkerResetMatchesFresh(t *testing.T) {
 	run := func(w *Walker) []*WalkResult {
 		t.Helper()
 		var out []*WalkResult
+		w.KeepTrail()
 		single, err := w.SingleRandomWalk(3, 512)
 		if err != nil {
 			t.Fatal(err)

@@ -112,6 +112,7 @@ func TestGMWShelfMatchesReference(t *testing.T) {
 	)
 	r := rng.New(2)
 	st := newNetState(nodes)
+	st.trail = true
 	sent := make([]map[gmwKey]int32, nodes)
 	used := make([]map[gmwKey]int32, nodes)
 	for v := range sent {
@@ -164,6 +165,7 @@ func TestHopShelfReplayMatchesReference(t *testing.T) {
 	)
 	r := rng.New(3)
 	st := newNetState(nodes)
+	st.trail = true
 	ref := make([]map[int64][]graph.NodeID, nodes)
 	for v := range ref {
 		ref[v] = make(map[int64][]graph.NodeID)
@@ -220,6 +222,7 @@ func TestHopShelfReplayMatchesReference(t *testing.T) {
 func TestNetStateResetMatchesFresh(t *testing.T) {
 	const nodes = 5
 	warm := newNetState(nodes)
+	warm.trail = true
 	// Dirty the warm state thoroughly.
 	r := rng.New(4)
 	for i := 0; i < 3000; i++ {
@@ -231,6 +234,7 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 	}
 	warm.reset()
 	fresh := newNetState(nodes)
+	warm.trail, fresh.trail = true, true
 
 	// Drive both through identical ops and compare all observations.
 	r = rng.New(5)

@@ -36,9 +36,14 @@ type hopRec struct {
 }
 
 // netState is the per-node persistent state of the walk system: short-walk
-// coupons, hop records for retracing, GET-MORE-WALKS flow ledgers, and
-// local walk-ID sequencing. Indexed by node; each node only ever touches
-// its own slot, preserving the locality discipline of the model.
+// coupons, local walk-ID sequencing, and — only while the hop trail is
+// kept — hop records for retracing and GET-MORE-WALKS flow ledgers.
+// Indexed by node; each node only ever touches its own slot, preserving
+// the locality discipline of the model.
+//
+// The hop trail (hops and gmw) is read by regeneration only, so it is off
+// until Walker.KeepTrail turns it on for the rest of the Reset epoch; see
+// there for the contract.
 //
 // All three per-node stores are flat, slab-backed shelves (see slab.go)
 // rather than Go maps: lookups are open-addressed over int32 slot tables,
@@ -52,18 +57,26 @@ type netState struct {
 	// coupons[v] shelves the unused coupons held at v, bucketed by owner.
 	coupons []couponShelf
 	// hops[v] is v's departure log plus the lazily-indexed per-walk FIFO
-	// view regeneration replays. Recording a hop is the hottest
-	// per-message operation of Phase 1 and the naive walks, so it stays a
-	// plain append; the indexing cost is paid once, only by walks that are
-	// actually regenerated.
+	// view regeneration replays; empty unless trail is set. Recording a
+	// hop is the hottest per-message operation of Phase 1 and the naive
+	// walks, so it stays a plain append; the indexing cost is paid once,
+	// only by walks that are actually regenerated.
 	hops []hopShelf
 	// gmw[v] is v's count-aggregated GET-MORE-WALKS flow ledger: tokens
 	// sent per (batch, step, nbr) and how many of each flow earlier
 	// backward retraces consumed (sampling without replacement keeps joint
-	// retraces exact).
+	// retraces exact). Empty unless trail is set.
 	gmw []gmwShelf
 	// seq[v] is v's local counter for minting walk IDs.
 	seq []uint32
+
+	// trail says recordHop and recordGMWSend record. It only changes
+	// between engine runs, so the per-message read needs no ordering under
+	// sharded execution.
+	trail bool
+	// trailGap says some walk of this Reset epoch ran with the trail off,
+	// so the logs cannot vouch for any walk's completeness (see walkRun).
+	trailGap bool
 
 	// replayEpoch stamps hop-replay cursors: beginReplay bumps it, which
 	// lazily resets every cursor without touching the slabs.
@@ -86,7 +99,8 @@ func newNetState(n int) *netState {
 }
 
 // reset returns the state to that of a freshly built netState — empty
-// shelves, zeroed walk-ID counters — while keeping every slab's capacity.
+// shelves, zeroed walk-ID counters, hop trail off — while keeping every
+// slab's capacity.
 // This is what lets a pooled worker's walker serve many sequential
 // requests warm: same observable behaviour as newNetState(n), none of the
 // allocation.
@@ -97,13 +111,14 @@ func (s *netState) reset() {
 		s.gmw[v].clear()
 	}
 	clear(s.seq)
+	s.trail, s.trailGap = false, false
 	// Epoch counters deliberately survive: stamps from before the reset
 	// are stale by construction.
 }
 
 // clearCoupons empties every node's coupon shelf (Phase 1 re-provisioning
-// drops the previous inventory; hop logs are kept so previously returned
-// walks remain retraceable).
+// drops the previous inventory; a kept hop trail survives so previously
+// returned walks remain retraceable).
 func (s *netState) clearCoupons() {
 	for v := range s.coupons {
 		s.coupons[v].clear()
@@ -111,8 +126,12 @@ func (s *netState) clearCoupons() {
 }
 
 // recordGMWSend remembers that node at routed `count` tokens of `key.batch`
-// toward key.nbr, arriving there with hop counter key.step.
+// toward key.nbr, arriving there with hop counter key.step (a no-op with
+// the trail off).
 func (s *netState) recordGMWSend(at graph.NodeID, key gmwKey, count int32) {
+	if !s.trail {
+		return
+	}
 	s.gmw[at].rec(key, true).sent += count
 }
 
@@ -158,8 +177,12 @@ func (s *netState) localCoupons(at, owner graph.NodeID) []coupon {
 	return s.coupons[at].get(owner)
 }
 
-// recordHop remembers that walk walkID left node at towards next.
+// recordHop remembers that walk walkID left node at towards next (a no-op
+// with the trail off).
 func (s *netState) recordHop(at graph.NodeID, walkID int64, next graph.NodeID) {
+	if !s.trail {
+		return
+	}
 	h := &s.hops[at]
 	h.log = append(h.log, hopRec{walkID: walkID, next: next})
 }

@@ -1,0 +1,207 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"distwalk/internal/graph"
+)
+
+// trailWorkload runs every walk entry point once, on a parameterization
+// starved enough that GET-MORE-WALKS runs too (so both halves of the
+// trail, hop logs and flow ledgers, have something to record).
+func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
+	t.Helper()
+	single, err := w.SingleRandomWalk(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := w.ManyRandomWalks([]graph.NodeID{0, 3, 5}, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := w.NaiveWalk(2, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]*WalkResult{single}, many.Walks...)
+	out = append(out, naive)
+	refills := 0
+	for _, r := range out {
+		refills += r.Refills
+	}
+	if refills == 0 {
+		t.Fatal("starved inventory produced no refill: the flow ledger is not exercised")
+	}
+	return out
+}
+
+var starved = Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
+
+// TestTrailOffMatchesOn: keeping the trail changes no random draw, message
+// or cost — every WalkResult (destination, segments, Cost, Breakdown) is
+// deep-equal with it off and on, sequentially and sharded (the shards read
+// the flag concurrently; run under -race) — and a walker that never kept it
+// never allocated a log or a ledger.
+func TestTrailOffMatchesOn(t *testing.T) {
+	g := kite(t)
+	for _, shards := range []int{1, 3} {
+		lean := newWalker(t, g, 11, starved)
+		lean.Network().SetShards(shards)
+		kept := newWalker(t, g, 11, starved)
+		kept.Network().SetShards(shards)
+		kept.KeepTrail()
+
+		got, want := trailWorkload(t, lean), trailWorkload(t, kept)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: walks differ with the trail off:\noff %+v\non  %+v", shards, got, want)
+		}
+		hops, flows := 0, 0
+		for v := range lean.st.hops {
+			if h := &lean.st.hops[v]; len(h.log) != 0 || cap(h.log) != 0 {
+				t.Fatalf("shards=%d: trail-less walker has a hop log at node %d (len %d, cap %d)", shards, v, len(h.log), cap(h.log))
+			}
+			if f := &lean.st.gmw[v]; len(f.keys) != 0 || cap(f.keys) != 0 || cap(f.recs) != 0 || len(f.tab.slots) != 0 {
+				t.Fatalf("shards=%d: trail-less walker has a flow ledger at node %d", shards, v)
+			}
+			hops += len(kept.st.hops[v].log)
+			flows += len(kept.st.gmw[v].keys)
+		}
+		if hops == 0 || flows == 0 {
+			t.Fatalf("shards=%d: trail-keeping walker recorded %d hops, %d flows", shards, hops, flows)
+		}
+		for i, res := range want {
+			if _, err := kept.Regenerate(res); err != nil {
+				t.Fatalf("shards=%d: regenerate walk %d with the trail kept: %v", shards, i, err)
+			}
+		}
+	}
+}
+
+// TestTrailMissingIsErrNoRegen: a forgotten opt-in fails loudly. Any walk
+// of the epoch that ran without the trail makes regeneration refuse with
+// ErrNoRegen, also for walks that ran after a late KeepTrail.
+func TestTrailMissingIsErrNoRegen(t *testing.T) {
+	g := kite(t)
+	w := newWalker(t, g, 7, DefaultParams())
+	first, err := w.SingleRandomWalk(5, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(first); !errors.Is(err, ErrNoRegen) {
+		t.Fatalf("Regenerate after a trail-less walk: err = %v, want ErrNoRegen", err)
+	}
+	w.KeepTrail() // too late for this epoch
+	second, err := w.NaiveWalk(0, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(second); !errors.Is(err, ErrNoRegen) {
+		t.Fatalf("Regenerate after a late KeepTrail: err = %v, want ErrNoRegen", err)
+	}
+	if _, err := w.RegenerateMany([]*WalkResult{first, second}); !errors.Is(err, ErrNoRegen) {
+		t.Fatalf("RegenerateMany after a late KeepTrail: err = %v, want ErrNoRegen", err)
+	}
+	// Building the tree moves no walk token: KeepTrail after Prepare is in
+	// time.
+	w = newWalker(t, g, 7, DefaultParams())
+	if _, err := w.Prepare(5); err != nil {
+		t.Fatal(err)
+	}
+	w.KeepTrail()
+	res, err := w.SingleRandomWalk(5, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(res); err != nil {
+		t.Fatalf("Regenerate with the trail kept from the first walk on: %v", err)
+	}
+}
+
+// TestTrailResetRestoresOff: the opt-in lasts one Reset epoch.
+func TestTrailResetRestoresOff(t *testing.T) {
+	g := kite(t)
+	w := newWalker(t, g, 3, DefaultParams())
+	w.KeepTrail()
+	res, err := w.SingleRandomWalk(5, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(res); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	res, err = w.SingleRandomWalk(5, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(res); !errors.Is(err, ErrNoRegen) {
+		t.Fatalf("Regenerate in the epoch after Reset: err = %v, want ErrNoRegen", err)
+	}
+	for v := range w.st.hops {
+		if n := len(w.st.hops[v].log); n != 0 {
+			t.Fatalf("node %d logged %d hops in a trail-less epoch", v, n)
+		}
+	}
+	// Opting in again after the next Reset works.
+	if err := w.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	w.KeepTrail()
+	res, err = w.SingleRandomWalk(5, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Regenerate(res); err != nil {
+		t.Fatalf("Regenerate after Reset + KeepTrail: %v", err)
+	}
+}
+
+// BenchmarkPhase1Trail is the trail's own before/after row: Phase 1 plus
+// one ℓ=1024 walk on Torus(48,48) — the benchmark's seq-walks request —
+// on a warm walker, with the trail off and on. rounds/op is the simulated
+// cost and must read the same in both.
+func BenchmarkPhase1Trail(b *testing.B) {
+	g, err := graph.Torus(48, 48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, keep := range []bool{false, true} {
+		name := "off"
+		if keep {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			w, err := NewWalker(g, 1, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds := 0
+			walk := func(seed uint64) {
+				if err := w.Reset(DefaultParams()); err != nil {
+					b.Fatal(err)
+				}
+				w.Network().Reseed(seed)
+				if keep {
+					w.KeepTrail()
+				}
+				res, err := w.SingleRandomWalk(0, 1024)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += res.Cost.Rounds
+			}
+			walk(0) // grow the slabs
+			rounds = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk(uint64(i + 1))
+			}
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}

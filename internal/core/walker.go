@@ -136,10 +136,11 @@ func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 
 // Reset returns the walker to the observable state of a freshly built one
-// — empty coupon inventories, hop logs, flow ledgers and walk-ID counters,
-// no BFS tree — while keeping every slab's capacity, and installs prm as
-// the walker's parameters. Any previously returned Tree is invalidated
-// (its arrays are recycled by the next tree build).
+// — empty coupon inventories and walk-ID counters, no BFS tree, and the
+// hop trail off and empty (see KeepTrail) — while keeping every slab's
+// capacity, and installs prm as the walker's parameters. Any previously
+// returned Tree is invalidated (its arrays are recycled by the next tree
+// build).
 //
 // This is the warm-pooling half of NewWalkerOn: distwalk.Service keeps one
 // Walker per worker and Resets it per request instead of reallocating, so
@@ -164,6 +165,27 @@ func (w *Walker) Reset(prm Params) error {
 	w.lambda = 0
 	w.prepared = false
 	return nil
+}
+
+// KeepTrail makes the walker keep its hop trail — every short walk's next
+// hop at every node it leaves, and the GET-MORE-WALKS flow counts — until
+// the next Reset. The trail is what Regenerate and RegenerateMany replay
+// and nothing else reads, so a fresh or Reset walker keeps none: walks
+// are destination-only unless the caller says here, before the first walk
+// it may regenerate, that it wants more. Keeping the trail changes no
+// random draw, message or cost. Once any walk since the last Reset ran
+// without it, regeneration fails with ErrNoRegen; calling KeepTrail
+// afterwards does not repair that. Like SetContext it is a plain setter,
+// for the goroutine that drives the walker to call between walks.
+func (w *Walker) KeepTrail() { w.st.trail = true }
+
+// walkRun runs a protocol that moves walk tokens — the runs whose hops the
+// trail records — and notes the gap when the trail is off.
+func (w *Walker) walkRun(p congest.Proto) (congest.Result, error) {
+	if !w.st.trail {
+		w.st.trailGap = true
+	}
+	return w.net.Run(p)
 }
 
 // acquire claims the walker for one exported call; it fails instead of
@@ -418,15 +440,15 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 
 // ensurePhase1 provisions short walks of base length lam if the current
 // inventory was built for a different λ (or not at all); extra adds walks
-// at the upcoming walks' sources (the "+k" of Lemma 2.6). Hop records of
-// earlier inventories are kept so previously returned walks remain
-// retraceable.
+// at the upcoming walks' sources (the "+k" of Lemma 2.6). A kept hop trail
+// retains the records of earlier inventories, so previously returned walks
+// remain retraceable.
 func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
 	if w.prepared && w.lambda == lam {
 		return congest.Result{}, nil
 	}
 	w.st.clearCoupons()
-	res, err := w.net.Run(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
+	res, err := w.walkRun(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
 	if err != nil {
 		return res, fmt.Errorf("core: phase 1: %w", err)
 	}

@@ -110,6 +110,7 @@ var e4 = Experiment{
 			if err != nil {
 				return err
 			}
+			w.KeepTrail() // visitCounts regenerates the walk
 			res, err := w.SingleRandomWalk(0, ell)
 			if err != nil {
 				return err

@@ -160,10 +160,16 @@ func BatchSeed(seed uint64, sortedKeys []uint64) uint64 {
 // batches and the service's ManyRandomWalks entry point: one
 // MANY-RANDOM-WALKS run for all sources, then one shared RegenerateMany
 // pass for the walks selected by traceIdx (indices into sources; nil for
-// none). The returned traces align with traceIdx. With partial set, walks
-// killed by injected faults are reported per walk in ManyResult.Errs
-// instead of failing the group; their trace slots (if any) stay nil.
+// none). The returned traces align with traceIdx. The group keeps the
+// walker's hop trail iff traceIdx is non-empty: one traced member makes
+// every walk of the group record, a group without one runs lean. With
+// partial set, walks killed by injected faults are reported per walk in
+// ManyResult.Errs instead of failing the group; their trace slots (if any)
+// stay nil.
 func ExecGroup(w *core.Walker, sources []graph.NodeID, ell int, traceIdx []int, partial bool) (*core.ManyResult, []*core.Trace, error) {
+	if len(traceIdx) > 0 {
+		w.KeepTrail()
+	}
 	var many *core.ManyResult
 	var err error
 	if partial {

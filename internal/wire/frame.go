@@ -59,17 +59,24 @@ var (
 	ErrTruncated = errors.New("wire: truncated frame")
 )
 
+// frameWriter is what writeFrame writes to: the five header bytes go out
+// through WriteByte, because a header array handed to io.Writer.Write
+// escapes — one heap allocation per frame.
+type frameWriter interface {
+	io.Writer
+	io.ByteWriter
+}
+
 // writeFrame emits one frame. The caller flushes any buffering.
-func writeFrame(w io.Writer, t FrameType, payload []byte) error {
+func writeFrame(w frameWriter, t FrameType, payload []byte) error {
 	body := 1 + len(payload)
 	if body > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, body)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	for _, b := range [5]byte{byte(body >> 24), byte(body >> 16), byte(body >> 8), byte(body), byte(t)} {
+		if err := w.WriteByte(b); err != nil {
+			return err
+		}
 	}
 	if len(payload) > 0 {
 		if _, err := w.Write(payload); err != nil {
@@ -81,27 +88,31 @@ func writeFrame(w io.Writer, t FrameType, payload []byte) error {
 
 // readFrame reads one frame, reusing buf's backing array when it is big
 // enough; the returned payload aliases the (possibly grown) buffer, which
-// the caller should retain for the next call. The payload is read in
-// readChunk steps so a truncated stream claiming a huge frame allocates
-// no more than what actually arrived (plus one chunk).
+// the caller should retain for the next call. The header is read into the
+// front of the same buffer (a local header array would escape through
+// io.Reader and cost an allocation per frame) and overwritten by the
+// payload, which is read in readChunk steps so a truncated stream claiming
+// a huge frame allocates no more than what actually arrived (plus one
+// chunk).
 func readFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	buf = append(buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return 0, buf[:0], fmt.Errorf("%w: short header", ErrTruncated)
 		}
 		return 0, buf[:0], err // clean EOF between frames stays io.EOF
 	}
-	body := binary.BigEndian.Uint32(hdr[:4])
+	body := binary.BigEndian.Uint32(buf[:4])
 	if body == 0 {
 		return 0, buf[:0], fmt.Errorf("%w: zero-length body", ErrBadFrame)
 	}
 	if body > MaxFrame {
 		return 0, buf[:0], fmt.Errorf("%w: %d bytes", ErrFrameTooBig, body)
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	if _, err := io.ReadFull(r, buf[4:5]); err != nil {
 		return 0, buf[:0], fmt.Errorf("%w: missing frame type", ErrTruncated)
 	}
+	t := FrameType(buf[4])
 	plen := int(body) - 1
 	buf = buf[:0]
 	for len(buf) < plen {
@@ -117,7 +128,7 @@ func readFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
 			return 0, buf[:0], fmt.Errorf("%w: body ended at %d of %d bytes: %w", ErrTruncated, start, plen, err)
 		}
 	}
-	return FrameType(hdr[4]), buf, nil
+	return t, buf, nil
 }
 
 // ReadFrame is the exported form of the frame reader, for tests and the
