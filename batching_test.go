@@ -328,9 +328,9 @@ func TestBatchedTraceDeterminism(t *testing.T) {
 
 // TestBatchedGoldenCounters pins the batched cost model bit for bit, the
 // way golden_test.go pins the per-key algorithms: the canonical batch —
-// 8 walks of ℓ=4096 from node 0, keys 8..15, service seed 42, the
-// BatchedWalks bench workload's first measured composition — must
-// reproduce these exact simulated counters, and its amortized per-walk
+// 8 walks of ℓ=4096 from node 0, keys 8..15, service seed 42 (the
+// BatchedWalks workload golden_test.go's Service table points here for) —
+// must reproduce these exact simulated counters, and its amortized per-walk
 // rounds must land strictly below a SingleRandomWalk of the same length
 // on the same service (the acceptance bar for batching at k ≥ 8).
 func TestBatchedGoldenCounters(t *testing.T) {

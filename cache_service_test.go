@@ -95,7 +95,7 @@ func TestCacheBitIdentityGoldens(t *testing.T) {
 			return s.RandomSpanningTree(ctx, key, 0)
 		}, nil},
 		{"mixing", func(s *Service, key uint64) (any, error) {
-			return s.EstimateMixingTime(ctx, key, 0, WithTrials(24))
+			return s.EstimateMixingTime(ctx, key, 0, WithMixingOptions(MixingOptions{Samples: 24}))
 		}, nil},
 	}
 	var misses, hits int64

@@ -132,7 +132,7 @@ func chaosRun(t *testing.T, g *distwalk.Graph, plan *distwalk.FaultPlan, shards 
 			return fmt.Sprintf("parents=%v cost=%+v", res.Parent, res.Cost), nil
 		}},
 		{"mixing", func(key uint64) (string, error) {
-			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithTrials(12), distwalk.WithMaxEll(128))
+			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 12, MaxEll: 128}))
 			if err != nil {
 				return "", err
 			}

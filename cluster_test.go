@@ -422,7 +422,7 @@ func testClusterIdentityFaulty(t *testing.T, engines int) {
 			return fmt.Sprintf("parents=%v cost=%+v", res.Parent, res.Cost), nil
 		}},
 		{"EstimateMixingTime", func(svc *distwalk.Service, key uint64) (string, error) {
-			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithTrials(16), distwalk.WithMaxEll(128))
+			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 16, MaxEll: 128}))
 			if err != nil {
 				return "err=" + err.Error(), nil
 			}
@@ -638,6 +638,51 @@ func TestDistwalkdExitCodes(t *testing.T) {
 }
 
 // --- observability: Stats().Cluster, StatsHandler, expvar on both ends ---
+
+// TestClusterMetricsBeforeFirstRequest: a cluster service that has served
+// nothing already names every engine in Stats and on /metrics. An engine
+// that dies before the first request completes is exactly the one an
+// operator needs the health gauge for.
+func TestClusterMetricsBeforeFirstRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster metrics over TCP skipped in -short mode")
+	}
+	g, err := distwalk.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := startEngines(t, 2)
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	st := svc.Stats()
+	if len(st.Cluster.Engines) != svc.Cluster() {
+		t.Fatalf("Stats().Cluster.Engines has %d entries before any request, want %d", len(st.Cluster.Engines), svc.Cluster())
+	}
+	for i, es := range st.Cluster.Engines {
+		if want := (distwalk.ClusterEngineStats{Addr: addrs[i], Shard: i}); es != want {
+			t.Errorf("Stats().Cluster.Engines[%d] = %+v, want %+v", i, es, want)
+		}
+	}
+
+	rr := httptest.NewRecorder()
+	svc.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	body := rr.Body.String()
+	for i, addr := range addrs {
+		want := fmt.Sprintf("distwalk_cluster_engine_healthy{engine=\"%d\",addr=%q} 1\n", i, addr)
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, fam := range []string{"distwalk_cluster_reconnects_total 0", "distwalk_cluster_heartbeat_misses_total 0"} {
+		if !strings.Contains(body, fam+"\n") {
+			t.Errorf("exposition missing %q", fam)
+		}
+	}
+}
 
 func TestClusterStatsAndDebug(t *testing.T) {
 	if testing.Short() {

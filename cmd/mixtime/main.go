@@ -58,11 +58,8 @@ func run(args []string) error {
 		defer cancel()
 	}
 	x := distwalk.NodeID(*source)
-	var opts []distwalk.Option
-	if *trials > 0 {
-		opts = append(opts, distwalk.WithTrials(*trials))
-	}
-	est, err := svc.EstimateMixingTime(ctx, *key, x, opts...)
+	est, err := svc.EstimateMixingTime(ctx, *key, x,
+		distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: *trials}))
 	if err != nil {
 		if errors.Is(err, distwalk.ErrNoMixing) {
 			return fmt.Errorf("%w — bipartite families (even cycles/tori) never mix; pick odd sizes", err)

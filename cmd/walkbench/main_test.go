@@ -1,11 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -42,32 +37,5 @@ func TestRunSingleExperiment(t *testing.T) {
 func TestRunExperimentList(t *testing.T) {
 	if err := run([]string{"-e", "E3, E4"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-bench-json", dir, "-bench-reps", "1", "-seed", "42"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"SingleRandomWalk", "ManyRandomWalks", "BatchedWalks", "NaiveWalk",
-		"RandomSpanningTree", "EstimateMixingTime", "ClusterManyWalks",
-	} {
-		path := filepath.Join(dir, "BENCH_"+name+".json")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing snapshot: %v", err)
-		}
-		var rec benchRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			t.Fatalf("%s: bad JSON: %v", path, err)
-		}
-		if rec.Name != name || rec.Reps != 1 {
-			t.Fatalf("%s: wrong record %+v", path, rec)
-		}
-		if rec.RoundsPerOp <= 0 || rec.MessagesPerOp <= 0 || rec.NsPerOp <= 0 {
-			t.Fatalf("%s: empty metrics %+v", path, rec)
-		}
 	}
 }

@@ -26,7 +26,7 @@
 //	fmt.Println(res.Destination, res.Cost.Rounds) // ≪ 100000 rounds
 //
 // Tuning is functional-options style (WithParams, WithRSTOptions,
-// WithMixingOptions, WithTrials, ...), at construction for service
+// WithMixingOptions, WithMaxRounds, ...), at construction for service
 // defaults and per request for overrides. Failures wrap the exported sentinel errors (ErrBadNode,
 // ErrBudgetExceeded, ErrDisconnected, ...) and are errors.Is-able; see
 // errors.go for the taxonomy.
@@ -89,7 +89,7 @@ type (
 	// RSTResult is a sampled spanning tree plus its cost.
 	RSTResult = spanning.Result
 	// MixingOptions tunes the mixing-time estimator; see the
-	// WithMixingOptions/WithTrials/WithMaxEll options.
+	// WithMixingOptions option.
 	MixingOptions = mixing.Options
 	// MixingEstimate is the decentralized mixing-time estimate.
 	MixingEstimate = mixing.Estimate

@@ -8,12 +8,18 @@
 // captured from the original sort-and-box engine; the rewritten engine
 // (see internal/congest/doc.go) reproduces them bit for bit.
 //
-// If an intentional semantic change shifts these numbers, re-capture with:
+// TestGoldenCounters pins the bare core.Walker; TestServiceGoldenCounters
+// pins the same quantity on the Service path, where the engine seed is
+// derived from (service seed, request key).
 //
-//	go test -run TestGolden -v -capture-golden
+// If an intentional semantic change shifts these numbers, re-capture both
+// tables with:
+//
+//	go test -run TestGolden -v -capture-golden .
 package distwalk_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"testing"
@@ -170,6 +176,11 @@ func TestGoldenCounters(t *testing.T) {
 			}
 		})
 	}
+	if *captureGolden {
+		// -run TestGolden does not select TestServiceGoldenCounters by
+		// name; print its rows from here so one command covers both.
+		TestServiceGoldenCounters(t)
+	}
 }
 
 // TestGoldenReplay runs each case twice and demands bit-identical counters —
@@ -181,6 +192,243 @@ func TestGoldenReplay(t *testing.T) {
 			b := tc.run(t)
 			if a != b {
 				t.Errorf("replay diverged:\nfirst  %+v\nsecond %+v", a, b)
+			}
+		})
+	}
+}
+
+// serviceGolden is what one Service-path workload must cost: the simulated
+// counters of the request, the messages its fault plan dropped, and the
+// result-cache lookups it performed.
+type serviceGolden struct {
+	Rounds                   int
+	Messages, Words, Dropped int64
+	CacheHits, CacheMisses   int64
+}
+
+type serviceGoldenCase struct {
+	name  string
+	graph *distwalk.Graph
+	opts  []distwalk.Option // on top of WithWorkers(1)
+	run   func(svc *distwalk.Service) (distwalk.Cost, error)
+	want  serviceGolden
+}
+
+// serviceGoldenCases are the headline Service workloads at service seed
+// 42, request key 1. Two headline workloads are pinned elsewhere and have
+// no row here: BatchedWalks (8 × SubmitWalk ℓ=4096, keys 8..15: 625
+// amortized rounds, 145387 messages, 435874 words) is
+// TestBatchedGoldenCounters, and ClusterManyWalks (the ManyRandomWalks row
+// over two distwalkd engines) must equal that row because
+// testClusterIdentity pins cluster == in-process sharded and
+// testShardIdentity pins sharded == sequential.
+func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
+	t.Helper()
+	const key = 1
+	ctx := context.Background()
+	torus := torus16(t)
+	bigTorus, err := distwalk.Torus(48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular, err := distwalk.RandomRegular(64, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k walks from node 0, ℓ=1024, on whatever service the row configures.
+	manyFromZero := func(k int, opts ...distwalk.Option) func(*distwalk.Service) (distwalk.Cost, error) {
+		return func(svc *distwalk.Service) (distwalk.Cost, error) {
+			res, err := svc.ManyRandomWalks(ctx, key, make([]distwalk.NodeID, k), 1024, opts...)
+			if err != nil {
+				return distwalk.Cost{}, err
+			}
+			return res.Cost, nil
+		}
+	}
+	// Under-provisioned Phase 1 (one coupon per node, short pinned λ):
+	// dozens of GET-MORE-WALKS refills per request.
+	refill := distwalk.DefaultParams()
+	refill.UniformCounts = true
+	refill.Lambda = 64
+	return []serviceGoldenCase{
+		{
+			name: "SingleRandomWalk/torus16x16/ell4096", graph: torus,
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				res, err := svc.SingleRandomWalk(ctx, key, 0, 4096)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				return res.Cost, nil
+			},
+			want: serviceGolden{Rounds: 1729, Messages: 404754, Words: 1212104},
+		},
+		{
+			name: "ManyRandomWalks/torus16x16/k8/ell1024", graph: torus,
+			run:  manyFromZero(8),
+			want: serviceGolden{Rounds: 2178, Messages: 591470, Words: 1772362},
+		},
+		{
+			// Four shards pinned, not GOMAXPROCS: the same workload on
+			// every machine.
+			name: "ShardedManyWalks/torus48x48/4shards/k8/ell2048", graph: bigTorus,
+			opts: []distwalk.Option{distwalk.WithShards(4)},
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				sources := make([]distwalk.NodeID, 8)
+				for i := range sources {
+					sources[i] = distwalk.NodeID(i * 288)
+				}
+				res, err := svc.ManyRandomWalks(ctx, key, sources, 2048)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				return res.Cost, nil
+			},
+			want: serviceGolden{Rounds: 5230, Messages: 12495233, Words: 37467075},
+		},
+		{
+			// Starts cold, then 16 requests over 4 distinct keys: 4
+			// executions, 12 deep copies carrying the stored execution's
+			// cost. The counters are the 16-request sum, so Rounds is
+			// exactly four executions' worth.
+			name: "CachedManyWalks/torus16x16/16req4keys", graph: torus,
+			opts: []distwalk.Option{distwalk.WithResultCache(8 << 20)},
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				if err := svc.InvalidateCache(); err != nil {
+					return distwalk.Cost{}, err
+				}
+				var total distwalk.Cost
+				for i := 0; i < 16; i++ {
+					res, err := svc.ManyRandomWalks(ctx, key*4+uint64(i%4), make([]distwalk.NodeID, 8), 1024)
+					if err != nil {
+						return distwalk.Cost{}, err
+					}
+					total.Add(res.Cost)
+				}
+				return total, nil
+			},
+			want: serviceGolden{Rounds: 35068, Messages: 9408904, Words: 28193944, CacheHits: 12, CacheMisses: 4},
+		},
+		{
+			// A churn window, two lossy links and one slow link, up to 3
+			// retries: the counters are the surviving attempt's.
+			name: "FaultyManyWalks/torus16x16/k8/ell1024", graph: torus,
+			opts: []distwalk.Option{
+				distwalk.WithFaultPlan(&distwalk.FaultPlan{
+					Seed:  7,
+					Churn: []distwalk.FaultChurn{{Node: 37, From: 60, To: 90}},
+					LinkDrops: []distwalk.FaultLinkDrop{
+						{From: 10, To: torus.Neighbors(10)[0].To, Prob: 0.02},
+						{From: 200, To: torus.Neighbors(200)[1].To, Prob: 0.02},
+					},
+					LinkDelays: []distwalk.FaultLinkDelay{
+						{From: 100, To: torus.Neighbors(100)[0].To, Rounds: 1},
+					},
+				}),
+				distwalk.WithRetry(3), distwalk.WithBackoff(0), distwalk.WithPartialResults(),
+			},
+			run:  manyFromZero(8),
+			want: serviceGolden{Rounds: 2320, Messages: 556077, Words: 1666183, Dropped: 80},
+		},
+		{
+			name: "NaiveWalk/torus16x16/ell2048", graph: torus,
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				res, err := svc.NaiveWalk(ctx, key, 0, 2048)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				return res.Cost, nil
+			},
+			want: serviceGolden{Rounds: 2071, Messages: 3078, Words: 7186},
+		},
+		{
+			name: "RandomSpanningTree/torus16x16", graph: torus,
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				res, err := svc.RandomSpanningTree(ctx, key, 0)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				return res.Cost, nil
+			},
+			want: serviceGolden{Rounds: 18133, Messages: 3562775, Words: 10595581},
+		},
+		{
+			// The walk plus its full regeneration (Section 2.2).
+			name: "WalkTrace/torus16x16/ell2048", graph: torus,
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				walk, trace, err := svc.WalkTrace(ctx, key, 0, 2048)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				cost := walk.Cost
+				cost.Add(trace.Cost)
+				return cost, nil
+			},
+			want: serviceGolden{Rounds: 1587, Messages: 289700, Words: 864900},
+		},
+		{
+			name: "RefillWalks/torus16x16/k16/ell1024/lambda64", graph: torus,
+			run:  manyFromZero(16, distwalk.WithParams(refill)),
+			want: serviceGolden{Rounds: 14682, Messages: 224479, Words: 668463},
+		},
+		{
+			name: "EstimateMixingTime/regular64x4", graph: regular,
+			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
+				est, err := svc.EstimateMixingTime(ctx, key, 0)
+				if err != nil {
+					return distwalk.Cost{}, err
+				}
+				return est.Cost, nil
+			},
+			want: serviceGolden{Rounds: 591, Messages: 21124, Words: 63994},
+		},
+	}
+}
+
+// TestServiceGoldenCounters runs every row twice on one single-worker
+// service. The two executions must agree on the whole Cost and on the
+// cache lookups — per-key determinism: the second one meets a warm worker
+// and must not notice — and the first must match the pinned numbers.
+func TestServiceGoldenCounters(t *testing.T) {
+	for _, tc := range serviceGoldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.graph.N() > 1024 {
+				// ~12.5 M messages per execution: half a minute under the
+				// detector, which cannot change a counter. The sharded
+				// engine has its own race job.
+				t.Skip("large-graph row skipped under -race")
+			}
+			svc, err := distwalk.NewService(tc.graph, 42,
+				append([]distwalk.Option{distwalk.WithWorkers(1)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			exec := func() (distwalk.Cost, serviceGolden) {
+				before := svc.Stats().Cache
+				cost, err := tc.run(svc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := svc.Stats().Cache
+				return cost, serviceGolden{
+					Rounds: cost.Rounds, Messages: cost.Messages, Words: cost.Words,
+					Dropped:     cost.Faults.Dropped + cost.Faults.LinkDropped,
+					CacheHits:   after.Hits - before.Hits,
+					CacheMisses: after.Misses - before.Misses,
+				}
+			}
+			cost, got := exec()
+			if cost2, got2 := exec(); cost2 != cost || got2 != got {
+				t.Errorf("second execution of the same key diverged:\nfirst  %+v %+v\nsecond %+v %+v",
+					cost, got, cost2, got2)
+			}
+			if *captureGolden {
+				fmt.Printf("%s:\n\twant: serviceGolden{Rounds: %d, Messages: %d, Words: %d, Dropped: %d, CacheHits: %d, CacheMisses: %d},\n",
+					tc.name, got.Rounds, got.Messages, got.Words, got.Dropped, got.CacheHits, got.CacheMisses)
+				return
+			}
+			if got != tc.want {
+				t.Errorf("service golden counters changed:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}

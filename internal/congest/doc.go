@@ -230,8 +230,8 @@
 // against the current generation: equal means the warm state is
 // current and the request proceeds on the unchanged hot path (one
 // integer compare — mutation support is zero-cost for static graphs,
-// which the unchanged goldens and baselines prove); stale means the
-// worker calls Reshape(g2) before serving.
+// which the unchanged goldens prove); stale means the worker calls
+// Reshape(g2) before serving.
 //
 // Reshape rebuilds exactly the structures that depend on the edge set
 // — the directed-edge index (off/nbrTo/nbrEdge), the queue slab, the

@@ -177,9 +177,10 @@ type tailSpec struct {
 }
 
 // runTails completes every walk's remaining steps with simultaneous token
-// forwarding — O(max tail + congestion) rounds instead of the sum. In
-// partial mode a tail whose token vanished (lost to a fault) is charged
-// to its walk; otherwise it fails the batch.
+// forwarding — O(max tail + congestion) rounds instead of the sum — and
+// appends the tail to out.Walks[i] as its last segment. In partial mode a
+// tail whose token vanished (lost to a fault) is charged to its walk;
+// otherwise it fails the batch.
 func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error {
 	p := &naiveManyProto{
 		w:     w,
@@ -210,11 +211,12 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 			continue
 		}
 		if p.dest[i] == graph.None {
+			err := fmt.Errorf("core: token of walk %d did not complete", i)
 			if partial {
-				out.fail(i, w.faultize(fmt.Errorf("core: tail %d did not complete", i)))
+				out.fail(i, w.faultize(err))
 				continue
 			}
-			return fmt.Errorf("core: tail %d did not complete", i)
+			return err
 		}
 		wr := out.Walks[i]
 		wr.Segments = append(wr.Segments, Segment{
@@ -229,44 +231,16 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 	return nil
 }
 
-// naiveMany walks all k tokens simultaneously (the k+ℓ regime).
+// naiveMany walks all k tokens simultaneously (the k+ℓ regime): every
+// walk is one ℓ-step tail from its source.
 func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int, partial bool) error {
-	p := &naiveManyProto{
-		w:     w,
-		steps: make([]int32, len(sources)),
-		start: make(map[int64]int, len(sources)),
-		dest:  make([]graph.NodeID, len(sources)),
-	}
+	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
-		wid := w.st.newWalkID(s)
-		p.start[wid] = i
-		p.walkIDs = append(p.walkIDs, wid)
-		p.steps[i] = int32(ell)
-		p.dest[i] = graph.None
+		out.Walks[i] = &WalkResult{Source: s, Destination: s, Length: ell, Naive: true}
+		tails[i] = tailSpec{start: s, steps: int32(ell)}
 	}
-	res, err := w.walkRun(p)
-	out.Cost.Add(res)
-	if err != nil {
+	if err := w.runTails(out, tails, partial); err != nil {
 		return err
-	}
-	for i, s := range sources {
-		wr := &WalkResult{Source: s, Destination: p.dest[i], Length: ell, Naive: true}
-		if p.dest[i] == graph.None {
-			if partial {
-				out.Walks[i] = wr
-				out.fail(i, w.faultize(fmt.Errorf("core: naive walk %d did not complete", i)))
-				continue
-			}
-			return fmt.Errorf("core: naive walk %d did not complete", i)
-		}
-		wr.Segments = []Segment{{
-			Start:  s,
-			End:    p.dest[i],
-			WalkID: p.walkIDs[i],
-			Length: ell,
-		}}
-		out.Destinations[i] = p.dest[i]
-		out.Walks[i] = wr
 	}
 	return w.notifyAll(out, sources)
 }

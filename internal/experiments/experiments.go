@@ -3,7 +3,7 @@
 // internal/congest/doc.go describes the simulator underneath). Each
 // experiment generates its workload, runs the algorithms on
 // the CONGEST simulator, and prints the table/series the claim is judged
-// by; EXPERIMENTS.md records paper-vs-measured for every run.
+// by.
 //
 // The same experiment bodies back cmd/walkbench and the root-level
 // testing.B benchmarks.

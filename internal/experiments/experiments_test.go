@@ -59,8 +59,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestAllExperimentsRun executes every experiment at small scale; this is
-// the harness's own integration test and doubles as the generator of the
-// reproduction tables (EXPERIMENTS.md quotes a run of cmd/walkbench).
+// the harness's own integration test.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take ~30s at small scale")

@@ -160,18 +160,6 @@ func WithMixingOptions(o MixingOptions) Option {
 	return newOption("WithMixingOptions", func(c *config) { c.mix = o })
 }
 
-// WithTrials sets K, the walks sampled per tested length in the
-// mixing-time estimator (default ⌈6·√n⌉). Per request or service default.
-func WithTrials(k int) Option {
-	return newOption("WithTrials", func(c *config) { c.mix.Samples = k })
-}
-
-// WithMaxEll caps the mixing estimator's doubling search. Per request or
-// service default.
-func WithMaxEll(ell int) Option {
-	return newOption("WithMaxEll", func(c *config) { c.mix.MaxEll = ell })
-}
-
 // --- Service-level knobs ---
 
 // WithWorkers sets the worker-pool size, i.e. how many requests execute

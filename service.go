@@ -283,7 +283,12 @@ func (s *Service) initCluster(workers []*poolWorker) error {
 		HeartbeatInterval: s.cfg.clusterHeartbeatInterval(),
 	}
 	s.clusterSup = make([]*wire.Supervisor, engines)
+	// One aggregate row per engine from the start: Stats and /metrics
+	// must name every engine before it has served anything, which is
+	// exactly when a dead one needs to be visible.
+	s.clusterAgg = make([]ClusterEngineStats, engines)
 	for i := range s.clusterSup {
+		s.clusterAgg[i] = ClusterEngineStats{Addr: s.cfg.cluster[i], Shard: i}
 		h := base
 		h.Shard = i
 		s.clusterSup[i] = wire.NewSupervisor(wire.SupervisorConfig{
@@ -675,9 +680,6 @@ func (s *Service) collectClusterStats(pw *poolWorker) {
 		cur[i] = c.Stats()
 	}
 	s.clusterMu.Lock()
-	if s.clusterAgg == nil {
-		s.clusterAgg = make([]ClusterEngineStats, len(pw.conns))
-	}
 	for i := range cur {
 		delta := cur[i]
 		if pw.lastCluster != nil {

@@ -64,7 +64,7 @@ func mixedRequests(t *testing.T, svc *distwalk.Service, concurrent bool) map[uin
 		return fingerprint{kind: "rst", dest: res.Parent[80], cost: res.Cost}, nil
 	}})
 	tasks = append(tasks, task{300, func(key uint64) (fingerprint, error) {
-		est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithTrials(24))
+		est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 24}))
 		if err != nil {
 			return fingerprint{}, err
 		}
@@ -201,7 +201,7 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 	// Bipartite graph: the mixing estimator can never pass; cap the search
 	// so the failure is quick.
-	if _, err := svc.EstimateMixingTime(ctx, 4, 0, distwalk.WithTrials(48), distwalk.WithMaxEll(64)); !errors.Is(err, distwalk.ErrNoMixing) {
+	if _, err := svc.EstimateMixingTime(ctx, 4, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 48, MaxEll: 64})); !errors.Is(err, distwalk.ErrNoMixing) {
 		t.Fatalf("bipartite mixing: err = %v, want ErrNoMixing", err)
 	}
 	svc.Close()

@@ -90,7 +90,7 @@ func shardWorkloads() []shardWorkload {
 			return fmt.Sprintf("parents=%v cost=%+v", res.Parent, res.Cost), nil
 		}},
 		{"EstimateMixingTime", func(svc *distwalk.Service, key uint64) (string, error) {
-			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithTrials(24), distwalk.WithMaxEll(256))
+			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 24, MaxEll: 256}))
 			if err != nil {
 				return "", err
 			}
@@ -259,7 +259,7 @@ func testShardIdentityFaulty(t *testing.T, shards int) {
 			return fmt.Sprintf("parents=%v cost=%+v", res.Parent, res.Cost), nil
 		}},
 		{"EstimateMixingTime", func(svc *distwalk.Service, key uint64) (string, error) {
-			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithTrials(16), distwalk.WithMaxEll(128))
+			est, err := svc.EstimateMixingTime(ctx, key, 0, distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 16, MaxEll: 128}))
 			if err != nil {
 				return "err=" + err.Error(), nil
 			}
