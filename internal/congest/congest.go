@@ -119,7 +119,7 @@ const DefaultMaxRounds = 50_000_000
 type Network struct {
 	links // the directed-edge index, queues, fault schedules and round
 
-	nodeRNG []*rng.RNG
+	nodeRNG []rng.RNG // one stream per node, re-derived in place by Reseed
 	inbox   [][]Message
 	awake   []bool // nodes that requested Step without messages
 
@@ -274,7 +274,7 @@ func NewNetwork(g *graph.G, seed uint64, opts ...Option) *Network {
 	net := &Network{
 		links:    links{g: g, cap: 1},
 		maxRound: DefaultMaxRounds,
-		nodeRNG:  make([]*rng.RNG, n),
+		nodeRNG:  make([]rng.RNG, n),
 		inbox:    make([][]Message, n),
 		awake:    make([]bool, n),
 	}
@@ -317,14 +317,14 @@ func (n *Network) SetMaxRounds(r int) {
 func (n *Network) Reseed(seed uint64) {
 	base := rng.New(seed)
 	for v := range n.nodeRNG {
-		n.nodeRNG[v] = base.Stream(uint64(v))
+		base.StreamInto(uint64(v), &n.nodeRNG[v])
 	}
 	n.loss = LossRecord{}
 }
 
 // NodeRNG returns node v's persistent random stream. Protocol code uses it
 // through Ctx; tests may use it directly.
-func (n *Network) NodeRNG(v graph.NodeID) *rng.RNG { return n.nodeRNG[v] }
+func (n *Network) NodeRNG(v graph.NodeID) *rng.RNG { return &n.nodeRNG[v] }
 
 // Run executes p until quiescence, a Halter stop, the round budget, or —
 // when a context is installed with SetContext — cancellation. It returns
@@ -455,7 +455,7 @@ func Send[V Payload](c *Ctx, to graph.NodeID, p V) {
 }
 
 // RNG returns this node's persistent random stream.
-func (c *Ctx) RNG() *rng.RNG { return c.net.nodeRNG[c.node] }
+func (c *Ctx) RNG() *rng.RNG { return &c.net.nodeRNG[c.node] }
 
 // Degree returns the executing node's degree.
 func (c *Ctx) Degree() int { return c.net.g.Degree(c.node) }

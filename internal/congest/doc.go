@@ -138,7 +138,14 @@
 //   - SetShards(S>1) / WithShards: S degree-balanced shards, one worker
 //     goroutine each (shard.go). Every shard drains; a barrier; every
 //     shard merges the buffers addressed to it and steps; a second
-//     barrier, inside which the last arriver runs the verdict.
+//     barrier, inside which the last arriver runs the verdict. The
+//     barrier is spin-then-park: an early arriver polls its generation
+//     (yielding every hundred polls) for up to a millisecond before it
+//     parks on a mutex + cond, because a sleeping worker takes its OS
+//     thread down and the wake-up costs more than the round. Waiters
+//     spin only while the shard workers of all sharded Runs in flight
+//     fit GOMAXPROCS; beyond that a spinner would hold the P its peer
+//     needs, so they park at once.
 //   - ConnectRemote: the edge halves run as ShardEngines in other
 //     processes (engine.go, internal/wire, cmd/distwalkd) and the client
 //     keeps one node half over all nodes (remote.go). A send is validated
@@ -195,11 +202,14 @@
 // first-verifier tie-break an atomic CAS-min, when sharding was
 // introduced.
 //
-// Wall-clock: sharding pays when per-round work is large (big graphs,
-// many tokens in flight) and costs two barrier synchronizations per round
-// when it is not; a cluster pays two round trips per round. ShardStats
-// reports per-shard occupancy and barrier wait so imbalance is
-// observable.
+// Wall-clock: sharding costs two barrier crossings per round, cheap
+// while the shard workers fit GOMAXPROCS and stay balanced (the waiters
+// spin), so WithShards(2) on two CPUs runs the Phase-1 heavy walk
+// requests in about half the sequential time from Torus(48,48) up and
+// still ahead on Torus(16,16); with more shard workers than Ps every
+// crossing is a park and a wake-up. A cluster pays two round trips per
+// round. ShardStats reports per-shard occupancy and barrier wait — spin
+// time included — so imbalance is observable.
 //
 // # Warm-reuse lifecycle
 //

@@ -64,6 +64,16 @@ func TestReshapeMatchesFreshNetwork(t *testing.T) {
 	}
 }
 
+// skewEdits piles 300 parallel edges onto node 0, enough to push the first
+// shard of reshapeGraph's partition past the reshape slack.
+func skewEdits() []graph.EdgeEdit {
+	heavy := make([]graph.EdgeEdit, 300)
+	for i := range heavy {
+		heavy[i] = graph.EdgeEdit{U: 0, V: 1}
+	}
+	return heavy
+}
+
 func TestReshapeShardedKinds(t *testing.T) {
 	g := reshapeGraph(t)
 	net := NewNetwork(g, 7, WithShards(4))
@@ -94,11 +104,7 @@ func TestReshapeShardedKinds(t *testing.T) {
 
 	// Piling parallel edges onto one node blows the first shard's edge
 	// share past the slack: the partition must be re-planned.
-	var heavy []graph.EdgeEdit
-	for i := 0; i < 300; i++ {
-		heavy = append(heavy, graph.EdgeEdit{U: 0, V: 1})
-	}
-	g3, err := g2.ApplyEdits(nil, heavy)
+	g3, err := g2.ApplyEdits(nil, skewEdits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +211,50 @@ func TestGenerationStamp(t *testing.T) {
 	}
 	if got := net.Generation(); got != 5 {
 		t.Fatalf("Reshape changed the generation stamp to %d", got)
+	}
+}
+
+// TestShardStatsSurviveReshape pins ShardStats' "cumulative since the
+// network was built": both Reshape kinds rebuild the shard structs, and
+// neither may restart the occupancy counters (the Service folds deltas
+// of them into monotone totals).
+func TestShardStatsSurviveReshape(t *testing.T) {
+	g := reshapeGraph(t)
+	net := NewNetwork(g, 7, WithShards(2))
+	run := func() ShardStats {
+		t.Helper()
+		net.Reseed(7)
+		if _, err := net.Run((&stressProto{seeds: 2, hops: 20}).prepare(g.N())); err != nil {
+			t.Fatal(err)
+		}
+		return net.ShardStats()
+	}
+	before := run()
+
+	for _, step := range []struct {
+		add  []graph.EdgeEdit
+		want ReshapeKind
+	}{
+		{[]graph.EdgeEdit{{U: 0, V: 77}}, ReshapeIncremental},
+		{skewEdits(), ReshapeFull},
+	} {
+		g2, err := net.Graph().ApplyEdits(nil, step.add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, err := net.Reshape(g2); err != nil || kind != step.want {
+			t.Fatalf("Reshape = %v, %v; want %v", kind, err, step.want)
+		}
+		if got := net.ShardStats(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%v reshape changed ShardStats\n got %+v\nwant %+v", step.want, got, before)
+		}
+		after := run()
+		for i := range after.Stepped {
+			if after.Stepped[i] <= before.Stepped[i] || after.Delivered[i] <= before.Delivered[i] ||
+				after.BarrierWait[i] <= before.BarrierWait[i] {
+				t.Fatalf("shard %d counters not cumulative across a %v reshape: %+v then %+v", i, step.want, before, after)
+			}
+		}
+		before = after
 	}
 }

@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,8 +14,11 @@ import (
 // shard gets a worker goroutine and the transfer buffers cross a round
 // barrier. Results are bit-identical at every S (see doc.go).
 //
-// Sharding pays off when per-round work is large (big graphs, many tokens
-// in flight); for small networks the barrier overhead dominates.
+// The cost of sharding is the barrier, crossed twice per round. Workers
+// spin before they park (roundBarrier), so while they fit GOMAXPROCS
+// sharding pays from a few hundred nodes of Phase-1 traffic up
+// (BenchmarkShardedWalk in internal/core is the crossover table); with
+// more shard workers than Ps every crossing is a park and a wake-up.
 
 // shard is one contiguous slice of the network: nodes [nodeLo, nodeHi)
 // and the directed edges leaving them. out[d] of its edge half is the
@@ -26,42 +31,104 @@ type shard struct {
 }
 
 // roundBarrier synchronizes the shard workers twice per round. The last
-// arriver runs the serial section (round bookkeeping) under the barrier
-// lock before releasing the others, so serial state is published to every
-// worker with a single happens-before edge.
+// arriver runs the serial section (round bookkeeping) alone — everyone
+// else is inside wait — and only then publishes the next generation, so
+// serial state reaches every worker through that one atomic store.
+//
+// An early arriver spins before it parks: a round is tens of microseconds
+// per shard, and a worker that sleeps with nothing else to run takes its
+// OS thread down, so the futex wake-up costs as much as the round it
+// waited for. A waiter polls the generation for up to spinBudget, yielding
+// every spinPolls polls so the collector and other goroutines are never
+// starved, then falls back to the mutex + cond park. Spinning needs a P
+// per party: when the shard workers in flight outnumber GOMAXPROCS (one
+// wide barrier, or several pool workers serving sharded requests) a
+// spinner holds the P a peer needs and keeps it from going idle to steal
+// that peer, so there a waiter parks at once.
 type roundBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	parties int
-	arrived int
-	gen     uint64
+	parties int32
+	procs   int32 // GOMAXPROCS at open
+	arrived atomic.Int32
+	gen     atomic.Uint64
+
+	mu     sync.Mutex // orders a parker's generation check against the release
+	cond   sync.Cond
+	parked int // waiters inside cond.Wait, under mu
 }
 
-func (b *roundBarrier) init(parties int) {
-	b.parties = parties
+// shardParties counts the parties of every open barrier; process-wide
+// because the Ps it is compared against are. It only ever selects between
+// spinning and parking.
+var shardParties atomic.Int32
+
+// spinBudget bounds how long a waiter polls before it parks. Swept on
+// shard-walks p50 (CHANGES.md, PR 19): latency falls steeply up to
+// ≈100 µs and is flat from 200 µs to 5 ms, so 1 ms — a few Phase-1 rounds
+// — sits on the plateau and caps what a descheduled peer can cost.
+const (
+	spinBudget = time.Millisecond
+	spinPolls  = 100
+)
+
+// open readies the barrier for one Run's parties; close retires them.
+func (b *roundBarrier) open(parties int) {
+	b.parties = int32(parties)
+	b.procs = int32(runtime.GOMAXPROCS(0))
 	b.cond.L = &b.mu
+	shardParties.Add(b.parties)
 }
+
+func (b *roundBarrier) close() { shardParties.Add(-b.parties) }
 
 // wait blocks until all parties arrive; the last arriver runs serial (if
-// non-nil) before waking the rest.
+// non-nil) before releasing the rest.
 func (b *roundBarrier) wait(serial func()) {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.parties {
+	gen := b.gen.Load() // cannot advance before this party's own arrival
+	if b.arrived.Add(1) == b.parties {
 		if serial != nil {
 			serial()
 		}
-		b.arrived = 0
-		b.gen++
+		b.arrived.Store(0)
+		b.mu.Lock()
+		b.gen.Store(gen + 1)
+		parked := b.parked
 		b.mu.Unlock()
-		b.cond.Broadcast()
+		if parked > 0 {
+			b.cond.Broadcast()
+		}
 		return
 	}
-	for b.gen == gen {
+	if b.spin(gen) {
+		return
+	}
+	b.mu.Lock()
+	b.parked++
+	for b.gen.Load() == gen {
 		b.cond.Wait()
 	}
+	b.parked--
 	b.mu.Unlock()
+}
+
+// spin polls for the release of generation gen; false means park. The
+// clock is first read at the first yield, so a short wait reads none.
+func (b *roundBarrier) spin(gen uint64) bool {
+	if shardParties.Load() > b.procs {
+		return false
+	}
+	var deadline time.Time
+	for polls := 1; b.gen.Load() == gen; polls++ {
+		if polls%spinPolls != 0 {
+			continue
+		}
+		if now := time.Now(); deadline.IsZero() {
+			deadline = now.Add(spinBudget)
+		} else if now.After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // planShards returns the S+1 node boundaries of a degree-balanced
@@ -114,13 +181,16 @@ func (n *Network) SetShards(s int) {
 // applyShardBounds rebuilds the shards over the given node boundaries
 // (len s+1, bounds[0]==0, bounds[s]==n). Callers must have reset the old
 // layout first. Reshape uses it directly to keep an old partition's
-// bounds over a rebuilt edge index.
+// bounds over a rebuilt edge index. The cumulative occupancy counters
+// carry over when the shard count is unchanged (Reshape never changes
+// it); SetShards to a different count restarts them.
 func (n *Network) applyShardBounds(bounds []int32) {
 	s := len(bounds) - 1
 	var shardOf []int32 // node -> shard; a single shard needs no lookup
 	if s > 1 {
 		shardOf = make([]int32, n.g.N())
 	}
+	old := n.shards
 	n.shards = make([]*shard, s)
 	for i := range n.shards {
 		lo, hi := bounds[i], bounds[i+1]
@@ -130,6 +200,9 @@ func (n *Network) applyShardBounds(bounds []int32) {
 			id:       i,
 		}
 		sh.ctx = Ctx{net: n, sh: sh}
+		if len(old) == s {
+			sh.stepped, sh.delivered, sh.waitNs = old[i].stepped, old[i].delivered, old[i].waitNs
+		}
 		n.shards[i] = sh
 		if s > 1 {
 			for v := lo; v < hi; v++ {
@@ -175,7 +248,8 @@ func (sr *shardRun) advance() {
 // shard 0; shards 1..S-1 get a goroutine each for the duration of the run.
 func (n *Network) runSharded(p Proto, halter Halter) error {
 	sr := &shardRun{net: n, halter: halter}
-	sr.bar.init(len(n.shards))
+	sr.bar.open(len(n.shards))
+	defer sr.bar.close()
 	var wg sync.WaitGroup
 	for _, sh := range n.shards[1:] {
 		wg.Add(1)
@@ -217,10 +291,12 @@ func (sh *shard) wait(sr *shardRun, serial func()) {
 }
 
 // ShardStats is a snapshot of the per-shard occupancy counters, cumulative
-// since the network was built (they survive Run resets): protocol steps
-// executed and messages merged per shard, plus the wall-clock time each
-// shard spent waiting at (or synchronizing through) round barriers. With
-// one shard only Shards is set. Not safe to call concurrently with Run.
+// since the network was built or last repartitioned to a different shard
+// count (they survive Run resets and Reshape): protocol steps executed
+// and messages merged per shard, plus the wall-clock time each shard
+// spent at round barriers — spinning, parked, or running the serial
+// verdict. With one shard only Shards is set. Not safe to call
+// concurrently with Run.
 type ShardStats struct {
 	Shards      int
 	Stepped     []int64

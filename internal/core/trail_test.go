@@ -179,29 +179,32 @@ func BenchmarkPhase1Trail(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			benchWalk(b, w, 0, keep) // grow the slabs
 			rounds := 0
-			walk := func(seed uint64) {
-				if err := w.Reset(DefaultParams()); err != nil {
-					b.Fatal(err)
-				}
-				w.Network().Reseed(seed)
-				if keep {
-					w.KeepTrail()
-				}
-				res, err := w.SingleRandomWalk(0, 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds += res.Cost.Rounds
-			}
-			walk(0) // grow the slabs
-			rounds = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				walk(uint64(i + 1))
+				rounds += benchWalk(b, w, uint64(i+1), keep)
 			}
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 		})
 	}
+}
+
+// benchWalk serves one request the way a pooled worker does — Reset,
+// Reseed, then SingleRandomWalk ℓ=1024 from node 0 — and returns its
+// simulated rounds.
+func benchWalk(b *testing.B, w *Walker, seed uint64, keepTrail bool) int {
+	if err := w.Reset(DefaultParams()); err != nil {
+		b.Fatal(err)
+	}
+	w.Network().Reseed(seed)
+	if keepTrail {
+		w.KeepTrail()
+	}
+	res, err := w.SingleRandomWalk(0, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Cost.Rounds
 }

@@ -37,13 +37,20 @@ func New(seed uint64) *RNG {
 // sequences. Stream does not advance r.
 func (r *RNG) Stream(id uint64) *RNG {
 	d := &RNG{}
+	r.StreamInto(id, d)
+	return d
+}
+
+// StreamInto is Stream without the allocation: it overwrites dst with the
+// stream identified by id, so a caller that keeps its generators in a flat
+// slab can re-derive them in place.
+func (r *RNG) StreamInto(id uint64, dst *RNG) {
 	// Mix the stream id into each state word with distinct odd constants so
 	// that streams differ in every word even for adjacent ids.
 	sm := r.s[0] ^ (id * 0x9e3779b97f4a7c15)
-	for i := range d.s {
-		sm, d.s[i] = splitmix64(sm ^ r.s[i])
+	for i := range dst.s {
+		sm, dst.s[i] = splitmix64(sm ^ r.s[i])
 	}
-	return d
 }
 
 // Split returns a new independent generator derived from r's current state,

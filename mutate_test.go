@@ -477,8 +477,23 @@ func testShardIdentityMutate(t *testing.T, shards int) {
 		}
 		defer svc.Close()
 		pre := digest(svc)
+		before := svc.Stats().Shards
 		if _, err := svc.ApplyMutations(ctx, mut); err != nil {
 			t.Fatal(err)
+		}
+		// The reshape rebuilds every worker's shards; the cumulative
+		// occupancy counters must not restart with them. One short walk
+		// makes a worker report: a restarted counter folds in as a large
+		// negative delta.
+		if _, err := svc.SingleRandomWalk(ctx, 99, 0, 16); err != nil {
+			t.Fatal(err)
+		}
+		after := svc.Stats().Shards
+		for i := range before.Stepped {
+			if after.Stepped[i] < before.Stepped[i] || after.Delivered[i] < before.Delivered[i] ||
+				after.BarrierWait[i] < before.BarrierWait[i] {
+				t.Fatalf("Stats().Shards ran backwards across ApplyMutations at shard %d:\n before %+v\n after  %+v", i, before, after)
+			}
 		}
 		post := digest(svc)
 		return "pre" + pre + "|post" + post

@@ -180,11 +180,16 @@ func WithWorkers(n int) Option {
 // stay bit-identical to the sequential engine while wall-clock time for
 // large graphs drops with cores. s <= 0 selects auto (GOMAXPROCS at
 // construction); s is clamped to the graph size. Construction-only:
-// per-request use fails with ErrOptionScope. Sharding helps when
-// per-round work is large (big graphs, wide batches); for small graphs
-// the barrier overhead dominates and the default s = 1 is faster.
-// Compose with WithWorkers deliberately: workers multiply throughput
-// across requests, shards cut the latency of one request, and
+// per-request use fails with ErrOptionScope. Shard workers meet at a
+// barrier twice per round and spin briefly before they park, so while
+// the shard workers in flight fit GOMAXPROCS a crossing is cheap and
+// WithShards(2) on two idle cores about halves the latency of a walk
+// request from Torus(48,48) up (see README "When it pays"); once they
+// outnumber the Ps — s > GOMAXPROCS, or several workers serving sharded
+// requests at once — waiters park at once and each crossing costs a
+// goroutine switch. Stats().Shards reports BarrierWait with the spin
+// time included. Compose with WithWorkers deliberately: workers multiply
+// throughput across requests, shards cut the latency of one request, and
 // workers*shards goroutines contend for the same cores.
 func WithShards(s int) Option {
 	return ctorOption("WithShards", func(c *config) {

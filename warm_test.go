@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"distwalk/internal/congest"
 )
 
 // TestWarmWorkerDeterminism is the warm-reuse stress test: one worker
@@ -115,5 +117,20 @@ func TestWarmWorkerReusesState(t *testing.T) {
 	// request", not incidental runtime noise.
 	if allocs > 500 {
 		t.Fatalf("warm request allocated %.0f times; worker state is not being reused", allocs)
+	}
+}
+
+// TestReseedAllocatesNothingPerNode pins the other per-request cost of a
+// warm worker: prepare reseeds the pooled network for every request, and
+// the per-node streams are re-derived in place, not rebuilt as n heap
+// objects.
+func TestReseedAllocatesNothingPerNode(t *testing.T) {
+	g, err := Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := congest.NewNetwork(g, 7)
+	if allocs := testing.AllocsPerRun(5, func() { net.Reseed(11) }); allocs > 1 {
+		t.Fatalf("Reseed allocated %.0f times on %d nodes; want at most the base generator", allocs, g.N())
 	}
 }
