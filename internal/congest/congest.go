@@ -309,11 +309,11 @@ func (n *Network) SetMaxRounds(r int) {
 // Reseed re-derives every per-node RNG stream from seed, exactly as
 // NewNetwork does, so a pooled network can be reused for a fresh
 // deterministic execution: after Reseed(s) the network behaves bit for bit
-// like a newly built NewNetwork(g, s). Ring and inbox slabs carry no
-// protocol state, only capacity, and any in-flight messages left by an
-// aborted run are dropped by the next Run's reset. The first-loss record
-// (LossError) is request-scoped and clears here too; the installed fault
-// plan and crash schedule persist — they are topology configuration.
+// like a newly built NewNetwork(g, s). The queue slab and the inboxes
+// carry no protocol state, only capacity, and any in-flight messages left
+// by an aborted run are dropped by the next Run's reset. The first-loss
+// record (LossError) is request-scoped and clears here too; the installed
+// fault plan and crash schedule persist — they are topology configuration.
 func (n *Network) Reseed(seed uint64) {
 	base := rng.New(seed)
 	for v := range n.nodeRNG {

@@ -172,6 +172,67 @@ func TestRemoteIdentityFaultPlan(t *testing.T) {
 	}
 }
 
+// TestShardIdentityDeepQueues covers what a one-message-per-edge run never
+// reaches in the per-edge FIFO chains: a pop of k > 1 that leaves a
+// remainder (WithEdgeCap(3) under queues deeper than 3), the least-loaded
+// pick among parallel edges (it reads the chain's size) and a delayed
+// link's transit start (size == 1), at S ∈ {1, 2, 4} in-process and over
+// loopback engines — every digest equal to the sequential one.
+func TestShardIdentityDeepQueues(t *testing.T) {
+	torus, err := graph.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := torus.ApplyEdits(nil, []graph.EdgeEdit{{U: 0, V: 1}, {U: 0, V: 1}, {U: 7, V: 8}, {U: 14, V: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{Seed: 5, LinkDelays: []fault.LinkDelay{
+		{From: 0, To: 1, Rounds: 2}, // all three parallel edges 0→1
+		{From: 8, To: 7, Rounds: 3},
+		{From: 3, To: 4, Rounds: 1},
+	}}
+	run := func(shards, engines int) (Result, *stressProto) {
+		t.Helper()
+		net := NewNetwork(g, 42, WithEdgeCap(3), WithShards(shards))
+		if err := net.SetFaultPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		if engines > 0 {
+			group, bounds, err := NewLoopbackGroup(g, engines, 3, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.ConnectRemote(group, bounds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := (&stressProto{seeds: 12, hops: 30, awakeRounds: 12}).prepare(g.N())
+		res, err := net.Run(p)
+		if err != nil {
+			t.Fatalf("shards=%d engines=%d: %v", shards, engines, err)
+		}
+		return res, p
+	}
+	seqRes, seqP := run(1, 0)
+	if seqRes.MaxQueue <= 3 || seqRes.Faults.Delayed == 0 {
+		t.Fatalf("sequential run reached depth %d with %d delayed edge-rounds; the check needs depth > 3 and a delay",
+			seqRes.MaxQueue, seqRes.Faults.Delayed)
+	}
+	for _, tc := range [][2]int{{2, 0}, {4, 0}, {1, 1}, {1, 2}, {1, 4}} {
+		res, p := run(tc[0], tc[1])
+		if res != seqRes {
+			t.Fatalf("shards=%d engines=%d: Result %+v != sequential %+v", tc[0], tc[1], res, seqRes)
+		}
+		for v := range seqP.got {
+			if p.got[v] != seqP.got[v] || p.sum[v] != seqP.sum[v] {
+				t.Fatalf("shards=%d engines=%d node %d: got %d/sum %d, sequential %d/%d",
+					tc[0], tc[1], v, p.got[v], p.sum[v], seqP.got[v], seqP.sum[v])
+			}
+		}
+	}
+}
+
 // TestRemoteReuse runs the same client+engine group through several runs
 // and a Reseed, pinning that engines reset cleanly per run and the
 // first-loss record stays request-scoped.

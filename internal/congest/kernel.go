@@ -37,7 +37,10 @@ type links struct {
 	nbrTo   []int32
 	nbrEdge []int32
 
-	queues []ring // per directed edge, reused across rounds and runs
+	// queues[e] is directed edge e's FIFO header. The messages themselves
+	// live in the slotPool of the edge half that owns e, so a header is
+	// only ever touched by that half.
+	queues []queue
 
 	crashAt []int       // WithCrash rounds per node (-1 = never); nil until one is armed
 	flt     *faultState // compiled fault plan, nil on the fault-free path; see fault.go
@@ -73,7 +76,7 @@ func (l *links) buildIndex() {
 		l.off[v+1] = l.off[v] + int32(l.g.Degree(graph.NodeID(v)))
 	}
 	total := l.off[nn]
-	l.queues = make([]ring, total)
+	l.queues = make([]queue, total)
 	l.nbrTo = make([]int32, total)
 	l.nbrEdge = make([]int32, total)
 	for v := 0; v < nn; v++ {
@@ -143,14 +146,16 @@ func (l *links) resetRun() {
 }
 
 // edgeHalf owns a contiguous directed-edge range: which of its edges
-// have queued messages, this round's outbound transfer buffers, and the
-// counters and first loss its deliveries charged this run. The edges'
-// queues and fault state live in l; every send on an owned edge goes
-// through enqueue and every delivery through drain.
+// have queued messages, the one slab those messages sit in, this round's
+// outbound transfer buffers, and the counters and first loss its
+// deliveries charged this run. The edges' queue headers and fault state
+// live in l; every send on an owned edge goes through enqueue and every
+// delivery through drain, so nothing else reads or writes the slab.
 type edgeHalf struct {
 	l      *links
 	edgeLo int32
-	active *sched // local edge indices (global edge - edgeLo)
+	active *sched   // local edge indices (global edge - edgeLo)
+	pool   slotPool // the queued messages of every owned edge
 
 	// out[d] holds this round's deliveries for destination d, in ascending
 	// edge order; dstOf maps a receiving node to its destination (nil: one
@@ -169,17 +174,30 @@ func newEdgeHalf(l *links, lo, hi int32, dstOf []int32, dsts int) edgeHalf {
 		l:      l,
 		edgeLo: l.off[lo],
 		active: newSched(int(l.off[hi] - l.off[lo])),
+		pool:   slotPool{free: noSlot},
 		dstOf:  dstOf,
 		out:    make([][]Message, dsts),
 	}
 }
 
+// adopt takes over, emptied, the slab and transfer buffers of the half
+// this one replaces (already reset, same number of destinations), so a
+// rebuilt partition keeps the capacity the traffic had grown.
+func (h *edgeHalf) adopt(old *edgeHalf) {
+	h.pool = old.pool
+	for d := range h.out {
+		h.out[d] = old.out[d][:0]
+	}
+}
+
 // reset drops whatever an ended (possibly aborted) run left queued and
 // clears the per-run counters (drain empties the transfer buffers itself).
-// Rings and buffers keep their capacity: the steady state of repeated
-// runs allocates nothing.
+// Only edges still active have a non-zero header, so this is O(active);
+// the slab is truncated, not released, and the next run fills it from
+// slot 0 again: the steady state of repeated runs allocates nothing.
 func (h *edgeHalf) reset() {
-	h.active.drain(func(le int32) { h.l.queues[h.edgeLo+le].clear() })
+	h.active.drain(func(le int32) { h.l.queues[h.edgeLo+le] = queue{} })
+	h.pool.reset()
 	h.res = Result{}
 	h.loss = LossRecord{}
 }
@@ -203,7 +221,7 @@ func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w *[Pa
 		}
 	}
 	q := &l.queues[best]
-	m := q.next()
+	m := h.pool.push(q)
 	m.From, m.To = from, to
 	m.Kind, m.words = kind, uint16(words)
 	m.W = *w
@@ -257,7 +275,7 @@ func (h *edgeHalf) drain() {
 			k = depth
 		}
 		for i := 0; i < k; i++ {
-			m := q.at(int32(i))
+			m := h.pool.pop(q)
 			if l.crashed(m.To) {
 				h.res.Faults.Dropped++
 				h.noteLoss(e, m, false)
@@ -281,7 +299,6 @@ func (h *edgeHalf) drain() {
 			h.res.Messages++
 			h.res.Words += int64(m.words)
 		}
-		q.popN(int32(k))
 		if q.size > 0 {
 			h.active.add(le)
 		}

@@ -60,7 +60,58 @@ func TestReshapeMatchesFreshNetwork(t *testing.T) {
 		t.Fatal("reshaped directed-edge index differs from a freshly built network")
 	}
 	if len(net.queues) != len(fresh.queues) {
-		t.Fatalf("reshaped queue slab has %d rings, fresh %d", len(net.queues), len(fresh.queues))
+		t.Fatalf("reshaped network has %d queue headers, fresh %d", len(net.queues), len(fresh.queues))
+	}
+}
+
+// TestReshapeKeepsQueueMemory: a mutation must not send a warm network
+// back to growing memory. Reshape rebuilds every edge half; the queue slab
+// and the transfer buffers the traffic had grown carry over, so the run
+// after a reshape allocates exactly what a warm run does — nothing when
+// unsharded (a full reshape), the per-Run goroutines when sharded (an
+// incremental one).
+func TestReshapeKeepsQueueMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := reshapeGraph(t)
+	g2, err := g.ApplyEdits([]graph.EdgeEdit{{U: 0, V: 1}}, []graph.EdgeEdit{{U: 0, V: 77}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shards int
+		kind   ReshapeKind
+	}{{1, ReshapeFull}, {2, ReshapeIncremental}} {
+		net := NewNetwork(g, 7, WithShards(tc.shards))
+		run := func() {
+			if _, err := net.Run(&benchFlood{rounds: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := g2
+		reshape := func() {
+			kind, err := net.Reshape(next)
+			if err != nil || kind != tc.kind {
+				t.Fatalf("S=%d: Reshape = %v, %v; want %v", tc.shards, kind, err, tc.kind)
+			}
+			if next == g2 {
+				next = g
+			} else {
+				next = g2
+			}
+		}
+		for i := 0; i < 2; i++ { // both shapes once: inboxes, slab and buffers at their steady size
+			run()
+			reshape()
+		}
+		warm := testing.AllocsPerRun(10, run)
+		alone := testing.AllocsPerRun(10, reshape)
+		both := testing.AllocsPerRun(10, func() { reshape(); run() })
+		if both != alone+warm {
+			t.Errorf("S=%d: Reshape+Run allocates %.1f objects, Reshape alone %.1f and a warm Run %.1f: the run after a reshape grew memory",
+				tc.shards, both, alone, warm)
+		}
 	}
 }
 

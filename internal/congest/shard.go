@@ -182,8 +182,9 @@ func (n *Network) SetShards(s int) {
 // (len s+1, bounds[0]==0, bounds[s]==n). Callers must have reset the old
 // layout first. Reshape uses it directly to keep an old partition's
 // bounds over a rebuilt edge index. The cumulative occupancy counters
-// carry over when the shard count is unchanged (Reshape never changes
-// it); SetShards to a different count restarts them.
+// and the queue slab and transfer buffers (emptied) carry over when the
+// shard count is unchanged (Reshape never changes it); SetShards to a
+// different count restarts them.
 func (n *Network) applyShardBounds(bounds []int32) {
 	s := len(bounds) - 1
 	var shardOf []int32 // node -> shard; a single shard needs no lookup
@@ -202,6 +203,7 @@ func (n *Network) applyShardBounds(bounds []int32) {
 		sh.ctx = Ctx{net: n, sh: sh}
 		if len(old) == s {
 			sh.stepped, sh.delivered, sh.waitNs = old[i].stepped, old[i].delivered, old[i].waitNs
+			sh.adopt(&old[i].edgeHalf)
 		}
 		n.shards[i] = sh
 		if s > 1 {
@@ -355,6 +357,19 @@ func (n *Network) ShardStats() ShardStats {
 		st.BarrierWait[i] = time.Duration(sh.waitNs)
 	}
 	return st
+}
+
+// QueueSlots reports the message slots of the edge queues, summed over
+// the in-process shards: used is how many the last Run ever held at once
+// (its slabs' lengths; the next Run starts from zero), retained how many
+// the slabs keep allocated across runs. Not safe to call concurrently
+// with Run.
+func (n *Network) QueueSlots() (used, retained int) {
+	for _, sh := range n.shards {
+		used += len(sh.pool.msgs)
+		retained += cap(sh.pool.msgs)
+	}
+	return used, retained
 }
 
 // WithShards partitions the network into s parallel shards at

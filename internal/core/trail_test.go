@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"distwalk/internal/congest"
 	"distwalk/internal/graph"
 )
 
@@ -157,6 +158,81 @@ func TestTrailResetRestoresOff(t *testing.T) {
 	}
 	if _, err := w.Regenerate(res); err != nil {
 		t.Fatalf("Regenerate after Reset + KeepTrail: %v", err)
+	}
+}
+
+// TestQueueMemoryFollowsOccupancy: the engine's queue memory is sized by
+// what is in flight, not by what each edge once held. Phase 1 of the
+// seq-walks request puts one token on every directed edge (plus the
+// source's extra one), and nothing later in a request holds more, so on
+// one warm walker serving requests from distinct sources the slab is
+// never longer than that, and its capacity after the first request is its
+// capacity after the last. An aborted run leaves nothing behind either:
+// the next request is bit-identical to a fresh network's, slab included.
+func TestQueueMemoryFollowsOccupancy(t *testing.T) {
+	requests := 40
+	if testing.Short() || raceEnabled {
+		requests = 4 // one goroutine throughout: the detector adds minutes, not coverage
+	}
+	g, err := graph.Torus(48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := 2*g.M() + 1 // η·deg(v) at every node, +1 at the source
+	walk := func(w *Walker, seed uint64, src graph.NodeID) (*WalkResult, error) {
+		if err := w.Reset(DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
+		w.Network().Reseed(seed)
+		return w.SingleRandomWalk(src, 1024)
+	}
+	w, err := NewWalker(g, 1, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := 0
+	for i := 1; i <= requests; i++ {
+		if _, err := walk(w, uint64(i), graph.NodeID(i*57%g.N())); err != nil {
+			t.Fatal(err)
+		}
+		used, retained := w.Network().QueueSlots()
+		if i == 1 {
+			first = retained
+		}
+		if used > tokens || retained != first || retained >= 2*tokens {
+			t.Fatalf("request %d: %d slots used, %d retained; want at most %d used (the Phase-1 tokens) and %d retained, as after request 1",
+				i, used, retained, tokens, first)
+		}
+	}
+
+	// Abort mid-Phase-1: past the BFS build (48 rounds), before the
+	// shortest short walk (λ ≥ 200 steps) ends, so every token is queued.
+	w.Network().SetMaxRounds(100)
+	if _, err := walk(w, 7, 5); !errors.Is(err, congest.ErrRoundLimit) {
+		t.Fatalf("budgeted walk: err = %v, want the round limit", err)
+	}
+	if used, _ := w.Network().QueueSlots(); used != tokens {
+		t.Fatalf("aborted Phase 1 held %d slots, want all %d tokens", used, tokens)
+	}
+	w.Network().SetMaxRounds(congest.DefaultMaxRounds)
+	got, err := walk(w, 99, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewWalker(g, 99, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.SingleRandomWalk(11, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk after an aborted run differs from a fresh network's:\nwarm  %+v\nfresh %+v", got, want)
+	}
+	gotUsed, _ := w.Network().QueueSlots()
+	if wantUsed, _ := fresh.Network().QueueSlots(); gotUsed != wantUsed {
+		t.Fatalf("run after an abort ended with %d slots, a fresh network with %d: it did not start from an empty slab", gotUsed, wantUsed)
 	}
 }
 

@@ -387,7 +387,7 @@ func TestShardedWallClockSpeedup(t *testing.T) {
 			}
 			return time.Since(start)
 		}
-		run(1) // warm-up: slabs, rings, tree
+		run(1) // warm-up: queue and inbox slabs, tree
 		best := run(2)
 		if d := run(2); d < best {
 			best = d
