@@ -1,9 +1,9 @@
-// Benchmarks, one per reproduction experiment (`walkbench -list` prints the
-// index):
-// each BenchmarkE* regenerates the corresponding table/series at small
-// scale, and the micro-benchmarks below report simulated rounds/op for the
-// individual algorithms so regressions in round complexity (not just wall
-// time) are visible.
+// Micro-benchmarks of the individual algorithms. Simulated rounds per
+// operation are the quantity the paper bounds, so they are reported as a
+// custom metric alongside wall time: a regression in round complexity
+// shows even when wall time does not move. (The paper's claims themselves
+// are tests — README "Claims" — and timing has one harness,
+// `go run ./benchmark`.)
 //
 // Run everything with:
 //
@@ -11,47 +11,14 @@
 package distwalk_test
 
 import (
-	"io"
 	"strconv"
 	"testing"
 
 	"distwalk"
 	"distwalk/internal/core"
-	"distwalk/internal/experiments"
 	"distwalk/internal/mixing"
 	"distwalk/internal/spanning"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.Config{Seed: 42, Scale: experiments.Small, Out: io.Discard}
-		if err := experiments.Run(e, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1SingleWalkScaling(b *testing.B)           { benchExperiment(b, "E1") }
-func BenchmarkE2DiameterDependence(b *testing.B)          { benchExperiment(b, "E2") }
-func BenchmarkE3VisitBound(b *testing.B)                  { benchExperiment(b, "E3") }
-func BenchmarkE4ConnectorBound(b *testing.B)              { benchExperiment(b, "E4") }
-func BenchmarkE5ManyWalks(b *testing.B)                   { benchExperiment(b, "E5") }
-func BenchmarkE6PathVerification(b *testing.B)            { benchExperiment(b, "E6") }
-func BenchmarkE7RandomSpanningTree(b *testing.B)          { benchExperiment(b, "E7") }
-func BenchmarkE8MixingTime(b *testing.B)                  { benchExperiment(b, "E8") }
-func BenchmarkE9EndpointDistribution(b *testing.B)        { benchExperiment(b, "E9") }
-func BenchmarkE10RandomLengthAblation(b *testing.B)       { benchExperiment(b, "E10") }
-func BenchmarkE11DegreeProportionalAblation(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkE12MetropolisHastings(b *testing.B)         { benchExperiment(b, "E12") }
-
-// Micro-benchmarks: simulated rounds per operation are the quantity the
-// paper bounds, so they are reported as a custom metric alongside wall
-// time.
 
 func benchGraph(b *testing.B) *distwalk.Graph {
 	b.Helper()

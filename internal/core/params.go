@@ -27,10 +27,11 @@ type Params struct {
 	// FixedLength makes every short walk exactly λ long instead of uniform
 	// in [λ, 2λ−1]. This reverts the paper's key fix for connector
 	// periodicity (Lemma 2.7) and is the PODC 2009 behaviour; exposed for
-	// the E10 ablation.
+	// the ablation in TestClaimLemma27FixedLengthAblation.
 	FixedLength bool
 	// UniformCounts gives every node exactly η short walks instead of
-	// η·deg(v) (the PODC 2009 behaviour; E11 ablation).
+	// η·deg(v) (the PODC 2009 behaviour; the ablation in
+	// TestClaimLemma26UniformCountsAblation).
 	UniformCounts bool
 	// PerCallBFS rebuilds a BFS tree rooted at the current connector on
 	// every SAMPLE-DESTINATION call, as Algorithm 3 does literally, instead
@@ -46,9 +47,9 @@ type Params struct {
 	Metropolis bool
 }
 
-// DefaultParams returns the practical parameterization used throughout the
-// experiments: λ = √(ℓD), η = 1, random short-walk lengths,
-// degree-proportional Phase 1 counts.
+// DefaultParams returns the practical parameterization used throughout:
+// λ = √(ℓD), η = 1, random short-walk lengths, degree-proportional Phase 1
+// counts.
 func DefaultParams() Params {
 	return Params{LambdaC: 1, Eta: 1}
 }

@@ -2,7 +2,7 @@
 // the nodes of a graph: t-step walk distributions, Metropolis-Hastings
 // variants, and stationary/uniform/point vectors. The distributed
 // algorithms are validated against these reference quantities (e.g. the
-// chi-square endpoint tests and the mixing-time experiments).
+// chi-square endpoint tests and the mixing-time brackets).
 //
 // The transition semantics mirror graph.Step and graph.MHStep exactly:
 // the simple walk moves along an incident edge chosen with probability

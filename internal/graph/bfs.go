@@ -125,7 +125,7 @@ func (g *G) Diameter() (int, error) {
 // ApproxDiameter estimates the diameter with the classic double-sweep
 // heuristic: BFS from node 0, then BFS from the farthest node found. The
 // result is a lower bound on the true diameter and is exact on trees; on
-// the regular families used in the experiments it is within a factor 2.
+// the regular families the tests use it is within a factor 2.
 func (g *G) ApproxDiameter() (int, error) {
 	if g.N() == 0 {
 		return 0, errEmpty

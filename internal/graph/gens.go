@@ -9,13 +9,13 @@ import (
 )
 
 // This file implements the graph families used throughout the paper's
-// analysis and in our experiments:
+// analysis and in the tests that hold its claims:
 //
 //   - line/cycle: the tight case for the visit bound of Lemma 2.6 ("this
 //     bound is tight in general (e.g., consider a line and a walk of
 //     length n)") and the worst case for connector periodicity (Lemma 2.7).
 //   - torus/grid: moderate-diameter sparse graphs, the workhorse for the
-//     Õ(√(ℓD)) scaling experiments.
+//     Õ(√(ℓD)) scaling tests.
 //   - candy (clique+path), barbell: families whose diameter is a free
 //     parameter at (roughly) fixed m, used for the D-dependence sweep.
 //   - random geometric graphs: the paper's motivating family for mixing-
@@ -146,8 +146,8 @@ func Hypercube(dim int) (*G, error) {
 // Candy returns a "candy" (lollipop) graph: a clique on cliqueSize nodes
 // with a path of pathLen extra nodes attached to clique node 0. Its
 // diameter is pathLen + 1 (for cliqueSize >= 2), so at a fixed edge budget
-// the family trades diameter against density — the knob for the
-// D-dependence experiment E2.
+// the family trades diameter against density — the knob for Theorem
+// 2.5's D-dependence (TestClaimThm25RoundsInD).
 func Candy(cliqueSize, pathLen int) (*G, error) {
 	if cliqueSize < 2 {
 		return nil, fmt.Errorf("graph: candy needs cliqueSize >= 2, got %d", cliqueSize)

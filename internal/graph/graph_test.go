@@ -143,6 +143,52 @@ func TestStepIsolatedNode(t *testing.T) {
 	}
 }
 
+// Lemma 2.6: in an ℓ-step walk no node y is visited more than
+// Õ(d(y)·√ℓ) times. The lemma is about the walk process itself, so it is
+// checked on locally simulated walks, which lets ℓ span two decades:
+// max_y N(y) / (d(y)·√(ℓ+1)·ln n) must stay below 1 on sparse, dense,
+// long-tailed and hub-dominated graphs alike.
+func TestClaimLemma26VisitBound(t *testing.T) {
+	families := []struct {
+		name string
+		make func() (*G, error)
+	}{
+		{"cycle(256)", func() (*G, error) { return Cycle(256) }},
+		{"torus(16,16)", func() (*G, error) { return Torus(16, 16) }},
+		{"candy(8,64)", func() (*G, error) { return Candy(8, 64) }},
+		{"star(128)", func() (*G, error) { return Star(128) }},
+	}
+	for i, fam := range families {
+		g, err := fam.make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(42).Stream(uint64(i))
+		for _, ell := range []int{1_000, 10_000, 100_000} {
+			worst := 0.0
+			scale := math.Sqrt(float64(ell)+1) * math.Log(float64(g.N()))
+			for walk := 0; walk < 5; walk++ {
+				visits := make([]int, g.N())
+				cur := NodeID(0)
+				visits[cur]++
+				for s := 0; s < ell; s++ {
+					if cur, err = g.Step(r, cur); err != nil {
+						t.Fatal(err)
+					}
+					visits[cur]++
+				}
+				for v, n := range visits {
+					worst = math.Max(worst, float64(n)/(float64(g.Degree(NodeID(v)))*scale))
+				}
+			}
+			t.Logf("%s ℓ=%d: max_y N(y)/(d(y)·√(ℓ+1)·ln n) = %.3f", fam.name, ell, worst)
+			if worst >= 1 {
+				t.Errorf("%s ℓ=%d: normalized maximum visit count %.3f, want < 1", fam.name, ell, worst)
+			}
+		}
+	}
+}
+
 func TestMinMaxDegree(t *testing.T) {
 	g, err := Star(5)
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package pathverify implements the PATH-VERIFICATION problem of
-// Section 3 (Definition 3.1) and the experiments around the paper's
+// Section 3 (Definition 3.1) and the two constructions behind the paper's
 // Ω(√(ℓ/log ℓ) + D) lower bound for distributed random walks:
 //
 //   - a natural distributed verification protocol in the paper's
@@ -8,7 +8,7 @@
 //     round — measured on the hard instance G_n (Definition 3.3), where
 //     the measured round count exhibits the √ℓ shape of Theorem 3.2
 //     despite the O(log n) diameter;
-//   - the forced-walk experiment of Theorem 3.7: on the exponentially
+//   - the forced walk of Theorem 3.7: on the exponentially
 //     weighted variant G'_n a random walk follows the path P with
 //     probability ≥ 1 − 1/n, so a walk is as hard to certify as a path.
 package pathverify
@@ -149,8 +149,8 @@ func (q *ivQueue) reset() {
 // outboxes laid out per directed half-edge (off[v]+i addresses node v's
 // i-th neighbor queue), and the per-(neighbor, interval) send dedup as
 // epoch-stamped open-addressed sets. Repeated Verify calls — the shape of
-// the lower-bound experiments, which sweep ℓ on one instance — reuse
-// everything and allocate only on high-water growth.
+// a lower-bound sweep over ℓ on one instance — reuse everything and
+// allocate only on high-water growth.
 //
 // A Verifier is not safe for concurrent use (it shares the network, which
 // is single-threaded anyway).

@@ -1,7 +1,7 @@
 // Package rng provides a deterministic, splittable pseudo-random number
 // generator used by every stochastic component of the simulator.
 //
-// Reproducibility is a hard requirement for the experiment harness: a whole
+// Reproducibility is a hard requirement of the determinism contract: a whole
 // distributed execution (graph generation, short-walk lengths, stitching
 // choices, ...) must be replayable from a single master seed. The standard
 // library's math/rand is seedable but offers no principled way to derive

@@ -15,7 +15,7 @@
 //
 // Wilson's algorithm (wilson.go) provides a centralized exactly-uniform
 // reference sampler, and Kirchhoff's matrix-tree theorem (count.go) the
-// ground-truth tree counts, for the uniformity experiments.
+// ground-truth tree counts, for the uniformity tests.
 package spanning
 
 import (

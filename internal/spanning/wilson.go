@@ -10,8 +10,8 @@ import (
 // Wilson samples a uniformly random spanning tree rooted at root with
 // Wilson's loop-erased random walk algorithm (centralized). It is the
 // exactly-uniform reference sampler against which the distributed
-// Aldous-Broder driver is validated: both feed the same chi-square test in
-// the uniformity experiments.
+// Aldous-Broder driver is validated: both feed the same chi-square test
+// (TestAldousBroderUniformOnK4, TestWilsonUniformOnK4).
 func Wilson(g *graph.G, root graph.NodeID, r *rng.RNG) ([]graph.NodeID, error) {
 	n := g.N()
 	if root < 0 || int(root) >= n {

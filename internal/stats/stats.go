@@ -1,7 +1,8 @@
-// Package stats provides the statistical machinery behind the experiment
-// harness: chi-square goodness-of-fit tests (uniformity of spanning trees,
-// endpoint distributions), log-log slope fits (growth exponents of round
-// counts, the "shape" the reproduction must match), and summary helpers.
+// Package stats provides the statistics the paper's claims are judged by:
+// chi-square goodness-of-fit tests (uniformity of spanning trees, endpoint
+// distributions) and log-log slope fits (growth exponents of round
+// counts). Its importers are the tests that hold each claim; README
+// "Claims" is their index.
 package stats
 
 import (
@@ -19,31 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs (0 if len < 2).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Max returns the maximum of xs (−Inf for empty input).
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ChiSquare computes the chi-square statistic of observed counts against

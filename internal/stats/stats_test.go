@@ -7,25 +7,12 @@ import (
 	"distwalk/internal/rng"
 )
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); m != 5 {
 		t.Fatalf("mean = %v, want 5", m)
 	}
-	if s := Stddev(xs); math.Abs(s-2.138) > 0.01 {
-		t.Fatalf("stddev = %v, want ~2.138", s)
-	}
-	if Mean(nil) != 0 || Stddev([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs mishandled")
-	}
-}
-
-func TestMax(t *testing.T) {
-	if m := Max([]float64{1, 9, 3}); m != 9 {
-		t.Fatalf("max = %v", m)
-	}
-	if !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty max should be -Inf")
+	if Mean(nil) != 0 {
+		t.Fatal("empty mean should be 0")
 	}
 }
 

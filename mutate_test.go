@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"distwalk"
+	"distwalk/internal/stats"
 )
 
 func mustTorus(t *testing.T, r, c int) *distwalk.Graph {
@@ -101,6 +102,78 @@ func TestApplyMutationsBasics(t *testing.T) {
 	if res.Destination != want.Destination || res.Cost != want.Cost {
 		t.Fatalf("post-mutation request diverged from fresh service:\n  mutated: dest=%d cost=%+v\n  fresh:   dest=%d cost=%+v",
 			res.Destination, res.Cost, want.Destination, want.Cost)
+	}
+}
+
+// The endpoint law stays exact after the topology changes (the dynamic-
+// network setting of "Distributed Random Walks"): samples drawn through a
+// service that lived through two mutation batches are χ²-tested against
+// the exact ℓ-step distribution of the graph it ended on, and must equal,
+// key for key, those of a service built directly on that graph.
+func TestClaimEndpointLawAfterMutations(t *testing.T) {
+	ctx := context.Background()
+	const (
+		src     = distwalk.NodeID(5)
+		ell     = 30
+		samples = 3000
+	)
+	g, err := distwalk.Candy(4, 2) // K4 on 0..3 with the path 0-4-5
+	if err != nil {
+		t.Fatal(err)
+	}
+	// λ=3 forces heavy stitching at ℓ=30.
+	opts := []distwalk.Option{distwalk.WithWorkers(1), distwalk.WithParams(distwalk.Params{Lambda: 3, LambdaC: 1, Eta: 1})}
+	svc, err := distwalk.NewService(g, 42, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, m := range []distwalk.Mutations{
+		{AddEdges: []distwalk.EdgeMutation{{U: 1, V: 4}, {U: 2, V: 5}}},
+		{RemoveEdges: []distwalk.EdgeMutation{{U: 0, V: 4}}, AddEdges: []distwalk.EdgeMutation{{U: 3, V: 5}}},
+	} {
+		if _, err := svc.ApplyMutations(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := distwalk.NewService(svc.Graph(), 42, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+
+	counts := make([]int, g.N())
+	for key := uint64(0); key < samples; key++ {
+		res, err := svc.SingleRandomWalk(ctx, key, src, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.SingleRandomWalk(ctx, key, src, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Destination != want.Destination {
+			t.Fatalf("key %d: mutated service ended at %d, a fresh service on the same graph at %d",
+				key, res.Destination, want.Destination)
+		}
+		counts[res.Destination]++
+	}
+	exact, err := distwalk.WalkDistribution(svc.Graph(), src, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stat, df, err := stats.ChiSquare(counts, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := stats.ChiSquarePValue(stat, df)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("chi2=%.2f df=%d p=%.4f", stat, df, p)
+	if p < 1e-4 {
+		t.Fatalf("post-mutation endpoint distribution rejected: chi2=%v df=%d p=%v counts=%v exact=%v",
+			stat, df, p, counts, exact)
 	}
 }
 
