@@ -394,11 +394,11 @@ func TestBatchingBackpressureAndShutdown(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// One worker, batch size 1 (every submit flushes), queue limit 2. A
-	// long synchronous request occupies the lone worker, so flushed
-	// batches park and the admission queue fills.
+	// One worker, batch size 1 (every submit flushes), hence the default
+	// queue limit of 4. A long synchronous request occupies the lone
+	// worker, so flushed batches park and the admission queue fills.
 	svc, err := distwalk.NewService(g, 5, distwalk.WithWorkers(1),
-		distwalk.WithBatching(1, time.Hour), distwalk.WithBatchQueueLimit(2))
+		distwalk.WithBatching(1, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +419,8 @@ func TestBatchingBackpressureAndShutdown(t *testing.T) {
 			if !errors.Is(err, distwalk.ErrQueueFull) {
 				t.Fatalf("submit %d: err = %v, want ErrQueueFull once the queue fills", key, err)
 			}
-			if len(handles) < 2 {
-				t.Fatalf("queue rejected after only %d pending, limit is 2", len(handles))
+			if len(handles) < 4 {
+				t.Fatalf("queue rejected after only %d pending, limit is 4", len(handles))
 			}
 			break
 		}

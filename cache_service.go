@@ -5,24 +5,9 @@ import (
 	"distwalk/internal/core"
 )
 
-// Result-cache types re-exported from the cache subsystem.
-type (
-	// CacheStats is the result cache's counter snapshot; see
-	// Service.Stats and the WithResultCache option.
-	CacheStats = cache.Stats
-	// CacheAdmission decides whether a successful result is worth a cache
-	// slot; see WithCacheAdmission.
-	CacheAdmission = cache.Admission
-	// CacheEntryInfo is what a CacheAdmission policy sees about a
-	// candidate result: its deep size estimate and the simulated rounds
-	// its execution cost.
-	CacheEntryInfo = cache.EntryInfo
-)
-
-// CacheMinRounds returns the cost-aware admission policy that only caches
-// results whose execution cost at least r simulated rounds — a hit on an
-// expensive result saves the most re-execution work.
-func CacheMinRounds(r int64) CacheAdmission { return cache.MinRounds(r) }
+// CacheStats is the result cache's counter snapshot; see Service.Stats
+// and the WithResultCache option.
+type CacheStats = cache.Stats
 
 // InvalidateCache invalidates every cached result by publishing a new
 // topology generation over the unchanged graph and purging the store —
@@ -120,46 +105,45 @@ func copyMixing(r *MixingEstimate) *MixingEstimate {
 
 // --- Cache entry estimates (requestKind.entry) ---
 //
-// Deep size charged against the byte budget, simulated rounds the
-// execution cost, and whether the result may be stored. Struct headers
-// are rounded constants (exactness buys nothing — the budget is a pressure
-// valve, not an allocator); the slice payloads, which dominate for real
-// results, are counted element-exact.
+// Deep size charged against the byte budget, and whether the result may
+// be stored. Struct headers are rounded constants (exactness buys nothing
+// — the budget is a pressure valve, not an allocator); the slice
+// payloads, which dominate for real results, are counted element-exact.
 
 func sizeWalkResult(r *WalkResult) int64 {
 	return int64(96 + 40*len(r.Segments))
 }
 
-func walkEntry(r *WalkResult) (int64, int64, bool) {
-	return sizeWalkResult(r), int64(r.Cost.Rounds), true
+func walkEntry(r *WalkResult) (int64, bool) {
+	return sizeWalkResult(r), true
 }
 
 // Partial results (some walks lost to faults) are shared with coalesced
 // waiters but never stored: a retry deserves a chance to do better than a
 // cached casualty list.
-func manyEntry(r *ManyResult) (int64, int64, bool) {
+func manyEntry(r *ManyResult) (int64, bool) {
 	sz := int64(112 + 4*len(r.Destinations) + 16*len(r.Errs) + 8*len(r.Walks))
 	for _, w := range r.Walks {
 		if w != nil {
 			sz += sizeWalkResult(w)
 		}
 	}
-	return sz, int64(r.Cost.Rounds), r.Failed == 0
+	return sz, r.Failed == 0
 }
 
-func traceEntry(p tracedWalk) (int64, int64, bool) {
+func traceEntry(p tracedWalk) (int64, bool) {
 	t := p.trace
 	sz := sizeWalkResult(p.walk) + int64(96+24*len(t.Positions)+4*len(t.FirstVisitTime)+4*len(t.FirstVisitFrom))
 	for _, pos := range t.Positions {
 		sz += int64(4 * len(pos))
 	}
-	return sz, int64(p.walk.Cost.Rounds + t.Cost.Rounds), true
+	return sz, true
 }
 
-func rstEntry(r *RSTResult) (int64, int64, bool) {
-	return int64(80 + 4*len(r.Parent)), int64(r.Cost.Rounds), true
+func rstEntry(r *RSTResult) (int64, bool) {
+	return int64(80 + 4*len(r.Parent)), true
 }
 
-func mixEntry(r *MixingEstimate) (int64, int64, bool) {
-	return 128, int64(r.Cost.Rounds), true // flat struct, no slices
+func mixEntry(*MixingEstimate) (int64, bool) {
+	return 128, true // flat struct, no slices
 }

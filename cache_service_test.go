@@ -506,37 +506,6 @@ func TestInvalidateCache(t *testing.T) {
 	}
 }
 
-// TestCacheAdmissionPolicy: a CacheMinRounds policy above every
-// execution's cost keeps the store empty — every identical request
-// re-executes — while results stay correct.
-func TestCacheAdmissionPolicy(t *testing.T) {
-	ctx := context.Background()
-	g, err := Torus(9, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(g, 42, WithResultCache(1<<20), WithCacheAdmission(CacheMinRounds(1<<40)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	a, err := svc.SingleRandomWalk(ctx, 1, 0, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := svc.SingleRandomWalk(ctx, 1, 0, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("per-key determinism broke without admission")
-	}
-	st := svc.Stats().Cache
-	if st.Hits != 0 || st.Misses != 2 || st.BytesUsed != 0 {
-		t.Fatalf("stats = %+v: MinRounds(1<<40) must store nothing", st)
-	}
-}
-
 // TestCachePartialResultsNotStored: a ManyRandomWalks result with
 // casualties (Failed > 0) is returned but never admitted — the next
 // identical request re-executes (a retry deserves a chance to do better

@@ -80,7 +80,6 @@ func chaosRun(t *testing.T, g *distwalk.Graph, plan *distwalk.FaultPlan, shards 
 		distwalk.WithShards(shards),
 		distwalk.WithFaultPlan(plan),
 		distwalk.WithRetry(2),
-		distwalk.WithBackoff(0),
 		distwalk.WithPartialResults(),
 	)
 	if err != nil {

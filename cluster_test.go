@@ -381,7 +381,6 @@ func testClusterIdentityFaulty(t *testing.T, engines int) {
 			distwalk.WithWorkers(2),
 			distwalk.WithFaultPlan(plan),
 			distwalk.WithRetry(2),
-			distwalk.WithBackoff(0),
 			distwalk.WithPartialResults(),
 		}, opts...)...)
 		if err != nil {

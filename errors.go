@@ -60,8 +60,8 @@ var (
 	ErrNoRegen = core.ErrNoRegen
 	// ErrQueueFull reports a SubmitWalk rejected because the batching
 	// scheduler's admission queue for that request's config is full —
-	// backpressure, not failure; shed load or retry (see
-	// WithBatchQueueLimit).
+	// backpressure, not failure; shed load or retry (WithRetry). A queue
+	// holds 4x the batch size.
 	ErrQueueFull = sched.ErrQueueFull
 	// ErrBatchAborted reports a submitted walk whose batch never
 	// executed: the shared run failed as a whole, or the service closed
@@ -79,9 +79,9 @@ var (
 	// round. Retryable.
 	ErrMessageLost = congest.ErrMessageLost
 	// ErrBadFault reports an invalid fault specification: a WithFaultPlan
-	// plan naming nodes or links outside the graph, out-of-range
-	// probabilities, or an out-of-range WithCrash. Surfaced by NewService
-	// and by every engine run on a misconfigured network.
+	// plan naming nodes or links outside the graph or out-of-range
+	// probabilities. Surfaced by NewService and by every engine run on a
+	// misconfigured network.
 	ErrBadFault = congest.ErrBadFault
 	// ErrClusterConfig reports a WithCluster engine list the shard planner
 	// or the engine group rejected (more engines than nodes, bounds that

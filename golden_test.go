@@ -324,7 +324,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 						{From: 100, To: torus.Neighbors(100)[0].To, Rounds: 1},
 					},
 				}),
-				distwalk.WithRetry(3), distwalk.WithBackoff(0), distwalk.WithPartialResults(),
+				distwalk.WithRetry(3), distwalk.WithPartialResults(),
 			},
 			run:  manyFromZero(8),
 			want: serviceGolden{Rounds: 2320, Messages: 556077, Words: 1666183, Dropped: 80},

@@ -62,28 +62,6 @@ func (d *Digest) Key() Key {
 	return k
 }
 
-// EntryInfo is what an Admission policy sees about a candidate result.
-type EntryInfo struct {
-	// Bytes is the result's deep size estimate (payload, not overhead).
-	Bytes int64
-	// Rounds is the simulated rounds the execution cost — the work a
-	// future hit saves.
-	Rounds int64
-}
-
-// Admission decides whether a successful result is worth a cache slot.
-// Policies only ever see successful, per-key-deterministic results: the
-// service never offers failed, partial or composition-dependent (batched)
-// results for admission in the first place.
-type Admission func(EntryInfo) bool
-
-// MinRounds returns the cost-aware admission policy that only caches
-// results whose execution cost at least r simulated rounds — preferring
-// the entries a hit saves the most work on.
-func MinRounds(r int64) Admission {
-	return func(e EntryInfo) bool { return e.Rounds >= r }
-}
-
 // Stats is the cache's counter snapshot.
 type Stats struct {
 	// Hits counts lookups served from the store; Misses counts lookups
@@ -140,7 +118,9 @@ type Execution struct {
 	Value any
 	// Bytes is the deep size estimate charged against capacity.
 	Bytes int64
-	// Rounds is the simulated-round cost, for admission policies.
+	// Rounds is the simulated-round cost. The cache does not read it; it
+	// stays because benchmark/replay.go sets it (ROADMAP item 7's
+	// benchmark PR may drop it).
 	Rounds int64
 	// NoStore shares the value with coalesced waiters but keeps it out of
 	// the store — for results that are not per-key deterministic (batched
@@ -182,9 +162,6 @@ type Config struct {
 	// always clamped to the per-shard capacity): oversized results are
 	// returned but never admitted.
 	MaxEntryBytes int64
-	// Admit is the optional extra admission policy (nil = admit
-	// everything under MaxEntryBytes).
-	Admit Admission
 }
 
 // Cache is a sharded LRU of immutable results with singleflight
@@ -192,7 +169,6 @@ type Config struct {
 type Cache struct {
 	shards   []shard
 	maxEntry int64
-	admit    Admission
 
 	// Gate, when set, is invoked by Do's leader after its flight is
 	// registered and before exec runs — a test hook to hold an execution
@@ -227,7 +203,6 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		shards:   make([]shard, n),
 		maxEntry: maxEntry,
-		admit:    cfg.Admit,
 	}
 	for i := range c.shards {
 		c.shards[i] = shard{
@@ -317,27 +292,19 @@ func (c *Cache) Wait(ctx context.Context, f *Flight) (any, error) {
 }
 
 // Finish completes a flight obtained from a Miss: publishes the result to
-// every waiter, stores it when admissible, and retires the flight. The
-// stored master is ex.Value itself — the caller must not mutate it after
-// this call (copy-on-return is the caller's job).
+// every waiter, stores it when it fits the per-entry cap, and retires the
+// flight. The stored master is ex.Value itself — the caller must not
+// mutate it after this call (copy-on-return is the caller's job).
 func (c *Cache) Finish(k Key, f *Flight, ex Execution, err error) {
 	f.value, f.err = ex.Value, err
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	delete(sh.flights, k)
-	if err == nil && !ex.NoStore && c.admissible(ex) {
+	if err == nil && !ex.NoStore && ex.Bytes <= c.maxEntry {
 		sh.insertLocked(k, ex.Value, ex.Bytes, c)
 	}
 	sh.mu.Unlock()
 	close(f.done)
-}
-
-// admissible applies the per-entry size cap and the configured policy.
-func (c *Cache) admissible(ex Execution) bool {
-	if ex.Bytes > c.maxEntry {
-		return false
-	}
-	return c.admit == nil || c.admit(EntryInfo{Bytes: ex.Bytes, Rounds: ex.Rounds})
 }
 
 // Do resolves k through the cache: a stored value returns immediately, an

@@ -171,18 +171,6 @@ func TestPerEntryCap(t *testing.T) {
 	}
 }
 
-func TestAdmissionPolicy(t *testing.T) {
-	c := mustNew(t, Config{MaxBytes: 1 << 20, Admit: MinRounds(100)})
-	storeVal(c, t, key(1), "cheap", 10, 99)
-	storeVal(c, t, key(2), "dear", 10, 100)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d: MinRounds(100) must admit only the 100-round result", c.Len())
-	}
-	if _, _, o := c.Begin(key(2)); o != Hit {
-		t.Fatal("the admitted entry is not the high-rounds one")
-	}
-}
-
 func TestPurge(t *testing.T) {
 	c := mustNew(t, Config{MaxBytes: 1 << 20})
 	for i := uint64(0); i < 10; i++ {

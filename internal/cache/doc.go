@@ -91,9 +91,7 @@
 // batched compositions (deterministic per batch, not per key) are
 // offered with NoStore so waiters still share them. On top of that, a
 // per-entry size cap (MaxEntryBytes, clamped to the shard capacity)
-// bounds what one entry may occupy, and an optional Admission policy —
-// e.g. MinRounds, which prefers results whose re-execution would be
-// expensive — filters what remains. Capacity is byte-accounted (deep
+// bounds what one entry may occupy. Capacity is byte-accounted (deep
 // payload estimate plus a fixed per-entry overhead) and enforced per
 // shard by LRU eviction.
 package cache

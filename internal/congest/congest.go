@@ -89,8 +89,8 @@ type Result struct {
 	Words int64
 	// MaxQueue is the deepest any directed-edge queue got.
 	MaxQueue int
-	// Faults aggregates the injected-fault footprint (WithCrash,
-	// WithFaultPlan): messages dropped at down receivers or lossy links,
+	// Faults aggregates the injected-fault footprint (WithFaultPlan):
+	// messages dropped at down receivers or lossy links,
 	// deliveries deferred by link delays, nodes down during the run. The
 	// zero value means a fault-free run.
 	Faults FaultStats
@@ -238,35 +238,6 @@ func WithMaxRounds(r int) Option {
 	}
 }
 
-// WithCrash schedules a crash-stop fault: from the given round of every
-// run onward, node v neither executes nor receives — messages addressed
-// to it are dropped (counted in Result.Faults.Dropped). The paper lists
-// failure robustness as future work (Section 5); this hook provides the
-// fault model for experimenting with it (see the failure-injection
-// tests: the Las Vegas drivers detect token loss rather than returning a
-// wrong sample). An out-of-range node or negative round is recorded as a
-// configuration error (wrapping ErrBadFault) that every subsequent Run
-// returns, matching the package's typed-error discipline. For scripted
-// multi-fault scenarios see WithFaultPlan.
-func WithCrash(v graph.NodeID, round int) Option {
-	return func(n *Network) {
-		if v < 0 || int(v) >= n.g.N() || round < 0 {
-			if n.optErr == nil {
-				n.optErr = fmt.Errorf("%w: WithCrash(%d, %d): node outside [0,%d) or negative round",
-					ErrBadFault, v, round, n.g.N())
-			}
-			return
-		}
-		if n.crashAt == nil {
-			n.crashAt = make([]int, n.g.N())
-			for u := range n.crashAt {
-				n.crashAt[u] = -1
-			}
-		}
-		n.crashAt[v] = round
-	}
-}
-
 // NewNetwork builds a simulator over g, with per-node RNG streams derived
 // from seed.
 func NewNetwork(g *graph.G, seed uint64, opts ...Option) *Network {
@@ -329,7 +300,7 @@ func (n *Network) NodeRNG(v graph.NodeID) *rng.RNG { return &n.nodeRNG[v] }
 // Run executes p until quiescence, a Halter stop, the round budget, or —
 // when a context is installed with SetContext — cancellation. It returns
 // the cost of this run. An invalid fault configuration recorded at
-// construction (WithCrash/WithFaultPlan) fails every Run with that error.
+// construction (WithFaultPlan) fails every Run with that error.
 //
 // The three drivers run the same kernel (kernel.go) and are chosen by
 // what the network can observe: attached remote engines, more than one
@@ -354,7 +325,7 @@ func (n *Network) Run(p Proto) (Result, error) {
 	default:
 		err = n.runLocal(p, halter)
 	}
-	if n.crashAt != nil || n.flt != nil {
+	if n.flt != nil {
 		// Crashed is a post-run census (nodes down by the final round), not
 		// a delivery-path counter, so it is charged once here for every
 		// driver.

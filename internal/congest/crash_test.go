@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"distwalk/internal/fault"
 	"distwalk/internal/graph"
 )
 
@@ -14,7 +15,7 @@ func TestCrashDropsMessages(t *testing.T) {
 	}
 	// Node 1 crashes at round 3: of the 5 serialized messages, rounds 1-2
 	// deliver and rounds 3-5 drop.
-	net := NewNetwork(g, 1, WithCrash(1, 3))
+	net := NewNetwork(g, 1, WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 1, Round: 3}}}))
 	p := &burst{from: 0, to: 1, k: 5}
 	res, err := net.Run(p)
 	if err != nil {
@@ -40,7 +41,7 @@ func TestCrashedNodeDoesNotStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(g, 1, WithCrash(0, 2))
+	net := NewNetwork(g, 1, WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 0, Round: 2}}}))
 	p := &selfTicker{quota: 100}
 	res, err := net.Run(p)
 	if err != nil {
@@ -62,7 +63,7 @@ func TestCrashAtRoundZeroSilencesNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Relay 0→1→2 with node 1 dead from the start: nothing reaches 2.
-	net := NewNetwork(g, 1, WithCrash(1, 0))
+	net := NewNetwork(g, 1, WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 1, Round: 0}}}))
 	p := &relayBurst{k: 4}
 	res, err := net.Run(p)
 	if err != nil {
@@ -77,16 +78,16 @@ func TestCrashAtRoundZeroSilencesNode(t *testing.T) {
 }
 
 // TestCrashInvalidArgsRejected pins the typed-error discipline for fault
-// configuration: an out-of-range WithCrash is recorded on the network
+// configuration: an out-of-range plan crash is recorded on the network
 // and fails every Run with ErrBadFault instead of being silently
 // ignored (it used to be — a plan that never fires is worse than one
 // that fails loudly).
 func TestCrashInvalidArgsRejected(t *testing.T) {
 	g, _ := graph.Path(2)
 	for name, opt := range map[string]Option{
-		"negative node":  WithCrash(-1, 5),
-		"node too large": WithCrash(99, 5),
-		"negative round": WithCrash(0, -1),
+		"negative node":  WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: -1, Round: 5}}}),
+		"node too large": WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 99, Round: 5}}}),
+		"negative round": WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 0, Round: -1}}}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := NewNetwork(g, 1, opt)
@@ -98,7 +99,9 @@ func TestCrashInvalidArgsRejected(t *testing.T) {
 	}
 	// A valid spec alongside an invalid one still fails: the first
 	// configuration error wins and is sticky.
-	net := NewNetwork(g, 1, WithCrash(1, 3), WithCrash(99, 5))
+	net := NewNetwork(g, 1,
+		WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 1, Round: 3}}}),
+		WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 99, Round: 5}}}))
 	if _, err := net.Run(&burst{from: 0, to: 1, k: 1}); !errors.Is(err, ErrBadFault) {
 		t.Fatalf("Run = %v, want ErrBadFault", err)
 	}
@@ -111,7 +114,7 @@ func TestBFSTreeDetectsCrashedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(g, 1, WithCrash(5, 0))
+	net := NewNetwork(g, 1, WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 5, Round: 0}}}))
 	if _, _, err := BuildBFSTree(net, 0); err == nil {
 		t.Fatal("BFS over a crashed node reported success")
 	}

@@ -359,12 +359,6 @@ func TestConnectRemoteValidation(t *testing.T) {
 			t.Fatalf("err = %v, want ErrShardPlan", err)
 		}
 	})
-	t.Run("with-crash", func(t *testing.T) {
-		net := NewNetwork(g, 1, WithCrash(3, 2))
-		if err := net.ConnectRemote(group, bounds); !errors.Is(err, ErrShardPlan) {
-			t.Fatalf("err = %v, want ErrShardPlan", err)
-		}
-	})
 	t.Run("cap-func", func(t *testing.T) {
 		net := NewNetwork(g, 1, WithEdgeCapFunc(func(from, to graph.NodeID) int { return 2 }))
 		if err := net.ConnectRemote(group, bounds); !errors.Is(err, ErrShardPlan) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Typed fault taxonomy. ErrBadFault reports invalid fault configuration
-// (WithCrash out of range, a malformed or non-edge-referencing plan);
+// (a malformed, out-of-range or non-edge-referencing plan);
 // it is recorded on the Network at construction and returned by Run, so
 // option application itself stays infallible. ErrNodeCrashed and
 // ErrMessageLost are run-time outcomes: the protocol layer converts a
@@ -62,8 +62,8 @@ func (e *MessageLostError) Unwrap() error { return ErrMessageLost }
 // FaultStats aggregates the injected-fault footprint of one or more runs.
 // The zero value means no fault fired.
 type FaultStats struct {
-	// Dropped counts messages lost to down receivers (WithCrash nodes,
-	// plan crashes and churn windows).
+	// Dropped counts messages lost to down receivers (plan crashes and
+	// churn windows).
 	Dropped int64
 	// LinkDropped counts messages lost to lossy-link sampling.
 	LinkDropped int64
@@ -182,11 +182,7 @@ func (f *faultState) downEver(v graph.NodeID, round int) bool {
 func (n *Network) downCount() int {
 	c := 0
 	for v := 0; v < n.g.N(); v++ {
-		down := n.crashAt != nil && n.crashAt[v] >= 0 && n.crashAt[v] <= n.round
-		if !down && n.flt != nil {
-			down = n.flt.downEver(graph.NodeID(v), n.round)
-		}
-		if down {
+		if n.flt.downEver(graph.NodeID(v), n.round) {
 			c++
 		}
 	}
@@ -300,8 +296,7 @@ func (n *links) linkEdges(from, to graph.NodeID) ([]int32, error) {
 }
 
 // WithFaultPlan installs a fault plan at construction; see SetFaultPlan.
-// An invalid plan is recorded on the network and returned by Run, like
-// an invalid WithCrash.
+// An invalid plan is recorded on the network and returned by Run.
 func WithFaultPlan(p *fault.Plan) Option {
 	return func(n *Network) {
 		if err := n.SetFaultPlan(p); err != nil && n.optErr == nil {

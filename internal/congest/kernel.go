@@ -42,9 +42,8 @@ type links struct {
 	// only ever touched by that half.
 	queues []queue
 
-	crashAt []int       // WithCrash rounds per node (-1 = never); nil until one is armed
-	flt     *faultState // compiled fault plan, nil on the fault-free path; see fault.go
-	round   int
+	flt   *faultState // compiled fault plan, nil on the fault-free path; see fault.go
+	round int
 }
 
 // halfIndex sorts one node's neighbor segment by (To, directed index).
@@ -121,19 +120,10 @@ func sendError(from, to graph.NodeID, words int) error {
 	return fmt.Errorf("congest: node %d sent to non-neighbor %d", from, to)
 }
 
-// crashed reports whether v is down at the current round: crash-stopped
-// via WithCrash, or scheduled down (crash or churn window) by the
-// installed fault plan. The fault-free test inlines into the per-message
-// and per-step callers.
+// crashed reports whether v is down at the current round: scheduled down
+// (crash or churn window) by the installed fault plan. The fault-free
+// test inlines into the per-message and per-step callers.
 func (l *links) crashed(v graph.NodeID) bool {
-	return (l.crashAt != nil || l.flt != nil) && l.down(v)
-}
-
-// down is crashed's lookup once some fault is armed.
-func (l *links) down(v graph.NodeID) bool {
-	if l.crashAt != nil && l.crashAt[v] >= 0 && l.round >= l.crashAt[v] {
-		return true
-	}
 	return l.flt != nil && l.flt.down(v, l.round)
 }
 

@@ -58,9 +58,9 @@ type RemoteResult struct {
 // network's own transport stays unused; any in-process shard layout is
 // torn down. Cluster mode supports the uniform edge capacity and fault
 // plans (shipped to the engines at dial time by the caller); the
-// per-edge capacity table and WithCrash schedules are client-local
-// constructs the engines never see, so a network using them refuses to
-// connect. Pass an empty group to restore in-process execution.
+// per-edge capacity table is a client-local construct the engines never
+// see, so a network using it refuses to connect. Pass an empty group to
+// restore in-process execution.
 func (n *Network) ConnectRemote(group []RemoteShard, bounds []int32) error {
 	if len(group) == 0 {
 		n.remote = nil
@@ -71,9 +71,6 @@ func (n *Network) ConnectRemote(group []RemoteShard, bounds []int32) error {
 	if !validBounds(bounds, n.g.N()) || len(bounds) != len(group)+1 {
 		return fmt.Errorf("%w: %d engines against bounds %v over [0,%d]",
 			ErrShardPlan, len(group), bounds, n.g.N())
-	}
-	if n.crashAt != nil {
-		return fmt.Errorf("%w: WithCrash schedules are not supported in cluster mode (use a fault plan)", ErrShardPlan)
 	}
 	if n.capOf != nil {
 		return fmt.Errorf("%w: per-edge capacities are not supported in cluster mode", ErrShardPlan)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"distwalk/internal/fault"
 	"distwalk/internal/graph"
 )
 
@@ -254,7 +255,7 @@ func TestShardIdentityWithCrashAndCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := map[string][]Option{
-		"crash":  {WithCrash(7, 5), WithCrash(20, 1)},
+		"crash":  {WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 7, Round: 5}, {Node: 20, Round: 1}}})},
 		"cap3":   {WithEdgeCap(3)},
 		"capfn":  {WithEdgeCapFunc(func(from, to graph.NodeID) int { return 1 + int(from+to)%3 })},
 		"budget": {WithMaxRounds(9)},

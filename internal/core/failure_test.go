@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"distwalk/internal/congest"
+	"distwalk/internal/fault"
 	"distwalk/internal/graph"
 )
 
@@ -25,7 +26,7 @@ func TestNaiveWalkDetectsTokenLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild the walker's network with a crash injected.
-	w.net = congest.NewNetwork(g, 3, congest.WithCrash(2, 0))
+	w.net = congest.NewNetwork(g, 3, congest.WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 2, Round: 0}}}))
 	_, err = w.SingleRandomWalk(0, 3)
 	if err == nil {
 		// ℓ=3 uses the naive path; with node 2 dead the tree build or the
@@ -53,7 +54,7 @@ func TestStitchedWalkDetectsCrashDuringPhase2(t *testing.T) {
 	// Crash a node well after the BFS/Phase 1 bursts so the failure lands
 	// mid-stitching; on a torus every node is on some walk's path with
 	// high probability, and the convergecast through it must stall.
-	w.net = congest.NewNetwork(g, 5, congest.WithCrash(7, 40), congest.WithMaxRounds(20000))
+	w.net = congest.NewNetwork(g, 5, congest.WithFaultPlan(&fault.Plan{Crashes: []fault.Crash{{Node: 7, Round: 40}}}), congest.WithMaxRounds(20000))
 	_, err = w.SingleRandomWalk(0, 2000)
 	if err == nil {
 		t.Fatal("stitched walk with a mid-run crash reported success")

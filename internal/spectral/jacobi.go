@@ -11,39 +11,17 @@ import (
 // The input is modified in place. Convergence is quadratic; for the sizes
 // used here (n ≤ 2000) a handful of sweeps suffice.
 func SymEig(a [][]float64) ([]float64, error) {
-	eig, _, err := symEig(a, false)
-	return eig, err
-}
-
-// SymEigVec is SymEig but additionally returns the orthonormal
-// eigenvectors: vecs[k] is the eigenvector for the k-th returned
-// eigenvalue.
-func SymEigVec(a [][]float64) ([]float64, [][]float64, error) {
-	return symEig(a, true)
-}
-
-func symEig(a [][]float64, wantVecs bool) ([]float64, [][]float64, error) {
 	n := len(a)
 	for i, row := range a {
 		if len(row) != n {
-			return nil, nil, fmt.Errorf("spectral: matrix is not square (row %d has %d cols, want %d)", i, len(row), n)
+			return nil, fmt.Errorf("spectral: matrix is not square (row %d has %d cols, want %d)", i, len(row), n)
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if math.Abs(a[i][j]-a[j][i]) > 1e-9 {
-				return nil, nil, fmt.Errorf("spectral: matrix is not symmetric at (%d,%d)", i, j)
+				return nil, fmt.Errorf("spectral: matrix is not symmetric at (%d,%d)", i, j)
 			}
-		}
-	}
-	// vecs accumulates the product of rotations: columns converge to the
-	// eigenvectors of the original matrix.
-	var vecs [][]float64
-	if wantVecs {
-		vecs = make([][]float64, n)
-		for i := range vecs {
-			vecs[i] = make([]float64, n)
-			vecs[i][i] = 1
 		}
 	}
 	const (
@@ -57,39 +35,23 @@ func symEig(a [][]float64, wantVecs bool) ([]float64, [][]float64, error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				rotate(a, vecs, p, q)
+				rotate(a, p, q)
 			}
 		}
 	}
 	if off := offDiagNorm(a); off > 1e-7 {
-		return nil, nil, fmt.Errorf("spectral: Jacobi did not converge (off-diagonal norm %v)", off)
+		return nil, fmt.Errorf("spectral: Jacobi did not converge (off-diagonal norm %v)", off)
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return a[order[i]][order[i]] > a[order[j]][order[j]] })
 	eig := make([]float64, n)
-	var outVecs [][]float64
-	if wantVecs {
-		outVecs = make([][]float64, n)
+	for i := range eig {
+		eig[i] = a[i][i]
 	}
-	for k, idx := range order {
-		eig[k] = a[idx][idx]
-		if wantVecs {
-			col := make([]float64, n)
-			for r := 0; r < n; r++ {
-				col[r] = vecs[r][idx]
-			}
-			outVecs[k] = col
-		}
-	}
-	return eig, outVecs, nil
+	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
+	return eig, nil
 }
 
-// rotate zeroes a[p][q] with a Givens rotation applied symmetrically,
-// accumulating the rotation into vecs when non-nil.
-func rotate(a, vecs [][]float64, p, q int) {
+// rotate zeroes a[p][q] with a Givens rotation applied symmetrically.
+func rotate(a [][]float64, p, q int) {
 	apq := a[p][q]
 	if apq == 0 {
 		return
@@ -119,13 +81,6 @@ func rotate(a, vecs [][]float64, p, q int) {
 		a[p][i] = a[i][p]
 		a[i][q] = aiq + s*(aip-tau*aiq)
 		a[q][i] = a[i][q]
-	}
-	if vecs != nil {
-		for i := range vecs {
-			vip, viq := vecs[i][p], vecs[i][q]
-			vecs[i][p] = vip - s*(viq+tau*vip)
-			vecs[i][q] = viq + s*(vip-tau*viq)
-		}
 	}
 }
 

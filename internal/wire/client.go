@@ -15,7 +15,8 @@ import (
 // Session timing defaults; DialConfig zero values resolve to these.
 const (
 	// DefaultHandshakeTimeout bounds the TCP dial plus the Hello/Welcome
-	// exchange when DialConfig leaves HandshakeTimeout unset.
+	// exchange of every client session, and a server's when ServerConfig
+	// leaves HandshakeTimeout unset.
 	DefaultHandshakeTimeout = 30 * time.Second
 	// DefaultHeartbeatTimeout bounds one idle Ping/Pong exchange when
 	// neither HeartbeatTimeout nor RoundTimeout is set.
@@ -80,9 +81,6 @@ func isTimeout(err error) bool {
 // reproduces a deadline-free, heartbeat-free session (handshake timeout
 // aside), which is what DialEngine uses.
 type DialConfig struct {
-	// HandshakeTimeout bounds the TCP dial plus the Hello/Welcome
-	// exchange (0 = DefaultHandshakeTimeout).
-	HandshakeTimeout time.Duration
 	// RoundTimeout is the per-exchange I/O deadline armed before every
 	// Push/Deliver/RunResult round trip: an engine that does not answer
 	// within it fails the run with ErrEngineTimeout instead of hanging
@@ -198,11 +196,7 @@ func DialEngine(addr string, h Hello) (*EngineConn, error) {
 // handshake for h under cfg's timing policy, starting the idle heartbeat
 // if configured.
 func DialEngineConfig(addr string, h Hello, cfg DialConfig) (*EngineConn, error) {
-	hsTO := cfg.HandshakeTimeout
-	if hsTO <= 0 {
-		hsTO = DefaultHandshakeTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, hsTO)
+	conn, err := net.DialTimeout("tcp", addr, DefaultHandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
@@ -215,7 +209,7 @@ func DialEngineConfig(addr string, h Hello, cfg DialConfig) (*EngineConn, error)
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(time.Now().Add(hsTO))
+	conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	c.sbuf = encodeHello(c.sbuf[:0], h)
 	if err := writeFrame(c.bw, FrameHello, c.sbuf); err != nil {
 		conn.Close()

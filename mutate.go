@@ -8,7 +8,7 @@ package distwalk
 // as generation+1, and retires the old epoch. What happens to requests
 // in flight across the boundary is the caller's choice per request:
 //
-//   - Epoch pinning (default, WithEpochPinning): the request completes
+//   - Epoch pinning (the default): the request completes
 //     against the immutable snapshot it admitted under — the result is
 //     exactly what a never-mutated service would return. Pinned results
 //     are not stored in the result cache (they would be stale on

@@ -619,7 +619,7 @@ func TestOptionScopeRejected(t *testing.T) {
 		t.Fatalf("per-request WithResultCache: err = %v, want ErrOptionScope", err)
 	}
 	// Per-request options still work, construction still honors both.
-	if _, err := svc.SingleRandomWalk(ctx, 4, 0, 64, distwalk.WithMaxRounds(1<<20), distwalk.WithEpochPinning()); err != nil {
+	if _, err := svc.SingleRandomWalk(ctx, 4, 0, 64, distwalk.WithMaxRounds(1<<20)); err != nil {
 		t.Fatal(err)
 	}
 }

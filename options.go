@@ -30,14 +30,13 @@ type config struct {
 	batchOn bool
 	batch   sched.Config
 	// retries is the number of re-executions after a retryable failure
-	// (0 = fail fast), backoff the base of their exponential wait.
+	// (0 = fail fast).
 	retries int
-	backoff time.Duration
 	// partial switches ManyRandomWalks to per-walk failure isolation.
 	partial bool
 	// staleAbort fails requests straddling a topology mutation with
 	// ErrStaleGeneration instead of pinning them to their admission
-	// epoch (see WithStaleAbort / WithEpochPinning).
+	// epoch (see WithStaleAbort).
 	staleAbort bool
 	// fplan is the deterministic fault plan installed on every worker
 	// network (construction-time only; see WithFaultPlan).
@@ -45,9 +44,6 @@ type config struct {
 	// cacheBytes enables the deterministic result cache with this byte
 	// capacity (construction-time only; see WithResultCache). 0 = no cache.
 	cacheBytes int64
-	// cacheAdmit is the optional cache admission policy (construction-time
-	// only; see WithCacheAdmission).
-	cacheAdmit CacheAdmission
 	// cluster is the distwalkd engine address list (construction-time
 	// only; see WithCluster). Empty = in-process execution.
 	cluster []string
@@ -57,9 +53,6 @@ type config struct {
 	// clusterRound is the per-exchange engine I/O deadline (0 = the 30s
 	// default; see WithClusterRoundTimeout). Per-request overridable.
 	clusterRound time.Duration
-	// clusterHandshake bounds dial + handshake of every engine session,
-	// reconnects included (construction-time only; 0 = the wire default).
-	clusterHandshake time.Duration
 	// clusterHeartbeat is the idle heartbeat interval (construction-time
 	// only; 0 = the 10s default, negative = disabled).
 	clusterHeartbeat time.Duration
@@ -81,19 +74,18 @@ func defaultConfig() config {
 // the call site. Options come in two scopes:
 //
 //   - Per-request options (walk parameterization, budgets, retries,
-//     partial results, the epoch-pinning mode, cluster fallback and
-//     round timeout) may be passed to NewService — where they set the
-//     service default — or to any request method, where they override
-//     the default for that request only.
+//     partial results, stale abort, cluster fallback and round timeout)
+//     may be passed to NewService — where they set the service default —
+//     or to any request method, where they override the default for that
+//     request only.
 //
 //   - Construction-only options shape state that exists once per
 //     service: the worker pool (WithWorkers), the shard layout
 //     (WithShards), cluster membership and its session policies
-//     (WithCluster, WithClusterHandshakeTimeout, WithClusterHeartbeat,
-//     WithClusterBackoff), the batching scheduler (WithBatching,
-//     WithBatchQueueLimit), the result cache (WithResultCache,
-//     WithCacheAdmission) and the fault plan (WithFaultPlan). Passing
-//     one to a request method fails the call with a *OptionScopeError
+//     (WithCluster, WithClusterHeartbeat, WithClusterBackoff), the
+//     batching scheduler (WithBatching), the result cache
+//     (WithResultCache) and the fault plan (WithFaultPlan). Passing one
+//     to a request method fails the call with a *OptionScopeError
 //     matching ErrOptionScope — there is no per-request meaning it
 //     could honor. Each option's doc comment states its scope.
 type Option struct {
@@ -251,18 +243,6 @@ func WithClusterRoundTimeout(d time.Duration) Option {
 	})
 }
 
-// WithClusterHandshakeTimeout bounds the TCP dial plus Hello/Welcome
-// exchange of every engine session — the initial W×S dials and every
-// supervisor reconnect (default: the wire package's 30s).
-// Construction-only: per-request use fails with ErrOptionScope.
-func WithClusterHandshakeTimeout(d time.Duration) Option {
-	return ctorOption("WithClusterHandshakeTimeout", func(c *config) {
-		if d > 0 {
-			c.clusterHandshake = d
-		}
-	})
-}
-
 // WithClusterHeartbeat sets the idle heartbeat interval of cluster
 // sessions: while no run is in flight, each session pings its engine
 // every d and treats a missed reply as a lost engine (counted in
@@ -347,16 +327,6 @@ func WithResultCache(bytes int64) Option {
 	})
 }
 
-// WithCacheAdmission installs an admission policy on the result cache:
-// only successful results the policy accepts are stored (e.g.
-// CacheMinRounds keeps the expensive ones). Policies never see failed,
-// partial, or batched-composition results — those are never offered.
-// No-op without WithResultCache. Construction-only: per-request use
-// fails with ErrOptionScope.
-func WithCacheAdmission(policy CacheAdmission) Option {
-	return ctorOption("WithCacheAdmission", func(c *config) { c.cacheAdmit = policy })
-}
-
 // WithRetry sets how many times a failed request is re-executed before
 // its error is returned (default 0: fail fast). Only retryable failures
 // re-execute — see Retryable: typed fault errors (ErrNodeCrashed,
@@ -369,25 +339,13 @@ func WithCacheAdmission(policy CacheAdmission) Option {
 // retries. A stale-generation retry is the exception to the salting: it
 // re-admits on the new topology with the original attempt seed, so the
 // retried request is bit-identical to one freshly submitted after the
-// mutation. Context deadlines are honored between attempts (see
-// WithBackoff). Applies per request or as a service default.
+// mutation. Retries run back to back — the "network" is simulated, so
+// there is nothing to wait for — and the request context is checked
+// between attempts. Applies per request or as a service default.
 func WithRetry(max int) Option {
 	return newOption("WithRetry", func(c *config) {
 		if max >= 0 {
 			c.retries = max
-		}
-	})
-}
-
-// WithBackoff sets the base wait before retries: the r-th retry waits
-// base << (r-1), aborting early (with the context error) if the request
-// context expires first. Default 0: retries run back to back — the
-// "network" is simulated, so waiting is only useful when callers want to
-// rate-limit recovery work. Per request or service default.
-func WithBackoff(base time.Duration) Option {
-	return newOption("WithBackoff", func(c *config) {
-		if base >= 0 {
-			c.backoff = base
 		}
 	})
 }
@@ -401,18 +359,6 @@ func WithBackoff(base time.Duration) Option {
 // Per request or service default.
 func WithPartialResults() Option {
 	return newOption("WithPartialResults", func(c *config) { c.partial = true })
-}
-
-// WithEpochPinning makes requests that straddle an ApplyMutations (or
-// InvalidateCache) complete against the topology generation they
-// admitted under — the default. The pre-mutation graph is immutable and
-// stays alive as long as pinned requests reference it, so results are
-// exactly those of a service never mutated; they are simply not cached
-// (the store would be stale on arrival). Applies per request or as a
-// service default; the explicit option exists to override a service
-// built with WithStaleAbort.
-func WithEpochPinning() Option {
-	return newOption("WithEpochPinning", func(c *config) { c.staleAbort = false })
 }
 
 // WithStaleAbort makes requests that straddle a topology mutation fail
@@ -437,18 +383,4 @@ func WithStaleAbort() Option {
 // invalidate the installed plan (removing a faulted link).
 func WithFaultPlan(p *FaultPlan) Option {
 	return ctorOption("WithFaultPlan", func(c *config) { c.fplan = p })
-}
-
-// WithBatchQueueLimit bounds each batch admission queue (default 4x the
-// batch size). When executions cannot keep up and a queue is full,
-// SubmitWalk fails fast with ErrQueueFull instead of queueing
-// unboundedly. A limit below the batch size is honored: batches then cap
-// at the limit and flush on the delay window. Construction-only:
-// per-request use fails with ErrOptionScope.
-func WithBatchQueueLimit(n int) Option {
-	return ctorOption("WithBatchQueueLimit", func(c *config) {
-		if n >= 1 {
-			c.batch.QueueLimit = n
-		}
-	})
 }

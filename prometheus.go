@@ -15,9 +15,10 @@ import (
 //
 // The exposition is hand-written — no client library — and covers the
 // topology generation and mutation activity, the result cache, retry
-// recovery, the batching scheduler, and (in cluster mode) per-engine
-// health and traffic. Counters are cumulative since service start;
-// gauges (generation, cache bytes, engine health) are instantaneous.
+// recovery, the batching scheduler, per-shard work and barrier time
+// (with WithShards), and (in cluster mode) per-engine health and traffic.
+// Counters are cumulative since service start; gauges (generation, cache
+// bytes, engine health) are instantaneous.
 func (s *Service) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -78,6 +79,26 @@ func writeMetrics(b *strings.Builder, st ServiceStats) {
 	counter(b, "distwalk_batch_flushes_total", "Flushed batch executions, by trigger.",
 		sample{l: `trigger="size"`, v: float64(st.FlushBySize)},
 		sample{l: `trigger="delay"`, v: float64(st.FlushByDelay)})
+	counter(b, "distwalk_batched_walks_total", "Walks executed inside batches; with distwalk_batch_rounds_total, the amortized rounds per batched walk.",
+		sample{v: float64(st.BatchedWalks)})
+	counter(b, "distwalk_batch_rounds_total", "Simulated rounds spent by batch executions.",
+		sample{v: float64(st.BatchCost.Rounds)})
+
+	// Shard work and barrier time (absent without WithShards).
+	if len(st.Shards.Stepped) > 0 {
+		steps := make([]sample, len(st.Shards.Stepped))
+		delivered := make([]sample, len(steps))
+		wait := make([]sample, len(steps))
+		for i := range steps {
+			l := `shard="` + strconv.Itoa(i) + `"`
+			steps[i] = sample{l: l, v: float64(st.Shards.Stepped[i])}
+			delivered[i] = sample{l: l, v: float64(st.Shards.Delivered[i])}
+			wait[i] = sample{l: l, v: st.Shards.BarrierWait[i].Seconds()}
+		}
+		counter(b, "distwalk_shard_steps_total", "Protocol steps executed, per network shard.", steps...)
+		counter(b, "distwalk_shard_delivered_total", "Messages merged at round barriers, per network shard.", delivered...)
+		counter(b, "distwalk_shard_barrier_wait_seconds_total", "Time spent waiting at round barriers (spin included), per network shard.", wait...)
+	}
 
 	// Cluster health and traffic (absent without WithCluster).
 	if len(st.Cluster.Engines) > 0 {

@@ -45,7 +45,7 @@ type requestKind[T any] struct {
 	// run executes the request on a worker's prepared walker.
 	run func(w *core.Walker, cfg *config, op operands) (T, error)
 	// entry sizes a result for the cache (see cache_service.go).
-	entry func(T) (bytes, rounds int64, storable bool)
+	entry func(T) (bytes int64, storable bool)
 	// copy deep-copies a frozen master for return.
 	copy func(T) T
 	// walk views a result as a submitted walk (the async kinds only).
@@ -218,11 +218,11 @@ func serveAt[T any](ctx context.Context, s *Service, k *requestKind[T], key uint
 		if err != nil {
 			return cache.Execution{}, err
 		}
-		bytes, rounds, storable := k.entry(res)
+		bytes, storable := k.entry(res)
 		// An epoch-pinned result that outlived its generation is shared
 		// with the flight's waiters but never stored: its own key is
 		// already unreachable, and it is stale under any successor's.
-		return cache.Execution{Value: res, Bytes: bytes, Rounds: rounds, NoStore: !storable || s.topo.Load() != snap}, nil
+		return cache.Execution{Value: res, Bytes: bytes, NoStore: !storable || s.topo.Load() != snap}, nil
 	})
 	if err != nil {
 		// The only error Do surfaces unwrapped is a coalesced waiter's own

@@ -173,7 +173,7 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	}
 	s.topo.Store(&topology{gen: 1, g: g, stale: make(chan struct{})})
 	if cfg.cacheBytes > 0 {
-		cc, err := cache.New(cache.Config{MaxBytes: cfg.cacheBytes, Admit: cfg.cacheAdmit})
+		cc, err := cache.New(cache.Config{MaxBytes: cfg.cacheBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +278,6 @@ func (s *Service) initCluster(workers []*poolWorker) error {
 	}
 	s.clusterPlan.Store(&clusterPlan{g: g, bounds: base.Bounds})
 	dial := wire.DialConfig{
-		HandshakeTimeout:  s.cfg.clusterHandshake,
 		RoundTimeout:      s.cfg.clusterRoundTimeout(),
 		HeartbeatInterval: s.cfg.clusterHeartbeatInterval(),
 	}
@@ -753,7 +752,7 @@ func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topo
 			}
 			return err
 		}
-		if werr := s.backoffWait(ctx, cfg.backoff, tries); werr != nil {
+		if werr := ctx.Err(); werr != nil {
 			return fmt.Errorf("distwalk: request %d retry abandoned: %w (last attempt: %w)", key, werr, err)
 		}
 		tries++
@@ -770,28 +769,6 @@ func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topo
 // scheduling rejection).
 func isFaultErr(err error) bool {
 	return errors.Is(err, ErrNodeCrashed) || errors.Is(err, ErrMessageLost)
-}
-
-// backoffWait sleeps base << attempt before the next retry, honoring the
-// request context and service shutdown. attempt is the zero-based index
-// of the attempt that just failed, so the first retry waits base.
-func (s *Service) backoffWait(ctx context.Context, base time.Duration, attempt int) error {
-	if base <= 0 {
-		return ctx.Err()
-	}
-	if attempt > 16 {
-		attempt = 16 // cap the shift; minutes of simulated patience is plenty
-	}
-	t := time.NewTimer(base << uint(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.quit:
-		return ErrServiceClosed
-	}
 }
 
 // submitOnce runs one attempt of fn on a pool worker and waits for it.

@@ -218,7 +218,6 @@ func testShardIdentityFaulty(t *testing.T, shards int) {
 			distwalk.WithWorkers(2),
 			distwalk.WithFaultPlan(plan),
 			distwalk.WithRetry(2),
-			distwalk.WithBackoff(0),
 			distwalk.WithPartialResults(),
 		}, opts...)...)
 		if err != nil {

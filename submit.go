@@ -207,12 +207,8 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 	}
 	ch, err := s.batch.Submit(ctx, req)
 	// Backpressure retry: a full admission queue drains as batches flush,
-	// so with WithRetry we wait out the backoff and re-admit instead of
-	// failing fast.
-	for attempt := 0; err != nil && errors.Is(err, sched.ErrQueueFull) && attempt < cfg.retries; attempt++ {
-		if werr := s.backoffWait(ctx, cfg.backoff, attempt); werr != nil {
-			break
-		}
+	// so with WithRetry we re-admit instead of failing fast.
+	for attempt := 0; err != nil && errors.Is(err, sched.ErrQueueFull) && attempt < cfg.retries && ctx.Err() == nil; attempt++ {
 		s.retryRetries.Add(1)
 		ch, err = s.batch.Submit(ctx, req)
 	}
