@@ -52,27 +52,33 @@ func BenchmarkEngineBurst(b *testing.B) {
 
 // benchToken forwards a single token for `hops` random steps — the
 // steady-state shape of every walk protocol (1 active edge, 1 message per
-// round, sparse step set).
+// round, sparse step set) — addressed by NodeID through Send or, with
+// byPort, by the drawn port through SendPort.
 type benchToken struct {
-	hops int
+	hops   int
+	byPort bool
+}
+
+func (p *benchToken) send(ctx *Ctx, rem int) {
+	port := ctx.RNG().Intn(ctx.Degree())
+	if p.byPort {
+		ctx.SendPort(port, intPayload(0).Kind(), 1, uint64(rem), 0, 0, 0)
+		return
+	}
+	Send(ctx, ctx.Neighbors()[port].To, intPayload(rem))
 }
 
 func (p *benchToken) Init(ctx *Ctx) {
-	if ctx.Node() != 0 {
-		return
+	if ctx.Node() == 0 {
+		p.send(ctx, p.hops-1)
 	}
-	hs := ctx.Neighbors()
-	Send(ctx, hs[ctx.RNG().Intn(len(hs))].To, intPayload(p.hops-1))
 }
 
 func (p *benchToken) Step(ctx *Ctx) {
 	for _, m := range ctx.Inbox() {
-		rem := int(As[intPayload](m))
-		if rem <= 0 {
-			continue
+		if rem := int(As[intPayload](m)); rem > 0 {
+			p.send(ctx, rem-1)
 		}
-		hs := ctx.Neighbors()
-		Send(ctx, hs[ctx.RNG().Intn(len(hs))].To, intPayload(rem-1))
 	}
 }
 
@@ -81,13 +87,21 @@ func BenchmarkEngineTokenWalk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net := NewNetwork(g, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Run(&benchToken{hops: 1024}); err != nil {
-			b.Fatal(err)
+	for _, byPort := range []bool{false, true} {
+		name := "to"
+		if byPort {
+			name = "port"
 		}
+		b.Run(name, func(b *testing.B) {
+			net := NewNetwork(g, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := net.Run(&benchToken{hops: 1024, byPort: byPort}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

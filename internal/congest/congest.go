@@ -389,8 +389,8 @@ func (n *Network) send(c *Ctx, to graph.NodeID, kind uint16, words int, w *[Payl
 		sh.runErr = sh.enqueue(c.node, to, kind, words, w)
 		return
 	}
-	if words < 1 || n.nbrIndex(c.node, to) < 0 {
-		sh.runErr = sendError(c.node, to, words)
+	if !wordsOK(words) || n.nbrIndex(c.node, to) < 0 {
+		sh.runErr = sendError(c.node, to, 0, words)
 		return
 	}
 	d := n.remoteOf[c.node]
@@ -418,11 +418,38 @@ func (c *Ctx) Inbox() []Message { return c.inbox }
 
 // Send enqueues a message to a neighbor; it is delivered no earlier than
 // the next round, later under congestion. It is a free function because Go
-// methods cannot be generic; the concrete payload type makes the
-// encode a static call with no interface boxing.
+// methods cannot be generic. Nothing boxes or allocates, but the payload's
+// methods are three indirect calls through the instantiation's dictionary
+// (see doc.go); protocols that send once per walk step use SendPort.
 func Send[V Payload](c *Ctx, to graph.NodeID, p V) {
 	w := p.Encode() // handed on by address: re-copying it per call level stalls the send path
 	c.net.send(c, to, p.Kind(), p.Words(), &w)
+}
+
+// SendPort is Send addressed by port — the index into Neighbors() that a
+// walk step has just drawn — with the payload already encoded: kind, size
+// and the words as scalars, which travel in registers to the queue slot.
+// Without parallel edges at the node the port is the directed edge and
+// nothing is looked up; with them it names the neighbor and the
+// least-loaded edge is picked exactly as Send would (see doc.go).
+func (c *Ctx) SendPort(port int, kind uint16, words int, w0, w1, w2, w3 uint64) {
+	sh := c.sh
+	if sh.runErr != nil {
+		return
+	}
+	n := c.net
+	if n.remote == nil {
+		sh.runErr = sh.enqueuePort(c.node, port, kind, words, w0, w1, w2, w3)
+		return
+	}
+	hs := n.g.Neighbors(c.node)
+	if uint(port) >= uint(len(hs)) || !wordsOK(words) {
+		sh.runErr = sendError(c.node, graph.None, port, words)
+		return
+	}
+	d := n.remoteOf[c.node]
+	n.pushBuf[d] = append(n.pushBuf[d], Message{From: c.node, To: hs[port].To, Kind: kind, words: uint16(words),
+		W: [PayloadWords]uint64{w0, w1, w2, w3}})
 }
 
 // RNG returns this node's persistent random stream.

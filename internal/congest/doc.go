@@ -41,17 +41,27 @@
 //
 // Messages are word-encoded, not boxed. A Message carries its payload
 // inline as up to PayloadWords uint64 words plus a protocol-defined Kind
-// tag. Payload types pack themselves in Encode/Decode; the generic
-// Send[V] makes the encode a static call on the concrete type. The old
-// engine stored payloads in an interface field, which heap-allocated on
-// every send (any non-pointer value boxed into an interface escapes) and
-// made every queue a GC scan target. Word encoding also matches the
-// model: a payload IS O(log n) bits, so it fits in O(1) machine words.
+// tag. Payload types pack themselves in Encode/Decode and the generic
+// Send[V] takes the concrete type, so nothing is boxed. The old engine
+// stored payloads in an interface field, which heap-allocated on every
+// send (any non-pointer value boxed into an interface escapes) and made
+// every queue a GC scan target. Word encoding also matches the model: a
+// payload IS O(log n) bits, so it fits in O(1) machine words. What the
+// generic call is not is static. Go compiles one Send body per GC shape
+// and reaches the type's methods through a dictionary, so in the
+// disassembly Encode, Kind and Words are three indirect calls (CALL CX,
+// CALL BX twice), and Encode's [4]uint64 comes back through the stack as
+// four 8-byte stores that are then re-read 16 bytes at a time (MOVUPS) —
+// a store-forwarding stall on every send. That is noise for a tree sweep;
+// for a walk token, sent once per walk step, it was 13 % of a Phase-1
+// profile. So the token path calls SendPort: kind, size and the payload
+// words as scalar arguments, which travel in registers to the queue slot
+// and are stored there 8 bytes at a time.
 //
 // Queues are chains through one slab per edge half. A directed edge keeps
 // a 12-byte header (queue: head, tail, size) and every message queued on
 // any edge of a half lives in that half's slotPool — a []Message and a
-// parallel []int32 of links, an intrusive FIFO chain per edge. enqueue
+// parallel []int32 of links, an intrusive FIFO chain per edge. put
 // assembles the message in a slot, drain pops it in place. A popped slot
 // goes on a free stack and is the next one handed out; a fresh slot is
 // appended only when none is free. What is retained is therefore the
@@ -67,6 +77,19 @@
 // (nbrTo/nbrEdge) instead of a per-node map[NodeID][]int32; parallel
 // edges sit contiguously in adjacency order, so the least-loaded
 // tie-break picks the same edge the map index did.
+//
+// A send can also be addressed by port. The j-th half-edge of node u is
+// directed edge off[u]+j, and a walk step draws exactly that j
+// (graph.StepPort), so SendPort needs no search — whose two
+// data-dependent branches mispredict on a random neighbor. The
+// parallel-edge rule: a node joined to some neighbor by more than one
+// edge has a choice to make, so its port only names the neighbor and the
+// send takes the same lookup and least-loaded pick as Send; every other
+// node's port IS the edge. Which nodes those are is one bit per node that
+// buildIndex derives while it sorts (so every Reshape does), not a
+// setting. Both fronts land the message through put, so queue depths,
+// fault ordinals and counters cannot tell the two addressings apart
+// (TestSendPortMatchesSend).
 //
 // Determinism argument: delivery iterates edges in ascending directed
 // index (drain order = old sorted order); within an edge, FIFO; node
@@ -124,10 +147,12 @@
 // The code that charges a round exists once (kernel.go). A shard is a
 // contiguous ascending node range, split into two halves:
 //
-//   - The edge half owns the directed edges leaving those nodes. enqueue
-//     is the only way a message enters one of its queues (neighbor
-//     lookup, least-loaded parallel-edge pick, delay-start write,
-//     activity mark); drain is the only way one leaves: it visits the
+//   - The edge half owns the directed edges leaving those nodes. put is
+//     the only way a message enters one of its queues (slot, delay-start
+//     write, activity mark), behind two fronts that pick the edge:
+//     enqueue (neighbor lookup, least-loaded parallel-edge pick) and
+//     enqueuePort (the port is the edge, or enqueue where the node has
+//     parallel edges); drain is the only way one leaves: it visits the
 //     half's active edges in ascending index order, applies the delay
 //     gate, samples MaxQueue, clamps to the capacity, charges crash drops
 //     and lossy-link rolls, and appends the survivors to one transfer
@@ -197,9 +222,10 @@
 // processes at S = 2, 4. The suites compare transports against each
 // other; there is no separate reference loop.
 //
-// Errors. An invalid send (empty payload, non-neighbor) is recorded by
-// the erring node's half, which stops stepping its remaining nodes; the
-// round finishes and the verdict reports the lowest half's error. Halves
+// Errors. An invalid send (empty or over-wide payload, non-neighbor, a
+// port the node does not have) is recorded by the erring node's half,
+// which stops stepping its remaining nodes; the round finishes and the
+// verdict reports the lowest half's error. Halves
 // are ascending and each keeps its first, so on every transport the run
 // fails with the lowest erring node's error, at the same round and with
 // the same partial Result; remote engines still receive FinishRun, and

@@ -194,19 +194,7 @@ func TestShardIdentityDeepQueues(t *testing.T) {
 	}}
 	run := func(shards, engines int) (Result, *stressProto) {
 		t.Helper()
-		net := NewNetwork(g, 42, WithEdgeCap(3), WithShards(shards))
-		if err := net.SetFaultPlan(plan); err != nil {
-			t.Fatal(err)
-		}
-		if engines > 0 {
-			group, bounds, err := NewLoopbackGroup(g, engines, 3, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := net.ConnectRemote(group, bounds); err != nil {
-				t.Fatal(err)
-			}
-		}
+		net := transport{shards, engines}.build(t, g, 3, plan)
 		p := (&stressProto{seeds: 12, hops: 30, awakeRounds: 12}).prepare(g.N())
 		res, err := net.Run(p)
 		if err != nil {

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"distwalk/internal/fault"
@@ -32,10 +33,12 @@ type links struct {
 	// The j-th half-edge of node u has directed index off[u]+j and carries
 	// messages u -> adj[u][j].To. nbrTo[off[u]:off[u+1]] lists u's neighbor
 	// IDs in ascending order and nbrEdge the matching directed indices
-	// (parallel edges form a contiguous run, in adjacency order).
+	// (parallel edges form a contiguous run, in adjacency order). Bit u of
+	// multi says u has parallel edges, so a send by port must still choose.
 	off     []int32
 	nbrTo   []int32
 	nbrEdge []int32
+	multi   []uint64
 
 	// queues[e] is directed edge e's FIFO header. The messages themselves
 	// live in the slotPool of the edge half that owns e, so a header is
@@ -65,8 +68,8 @@ func (s *halfIndex) Swap(i, j int) {
 	s.edge[i], s.edge[j] = s.edge[j], s.edge[i]
 }
 
-// buildIndex (re)builds the directed-edge machinery — off, nbrTo, nbrEdge
-// and the queues — from the current l.g. Shared by NewNetwork, Reshape
+// buildIndex (re)builds the directed-edge machinery — off, nbrTo, nbrEdge,
+// multi and the queues — from the current l.g. Shared by NewNetwork, Reshape
 // and NewShardEngine so the index layout cannot drift between them.
 func (l *links) buildIndex() {
 	nn := l.g.N()
@@ -78,6 +81,7 @@ func (l *links) buildIndex() {
 	l.queues = make([]queue, total)
 	l.nbrTo = make([]int32, total)
 	l.nbrEdge = make([]int32, total)
+	l.multi = make([]uint64, (nn+63)/64)
 	for v := 0; v < nn; v++ {
 		lo, hi := l.off[v], l.off[v+1]
 		for j, h := range l.g.Neighbors(graph.NodeID(v)) {
@@ -88,8 +92,18 @@ func (l *links) buildIndex() {
 		// parallel edges in adjacency order, so enqueue's least-loaded
 		// tie-break matches the old map index exactly.
 		sort.Sort(&halfIndex{to: l.nbrTo[lo:hi], edge: l.nbrEdge[lo:hi]})
+		for i := lo + 1; i < hi; i++ {
+			if l.nbrTo[i] == l.nbrTo[i-1] {
+				l.multi[v>>6] |= 1 << uint(v&63)
+				break
+			}
+		}
 	}
 }
+
+// hasParallel reports whether some neighbor of v is joined to it by more
+// than one edge.
+func (l *links) hasParallel(v graph.NodeID) bool { return l.multi[v>>6]&(1<<uint(v&63)) != 0 }
 
 // nbrIndex returns the position in the neighbor index of the first
 // directed edge from→to (parallel edges follow contiguously), or -1 when
@@ -111,11 +125,19 @@ func (l *links) nbrIndex(from, to graph.NodeID) int32 {
 	return lo
 }
 
+// wordsOK is the one check of a payload's declared size: at least one
+// word and no more than Message.words (a uint16) holds without wrapping.
+func wordsOK(words int) bool { return words >= 1 && words <= math.MaxUint16 }
+
 // sendError explains why a send fails validation at the protocol
-// boundary: an empty payload, or a destination that is not a neighbor.
-func sendError(from, to graph.NodeID, words int) error {
-	if words < 1 {
+// boundary: a payload size wordsOK refuses, a destination that is not a
+// neighbor or — by port, where to is None — a port the sender lacks.
+func sendError(from, to graph.NodeID, port, words int) error {
+	switch {
+	case !wordsOK(words):
 		return fmt.Errorf("congest: node %d sent an invalid payload", from)
+	case to == graph.None:
+		return fmt.Errorf("congest: node %d sent on port %d, which it does not have", from, port)
 	}
 	return fmt.Errorf("congest: node %d sent to non-neighbor %d", from, to)
 }
@@ -194,15 +216,12 @@ func (h *edgeHalf) reset() {
 
 // enqueue validates a send and queues it on a directed edge from→to;
 // from must be a node whose edges this half owns. With parallel edges the
-// least-loaded one is used (ties to the first in adjacency order). A
-// message entering an idle delayed link starts its transit now: eligible
-// 1+delay rounds out (max with any pending release, so back-to-back
-// bursts stay serialized). The message is assembled in its queue slot.
+// least-loaded one is used (ties to the first in adjacency order).
 func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w *[PayloadWords]uint64) error {
 	l := h.l
 	i := l.nbrIndex(from, to)
-	if i < 0 || words < 1 {
-		return sendError(from, to, words)
+	if i < 0 || !wordsOK(words) {
+		return sendError(from, to, 0, words)
 	}
 	best := l.nbrEdge[i]
 	for j, end := i+1, l.off[from+1]; j < end && l.nbrTo[j] == int32(to); j++ {
@@ -210,20 +229,48 @@ func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w *[Pa
 			best = e
 		}
 	}
-	q := &l.queues[best]
+	h.put(best, from, to, kind, words).W = *w
+	return nil
+}
+
+// enqueuePort is enqueue addressed by the sender's port, payload words as
+// scalars. A node without parallel edges has nothing to choose — its port
+// IS the directed edge; one with them goes through enqueue, so the
+// least-loaded pick does not depend on how a send is addressed.
+func (h *edgeHalf) enqueuePort(from graph.NodeID, port int, kind uint16, words int, w0, w1, w2, w3 uint64) error {
+	l := h.l
+	hs := l.g.Neighbors(from)
+	if uint(port) >= uint(len(hs)) || !wordsOK(words) {
+		return sendError(from, graph.None, port, words)
+	}
+	to := hs[port].To
+	if l.hasParallel(from) {
+		return h.enqueue(from, to, kind, words, &[PayloadWords]uint64{w0, w1, w2, w3})
+	}
+	m := h.put(l.off[from]+int32(port), from, to, kind, words)
+	m.W[0], m.W[1], m.W[2], m.W[3] = w0, w1, w2, w3
+	return nil
+}
+
+// put queues a validated message on directed edge e and returns its slot
+// for the caller to store the payload words in place. A message entering
+// an idle delayed link starts its transit now: eligible 1+delay rounds out
+// (max with any pending release, so back-to-back bursts stay serialized).
+func (h *edgeHalf) put(e int32, from, to graph.NodeID, kind uint16, words int) *Message {
+	l := h.l
+	q := &l.queues[e]
 	m := h.pool.push(q)
 	m.From, m.To = from, to
 	m.Kind, m.words = kind, uint16(words)
-	m.W = *w
 	if f := l.flt; f != nil && f.delay != nil {
-		if d := f.delay[best]; d > 0 && q.size == 1 {
-			if r := int32(l.round) + 1 + d; r > f.release[best] {
-				f.release[best] = r
+		if d := f.delay[e]; d > 0 && q.size == 1 {
+			if r := int32(l.round) + 1 + d; r > f.release[e] {
+				f.release[e] = r
 			}
 		}
 	}
-	h.active.add(best - h.edgeLo)
-	return nil
+	h.active.add(e - h.edgeLo)
+	return m
 }
 
 // drain moves up to cap messages per active edge into the transfer

@@ -115,11 +115,13 @@ func TestSetShardsClamps(t *testing.T) {
 // SetActive-driven steps, RNG consumption, and per-node receipt logs. Every
 // node forwards each received token to a random neighbor for `hops` hops,
 // and node 0 additionally stays awake for `awakeRounds` rounds emitting a
-// fresh token each round.
+// fresh token each round. byPort sends every token with SendPort instead
+// of Send — same draws, same neighbors, so the same execution.
 type stressProto struct {
 	seeds       int
 	hops        int
 	awakeRounds int
+	byPort      bool
 
 	got []int   // messages received per node (sized by prepare)
 	sum []int64 // payload checksum per node
@@ -145,14 +147,24 @@ func (tokenPayload) Decode(w [PayloadWords]uint64) tokenPayload {
 	return tokenPayload{hops: h, val: v}
 }
 
+// send hands tk to a uniformly drawn neighbor.
+func (p *stressProto) send(ctx *Ctx, tk tokenPayload) {
+	port := ctx.RNG().Intn(ctx.Degree())
+	if p.byPort {
+		w := tk.Encode()
+		ctx.SendPort(port, tk.Kind(), tk.Words(), w[0], w[1], w[2], w[3])
+		return
+	}
+	Send(ctx, ctx.Neighbors()[port].To, tk)
+}
+
 func (p *stressProto) Init(ctx *Ctx) {
 	v := ctx.Node()
 	if ctx.Degree() == 0 {
 		return
 	}
 	for i := 0; i < p.seeds; i++ {
-		nb := ctx.Neighbors()[ctx.RNG().Intn(ctx.Degree())].To
-		Send(ctx, nb, tokenPayload{hops: int32(p.hops), val: int32(v)})
+		p.send(ctx, tokenPayload{hops: int32(p.hops), val: int32(v)})
 	}
 	if v == 0 && p.awakeRounds > 0 {
 		ctx.SetActive(true)
@@ -166,8 +178,7 @@ func (p *stressProto) Step(ctx *Ctx) {
 		p.got[v]++
 		p.sum[v] += int64(tk.val)*31 + int64(tk.hops)
 		if tk.hops > 0 && ctx.Degree() > 0 {
-			nb := ctx.Neighbors()[ctx.RNG().Intn(ctx.Degree())].To
-			Send(ctx, nb, tokenPayload{hops: tk.hops - 1, val: tk.val + 1})
+			p.send(ctx, tokenPayload{hops: tk.hops - 1, val: tk.val + 1})
 		}
 	}
 	if v == 0 && p.awakeRounds > 0 {
@@ -176,8 +187,7 @@ func (p *stressProto) Step(ctx *Ctx) {
 			return
 		}
 		if ctx.Degree() > 0 {
-			nb := ctx.Neighbors()[ctx.RNG().Intn(ctx.Degree())].To
-			Send(ctx, nb, tokenPayload{hops: 3, val: int32(ctx.Round())})
+			p.send(ctx, tokenPayload{hops: 3, val: int32(ctx.Round())})
 		}
 	}
 }

@@ -304,31 +304,31 @@ func (p *naiveManyProto) Init(ctx *congest.Ctx) {
 			p.dest[idx] = v
 			continue
 		}
-		p.forward(ctx, naiveToken{walkID: wid, remaining: steps, total: steps})
+		p.forward(ctx, walkToken{walkID: wid, remaining: steps, total: steps})
 	}
 }
 
 func (p *naiveManyProto) Step(ctx *congest.Ctx) {
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindNaiveToken {
+	in := ctx.Inbox()
+	for i := range in {
+		if in[i].Kind != kindNaiveToken {
 			continue
 		}
-		t := congest.As[naiveToken](m)
-		if _, mine := p.start[t.walkID]; !mine {
-			continue
+		t := readToken(&in[i])
+		if _, mine := p.start[t.walkID]; mine {
+			p.forward(ctx, t)
 		}
-		p.forward(ctx, t)
 	}
 }
 
-func (p *naiveManyProto) forward(ctx *congest.Ctx, t naiveToken) {
-	v := ctx.Node()
-	next, rem := p.w.advanceToken(ctx, t.remaining)
-	if next == graph.None {
-		p.dest[p.start[t.walkID]] = v
+func (p *naiveManyProto) forward(ctx *congest.Ctx, t walkToken) {
+	port, rem := p.w.advanceToken(ctx, t.remaining)
+	if port < 0 {
+		p.dest[p.start[t.walkID]] = ctx.Node()
 		return
 	}
-	p.w.st.recordHop(v, t.walkID, next)
+	p.w.recordHop(ctx, t.walkID, port)
 	t.remaining = rem
-	congest.Send(ctx, next, t)
+	w0, w1 := t.encode()
+	ctx.SendPort(port, kindNaiveToken, tokenWords, w0, w1, 0, 0)
 }

@@ -7,26 +7,6 @@ import (
 	"distwalk/internal/graph"
 )
 
-// naiveToken is the classic token walk: "The walk of length ℓ is performed
-// by sending a token for ℓ steps, picking a random neighbor with each
-// step" (Section 1.2). It is both the paper's baseline and the final
-// ≤ 2λ-step tail of SINGLE-RANDOM-WALK (Algorithm 1, Phase 2 line 14).
-type naiveToken struct {
-	walkID    int64
-	remaining int32
-	total     int32
-}
-
-func (naiveToken) Words() int   { return 3 }
-func (naiveToken) Kind() uint16 { return kindNaiveToken }
-func (t naiveToken) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(t.walkID), congest.Pack2(t.remaining, t.total)}
-}
-func (naiveToken) Decode(w [congest.PayloadWords]uint64) naiveToken {
-	rem, total := congest.Unpack2(w[1])
-	return naiveToken{walkID: int64(w[0]), remaining: rem, total: total}
-}
-
 // destReport carries the walk outcome to the source over the BFS tree.
 // The destination includes its own degree so the receiver can compute the
 // stationary mass π(dest) = deg/2m locally (used by the mixing-time
@@ -47,6 +27,11 @@ func (destReport) Decode(w [congest.PayloadWords]uint64) destReport {
 	return destReport{walkID: int64(w[0]), dest: graph.NodeID(dest), deg: deg}
 }
 
+// naiveProto is the classic token walk: "The walk of length ℓ is performed
+// by sending a token for ℓ steps, picking a random neighbor with each
+// step" (Section 1.2). It is both the paper's baseline and the final
+// ≤ 2λ-step tail of SINGLE-RANDOM-WALK (Algorithm 1, Phase 2 line 14). Its
+// token is a walkToken sent under kindNaiveToken.
 type naiveProto struct {
 	w      *Walker
 	start  graph.NodeID
@@ -66,33 +51,32 @@ func (p *naiveProto) Init(ctx *congest.Ctx) {
 		p.arrived = true
 		return
 	}
-	p.forward(ctx, naiveToken{walkID: p.walkID, remaining: p.steps, total: p.steps})
+	p.forward(ctx, walkToken{walkID: p.walkID, remaining: p.steps, total: p.steps})
 }
 
 func (p *naiveProto) Step(ctx *congest.Ctx) {
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindNaiveToken {
+	in := ctx.Inbox()
+	for i := range in {
+		if in[i].Kind != kindNaiveToken {
 			continue
 		}
-		t := congest.As[naiveToken](m)
-		if t.walkID != p.walkID {
-			continue
+		if t := readToken(&in[i]); t.walkID == p.walkID {
+			p.forward(ctx, t)
 		}
-		p.forward(ctx, t)
 	}
 }
 
-func (p *naiveProto) forward(ctx *congest.Ctx, t naiveToken) {
-	v := ctx.Node()
-	next, rem := p.w.advanceToken(ctx, t.remaining)
-	if next == graph.None {
-		p.dest = v
+func (p *naiveProto) forward(ctx *congest.Ctx, t walkToken) {
+	port, rem := p.w.advanceToken(ctx, t.remaining)
+	if port < 0 {
+		p.dest = ctx.Node()
 		p.arrived = true
 		return
 	}
-	p.w.st.recordHop(v, t.walkID, next)
+	p.w.recordHop(ctx, t.walkID, port)
 	t.remaining = rem
-	congest.Send(ctx, next, t)
+	w0, w1 := t.encode()
+	ctx.SendPort(port, kindNaiveToken, tokenWords, w0, w1, 0, 0)
 }
 
 // naiveSegment walks `steps` hops from start by token forwarding (recording

@@ -10,21 +10,29 @@ import (
 // coupon at the destination). All O(log n) bits, as in Section 2.1: "Each
 // node simply sends η tokens containing the source ID and the desired
 // length. The nodes keep forwarding these tokens with decreased desired
-// walk length".
+// walk length". The naive walks forward the same three fields under their
+// own kind (naive.go).
 type walkToken struct {
 	walkID    int64
 	remaining int32
 	total     int32
 }
 
-func (walkToken) Words() int   { return 3 }
-func (walkToken) Kind() uint16 { return kindWalkToken }
-func (t walkToken) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(t.walkID), congest.Pack2(t.remaining, t.total)}
+// tokenWords is a walk token's size in O(log n)-bit words.
+const tokenWords = 3
+
+// encode packs the token into its two payload words and readToken
+// decodes them in place, from the inbox slot the token arrived in. A token
+// is sent once per walk step — all but a few of a request's messages — so
+// it goes out by the port the step drew, already encoded
+// (congest.Ctx.SendPort), not through the generic Send.
+func (t walkToken) encode() (w0, w1 uint64) {
+	return uint64(t.walkID), congest.Pack2(t.remaining, t.total)
 }
-func (walkToken) Decode(w [congest.PayloadWords]uint64) walkToken {
-	rem, total := congest.Unpack2(w[1])
-	return walkToken{walkID: int64(w[0]), remaining: rem, total: total}
+
+func readToken(m *congest.Message) walkToken {
+	rem, total := congest.Unpack2(m.W[1])
+	return walkToken{walkID: int64(m.W[0]), remaining: rem, total: total}
 }
 
 // phase1Proto performs Phase 1 of SINGLE-RANDOM-WALK: every node v starts
@@ -65,11 +73,11 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 }
 
 func (p *phase1Proto) Step(ctx *congest.Ctx) {
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindWalkToken {
-			continue
+	in := ctx.Inbox()
+	for i := range in {
+		if in[i].Kind == kindWalkToken {
+			p.forward(ctx, readToken(&in[i]))
 		}
-		p.forward(ctx, congest.As[walkToken](m))
 	}
 }
 
@@ -78,17 +86,17 @@ func (p *phase1Proto) Step(ctx *congest.Ctx) {
 // Metropolis-Hastings variant are free: they consume walk steps but no
 // messages), storing the coupon when the walk completes.
 func (p *phase1Proto) forward(ctx *congest.Ctx, t walkToken) {
-	v := ctx.Node()
-	next, rem := p.w.advanceToken(ctx, t.remaining)
-	if next == graph.None {
-		p.w.st.addCoupon(v, coupon{
+	port, rem := p.w.advanceToken(ctx, t.remaining)
+	if port < 0 {
+		p.w.st.addCoupon(ctx.Node(), coupon{
 			owner:  walkOwner(t.walkID),
 			walkID: t.walkID,
 			length: t.total,
 		})
 		return
 	}
-	p.w.st.recordHop(v, t.walkID, next)
+	p.w.recordHop(ctx, t.walkID, port)
 	t.remaining = rem
-	congest.Send(ctx, next, t)
+	w0, w1 := t.encode()
+	ctx.SendPort(port, kindWalkToken, tokenWords, w0, w1, 0, 0)
 }

@@ -458,27 +458,36 @@ func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Resu
 }
 
 // advanceToken draws walk steps at the executing node until the token
-// moves or finishes in place. It returns the move target and the steps
-// remaining after the move, or (None, 0) if the token's steps ran out at
-// the current node. For the simple walk a step always moves; with
-// Params.Metropolis stay steps are consumed locally (no message, no
-// round — a token that stays sends nothing).
-func (w *Walker) advanceToken(ctx *congest.Ctx, remaining int32) (graph.NodeID, int32) {
+// moves or finishes in place. It returns the port the token leaves by (an
+// index into the node's Neighbors) and the steps remaining after the
+// move, or (-1, 0) if the token's steps ran out at the current node. For
+// the simple walk a step always moves; with Params.Metropolis stay steps
+// are consumed locally (no message, no round — a token that stays sends
+// nothing).
+func (w *Walker) advanceToken(ctx *congest.Ctx, remaining int32) (int, int32) {
 	v := ctx.Node()
 	for remaining > 0 {
 		if !w.prm.Metropolis {
-			// graph.Step samples edges weight-proportionally (uniform on
+			// graph.StepPort samples edges weight-proportionally (uniform on
 			// unweighted graphs); err is impossible here, v has degree >= 1.
-			next, _ := w.g.Step(ctx.RNG(), v)
-			return next, remaining - 1
+			port, _ := w.g.StepPort(ctx.RNG(), v)
+			return port, remaining - 1
 		}
-		next, err := w.g.MHStep(ctx.RNG(), v)
-		if err != nil || next != v {
-			return next, remaining - 1
+		port, err := w.g.MHStepPort(ctx.RNG(), v)
+		if err != nil || port >= 0 {
+			return port, remaining - 1
 		}
 		remaining-- // stayed: one walk step, no message
 	}
-	return graph.None, 0
+	return -1, 0
+}
+
+// recordHop records that walk walkID leaves the executing node by port.
+// With the trail off the neighbor behind the port is never looked up.
+func (w *Walker) recordHop(ctx *congest.Ctx, walkID int64, port int) {
+	if w.st.trail {
+		w.st.recordHop(ctx.Node(), walkID, ctx.Neighbors()[port].To)
+	}
 }
 
 func (w *Walker) checkNode(v graph.NodeID) error {

@@ -139,11 +139,11 @@ func (g *G) HasEdge(u, v NodeID) bool {
 // unweighted graphs) and the opposite endpoint is returned. It returns an
 // error if v has no neighbors.
 func (g *G) Step(r *rng.RNG, v NodeID) (NodeID, error) {
-	h, err := g.StepEdge(r, v)
+	port, err := g.StepPort(r, v)
 	if err != nil {
 		return None, err
 	}
-	return h.To, nil
+	return g.adj[v][port].To, nil
 }
 
 // MHStep performs one step of the Metropolis-Hastings walk with uniform
@@ -154,35 +154,50 @@ func (g *G) Step(r *rng.RNG, v NodeID) (NodeID, error) {
 // the generalization the PODC 2009 predecessor algorithm supports
 // (Section 1.3 of the paper). The returned node may equal v (a stay).
 func (g *G) MHStep(r *rng.RNG, v NodeID) (NodeID, error) {
-	h, err := g.StepEdge(r, v)
-	if err != nil {
+	port, err := g.MHStepPort(r, v)
+	switch {
+	case err != nil:
 		return None, err
+	case port < 0:
+		return v, nil
 	}
-	ratio := g.wdeg[v] / g.wdeg[h.To]
-	if ratio >= 1 || r.Float64() < ratio {
-		return h.To, nil
-	}
-	return v, nil
+	return g.adj[v][port].To, nil
 }
 
-// StepEdge is Step but returns the chosen half-edge.
-func (g *G) StepEdge(r *rng.RNG, v NodeID) (Half, error) {
+// MHStepPort is MHStep but returns the port the walk leaves v by, or -1
+// when the proposal is rejected and the walk stays at v.
+func (g *G) MHStepPort(r *rng.RNG, v NodeID) (int, error) {
+	port, err := g.StepPort(r, v)
+	if err != nil {
+		return -1, err
+	}
+	ratio := g.wdeg[v] / g.wdeg[g.adj[v][port].To]
+	if ratio >= 1 || r.Float64() < ratio {
+		return port, nil
+	}
+	return -1, nil
+}
+
+// StepPort is Step but returns the chosen port, the index into
+// Neighbors(v) of the half-edge the walk leaves by: what a moving token
+// hands the engine (congest.Ctx.SendPort) so it need not find the edge.
+func (g *G) StepPort(r *rng.RNG, v NodeID) (int, error) {
 	hs := g.adj[v]
 	if len(hs) == 0 {
-		return Half{}, fmt.Errorf("graph: node %d is isolated", v)
+		return -1, fmt.Errorf("graph: node %d is isolated", v)
 	}
 	if !g.weighted {
-		return hs[r.Intn(len(hs))], nil
+		return r.Intn(len(hs)), nil
 	}
 	target := r.Float64() * g.wdeg[v]
 	acc := 0.0
-	for _, h := range hs {
+	for j, h := range hs {
 		acc += h.W
 		if target < acc {
-			return h, nil
+			return j, nil
 		}
 	}
-	return hs[len(hs)-1], nil // numerical edge case: target == wdeg
+	return len(hs) - 1, nil // numerical edge case: target == wdeg
 }
 
 // MinDegree returns the minimum degree, or 0 for an empty graph.

@@ -262,3 +262,52 @@ func TestQuickStepStaysOnNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStepPortDrawsLikeStep: StepPort is Step with the port kept — on twin
+// RNG streams it names the half-edge whose endpoint Step returns and
+// leaves the stream in the same state, weighted or not, parallel edges
+// included.
+func TestStepPortDrawsLikeStep(t *testing.T) {
+	build := func(weighted bool) *G {
+		g := New(5)
+		for i, e := range [][2]NodeID{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 1}, {1, 2}, {2, 3}, {3, 4}} {
+			w := 1.0
+			if weighted {
+				w = float64(1 + i%3)
+			}
+			if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	for _, weighted := range []bool{false, true} {
+		g := build(weighted)
+		if g.Weighted() != weighted {
+			t.Fatalf("Weighted() = %v, want %v", g.Weighted(), weighted)
+		}
+		byTo, byPort := rng.New(11), rng.New(11)
+		v := NodeID(0)
+		for i := 0; i < 10000; i++ {
+			to, err := g.Step(byTo, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			port, err := g.StepPort(byPort, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Neighbors(v)[port].To; got != to {
+				t.Fatalf("weighted=%v draw %d at node %d: StepPort chose port %d (to %d), Step went to %d",
+					weighted, i, v, port, got, to)
+			}
+			v = to
+		}
+		if a, b := byTo.Uint64(), byPort.Uint64(); a != b {
+			t.Fatalf("weighted=%v: the RNG streams diverged after 10000 draws", weighted)
+		}
+	}
+	if _, err := New(1).StepPort(rng.New(1), 0); err == nil {
+		t.Fatal("StepPort on an isolated node did not fail")
+	}
+}

@@ -138,7 +138,7 @@ func (g *G) ApplyEdits(remove, add []EdgeEdit) (*G, error) {
 	}
 	// Recompute rather than inherit: removals may have deleted the only
 	// non-unit-weight edges, and a stale weighted flag would change
-	// StepEdge's sampling path (breaking bit-identity with an equivalent
+	// StepPort's sampling path (breaking bit-identity with an equivalent
 	// freshly built graph).
 	out.weighted = false
 	for _, e := range out.edges {

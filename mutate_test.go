@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -594,6 +595,67 @@ func TestShardIdentityMutate1(t *testing.T) { testShardIdentityMutate(t, 1) }
 func TestShardIdentityMutate2(t *testing.T) { testShardIdentityMutate(t, 2) }
 func TestShardIdentityMutate4(t *testing.T) { testShardIdentityMutate(t, 4) }
 func TestShardIdentityMutate8(t *testing.T) { testShardIdentityMutate(t, 8) }
+
+// TestReshapeParallelEdgeTogglesSendPath: whether a node's port-addressed
+// sends skip the neighbor index depends on whether it has parallel edges,
+// a fact derived from the topology at every reshape. A mutation that adds
+// a parallel edge and one that removes it again must each leave the warm
+// service answering exactly like a fresh one over the same graph — sharded
+// or not, with and without the hop trail.
+func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
+	ctx := context.Background()
+	sources := []distwalk.NodeID{0, 1, 9, 0}
+	type answers struct {
+		Single, Naive *distwalk.WalkResult
+		Many          *distwalk.ManyResult
+		Traced        *distwalk.WalkResult
+		Trace         *distwalk.Trace
+	}
+	ask := func(svc *distwalk.Service) (a answers) {
+		t.Helper()
+		var err error
+		if a.Single, err = svc.SingleRandomWalk(ctx, 1, 0, 256); err != nil {
+			t.Fatal(err)
+		}
+		if a.Naive, err = svc.NaiveWalk(ctx, 2, 1, 64); err != nil {
+			t.Fatal(err)
+		}
+		if a.Many, err = svc.ManyRandomWalks(ctx, 3, sources, 128); err != nil {
+			t.Fatal(err)
+		}
+		if a.Traced, a.Trace, err = svc.WalkTrace(ctx, 4, 0, 256); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	steps := []distwalk.Mutations{
+		{}, // the simple torus: every send takes the direct path
+		{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 1}, {U: 9, V: 10}}},    // 0, 1, 9, 10 now choose among edges
+		{RemoveEdges: []distwalk.EdgeMutation{{U: 0, V: 1}, {U: 9, V: 10}}}, // and are back to one edge per neighbor
+	}
+	for _, shards := range []int{1, 2} {
+		warm, err := distwalk.NewService(mustTorus(t, 8, 8), 42, distwalk.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer warm.Close()
+		for i, mut := range steps {
+			if _, err := warm.ApplyMutations(ctx, mut); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := distwalk.NewService(warm.Graph(), 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := ask(warm), ask(fresh)
+			fresh.Close()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d step %d: the reshaped service diverged from a fresh one:\n got %+v\nwant %+v",
+					shards, i, got.Single, want.Single)
+			}
+		}
+	}
+}
 
 func TestOptionScopeRejected(t *testing.T) {
 	ctx := context.Background()
