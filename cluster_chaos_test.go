@@ -1,19 +1,17 @@
 package distwalk_test
 
-// Chaos suite for cluster resilience: real distwalkd processes are
-// SIGKILLed, SIGSTOPped, and idle-reaped mid-flight while the Service
-// must (a) surface typed ErrClusterEngine failures within its round
-// deadline instead of hanging, (b) recover bit-identically in process
-// under WithClusterFallback, and (c) reconnect with the pinned digest
-// once a killed engine returns on its old port. These are the acceptance
-// criteria of the resilience PR, run under -race in CI's chaos-cluster
-// step.
+// Chaos suite for cluster failure semantics: real distwalkd processes are
+// SIGKILLed and SIGSTOPped mid-run and between requests, while the
+// Service must (a) surface typed ErrClusterEngine failures within the
+// request's deadline instead of hanging, (b) recover bit-identically in
+// process under WithClusterFallback, and (c) redial with the pinned
+// digest once a killed engine returns on its old port. CI runs it under
+// -race in the cluster job's chaos step.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -21,14 +19,14 @@ import (
 	"distwalk"
 )
 
-// waitMidRun polls an engine's expvars until it is demonstrably inside a
-// run (so a kill lands mid-protocol, not between runs).
-func waitMidRun(t *testing.T, eng *engineProc) {
+// waitMidRun polls an engine's expvars until it has served the given
+// number of rounds, so a kill lands mid-protocol, not between requests.
+func waitMidRun(t *testing.T, eng *engineProc, rounds int64) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		m := fetchEngineVars(t, eng.debug)
-		if m["runs"] >= 1 && m["rounds"] >= 200 {
+		if m["runs"] >= 1 && m["rounds"] >= rounds {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -38,10 +36,10 @@ func waitMidRun(t *testing.T, eng *engineProc) {
 	}
 }
 
-// TestClusterChaosKillMidRunFailsTyped is the headline robustness fix: a
-// SIGKILLed engine mid-run surfaces a typed ErrClusterEngine/ErrEngineLost
-// within the round deadline — before this PR the client blocked on a
-// deadline-free read forever.
+// TestClusterChaosKillMidRunFailsTyped: a SIGKILLed engine mid-run
+// surfaces a typed ErrClusterEngine/ErrEngineLost at once (EOF or reset,
+// no deadline needed), the engine reads "lost", and follow-up requests
+// fail typed on the refused redial.
 func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
@@ -51,10 +49,7 @@ func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := startEngine(t, "-debug-addr", "127.0.0.1:0")
-	svc, err := distwalk.NewService(g, 42,
-		distwalk.WithWorkers(1),
-		distwalk.WithCluster(eng.addr),
-		distwalk.WithClusterRoundTimeout(5*time.Second))
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +60,7 @@ func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 		_, err := svc.SingleRandomWalk(context.Background(), 1, 0, 300_000)
 		errCh <- err
 	}()
-	waitMidRun(t, eng)
+	waitMidRun(t, eng, 200)
 	if err := eng.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +77,13 @@ func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 			t.Fatalf("mid-run kill not classified as engine loss: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("request hung past the round deadline after SIGKILL")
+		t.Fatal("request hung after SIGKILL")
 	}
 
-	// The supervisor recorded the loss: the engine is no longer healthy.
+	// The loss was recorded: the engine is no longer healthy.
 	st := svc.Stats()
-	if len(st.Cluster.Health) != 1 || st.Cluster.Health[0] == "healthy" {
-		t.Fatalf("killed engine still reported healthy: %+v", st.Cluster)
+	if len(st.Cluster.Health) != 1 || st.Cluster.Health[0] != "lost" {
+		t.Fatalf("killed engine not reported lost: %+v", st.Cluster)
 	}
 	// Without fallback, follow-up requests keep failing typed — fast.
 	if _, err := svc.SingleRandomWalk(context.Background(), 2, 0, 64); !errors.Is(err, distwalk.ErrClusterEngine) {
@@ -98,8 +93,9 @@ func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 
 // TestClusterChaosHungEngineTimesOut: a SIGSTOPped engine (the
 // partition/hang case — the TCP connection stays open but nothing
-// answers) fails the request with ErrEngineTimeout within the configured
-// round deadline.
+// answers) fails the request within its 1s context, and so does a
+// follow-up request whose redial meets the still-stopped daemon: the
+// round deadline and the redial are both bounded by the request context.
 func TestClusterChaosHungEngineTimesOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
@@ -109,50 +105,61 @@ func TestClusterChaosHungEngineTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := startEngine(t, "-debug-addr", "127.0.0.1:0")
-	svc, err := distwalk.NewService(g, 42,
-		distwalk.WithWorkers(1),
-		distwalk.WithCluster(eng.addr),
-		distwalk.WithClusterRoundTimeout(time.Second),
-		distwalk.WithClusterHeartbeat(-1)) // isolate the deadline path
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := svc.SingleRandomWalk(context.Background(), 1, 0, 300_000)
-		errCh <- err
-	}()
-	waitMidRun(t, eng)
-	if err := eng.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
-		t.Fatal(err)
+	// within issues a request under a 1s context and checks it comes
+	// back typed, well before the 30s default round deadline.
+	within := func(key uint64, ell int, stop func()) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		start := time.Now()
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := svc.SingleRandomWalk(ctx, key, 0, ell)
+			errCh <- err
+		}()
+		if stop != nil {
+			stop()
+		}
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, distwalk.ErrClusterEngine) && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("request %d on a hung engine = %v, want ErrClusterEngine or DeadlineExceeded", key, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("request %d took %v under a 1s context", key, elapsed)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("request %d hung on a stopped engine despite its context", key)
+		}
 	}
+
 	defer func() {
 		eng.cmd.Process.Signal(syscall.SIGCONT)
 		eng.cmd.Process.Kill()
 	}()
-
-	start := time.Now()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, distwalk.ErrClusterEngine) || !errors.Is(err, distwalk.ErrEngineTimeout) {
-			t.Fatalf("hung engine surfaced %v, want ErrClusterEngine + ErrEngineTimeout", err)
+	within(1, 300_000, func() {
+		// One served round is mid-protocol enough, and reached well
+		// inside the 1s context even on a slow, race-instrumented run.
+		waitMidRun(t, eng, 1)
+		if err := eng.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+			t.Fatal(err)
 		}
-		if elapsed := time.Since(start); elapsed > 20*time.Second {
-			t.Fatalf("timeout took %v, want about the 1s round deadline", elapsed)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("request hung on a stopped engine despite the round deadline")
-	}
+	})
+	within(2, 64, nil)
 }
 
 // TestClusterChaosFallbackRecoversBitIdentical is the acceptance
 // criterion for graceful degradation: with WithClusterFallback, killing
 // the engine mid-run makes the request complete in process with results
 // bit-identical to WithShards(S) — the same-seed re-execution argument —
-// and once the engine restarts on its old port the supervisor reconnects
-// with the pinned digest and traffic returns to the cluster.
+// and once the engine restarts on its old port the next request redials
+// it with the pinned digest and traffic returns to the cluster.
 func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
@@ -175,9 +182,7 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 	svc, err := distwalk.NewService(g, 42,
 		distwalk.WithWorkers(1),
 		distwalk.WithCluster(eng0.addr, eng1.addr),
-		distwalk.WithClusterFallback(),
-		distwalk.WithClusterRoundTimeout(5*time.Second),
-		distwalk.WithClusterBackoff(50*time.Millisecond, 500*time.Millisecond))
+		distwalk.WithClusterFallback())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 		out, err := longWalk(svc)
 		resCh <- result{out, err}
 	}()
-	waitMidRun(t, eng0)
+	waitMidRun(t, eng0, 200)
 	if err := eng0.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,46 +231,45 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 		t.Fatalf("Stats().Cluster.Failovers = %d, want >= 1", st.Cluster.Failovers)
 	}
 
-	// Restart the engine on its old port: the supervisor must reconnect
-	// (re-handshaking against the pinned digest) and report healthy again.
+	// Restart the engine on its old port: the next request must redial it
+	// (re-handshaking against the pinned digest), report it healthy again
+	// and run on it.
 	eng0b := startEngineAt(t, eng0.addr, "-debug-addr", "127.0.0.1:0")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, err := svc.SingleRandomWalk(context.Background(), 7, 0, 64); err == nil {
-			st = svc.Stats()
-			if st.Cluster.Health[0] == "healthy" && st.Cluster.Reconnects >= 1 {
-				break
-			}
+		if _, err := svc.SingleRandomWalk(context.Background(), 7, 0, 64); err == nil &&
+			svc.Stats().Cluster.Health[0] == "healthy" && fetchEngineVars(t, eng0b.debug)["runs"] > 0 {
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("supervisor never reconnected to the restarted engine: %+v", svc.Stats().Cluster)
+			t.Fatalf("service never returned to the restarted engine: %+v", svc.Stats().Cluster)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
 	// Full identity sweep on the healed cluster: every workload digest
-	// matches the in-process reference again, and the restarted engine is
-	// actually serving (not silently failed over).
+	// matches the in-process reference again, and none of it failed over.
+	failovers := svc.Stats().Cluster.Failovers
 	for _, wl := range shardWorkloads() {
 		a, errA := wl.run(ref, 5)
 		b, errB := wl.run(svc, 5)
 		if errA != nil || errB != nil {
-			t.Fatalf("%s after reconnect: sharded err %v, cluster err %v", wl.name, errA, errB)
+			t.Fatalf("%s after redial: sharded err %v, cluster err %v", wl.name, errA, errB)
 		}
 		if a != b {
-			t.Errorf("%s diverged after reconnect:\n  sharded: %s\n  cluster: %s", wl.name, a, b)
+			t.Errorf("%s diverged after redial:\n  sharded: %s\n  cluster: %s", wl.name, a, b)
 		}
 	}
-	if m := fetchEngineVars(t, eng0b.debug); m["runs"] == 0 {
-		t.Errorf("restarted engine served no runs after reconnect: %v", m)
+	if got := svc.Stats().Cluster.Failovers; got != failovers {
+		t.Errorf("healed cluster failed over %d more times", got-failovers)
 	}
 }
 
-// TestClusterChaosHeartbeatDetectsIdleDeath: an engine killed while the
-// cluster is idle is discovered by the heartbeat (no request in flight to
-// trip a deadline), and the next request falls over in process with
-// results identical to WithShards.
-func TestClusterChaosHeartbeatDetectsIdleDeath(t *testing.T) {
+// TestClusterChaosIdleDeath: an engine killed while the cluster is idle
+// surfaces on the next request that uses its session — typed and fast
+// without fallback, bit-identical to WithShards(1) with it — and a
+// request after the engine restarts on its old port runs on it again.
+func TestClusterChaosIdleDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
 	}
@@ -279,106 +283,52 @@ func TestClusterChaosHeartbeatDetectsIdleDeath(t *testing.T) {
 	}
 	defer ref.Close()
 	eng := startEngine(t)
-	svc, err := distwalk.NewService(g, 42,
-		distwalk.WithWorkers(1),
-		distwalk.WithCluster(eng.addr),
-		distwalk.WithClusterFallback(),
-		distwalk.WithClusterHeartbeat(50*time.Millisecond))
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	ctx := context.Background()
 
-	// Warm up so a session exists to heartbeat on, then kill while idle.
-	if _, err := svc.SingleRandomWalk(context.Background(), 1, 0, 64); err != nil {
+	// Warm up so a session exists, then kill while idle.
+	if _, err := svc.SingleRandomWalk(ctx, 1, 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for svc.Stats().Cluster.HeartbeatMisses == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("heartbeat never noticed the idle death: %+v", svc.Stats().Cluster)
-		}
-		time.Sleep(20 * time.Millisecond)
+	eng.waitExit(t, 10*time.Second)
+
+	// Without fallback the dead session fails the next request at once.
+	start := time.Now()
+	_, err = svc.SingleRandomWalk(ctx, 2, 0, 512)
+	if !errors.Is(err, distwalk.ErrClusterEngine) || !errors.Is(err, distwalk.ErrEngineLost) {
+		t.Fatalf("request after idle death = %v, want ErrClusterEngine + ErrEngineLost", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("idle death surfaced after %v, want within 1s", elapsed)
 	}
 
-	// The next request finds the dead session, falls over, and matches
-	// the in-process reference bit for bit.
-	a, errA := ref.SingleRandomWalk(context.Background(), 2, 0, 512)
-	b, errB := svc.SingleRandomWalk(context.Background(), 2, 0, 512)
+	// With fallback the refused redial falls over, bit for bit.
+	a, errA := ref.SingleRandomWalk(ctx, 3, 0, 512)
+	b, errB := svc.SingleRandomWalk(ctx, 3, 0, 512, distwalk.WithClusterFallback())
 	if errA != nil || errB != nil {
 		t.Fatalf("post-death request: ref err %v, cluster err %v", errA, errB)
 	}
 	if a.Destination != b.Destination || a.Length != b.Length || a.Cost != b.Cost {
 		t.Fatalf("fallback after idle death diverged: ref %+v, cluster %+v", a, b)
 	}
-	if svc.Stats().Cluster.Failovers < 1 {
-		t.Fatalf("Failovers = %d, want >= 1", svc.Stats().Cluster.Failovers)
-	}
-}
-
-// TestClusterChaosIdleReap: the daemon's -idle-timeout reaps a session
-// whose client neither runs nor heartbeats, the client's next request
-// fails typed (never hangs), and the request after that reconnects — the
-// server-side half of liveness.
-func TestClusterChaosIdleReap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster chaos over TCP skipped in -short mode")
-	}
-	g, err := distwalk.Torus(12, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := startEngine(t, "-idle-timeout", "150ms", "-debug-addr", "127.0.0.1:0")
-	svc, err := distwalk.NewService(g, 42,
-		distwalk.WithWorkers(1),
-		distwalk.WithCluster(eng.addr),
-		distwalk.WithClusterHeartbeat(-1), // mute client: let the reaper fire
-		distwalk.WithClusterRoundTimeout(5*time.Second),
-		distwalk.WithClusterBackoff(20*time.Millisecond, 200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if _, err := svc.SingleRandomWalk(context.Background(), 1, 0, 64); err != nil {
-		t.Fatal(err)
+	if got := svc.Stats().Cluster.Failovers; got < 1 {
+		t.Fatalf("Failovers = %d, want >= 1", got)
 	}
 
-	// The session idles past the daemon's window and gets reaped.
-	deadline := time.Now().Add(15 * time.Second)
-	for fetchEngineVars(t, eng.debug)["idle_reaped"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never idle-reaped the mute session")
-		}
-		time.Sleep(25 * time.Millisecond)
+	// Restarted on its old port, the engine serves again: no fallback is
+	// set, so a success ran remotely.
+	startEngineAt(t, eng.addr)
+	if _, err := svc.SingleRandomWalk(ctx, 4, 0, 512); err != nil {
+		t.Fatalf("request after restart: %v", err)
 	}
-
-	// The next request may land on the corpse — typed failure, no hang —
-	// and a follow-up reconnects to the (still running) daemon. Bound the
-	// loop: with reconnection working this converges in one or two tries.
-	var lastErr error
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		_, err := svc.SingleRandomWalk(context.Background(), 2, 0, 64)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, distwalk.ErrClusterEngine) {
-			t.Fatalf("reaped session surfaced untyped: %v", err)
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			t.Fatalf("service never reconnected after idle reap: %v", lastErr)
-		}
-		time.Sleep(30 * time.Millisecond)
-	}
-	if st := svc.Stats(); st.Cluster.Reconnects < 1 {
-		t.Fatalf("Reconnects = %d after idle reap recovery, want >= 1", st.Cluster.Reconnects)
-	}
-	// The error text names the engine for operators grepping logs.
-	if lastErr != nil && !strings.Contains(lastErr.Error(), eng.addr) {
-		t.Errorf("typed failure does not name the engine address: %v", lastErr)
+	if h := svc.Stats().Cluster.Health[0]; h != "healthy" {
+		t.Fatalf("Health[0] = %q after restart, want healthy", h)
 	}
 }

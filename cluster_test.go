@@ -107,8 +107,8 @@ func startEngine(t *testing.T, extra ...string) *engineProc {
 }
 
 // startEngineAt is startEngine with an explicit -listen address — the
-// chaos suite restarts killed engines on their old port so supervisors
-// can reconnect.
+// chaos suite restarts killed engines on their old port so the service
+// can redial them.
 func startEngineAt(t *testing.T, listen string, extra ...string) *engineProc {
 	t.Helper()
 	bin := buildDistwalkd(t)
@@ -299,8 +299,7 @@ func testClusterIdentity(t *testing.T, engines int) {
 	}
 
 	// The cluster service accounted its per-engine traffic, and a
-	// fault-free run reports every engine healthy with zero resilience
-	// activity.
+	// fault-free run reports every engine healthy and no failover.
 	st := clu.Stats()
 	if len(st.Cluster.Engines) != engines {
 		t.Fatalf("Stats().Cluster.Engines has %d entries, want %d", len(st.Cluster.Engines), engines)
@@ -318,8 +317,8 @@ func testClusterIdentity(t *testing.T, engines int) {
 			t.Errorf("Stats().Cluster.Health[%d] = %q, want healthy", i, h)
 		}
 	}
-	if st.Cluster.Reconnects != 0 || st.Cluster.HeartbeatMisses != 0 || st.Cluster.Failovers != 0 {
-		t.Errorf("fault-free cluster reported resilience activity: %+v", st.Cluster)
+	if st.Cluster.Failovers != 0 {
+		t.Errorf("fault-free cluster failed over: %+v", st.Cluster)
 	}
 	if shdSt := shd.Stats(); len(shdSt.Cluster.Engines) != 0 {
 		t.Fatalf("in-process Stats().Cluster = %+v, want empty", shdSt.Cluster)
@@ -676,10 +675,47 @@ func TestClusterMetricsBeforeFirstRequest(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	for _, fam := range []string{"distwalk_cluster_reconnects_total 0", "distwalk_cluster_heartbeat_misses_total 0"} {
-		if !strings.Contains(body, fam+"\n") {
-			t.Errorf("exposition missing %q", fam)
+	if !strings.Contains(body, "distwalk_cluster_failovers_total 0\n") {
+		t.Error("exposition missing distwalk_cluster_failovers_total 0")
+	}
+	families := 0
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# TYPE distwalk_cluster_") {
+			families++
 		}
+	}
+	if families != 4 {
+		t.Errorf("exposition has %d cluster families, want 4 (healthy, runs, bytes, failovers)", families)
+	}
+}
+
+// TestClusterSessionsOwnNoGoroutines: an engine session is a connection,
+// not a connection plus a goroutine. After construction and one request,
+// a two-worker service over four engines (eight sessions) runs its two
+// workers and nothing else.
+func TestClusterSessionsOwnNoGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sessions over TCP skipped in -short mode")
+	}
+	g, err := distwalk.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := startEngines(t, 4)
+	base := runtime.NumGoroutine()
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(2), distwalk.WithCluster(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.SingleRandomWalk(context.Background(), 1, 0, 256); err != nil {
+		t.Fatal(err)
+	}
+	// Allow the two workers plus two for runtime background goroutines.
+	if n := runtime.NumGoroutine(); n > base+2+2 {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%d goroutines with 8 idle sessions, baseline %d + 2 workers + 2\n%s", n, base, buf)
 	}
 }
 

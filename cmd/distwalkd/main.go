@@ -11,16 +11,14 @@
 //	distwalkd -listen 127.0.0.1:0 -shard 1 -debug-addr 127.0.0.1:8080
 //
 // The process prints "distwalkd listening on <addr>" once the listener is
-// up (with -listen :0, that line is how supervisors learn the port). A
+// up (with -listen :0, that line is how callers learn the port). A
 // first SIGINT/SIGTERM starts a graceful drain — in-flight runs finish,
 // new sessions are refused — and a second one force-closes everything.
 // With -debug-addr, the server's counters are published as the expvar
 // "distwalkd" at http://<debug-addr>/debug/vars.
 //
 // -handshake-timeout bounds the Hello/Welcome exchange of each new
-// session; -idle-timeout (off by default) reaps sessions that go silent —
-// clients with heartbeats enabled keep their idle sessions alive, so set
-// the reaper above the clients' heartbeat interval.
+// session.
 package main
 
 import (
@@ -39,9 +37,9 @@ import (
 	"distwalk/internal/wire"
 )
 
-// Typed top-level failures, mapped to distinct exit codes so supervisors
-// and the cluster tests can tell misuse from runtime failure: 2 for flag
-// or usage errors, 1 for everything else.
+// Typed top-level failures, mapped to distinct exit codes so process
+// managers and the cluster tests can tell misuse from runtime failure:
+// 2 for flag or usage errors, 1 for everything else.
 var (
 	errUsage  = errors.New("distwalkd: invalid usage")
 	errListen = errors.New("distwalkd: cannot listen")
@@ -68,7 +66,6 @@ func run(args []string, stdout io.Writer) error {
 		debugAddr = fs.String("debug-addr", "", "optional HTTP address exposing the server counters at /debug/vars")
 		shard     = fs.Int("shard", -1, "pin this server to one shard index of the cluster plan (-1 serves any shard)")
 		hsTO      = fs.Duration("handshake-timeout", wire.DefaultHandshakeTimeout, "bound on the Hello/Welcome exchange of a new session")
-		idleTO    = fs.Duration("idle-timeout", 0, "reap sessions that send no frame (heartbeats included) for this long; 0 never reaps — set it above the clients' heartbeat interval")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,9 +82,6 @@ func run(args []string, stdout io.Writer) error {
 	if *hsTO <= 0 {
 		return fmt.Errorf("%w: -handshake-timeout %v must be positive", errUsage, *hsTO)
 	}
-	if *idleTO < 0 {
-		return fmt.Errorf("%w: -idle-timeout %v must be >= 0 (0 disables reaping)", errUsage, *idleTO)
-	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -96,7 +90,6 @@ func run(args []string, stdout io.Writer) error {
 	srv := wire.NewServer(wire.ServerConfig{
 		PinShard:         *shard,
 		HandshakeTimeout: *hsTO,
-		IdleTimeout:      *idleTO,
 	})
 
 	var debugSrv *http.Server

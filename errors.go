@@ -100,13 +100,14 @@ var (
 	// code — but the wire package is internal, so match this sentinel.
 	ErrClusterRejected = wire.ErrEngine
 	// ErrEngineLost reports a cluster engine session that died in use —
-	// connection reset, SIGKILL'd daemon, missed heartbeat, protocol
-	// desync — or an engine whose reconnect is failing/backing off.
-	// Always wrapped in ErrClusterEngine; with WithClusterFallback the
-	// request recovers in-process instead of surfacing this.
+	// connection reset, SIGKILL'd daemon, protocol desync — or an engine
+	// the redial could not reach. Always wrapped in ErrClusterEngine; with
+	// WithClusterFallback the request recovers in-process instead of
+	// surfacing this.
 	ErrEngineLost = wire.ErrEngineLost
 	// ErrEngineTimeout reports a cluster engine that failed to answer
-	// within the per-exchange deadline (see WithClusterRoundTimeout) —
+	// within the per-exchange deadline — the request context's remaining
+	// budget, 30s without one — or within the redial's handshake bound:
 	// hung process, network partition. Also matches ErrEngineLost.
 	ErrEngineTimeout = wire.ErrEngineTimeout
 	// ErrBadMutation reports an invalid ApplyMutations batch: endpoints

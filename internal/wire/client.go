@@ -2,40 +2,35 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"distwalk/internal/congest"
 )
 
-// Session timing defaults; DialConfig zero values resolve to these.
-const (
-	// DefaultHandshakeTimeout bounds the TCP dial plus the Hello/Welcome
-	// exchange of every client session, and a server's when ServerConfig
-	// leaves HandshakeTimeout unset.
-	DefaultHandshakeTimeout = 30 * time.Second
-	// DefaultHeartbeatTimeout bounds one idle Ping/Pong exchange when
-	// neither HeartbeatTimeout nor RoundTimeout is set.
-	DefaultHeartbeatTimeout = 10 * time.Second
-)
+// DefaultHandshakeTimeout bounds the TCP dial plus the Hello/Welcome
+// exchange of every client session (tightened to the dial context's
+// deadline when that is sooner), and a server's when ServerConfig leaves
+// HandshakeTimeout unset.
+const DefaultHandshakeTimeout = 30 * time.Second
 
-// Engine-loss taxonomy. Mid-session I/O failures on an EngineConn wrap
-// these sentinels, so callers can tell a dead peer from a server-side
-// rejection (*RemoteError / ErrEngine) and react — reconnect, fail over —
-// instead of string matching.
+// Engine-loss taxonomy. Dial failures and mid-session I/O failures on an
+// EngineConn wrap these sentinels, so callers can tell a dead peer from a
+// server-side rejection (*RemoteError / ErrEngine) and react — redial,
+// fail over — instead of string matching.
 var (
 	// ErrEngineTimeout reports an engine that did not answer within the
-	// session's per-exchange deadline (round trip or heartbeat). Every
-	// ErrEngineTimeout also matches ErrEngineLost.
+	// session's per-exchange deadline or the dial's handshake bound.
+	// Every ErrEngineTimeout also matches ErrEngineLost.
 	ErrEngineTimeout = errors.New("wire: engine deadline exceeded")
-	// ErrEngineLost reports an engine session that is no longer usable:
-	// deadline expiry, EOF or connection reset, a missed heartbeat, or a
-	// protocol violation mid-session. The session must be closed and
-	// redialed; it cannot carry another run.
+	// ErrEngineLost reports an engine session that is no longer usable —
+	// deadline expiry, EOF or connection reset, a protocol violation
+	// mid-session — or one that could not be established. The session
+	// must be closed and redialed; it cannot carry another run.
 	ErrEngineLost = errors.New("wire: engine session lost")
 )
 
@@ -71,34 +66,16 @@ func (e *EngineLostError) Unwrap() []error {
 	return errs
 }
 
-// isTimeout reports whether err is a net.Error deadline expiry.
-func isTimeout(err error) bool {
+// lost wraps err in the engine-loss taxonomy (an *EngineLostError passes
+// through unchanged).
+func lost(addr string, shard int, err error) error {
+	var le *EngineLostError
+	if errors.As(err, &le) {
+		return err
+	}
 	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// DialConfig tunes an engine session's failure detection. The zero value
-// reproduces a deadline-free, heartbeat-free session (handshake timeout
-// aside), which is what DialEngine uses.
-type DialConfig struct {
-	// RoundTimeout is the per-exchange I/O deadline armed before every
-	// Push/Deliver/RunResult round trip: an engine that does not answer
-	// within it fails the run with ErrEngineTimeout instead of hanging
-	// the client forever. 0 = no deadline. Callers can retune it per run
-	// with SetRoundTimeout.
-	RoundTimeout time.Duration
-	// HeartbeatInterval starts an idle heartbeat on the session: while no
-	// run holds the session (see Reserve), the client pings the engine
-	// every interval and treats a failed Ping/Pong as a lost engine.
-	// 0 = no heartbeat.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout bounds one Ping/Pong exchange (0 = RoundTimeout,
-	// or DefaultHeartbeatTimeout if that is unset too).
-	HeartbeatTimeout time.Duration
-	// OnHeartbeatMiss, if set, is called (from the heartbeat goroutine,
-	// at most once per session) when an idle ping fails; the session is
-	// already marked broken and its connection closed by then.
-	OnHeartbeatMiss func(error)
+	timeout := errors.As(err, &ne) && ne.Timeout()
+	return &EngineLostError{Addr: addr, Shard: shard, Timeout: timeout, Cause: err}
 }
 
 // countConn counts bytes through a net.Conn (for the per-engine traffic
@@ -151,11 +128,10 @@ func (s *EngineStats) Add(other EngineStats) {
 }
 
 // EngineConn is a client session with one remote shard engine: the TCP
-// implementation of congest.RemoteShard. The round cadence is
-// single-goroutine like the cluster client that owns it; one Service
-// worker holds one EngineConn per engine. The only concurrent party is
-// the optional idle heartbeat, excluded from runs by the Reserve/Release
-// session lock.
+// implementation of congest.RemoteShard. Like the cluster client that
+// owns it, a session is single-goroutine — one Service worker holds one
+// EngineConn per engine and is its only user — so it holds no lock and
+// runs no goroutine of its own.
 type EngineConn struct {
 	addr  string
 	shard int
@@ -165,16 +141,9 @@ type EngineConn struct {
 	rbuf  []byte // frame read buffer, reused
 	sbuf  []byte // frame encode buffer, reused
 
-	// mu is the session lock: the run path holds it from Reserve to
-	// Release; the idle heartbeat TryLocks around each ping and backs off
-	// whenever a run is in flight.
-	mu      sync.Mutex
-	roundTO atomic.Int64 // per-exchange deadline, nanoseconds (0 = none)
-	hbTO    time.Duration
-	nonce   uint64 // heartbeat nonce, under mu
-	broken  atomic.Bool
-	closed  atomic.Bool
-	hbStop  chan struct{}
+	roundTO time.Duration // per-exchange deadline (0 = none)
+	broken  bool
+	closed  bool
 
 	stats    EngineStats
 	bytesIn  atomic.Int64
@@ -183,22 +152,27 @@ type EngineConn struct {
 
 var _ congest.RemoteShard = (*EngineConn)(nil)
 
-// DialEngine connects to a distwalkd engine with the default DialConfig:
-// a handshake timeout but no round deadline and no heartbeat (the
-// pre-resilience behavior). A server-side rejection surfaces as a
-// *RemoteError that errors.Is-matches the wire sentinel for its code
-// (ErrGeneration, ErrShardIndex, ...).
+// DialEngine is DialEngineContext without a context: the handshake is
+// bounded by DefaultHandshakeTimeout only.
 func DialEngine(addr string, h Hello) (*EngineConn, error) {
-	return DialEngineConfig(addr, h, DialConfig{})
+	return DialEngineContext(context.Background(), addr, h)
 }
 
-// DialEngineConfig connects to a distwalkd engine and performs the
-// handshake for h under cfg's timing policy, starting the idle heartbeat
-// if configured.
-func DialEngineConfig(addr string, h Hello, cfg DialConfig) (*EngineConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, DefaultHandshakeTimeout)
+// DialEngineContext connects to a distwalkd engine and performs the
+// handshake for h, within DefaultHandshakeTimeout or ctx's deadline,
+// whichever is sooner. The session starts without a round deadline (see
+// SetRoundTimeout). Every failure is an *EngineLostError (ErrEngineLost,
+// plus ErrEngineTimeout when a deadline expired); a server-side rejection
+// stays in its cause chain as a *RemoteError that errors.Is-matches the
+// wire sentinel for its code (ErrGeneration, ErrShardIndex, ...).
+func DialEngineContext(ctx context.Context, addr string, h Hello) (*EngineConn, error) {
+	deadline := time.Now().Add(DefaultHandshakeTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	conn, err := (&net.Dialer{Deadline: deadline}).DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		return nil, lost(addr, h.Shard, fmt.Errorf("wire: dial: %w", err))
 	}
 	c := &EngineConn{addr: addr, shard: h.Shard, conn: conn}
 	c.stats.Addr = addr
@@ -209,43 +183,39 @@ func DialEngineConfig(addr string, h Hello, cfg DialConfig) (*EngineConn, error)
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
+	conn.SetDeadline(deadline)
+	if err := c.handshake(h); err != nil {
+		conn.Close()
+		return nil, lost(addr, h.Shard, fmt.Errorf("wire: handshake: %w", err))
+	}
+	conn.SetDeadline(time.Time{})
+	return c, nil
+}
+
+// handshake sends h and reads the Welcome.
+func (c *EngineConn) handshake(h Hello) error {
 	c.sbuf = encodeHello(c.sbuf[:0], h)
 	if err := writeFrame(c.bw, FrameHello, c.sbuf); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake write: %w", addr, err)
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake write: %w", addr, err)
+		return err
 	}
 	t, payload, err := c.readReply()
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake: %w", addr, err)
+		return err
 	}
 	if t != FrameWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake: %w: unexpected frame type %d", addr, ErrBadFrame, t)
+		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, t)
 	}
 	w, err := decodeWelcome(payload)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake: %w", addr, err)
+		return err
 	}
 	if w.Version != Version || w.Shard != h.Shard {
-		conn.Close()
-		return nil, fmt.Errorf("wire: %s: handshake: %w: welcome for version %d shard %d",
-			addr, ErrBadFrame, w.Version, w.Shard)
+		return fmt.Errorf("%w: welcome for version %d shard %d", ErrBadFrame, w.Version, w.Shard)
 	}
-	conn.SetDeadline(time.Time{})
-	c.roundTO.Store(int64(cfg.RoundTimeout))
-	c.hbTO = cfg.HeartbeatTimeout
-	if cfg.HeartbeatInterval > 0 {
-		c.hbStop = make(chan struct{})
-		go c.heartbeat(cfg.HeartbeatInterval, cfg.OnHeartbeatMiss)
-	}
-	return c, nil
+	return nil
 }
 
 // readReply reads one frame, converting a server Error frame into a
@@ -271,47 +241,27 @@ func (c *EngineConn) readReply() (FrameType, []byte, error) {
 // fail marks the session broken — it can never carry another run — and
 // wraps err in the engine-loss taxonomy.
 func (c *EngineConn) fail(err error) error {
-	c.broken.Store(true)
-	var le *EngineLostError
-	if errors.As(err, &le) {
-		return err
-	}
-	return &EngineLostError{Addr: c.addr, Shard: c.shard, Timeout: isTimeout(err), Cause: err}
+	c.broken = true
+	return lost(c.addr, c.shard, err)
 }
 
-// arm applies a per-exchange deadline ahead of the next blocking
-// write/read pair; d <= 0 leaves the connection deadline-free.
-func (c *EngineConn) arm(d time.Duration) {
-	if d > 0 {
-		c.conn.SetDeadline(time.Now().Add(d))
+// armRound applies the per-exchange deadline ahead of the next blocking
+// write/read pair; without one the connection stays deadline-free.
+func (c *EngineConn) armRound() {
+	if c.roundTO > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.roundTO))
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
 }
 
-func (c *EngineConn) armRound() { c.arm(time.Duration(c.roundTO.Load())) }
-
 // SetRoundTimeout retunes the per-exchange I/O deadline (0 disables).
-// Safe to call between exchanges; the Service arms every session with the
-// request's effective deadline before each cluster run.
-func (c *EngineConn) SetRoundTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.roundTO.Store(int64(d))
-}
-
-// Reserve takes the session lock for a run, excluding the idle heartbeat
-// until Release. The Service brackets every cluster run with these; the
-// RemoteShard methods themselves do not lock (error paths may skip
-// FinishRun, so the bracket must outlive any single method).
-func (c *EngineConn) Reserve() { c.mu.Lock() }
-
-// Release returns the session to idle (heartbeat resumes).
-func (c *EngineConn) Release() { c.mu.Unlock() }
+// The Service arms every session with the request's effective deadline
+// before each cluster run.
+func (c *EngineConn) SetRoundTimeout(d time.Duration) { c.roundTO = max(d, 0) }
 
 // Broken reports whether the session has failed and must be redialed.
-func (c *EngineConn) Broken() bool { return c.broken.Load() }
+func (c *EngineConn) Broken() bool { return c.broken }
 
 // Addr reports the engine's dial address; Shard its shard index.
 func (c *EngineConn) Addr() string { return c.addr }
@@ -423,103 +373,18 @@ func (c *EngineConn) FinishRun() (congest.RemoteResult, error) {
 	return res, nil
 }
 
-// Ping runs one heartbeat exchange: a Ping frame carrying a fresh nonce,
-// answered by a Pong echoing it, under the heartbeat deadline. The caller
-// must hold the session (Reserve, or be its only user); the idle
-// heartbeat goroutine is the normal caller.
-func (c *EngineConn) Ping() error {
-	to := c.hbTO
-	if to <= 0 {
-		if rt := time.Duration(c.roundTO.Load()); rt > 0 {
-			to = rt
-		} else {
-			to = DefaultHeartbeatTimeout
-		}
-	}
-	c.arm(to)
-	c.nonce++
-	n := c.nonce
-	c.sbuf = encodePing(c.sbuf[:0], n)
-	if err := writeFrame(c.bw, FramePing, c.sbuf); err != nil {
-		return c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.fail(err)
-	}
-	t, payload, err := c.readReply()
-	if err != nil {
-		return c.fail(err)
-	}
-	if t != FramePong {
-		return c.fail(fmt.Errorf("%w: expected pong, got frame type %d", ErrBadFrame, t))
-	}
-	got, err := decodePing(payload)
-	if err != nil {
-		return c.fail(err)
-	}
-	if got != n {
-		return c.fail(fmt.Errorf("%w: pong nonce %d, want %d", ErrBadFrame, got, n))
-	}
-	return nil
-}
-
-// heartbeat is the idle liveness loop: every interval, if no run holds
-// the session, one Ping/Pong exchange. A run in flight is its own
-// liveness signal (its exchanges carry deadlines), so the loop simply
-// skips ticks it cannot lock. A failed ping marks the session broken,
-// closes the connection and reports the miss once — unless Close already
-// raced it, in which case the failure is just the teardown.
-func (c *EngineConn) heartbeat(interval time.Duration, onMiss func(error)) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-t.C:
-		}
-		if !c.mu.TryLock() {
-			continue
-		}
-		if c.broken.Load() || c.closed.Load() {
-			c.mu.Unlock()
-			return
-		}
-		err := c.Ping()
-		c.mu.Unlock()
-		if err != nil {
-			if c.closed.Load() {
-				return
-			}
-			c.conn.Close()
-			if onMiss != nil {
-				onMiss(err)
-			}
-			return
-		}
-	}
-}
-
-// Close stops the heartbeat, sends a best-effort Goodbye (only when the
-// session is idle and healthy — a broken or busy session just drops the
-// connection) and closes it. Idempotent and safe concurrently with the
-// heartbeat and with a run holding the session: an in-flight exchange
-// unblocks with a connection error.
+// Close sends a best-effort Goodbye (unless the session is broken, when
+// it just drops the connection) and closes the connection. Idempotent.
 func (c *EngineConn) Close() error {
-	if c.closed.Swap(true) {
+	if c.closed {
 		return nil
 	}
-	if c.hbStop != nil {
-		close(c.hbStop)
-	}
-	if c.mu.TryLock() {
-		if !c.broken.Load() {
-			c.arm(time.Second)
-			if writeFrame(c.bw, FrameGoodbye, nil) == nil {
-				c.bw.Flush()
-			}
+	c.closed = true
+	if !c.broken {
+		c.conn.SetDeadline(time.Now().Add(time.Second))
+		if writeFrame(c.bw, FrameGoodbye, nil) == nil {
+			c.bw.Flush()
 		}
-		c.mu.Unlock()
 	}
 	return c.conn.Close()
 }

@@ -71,42 +71,26 @@
 // counters and first-loss record, merged client-side exactly as the
 // in-process sharded run merges its shards.
 //
-// # Liveness: deadlines, heartbeats, idle reaping
+// # Liveness and redial
 //
 // Every exchange on an established session runs under a per-round I/O
-// deadline (DialConfig.RoundTimeout; the Service derives it from the
+// deadline (EngineConn.SetRoundTimeout; the Service derives it from the
 // request context, floored so slow-but-alive engines are not misread as
-// dead). A blown deadline — hung process, network partition — fails the
-// exchange with an *EngineLostError matching both ErrEngineTimeout and
-// ErrEngineLost; connection losses (EOF, reset, a SIGKILLed daemon)
-// match only ErrEngineLost. Either way the session is marked broken and
-// must be discarded: the round loop writes to all engines before reading
-// replies, so after a mid-run failure the client cannot know which
-// frames the surviving sessions consumed.
-//
-// While a session is idle, the client sends Ping{nonce} frames on a
-// fixed cadence (DialConfig.HeartbeatInterval) and the server answers
-// Pong{nonce}; a missed or mismatched pong reports the engine dead
-// through OnHeartbeatMiss without waiting for the next request to trip a
-// deadline. Heartbeats never interleave with a run — a run in flight is
-// its own liveness signal, so the ticker skips while the session lock is
-// held. Symmetrically, a server configured with an IdleTimeout reaps
-// sessions that neither run nor ping (distwalkd -idle-timeout; set it
-// above the clients' heartbeat interval so heartbeating sessions live
-// forever).
-//
-// # Reconnection
-//
-// A Supervisor owns one engine address's client-side lifecycle. Session
-// losses mark the engine reconnecting and the next Acquire redials
-// immediately; failed dials back off on a capped exponential schedule
-// with jitter (so a worker pool's redials do not synchronize), and too
-// many consecutive dial failures quarantine the address behind a circuit
-// breaker that fails fast until a cooldown passes. Every redial re-sends
-// the original Hello verbatim — digest pin included — so a restarted
-// engine serving a different graph generation is rejected, never
-// silently adopted. The supervisor counts reconnects (dials that repair
-// a recorded loss) and heartbeat misses for the Service's stats surface.
+// dead), and DialEngineContext bounds the dial and handshake by the
+// context. A blown deadline — hung process, network partition — fails
+// with an *EngineLostError matching both ErrEngineTimeout and
+// ErrEngineLost; connection losses (EOF, reset, a SIGKILLed daemon) and
+// refused dials match only ErrEngineLost. A failed session is marked
+// broken and must be discarded: the round loop writes to all engines
+// before reading replies, so after a mid-run failure the client cannot
+// know which frames the surviving sessions consumed. There is no
+// heartbeat: an engine that dies between runs surfaces on the next
+// exchange that uses its session, and the client redials on the request
+// after that, re-sending the pinned Hello — digest included — so a
+// restarted engine serving a different graph generation is rejected,
+// never silently adopted. On the server side, the TCP keepalive Go
+// enables on accepted connections ends the sessions of clients that
+// vanished.
 //
 // # Shutdown
 //

@@ -30,6 +30,8 @@ const (
 type FrameType uint8
 
 // The protocol's frame types; see doc.go for the session state machine.
+// Types 12 and 13 (the Ping/Pong heartbeat of version 2) are retired and
+// decode as unknown types.
 const (
 	FrameHello     FrameType = 1  // client → server: handshake
 	FrameWelcome   FrameType = 2  // server → client: handshake accepted
@@ -42,8 +44,6 @@ const (
 	FrameRunEnd    FrameType = 9  // client → server: finish the run
 	FrameRunResult FrameType = 10 // server → client: counters + first loss
 	FrameGoodbye   FrameType = 11 // client → server: clean close
-	FramePing      FrameType = 12 // client → server: idle heartbeat (u64 nonce)
-	FramePong      FrameType = 13 // server → client: heartbeat echo (same nonce)
 )
 
 // Typed framing errors. Decoding failures never panic and never allocate
@@ -123,8 +123,8 @@ func readFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
 		start := len(buf)
 		buf = append(buf, make([]byte, k)...)
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			// Wrap the cause too: the server's idle reaper classifies
-			// deadline expiries (net.Error timeouts) behind ErrTruncated.
+			// Wrap the cause too: the client classifies round-deadline
+			// expiries (net.Error timeouts) behind ErrTruncated.
 			return 0, buf[:0], fmt.Errorf("%w: body ended at %d of %d bytes: %w", ErrTruncated, start, plen, err)
 		}
 	}
@@ -168,8 +168,6 @@ func ReadFrame(r io.Reader, buf []byte) (FrameType, any, error) {
 		v = msgs
 	case FrameRunResult:
 		v, err = decodeRunResult(payload)
-	case FramePing, FramePong:
-		v, err = decodePing(payload)
 	default:
 		err = fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, t)
 	}

@@ -22,8 +22,10 @@ const (
 	Magic = 0x44574b31
 	// Version is the protocol version; both ends must match exactly.
 	// Version 2 added Hello.Gen (the topology generation ordinal that
-	// lets a mutated client rotate the server's pinned digest).
-	Version = 2
+	// lets a mutated client rotate the server's pinned digest); version 3
+	// retired the Ping/Pong heartbeat frames, so a version-2 client fails
+	// at the handshake rather than on its first idle ping.
+	Version = 3
 )
 
 // Handshake rejection taxonomy: the server answers a bad Hello with an
@@ -509,19 +511,6 @@ func decodeDeliver(p []byte) (int, error) {
 		return 0, err
 	}
 	return round, nil
-}
-
-// encodePing encodes a heartbeat nonce; the same codec serves Ping and
-// Pong (a Pong echoes the Ping's nonce verbatim).
-func encodePing(b []byte, nonce uint64) []byte { return putU64(b, nonce) }
-
-func decodePing(p []byte) (uint64, error) {
-	d := &dec{b: p}
-	nonce := d.u64()
-	if err := d.done("ping"); err != nil {
-		return 0, err
-	}
-	return nonce, nil
 }
 
 func encodeBuffer(b []byte, msgs []congest.Message) []byte {

@@ -77,6 +77,14 @@ func TestHelloRejectsBadMagicAndVersion(t *testing.T) {
 	if _, err := decodeHello(bad); !errors.Is(err, ErrVersion) {
 		t.Fatalf("corrupt version: got %v, want ErrVersion", err)
 	}
+
+	// A version-2 client (the one that still heartbeats) fails here, at
+	// the handshake, not on its first idle ping.
+	bad = append([]byte(nil), b...)
+	bad[4], bad[5] = 2, 0
+	if _, err := decodeHello(bad); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 2: got %v, want ErrVersion", err)
+	}
 }
 
 func TestHelloRejectsInflatedCounts(t *testing.T) {
@@ -344,6 +352,12 @@ func TestReadFrameErrors(t *testing.T) {
 	}
 	if err := read(hdr(1, 200)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("unknown frame type: %v", err)
+	}
+	// The retired Ping (12) and Pong (13) frames are unknown types now.
+	for _, ft := range []FrameType{12, 13} {
+		if err := read(append(hdr(9, ft), make([]byte, 8)...)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("retired frame type %d: %v", ft, err)
+		}
 	}
 	if err := read(append(hdr(2, FrameRunBegin), 0xaa)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("payload on empty frame: %v", err)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -13,15 +14,15 @@ import (
 )
 
 // The resilience suite pins the failure-detection layer in isolation:
-// heartbeat frames, per-exchange deadlines, the loss taxonomy, the idle
-// reaper, and the supervisor's backoff/breaker state machine. The chaos
-// suite at the repo root covers the same machinery end to end against
-// real daemon processes.
+// per-exchange deadlines, the context-bounded dial and the loss taxonomy.
+// The chaos suite at the repo root covers the same machinery end to end
+// against real daemon processes.
 
-// fakeEngine accepts sessions, answers the handshake verbatim, and then
-// follows mode: "silent" keeps reading frames but never replies (a hung
-// engine), "vanish" closes right after the welcome (a dying engine),
-// "echo" answers pings like a real server.
+// fakeEngine accepts sessions and then follows mode: "mute" reads the
+// Hello and never answers it (an engine hung before the handshake);
+// otherwise it answers the handshake verbatim, after which "silent" keeps
+// reading frames but never replies (a hung engine) and "vanish" closes
+// (a dying engine).
 func fakeEngine(t *testing.T, mode string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -43,6 +44,10 @@ func fakeEngine(t *testing.T, mode string) string {
 				if err != nil {
 					return
 				}
+				if mode == "mute" {
+					io.Copy(io.Discard, br)
+					return
+				}
 				h, err := decodeHello(payload)
 				if err != nil {
 					return
@@ -51,23 +56,8 @@ func fakeEngine(t *testing.T, mode string) string {
 				if writeFrame(bw, FrameWelcome, sb) != nil || bw.Flush() != nil {
 					return
 				}
-				switch mode {
-				case "vanish":
-					return
-				case "silent":
+				if mode == "silent" {
 					io.Copy(io.Discard, br)
-				case "echo":
-					var buf []byte
-					for {
-						ft, p, err := readFrame(br, buf)
-						buf = p[:0]
-						if err != nil || ft != FramePing {
-							return
-						}
-						if writeFrame(bw, FramePong, p) != nil || bw.Flush() != nil {
-							return
-						}
-					}
 				}
 			}(conn)
 		}
@@ -84,51 +74,17 @@ func testHello(t *testing.T) Hello {
 	return HelloFor(g, 1, 0, 1, 42, nil)
 }
 
-// TestPingPong drives heartbeat exchanges against a real Server and
-// checks both the round trips and the server-side counter.
-func TestPingPong(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{PinShard: -1})
-	c, err := DialEngine(addr, testHello(t))
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if err := c.Ping(); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
-		}
-	}
-	if got := srv.Metrics().Pings.Load(); got != 3 {
-		t.Fatalf("server answered %d pings, want 3", got)
-	}
-	if c.Broken() {
-		t.Fatal("session marked broken after successful pings")
-	}
-	// A session that pinged is still a working engine session.
-	if err := c.RunBegin(); err != nil {
-		t.Fatalf("run begin after pings: %v", err)
-	}
-	if err := c.SendPushes(0, nil); err != nil {
-		t.Fatalf("push after pings: %v", err)
-	}
-	if _, err := c.ReadPushAck(); err != nil {
-		t.Fatalf("push ack after pings: %v", err)
-	}
-	if _, err := c.FinishRun(); err != nil {
-		t.Fatalf("finish after pings: %v", err)
-	}
-}
-
 // TestRoundDeadlineTimesOut pins the headline fix: a hung engine fails
 // the exchange with ErrEngineTimeout within the round deadline instead of
 // blocking forever.
 func TestRoundDeadlineTimesOut(t *testing.T) {
 	addr := fakeEngine(t, "silent")
-	c, err := DialEngineConfig(addr, testHello(t), DialConfig{RoundTimeout: 150 * time.Millisecond})
+	c, err := DialEngine(addr, testHello(t))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
+	c.SetRoundTimeout(150 * time.Millisecond)
 	if err := c.RunBegin(); err != nil {
 		t.Fatalf("run begin: %v", err)
 	}
@@ -156,15 +112,45 @@ func TestRoundDeadlineTimesOut(t *testing.T) {
 	}
 }
 
+// TestDialContextBounded: an engine that accepts the connection but never
+// answers the Hello holds the dial only until the context's deadline, and
+// the failure is a typed timeout loss; a refused dial is a plain loss.
+func TestDialContextBounded(t *testing.T) {
+	addr := fakeEngine(t, "mute")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := DialEngineContext(ctx, addr, testHello(t))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("dial against a mute engine took %v, want ~200ms", elapsed)
+	}
+	var le *EngineLostError
+	if !errors.As(err, &le) || !le.Timeout || !errors.Is(err, ErrEngineTimeout) {
+		t.Fatalf("err = %v, want a timed-out *EngineLostError", err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	_, err = DialEngine(dead, testHello(t))
+	if !errors.Is(err, ErrEngineLost) || errors.Is(err, ErrEngineTimeout) {
+		t.Fatalf("refused dial: err = %v, want ErrEngineLost without ErrEngineTimeout", err)
+	}
+}
+
 // TestEngineLostOnEOF pins the taxonomy for a dying engine: connection
 // gone is ErrEngineLost but NOT ErrEngineTimeout.
 func TestEngineLostOnEOF(t *testing.T) {
 	addr := fakeEngine(t, "vanish")
-	c, err := DialEngineConfig(addr, testHello(t), DialConfig{RoundTimeout: time.Second})
+	c, err := DialEngine(addr, testHello(t))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
+	c.SetRoundTimeout(time.Second)
 	if err := c.RunBegin(); err != nil {
 		t.Fatalf("run begin: %v", err)
 	}
@@ -182,197 +168,6 @@ func TestEngineLostOnEOF(t *testing.T) {
 	}
 	if !c.Broken() {
 		t.Fatal("lost session not marked broken")
-	}
-}
-
-// TestHeartbeatDetectsDeadEngine: an idle session with heartbeats learns
-// its engine died without any run in flight, reports the miss once, and
-// marks itself broken.
-func TestHeartbeatDetectsDeadEngine(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{PinShard: -1})
-	miss := make(chan error, 4)
-	c, err := DialEngineConfig(addr, testHello(t), DialConfig{
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
-		OnHeartbeatMiss:   func(err error) { miss <- err },
-	})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	srv.Close() // force-close every session; the next ping must fail
-	select {
-	case err := <-miss:
-		if !errors.Is(err, ErrEngineLost) {
-			t.Fatalf("miss error = %v, want ErrEngineLost", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("heartbeat never reported the dead engine")
-	}
-	if !c.Broken() {
-		t.Fatal("missed-heartbeat session not marked broken")
-	}
-	select {
-	case err := <-miss:
-		t.Fatalf("second miss reported for one session: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-// TestIdleTimeoutReapsSilentSessions: the server-side reaper closes a
-// session that neither runs nor pings, while a heartbeating session on
-// the same server stays alive well past the idle window.
-func TestIdleTimeoutReapsSilentSessions(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{PinShard: -1, IdleTimeout: 200 * time.Millisecond})
-	h := testHello(t)
-	beat, err := DialEngineConfig(addr, h, DialConfig{
-		HeartbeatInterval: 40 * time.Millisecond,
-		HeartbeatTimeout:  time.Second,
-	})
-	if err != nil {
-		t.Fatalf("dial heartbeating: %v", err)
-	}
-	defer beat.Close()
-	mute, err := DialEngine(addr, h)
-	if err != nil {
-		t.Fatalf("dial mute: %v", err)
-	}
-	defer mute.Close()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().IdleReaped.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle session never reaped")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := srv.Metrics().IdleReaped.Load(); got != 1 {
-		t.Fatalf("reaped %d sessions, want 1 (the heartbeating one must survive)", got)
-	}
-	// The heartbeating session outlived several idle windows and still runs.
-	beat.Reserve()
-	defer beat.Release()
-	if err := beat.RunBegin(); err != nil {
-		t.Fatalf("run begin on heartbeating session: %v", err)
-	}
-	if err := beat.SendPushes(0, nil); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	if _, err := beat.ReadPushAck(); err != nil {
-		t.Fatalf("heartbeating session died under the reaper: %v", err)
-	}
-	if _, err := beat.FinishRun(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	// The mute session is gone: its next exchange fails typed.
-	mute.RunBegin()
-	mute.SendPushes(0, nil)
-	if _, err := mute.ReadPushAck(); !errors.Is(err, ErrEngineLost) {
-		t.Fatalf("reaped session's next exchange = %v, want ErrEngineLost", err)
-	}
-}
-
-// TestSupervisorReconnectAndBreaker walks the supervisor through the full
-// lifecycle: healthy acquire → engine death → immediate redial →
-// backed-off fail-fast → quarantine → engine restart on the same port →
-// recovery with a counted reconnect and the digest-pinned handshake.
-func TestSupervisorReconnectAndBreaker(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{PinShard: -1})
-	sv := NewSupervisor(SupervisorConfig{
-		Addr:            addr,
-		Hello:           testHello(t),
-		BackoffBase:     10 * time.Millisecond,
-		BackoffMax:      50 * time.Millisecond,
-		QuarantineAfter: 3,
-		QuarantineFor:   300 * time.Millisecond,
-	})
-	c, err := sv.Acquire()
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if sv.State() != EngineHealthy {
-		t.Fatalf("state after acquire = %v, want healthy", sv.State())
-	}
-	c.Close()
-	srv.Close() // engine dies; the listener port is now free
-
-	sv.NoteLoss(errors.New("synthetic loss"))
-	if sv.State() != EngineReconnecting {
-		t.Fatalf("state after loss = %v, want reconnecting", sv.State())
-	}
-	// The first redial is immediate (no backoff window yet) but fails:
-	// nothing listens. Keep dialing until the breaker trips.
-	deadline := time.Now().Add(10 * time.Second)
-	for sv.State() != EngineQuarantined {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never tripped; state %v", sv.State())
-		}
-		if _, err := sv.Acquire(); err == nil {
-			t.Fatal("acquire succeeded with no listener")
-		} else if !errors.Is(err, ErrEngineLost) {
-			t.Fatalf("acquire err = %v, want ErrEngineLost", err)
-		}
-		time.Sleep(15 * time.Millisecond)
-	}
-	// Inside the quarantine window every acquire fails fast.
-	if _, err := sv.Acquire(); !errors.Is(err, ErrEngineLost) {
-		t.Fatalf("quarantined acquire = %v, want fail-fast ErrEngineLost", err)
-	}
-
-	// Restart the engine on the same address; after the cooldown the
-	// probe dial recovers the supervisor.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("relisten on %s: %v", addr, err)
-	}
-	srv2 := NewServer(ServerConfig{PinShard: -1})
-	go srv2.Serve(ln)
-	t.Cleanup(srv2.Close)
-
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		c, err = sv.Acquire()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("supervisor never recovered: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer c.Close()
-	if sv.State() != EngineHealthy {
-		t.Fatalf("state after recovery = %v, want healthy", sv.State())
-	}
-	if got := sv.Reconnects(); got != 1 {
-		t.Fatalf("reconnects = %d, want 1", got)
-	}
-	// The re-handshake pinned the same digest: the session works.
-	c.Reserve()
-	defer c.Release()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping on reconnected session: %v", err)
-	}
-}
-
-// TestBackoffDelayBounds pins the jittered capped exponential schedule:
-// attempt k waits in [d/2, d] for d = min(max, base << (k-1)).
-func TestBackoffDelayBounds(t *testing.T) {
-	const base, cap = 100 * time.Millisecond, 5 * time.Second
-	for k := 1; k <= 12; k++ {
-		want := base << (k - 1)
-		if k > 7 { // 100ms << 6 = 6.4s > cap
-			want = cap
-		}
-		if want > cap {
-			want = cap
-		}
-		for i := 0; i < 32; i++ {
-			d := backoffDelay(k, base, cap)
-			if d < want/2 || d > want {
-				t.Fatalf("backoffDelay(%d) = %v outside [%v, %v]", k, d, want/2, want)
-			}
-		}
 	}
 }
 

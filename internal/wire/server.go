@@ -44,11 +44,6 @@ type ServerConfig struct {
 	// HandshakeTimeout bounds the Hello/Welcome exchange
 	// (0 = DefaultHandshakeTimeout).
 	HandshakeTimeout time.Duration
-	// IdleTimeout reaps half-dead sessions: a session that sends no frame
-	// for this long after the handshake is closed and counted in
-	// Metrics.IdleReaped. 0 = never. Set it above the clients' heartbeat
-	// interval, so live-but-idle sessions keep themselves alive.
-	IdleTimeout time.Duration
 }
 
 // Metrics is the server's cumulative counter set, exported by distwalkd
@@ -63,8 +58,6 @@ type Metrics struct {
 	BytesIn        atomic.Int64 // raw bytes read
 	BytesOut       atomic.Int64 // raw bytes written
 	Rejects        atomic.Int64 // error frames sent
-	Pings          atomic.Int64 // heartbeats answered
-	IdleReaped     atomic.Int64 // sessions closed by the idle timeout
 }
 
 // Snapshot returns the counters as a map (expvar.Func-friendly).
@@ -79,8 +72,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"bytes_in":        m.BytesIn.Load(),
 		"bytes_out":       m.BytesOut.Load(),
 		"rejects":         m.Rejects.Load(),
-		"pings":           m.Pings.Load(),
-		"idle_reaped":     m.IdleReaped.Load(),
 	}
 }
 
@@ -231,20 +222,13 @@ func (ss *session) run() {
 		return
 	}
 	ss.conn.SetDeadline(time.Time{})
-	idle := srv.cfg.IdleTimeout
 	for {
-		if idle > 0 {
-			ss.conn.SetDeadline(time.Now().Add(idle))
-		}
 		t, payload, err := readFrame(ss.br, ss.rbuf)
 		if cap(payload) > cap(ss.rbuf) {
 			ss.rbuf = payload[:0]
 		}
 		if err != nil {
-			if idle > 0 && isTimeout(err) {
-				srv.m.IdleReaped.Add(1)
-			}
-			return // EOF, peer vanished, timed out, or garbage: session over
+			return // EOF, peer vanished (TCP keepalive), or garbage: session over
 		}
 		switch t {
 		case FrameRunBegin:
@@ -293,17 +277,6 @@ func (ss *session) run() {
 			if ss.setRun(false) {
 				return // drained: this was the in-flight run
 			}
-		case FramePing:
-			nonce, derr := decodePing(payload)
-			if derr != nil {
-				ss.sendErr(CodeBadFrame, derr.Error())
-				return
-			}
-			srv.m.Pings.Add(1)
-			ss.sbuf = encodePing(ss.sbuf[:0], nonce)
-			if writeFrame(ss.bw, FramePong, ss.sbuf) != nil || ss.bw.Flush() != nil {
-				return
-			}
 		case FrameGoodbye:
 			return
 		default:
@@ -337,7 +310,10 @@ func (ss *session) handshake() bool {
 		ss.sendErr(rejectCode(err), err.Error())
 		return false
 	}
-	if h.N < 0 || h.N > 1<<28 {
+	// graph.New(N) costs 32 bytes per node before a single edge is read,
+	// so N is capped at what one frame can describe: MaxFrame/edgeWire
+	// edges connect at most one node more than that.
+	if h.N < 0 || h.N > MaxFrame/edgeWire+1 {
 		ss.sendErr(CodeBadFrame, fmt.Sprintf("implausible node count %d", h.N))
 		return false
 	}

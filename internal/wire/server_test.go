@@ -269,6 +269,23 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	})
 
+	t.Run("node count beyond one frame", func(t *testing.T) {
+		// A 60-byte Hello must not make the engine allocate for 1<<28
+		// nodes before it checks a single edge; the server stays usable.
+		h := HelloFor(g, 2, 0, 1, 1, nil)
+		h.N, h.Edges = 1<<28, nil
+		_, err := DialEngine(addr, h)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != CodeBadFrame {
+			t.Fatalf("got %v, want a CodeBadFrame rejection", err)
+		}
+		c, err := DialEngine(addr, HelloFor(g, 2, 0, 1, 1, nil))
+		if err != nil {
+			t.Fatalf("valid session after the rejection: %v", err)
+		}
+		c.Close()
+	})
+
 	t.Run("raw magic and version", func(t *testing.T) {
 		for name, mangle := range map[string]func([]byte){
 			"magic":   func(b []byte) { b[0] ^= 0xff },
@@ -297,8 +314,8 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	})
 
-	if rejects := srv.Metrics().Rejects.Load(); rejects < 6 {
-		t.Fatalf("reject counter %d, want >= 6", rejects)
+	if rejects := srv.Metrics().Rejects.Load(); rejects < 7 {
+		t.Fatalf("reject counter %d, want >= 7", rejects)
 	}
 }
 
@@ -469,6 +486,9 @@ func TestServerMetrics(t *testing.T) {
 		if snap[key] <= 0 {
 			t.Fatalf("metric %s = %d, want > 0 (snapshot %v)", key, snap[key], snap)
 		}
+	}
+	if len(snap) != 9 {
+		t.Fatalf("snapshot has %d counters, want 9 (the seven above, active_sessions, rejects): %v", len(snap), snap)
 	}
 	if snap["active_sessions"] != 2 {
 		t.Fatalf("active_sessions = %d, want 2", snap["active_sessions"])

@@ -71,14 +71,14 @@ type topology struct {
 	stale chan struct{}
 }
 
-// clusterPlan pins the graph and shard bounds the cluster's remote
-// engines are currently built for. ApplyMutations stores the successor
-// plan before rotating the supervisors' handshakes, so a worker that
-// attaches sessions and then re-reads the plan can detect a rotation
-// that raced its dials.
+// clusterPlan pins the graph the cluster's remote engines are currently
+// built for and the handshake that builds them (shard 0's Hello; its
+// Bounds are the shard plan). ApplyMutations replaces the whole plan in
+// one store, so a worker that dials sessions and then re-reads the plan
+// can detect a rotation that raced its dials.
 type clusterPlan struct {
-	g      *Graph
-	bounds []int32
+	g     *Graph
+	hello wire.Hello
 }
 
 // Generation returns the current topology generation. Requests admitted
@@ -97,8 +97,8 @@ func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen)
 // InvalidateCache (the generation is folded into every cache digest),
 // evicts queued abort-mode batch members, cancels in-flight abort-mode
 // executions, and — in cluster mode — rotates the engine handshake so
-// supervisors re-pin the remote processes to the new graph digest on
-// their next dial instead of being rejected forever.
+// the next dial re-pins the remote processes to the new graph digest
+// instead of being rejected forever.
 //
 // An empty batch returns the current generation without bumping it.
 // Invalid edits (ErrBadMutation), edits that would strand the installed
@@ -145,23 +145,12 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 		}
 	}
 	next := &topology{gen: cur.gen + 1, g: g2, stale: make(chan struct{})}
-	if len(s.clusterSup) > 0 {
-		engines := len(s.cfg.cluster)
-		h := wire.HelloFor(g2, engines, 0, 1, s.seed, s.cfg.fplan)
-		if len(h.Bounds) != engines+1 {
-			return Generation(cur.gen), fmt.Errorf("%w: mutated shard plan has %d ranges for %d engines",
-				ErrClusterConfig, len(h.Bounds)-1, engines)
+	if len(s.cfg.cluster) > 0 {
+		plan, err := s.newClusterPlan(g2, next.gen)
+		if err != nil {
+			return Generation(cur.gen), fmt.Errorf("distwalk: mutation rejected: %w", err)
 		}
-		h.Gen = next.gen
-		// Store the plan before rotating any handshake: a worker that
-		// dialed with the rotated Hello is then guaranteed to observe the
-		// new plan when it re-checks after attaching (see clusterRun).
-		s.clusterPlan.Store(&clusterPlan{g: g2, bounds: h.Bounds})
-		for i, sv := range s.clusterSup {
-			hi := h
-			hi.Shard = i
-			sv.UpdateHello(hi)
-		}
+		s.clusterPlan.Store(plan)
 	}
 	s.publishTopology(next)
 	s.mutApplied.Add(1)

@@ -783,7 +783,7 @@ func TestMutationChaos(t *testing.T) {
 }
 
 // TestClusterMutationRehandshake drives a mutation through a real
-// 2-process cluster: after ApplyMutations rotates the supervisors'
+// 2-process cluster: after ApplyMutations rotates the cluster's
 // handshake, the next request re-dials the engines, the engines re-pin
 // to the new graph digest and higher generation (instead of rejecting
 // the unknown digest forever), and the result is bit-identical to an

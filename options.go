@@ -50,16 +50,6 @@ type config struct {
 	// clusterFallback re-executes a request on in-process shards when its
 	// cluster run is lost (see WithClusterFallback).
 	clusterFallback bool
-	// clusterRound is the per-exchange engine I/O deadline (0 = the 30s
-	// default; see WithClusterRoundTimeout). Per-request overridable.
-	clusterRound time.Duration
-	// clusterHeartbeat is the idle heartbeat interval (construction-time
-	// only; 0 = the 10s default, negative = disabled).
-	clusterHeartbeat time.Duration
-	// clusterBackoff/clusterBackoffMax bound the reconnect backoff
-	// (construction-time only; 0 = wire defaults).
-	clusterBackoff    time.Duration
-	clusterBackoffMax time.Duration
 }
 
 func defaultConfig() config {
@@ -74,17 +64,17 @@ func defaultConfig() config {
 // the call site. Options come in two scopes:
 //
 //   - Per-request options (walk parameterization, budgets, retries,
-//     partial results, stale abort, cluster fallback and round timeout)
-//     may be passed to NewService — where they set the service default —
-//     or to any request method, where they override the default for that
-//     request only.
+//     partial results, stale abort, cluster fallback) may be passed to
+//     NewService — where they set the service default — or to any
+//     request method, where they override the default for that request
+//     only. A cluster run's round deadline has no option: it follows the
+//     request context.
 //
 //   - Construction-only options shape state that exists once per
 //     service: the worker pool (WithWorkers), the shard layout
-//     (WithShards), cluster membership and its session policies
-//     (WithCluster, WithClusterHeartbeat, WithClusterBackoff), the
-//     batching scheduler (WithBatching), the result cache
-//     (WithResultCache) and the fault plan (WithFaultPlan). Passing one
+//     (WithShards), cluster membership (WithCluster), the batching
+//     scheduler (WithBatching), the result cache (WithResultCache) and
+//     the fault plan (WithFaultPlan). Passing one
 //     to a request method fails the call with a *OptionScopeError
 //     matching ErrOptionScope — there is no per-request meaning it
 //     could honor. Each option's doc comment states its scope.
@@ -200,8 +190,9 @@ func WithShards(s int) Option {
 // Execution is bit-identical to WithShards(len(addrs)) — same results,
 // same cost counters, same fault census, per request key — the cluster
 // identity suite pins exactly that. Each pool worker holds one session
-// per engine, so a service runs Workers()×len(addrs) sessions; Close
-// tears them all down. Construction-only: per-request use fails with
+// per engine, so a service runs Workers()×len(addrs) sessions; a lost
+// session is redialed by the worker's next cluster run, and Close tears
+// them all down. Construction-only: per-request use fails with
 // ErrOptionScope. Cluster mode excludes WithShards (the in-process shard
 // layout is moot; it is forced to 1) and requires len(addrs) <= n.
 // NewService fails with ErrClusterConfig on a bad engine list and with a
@@ -214,8 +205,8 @@ func WithCluster(addrs ...string) Option {
 }
 
 // WithClusterFallback enables graceful degradation in cluster mode: when
-// a remote engine is lost mid-request (timeout, crash, missed heartbeat,
-// reconnect refused), the request transparently re-executes on in-process
+// a remote engine is lost mid-request (round deadline, crash, redial
+// refused), the request transparently re-executes on in-process
 // shards — the WithShards(len(addrs)) path — with the same derived seed.
 // Sharded execution is bit-identical to cluster execution per (graph,
 // service seed, key), so a failed-over result is indistinguishable from a
@@ -226,53 +217,6 @@ func WithCluster(addrs ...string) Option {
 // in. Applies per request or as a service default.
 func WithClusterFallback() Option {
 	return newOption("WithClusterFallback", func(c *config) { c.clusterFallback = true })
-}
-
-// WithClusterRoundTimeout sets the per-exchange I/O deadline of cluster
-// mode: every Push/Deliver/RunResult round trip with every engine must
-// complete within d, or the run fails with ErrEngineTimeout (wrapped in
-// ErrClusterEngine). Default 30s. The effective deadline tightens to the
-// request context's remaining budget when that is shorter, with a 100ms
-// floor so a nearly-expired context still gets one meaningful exchange.
-// Applies per request or as a service default.
-func WithClusterRoundTimeout(d time.Duration) Option {
-	return newOption("WithClusterRoundTimeout", func(c *config) {
-		if d > 0 {
-			c.clusterRound = d
-		}
-	})
-}
-
-// WithClusterHeartbeat sets the idle heartbeat interval of cluster
-// sessions: while no run is in flight, each session pings its engine
-// every d and treats a missed reply as a lost engine (counted in
-// Stats().Cluster.HeartbeatMisses, and repaired by reconnect on the next
-// request). Default 10s; d <= 0 disables heartbeats. Construction-only:
-// per-request use fails with ErrOptionScope.
-func WithClusterHeartbeat(d time.Duration) Option {
-	return ctorOption("WithClusterHeartbeat", func(c *config) {
-		if d <= 0 {
-			c.clusterHeartbeat = -1
-			return
-		}
-		c.clusterHeartbeat = d
-	})
-}
-
-// WithClusterBackoff bounds the engine reconnect backoff: the k-th
-// consecutive failed redial of an engine waits min(max, base << (k-1)),
-// jittered, before the next attempt (defaults 100ms / 5s). The first
-// redial after a loss is immediate; only dial failures back off.
-// Construction-only: per-request use fails with ErrOptionScope.
-func WithClusterBackoff(base, max time.Duration) Option {
-	return ctorOption("WithClusterBackoff", func(c *config) {
-		if base > 0 {
-			c.clusterBackoff = base
-		}
-		if max > 0 {
-			c.clusterBackoffMax = max
-		}
-	})
 }
 
 // WithMaxRounds caps the simulated rounds of every engine run performed

@@ -28,10 +28,7 @@ func TestOptionTable(t *testing.T) {
 	}{
 		{"WithBatching", distwalk.WithBatching(4, time.Millisecond), true},
 		{"WithCluster", distwalk.WithCluster("127.0.0.1:1"), true},
-		{"WithClusterBackoff", distwalk.WithClusterBackoff(time.Millisecond, time.Second), true},
 		{"WithClusterFallback", distwalk.WithClusterFallback(), false},
-		{"WithClusterHeartbeat", distwalk.WithClusterHeartbeat(time.Second), true},
-		{"WithClusterRoundTimeout", distwalk.WithClusterRoundTimeout(time.Second), false},
 		{"WithFaultPlan", distwalk.WithFaultPlan(&distwalk.FaultPlan{}), true},
 		{"WithMaxRounds", distwalk.WithMaxRounds(1 << 20), false},
 		{"WithMixingOptions", distwalk.WithMixingOptions(distwalk.MixingOptions{}), false},

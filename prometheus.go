@@ -117,13 +117,9 @@ func writeMetrics(b *strings.Builder, st ServiceStats) {
 				sample{l: l + `,direction="out"`, v: float64(e.BytesOut)},
 				sample{l: l + `,direction="in"`, v: float64(e.BytesIn)})
 		}
-		gauge(b, "distwalk_cluster_engine_healthy", "1 when the engine's supervisor reports it healthy, else 0.", hs...)
+		gauge(b, "distwalk_cluster_engine_healthy", "0 once a session with the engine died or a dial to it failed, 1 again after the next successful dial.", hs...)
 		counter(b, "distwalk_cluster_engine_runs_total", "Runs begun on each remote shard engine.", runs...)
 		counter(b, "distwalk_cluster_engine_bytes_total", "Raw wire traffic per engine, by direction.", bytes...)
-		counter(b, "distwalk_cluster_reconnects_total", "Engine sessions re-established after a loss.",
-			sample{v: float64(st.Cluster.Reconnects)})
-		counter(b, "distwalk_cluster_heartbeat_misses_total", "Idle heartbeats that found an engine dead.",
-			sample{v: float64(st.Cluster.HeartbeatMisses)})
 		counter(b, "distwalk_cluster_failovers_total", "Requests re-executed in-process after losing their cluster run.",
 			sample{v: float64(st.Cluster.Failovers)})
 	}

@@ -80,8 +80,10 @@ func TestMetricsHandler(t *testing.T) {
 			t.Errorf("sample %q precedes its # HELP/# TYPE header", name)
 		}
 	}
-	if families["distwalk_cluster_engine_healthy"] {
-		t.Error("cluster families present on a clusterless service")
+	for name := range families {
+		if strings.HasPrefix(name, "distwalk_cluster_") {
+			t.Errorf("cluster family %s present on a clusterless service", name)
+		}
 	}
 	if families["distwalk_shard_steps_total"] {
 		t.Error("shard families present on an unsharded service")

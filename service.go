@@ -58,9 +58,9 @@ type Service struct {
 	topo  atomic.Pointer[topology]
 	mutMu sync.Mutex
 
-	// clusterPlan pins the graph/bounds the remote engines currently
-	// serve (nil unless WithCluster); rotated by ApplyMutations before
-	// the supervisors' handshakes, never after (see clusterRun).
+	// clusterPlan pins the graph and handshake the remote engines
+	// currently serve (nil unless WithCluster); rotated by ApplyMutations
+	// (see clusterRun).
 	clusterPlan atomic.Pointer[clusterPlan]
 
 	jobs chan func(*poolWorker)
@@ -92,13 +92,12 @@ type Service struct {
 	shardMu  sync.Mutex
 	shardAgg ShardStats
 
-	// Cluster mode (empty unless WithCluster): one supervisor per engine
-	// address (dial policy, reconnect backoff, circuit breaker, health),
-	// the per-engine traffic aggregate (guarded by clusterMu, folded in
-	// by workers like shardAgg), and the failover counter. workers is
-	// kept for Close teardown of per-worker engine sessions. The shard
-	// bounds live in clusterPlan (they rotate with mutations).
-	clusterSup       []*wire.Supervisor
+	// Cluster mode (empty unless WithCluster): per engine, whether its
+	// last session was lost or its last dial failed (Stats' Health), the
+	// per-engine traffic aggregate (guarded by clusterMu, folded in by
+	// workers like shardAgg), and the failover counter. workers is kept
+	// for Close teardown of per-worker engine sessions.
+	clusterLost      []atomic.Bool
 	clusterMu        sync.Mutex
 	clusterAgg       []ClusterEngineStats
 	clusterFailovers atomic.Int64
@@ -125,8 +124,8 @@ type poolWorker struct {
 	lastShard ShardStats
 	// conns are this worker's cluster-mode engine sessions (nil when
 	// in-process; individual entries go nil when a session is lost until
-	// the supervisor re-dials it), lastCluster their stat snapshots after
-	// the previous request (reset per entry when a session is replaced,
+	// the next cluster run re-dials it), lastCluster their stat snapshots
+	// after the previous request (reset per entry when a session is replaced,
 	// since a fresh session restarts its counters). attached reports
 	// whether the worker network currently executes through conns.
 	conns       []*wire.EngineConn
@@ -200,8 +199,8 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	s.workers = workers
 	if len(cfg.cluster) > 0 {
 		if err := s.initCluster(workers); err != nil {
-			// A later dial failing must not leak the sessions (and
-			// heartbeat goroutines) already established.
+			// A later dial failing must not leak the sessions already
+			// established.
 			closeWorkerConns(workers)
 			return nil, err
 		}
@@ -233,72 +232,32 @@ func (s *Service) worker(pw *poolWorker) {
 	}
 }
 
-// Cluster resilience defaults (see WithClusterRoundTimeout and
-// WithClusterHeartbeat).
+// Per-exchange deadline of cluster runs: the request context's remaining
+// budget, or clusterRoundTimeout when the context has none, never below
+// clusterRoundFloor (see armCluster).
 const (
-	defaultClusterRoundTimeout = 30 * time.Second
-	clusterRoundFloor          = 100 * time.Millisecond
-	defaultClusterHeartbeat    = 10 * time.Second
+	clusterRoundTimeout = 30 * time.Second
+	clusterRoundFloor   = 100 * time.Millisecond
 )
 
-// clusterRoundTimeout resolves the configured per-exchange deadline.
-func (c *config) clusterRoundTimeout() time.Duration {
-	if c.clusterRound > 0 {
-		return c.clusterRound
-	}
-	return defaultClusterRoundTimeout
-}
-
-// clusterHeartbeatInterval resolves the idle heartbeat interval
-// (0 = disabled).
-func (c *config) clusterHeartbeatInterval() time.Duration {
-	if c.clusterHeartbeat < 0 {
-		return 0
-	}
-	if c.clusterHeartbeat == 0 {
-		return defaultClusterHeartbeat
-	}
-	return c.clusterHeartbeat
-}
-
-// initCluster builds the per-address engine supervisors and dials every
-// worker's initial sessions. The handshake (graph generation, shard plan,
-// edge capacity, fault plan) is built once and re-sent per session with
-// only the shard index varying; each supervisor keeps its copy and
-// re-sends it verbatim on every reconnect, which is what pins
-// reconnected sessions to the same graph digest.
+// initCluster pins the cluster plan for the initial topology and dials
+// every worker's initial sessions.
 func (s *Service) initCluster(workers []*poolWorker) error {
+	top := s.topo.Load()
+	plan, err := s.newClusterPlan(top.g, top.gen)
+	if err != nil {
+		return err
+	}
+	s.clusterPlan.Store(plan)
 	engines := len(s.cfg.cluster)
-	g := s.topo.Load().g
-	base := wire.HelloFor(g, engines, 0, 1, s.seed, s.cfg.fplan)
-	base.Gen = s.topo.Load().gen
-	if len(base.Bounds) != engines+1 {
-		return fmt.Errorf("%w: shard plan has %d ranges for %d engines",
-			ErrClusterConfig, len(base.Bounds)-1, engines)
-	}
-	s.clusterPlan.Store(&clusterPlan{g: g, bounds: base.Bounds})
-	dial := wire.DialConfig{
-		RoundTimeout:      s.cfg.clusterRoundTimeout(),
-		HeartbeatInterval: s.cfg.clusterHeartbeatInterval(),
-	}
-	s.clusterSup = make([]*wire.Supervisor, engines)
+	s.clusterLost = make([]atomic.Bool, engines)
 	// One aggregate row per engine from the start: Stats and /metrics
 	// must name every engine before it has served anything, which is
 	// exactly when a dead one needs to be visible.
 	s.clusterAgg = make([]ClusterEngineStats, engines)
-	for i := range s.clusterSup {
+	for i := range s.clusterAgg {
 		s.clusterAgg[i] = ClusterEngineStats{Addr: s.cfg.cluster[i], Shard: i}
-		h := base
-		h.Shard = i
-		s.clusterSup[i] = wire.NewSupervisor(wire.SupervisorConfig{
-			Addr:        s.cfg.cluster[i],
-			Hello:       h,
-			Dial:        dial,
-			BackoffBase: s.cfg.clusterBackoff,
-			BackoffMax:  s.cfg.clusterBackoffMax,
-		})
 	}
-	plan := s.clusterPlan.Load()
 	for _, pw := range workers {
 		if err := s.ensureCluster(context.Background(), pw, plan); err != nil {
 			return err
@@ -307,17 +266,31 @@ func (s *Service) initCluster(workers []*poolWorker) error {
 	return nil
 }
 
+// newClusterPlan builds the handshake for serving g at generation gen
+// (graph digest, shard plan, edge capacity, fault plan). Every session
+// re-sends it with only the shard index varying, which is what pins
+// redialed sessions to the same graph digest.
+func (s *Service) newClusterPlan(g *Graph, gen uint64) (*clusterPlan, error) {
+	engines := len(s.cfg.cluster)
+	h := wire.HelloFor(g, engines, 0, 1, s.seed, s.cfg.fplan)
+	if len(h.Bounds) != engines+1 {
+		return nil, fmt.Errorf("%w: shard plan has %d ranges for %d engines",
+			ErrClusterConfig, len(h.Bounds)-1, engines)
+	}
+	h.Gen = gen
+	return &clusterPlan{g: g, hello: h}, nil
+}
+
 // ensureCluster repairs a worker's engine sessions before a cluster run:
 // broken sessions are closed (dropping their stat baselines), missing
-// ones are re-acquired from their supervisors (fail-fast inside a backoff
-// or quarantine window), and the worker network is re-attached to the
-// session group under plan's shard bounds. With every session healthy it
-// is a no-op. Callers that loaded plan before acquiring must re-check it
-// afterwards: a mutation rotating the handshake mid-ensure can hand out
-// sessions for a newer topology (see clusterRun).
+// ones are dialed with plan's handshake within ctx, and the worker
+// network is re-attached to the session group under plan's shard bounds.
+// With every session healthy it is a no-op. Callers that loaded plan
+// before dialing must re-check it afterwards: a mutation may have rotated
+// it mid-ensure (see clusterRun).
 func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clusterPlan) error {
 	if pw.conns == nil {
-		pw.conns = make([]*wire.EngineConn, len(s.clusterSup))
+		pw.conns = make([]*wire.EngineConn, len(s.cfg.cluster))
 	}
 	for i, c := range pw.conns {
 		if c != nil && c.Broken() {
@@ -339,7 +312,10 @@ func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clust
 			return fmt.Errorf("distwalk: cluster engine %d (%s) not redialed: %w",
 				i, s.cfg.cluster[i], err)
 		}
-		c, err := s.clusterSup[i].Acquire()
+		h := plan.hello
+		h.Shard = i
+		c, err := wire.DialEngineContext(ctx, s.cfg.cluster[i], h)
+		s.clusterLost[i].Store(err != nil)
 		if err != nil {
 			return fmt.Errorf("distwalk: cluster engine %d (%s): %w: %w",
 				i, s.cfg.cluster[i], ErrClusterEngine, err)
@@ -352,7 +328,7 @@ func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clust
 		for i, c := range pw.conns {
 			group[i] = c
 		}
-		if err := pw.net.ConnectRemote(group, plan.bounds); err != nil {
+		if err := pw.net.ConnectRemote(group, plan.hello.Bounds); err != nil {
 			return err
 		}
 		pw.attached = true
@@ -366,12 +342,12 @@ func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clust
 // writes to all engines before reading any reply — once one engine fails
 // mid-run, the surviving sessions may hold half-exchanged frames and
 // cannot be trusted with another run, so the whole group goes. The
-// failing engine's supervisor is notified (errors.As digs the shard out
-// of cause) and the network detaches until ensureCluster re-attaches.
+// failing engine is marked lost (errors.As digs the shard out of cause)
+// and the network detaches until ensureCluster re-attaches.
 func (s *Service) dropClusterConns(pw *poolWorker, cause error) {
 	var le *wire.EngineLostError
-	if errors.As(cause, &le) && le.Shard >= 0 && le.Shard < len(s.clusterSup) {
-		s.clusterSup[le.Shard].NoteLoss(cause)
+	if errors.As(cause, &le) && le.Shard >= 0 && le.Shard < len(s.clusterLost) {
+		s.clusterLost[le.Shard].Store(true)
 	}
 	for i, c := range pw.conns {
 		if c == nil {
@@ -406,20 +382,16 @@ func clusterBroken(pw *poolWorker) bool {
 }
 
 // armCluster installs this request's per-exchange deadline on every
-// session: the configured round timeout, tightened to the request
-// context's remaining budget when that is shorter, floored at 100ms so a
+// session: the request context's remaining budget (clusterRoundTimeout
+// when the context has no deadline), floored at clusterRoundFloor so a
 // nearly-expired context still gets one meaningful exchange (the round
 // loop's own context check handles actual expiry).
-func (s *Service) armCluster(ctx context.Context, pw *poolWorker, cfg config) {
-	t := cfg.clusterRoundTimeout()
+func (s *Service) armCluster(ctx context.Context, pw *poolWorker) {
+	t := clusterRoundTimeout
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < t {
-			t = rem
-		}
+		t = time.Until(dl)
 	}
-	if t < clusterRoundFloor {
-		t = clusterRoundFloor
-	}
+	t = max(t, clusterRoundFloor)
 	for _, c := range pw.conns {
 		if c != nil {
 			c.SetRoundTimeout(t)
@@ -427,28 +399,9 @@ func (s *Service) armCluster(ctx context.Context, pw *poolWorker, cfg config) {
 	}
 }
 
-// reserveConns/releaseConns bracket a cluster run: holding every
-// session's lock keeps the idle heartbeats out of the byte stream while
-// the round loop owns it.
-func reserveConns(conns []*wire.EngineConn) {
-	for _, c := range conns {
-		if c != nil {
-			c.Reserve()
-		}
-	}
-}
-
-func releaseConns(conns []*wire.EngineConn) {
-	for _, c := range conns {
-		if c != nil {
-			c.Release()
-		}
-	}
-}
-
-// closeWorkerConns tears down every worker's engine sessions and their
-// heartbeat goroutines (nil-safe: dial failures and dropped sessions
-// leave holes). Used by the construction failure path and by Close.
+// closeWorkerConns tears down every worker's engine sessions (nil-safe:
+// dial failures and dropped sessions leave holes). Used by the
+// construction failure path and by Close.
 func closeWorkerConns(workers []*poolWorker) {
 	for _, pw := range workers {
 		for i, c := range pw.conns {
@@ -507,8 +460,8 @@ type ServiceStats struct {
 	Shards ShardStats
 	// Retry reports the service's recovery activity (see WithRetry).
 	Retry RetryStats
-	// Cluster reports cluster-mode traffic and resilience activity (zero
-	// value when built without WithCluster).
+	// Cluster reports cluster-mode traffic, engine health and failovers
+	// (zero value when built without WithCluster).
 	Cluster ClusterStats
 	// Cache reports the result cache's activity — hits, misses, coalesced
 	// waiters, evictions, byte footprint (zero value when built without
@@ -541,22 +494,19 @@ type MutationStats struct {
 }
 
 // ClusterStats is the cluster-mode slice of a service's counters:
-// per-engine traffic plus the resilience layer's activity.
+// per-engine traffic and health, and failovers.
 type ClusterStats struct {
 	// Engines reports, per remote shard engine, the traffic carried
 	// (runs, rounds, messages, raw bytes), summed over every worker's
 	// session with that engine. Nil when built without WithCluster.
 	Engines []ClusterEngineStats
-	// Health reports each engine's supervisor state ("healthy",
-	// "reconnecting", "quarantined"), indexed like Engines.
+	// Health reports each engine's state, indexed like Engines: "lost"
+	// once a session with it died or a dial to it failed, "healthy"
+	// again after the next successful dial.
 	Health []string
-	// Reconnects counts sessions re-established after a loss;
-	// HeartbeatMisses idle heartbeats that found an engine dead;
-	// Failovers requests re-executed on in-process shards after losing
-	// their cluster run (see WithClusterFallback).
-	Reconnects      int64
-	HeartbeatMisses int64
-	Failovers       int64
+	// Failovers counts requests re-executed on in-process shards after
+	// losing their cluster run (see WithClusterFallback).
+	Failovers int64
 }
 
 // RetryStats counts request attempts and their outcomes across the
@@ -595,12 +545,13 @@ func (s *Service) Stats() ServiceStats {
 		copy(out.Cluster.Engines, s.clusterAgg)
 	}
 	s.clusterMu.Unlock()
-	if len(s.clusterSup) > 0 {
-		out.Cluster.Health = make([]string, len(s.clusterSup))
-		for i, sv := range s.clusterSup {
-			out.Cluster.Health[i] = sv.State().String()
-			out.Cluster.Reconnects += sv.Reconnects()
-			out.Cluster.HeartbeatMisses += sv.HeartbeatMisses()
+	if len(s.clusterLost) > 0 {
+		out.Cluster.Health = make([]string, len(s.clusterLost))
+		for i := range s.clusterLost {
+			out.Cluster.Health[i] = "healthy"
+			if s.clusterLost[i].Load() {
+				out.Cluster.Health[i] = "lost"
+			}
 		}
 		out.Cluster.Failovers = s.clusterFailovers.Load()
 	}
@@ -891,19 +842,18 @@ var errClusterMoved = errors.New("cluster serves another topology generation")
 
 // clusterRun brackets one run over the worker's remote engine sessions,
 // for per-key requests and batches alike: repair the sessions, arm the
-// round deadlines, hold every session's lock while run owns the byte
-// streams, and drop the whole group if the run broke any of it.
+// round deadlines, and drop the whole group if the run broke any of it.
 //
 // Topology epochs interact with the cluster in three ways. A run pinned
 // to a graph the engines no longer serve is refused (errClusterMoved),
 // keeping any healthy sessions for later requests. A worker whose
-// sessions were handshaken for a superseded graph drops them so the
-// supervisors re-dial with the rotated Hello — the server re-pins to the
-// strictly newer generation. And a mutation racing the re-dial shows as a
-// plan change after ensureCluster — ApplyMutations stores the successor
-// plan before rotating any handshake — so the fresh sessions are dropped
-// and the run refused likewise.
-func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, cfg config, snap *topology, run func() error) error {
+// sessions were handshaken for a superseded graph drops them so
+// ensureCluster re-dials with the rotated Hello — the server re-pins to
+// the strictly newer generation. And a mutation racing the re-dial shows
+// as a plan change after ensureCluster, so the fresh sessions are dropped
+// and the run refused likewise — also when the stale Hello was rejected
+// by an engine another worker had already re-pinned.
+func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, snap *topology, run func() error) error {
 	plan := s.clusterPlan.Load()
 	if plan.g != snap.g {
 		return errClusterMoved
@@ -916,20 +866,16 @@ func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, cfg config, sn
 	if err := s.syncWarm(pw, snap); err != nil {
 		return err
 	}
-	if err := s.ensureCluster(ctx, pw, plan); err != nil {
-		return err
-	}
+	err := s.ensureCluster(ctx, pw, plan)
 	if s.clusterPlan.Load() != plan {
 		s.dropClusterConns(pw, nil)
 		return errClusterMoved
 	}
-	s.armCluster(ctx, pw, cfg)
-	// The release set is captured before the run: a mid-run loss nils
-	// pw.conns entries.
-	reserved := append([]*wire.EngineConn(nil), pw.conns...)
-	reserveConns(reserved)
-	defer releaseConns(reserved)
-	err := run()
+	if err != nil {
+		return err
+	}
+	s.armCluster(ctx, pw)
+	err = run()
 	if clusterBroken(pw) {
 		s.dropClusterConns(pw, err)
 	}
@@ -947,10 +893,10 @@ func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, cfg config, sn
 func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	seed := attemptSeed(s.seed, key, attempt)
 	run := func() error { return s.runPrepared(ctx, cfg, seed, snap, pw, fn) }
-	if len(s.clusterSup) == 0 {
+	if len(s.cfg.cluster) == 0 {
 		return run()
 	}
-	runErr := s.clusterRun(ctx, pw, cfg, snap, run)
+	runErr := s.clusterRun(ctx, pw, snap, run)
 	if runErr == errClusterMoved {
 		return s.executeLocalShards(pw, snap, run)
 	}
@@ -1037,8 +983,8 @@ func (s *Service) runBatch(b *sched.Batch) {
 			})
 		}
 		var err error
-		if len(s.clusterSup) > 0 {
-			err = s.clusterRun(ctx, pw, cfg, snap, run)
+		if len(s.cfg.cluster) > 0 {
+			err = s.clusterRun(ctx, pw, snap, run)
 		} else {
 			err = run()
 		}
