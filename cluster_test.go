@@ -661,8 +661,10 @@ func TestClusterMetricsBeforeFirstRequest(t *testing.T) {
 		t.Fatalf("Stats().Cluster.Engines has %d entries before any request, want %d", len(st.Cluster.Engines), svc.Cluster())
 	}
 	for i, es := range st.Cluster.Engines {
-		if want := (distwalk.ClusterEngineStats{Addr: addrs[i], Shard: i}); es != want {
-			t.Errorf("Stats().Cluster.Engines[%d] = %+v, want %+v", i, es, want)
+		// The handshake's bytes count as they cross the wire; no run has.
+		want := distwalk.ClusterEngineStats{Addr: addrs[i], Shard: i, BytesOut: es.BytesOut, BytesIn: es.BytesIn}
+		if es != want || es.BytesOut == 0 || es.BytesIn == 0 {
+			t.Errorf("Stats().Cluster.Engines[%d] = %+v, want handshake bytes only", i, es)
 		}
 	}
 
@@ -684,8 +686,8 @@ func TestClusterMetricsBeforeFirstRequest(t *testing.T) {
 			families++
 		}
 	}
-	if families != 4 {
-		t.Errorf("exposition has %d cluster families, want 4 (healthy, runs, bytes, failovers)", families)
+	if families != 6 {
+		t.Errorf("exposition has %d cluster families, want 6 (runs, rounds, msgs, bytes, healthy, failovers)", families)
 	}
 }
 
@@ -775,7 +777,8 @@ func TestClusterStatsAndDebug(t *testing.T) {
 
 	// Client side via expvar: publish succeeds once, duplicate is a typed
 	// error instead of expvar's panic.
-	const name = "distwalk-cluster-test"
+	// Unique per run: expvar names are process-global (go test -count=2).
+	name := fmt.Sprintf("distwalk-cluster-test-%d", time.Now().UnixNano())
 	if err := svc.PublishExpvar(name); err != nil {
 		t.Fatalf("PublishExpvar: %v", err)
 	}

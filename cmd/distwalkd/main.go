@@ -14,14 +14,17 @@
 // up (with -listen :0, that line is how callers learn the port). A
 // first SIGINT/SIGTERM starts a graceful drain — in-flight runs finish,
 // new sessions are refused — and a second one force-closes everything.
-// With -debug-addr, the server's counters are published as the expvar
-// "distwalkd" at http://<debug-addr>/debug/vars.
+// With -debug-addr, http://<debug-addr>/ serves this server's counters
+// (wire.Metrics) at /metrics in the Prometheus text format and as the
+// expvar "distwalkd" at /debug/vars, plus net/http/pprof at
+// /debug/pprof/.
 //
 // -handshake-timeout bounds the Hello/Welcome exchange of each new
 // session.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -29,11 +32,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 
+	"distwalk/internal/metrics"
 	"distwalk/internal/wire"
 )
 
@@ -55,15 +59,11 @@ func main() {
 	}
 }
 
-// publishOnce guards the process-global expvar name (expvar.Publish
-// panics on duplicates; tests call run more than once per process).
-var publishOnce sync.Once
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("distwalkd", flag.ContinueOnError)
 	var (
 		listen    = fs.String("listen", "127.0.0.1:7070", "TCP address to serve engine sessions on (host:0 picks a free port)")
-		debugAddr = fs.String("debug-addr", "", "optional HTTP address exposing the server counters at /debug/vars")
+		debugAddr = fs.String("debug-addr", "", "optional HTTP address serving the server counters (/metrics, /debug/vars) and pprof")
 		shard     = fs.Int("shard", -1, "pin this server to one shard index of the cluster plan (-1 serves any shard)")
 		hsTO      = fs.Duration("handshake-timeout", wire.DefaultHandshakeTimeout, "bound on the Hello/Welcome exchange of a new session")
 	)
@@ -99,12 +99,7 @@ func run(args []string, stdout io.Writer) error {
 			ln.Close()
 			return fmt.Errorf("%w: -debug-addr: %w", errListen, err)
 		}
-		publishOnce.Do(func() {
-			expvar.Publish("distwalkd", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
-		})
-		mux := http.NewServeMux()
-		mux.Handle("/debug/vars", expvar.Handler())
-		debugSrv = &http.Server{Handler: mux}
+		debugSrv = &http.Server{Handler: debugMux(srv)}
 		go debugSrv.Serve(dln)
 		fmt.Fprintf(stdout, "distwalkd debug on %s\n", dln.Addr())
 	}
@@ -133,4 +128,22 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "distwalkd stopped")
 	return nil
+}
+
+// debugMux serves srv's counters — /metrics through internal/metrics,
+// /debug/vars as the process's expvars plus "distwalkd" — and pprof.
+// Built per server: expvar names are process-global, so "distwalkd" is
+// written here rather than published.
+func debugMux(srv *wire.Server) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler(func() any { return srv.Metrics() }))
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		m, _ := json.Marshal(srv.Metrics())
+		fmt.Fprintf(w, "{\n%q: %s", "distwalkd", m)
+		expvar.Do(func(kv expvar.KeyValue) { fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value) })
+		fmt.Fprintf(w, "\n}\n")
+	})
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof registers there
+	return mux
 }

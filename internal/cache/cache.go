@@ -66,16 +66,18 @@ func (d *Digest) Key() Key {
 type Stats struct {
 	// Hits counts lookups served from the store; Misses counts lookups
 	// that led an execution.
-	Hits, Misses int64
+	Hits   int64 `metric:"lookups_total{outcome=hit},counter"`
+	Misses int64 `metric:"lookups_total{outcome=miss},counter"`
 	// CoalescedWaiters counts lookups that attached to another request's
 	// in-flight execution instead of running their own.
-	CoalescedWaiters int64
+	CoalescedWaiters int64 `metric:"lookups_total{outcome=coalesced},counter"`
 	// Evictions counts entries dropped: LRU pressure plus purges
 	// (InvalidateCache).
-	Evictions int64
+	Evictions int64 `metric:"evictions_total,counter"`
 	// BytesUsed is the current charged footprint (payload + per-entry
 	// overhead); HitBytes sums the payload bytes served from the store.
-	BytesUsed, HitBytes int64
+	BytesUsed int64 `metric:"bytes,gauge"`
+	HitBytes  int64 `metric:"hit_bytes_total,counter"`
 }
 
 // Outcome reports how a lookup was resolved.

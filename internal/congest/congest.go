@@ -82,18 +82,18 @@ type Halter interface {
 // Result aggregates the cost of one or more protocol runs.
 type Result struct {
 	// Rounds is the number of synchronous rounds consumed.
-	Rounds int
+	Rounds int `metric:"rounds_total,counter"`
 	// Messages is the number of messages delivered.
-	Messages int64
+	Messages int64 `metric:"messages_total,counter"`
 	// Words is the total size of delivered messages in O(log n)-bit units.
-	Words int64
+	Words int64 `metric:"words_total,counter"`
 	// MaxQueue is the deepest any directed-edge queue got.
-	MaxQueue int
+	MaxQueue int `metric:"max_queue,gauge"`
 	// Faults aggregates the injected-fault footprint (WithFaultPlan):
 	// messages dropped at down receivers or lossy links,
 	// deliveries deferred by link delays, nodes down during the run. The
 	// zero value means a fault-free run.
-	Faults FaultStats
+	Faults FaultStats `metric:"faults_"`
 }
 
 // Add accumulates other into r (for summing across sequential phases).
@@ -127,6 +127,9 @@ type Network struct {
 	// contiguous ascending ranges, each a node half plus an edge half of
 	// the round kernel. There is always at least one; see shard.go.
 	shards []*shard
+	// counters is the block sharded Runs add their per-shard work to
+	// (nil unless WithShardCounters); see ShardCounters.
+	counters ShardCounters
 
 	// The first loss since Reseed, and any invalid fault configuration
 	// recorded at construction and returned by Run. See fault.go.

@@ -246,8 +246,11 @@
 // requests in about half the sequential time from Torus(48,48) up and
 // still ahead on Torus(16,16); with more shard workers than Ps every
 // crossing is a park and a wake-up. A cluster pays two round trips per
-// round. ShardStats reports per-shard occupancy and barrier wait — spin
-// time included — so imbalance is observable.
+// round. Each shard tallies its steps, merges and barrier wait — spin
+// time included — and a Run adds them once, at its end, to the
+// ShardCounters block the network was given (WithShardCounters); the
+// network itself keeps no total. ShardStats, the block's snapshot, makes
+// imbalance observable.
 //
 // # Warm-reuse lifecycle
 //

@@ -64,16 +64,16 @@ func (e *MessageLostError) Unwrap() error { return ErrMessageLost }
 type FaultStats struct {
 	// Dropped counts messages lost to down receivers (plan crashes and
 	// churn windows).
-	Dropped int64
+	Dropped int64 `metric:"dropped_total,counter"`
 	// LinkDropped counts messages lost to lossy-link sampling.
-	LinkDropped int64
+	LinkDropped int64 `metric:"link_dropped_total,counter"`
 	// Delayed counts delivery opportunities deferred by link delays (one
 	// per edge per skipped round).
-	Delayed int64
+	Delayed int64 `metric:"delayed_total,counter"`
 	// Crashed is the number of nodes that were down at some point during
 	// the run. Like MaxQueue it is a high-water mark, not a sum: Add keeps
 	// the maximum across phases.
-	Crashed int
+	Crashed int `metric:"crashed,gauge"`
 }
 
 // add accumulates other into f; see Result.Add for the summing contract.

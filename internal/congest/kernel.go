@@ -370,7 +370,8 @@ type nodeHalf struct {
 	runErr     error
 	ctx        Ctx
 
-	// Cumulative occupancy counters (survive reset; see ShardStats).
+	// This Run's occupancy tallies, added to the network's ShardCounters
+	// block (if any) when a sharded Run ends.
 	stepped   int64
 	delivered int64
 	waitNs    int64
@@ -388,6 +389,7 @@ func (nh *nodeHalf) reset() {
 	nh.awakeNodes = nh.awakeNodes[:0]
 	nh.awakeCount = 0
 	nh.runErr = nil
+	nh.stepped, nh.delivered, nh.waitNs = 0, 0, 0
 }
 
 // init runs the protocol's Init on the half's nodes in ascending ID

@@ -265,20 +265,21 @@ func TestGenerationStamp(t *testing.T) {
 	}
 }
 
-// TestShardStatsSurviveReshape pins ShardStats' "cumulative since the
-// network was built": both Reshape kinds rebuild the shard structs, and
-// neither may restart the occupancy counters (the Service folds deltas
-// of them into monotone totals).
+// TestShardStatsSurviveReshape: both Reshape kinds rebuild the shard
+// structs, and neither may detach the network from its ShardCounters
+// block (a Service's block sums its workers' networks into monotone
+// totals).
 func TestShardStatsSurviveReshape(t *testing.T) {
 	g := reshapeGraph(t)
-	net := NewNetwork(g, 7, WithShards(2))
+	block := make(ShardCounters, 2)
+	net := NewNetwork(g, 7, WithShards(2), WithShardCounters(block))
 	run := func() ShardStats {
 		t.Helper()
 		net.Reseed(7)
 		if _, err := net.Run((&stressProto{seeds: 2, hops: 20}).prepare(g.N())); err != nil {
 			t.Fatal(err)
 		}
-		return net.ShardStats()
+		return block.Stats()
 	}
 	before := run()
 
@@ -296,7 +297,7 @@ func TestShardStatsSurviveReshape(t *testing.T) {
 		if kind, err := net.Reshape(g2); err != nil || kind != step.want {
 			t.Fatalf("Reshape = %v, %v; want %v", kind, err, step.want)
 		}
-		if got := net.ShardStats(); !reflect.DeepEqual(got, before) {
+		if got := block.Stats(); !reflect.DeepEqual(got, before) {
 			t.Fatalf("%v reshape changed ShardStats\n got %+v\nwant %+v", step.want, got, before)
 		}
 		after := run()

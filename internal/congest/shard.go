@@ -181,12 +181,15 @@ func (n *Network) SetShards(s int) {
 // applyShardBounds rebuilds the shards over the given node boundaries
 // (len s+1, bounds[0]==0, bounds[s]==n). Callers must have reset the old
 // layout first. Reshape uses it directly to keep an old partition's
-// bounds over a rebuilt edge index. The cumulative occupancy counters
-// and the queue slab and transfer buffers (emptied) carry over when the
-// shard count is unchanged (Reshape never changes it); SetShards to a
-// different count restarts them.
+// bounds over a rebuilt edge index. The queue slab and transfer buffers
+// (emptied) carry over when the shard count is unchanged (Reshape never
+// changes it), and so does the ShardCounters block; SetShards to a
+// different count detaches it.
 func (n *Network) applyShardBounds(bounds []int32) {
 	s := len(bounds) - 1
+	if n.counters != nil && len(n.counters) != s {
+		n.counters = nil
+	}
 	var shardOf []int32 // node -> shard; a single shard needs no lookup
 	if s > 1 {
 		shardOf = make([]int32, n.g.N())
@@ -202,7 +205,6 @@ func (n *Network) applyShardBounds(bounds []int32) {
 		}
 		sh.ctx = Ctx{net: n, sh: sh}
 		if len(old) == s {
-			sh.stepped, sh.delivered, sh.waitNs = old[i].stepped, old[i].delivered, old[i].waitNs
 			sh.adopt(&old[i].edgeHalf)
 		}
 		n.shards[i] = sh
@@ -263,6 +265,9 @@ func (n *Network) runSharded(p Proto, halter Halter) error {
 	n.shards[0].loop(sr, p)
 	wg.Wait()
 	n.collectShards()
+	if n.counters != nil {
+		n.counters.add(n.shards)
+	}
 	return sr.err
 }
 
@@ -292,18 +297,15 @@ func (sh *shard) wait(sr *shardRun, serial func()) {
 	sh.waitNs += time.Since(t0).Nanoseconds()
 }
 
-// ShardStats is a snapshot of the per-shard occupancy counters, cumulative
-// since the network was built or last repartitioned to a different shard
-// count (they survive Run resets and Reshape): protocol steps executed
-// and messages merged per shard, plus the wall-clock time each shard
-// spent at round barriers — spinning, parked, or running the serial
-// verdict. With one shard only Shards is set. Not safe to call
-// concurrently with Run.
+// ShardStats is a snapshot of a ShardCounters block: protocol steps
+// executed and messages merged per shard, plus the wall-clock time each
+// shard spent at round barriers — spinning, parked, or running the
+// serial verdict.
 type ShardStats struct {
-	Shards      int
-	Stepped     []int64
-	Delivered   []int64
-	BarrierWait []time.Duration
+	Shards      int             `metric:"-"` // the shard label's range
+	Stepped     []int64         `metric:"steps_total,counter,index=shard"`
+	Delivered   []int64         `metric:"delivered_total,counter,index=shard"`
+	BarrierWait []time.Duration `metric:"barrier_wait_seconds_total,counter,index=shard"`
 }
 
 // Occupancy returns each shard's fraction of the total protocol steps —
@@ -323,40 +325,40 @@ func (st ShardStats) Occupancy() []float64 {
 	return out
 }
 
-// Add accumulates other into st (for aggregating across pooled networks);
-// st must be zero or have the same shard count.
-func (st *ShardStats) Add(other ShardStats) {
-	if other.Shards == 0 {
-		return
-	}
-	if st.Shards == 0 {
-		st.Shards = other.Shards
-		st.Stepped = make([]int64, len(other.Stepped))
-		st.Delivered = make([]int64, len(other.Delivered))
-		st.BarrierWait = make([]time.Duration, len(other.BarrierWait))
-	}
-	for i := range other.Stepped {
-		st.Stepped[i] += other.Stepped[i]
-		st.Delivered[i] += other.Delivered[i]
-		st.BarrierWait[i] += other.BarrierWait[i]
+// ShardCounters is a block of per-shard work counters, one entry per
+// shard (make(ShardCounters, s)), cumulative since it was made. Every
+// sharded network attached to it (WithShardCounters) adds its
+// shard-local tallies once, at the end of every Run, so one block sums
+// many networks of the same shard count (a Service's pooled workers).
+// Safe for concurrent use, also with Run.
+type ShardCounters []struct{ stepped, delivered, waitNs atomic.Int64 }
+
+// add adds the shards' tallies of the ended Run to the block.
+func (c ShardCounters) add(shards []*shard) {
+	for i, sh := range shards {
+		c[i].stepped.Add(sh.stepped)
+		c[i].delivered.Add(sh.delivered)
+		c[i].waitNs.Add(sh.waitNs)
 	}
 }
 
-// ShardStats snapshots the network's per-shard occupancy counters.
-func (n *Network) ShardStats() ShardStats {
-	st := ShardStats{Shards: len(n.shards)}
-	if st.Shards == 1 {
-		return st
-	}
-	st.Stepped = make([]int64, st.Shards)
-	st.Delivered = make([]int64, st.Shards)
-	st.BarrierWait = make([]time.Duration, st.Shards)
-	for i, sh := range n.shards {
-		st.Stepped[i] = sh.stepped
-		st.Delivered[i] = sh.delivered
-		st.BarrierWait[i] = time.Duration(sh.waitNs)
+// Stats snapshots the block.
+func (c ShardCounters) Stats() ShardStats {
+	s := len(c)
+	st := ShardStats{Shards: s, Stepped: make([]int64, s), Delivered: make([]int64, s), BarrierWait: make([]time.Duration, s)}
+	for i := range c {
+		st.Stepped[i] = c[i].stepped.Load()
+		st.Delivered[i] = c[i].delivered.Load()
+		st.BarrierWait[i] = time.Duration(c[i].waitNs.Load())
 	}
 	return st
+}
+
+// WithShardCounters makes the network add its per-shard tallies to c,
+// which must have as many shards as the network; a SetShards to another
+// count detaches it. Without a block the tallies are dropped.
+func WithShardCounters(c ShardCounters) Option {
+	return func(n *Network) { n.counters = c }
 }
 
 // QueueSlots reports the message slots of the edge queues, summed over

@@ -407,11 +407,16 @@ func TestShardStatsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(g, 3, WithShards(4))
-	if _, err := net.Run((&stressProto{seeds: 4, hops: 30}).prepare(g.N())); err != nil {
-		t.Fatal(err)
+	run := func(c ShardCounters) {
+		t.Helper()
+		n := NewNetwork(g, 3, WithShards(4), WithShardCounters(c))
+		if _, err := n.Run((&stressProto{seeds: 4, hops: 30}).prepare(g.N())); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := net.ShardStats()
+	one := make(ShardCounters, 4)
+	run(one)
+	st := one.Stats()
 	if st.Shards != 4 || len(st.Stepped) != 4 {
 		t.Fatalf("ShardStats %+v, want 4 shards", st)
 	}
@@ -431,17 +436,22 @@ func TestShardStatsOccupancy(t *testing.T) {
 	if total < 0.999 || total > 1.001 {
 		t.Fatalf("occupancy %v does not sum to 1", occ)
 	}
-	// Aggregation across networks.
-	var agg ShardStats
-	agg.Add(st)
-	agg.Add(st)
-	if agg.Stepped[0] != 2*st.Stepped[0] {
-		t.Fatalf("ShardStats.Add: got %d, want %d", agg.Stepped[0], 2*st.Stepped[0])
+	// Aggregation across networks: two networks sharing one block add up
+	// to twice the work of either.
+	shared := make(ShardCounters, 4)
+	run(shared)
+	run(shared)
+	if agg := shared.Stats(); agg.Stepped[0] != 2*st.Stepped[0] || agg.Delivered[3] != 2*st.Delivered[3] {
+		t.Fatalf("shared ShardCounters: got %+v, want twice %+v", agg, st)
 	}
-	// Sequential networks report a single shard with no per-shard slices.
-	seq := NewNetwork(g, 3)
-	if sst := seq.ShardStats(); sst.Shards != 1 || sst.Stepped != nil {
-		t.Fatalf("sequential ShardStats = %+v, want {Shards:1}", sst)
+	// A SetShards to another count detaches the block.
+	n := NewNetwork(g, 3, WithShards(4), WithShardCounters(shared))
+	n.SetShards(2)
+	if _, err := n.Run((&stressProto{seeds: 4, hops: 30}).prepare(g.N())); err != nil {
+		t.Fatal(err)
+	}
+	if agg := shared.Stats(); agg.Stepped[0] != 2*st.Stepped[0] {
+		t.Fatalf("a detached network added to its old block: %+v", agg)
 	}
 }
 

@@ -6,28 +6,28 @@ import "distwalk/internal/congest"
 // All member counts are requests; Batches counts executions.
 type Stats struct {
 	// Submitted counts requests admitted to a queue.
-	Submitted uint64
+	Submitted uint64 `metric:"batch_submitted_total,counter"`
 	// Rejected counts Submits refused with ErrQueueFull.
-	Rejected uint64
+	Rejected uint64 `metric:"batch_rejected_total,counter"`
 	// Cancelled counts members dropped from a pending batch because
 	// their context was done before flush.
-	Cancelled uint64
+	Cancelled uint64 `metric:"batch_cancelled_total,counter"`
 	// Aborted counts members completed with ErrBatchAborted (execution
 	// failure or scheduler close).
-	Aborted uint64
+	Aborted uint64 `metric:"batch_aborted_total,counter"`
 	// Batches counts flushed batch executions; FlushBySize and
 	// FlushByDelay attribute them to their trigger.
-	Batches      uint64
-	FlushBySize  uint64
-	FlushByDelay uint64
+	Batches      uint64 `metric:"batches_total,counter"`
+	FlushBySize  uint64 `metric:"batch_flushes_total{trigger=size},counter"`
+	FlushByDelay uint64 `metric:"batch_flushes_total{trigger=delay},counter"`
 	// Occupancy is the batch-size histogram: Occupancy[i] counts batches
 	// that executed with i+1 members (length MaxBatch).
-	Occupancy []uint64
+	Occupancy []uint64 `metric:"batch_size,histogram"`
 	// BatchedWalks counts walks successfully executed inside batches
 	// (every one delivered a result to its submitter); BatchCost sums
 	// those batches' total simulated cost (walks, shared phases, traces).
-	BatchedWalks uint64
-	BatchCost    congest.Result
+	BatchedWalks uint64         `metric:"batched_walks_total,counter"`
+	BatchCost    congest.Result `metric:"batch_"`
 }
 
 // AmortizedRounds returns the mean simulated rounds per batched walk —

@@ -97,34 +97,39 @@ func (c countConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// EngineStats is a snapshot of one engine connection's cumulative
-// traffic counters.
+// EngineStats is a snapshot of an EngineCounters block.
 type EngineStats struct {
 	// Addr is the engine's dial address; Shard its index in the plan.
-	Addr  string
-	Shard int
+	Addr  string `metric:"addr,label"`
+	Shard int    `metric:"-"` // the engine label already carries it
 	// Runs counts runs begun; Rounds delivery rounds requested.
-	Runs   int64
-	Rounds int64
+	Runs   int64 `metric:"runs_total,counter"`
+	Rounds int64 `metric:"rounds_total,counter"`
 	// MsgsOut counts messages pushed to the engine, MsgsIn messages
-	// delivered back; BytesOut/BytesIn the raw wire traffic.
-	MsgsOut  int64
-	MsgsIn   int64
-	BytesOut int64
-	BytesIn  int64
+	// delivered back; BytesOut/BytesIn the raw wire traffic, handshakes
+	// included.
+	MsgsOut  int64 `metric:"msgs_total{direction=out},counter"`
+	MsgsIn   int64 `metric:"msgs_total{direction=in},counter"`
+	BytesOut int64 `metric:"bytes_total{direction=out},counter"`
+	BytesIn  int64 `metric:"bytes_total{direction=in},counter"`
 }
 
-// Add accumulates other into s (for aggregating across pooled workers).
-func (s *EngineStats) Add(other EngineStats) {
-	if s.Addr == "" {
-		s.Addr, s.Shard = other.Addr, other.Shard
+// EngineCounters is one engine's traffic block. Every session dialed
+// with it adds its traffic here as it happens, so one block sums all the
+// sessions a client ever held with the engine, replaced ones included.
+// Safe for concurrent use.
+type EngineCounters struct {
+	runs, rounds, msgsOut, msgsIn, bytesOut, bytesIn atomic.Int64
+}
+
+// Stats snapshots the block for the engine at addr, plan index shard.
+func (c *EngineCounters) Stats(addr string, shard int) EngineStats {
+	return EngineStats{
+		Addr: addr, Shard: shard,
+		Runs: c.runs.Load(), Rounds: c.rounds.Load(),
+		MsgsOut: c.msgsOut.Load(), MsgsIn: c.msgsIn.Load(),
+		BytesOut: c.bytesOut.Load(), BytesIn: c.bytesIn.Load(),
 	}
-	s.Runs += other.Runs
-	s.Rounds += other.Rounds
-	s.MsgsOut += other.MsgsOut
-	s.MsgsIn += other.MsgsIn
-	s.BytesOut += other.BytesOut
-	s.BytesIn += other.BytesIn
 }
 
 // EngineConn is a client session with one remote shard engine: the TCP
@@ -145,17 +150,16 @@ type EngineConn struct {
 	broken  bool
 	closed  bool
 
-	stats    EngineStats
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
+	tally *EngineCounters
 }
 
 var _ congest.RemoteShard = (*EngineConn)(nil)
 
-// DialEngine is DialEngineContext without a context: the handshake is
-// bounded by DefaultHandshakeTimeout only.
+// DialEngine is DialEngineContext without a context or a shared counter
+// block: the handshake is bounded by DefaultHandshakeTimeout only, and
+// the session counts its traffic in a block of its own.
 func DialEngine(addr string, h Hello) (*EngineConn, error) {
-	return DialEngineContext(context.Background(), addr, h)
+	return DialEngineContext(context.Background(), addr, h, nil)
 }
 
 // DialEngineContext connects to a distwalkd engine and performs the
@@ -164,8 +168,9 @@ func DialEngine(addr string, h Hello) (*EngineConn, error) {
 // SetRoundTimeout). Every failure is an *EngineLostError (ErrEngineLost,
 // plus ErrEngineTimeout when a deadline expired); a server-side rejection
 // stays in its cause chain as a *RemoteError that errors.Is-matches the
-// wire sentinel for its code (ErrGeneration, ErrShardIndex, ...).
-func DialEngineContext(ctx context.Context, addr string, h Hello) (*EngineConn, error) {
+// wire sentinel for its code (ErrGeneration, ErrShardIndex, ...). The
+// session adds its traffic to tally (a fresh block when nil).
+func DialEngineContext(ctx context.Context, addr string, h Hello, tally *EngineCounters) (*EngineConn, error) {
 	deadline := time.Now().Add(DefaultHandshakeTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -174,10 +179,11 @@ func DialEngineContext(ctx context.Context, addr string, h Hello) (*EngineConn, 
 	if err != nil {
 		return nil, lost(addr, h.Shard, fmt.Errorf("wire: dial: %w", err))
 	}
-	c := &EngineConn{addr: addr, shard: h.Shard, conn: conn}
-	c.stats.Addr = addr
-	c.stats.Shard = h.Shard
-	cc := countConn{Conn: conn, r: &c.bytesIn, w: &c.bytesOut}
+	if tally == nil {
+		tally = new(EngineCounters)
+	}
+	c := &EngineConn{addr: addr, shard: h.Shard, conn: conn, tally: tally}
+	cc := countConn{Conn: conn, r: &tally.bytesIn, w: &tally.bytesOut}
 	c.br = bufio.NewReaderSize(cc, 1<<16)
 	c.bw = bufio.NewWriterSize(cc, 1<<16)
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -269,18 +275,14 @@ func (c *EngineConn) Addr() string { return c.addr }
 // Shard reports the engine's shard index in the cluster plan.
 func (c *EngineConn) Shard() int { return c.shard }
 
-// Stats snapshots the connection's cumulative traffic counters.
-func (c *EngineConn) Stats() EngineStats {
-	s := c.stats
-	s.BytesIn = c.bytesIn.Load()
-	s.BytesOut = c.bytesOut.Load()
-	return s
-}
+// Stats snapshots the session's counter block: its own traffic, or the
+// sum over every session sharing the block.
+func (c *EngineConn) Stats() EngineStats { return c.tally.Stats(c.addr, c.shard) }
 
 // RunBegin implements congest.RemoteShard. The frame is buffered and
 // flushed with the run's first push barrier, saving a round trip.
 func (c *EngineConn) RunBegin() error {
-	c.stats.Runs++
+	c.tally.runs.Add(1)
 	if err := writeFrame(c.bw, FrameRunBegin, nil); err != nil {
 		return c.fail(err)
 	}
@@ -291,7 +293,7 @@ func (c *EngineConn) RunBegin() error {
 func (c *EngineConn) SendPushes(round int, msgs []congest.Message) error {
 	c.armRound()
 	c.sbuf = encodePush(c.sbuf[:0], round, msgs)
-	c.stats.MsgsOut += int64(len(msgs))
+	c.tally.msgsOut.Add(int64(len(msgs)))
 	if err := writeFrame(c.bw, FramePush, c.sbuf); err != nil {
 		return c.fail(err)
 	}
@@ -321,7 +323,7 @@ func (c *EngineConn) ReadPushAck() (int, error) {
 // SendDeliver implements congest.RemoteShard.
 func (c *EngineConn) SendDeliver(round int) error {
 	c.armRound()
-	c.stats.Rounds++
+	c.tally.rounds.Add(1)
 	c.sbuf = encodeDeliver(c.sbuf[:0], round)
 	if err := writeFrame(c.bw, FrameDeliver, c.sbuf); err != nil {
 		return c.fail(err)
@@ -343,7 +345,7 @@ func (c *EngineConn) ReadBuffer(buf []congest.Message) ([]congest.Message, error
 		return buf, c.fail(fmt.Errorf("%w: expected buffer, got frame type %d", ErrBadFrame, t))
 	}
 	out, err := decodeBuffer(payload, buf)
-	c.stats.MsgsIn += int64(len(out) - len(buf))
+	c.tally.msgsIn.Add(int64(len(out) - len(buf)))
 	if err != nil {
 		return out, c.fail(err)
 	}

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
@@ -82,4 +85,59 @@ func FuzzReadFrame(f *testing.F) {
 func readFrameAndKeep(r io.Reader, buf *[]byte) (FrameType, any, error) {
 	t, v, err := ReadFrame(r, *buf)
 	return t, v, err
+}
+
+// FuzzHello drives the server handshake with arbitrary Hello payloads
+// over an in-memory pipe: every input must end in a Welcome or a typed
+// Error frame within the handshake timeout, and never panic. A fresh
+// server per input keeps one input's generation pin from shaping the
+// next one's reply.
+func FuzzHello(f *testing.F) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		f.Fatalf("graph: %v", err)
+	}
+	f.Add(encodeHello(nil, HelloFor(g, 2, 0, 1, 1, nil)))
+	f.Add(encodeHello(nil, HelloFor(g, 2, 1, 2, 42, testPlan())))
+	// TestHandshakeRejections' node count beyond one frame.
+	huge := HelloFor(g, 2, 0, 1, 1, nil)
+	huge.N, huge.Edges = 1<<28, nil
+	f.Add(encodeHello(nil, huge))
+
+	const timeout = 5 * time.Second
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		client, server := net.Pipe()
+		defer client.Close()
+		ss := &session{srv: NewServer(ServerConfig{PinShard: -1, HandshakeTimeout: timeout}), conn: server}
+		ss.br, ss.bw = bufio.NewReader(server), bufio.NewWriter(server)
+		welcomed := make(chan bool, 1)
+		go func() {
+			defer server.Close()
+			welcomed <- ss.handshake()
+		}()
+		go func() {
+			bw := bufio.NewWriter(client)
+			if writeFrame(bw, FrameHello, payload) == nil {
+				bw.Flush()
+			}
+		}()
+		client.SetDeadline(time.Now().Add(timeout))
+		typ, reply, err := readFrame(client, nil)
+		if err != nil {
+			t.Fatalf("no reply to a %d-byte Hello within %v: %v", len(payload), timeout, err)
+		}
+		switch typ {
+		case FrameWelcome:
+			if _, err := decodeWelcome(reply); err != nil || !<-welcomed {
+				t.Fatalf("Welcome %v, but the handshake did not succeed", err)
+			}
+		case FrameError:
+			re, err := decodeError(reply)
+			if err != nil || len(re.Unwrap()) != 2 || <-welcomed {
+				t.Fatalf("Error frame %+v (%v) is not a typed rejection", re, err)
+			}
+		default:
+			t.Fatalf("reply frame type %d, want Welcome or Error", typ)
+		}
+	})
 }

@@ -120,7 +120,7 @@ func TestDialContextBounded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := DialEngineContext(ctx, addr, testHello(t))
+	_, err := DialEngineContext(ctx, addr, testHello(t), nil)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dial against a mute engine took %v, want ~200ms", elapsed)
 	}

@@ -7,11 +7,11 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
+	"distwalk/internal/metrics"
 )
 
 // Server is the distwalkd session host: it accepts engine sessions, runs
@@ -46,33 +46,18 @@ type ServerConfig struct {
 	HandshakeTimeout time.Duration
 }
 
-// Metrics is the server's cumulative counter set, exported by distwalkd
-// through expvar. All fields are atomics; Snapshot returns a plain map.
+// Metrics is the server's cumulative counter set. distwalkd renders it
+// as the "distwalkd" expvar (JSON) and at /metrics (Prometheus text).
 type Metrics struct {
-	Sessions       atomic.Int64 // sessions accepted
-	ActiveSessions atomic.Int64 // sessions currently open
-	Runs           atomic.Int64 // engine runs begun
-	Rounds         atomic.Int64 // delivery rounds served
-	MsgsIn         atomic.Int64 // messages pushed by clients
-	MsgsOut        atomic.Int64 // messages delivered to clients
-	BytesIn        atomic.Int64 // raw bytes read
-	BytesOut       atomic.Int64 // raw bytes written
-	Rejects        atomic.Int64 // error frames sent
-}
-
-// Snapshot returns the counters as a map (expvar.Func-friendly).
-func (m *Metrics) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"sessions":        m.Sessions.Load(),
-		"active_sessions": m.ActiveSessions.Load(),
-		"runs":            m.Runs.Load(),
-		"rounds":          m.Rounds.Load(),
-		"msgs_in":         m.MsgsIn.Load(),
-		"msgs_out":        m.MsgsOut.Load(),
-		"bytes_in":        m.BytesIn.Load(),
-		"bytes_out":       m.BytesOut.Load(),
-		"rejects":         m.Rejects.Load(),
-	}
+	Sessions       metrics.Int64 `json:"sessions" metric:"distwalkd_sessions_total,counter"`              // sessions accepted
+	ActiveSessions metrics.Int64 `json:"active_sessions" metric:"distwalkd_active_sessions,gauge"`        // sessions currently open
+	Runs           metrics.Int64 `json:"runs" metric:"distwalkd_runs_total,counter"`                      // engine runs begun
+	Rounds         metrics.Int64 `json:"rounds" metric:"distwalkd_rounds_total,counter"`                  // delivery rounds served
+	MsgsIn         metrics.Int64 `json:"msgs_in" metric:"distwalkd_msgs_total{direction=in},counter"`     // messages pushed by clients
+	MsgsOut        metrics.Int64 `json:"msgs_out" metric:"distwalkd_msgs_total{direction=out},counter"`   // messages delivered to clients
+	BytesIn        metrics.Int64 `json:"bytes_in" metric:"distwalkd_bytes_total{direction=in},counter"`   // raw bytes read
+	BytesOut       metrics.Int64 `json:"bytes_out" metric:"distwalkd_bytes_total{direction=out},counter"` // raw bytes written
+	Rejects        metrics.Int64 `json:"rejects" metric:"distwalkd_rejects_total,counter"`                // error frames sent
 }
 
 // NewServer builds a session host.
@@ -212,7 +197,7 @@ func rejectCode(err error) uint16 {
 func (ss *session) run() {
 	defer ss.conn.Close()
 	srv := ss.srv
-	cc := countConn{Conn: ss.conn, r: &srv.m.BytesIn, w: &srv.m.BytesOut}
+	cc := countConn{Conn: ss.conn, r: &srv.m.BytesIn.Int64, w: &srv.m.BytesOut.Int64}
 	ss.br = bufio.NewReaderSize(cc, 1<<16)
 	ss.bw = bufio.NewWriterSize(cc, 1<<16)
 	if tc, ok := ss.conn.(*net.TCPConn); ok {

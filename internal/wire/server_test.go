@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"net"
 	"reflect"
@@ -481,7 +482,15 @@ func TestServerMetrics(t *testing.T) {
 	if _, err := n.Run(newTokenProto(g.N(), []graph.NodeID{0, 5}, 10)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	snap := srv.Metrics().Snapshot()
+	// The expvar rendering: one JSON number per counter, under its json tag.
+	raw, err := json.Marshal(srv.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]int64
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("Metrics JSON %s: %v", raw, err)
+	}
 	for _, key := range []string{"sessions", "runs", "rounds", "msgs_in", "msgs_out", "bytes_in", "bytes_out"} {
 		if snap[key] <= 0 {
 			t.Fatalf("metric %s = %d, want > 0 (snapshot %v)", key, snap[key], snap)

@@ -153,9 +153,9 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 		s.clusterPlan.Store(plan)
 	}
 	s.publishTopology(next)
-	s.mutApplied.Add(1)
-	s.mutEdgesAdded.Add(int64(len(m.AddEdges)))
-	s.mutEdgesRemoved.Add(int64(len(m.RemoveEdges)))
+	s.mut.applied.Add(1)
+	s.mut.edgesAdded.Add(int64(len(m.AddEdges)))
+	s.mut.edgesRemoved.Add(int64(len(m.RemoveEdges)))
 	return Generation(next.gen), nil
 }
 
@@ -177,7 +177,7 @@ func (s *Service) publishTopology(next *topology) {
 		n := s.batch.AbortPending(func(r sched.Request) bool {
 			return r.StaleAbort && r.Topo != any(next)
 		}, cause)
-		s.mutStaleAborts.Add(int64(n))
+		s.mut.staleAborts.Add(int64(n))
 	}
 }
 

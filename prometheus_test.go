@@ -3,6 +3,7 @@ package distwalk_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -76,7 +77,7 @@ func TestMetricsHandler(t *testing.T) {
 			continue
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
-		if !families[name] {
+		if base := histSuffix.ReplaceAllString(name, ""); !families[name] && !families[base] {
 			t.Errorf("sample %q precedes its # HELP/# TYPE header", name)
 		}
 	}
@@ -114,7 +115,8 @@ func scrape(t *testing.T, svc *distwalk.Service) map[string]float64 {
 // TestMetricsShardAndBatchFamilies pins the families the exposition used
 // to omit although ServiceStats carries them: per-shard steps, deliveries
 // and barrier wait, and the BatchedWalks / BatchCost.Rounds pair behind
-// AmortizedRounds. Each must be present and non-zero after one batched
+// AmortizedRounds, BatchCost.Messages, Batches and the Occupancy
+// histogram. Each must be present and non-zero after one batched
 // request on a sharded service, and must not run backwards.
 func TestMetricsShardAndBatchFamilies(t *testing.T) {
 	g, err := distwalk.Torus(8, 8)
@@ -146,6 +148,8 @@ func TestMetricsShardAndBatchFamilies(t *testing.T) {
 		`distwalk_shard_barrier_wait_seconds_total{shard="1"}`,
 		`distwalk_batched_walks_total`,
 		`distwalk_batch_rounds_total`,
+		`distwalk_batch_messages_total`,
+		`distwalk_batches_total`,
 	}
 	walk(1)
 	first := scrape(t, svc)
@@ -164,4 +168,50 @@ func TestMetricsShardAndBatchFamilies(t *testing.T) {
 	if got := second[`distwalk_batched_walks_total`]; got != 2 {
 		t.Errorf("distwalk_batched_walks_total = %v after two batched walks, want 2", got)
 	}
+	// Occupancy as a histogram: MaxBatch 1, so both batches fall in le="1".
+	for s, want := range map[string]float64{
+		`distwalk_batch_size_bucket{le="1"}`:    2,
+		`distwalk_batch_size_bucket{le="+Inf"}`: 2,
+		`distwalk_batch_size_sum`:               2,
+		`distwalk_batch_size_count`:             2,
+	} {
+		if got, ok := second[s]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", s, got, ok, want)
+		}
+	}
+}
+
+// histSuffix strips a histogram sample's suffix, leaving its family name.
+var histSuffix = regexp.MustCompile(`_(bucket|sum|count)$`)
+
+// TestEveryStatsFieldExported: every numeric leaf of ServiceStats — a
+// number, or a slice of numbers, at any depth — carries a metric tag,
+// either a series or "-" (the field's comment says why it is none). A
+// counter added without one fails here instead of going missing from
+// /metrics. Strings are labels or identities, not series.
+func TestEveryStatsFieldExported(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			tag, tagged := f.Tag.Lookup("metric")
+			if !f.IsExported() || tag == "-" {
+				continue
+			}
+			ft := f.Type
+			if ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			switch ft.Kind() {
+			case reflect.Struct:
+				walk(ft, path+"."+f.Name)
+			case reflect.String:
+			default:
+				if !tagged {
+					t.Errorf("%s.%s has no metric tag", path, f.Name)
+				}
+			}
+		}
+	}
+	walk(reflect.TypeOf(distwalk.ServiceStats{}), "ServiceStats")
 }

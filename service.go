@@ -78,37 +78,27 @@ type Service struct {
 	// internal/cache.
 	cache *cache.Cache
 
-	// mutation counters (see MutationStats).
-	mutApplied      atomic.Int64
-	mutEdgesAdded   atomic.Int64
-	mutEdgesRemoved atomic.Int64
-	mutStaleAborts  atomic.Int64
-	mutReshardsInc  atomic.Int64
-	mutReshardsFull atomic.Int64
+	// mut and retry are the live counters behind MutationStats and
+	// RetryStats; updated lock-free, read by Stats.
+	mut struct {
+		applied, edgesAdded, edgesRemoved, staleAborts atomic.Int64
+		reshardsInc, reshardsFull                      atomic.Int64
+	}
+	retry struct{ attempts, retries, recovered, exhausted, faults atomic.Int64 }
 
-	// shardMu guards shardAgg, the per-shard occupancy and barrier-wait
-	// counters aggregated across all workers' sharded networks (each worker
-	// folds its network's delta in after every request it serves).
-	shardMu  sync.Mutex
-	shardAgg ShardStats
+	// shardTally is the per-shard work every worker's sharded network adds
+	// to at the end of each Run (nil unless WithShards).
+	shardTally congest.ShardCounters
 
 	// Cluster mode (empty unless WithCluster): per engine, whether its
 	// last session was lost or its last dial failed (Stats' Health), the
-	// per-engine traffic aggregate (guarded by clusterMu, folded in by
-	// workers like shardAgg), and the failover counter. workers is kept
-	// for Close teardown of per-worker engine sessions.
+	// traffic block every worker's session with it adds to, and the
+	// failover counter. workers is kept for Close teardown of per-worker
+	// engine sessions.
 	clusterLost      []atomic.Bool
-	clusterMu        sync.Mutex
-	clusterAgg       []ClusterEngineStats
+	clusterTally     []wire.EngineCounters
 	clusterFailovers atomic.Int64
 	workers          []*poolWorker
-
-	// retry counters (see RetryStats); updated lock-free on every attempt.
-	retryAttempts  atomic.Int64
-	retryRetries   atomic.Int64
-	retryRecovered atomic.Int64
-	retryExhausted atomic.Int64
-	retryFaults    atomic.Int64
 
 	closeOnce sync.Once
 }
@@ -118,19 +108,12 @@ type Service struct {
 type poolWorker struct {
 	net *congest.Network
 	wkr *core.Walker
-	// lastShard is the network's shard-stat snapshot after the previous
-	// request, for computing per-request deltas to fold into the service
-	// aggregate.
-	lastShard ShardStats
 	// conns are this worker's cluster-mode engine sessions (nil when
 	// in-process; individual entries go nil when a session is lost until
-	// the next cluster run re-dials it), lastCluster their stat snapshots
-	// after the previous request (reset per entry when a session is replaced,
-	// since a fresh session restarts its counters). attached reports
-	// whether the worker network currently executes through conns.
-	conns       []*wire.EngineConn
-	lastCluster []ClusterEngineStats
-	attached    bool
+	// the next cluster run re-dials it). attached reports whether the
+	// worker network currently executes through conns.
+	conns    []*wire.EngineConn
+	attached bool
 	// clusterTopo is the graph the worker's current engine sessions were
 	// handshaken for; when it trails the cluster plan the sessions hold
 	// engines built from a dead topology and must be re-dialed.
@@ -181,9 +164,14 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	// Build and validate every worker network before spawning anything: an
 	// invalid fault plan fails construction with ErrBadFault instead of
 	// leaving a half-started pool behind.
+	netOpts := []congest.Option{congest.WithShards(cfg.shards)}
+	if cfg.shards > 1 {
+		s.shardTally = make(congest.ShardCounters, cfg.shards)
+		netOpts = append(netOpts, congest.WithShardCounters(s.shardTally))
+	}
 	nets := make([]*congest.Network, cfg.workers)
 	for i := range nets {
-		n := congest.NewNetwork(g, seed, congest.WithShards(cfg.shards))
+		n := congest.NewNetwork(g, seed, netOpts...)
 		n.SetGeneration(1)
 		if cfg.fplan != nil {
 			if err := n.SetFaultPlan(cfg.fplan); err != nil {
@@ -251,13 +239,7 @@ func (s *Service) initCluster(workers []*poolWorker) error {
 	s.clusterPlan.Store(plan)
 	engines := len(s.cfg.cluster)
 	s.clusterLost = make([]atomic.Bool, engines)
-	// One aggregate row per engine from the start: Stats and /metrics
-	// must name every engine before it has served anything, which is
-	// exactly when a dead one needs to be visible.
-	s.clusterAgg = make([]ClusterEngineStats, engines)
-	for i := range s.clusterAgg {
-		s.clusterAgg[i] = ClusterEngineStats{Addr: s.cfg.cluster[i], Shard: i}
-	}
+	s.clusterTally = make([]wire.EngineCounters, engines)
 	for _, pw := range workers {
 		if err := s.ensureCluster(context.Background(), pw, plan); err != nil {
 			return err
@@ -282,9 +264,9 @@ func (s *Service) newClusterPlan(g *Graph, gen uint64) (*clusterPlan, error) {
 }
 
 // ensureCluster repairs a worker's engine sessions before a cluster run:
-// broken sessions are closed (dropping their stat baselines), missing
-// ones are dialed with plan's handshake within ctx, and the worker
-// network is re-attached to the session group under plan's shard bounds.
+// broken sessions are closed, missing ones are dialed with plan's
+// handshake within ctx, and the worker network is re-attached to the
+// session group under plan's shard bounds.
 // With every session healthy it is a no-op. Callers that loaded plan
 // before dialing must re-check it afterwards: a mutation may have rotated
 // it mid-ensure (see clusterRun).
@@ -296,7 +278,6 @@ func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clust
 		if c != nil && c.Broken() {
 			c.Close()
 			pw.conns[i] = nil
-			s.resetClusterBaseline(pw, i)
 		}
 		if pw.conns[i] == nil && pw.attached {
 			// The network must never run against a group with holes.
@@ -314,14 +295,13 @@ func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clust
 		}
 		h := plan.hello
 		h.Shard = i
-		c, err := wire.DialEngineContext(ctx, s.cfg.cluster[i], h)
+		c, err := wire.DialEngineContext(ctx, s.cfg.cluster[i], h, &s.clusterTally[i])
 		s.clusterLost[i].Store(err != nil)
 		if err != nil {
 			return fmt.Errorf("distwalk: cluster engine %d (%s): %w: %w",
 				i, s.cfg.cluster[i], ErrClusterEngine, err)
 		}
 		pw.conns[i] = c
-		s.resetClusterBaseline(pw, i)
 	}
 	if !pw.attached {
 		group := make([]congest.RemoteShard, len(pw.conns))
@@ -355,20 +335,10 @@ func (s *Service) dropClusterConns(pw *poolWorker, cause error) {
 		}
 		c.Close()
 		pw.conns[i] = nil
-		s.resetClusterBaseline(pw, i)
 	}
 	pw.attached = false
 	pw.clusterTopo = nil
 	pw.net.ConnectRemote(nil, nil)
-}
-
-// resetClusterBaseline zeroes the worker's stat snapshot for engine i so
-// the next collect does not subtract a discarded session's totals from a
-// fresh session's counters.
-func (s *Service) resetClusterBaseline(pw *poolWorker, i int) {
-	if pw.lastCluster != nil {
-		pw.lastCluster[i] = ClusterEngineStats{Addr: s.cfg.cluster[i], Shard: i}
-	}
 }
 
 // clusterBroken reports whether any of the worker's sessions failed.
@@ -446,51 +416,51 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// ServiceStats is the service's counter snapshot: the batching
-// scheduler's counters (embedded — zero when the service was built
-// without WithBatching) plus the sharded engines' per-shard occupancy and
-// barrier-wait totals, aggregated across all workers (zero when built
-// without WithShards).
+// ServiceStats is the service's counter snapshot. Its metric tags name
+// the series MetricsHandler serves (see internal/metrics).
 type ServiceStats struct {
-	SchedStats
+	// SchedStats are the batching scheduler's counters (zero when built
+	// without WithBatching).
+	SchedStats `metric:"distwalk_"`
 	// Shards reports how much per-round work each network shard carried
 	// (protocol steps executed, messages merged) and how long each shard
-	// spent waiting at round barriers, summed over every request served so
-	// far. Shards.Occupancy() is the per-shard work share.
-	Shards ShardStats
+	// spent waiting at round barriers, summed over every worker's runs
+	// (zero when built without WithShards). Shards.Occupancy() is the
+	// per-shard work share.
+	Shards ShardStats `metric:"distwalk_shard_"`
 	// Retry reports the service's recovery activity (see WithRetry).
-	Retry RetryStats
+	Retry RetryStats `metric:"distwalk_"`
 	// Cluster reports cluster-mode traffic, engine health and failovers
 	// (zero value when built without WithCluster).
-	Cluster ClusterStats
+	Cluster ClusterStats `metric:"distwalk_cluster_,omitzero"`
 	// Cache reports the result cache's activity — hits, misses, coalesced
 	// waiters, evictions, byte footprint (zero value when built without
 	// WithResultCache).
-	Cache CacheStats
+	Cache CacheStats `metric:"distwalk_cache_"`
 	// Mutation reports the dynamic-topology activity (see ApplyMutations).
-	Mutation MutationStats
+	Mutation MutationStats `metric:"distwalk_"`
 }
 
 // MutationStats counts the service's dynamic-topology activity.
 type MutationStats struct {
 	// Generation is the current topology generation (starts at 1; every
 	// ApplyMutations and InvalidateCache advances it).
-	Generation uint64
+	Generation uint64 `metric:"topology_generation,gauge"`
 	// Applied counts published mutation batches; EdgesAdded/EdgesRemoved
 	// the edits they carried.
-	Applied      int64
-	EdgesAdded   int64
-	EdgesRemoved int64
+	Applied      int64 `metric:"mutations_applied_total,counter"`
+	EdgesAdded   int64 `metric:"mutation_edges_total{op=add},counter"`
+	EdgesRemoved int64 `metric:"mutation_edges_total{op=remove},counter"`
 	// StaleAborts counts requests failed with ErrStaleGeneration —
 	// queued batch members evicted at publish plus abort-mode executions
 	// cancelled or fast-failed.
-	StaleAborts int64
+	StaleAborts int64 `metric:"stale_aborts_total,counter"`
 	// ReshardsIncremental/ReshardsFull count worker-network reshapes by
 	// kind: incremental kept the existing shard partition (the mutation
 	// left the per-shard edge balance within tolerance), full re-planned
 	// it (or the network was unsharded).
-	ReshardsIncremental int64
-	ReshardsFull        int64
+	ReshardsIncremental int64 `metric:"reshards_total{kind=incremental},counter"`
+	ReshardsFull        int64 `metric:"reshards_total{kind=full},counter"`
 }
 
 // ClusterStats is the cluster-mode slice of a service's counters:
@@ -498,15 +468,15 @@ type MutationStats struct {
 type ClusterStats struct {
 	// Engines reports, per remote shard engine, the traffic carried
 	// (runs, rounds, messages, raw bytes), summed over every worker's
-	// session with that engine. Nil when built without WithCluster.
-	Engines []ClusterEngineStats
+	// sessions with that engine. Nil when built without WithCluster.
+	Engines []ClusterEngineStats `metric:"engine_,index=engine"`
 	// Health reports each engine's state, indexed like Engines: "lost"
 	// once a session with it died or a dial to it failed, "healthy"
 	// again after the next successful dial.
-	Health []string
+	Health []string `metric:"engine_healthy,gauge,index=engine,is=healthy"`
 	// Failovers counts requests re-executed on in-process shards after
 	// losing their cluster run (see WithClusterFallback).
-	Failovers int64
+	Failovers int64 `metric:"failovers_total,counter"`
 }
 
 // RetryStats counts request attempts and their outcomes across the
@@ -514,137 +484,59 @@ type ClusterStats struct {
 type RetryStats struct {
 	// Attempts is the total number of request executions, first attempts
 	// included.
-	Attempts int64
+	Attempts int64 `metric:"request_attempts_total,counter"`
 	// Retries counts re-executions after a retryable failure.
-	Retries int64
+	Retries int64 `metric:"request_retries_total,counter"`
 	// Recovered counts requests that succeeded on a retry.
-	Recovered int64
+	Recovered int64 `metric:"request_recovered_total,counter"`
 	// Exhausted counts requests that still failed after their last retry.
-	Exhausted int64
+	Exhausted int64 `metric:"request_exhausted_total,counter"`
 	// Faults counts attempts that failed with a typed fault error
 	// (ErrNodeCrashed / ErrMessageLost).
-	Faults int64
+	Faults int64 `metric:"fault_attempts_total,counter"`
 }
 
-// Stats returns the service's counters: batch admissions, rejections
-// (ErrQueueFull), pre-flush cancellations, flush reasons, the batch
-// occupancy histogram and the amortized simulated cost per batched walk,
-// plus per-shard occupancy and barrier wait time when sharded execution
-// is on.
+// Stats returns a snapshot of the service's counters (see ServiceStats).
 func (s *Service) Stats() ServiceStats {
 	var out ServiceStats
 	if s.batch != nil {
 		out.SchedStats = s.batch.Stats()
 	}
-	s.shardMu.Lock()
-	out.Shards.Add(s.shardAgg)
-	s.shardMu.Unlock()
-	s.clusterMu.Lock()
-	if s.clusterAgg != nil {
-		out.Cluster.Engines = make([]ClusterEngineStats, len(s.clusterAgg))
-		copy(out.Cluster.Engines, s.clusterAgg)
+	if s.shardTally != nil {
+		out.Shards = s.shardTally.Stats()
 	}
-	s.clusterMu.Unlock()
-	if len(s.clusterLost) > 0 {
-		out.Cluster.Health = make([]string, len(s.clusterLost))
-		for i := range s.clusterLost {
-			out.Cluster.Health[i] = "healthy"
-			if s.clusterLost[i].Load() {
-				out.Cluster.Health[i] = "lost"
-			}
+	// One row per engine from the start: Stats and /metrics must name
+	// every engine before it has served anything, which is exactly when
+	// a dead one needs to be visible.
+	for i := range s.clusterTally {
+		health := "healthy"
+		if s.clusterLost[i].Load() {
+			health = "lost"
 		}
-		out.Cluster.Failovers = s.clusterFailovers.Load()
+		out.Cluster.Engines = append(out.Cluster.Engines, s.clusterTally[i].Stats(s.cfg.cluster[i], i))
+		out.Cluster.Health = append(out.Cluster.Health, health)
 	}
+	out.Cluster.Failovers = s.clusterFailovers.Load()
 	if s.cache != nil {
 		out.Cache = s.cache.Stats()
 	}
 	out.Retry = RetryStats{
-		Attempts:  s.retryAttempts.Load(),
-		Retries:   s.retryRetries.Load(),
-		Recovered: s.retryRecovered.Load(),
-		Exhausted: s.retryExhausted.Load(),
-		Faults:    s.retryFaults.Load(),
+		Attempts:  s.retry.attempts.Load(),
+		Retries:   s.retry.retries.Load(),
+		Recovered: s.retry.recovered.Load(),
+		Exhausted: s.retry.exhausted.Load(),
+		Faults:    s.retry.faults.Load(),
 	}
 	out.Mutation = MutationStats{
 		Generation:          s.topo.Load().gen,
-		Applied:             s.mutApplied.Load(),
-		EdgesAdded:          s.mutEdgesAdded.Load(),
-		EdgesRemoved:        s.mutEdgesRemoved.Load(),
-		StaleAborts:         s.mutStaleAborts.Load(),
-		ReshardsIncremental: s.mutReshardsInc.Load(),
-		ReshardsFull:        s.mutReshardsFull.Load(),
+		Applied:             s.mut.applied.Load(),
+		EdgesAdded:          s.mut.edgesAdded.Load(),
+		EdgesRemoved:        s.mut.edgesRemoved.Load(),
+		StaleAborts:         s.mut.staleAborts.Load(),
+		ReshardsIncremental: s.mut.reshardsInc.Load(),
+		ReshardsFull:        s.mut.reshardsFull.Load(),
 	}
 	return out
-}
-
-// collectShardStats folds the worker network's shard-counter delta since
-// the previous request into the service aggregate. Called by the worker
-// goroutine after each request, when the network is idle.
-func (s *Service) collectShardStats(pw *poolWorker) {
-	if s.cfg.shards <= 1 {
-		return
-	}
-	cur := pw.net.ShardStats()
-	delta := ShardStats{
-		Shards:      cur.Shards,
-		Stepped:     make([]int64, len(cur.Stepped)),
-		Delivered:   make([]int64, len(cur.Delivered)),
-		BarrierWait: make([]time.Duration, len(cur.BarrierWait)),
-	}
-	for i := range cur.Stepped {
-		delta.Stepped[i] = cur.Stepped[i]
-		delta.Delivered[i] = cur.Delivered[i]
-		delta.BarrierWait[i] = cur.BarrierWait[i]
-		if pw.lastShard.Stepped != nil {
-			delta.Stepped[i] -= pw.lastShard.Stepped[i]
-			delta.Delivered[i] -= pw.lastShard.Delivered[i]
-			delta.BarrierWait[i] -= pw.lastShard.BarrierWait[i]
-		}
-	}
-	pw.lastShard = cur
-	s.shardMu.Lock()
-	s.shardAgg.Add(delta)
-	s.shardMu.Unlock()
-}
-
-// collectClusterStats folds the worker's per-engine traffic deltas since
-// the previous request into the service aggregate. Like
-// collectShardStats, it runs on the worker goroutine while its sessions
-// are idle.
-func (s *Service) collectClusterStats(pw *poolWorker) {
-	if len(pw.conns) == 0 {
-		return
-	}
-	cur := make([]ClusterEngineStats, len(pw.conns))
-	for i, c := range pw.conns {
-		if c == nil {
-			// Session lost and not yet replaced: carry the old snapshot
-			// forward (zero delta) rather than underflowing against it.
-			if pw.lastCluster != nil {
-				cur[i] = pw.lastCluster[i]
-			} else {
-				cur[i] = ClusterEngineStats{Addr: s.cfg.cluster[i], Shard: i}
-			}
-			continue
-		}
-		cur[i] = c.Stats()
-	}
-	s.clusterMu.Lock()
-	for i := range cur {
-		delta := cur[i]
-		if pw.lastCluster != nil {
-			last := pw.lastCluster[i]
-			delta.Runs -= last.Runs
-			delta.Rounds -= last.Rounds
-			delta.MsgsOut -= last.MsgsOut
-			delta.MsgsIn -= last.MsgsIn
-			delta.BytesOut -= last.BytesOut
-			delta.BytesIn -= last.BytesIn
-		}
-		s.clusterAgg[i].Add(delta)
-	}
-	s.clusterMu.Unlock()
-	pw.lastCluster = cur
 }
 
 // deriveSeed maps (service seed, request key) to the seed of the
@@ -683,22 +575,22 @@ func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topo
 	attempt, tries := 0, 0
 	for {
 		err := s.submitOnce(ctx, key, cfg, attempt, snap, fn)
-		s.retryAttempts.Add(1)
+		s.retry.attempts.Add(1)
 		if err == nil {
 			if tries > 0 {
-				s.retryRecovered.Add(1)
+				s.retry.recovered.Add(1)
 			}
 			return nil
 		}
 		if isFaultErr(err) {
-			s.retryFaults.Add(1)
+			s.retry.faults.Add(1)
 		}
 		if !Retryable(err) {
 			return err
 		}
 		if tries >= cfg.retries {
 			if cfg.retries > 0 {
-				s.retryExhausted.Add(1)
+				s.retry.exhausted.Add(1)
 				return fmt.Errorf("distwalk: request %d failed after %d attempts: %w", key, tries+1, err)
 			}
 			return err
@@ -707,7 +599,7 @@ func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topo
 			return fmt.Errorf("distwalk: request %d retry abandoned: %w (last attempt: %w)", key, werr, err)
 		}
 		tries++
-		s.retryRetries.Add(1)
+		s.retry.retries.Add(1)
 		if errors.Is(err, ErrStaleGeneration) {
 			snap = s.topo.Load()
 		} else {
@@ -769,7 +661,7 @@ func (s *Service) execute(ctx context.Context, key uint64, cfg config, attempt i
 	}
 	select {
 	case <-snap.stale:
-		s.mutStaleAborts.Add(1)
+		s.mut.staleAborts.Add(1)
 		return s.staleErr(key, snap)
 	default:
 	}
@@ -788,7 +680,7 @@ func (s *Service) execute(ctx context.Context, key uint64, cfg config, attempt i
 	err := s.executeOn(cctx, key, cfg, attempt, snap, pw, fn)
 	if err != nil {
 		if cause := context.Cause(cctx); cause != nil && errors.Is(cause, ErrStaleGeneration) {
-			s.mutStaleAborts.Add(1)
+			s.mut.staleAborts.Add(1)
 			return cause
 		}
 	}
@@ -808,8 +700,7 @@ func (s *Service) staleErr(key uint64, snap *topology) error {
 // worker's warm state for (seed, cfg) at snap: sync the warm topology to
 // the snapshot, reseed the private network, restore the round budget and
 // Reset the pooled walker (the first request builds it; a reshaped graph
-// forces a rebuild). Then it runs fn under ctx with fault outcomes typed,
-// and folds the worker's counters into the service's.
+// forces a rebuild). Then it runs fn under ctx with fault outcomes typed.
 func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	if err := s.syncWarm(pw, snap); err != nil {
 		return err
@@ -831,8 +722,6 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 	}
 	pw.net.SetContext(ctx)
 	defer pw.net.SetContext(nil)
-	defer s.collectClusterStats(pw)
-	defer s.collectShardStats(pw)
 	return core.Faultize(pw.wkr, fn(pw.wkr))
 }
 
@@ -950,10 +839,10 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 	}
 	switch kind {
 	case congest.ReshapeIncremental:
-		s.mutReshardsInc.Add(1)
+		s.mut.reshardsInc.Add(1)
 		pw.wkr = nil
 	case congest.ReshapeFull:
-		s.mutReshardsFull.Add(1)
+		s.mut.reshardsFull.Add(1)
 		pw.wkr = nil
 	}
 	pw.net.SetGeneration(snap.gen)

@@ -209,7 +209,7 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 	// Backpressure retry: a full admission queue drains as batches flush,
 	// so with WithRetry we re-admit instead of failing fast.
 	for attempt := 0; err != nil && errors.Is(err, sched.ErrQueueFull) && attempt < cfg.retries && ctx.Err() == nil; attempt++ {
-		s.retryRetries.Add(1)
+		s.retry.retries.Add(1)
 		ch, err = s.batch.Submit(ctx, req)
 	}
 	if err != nil {
@@ -229,10 +229,10 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 	go func() {
 		r := <-ch
 		if r.Err != nil && Retryable(r.Err) {
-			s.retryRetries.Add(1)
+			s.retry.retries.Add(1)
 			fb := serveWalk(ctx, s, k, key, op, cfg, s.topo.Load())
 			if fb.Err == nil {
-				s.retryRecovered.Add(1)
+				s.retry.recovered.Add(1)
 			}
 			r = fb
 		}
