@@ -277,8 +277,13 @@ func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
 	return err
 }
 
-// naiveManyProto forwards k tokens (of possibly different lengths)
-// simultaneously; the engine's per-edge queues charge any congestion
+// naiveManyProto is the classic token walk: "The walk of length ℓ is
+// performed by sending a token for ℓ steps, picking a random neighbor with
+// each step" (Section 1.2). It is both the paper's baseline and the final
+// ≤ 2λ-step tail of SINGLE-RANDOM-WALK (Algorithm 1, Phase 2 line 14;
+// naiveSegment runs it with one token). It forwards k tokens (of possibly
+// different lengths) simultaneously, each a walkToken sent under
+// kindNaiveToken; the engine's per-edge queues charge any congestion
 // between them.
 type naiveManyProto struct {
 	w       *Walker

@@ -165,7 +165,7 @@ func DialEngine(addr string, h Hello) (*EngineConn, error) {
 // DialEngineContext connects to a distwalkd engine and performs the
 // handshake for h, within DefaultHandshakeTimeout or ctx's deadline,
 // whichever is sooner. The session starts without a round deadline (see
-// SetRoundTimeout). Every failure is an *EngineLostError (ErrEngineLost,
+// SetRoundTimeout). Every failure wraps an *EngineLostError (ErrEngineLost,
 // plus ErrEngineTimeout when a deadline expired); a server-side rejection
 // stays in its cause chain as a *RemoteError that errors.Is-matches the
 // wire sentinel for its code (ErrGeneration, ErrShardIndex, ...). The
@@ -192,56 +192,68 @@ func DialEngineContext(ctx context.Context, addr string, h Hello, tally *EngineC
 	conn.SetDeadline(deadline)
 	if err := c.handshake(h); err != nil {
 		conn.Close()
-		return nil, lost(addr, h.Shard, fmt.Errorf("wire: handshake: %w", err))
+		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
 	conn.SetDeadline(time.Time{})
 	return c, nil
 }
 
-// handshake sends h and reads the Welcome.
+// handshake sends h and reads the Welcome, within the dial's deadline (a
+// fresh session has no round deadline, so send and expect leave it be).
 func (c *EngineConn) handshake(h Hello) error {
 	c.sbuf = encodeHello(c.sbuf[:0], h)
-	if err := writeFrame(c.bw, FrameHello, c.sbuf); err != nil {
+	if err := c.send(FrameHello, c.sbuf); err != nil {
 		return err
 	}
-	if err := c.bw.Flush(); err != nil {
+	return c.expect(FrameWelcome, func(payload []byte) error {
+		w, err := decodeWelcome(payload)
+		if err == nil && (w.Version != Version || w.Shard != h.Shard) {
+			err = fmt.Errorf("%w: handshake welcome for version %d shard %d", ErrBadFrame, w.Version, w.Shard)
+		}
 		return err
+	})
+}
+
+// send arms the round deadline, writes one frame and flushes it. A
+// failure breaks the session.
+func (c *EngineConn) send(t FrameType, payload []byte) error {
+	c.armRound()
+	err := writeFrame(c.bw, t, payload)
+	if err == nil {
+		err = c.bw.Flush()
 	}
-	t, payload, err := c.readReply()
 	if err != nil {
-		return err
-	}
-	if t != FrameWelcome {
-		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, t)
-	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		return err
-	}
-	if w.Version != Version || w.Shard != h.Shard {
-		return fmt.Errorf("%w: welcome for version %d shard %d", ErrBadFrame, w.Version, w.Shard)
+		return c.fail(err)
 	}
 	return nil
 }
 
-// readReply reads one frame, converting a server Error frame into a
-// *RemoteError.
-func (c *EngineConn) readReply() (FrameType, []byte, error) {
+// expect arms the round deadline and reads one reply, which must be a
+// frame of type want: a server Error frame becomes a *RemoteError, any
+// other type ErrBadFrame. decode reads the payload (valid only during the
+// call). A failure, decode's included, breaks the session.
+func (c *EngineConn) expect(want FrameType, decode func(payload []byte) error) error {
+	c.armRound()
 	t, payload, err := readFrame(c.br, c.rbuf)
 	if cap(payload) > cap(c.rbuf) {
 		c.rbuf = payload[:0]
 	}
-	if err != nil {
-		return t, nil, err
-	}
-	if t == FrameError {
-		re, derr := decodeError(payload)
-		if derr != nil {
-			return t, nil, derr
+	switch {
+	case err != nil:
+	case t == FrameError:
+		var re *RemoteError
+		if re, err = decodeError(payload); err == nil {
+			err = re
 		}
-		return t, nil, re
+	case t != want:
+		err = fmt.Errorf("%w: expected frame type %d, got %d", ErrBadFrame, want, t)
+	default:
+		err = decode(payload)
 	}
-	return t, payload, nil
+	if err != nil {
+		return c.fail(err)
+	}
+	return nil
 }
 
 // fail marks the session broken — it can never carry another run — and
@@ -252,19 +264,23 @@ func (c *EngineConn) fail(err error) error {
 }
 
 // armRound applies the per-exchange deadline ahead of the next blocking
-// write/read pair; without one the connection stays deadline-free.
+// write or read; without one the connection stays as it is (deadline-free
+// after the handshake, see SetRoundTimeout).
 func (c *EngineConn) armRound() {
 	if c.roundTO > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.roundTO))
-	} else {
-		c.conn.SetDeadline(time.Time{})
 	}
 }
 
 // SetRoundTimeout retunes the per-exchange I/O deadline (0 disables).
 // The Service arms every session with the request's effective deadline
 // before each cluster run.
-func (c *EngineConn) SetRoundTimeout(d time.Duration) { c.roundTO = max(d, 0) }
+func (c *EngineConn) SetRoundTimeout(d time.Duration) {
+	c.roundTO = max(d, 0)
+	if c.roundTO == 0 {
+		c.conn.SetDeadline(time.Time{})
+	}
+}
 
 // Broken reports whether the session has failed and must be redialed.
 func (c *EngineConn) Broken() bool { return c.broken }
@@ -291,88 +307,48 @@ func (c *EngineConn) RunBegin() error {
 
 // SendPushes implements congest.RemoteShard.
 func (c *EngineConn) SendPushes(round int, msgs []congest.Message) error {
-	c.armRound()
 	c.sbuf = encodePush(c.sbuf[:0], round, msgs)
 	c.tally.msgsOut.Add(int64(len(msgs)))
-	if err := writeFrame(c.bw, FramePush, c.sbuf); err != nil {
-		return c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.fail(err)
-	}
-	return nil
+	return c.send(FramePush, c.sbuf)
 }
 
 // ReadPushAck implements congest.RemoteShard.
-func (c *EngineConn) ReadPushAck() (int, error) {
-	c.armRound()
-	t, payload, err := c.readReply()
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	if t != FramePushAck {
-		return 0, c.fail(fmt.Errorf("%w: expected push-ack, got frame type %d", ErrBadFrame, t))
-	}
-	n, err := decodePushAck(payload)
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	return n, nil
+func (c *EngineConn) ReadPushAck() (active int, err error) {
+	err = c.expect(FramePushAck, func(payload []byte) (err error) {
+		active, err = decodePushAck(payload)
+		return err
+	})
+	return active, err
 }
 
 // SendDeliver implements congest.RemoteShard.
 func (c *EngineConn) SendDeliver(round int) error {
-	c.armRound()
 	c.tally.rounds.Add(1)
 	c.sbuf = encodeDeliver(c.sbuf[:0], round)
-	if err := writeFrame(c.bw, FrameDeliver, c.sbuf); err != nil {
-		return c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.fail(err)
-	}
-	return nil
+	return c.send(FrameDeliver, c.sbuf)
 }
 
 // ReadBuffer implements congest.RemoteShard.
-func (c *EngineConn) ReadBuffer(buf []congest.Message) ([]congest.Message, error) {
-	c.armRound()
-	t, payload, err := c.readReply()
-	if err != nil {
-		return buf, c.fail(err)
-	}
-	if t != FrameBuffer {
-		return buf, c.fail(fmt.Errorf("%w: expected buffer, got frame type %d", ErrBadFrame, t))
-	}
-	out, err := decodeBuffer(payload, buf)
-	c.tally.msgsIn.Add(int64(len(out) - len(buf)))
-	if err != nil {
-		return out, c.fail(err)
-	}
-	return out, nil
+func (c *EngineConn) ReadBuffer(buf []congest.Message) (out []congest.Message, err error) {
+	out = buf
+	err = c.expect(FrameBuffer, func(payload []byte) (err error) {
+		out, err = decodeBuffer(payload, buf)
+		c.tally.msgsIn.Add(int64(len(out) - len(buf)))
+		return err
+	})
+	return out, err
 }
 
 // FinishRun implements congest.RemoteShard.
-func (c *EngineConn) FinishRun() (congest.RemoteResult, error) {
-	c.armRound()
-	if err := writeFrame(c.bw, FrameRunEnd, nil); err != nil {
-		return congest.RemoteResult{}, c.fail(err)
+func (c *EngineConn) FinishRun() (res congest.RemoteResult, err error) {
+	if err = c.send(FrameRunEnd, nil); err != nil {
+		return res, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return congest.RemoteResult{}, c.fail(err)
-	}
-	t, payload, err := c.readReply()
-	if err != nil {
-		return congest.RemoteResult{}, c.fail(err)
-	}
-	if t != FrameRunResult {
-		return congest.RemoteResult{}, c.fail(fmt.Errorf("%w: expected run-result, got frame type %d", ErrBadFrame, t))
-	}
-	res, err := decodeRunResult(payload)
-	if err != nil {
-		return congest.RemoteResult{}, c.fail(err)
-	}
-	return res, nil
+	err = c.expect(FrameRunResult, func(payload []byte) (err error) {
+		res, err = decodeRunResult(payload)
+		return err
+	})
+	return res, err
 }
 
 // Close sends a best-effort Goodbye (unless the session is broken, when

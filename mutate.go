@@ -35,7 +35,6 @@ import (
 
 	"distwalk/internal/graph"
 	"distwalk/internal/sched"
-	"distwalk/internal/wire"
 )
 
 // Generation is a topology epoch ordinal. A service starts at
@@ -69,16 +68,6 @@ type topology struct {
 	gen   uint64
 	g     *Graph
 	stale chan struct{}
-}
-
-// clusterPlan pins the graph the cluster's remote engines are currently
-// built for and the handshake that builds them (shard 0's Hello; its
-// Bounds are the shard plan). ApplyMutations replaces the whole plan in
-// one store, so a worker that dials sessions and then re-reads the plan
-// can detect a rotation that raced its dials.
-type clusterPlan struct {
-	g     *Graph
-	hello wire.Hello
 }
 
 // Generation returns the current topology generation. Requests admitted
@@ -145,12 +134,10 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 		}
 	}
 	next := &topology{gen: cur.gen + 1, g: g2, stale: make(chan struct{})}
-	if len(s.cfg.cluster) > 0 {
-		plan, err := s.newClusterPlan(g2, next.gen)
-		if err != nil {
+	if s.cluster != nil {
+		if err := s.cluster.rotate(g2, next.gen); err != nil {
 			return Generation(cur.gen), fmt.Errorf("distwalk: mutation rejected: %w", err)
 		}
-		s.clusterPlan.Store(plan)
 	}
 	s.publishTopology(next)
 	s.mut.applied.Add(1)

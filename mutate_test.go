@@ -862,3 +862,63 @@ func TestClusterMutationRehandshake(t *testing.T) {
 			res.Destination, res.Cost, want.Destination, want.Cost)
 	}
 }
+
+// TestClusterPinnedBatchAcrossMutation: a SubmitWalk queued across an
+// ApplyMutations runs, as a batch, on the snapshot it admitted under —
+// in a cluster service exactly as in process. The engines already serve
+// the new graph when the batch flushes, so the batch runs on local
+// shards: bit-identical to WithShards(2), with no failover counted and,
+// with or without WithRetry, no error.
+func TestClusterPinnedBatchAcrossMutation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster batches over TCP skipped in -short mode")
+	}
+	ctx := context.Background()
+	g := mustTorus(t, 8, 8)
+	engines := startWireServers(t, 2)
+	type outcome struct {
+		walk  *distwalk.WalkResult
+		batch distwalk.BatchInfo
+	}
+	run := func(t *testing.T, opts ...distwalk.Option) (outcome, distwalk.ServiceStats) {
+		t.Helper()
+		opts = append(opts, distwalk.WithWorkers(1), distwalk.WithBatching(64, 200*time.Millisecond))
+		svc, err := distwalk.NewService(g, 42, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		h, err := svc.SubmitWalk(ctx, 3, 0, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}}
+		if _, err := svc.ApplyMutations(ctx, mut); err != nil {
+			t.Fatal(err)
+		}
+		walk, err := h.Result()
+		if err != nil {
+			t.Fatalf("pinned batch failed: %v", err)
+		}
+		return outcome{walk, h.Batch()}, svc.Stats()
+	}
+	want, _ := run(t, distwalk.WithShards(2))
+	for _, tc := range []struct {
+		name string
+		opts []distwalk.Option
+	}{
+		{"no-retry", nil},
+		{"retry", []distwalk.Option{distwalk.WithRetry(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, st := run(t, append(tc.opts, distwalk.WithCluster(engines...))...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pinned cluster batch diverged from in-process:\n  cluster: dest=%d %+v\n  local:   dest=%d %+v",
+					got.walk.Destination, got.batch, want.walk.Destination, want.batch)
+			}
+			if st.Cluster.Failovers != 0 {
+				t.Fatalf("a pinned batch counted as a failover: %+v", st.Cluster)
+			}
+		})
+	}
+}

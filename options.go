@@ -214,7 +214,10 @@ func WithCluster(addrs ...string) Option {
 // happened. Without this option a lost engine fails the request with a
 // typed ErrClusterEngine error. Composes with WithRetry unchanged: the
 // failover happens inside the attempt, before retry salting would kick
-// in. Applies per request or as a service default.
+// in. Applies per request or as a service default. A SubmitWalk batch
+// follows the service default, and fails over only when its sessions
+// cannot be dialed before it runs: a batch that loses an engine mid-run
+// has already reported the loss to its members and aborts retryably.
 func WithClusterFallback() Option {
 	return newOption("WithClusterFallback", func(c *config) { c.clusterFallback = true })
 }

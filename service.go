@@ -7,14 +7,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"distwalk/internal/cache"
 	"distwalk/internal/congest"
 	"distwalk/internal/core"
 	"distwalk/internal/rng"
 	"distwalk/internal/sched"
-	"distwalk/internal/wire"
 )
 
 // Service is the concurrent entry point to the paper's algorithms: a
@@ -58,11 +56,6 @@ type Service struct {
 	topo  atomic.Pointer[topology]
 	mutMu sync.Mutex
 
-	// clusterPlan pins the graph and handshake the remote engines
-	// currently serve (nil unless WithCluster); rotated by ApplyMutations
-	// (see clusterRun).
-	clusterPlan atomic.Pointer[clusterPlan]
-
 	jobs chan func(*poolWorker)
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -90,15 +83,9 @@ type Service struct {
 	// to at the end of each Run (nil unless WithShards).
 	shardTally congest.ShardCounters
 
-	// Cluster mode (empty unless WithCluster): per engine, whether its
-	// last session was lost or its last dial failed (Stats' Health), the
-	// traffic block every worker's session with it adds to, and the
-	// failover counter. workers is kept for Close teardown of per-worker
-	// engine sessions.
-	clusterLost      []atomic.Bool
-	clusterTally     []wire.EngineCounters
-	clusterFailovers atomic.Int64
-	workers          []*poolWorker
+	// cluster is cluster mode: engine sessions, plan, health, traffic and
+	// failovers (nil unless WithCluster; see cluster.go).
+	cluster *clusterPool
 
 	closeOnce sync.Once
 }
@@ -108,16 +95,8 @@ type Service struct {
 type poolWorker struct {
 	net *congest.Network
 	wkr *core.Walker
-	// conns are this worker's cluster-mode engine sessions (nil when
-	// in-process; individual entries go nil when a session is lost until
-	// the next cluster run re-dials it). attached reports whether the
-	// worker network currently executes through conns.
-	conns    []*wire.EngineConn
-	attached bool
-	// clusterTopo is the graph the worker's current engine sessions were
-	// handshaken for; when it trails the cluster plan the sessions hold
-	// engines built from a dead topology and must be re-dialed.
-	clusterTopo *Graph
+	// sess are the worker's engine sessions (nil unless WithCluster).
+	sess *sessionGroup
 }
 
 // NewService builds a service over g. seed drives all randomness: together
@@ -138,20 +117,22 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	if cfg.shards > g.N() {
 		cfg.shards = g.N() // the engine clamps the same way
 	}
+	var cluster *clusterPool
 	if len(cfg.cluster) > 0 {
 		// Remote engines own the transport; the in-process shard layout
 		// is moot (ConnectRemote forces it off anyway).
 		cfg.shards = 1
-		if len(cfg.cluster) > g.N() {
-			return nil, fmt.Errorf("%w: %d cluster engines for a %d-node graph",
-				ErrClusterConfig, len(cfg.cluster), g.N())
+		var err error
+		if cluster, err = newClusterPool(cfg.cluster, seed, cfg.fplan, g, 1); err != nil {
+			return nil, err
 		}
 	}
 	s := &Service{
-		seed: seed,
-		cfg:  cfg,
-		jobs: make(chan func(*poolWorker)),
-		quit: make(chan struct{}),
+		seed:    seed,
+		cfg:     cfg,
+		cluster: cluster,
+		jobs:    make(chan func(*poolWorker)),
+		quit:    make(chan struct{}),
 	}
 	s.topo.Store(&topology{gen: 1, g: g, stale: make(chan struct{})})
 	if cfg.cacheBytes > 0 {
@@ -169,8 +150,8 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 		s.shardTally = make(congest.ShardCounters, cfg.shards)
 		netOpts = append(netOpts, congest.WithShardCounters(s.shardTally))
 	}
-	nets := make([]*congest.Network, cfg.workers)
-	for i := range nets {
+	workers := make([]*poolWorker, cfg.workers)
+	for i := range workers {
 		n := congest.NewNetwork(g, seed, netOpts...)
 		n.SetGeneration(1)
 		if cfg.fplan != nil {
@@ -178,18 +159,14 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 				return nil, err
 			}
 		}
-		nets[i] = n
-	}
-	workers := make([]*poolWorker, cfg.workers)
-	for i, n := range nets {
 		workers[i] = &poolWorker{net: n}
 	}
-	s.workers = workers
-	if len(cfg.cluster) > 0 {
-		if err := s.initCluster(workers); err != nil {
+	for i := 0; cluster != nil && i < len(workers); i++ {
+		var err error
+		if workers[i].sess, err = cluster.join(workers[i].net); err != nil {
 			// A later dial failing must not leak the sessions already
 			// established.
-			closeWorkerConns(workers)
+			cluster.teardown()
 			return nil, err
 		}
 	}
@@ -216,169 +193,6 @@ func (s *Service) worker(pw *poolWorker) {
 			return
 		case job := <-s.jobs:
 			job(pw)
-		}
-	}
-}
-
-// Per-exchange deadline of cluster runs: the request context's remaining
-// budget, or clusterRoundTimeout when the context has none, never below
-// clusterRoundFloor (see armCluster).
-const (
-	clusterRoundTimeout = 30 * time.Second
-	clusterRoundFloor   = 100 * time.Millisecond
-)
-
-// initCluster pins the cluster plan for the initial topology and dials
-// every worker's initial sessions.
-func (s *Service) initCluster(workers []*poolWorker) error {
-	top := s.topo.Load()
-	plan, err := s.newClusterPlan(top.g, top.gen)
-	if err != nil {
-		return err
-	}
-	s.clusterPlan.Store(plan)
-	engines := len(s.cfg.cluster)
-	s.clusterLost = make([]atomic.Bool, engines)
-	s.clusterTally = make([]wire.EngineCounters, engines)
-	for _, pw := range workers {
-		if err := s.ensureCluster(context.Background(), pw, plan); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newClusterPlan builds the handshake for serving g at generation gen
-// (graph digest, shard plan, edge capacity, fault plan). Every session
-// re-sends it with only the shard index varying, which is what pins
-// redialed sessions to the same graph digest.
-func (s *Service) newClusterPlan(g *Graph, gen uint64) (*clusterPlan, error) {
-	engines := len(s.cfg.cluster)
-	h := wire.HelloFor(g, engines, 0, 1, s.seed, s.cfg.fplan)
-	if len(h.Bounds) != engines+1 {
-		return nil, fmt.Errorf("%w: shard plan has %d ranges for %d engines",
-			ErrClusterConfig, len(h.Bounds)-1, engines)
-	}
-	h.Gen = gen
-	return &clusterPlan{g: g, hello: h}, nil
-}
-
-// ensureCluster repairs a worker's engine sessions before a cluster run:
-// broken sessions are closed, missing ones are dialed with plan's
-// handshake within ctx, and the worker network is re-attached to the
-// session group under plan's shard bounds.
-// With every session healthy it is a no-op. Callers that loaded plan
-// before dialing must re-check it afterwards: a mutation may have rotated
-// it mid-ensure (see clusterRun).
-func (s *Service) ensureCluster(ctx context.Context, pw *poolWorker, plan *clusterPlan) error {
-	if pw.conns == nil {
-		pw.conns = make([]*wire.EngineConn, len(s.cfg.cluster))
-	}
-	for i, c := range pw.conns {
-		if c != nil && c.Broken() {
-			c.Close()
-			pw.conns[i] = nil
-		}
-		if pw.conns[i] == nil && pw.attached {
-			// The network must never run against a group with holes.
-			pw.attached = false
-			pw.net.ConnectRemote(nil, nil)
-		}
-	}
-	for i := range pw.conns {
-		if pw.conns[i] != nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("distwalk: cluster engine %d (%s) not redialed: %w",
-				i, s.cfg.cluster[i], err)
-		}
-		h := plan.hello
-		h.Shard = i
-		c, err := wire.DialEngineContext(ctx, s.cfg.cluster[i], h, &s.clusterTally[i])
-		s.clusterLost[i].Store(err != nil)
-		if err != nil {
-			return fmt.Errorf("distwalk: cluster engine %d (%s): %w: %w",
-				i, s.cfg.cluster[i], ErrClusterEngine, err)
-		}
-		pw.conns[i] = c
-	}
-	if !pw.attached {
-		group := make([]congest.RemoteShard, len(pw.conns))
-		for i, c := range pw.conns {
-			group[i] = c
-		}
-		if err := pw.net.ConnectRemote(group, plan.hello.Bounds); err != nil {
-			return err
-		}
-		pw.attached = true
-	}
-	pw.clusterTopo = plan.g
-	return nil
-}
-
-// dropClusterConns tears down every session of the worker after a loss.
-// The protocol is strictly synchronous per session, but the round loop
-// writes to all engines before reading any reply — once one engine fails
-// mid-run, the surviving sessions may hold half-exchanged frames and
-// cannot be trusted with another run, so the whole group goes. The
-// failing engine is marked lost (errors.As digs the shard out of cause)
-// and the network detaches until ensureCluster re-attaches.
-func (s *Service) dropClusterConns(pw *poolWorker, cause error) {
-	var le *wire.EngineLostError
-	if errors.As(cause, &le) && le.Shard >= 0 && le.Shard < len(s.clusterLost) {
-		s.clusterLost[le.Shard].Store(true)
-	}
-	for i, c := range pw.conns {
-		if c == nil {
-			continue
-		}
-		c.Close()
-		pw.conns[i] = nil
-	}
-	pw.attached = false
-	pw.clusterTopo = nil
-	pw.net.ConnectRemote(nil, nil)
-}
-
-// clusterBroken reports whether any of the worker's sessions failed.
-func clusterBroken(pw *poolWorker) bool {
-	for _, c := range pw.conns {
-		if c != nil && c.Broken() {
-			return true
-		}
-	}
-	return false
-}
-
-// armCluster installs this request's per-exchange deadline on every
-// session: the request context's remaining budget (clusterRoundTimeout
-// when the context has no deadline), floored at clusterRoundFloor so a
-// nearly-expired context still gets one meaningful exchange (the round
-// loop's own context check handles actual expiry).
-func (s *Service) armCluster(ctx context.Context, pw *poolWorker) {
-	t := clusterRoundTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		t = time.Until(dl)
-	}
-	t = max(t, clusterRoundFloor)
-	for _, c := range pw.conns {
-		if c != nil {
-			c.SetRoundTimeout(t)
-		}
-	}
-}
-
-// closeWorkerConns tears down every worker's engine sessions (nil-safe:
-// dial failures and dropped sessions leave holes). Used by the
-// construction failure path and by Close.
-func closeWorkerConns(workers []*poolWorker) {
-	for _, pw := range workers {
-		for i, c := range pw.conns {
-			if c != nil {
-				c.Close()
-				pw.conns[i] = nil
-			}
 		}
 	}
 }
@@ -410,8 +224,10 @@ func (s *Service) Close() error {
 		}
 		close(s.quit)
 		s.wg.Wait()
-		// Workers are gone; their engine sessions are safe to tear down.
-		closeWorkerConns(s.workers)
+		if s.cluster != nil {
+			// Workers are gone; their engine sessions are safe to tear down.
+			s.cluster.teardown()
+		}
 	})
 	return nil
 }
@@ -505,18 +321,9 @@ func (s *Service) Stats() ServiceStats {
 	if s.shardTally != nil {
 		out.Shards = s.shardTally.Stats()
 	}
-	// One row per engine from the start: Stats and /metrics must name
-	// every engine before it has served anything, which is exactly when
-	// a dead one needs to be visible.
-	for i := range s.clusterTally {
-		health := "healthy"
-		if s.clusterLost[i].Load() {
-			health = "lost"
-		}
-		out.Cluster.Engines = append(out.Cluster.Engines, s.clusterTally[i].Stats(s.cfg.cluster[i], i))
-		out.Cluster.Health = append(out.Cluster.Health, health)
+	if s.cluster != nil {
+		out.Cluster = s.cluster.stats()
 	}
-	out.Cluster.Failovers = s.clusterFailovers.Load()
 	if s.cache != nil {
 		out.Cache = s.cache.Stats()
 	}
@@ -694,9 +501,9 @@ func (s *Service) staleErr(key uint64, snap *topology) error {
 		&StaleGenerationError{Old: Generation(snap.gen), New: Generation(s.topo.Load().gen)})
 }
 
-// runPrepared is the one executor every mode shares — per-key requests
-// (seed derived from the request key) and batches (seed derived from the
-// batch composition), in process or over the cluster. It readies the
+// runPrepared is the job body every mode shares — per-key requests (seed
+// derived from the request key) and batches (seed derived from the batch
+// composition), wherever execJob places them. It readies the
 // worker's warm state for (seed, cfg) at snap: sync the warm topology to
 // the snapshot, reseed the private network, restore the round budget and
 // Reset the pooled walker (the first request builds it; a reshaped graph
@@ -725,102 +532,40 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 	return core.Faultize(pw.wkr, fn(pw.wkr))
 }
 
-// errClusterMoved is clusterRun's report that the remote engines do not
-// (or no longer) serve the run's topology; nothing ran.
-var errClusterMoved = errors.New("cluster serves another topology generation")
-
-// clusterRun brackets one run over the worker's remote engine sessions,
-// for per-key requests and batches alike: repair the sessions, arm the
-// round deadlines, and drop the whole group if the run broke any of it.
-//
-// Topology epochs interact with the cluster in three ways. A run pinned
-// to a graph the engines no longer serve is refused (errClusterMoved),
-// keeping any healthy sessions for later requests. A worker whose
-// sessions were handshaken for a superseded graph drops them so
-// ensureCluster re-dials with the rotated Hello — the server re-pins to
-// the strictly newer generation. And a mutation racing the re-dial shows
-// as a plan change after ensureCluster, so the fresh sessions are dropped
-// and the run refused likewise — also when the stale Hello was rejected
-// by an engine another worker had already re-pinned.
-func (s *Service) clusterRun(ctx context.Context, pw *poolWorker, snap *topology, run func() error) error {
-	plan := s.clusterPlan.Load()
-	if plan.g != snap.g {
-		return errClusterMoved
-	}
-	if pw.clusterTopo != nil && pw.clusterTopo != plan.g {
-		// The sessions hold per-session engines built from a dead
-		// topology; drop them so ensureCluster re-dials fresh.
-		s.dropClusterConns(pw, nil)
-	}
-	if err := s.syncWarm(pw, snap); err != nil {
-		return err
-	}
-	err := s.ensureCluster(ctx, pw, plan)
-	if s.clusterPlan.Load() != plan {
-		s.dropClusterConns(pw, nil)
-		return errClusterMoved
-	}
-	if err != nil {
-		return err
-	}
-	s.armCluster(ctx, pw)
-	err = run()
-	if clusterBroken(pw) {
-		s.dropClusterConns(pw, err)
-	}
-	return err
-}
-
-// executeOn is execute's epoch-resolved body: run fn under the attempt's
-// seed — in process, or in cluster mode over the remote engines and, when
-// that run is lost and WithClusterFallback is on, again on in-process
-// shards with the same seed. Sharded execution is bit-identical to
-// cluster execution per (graph, seed, request), so the failed-over result
-// is what the fault-free cluster run would have produced; a request the
-// cluster has rotated past runs in-process by the same argument, no
-// failover counted.
+// executeOn is execute's epoch-resolved body: run fn under the
+// attempt's seed through the executor.
 func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	seed := attemptSeed(s.seed, key, attempt)
-	run := func() error { return s.runPrepared(ctx, cfg, seed, snap, pw, fn) }
-	if len(s.cfg.cluster) == 0 {
-		return run()
-	}
-	runErr := s.clusterRun(ctx, pw, snap, run)
-	if runErr == errClusterMoved {
-		return s.executeLocalShards(pw, snap, run)
-	}
-	if runErr == nil || !errors.Is(runErr, ErrClusterEngine) || !cfg.clusterFallback {
-		return runErr
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("distwalk: request %d lost its cluster run and cannot fail over: %w", key, err)
-	}
-	if pw.attached {
-		// Defensive: a cluster-typed failure with no broken session still
-		// means the group cannot be trusted with another run.
-		s.dropClusterConns(pw, runErr)
-	}
-	s.clusterFailovers.Add(1)
-	return s.executeLocalShards(pw, snap, run)
+	return s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
+		return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
+	})
 }
 
-// executeLocalShards runs a cluster-mode request on in-process shards —
-// the WithShards(len(cluster)) path, bit-identical to the cluster run by
-// the identity contract. Serves both failover after a lost cluster run
-// and requests pinned to a topology generation the remote engines have
-// rotated past; in the pinned case healthy sessions are kept (detached)
-// for the next current-generation request.
-func (s *Service) executeLocalShards(pw *poolWorker, snap *topology, run func() error) error {
-	if pw.attached {
-		pw.attached = false
-		pw.net.ConnectRemote(nil, nil)
+// execJob is the one executor, for per-key attempts and batches alike:
+// it decides where the prepared job run executes. In process it just
+// runs. In cluster mode it runs on the remote engines — unless they serve
+// another graph than the job's snapshot, when it runs on local shards, or
+// its cluster run is lost to an engine and fallback is on, when it fails
+// over to local shards with the same seed. Sharded execution is
+// bit-identical to cluster execution per (graph, seed, job), so neither
+// local path changes a result; only the failover is counted.
+func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, fallback bool, run func() error) error {
+	c := s.cluster
+	if c == nil {
+		return run()
 	}
-	if err := s.syncWarm(pw, snap); err != nil {
-		return err
+	sync := func() error { return s.syncWarm(pw, snap) }
+	err := c.exec(ctx, pw.sess, snap.g, sync, run)
+	moved := err == errClusterMoved
+	if !moved {
+		if err == nil || !fallback || !errors.Is(err, ErrClusterEngine) {
+			return err
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("distwalk: cluster run lost and cannot fail over: %w", cerr)
+		}
 	}
-	pw.net.SetShards(len(s.cfg.cluster))
-	defer pw.net.SetShards(1)
-	return run()
+	return c.local(pw.sess, !moved, sync, run)
 }
 
 // syncWarm reshapes a worker network whose warm state trails the
@@ -854,10 +599,15 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 // composition, not per worker) and block until it has run. The batch
 // executes under no member's context: one member's cancellation must not
 // abort its batchmates, so post-flush cancellation is not observed (see
-// internal/sched's determinism notes). In cluster mode it runs inside the
-// session bracket per-key requests use; a batch the bracket refuses or
-// fails aborts retryably (ErrBatchAborted), so under WithRetry its members
-// re-execute unbatched and can fall over in-process there.
+// internal/sched's determinism notes). It goes through the executor
+// per-key attempts use, so in cluster mode a batch pinned to a topology
+// the engines have rotated past runs on local shards, and one whose
+// sessions cannot be dialed fails over there when WithClusterFallback is
+// the service default. Any other failure before the run aborts the batch
+// retryably (ErrBatchAborted). A batch that loses an engine mid-run has
+// already reported the loss to its members (Execute aborts them
+// retryably), so it never runs twice; under WithRetry its members then
+// re-execute unbatched.
 func (s *Service) runBatch(b *sched.Batch) {
 	snap := b.Topo.(*topology) // set by submitBatched, the only submitter
 	done := make(chan struct{})
@@ -865,18 +615,12 @@ func (s *Service) runBatch(b *sched.Batch) {
 		defer close(done)
 		ctx, cfg := context.Background(), s.cfg
 		cfg.params, cfg.maxRounds = b.Params, b.MaxRounds
-		run := func() error {
+		err := s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
 			return s.runPrepared(ctx, cfg, b.Seed, snap, pw, func(w *core.Walker) error {
 				b.Execute(w) // reports its own failure to the members
 				return nil
 			})
-		}
-		var err error
-		if len(s.cfg.cluster) > 0 {
-			err = s.clusterRun(ctx, pw, snap, run)
-		} else {
-			err = run()
-		}
+		})
 		if err != nil {
 			b.Abort(err)
 		}

@@ -45,6 +45,24 @@ func TestServiceMatchesDerivedSeedWalker(t *testing.T) {
 	}
 }
 
+// wireEngines serves n engine servers on loopback from this process and
+// returns their addresses; they close with the test.
+func wireEngines(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := wire.NewServer(wire.ServerConfig{PinShard: -1})
+		go srv.Serve(ln)
+		t.Cleanup(srv.Close)
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
 // TestCountersWorkerInvariant pins the counter blocks against who served
 // the requests: shard and engine work is added where it happens, so the
 // same request keys give the same totals on one worker or three, and
@@ -56,17 +74,7 @@ func TestCountersWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var engines []string
-	for range 2 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := wire.NewServer(wire.ServerConfig{PinShard: -1})
-		go srv.Serve(ln)
-		t.Cleanup(srv.Close)
-		engines = append(engines, ln.Addr().String())
-	}
+	engines := wireEngines(t, 2)
 	walks := func(t *testing.T, svc *Service, keys []uint64) {
 		var wg sync.WaitGroup
 		for _, key := range keys {
@@ -92,7 +100,7 @@ func TestCountersWorkerInvariant(t *testing.T) {
 		if drop {
 			before := svc.Stats().Cluster.Engines
 			done := make(chan struct{})
-			svc.jobs <- func(pw *poolWorker) { svc.dropClusterConns(pw, nil); close(done) }
+			svc.jobs <- func(pw *poolWorker) { svc.cluster.drop(pw.sess, nil); close(done) }
 			<-done
 			// Closing sends a Goodbye: bytes may grow, nothing else moves.
 			for i, a := range svc.Stats().Cluster.Engines {
@@ -125,4 +133,69 @@ func TestCountersWorkerInvariant(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestClusterMovedRequestRunsOnLocalShards covers the executor's moved
+// path for a per-key request: admitted under one generation and run after
+// a mutation rotated the cluster plan, it runs on local shards against
+// its snapshot — bit-identical to WithShards(2), no engine traffic and no
+// failover counted — and the next current-generation request runs on the
+// engines again.
+func TestClusterMovedRequestRunsOnLocalShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sessions over TCP skipped in -short mode")
+	}
+	ctx := context.Background()
+	g, err := Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pinned admits key 3 under the first generation, publishes a
+	// mutation, then runs the request on the snapshot it admitted under.
+	pinned := func(t *testing.T, svc *Service) *WalkResult {
+		cfg, snap, err := svc.admit(3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.ApplyMutations(ctx, Mutations{AddEdges: []EdgeMutation{{U: 0, V: 30}}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := runRequest(ctx, svc, &singleKind, 3, operands{node: 0, ell: 256}, cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	local, err := NewService(g, 42, WithWorkers(1), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want := pinned(t, local)
+
+	clu, err := NewService(g, 42, WithWorkers(1), WithCluster(wireEngines(t, 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	runs := func() (n int64) {
+		for _, e := range clu.Stats().Cluster.Engines {
+			n += e.Runs
+		}
+		return n
+	}
+	got := pinned(t, clu)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("moved request diverged from in-process:\n  cluster: dest=%d %+v\n  local:   dest=%d %+v",
+			got.Destination, got.Cost, want.Destination, want.Cost)
+	}
+	if st := clu.Stats().Cluster; st.Failovers != 0 || runs() != 0 {
+		t.Fatalf("moved request reached the engines or counted as a failover: %+v", st)
+	}
+	if _, err := clu.SingleRandomWalk(ctx, 4, 0, 256); err != nil {
+		t.Fatal(err)
+	}
+	if runs() == 0 {
+		t.Fatal("the next current-generation request ran no engine run")
+	}
 }
