@@ -14,13 +14,10 @@ type CacheStats = cache.Stats
 // the same epoch source ApplyMutations uses, minus the graph change: the
 // generation is folded into every cache digest, so all prior keys become
 // unreachable. Requests already in flight complete under the generation
-// they admitted with (epoch-pinned) and are not stored; abort-mode
-// requests (WithStaleAbort) fail with ErrStaleGeneration and, retried,
-// re-execute bit-identically (the graph is unchanged and stale retries
-// are unsalted). Workers only restamp their warm state — no network is
-// rebuilt, and in cluster mode no session is re-dialed (the graph digest
-// is unchanged). Returns ErrCacheDisabled when the service was built
-// without WithResultCache.
+// they admitted with (epoch-pinned) and are not stored. Workers only
+// restamp their warm state — no network is rebuilt, and in cluster mode
+// no session is re-dialed (the graph digest is unchanged). Returns
+// ErrCacheDisabled when the service was built without WithResultCache.
 func (s *Service) InvalidateCache() error {
 	if s.cache == nil {
 		return ErrCacheDisabled
@@ -28,7 +25,7 @@ func (s *Service) InvalidateCache() error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	cur := s.topo.Load()
-	s.publishTopology(&topology{gen: cur.gen + 1, g: cur.g, stale: make(chan struct{})})
+	s.publishTopology(&topology{gen: cur.gen + 1, g: cur.g})
 	return nil
 }
 

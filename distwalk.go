@@ -35,10 +35,10 @@
 //
 // The served topology is mutable under live traffic: ApplyMutations
 // applies a batch of edge edits copy-on-write and publishes it as the
-// next Generation. Requests in flight across the boundary either
-// complete epoch-pinned against the snapshot they admitted under (the
-// default) or fail fast with ErrStaleGeneration (WithStaleAbort) and,
-// under WithRetry, re-execute on the new topology. See mutate.go.
+// next Generation. Requests in flight across the boundary complete
+// epoch-pinned against the snapshot they admitted under, retries
+// included, returning exactly what a never-mutated service would. See
+// mutate.go.
 //
 // The single-threaded Walker shim that predated Service (NewWalker and
 // the bare-Params entry points) has been removed; the same engine is

@@ -66,7 +66,8 @@ var (
 	// ErrBatchAborted reports a submitted walk whose batch never
 	// executed: the shared run failed as a whole, or the service closed
 	// while the request was pending. The wrapped cause is also
-	// errors.Is-able.
+	// errors.Is-able. Under WithRetry a member of a failed batch re-runs
+	// alone on the snapshot it admitted under.
 	ErrBatchAborted = sched.ErrBatchAborted
 	// ErrNodeCrashed reports a request that lost a protocol token to a
 	// crashed (or churned-down) node; errors.As against *NodeCrashedError
@@ -115,28 +116,7 @@ var (
 	// missing edge, or an edit that would isolate a node. The batch is
 	// rejected whole; the service's topology is unchanged.
 	ErrBadMutation = graph.ErrEdit
-	// ErrStaleGeneration reports a request that admitted under a topology
-	// generation a mutation (or InvalidateCache) then retired, on a
-	// service configured with WithStaleAbort. errors.As against
-	// *StaleGenerationError exposes the old and new generations.
-	// Retryable: a retry re-admits under the current generation.
-	ErrStaleGeneration = errors.New("distwalk: topology generation superseded")
 )
-
-// StaleGenerationError carries the generation a stale-aborted request
-// admitted under (Old) and the one current when it failed (New); matches
-// ErrStaleGeneration under errors.Is.
-type StaleGenerationError struct {
-	Old, New Generation
-}
-
-func (e *StaleGenerationError) Error() string {
-	return "distwalk: topology generation superseded (admitted under " +
-		e.Old.String() + ", now " + e.New.String() + ")"
-}
-
-// Unwrap makes the error match ErrStaleGeneration.
-func (e *StaleGenerationError) Unwrap() error { return ErrStaleGeneration }
 
 // OptionScopeError reports a construction-only option passed to a
 // per-request call; Option names the offender. Matches ErrOptionScope
@@ -169,19 +149,17 @@ type NodeCrashedError = congest.NodeCrashedError
 type MessageLostError = congest.MessageLostError
 
 // Retryable reports whether err is worth re-executing with a fresh
-// attempt seed: typed fault losses (ErrNodeCrashed, ErrMessageLost),
+// attempt seed: typed fault losses (ErrNodeCrashed, ErrMessageLost) and
 // transient scheduling rejections (ErrQueueFull, ErrBatchAborted — unless
-// the abort was the service closing), and stale-generation aborts
-// (ErrStaleGeneration — the retry re-admits on the new topology).
-// WithRetry uses exactly this predicate; callers running their own retry
-// loops should too.
+// the abort was the service closing). A retry stays on the topology
+// snapshot the request admitted under. WithRetry uses exactly this
+// predicate; callers running their own retry loops should too.
 func Retryable(err error) bool {
 	if errors.Is(err, ErrServiceClosed) {
 		return false
 	}
 	return errors.Is(err, ErrNodeCrashed) || errors.Is(err, ErrMessageLost) ||
-		errors.Is(err, ErrQueueFull) || errors.Is(err, ErrBatchAborted) ||
-		errors.Is(err, ErrStaleGeneration)
+		errors.Is(err, ErrQueueFull) || errors.Is(err, ErrBatchAborted)
 }
 
 // GenRetryError is the typed generator retry-exhaustion error; it carries

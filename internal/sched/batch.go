@@ -42,12 +42,6 @@ type Request struct {
 	// joins the compatibility group so no batch ever mixes generations.
 	// The scheduler only compares it (comparable, typically a pointer).
 	Topo any
-	// StaleAbort marks a request whose caller wants fail-fast semantics
-	// across a topology mutation: AbortPending can evict it from the
-	// admission queue. It deliberately does NOT join the compatibility
-	// group — pin- and abort-mode requests on the same epoch batch
-	// together.
-	StaleAbort bool
 }
 
 // Result is one member's demultiplexed outcome. Exactly one Result is

@@ -11,16 +11,17 @@
 // Submit places a request in the admission queue of its group. Two
 // requests share a group exactly when a single MANY-RANDOM-WALKS run can
 // serve both: same walk parameterization (η, λ/LambdaC, Theory,
-// Metropolis, ...; the full core.Params), same round budget, and same walk
-// length ℓ. The graph is fixed per service, so it never splits groups.
-// Sources and the trace flag may differ freely within a group: sources
-// become the batch's source list, and trace-requesting members share one
-// RegenerateMany pass after the walks complete. ExecGroup turns the
-// walker's hop trail on (core.Walker.KeepTrail) iff at least one member
-// asked for a trace, so one traced member makes the whole group record
-// and a group without one runs lean; recording changes no walk, cost or
-// seed, and a regeneration the trail cannot serve fails the batch with
-// core.ErrNoRegen instead of returning a partial trace.
+// Metropolis, ...; the full core.Params), same round budget, same walk
+// length ℓ, and same topology epoch (Request.Topo), so no batch mixes
+// graph generations. Sources and the trace flag may differ freely within
+// a group: sources become the batch's source list, and trace-requesting
+// members share one RegenerateMany pass after the walks complete.
+// ExecGroup turns the walker's hop trail on (core.Walker.KeepTrail) iff
+// at least one member asked for a trace, so one traced member makes the
+// whole group record and a group without one runs lean; recording
+// changes no walk, cost or seed, and a regeneration the trail cannot
+// serve fails the batch with core.ErrNoRegen instead of returning a
+// partial trace.
 //
 // # Flush policy
 //

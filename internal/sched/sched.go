@@ -351,41 +351,6 @@ func (s *Scheduler) newBatchLocked(gk groupKey, members []*pending, reason Flush
 	}
 }
 
-// AbortPending evicts queued (not yet flushed) members matching match,
-// completing each with a Result whose Err wraps cause, and returns the
-// number evicted. Batches already cut keep their composition — the epoch
-// they admitted under executes them. The service uses this on topology
-// mutation to fail fast the pending abort-mode members of the dead
-// epoch; pin-mode members stay queued and execute against their pinned
-// snapshot.
-func (s *Scheduler) AbortPending(match func(Request) bool, cause error) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
-	}
-	n := 0
-	for _, g := range s.groups {
-		kept := g.members[:0]
-		for _, p := range g.members {
-			if !match(p.req) {
-				kept = append(kept, p)
-				continue
-			}
-			p.release()
-			s.st.Aborted++
-			n++
-			p.out <- Result{Err: fmt.Errorf("distwalk: request %d dropped from pending batch: %w",
-				p.req.Key, cause)}
-		}
-		g.members = kept
-		if len(g.members) == 0 {
-			s.retireLocked(g)
-		}
-	}
-	return n
-}
-
 func (s *Scheduler) noteExecuted(info BatchInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,22 +5,12 @@ package distwalk
 // A Service's topology is versioned by a Generation. Every request
 // captures the current generation's snapshot when it admits; a mutation
 // (ApplyMutations) builds a copy-on-write successor graph, publishes it
-// as generation+1, and retires the old epoch. What happens to requests
-// in flight across the boundary is the caller's choice per request:
-//
-//   - Epoch pinning (the default): the request completes
-//     against the immutable snapshot it admitted under — the result is
-//     exactly what a never-mutated service would return. Pinned results
-//     are not stored in the result cache (they would be stale on
-//     arrival).
-//
-//   - Stale abort (WithStaleAbort): the request fails fast with a
-//     *StaleGenerationError (errors.Is ErrStaleGeneration) carrying the
-//     old and new generations. Queued batch members are evicted at
-//     publish; in-flight executions cancel at the next engine round.
-//     With WithRetry the failure re-admits transparently on the new
-//     topology, bit-identical to a fresh post-mutation request (stale
-//     retries do not consume attempt-seed salting).
+// as generation+1, and retires the old epoch. Requests in flight across
+// the boundary are epoch-pinned: each completes against the immutable
+// snapshot it admitted under — queued batch members and retries
+// included — so the result is exactly what a never-mutated service would
+// return. Pinned results of a retired epoch are not stored in the result
+// cache (they would be stale on arrival).
 //
 // Determinism contract: for a fixed (graph, mutation sequence, seed,
 // key), results are bit-identical regardless of shard count, worker
@@ -34,7 +24,6 @@ import (
 	"strconv"
 
 	"distwalk/internal/graph"
-	"distwalk/internal/sched"
 )
 
 // Generation is a topology epoch ordinal. A service starts at
@@ -60,19 +49,16 @@ type Mutations struct {
 	RemoveEdges []EdgeMutation
 }
 
-// topology is one immutable epoch: the graph served, its generation
-// ordinal, and a channel closed when a successor is published (the
-// stale-abort signal). Requests capture the pointer at admission; the
-// pointer is also the batch-compatibility token (sched.Request.Topo).
+// topology is one immutable epoch: the graph served and its generation
+// ordinal. Requests capture the pointer at admission; the pointer is
+// also the batch-compatibility token (sched.Request.Topo).
 type topology struct {
-	gen   uint64
-	g     *Graph
-	stale chan struct{}
+	gen uint64
+	g   *Graph
 }
 
 // Generation returns the current topology generation. Requests admitted
-// now execute against (or, in abort mode, are validated against) this
-// epoch.
+// now execute against this epoch.
 func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen) }
 
 // ApplyMutations atomically applies a batch of edge edits and publishes
@@ -83,11 +69,10 @@ func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen)
 // snapshot while new requests admit under the new generation.
 //
 // Publishing a generation invalidates the result cache exactly like
-// InvalidateCache (the generation is folded into every cache digest),
-// evicts queued abort-mode batch members, cancels in-flight abort-mode
-// executions, and — in cluster mode — rotates the engine handshake so
-// the next dial re-pins the remote processes to the new graph digest
-// instead of being rejected forever.
+// InvalidateCache (the generation is folded into every cache digest)
+// and — in cluster mode — rotates the engine handshake so the next dial
+// re-pins the remote processes to the new graph digest instead of being
+// rejected forever.
 //
 // An empty batch returns the current generation without bumping it.
 // Invalid edits (ErrBadMutation), edits that would strand the installed
@@ -133,7 +118,7 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 			}
 		}
 	}
-	next := &topology{gen: cur.gen + 1, g: g2, stale: make(chan struct{})}
+	next := &topology{gen: cur.gen + 1, g: g2}
 	if s.cluster != nil {
 		if err := s.cluster.rotate(g2, next.gen); err != nil {
 			return Generation(cur.gen), fmt.Errorf("distwalk: mutation rejected: %w", err)
@@ -146,25 +131,15 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 	return Generation(next.gen), nil
 }
 
-// publishTopology installs next as the current epoch: the old epoch's
-// stale channel closes (cancelling in-flight abort-mode executions),
-// the result cache purges (its digests fold the generation, so old
-// entries are unreachable anyway; purging frees the bytes), and queued
-// abort-mode batch members of dead epochs are evicted with a
-// stale-generation error. Callers hold mutMu.
+// publishTopology installs next as the current epoch and purges the
+// result cache (its digests fold the generation, so old entries are
+// unreachable anyway; purging frees the bytes). Requests pinned to the
+// old epoch, queued batch members included, run on it untouched.
+// Callers hold mutMu.
 func (s *Service) publishTopology(next *topology) {
-	old := s.topo.Load()
 	s.topo.Store(next)
-	close(old.stale)
 	if s.cache != nil {
 		s.cache.Purge()
-	}
-	if s.batch != nil {
-		cause := &StaleGenerationError{Old: Generation(old.gen), New: Generation(next.gen)}
-		n := s.batch.AbortPending(func(r sched.Request) bool {
-			return r.StaleAbort && r.Topo != any(next)
-		}, cause)
-		s.mut.staleAborts.Add(int64(n))
 	}
 }
 

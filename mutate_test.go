@@ -2,8 +2,8 @@ package distwalk_test
 
 // Dynamic-topology tests: ApplyMutations semantics (atomicity, COW,
 // generation accounting), cache invalidation equivalence with
-// InvalidateCache, epoch pinning and stale aborts across in-flight and
-// queued requests, and the mutation axis of the bit-identity contract
+// InvalidateCache, epoch pinning across in-flight, queued and retried
+// requests, and the mutation axis of the bit-identity contract
 // (same results at every shard count, in-process and cluster alike).
 
 import (
@@ -353,148 +353,91 @@ func TestMutationPinnedInFlightNotStored(t *testing.T) {
 	}
 }
 
-// TestMutationStaleAbortEvictsQueuedBatch pins the deterministic abort
-// path: a WithStaleAbort submission waiting in a pending batch is evicted
-// at publish with a typed stale-generation error carrying both ordinals.
-func TestMutationStaleAbortEvictsQueuedBatch(t *testing.T) {
+// TestMutationPinnedQueuedBatchRuns: a SubmitWalk waiting in a pending
+// batch when ApplyMutations publishes stays queued and executes pinned
+// when the window flushes.
+func TestMutationPinnedQueuedBatchRuns(t *testing.T) {
 	ctx := context.Background()
 	g := mustTorus(t, 8, 8)
-	// A huge size threshold and an hour-long window: the batch can only
-	// leave the queue through the mutation's eviction.
-	svc, err := distwalk.NewService(g, 42, distwalk.WithBatching(64, time.Hour))
+	svc, err := distwalk.NewService(g, 42, distwalk.WithBatching(64, 100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-
-	h, err := svc.SubmitWalk(ctx, 3, 0, 256, distwalk.WithStaleAbort())
+	h, err := svc.SubmitWalk(ctx, 3, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.ApplyMutations(ctx, distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = h.Result()
-	if !errors.Is(err, distwalk.ErrStaleGeneration) {
-		t.Fatalf("queued abort-mode walk: err = %v, want ErrStaleGeneration", err)
-	}
-	var sg *distwalk.StaleGenerationError
-	if !errors.As(err, &sg) {
-		t.Fatalf("err %v does not carry *StaleGenerationError", err)
-	}
-	if sg.Old != 1 || sg.New != 2 {
-		t.Fatalf("StaleGenerationError = %+v, want Old 1 New 2", sg)
-	}
-	if st := svc.Stats().Mutation; st.StaleAborts == 0 {
-		t.Fatalf("MutationStats.StaleAborts = 0 after an eviction: %+v", st)
-	}
-
-	// Epoch-pinned members of the same dead epoch are NOT evicted: they
-	// stay queued and execute pinned when the window flushes.
-	svc2, err := distwalk.NewService(g, 42, distwalk.WithBatching(64, 100*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	h2, err := svc2.SubmitWalk(ctx, 3, 0, 256) // default: epoch pinning
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc2.ApplyMutations(ctx, distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h2.Result(); err != nil {
+	if _, err := h.Result(); err != nil {
 		t.Fatalf("queued epoch-pinned walk failed across the mutation: %v", err)
 	}
 }
 
-// TestMutationStaleAbortRetryReexecutes pins the retry contract: a
-// stale-aborted request under WithRetry re-admits on the new topology and
-// returns exactly what a fresh post-mutation request would — stale
-// retries are unsalted.
-func TestMutationStaleAbortRetryReexecutes(t *testing.T) {
+// TestMutationPinnedBatchFallbackStaysOnSnapshot: a batched member whose
+// batch aborts (a lossy link drops a token) re-runs alone under
+// WithRetry, and that re-run stays on the snapshot the member admitted
+// under even though ApplyMutations published a successor while the
+// member was queued (one worker runs the three batches of eight in turn,
+// so the last two wait out the mutation). Every handle must match the
+// same submissions on a service that never mutates.
+func TestMutationPinnedBatchFallbackStaysOnSnapshot(t *testing.T) {
 	ctx := context.Background()
-	g := mustTorus(t, 8, 8)
-	svc, err := distwalk.NewService(g, 42, distwalk.WithBatching(64, time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		err  bool
+		dest distwalk.NodeID
+		cost distwalk.Cost
 	}
-	defer svc.Close()
-
-	h, err := svc.SubmitWalk(ctx, 3, 0, 256, distwalk.WithStaleAbort(), distwalk.WithRetry(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}}
-	if _, err := svc.ApplyMutations(ctx, mut); err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Result()
-	if err != nil {
-		t.Fatalf("stale-aborted walk did not recover under WithRetry: %v", err)
-	}
-
-	// The recovered result is bit-identical to the same request on a
-	// service built directly over the mutated graph.
-	g2, err := g.ApplyEdits(nil, mut.AddEdges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := distwalk.NewService(g2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	want, err := fresh.SingleRandomWalk(ctx, 3, 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Destination != want.Destination || res.Cost != want.Cost {
-		t.Fatalf("recovered walk diverged from fresh post-mutation request:\n  retried: dest=%d cost=%+v\n  fresh:   dest=%d cost=%+v",
-			res.Destination, res.Cost, want.Destination, want.Cost)
-	}
-}
-
-// TestMutationStaleAbortInFlight drives the cancellation path: an
-// abort-mode execution already running when the mutation publishes is
-// cancelled mid-run with the typed stale error. The walk is sized to
-// stay in flight well past the mutation; if this machine nonetheless
-// finishes it first, the test retries with a longer walk before giving
-// up (the queued-eviction and fast-fail paths are covered
-// deterministically elsewhere).
-func TestMutationStaleAbortInFlight(t *testing.T) {
-	ctx := context.Background()
-	g := mustTorus(t, 16, 16)
-	for attempt, ell := 0, 1<<17; attempt < 4; attempt, ell = attempt+1, ell*4 {
-		svc, err := distwalk.NewService(g, 42)
+	run := func(mutate bool) ([]outcome, int) {
+		t.Helper()
+		svc, err := distwalk.NewService(mustTorus(t, 8, 8), 42,
+			distwalk.WithFaultPlan(&distwalk.FaultPlan{Seed: 5, DropProb: 0.01}),
+			distwalk.WithBatching(8, 50*time.Millisecond), distwalk.WithRetry(6), distwalk.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := svc.SingleRandomWalk(ctx, 11, 0, ell, distwalk.WithStaleAbort())
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		if _, err := svc.ApplyMutations(ctx, distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 100}}}); err != nil {
-			svc.Close()
-			t.Fatal(err)
+		defer svc.Close()
+		var handles []*distwalk.WalkHandle
+		for key := uint64(0); key < 24; key++ {
+			h, err := svc.SubmitWalk(ctx, key, 0, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
 		}
-		err = <-done
-		svc.Close()
-		if err == nil {
-			continue // walk won the race; try a longer one
+		if mutate {
+			mut := distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 27}, {U: 0, V: 36}}}
+			if _, err := svc.ApplyMutations(ctx, mut); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !errors.Is(err, distwalk.ErrStaleGeneration) {
-			t.Fatalf("in-flight abort-mode walk: err = %v, want ErrStaleGeneration", err)
+		var outs []outcome
+		fellBack := 0
+		for _, h := range handles {
+			res, err := h.Result()
+			o := outcome{err: err != nil}
+			if err == nil {
+				o.dest, o.cost = res.Destination, res.Cost
+			}
+			if h.Batch().Reason == distwalk.FlushUnbatched {
+				fellBack++
+			}
+			outs = append(outs, o)
 		}
-		var sg *distwalk.StaleGenerationError
-		if !errors.As(err, &sg) || sg.Old != 1 || sg.New != 2 {
-			t.Fatalf("err %v does not carry StaleGenerationError{1,2}", err)
-		}
-		return
+		return outs, fellBack
 	}
-	t.Skip("walk completed before every mutation attempt; cancellation path not exercised on this machine")
+	got, fellBack := run(true)
+	want, _ := run(false)
+	if fellBack == 0 {
+		t.Fatal("no batch aborted: the fallback path was not exercised")
+	}
+	for key := range got {
+		if got[key] != want[key] {
+			t.Errorf("key %d diverged from the never-mutated service:\n  mutated: %+v\n  fixed:   %+v", key, got[key], want[key])
+		}
+	}
 }
 
 // testShardIdentityMutate extends the bit-identity contract across a
@@ -687,9 +630,9 @@ func TestOptionScopeRejected(t *testing.T) {
 }
 
 // TestMutationChaos is the mutation stress test the chaos CI job runs:
-// concurrent pinned and abort-mode requests race a stream of mutations;
-// every failure must be a typed stale abort, and the surviving topology
-// must equal the same edit sequence applied cold.
+// concurrent epoch-pinned requests race a stream of mutations; none may
+// fail, and the surviving topology must equal the same edit sequence
+// applied cold.
 func TestMutationChaos(t *testing.T) {
 	ctx := context.Background()
 	g := mustTorus(t, 10, 10)
@@ -719,18 +662,13 @@ func TestMutationChaos(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var opts []distwalk.Option
-			if w%2 == 1 {
-				opts = append(opts, distwalk.WithStaleAbort(), distwalk.WithRetry(3))
-			}
 			for key := uint64(w * 100); ; key++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				_, err := svc.SingleRandomWalk(ctx, key, 0, 4096, opts...)
-				if err != nil && !errors.Is(err, distwalk.ErrStaleGeneration) {
+				if _, err := svc.SingleRandomWalk(ctx, key, 0, 4096); err != nil {
 					mu.Lock()
 					failures = append(failures, fmt.Sprintf("worker %d key %d: %v", w, key, err))
 					mu.Unlock()
@@ -748,7 +686,7 @@ func TestMutationChaos(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if len(failures) > 0 {
-		t.Fatalf("requests failed with non-stale errors under mutation load:\n%v", failures)
+		t.Fatalf("requests failed under mutation load:\n%v", failures)
 	}
 
 	// The surviving topology is exactly the edit sequence applied cold,

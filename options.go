@@ -34,10 +34,6 @@ type config struct {
 	retries int
 	// partial switches ManyRandomWalks to per-walk failure isolation.
 	partial bool
-	// staleAbort fails requests straddling a topology mutation with
-	// ErrStaleGeneration instead of pinning them to their admission
-	// epoch (see WithStaleAbort).
-	staleAbort bool
 	// fplan is the deterministic fault plan installed on every worker
 	// network (construction-time only; see WithFaultPlan).
 	fplan *fault.Plan
@@ -64,7 +60,7 @@ func defaultConfig() config {
 // the call site. Options come in two scopes:
 //
 //   - Per-request options (walk parameterization, budgets, retries,
-//     partial results, stale abort, cluster fallback) may be passed to
+//     partial results, cluster fallback) may be passed to
 //     NewService — where they set the service default — or to any
 //     request method, where they override the default for that request
 //     only. A cluster run's round deadline has no option: it follows the
@@ -277,18 +273,17 @@ func WithResultCache(bytes int64) Option {
 // WithRetry sets how many times a failed request is re-executed before
 // its error is returned (default 0: fail fast). Only retryable failures
 // re-execute — see Retryable: typed fault errors (ErrNodeCrashed,
-// ErrMessageLost), transient scheduling rejections (ErrQueueFull,
-// ErrBatchAborted) and stale-generation aborts (ErrStaleGeneration).
-// Each retry runs with a fresh seed derived from (service seed, request
-// key, attempt number), so a walk that died in a crashed or lossy region
-// re-randomizes deterministically: the result of (key, attempt) is
-// reproducible, and attempt 0 is bit-identical to a service without
-// retries. A stale-generation retry is the exception to the salting: it
-// re-admits on the new topology with the original attempt seed, so the
-// retried request is bit-identical to one freshly submitted after the
-// mutation. Retries run back to back — the "network" is simulated, so
-// there is nothing to wait for — and the request context is checked
-// between attempts. Applies per request or as a service default.
+// ErrMessageLost) and transient scheduling rejections (ErrQueueFull,
+// ErrBatchAborted). Each retry runs with a fresh seed derived from
+// (service seed, request key, attempt number), so a walk that died in a
+// crashed or lossy region re-randomizes deterministically: the result of
+// (key, attempt) is reproducible, and attempt 0 is bit-identical to a
+// service without retries. Every retry stays on the topology snapshot
+// the request admitted under, so a retried request straddling an
+// ApplyMutations still returns what a never-mutated service would.
+// Retries run back to back — the "network" is simulated, so there is
+// nothing to wait for — and the request context is checked between
+// attempts. Applies per request or as a service default.
 func WithRetry(max int) Option {
 	return newOption("WithRetry", func(c *config) {
 		if max >= 0 {
@@ -306,18 +301,6 @@ func WithRetry(max int) Option {
 // Per request or service default.
 func WithPartialResults() Option {
 	return newOption("WithPartialResults", func(c *config) { c.partial = true })
-}
-
-// WithStaleAbort makes requests that straddle a topology mutation fail
-// fast with an ErrStaleGeneration-matching *StaleGenerationError instead
-// of completing on the superseded topology: queued batch members are
-// evicted immediately and in-flight executions are cancelled at the next
-// engine round. Combine with WithRetry to re-execute transparently on
-// the new topology — the stale retry neither consumes salting nor
-// changes the result a fresh post-mutation request would compute.
-// Applies per request or as a service default.
-func WithStaleAbort() Option {
-	return newOption("WithStaleAbort", func(c *config) { c.staleAbort = true })
 }
 
 // WithFaultPlan installs a deterministic fault plan on every worker's

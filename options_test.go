@@ -38,7 +38,6 @@ func TestOptionTable(t *testing.T) {
 		{"WithResultCache", distwalk.WithResultCache(1 << 16), true},
 		{"WithRetry", distwalk.WithRetry(1), false},
 		{"WithShards", distwalk.WithShards(2), true},
-		{"WithStaleAbort", distwalk.WithStaleAbort(), false},
 		{"WithWorkers", distwalk.WithWorkers(2), true},
 	}
 

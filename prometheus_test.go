@@ -14,7 +14,7 @@ import (
 )
 
 // TestMetricsHandler drives the Prometheus text endpoint over real
-// traffic: a hit/miss pair, a mutation, and a stale abort, then asserts
+// traffic: a hit/miss pair and a mutation, then asserts
 // the exposition carries the matching series with the matching values.
 func TestMetricsHandler(t *testing.T) {
 	g, err := distwalk.Torus(8, 8)

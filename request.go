@@ -156,8 +156,8 @@ var (
 // (under a fault plan, which attempt succeeds — and therefore which
 // attempt-salted seed produced the result — depends on it), the
 // partial-results mode, and the kind-specific operands. Fields that
-// cannot change a result (workers, shards, cluster transport, backoff,
-// batching windows) are deliberately absent; see internal/cache/doc.go.
+// cannot change a result (workers, shards, cluster transport, batching
+// windows) are deliberately absent; see internal/cache/doc.go.
 func requestDigest[T any](gen uint64, k *requestKind[T], key uint64, op operands, cfg *config) cache.Key {
 	d := cache.NewDigest()
 	d.U64(gen)

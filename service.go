@@ -49,10 +49,10 @@ type Service struct {
 	seed uint64
 	cfg  config
 
-	// topo is the current topology epoch: the graph served, its
-	// generation, and the stale channel closed when it is superseded.
-	// Requests capture the pointer at admission (epoch pinning); mutMu
-	// serializes the publishers (ApplyMutations, InvalidateCache).
+	// topo is the current topology epoch: the graph served and its
+	// generation. Requests capture the pointer at admission (epoch
+	// pinning); mutMu serializes the publishers (ApplyMutations,
+	// InvalidateCache).
 	topo  atomic.Pointer[topology]
 	mutMu sync.Mutex
 
@@ -74,8 +74,8 @@ type Service struct {
 	// mut and retry are the live counters behind MutationStats and
 	// RetryStats; updated lock-free, read by Stats.
 	mut struct {
-		applied, edgesAdded, edgesRemoved, staleAborts atomic.Int64
-		reshardsInc, reshardsFull                      atomic.Int64
+		applied, edgesAdded, edgesRemoved atomic.Int64
+		reshardsInc, reshardsFull         atomic.Int64
 	}
 	retry struct{ attempts, retries, recovered, exhausted, faults atomic.Int64 }
 
@@ -134,7 +134,7 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 		jobs:    make(chan func(*poolWorker)),
 		quit:    make(chan struct{}),
 	}
-	s.topo.Store(&topology{gen: 1, g: g, stale: make(chan struct{})})
+	s.topo.Store(&topology{gen: 1, g: g})
 	if cfg.cacheBytes > 0 {
 		cc, err := cache.New(cache.Config{MaxBytes: cfg.cacheBytes})
 		if err != nil {
@@ -267,10 +267,6 @@ type MutationStats struct {
 	Applied      int64 `metric:"mutations_applied_total,counter"`
 	EdgesAdded   int64 `metric:"mutation_edges_total{op=add},counter"`
 	EdgesRemoved int64 `metric:"mutation_edges_total{op=remove},counter"`
-	// StaleAborts counts requests failed with ErrStaleGeneration —
-	// queued batch members evicted at publish plus abort-mode executions
-	// cancelled or fast-failed.
-	StaleAborts int64 `metric:"stale_aborts_total,counter"`
 	// ReshardsIncremental/ReshardsFull count worker-network reshapes by
 	// kind: incremental kept the existing shard partition (the mutation
 	// left the per-shard edge balance within tolerance), full re-planned
@@ -339,7 +335,6 @@ func (s *Service) Stats() ServiceStats {
 		Applied:             s.mut.applied.Load(),
 		EdgesAdded:          s.mut.edgesAdded.Load(),
 		EdgesRemoved:        s.mut.edgesRemoved.Load(),
-		StaleAborts:         s.mut.staleAborts.Load(),
 		ReshardsIncremental: s.mut.reshardsInc.Load(),
 		ReshardsFull:        s.mut.reshardsFull.Load(),
 	}
@@ -369,22 +364,18 @@ func attemptSeed(seed, key uint64, attempt int) uint64 {
 }
 
 // submit runs fn on a pool worker and waits for it (or for ctx/closure),
-// re-executing up to cfg.retries times on retryable failures (see
-// Retryable) with attempt-salted seeds and exponential backoff. snap is
-// the topology the request admitted under; it is kept across fault
-// retries (pin semantics), while a stale-generation failure refreshes it
-// without consuming attempt salting, so the retry is bit-identical to a
-// request freshly admitted after the mutation.
+// re-executing up to cfg.retries times, back to back, on retryable
+// failures (see Retryable). Every retry salts the attempt seed and stays
+// on snap, the topology the request admitted under (epoch pinning).
 func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topology, fn func(*core.Walker) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
-	attempt, tries := 0, 0
-	for {
+	for attempt := 0; ; attempt++ {
 		err := s.submitOnce(ctx, key, cfg, attempt, snap, fn)
 		s.retry.attempts.Add(1)
 		if err == nil {
-			if tries > 0 {
+			if attempt > 0 {
 				s.retry.recovered.Add(1)
 			}
 			return nil
@@ -395,23 +386,17 @@ func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topo
 		if !Retryable(err) {
 			return err
 		}
-		if tries >= cfg.retries {
+		if attempt >= cfg.retries {
 			if cfg.retries > 0 {
 				s.retry.exhausted.Add(1)
-				return fmt.Errorf("distwalk: request %d failed after %d attempts: %w", key, tries+1, err)
+				return fmt.Errorf("distwalk: request %d failed after %d attempts: %w", key, attempt+1, err)
 			}
 			return err
 		}
 		if werr := ctx.Err(); werr != nil {
 			return fmt.Errorf("distwalk: request %d retry abandoned: %w (last attempt: %w)", key, werr, err)
 		}
-		tries++
 		s.retry.retries.Add(1)
-		if errors.Is(err, ErrStaleGeneration) {
-			snap = s.topo.Load()
-		} else {
-			attempt++
-		}
 	}
 }
 
@@ -425,7 +410,7 @@ func isFaultErr(err error) bool {
 func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, fn func(*core.Walker) error) error {
 	done := make(chan error, 1)
 	job := func(pw *poolWorker) {
-		done <- s.execute(ctx, key, cfg, attempt, snap, pw, fn)
+		done <- s.executeOn(ctx, key, cfg, attempt, snap, pw, fn)
 	}
 	select {
 	case s.jobs <- job:
@@ -444,61 +429,18 @@ func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attemp
 	}
 }
 
-// execute prepares the worker's warm state for this request and runs fn:
-// reseed the network from (service seed, key, attempt), reshape it when
-// its warm topology trails the request's snapshot, Reset the pooled
-// walker (first request builds it), and apply per-request knobs. Nothing
-// here depends on what the worker served before — that is the per-key
-// determinism contract. On failure the error is faultized: if the run
-// lost a token to an injected fault, the typed fault error replaces
-// protocol-level detection noise even for drivers (spanning, mixing)
-// that run congest primitives outside the Walker methods.
-//
-// In abort mode (WithStaleAbort) execution races the snapshot's stale
-// channel: a mutation published before the run starts fails fast, one
-// published mid-run cancels the engine at its next round check; both
-// surface as a *StaleGenerationError. A caller-initiated cancellation is
-// never translated — context.Cause distinguishes the two.
-func (s *Service) execute(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
+// executeOn runs one attempt of a per-key request on worker pw: fn under
+// the seed of (service seed, key, attempt), against snap, through the
+// executor. Nothing here depends on what the worker served before — that
+// is the per-key determinism contract.
+func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
-	if !cfg.staleAbort {
-		return s.executeOn(ctx, key, cfg, attempt, snap, pw, fn)
-	}
-	select {
-	case <-snap.stale:
-		s.mut.staleAborts.Add(1)
-		return s.staleErr(key, snap)
-	default:
-	}
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-snap.stale:
-			cancel(s.staleErr(key, snap))
-		case <-done:
-		case <-cctx.Done():
-		}
-	}()
-	err := s.executeOn(cctx, key, cfg, attempt, snap, pw, fn)
-	if err != nil {
-		if cause := context.Cause(cctx); cause != nil && errors.Is(cause, ErrStaleGeneration) {
-			s.mut.staleAborts.Add(1)
-			return cause
-		}
-	}
-	return err
-}
-
-// staleErr builds the typed stale-generation failure for a request
-// admitted under snap.
-func (s *Service) staleErr(key uint64, snap *topology) error {
-	return fmt.Errorf("distwalk: request %d: %w", key,
-		&StaleGenerationError{Old: Generation(snap.gen), New: Generation(s.topo.Load().gen)})
+	seed := attemptSeed(s.seed, key, attempt)
+	return s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
+		return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
+	})
 }
 
 // runPrepared is the job body every mode shares — per-key requests (seed
@@ -530,15 +472,6 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 	pw.net.SetContext(ctx)
 	defer pw.net.SetContext(nil)
 	return core.Faultize(pw.wkr, fn(pw.wkr))
-}
-
-// executeOn is execute's epoch-resolved body: run fn under the
-// attempt's seed through the executor.
-func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
-	seed := attemptSeed(s.seed, key, attempt)
-	return s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
-		return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
-	})
 }
 
 // execJob is the one executor, for per-key attempts and batches alike:
@@ -607,7 +540,7 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 // retryably (ErrBatchAborted). A batch that loses an engine mid-run has
 // already reported the loss to its members (Execute aborts them
 // retryably), so it never runs twice; under WithRetry its members then
-// re-execute unbatched.
+// re-execute unbatched, on the snapshot they admitted under.
 func (s *Service) runBatch(b *sched.Batch) {
 	snap := b.Topo.(*topology) // set by submitBatched, the only submitter
 	done := make(chan struct{})

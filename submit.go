@@ -192,18 +192,16 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 // submitBatched queues one admitted submission to the batching scheduler,
 // fail-fast (ErrQueueFull at submit time) and wrapped with the
 // abort-fallback when retries are on. The admission epoch joins the
-// batch-compatibility group (no batch ever mixes generations) and, in
-// abort mode, marks the member for eviction at the next publish.
+// batch-compatibility group, so no batch ever mixes generations.
 func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) (*WalkHandle, error) {
 	req := sched.Request{
-		Key:        key,
-		Source:     op.node,
-		Ell:        op.ell,
-		Trace:      k.digest == cacheKindTrace,
-		Params:     cfg.params,
-		MaxRounds:  cfg.maxRounds,
-		Topo:       snap,
-		StaleAbort: cfg.staleAbort,
+		Key:       key,
+		Source:    op.node,
+		Ell:       op.ell,
+		Trace:     k.digest == cacheKindTrace,
+		Params:    cfg.params,
+		MaxRounds: cfg.maxRounds,
+		Topo:      snap,
 	}
 	ch, err := s.batch.Submit(ctx, req)
 	// Backpressure retry: a full admission queue drains as batches flush,
@@ -222,15 +220,15 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 		return newWalkHandle(ch), nil
 	}
 	// Abort fallback: a batch that failed as a whole (a batchmate's fault,
-	// a poisoned shared run, a stale-generation eviction) completes its
-	// members with a retryable error. With WithRetry the member re-admits
-	// alone on the per-key path, which carries its own retry budget.
+	// a poisoned shared run) completes its members with a retryable error.
+	// With WithRetry the member re-runs alone on the per-key path, which
+	// carries its own retry budget, on the snapshot it admitted under.
 	out := make(chan sched.Result, 1)
 	go func() {
 		r := <-ch
 		if r.Err != nil && Retryable(r.Err) {
 			s.retry.retries.Add(1)
-			fb := serveWalk(ctx, s, k, key, op, cfg, s.topo.Load())
+			fb := serveWalk(ctx, s, k, key, op, cfg, snap)
 			if fb.Err == nil {
 				s.retry.recovered.Add(1)
 			}
