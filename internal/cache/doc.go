@@ -27,8 +27,8 @@
 // Every field is folded as a full 64-bit word (floats by IEEE bits,
 // bools as 0/1), so the stream is self-aligning: no two distinct field
 // sequences share an encoding. Fields that cannot change a result —
-// worker count, shard count, cluster transport, backoff, batching
-// windows — are deliberately absent: a sharded, clustered, or retried
+// worker count, shard count, cluster transport, batching windows — are
+// deliberately absent: a sharded, clustered, or retried
 // service shares cache entries with a sequential one because their
 // results are bit-identical by construction. `retries` IS folded: under
 // an injected fault plan, which attempt succeeds (and therefore which

@@ -14,8 +14,11 @@
 //   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
 //   - Walk regeneration (Section 2.2): every node learns its position(s)
 //     in the sampled walk, enabling the random-spanning-tree application.
-//     The hop trail it replays is opt-in: a fresh or Reset Walker records
-//     nothing until KeepTrail, which the callers that regenerate
+//     It replays each forward segment from its walk's path, the run of
+//     4-byte successors the token filled in hop by hop (slot j holds hop
+//     j; see netState.paths). This hop trail is opt-in: a fresh or Reset
+//     Walker reserves and records nothing until KeepTrail, which the
+//     callers that regenerate
 //     (distwalk's trace kinds, sched.ExecGroup for a group with a traced
 //     member, spanning.RandomSpanningTree) call before their first walk;
 //     Regenerate after any trail-less walk of the epoch fails with

@@ -20,7 +20,7 @@ var (
 	// shared simulation); the guard turns silent state corruption into a
 	// clean error. Use distwalk.Service for concurrency.
 	ErrConcurrentUse = errors.New("core: walker is not safe for concurrent use")
-	// ErrNoRegen reports a regeneration request the hop records cannot
+	// ErrNoRegen reports a regeneration request the hop trail cannot
 	// serve: Metropolis-Hastings walks leave no trail for stay steps, and
 	// a walker keeps no trail at all unless KeepTrail asked for one before
 	// the first walk since its last Reset.

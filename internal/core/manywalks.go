@@ -194,7 +194,7 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 			wids[i] = -1
 			continue
 		}
-		wid := w.st.newWalkID(tl.start)
+		wid := w.st.newWalk(tl.start, tl.steps)
 		wids[i] = wid
 		p.start[wid] = i
 		p.walkIDs = append(p.walkIDs, wid)
@@ -332,7 +332,7 @@ func (p *naiveManyProto) forward(ctx *congest.Ctx, t walkToken) {
 		p.dest[p.start[t.walkID]] = ctx.Node()
 		return
 	}
-	p.w.recordHop(ctx, t.walkID, port)
+	p.w.recordHop(ctx, t, rem, port)
 	t.remaining = rem
 	w0, w1 := t.encode()
 	ctx.SendPort(port, kindNaiveToken, tokenWords, w0, w1, 0, 0)

@@ -31,7 +31,7 @@ func (destReport) Decode(w [congest.PayloadWords]uint64) destReport {
 // hops for later regeneration when the trail is kept) and returns the
 // destination plus cost: a one-token naiveManyProto.
 func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int64, congest.Result, error) {
-	wid := w.st.newWalkID(start)
+	wid := w.st.newWalk(start, int32(steps))
 	p := &naiveManyProto{
 		w:       w,
 		steps:   []int32{int32(steps)},

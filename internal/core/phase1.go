@@ -67,7 +67,7 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 		if !p.w.prm.FixedLength {
 			total += int32(ctx.RNG().Intn(int(p.lambda)))
 		}
-		wid := p.w.st.newWalkID(v)
+		wid := p.w.st.newWalk(v, total)
 		p.forward(ctx, walkToken{walkID: wid, remaining: total, total: total})
 	}
 }
@@ -95,7 +95,7 @@ func (p *phase1Proto) forward(ctx *congest.Ctx, t walkToken) {
 		})
 		return
 	}
-	p.w.recordHop(ctx, t.walkID, port)
+	p.w.recordHop(ctx, t, rem, port)
 	t.remaining = rem
 	w0, w1 := t.encode()
 	ctx.SendPort(port, kindWalkToken, tokenWords, w0, w1, 0, 0)

@@ -50,19 +50,26 @@ type regenEmit struct {
 	startPos int32
 }
 
+// regenWalk is what the replay knows of one forward segment: the trace its
+// visits go to and the global walk position of its first node.
+type regenWalk struct {
+	trace *Trace
+	start int32
+}
+
 type regenProto struct {
 	w     *Walker
 	emits map[graph.NodeID][]regenEmit
 
-	// traceOf routes each walk's visits to its own trace; walk IDs are
+	// walks routes each segment's visits to its own trace and turns a
+	// token's walk position into the segment's hop index; walk IDs are
 	// network-unique, so many walks replay concurrently in one run.
-	traceOf map[int64]*Trace
+	walks map[int64]regenWalk
 }
 
 func (p *regenProto) Init(ctx *congest.Ctx) {
-	v := ctx.Node()
-	for _, e := range p.emits[v] {
-		p.advance(ctx, e.walkID, e.startPos)
+	for _, e := range p.emits[ctx.Node()] {
+		p.advance(ctx, e.walkID, e.startPos, e.startPos)
 	}
 }
 
@@ -73,22 +80,19 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 			continue
 		}
 		t := congest.As[regenToken](m)
-		if tr := p.traceOf[t.walkID]; tr != nil {
-			tr.record(v, t.pos, m.From)
+		if rw, ok := p.walks[t.walkID]; ok {
+			rw.trace.record(v, t.pos, m.From)
+			p.advance(ctx, t.walkID, t.pos, rw.start)
 		}
-		p.advance(ctx, t.walkID, t.pos)
 	}
 }
 
-// advance forwards the replay token along the next recorded hop, if any
-// remain at this node for this walk. Hop records are consumed FIFO via the
-// state's epoch-stamped replay cursors (reset for the whole network by the
-// beginReplay in regenerateMany): the replay arrives in the same temporal
-// order the original walk left.
-func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos int32) {
-	v := ctx.Node()
-	next, ok := p.w.st.replayNext(v, walkID)
-	if !ok {
+// advance forwards the replay token at walk position pos along the hop
+// the segment took there, hop pos−start of its recorded path; the segment
+// ends where its path does.
+func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos, start int32) {
+	next := p.w.st.pathNext(walkID, pos-start)
+	if next == graph.None {
 		return // segment ends here
 	}
 	congest.Send(ctx, next, regenToken{walkID: walkID, pos: pos + 1})
@@ -161,7 +165,7 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	var refills []refillAt
 	traces := make([]*Trace, len(walks))
 	emits := make(map[graph.NodeID][]regenEmit)
-	traceOf := make(map[int64]*Trace)
+	segs := make(map[int64]regenWalk)
 	for i, res := range walks {
 		if res == nil {
 			return nil, fmt.Errorf("core: nil walk result (index %d)", i)
@@ -185,11 +189,11 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 			if s.FromRefill {
 				refills = append(refills, refillAt{seg: s, startPos: pos, trace: trace})
 			} else {
-				if traceOf[s.WalkID] != nil {
+				if _, dup := segs[s.WalkID]; dup {
 					return nil, fmt.Errorf("core: walk ID %d regenerated twice", s.WalkID)
 				}
 				emits[s.Start] = append(emits[s.Start], regenEmit{walkID: s.WalkID, startPos: pos})
-				traceOf[s.WalkID] = trace
+				segs[s.WalkID] = regenWalk{trace: trace, start: pos}
 			}
 			pos += int32(s.Length)
 		}
@@ -198,12 +202,7 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 		}
 	}
 
-	w.st.beginReplay()
-	p := &regenProto{
-		w:       w,
-		emits:   emits,
-		traceOf: traceOf,
-	}
+	p := &regenProto{w: w, emits: emits, walks: segs}
 	cost, err := w.net.Run(p)
 	traces[0].Cost = cost
 	if err != nil {

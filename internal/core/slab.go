@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"distwalk/internal/graph"
 	"distwalk/internal/rng"
 )
@@ -10,8 +12,10 @@ import (
 // ledgers, hop indexes) that were allocated on first touch and thrown away
 // per request; at service scale the map machinery — bucket allocation,
 // hashing boxed keys, GC scanning — dominated the per-walk cost once the
-// engine itself went zero-alloc. These shelves replace the maps with one
-// shared open-addressed slot table (slotTable) over growable slabs:
+// engine itself went zero-alloc. The coupon and flow shelves replace the
+// maps with one shared open-addressed slot table (slotTable) over growable
+// slabs; the path shelf needs no table, because a walk ID already is an
+// index (owner, seq) and a token already carries its hop counter.
 //
 //   - The slot table is a []int32 of slab-index+1 values (0 = empty)
 //     probed linearly from a mixed hash; clearing is a memclr, never a
@@ -35,14 +39,10 @@ type slabKey interface {
 	hash() uint64
 }
 
-// ownerKey / walkKey adapt the shelves' primitive key types to slabKey.
-type (
-	ownerKey graph.NodeID
-	walkKey  int64
-)
+// ownerKey adapts the coupon shelf's owner IDs to slabKey.
+type ownerKey graph.NodeID
 
 func (k ownerKey) hash() uint64 { return rng.Mix64(uint64(uint32(k))) }
-func (k walkKey) hash() uint64  { return rng.Mix64(uint64(k)) }
 func (k gmwKey) hash() uint64 {
 	return rng.Mix64(uint64(k.batch)) ^ rng.Mix64(uint64(uint32(k.step))<<32|uint64(uint32(k.nbr)))
 }
@@ -216,88 +216,57 @@ func (s *gmwShelf) clear() {
 	s.tab.clear()
 }
 
-// --- hopShelf: one node's hop log and its lazy per-walk index ---
+// --- pathShelf: the paths of the walks one node minted ---
 
-// hopShelf keeps the node's flat departure log (the hottest per-message
-// write of Phase 1 stays a plain append) plus the lazily-built per-walk
-// FIFO view regeneration replays. Successor lists are slabs reused across
-// clears; replay cursors are epoch-stamped so starting a new replay pass
-// costs nothing (see netState.beginReplay).
-type hopShelf struct {
-	log     []hopRec
-	indexed int32 // how much of log is folded into the index
-
-	tab    slotTable[walkKey]
-	walks  []walkKey
-	nexts  [][]graph.NodeID
-	cursor []int32
-	cstamp []uint32
+// pathRun locates one walk's path in its owner's slab: the successor the
+// walk took at hop j is slab[base+j], for j < n.
+type pathRun struct {
+	base, n int32
 }
 
-// walkSlot returns the slab index of walkID's successor list, or -1; with
-// create it inserts an empty one.
-func (s *hopShelf) walkSlot(walkID int64, create bool) int {
-	idx := s.tab.find(s.walks, walkKey(walkID))
-	if idx >= 0 || !create {
-		return idx
-	}
-	idx = len(s.walks)
-	s.walks = append(s.walks, walkKey(walkID))
-	if idx < cap(s.nexts) {
-		s.nexts = s.nexts[:idx+1]
-	} else {
-		s.nexts = append(s.nexts, nil)
-	}
-	s.cursor = append(s.cursor, 0)
-	s.cstamp = append(s.cstamp, 0)
-	s.tab.add(s.walks, idx)
-	return idx
+// pathShelf stores the paths of the walk tokens a node minted, one run per
+// walk indexed by the walk's local sequence number; seqs minted without a
+// run (GET-MORE-WALKS batches and their coupons, walks minted with the
+// trail off) hold an empty one. A walk ID's seq is its index, so neither
+// recording nor replay hashes anything.
+type pathShelf struct {
+	runs []pathRun
+	slab []graph.NodeID
 }
 
-// ensureIndexed folds any log entries appended since the last call into
-// the per-walk successor lists. No hops are recorded while replays run,
-// so lists stay stable for the duration of a replay pass.
-func (s *hopShelf) ensureIndexed() {
-	if int(s.indexed) == len(s.log) {
-		return
+// reserve appends the run of walk seq, n slots all graph.None until the
+// token's hops fill them. seq must be the most recently minted at this
+// node (runs are reserved right after minting).
+func (s *pathShelf) reserve(seq uint32, n int32) {
+	for len(s.runs) < int(seq) {
+		s.runs = append(s.runs, pathRun{})
 	}
-	for _, r := range s.log[s.indexed:] {
-		idx := s.walkSlot(r.walkID, true)
-		s.nexts[idx] = append(s.nexts[idx], r.next)
+	base := len(s.slab)
+	s.runs = append(s.runs, pathRun{base: int32(base), n: n})
+	s.slab = slices.Grow(s.slab, int(n))[:base+int(n)]
+	for i := base; i < len(s.slab); i++ {
+		s.slab[i] = graph.None
 	}
-	s.indexed = int32(len(s.log))
 }
 
-// replayNext pops the next recorded successor of walkID in FIFO order.
-// Cursors reset lazily per replay epoch: a stale stamp means this walk's
-// cursor has not been touched this pass and starts at 0.
-func (s *hopShelf) replayNext(walkID int64, epoch uint32) (graph.NodeID, bool) {
-	s.ensureIndexed()
-	idx := s.walkSlot(walkID, false)
-	if idx < 0 {
-		return graph.None, false
-	}
-	if s.cstamp[idx] != epoch {
-		s.cstamp[idx] = epoch
-		s.cursor[idx] = 0
-	}
-	c := s.cursor[idx]
-	if int(c) >= len(s.nexts[idx]) {
-		return graph.None, false
-	}
-	s.cursor[idx] = c + 1
-	return s.nexts[idx][c], true
+// set records next as hop j of walk seq, which must lie in its run.
+func (s *pathShelf) set(seq uint32, j int32, next graph.NodeID) {
+	s.slab[s.runs[seq].base+j] = next
 }
 
-func (s *hopShelf) clear() {
-	s.log = s.log[:0]
-	s.indexed = 0
-	for i := range s.nexts {
-		s.nexts[i] = s.nexts[i][:0]
+// get returns hop j of walk seq, or graph.None past the end of its run.
+func (s *pathShelf) get(seq uint32, j int32) graph.NodeID {
+	if int(seq) >= len(s.runs) {
+		return graph.None
 	}
-	s.nexts = s.nexts[:0]
-	s.walks = s.walks[:0]
-	s.cursor = s.cursor[:0]
-	s.cstamp = s.cstamp[:0]
-	s.tab.clear()
+	r := s.runs[seq]
+	if j >= r.n {
+		return graph.None
+	}
+	return s.slab[r.base+j]
+}
+
+func (s *pathShelf) clear() {
+	s.runs = s.runs[:0]
+	s.slab = s.slab[:0]
 }

@@ -14,8 +14,8 @@ import (
 //   - coupon buckets preserve exact append order, and take is the same
 //     swap-remove the old map store used;
 //   - GMW flow records accumulate per exact (batch, step, nbr) key;
-//   - hop replay pops recorded successors FIFO, and a new replay epoch
-//     resets every cursor.
+//   - a walk's recorded path reads back hop by hop, and ends where its
+//     reserved run does.
 //
 // Each test drives the flat store and a plain map model through the same
 // randomized op sequence and demands identical observations throughout.
@@ -157,61 +157,99 @@ func TestGMWShelfMatchesReference(t *testing.T) {
 	}
 }
 
-func TestHopShelfReplayMatchesReference(t *testing.T) {
+// pathModel is the reference the path shelves are held to: the successor
+// of every recorded (walk, hop) pair, and each minted walk's run length
+// (-1 for a walk minted without a run).
+type pathModel struct {
+	next map[[2]int64]graph.NodeID
+	runs map[int64]int32
+	ids  []int64 // minted walks in mint order
+}
+
+func newPathModel() *pathModel {
+	return &pathModel{next: make(map[[2]int64]graph.NodeID), runs: make(map[int64]int32)}
+}
+
+func (m *pathModel) mint(id int64, n int32) {
+	m.runs[id] = n
+	m.ids = append(m.ids, id)
+}
+
+// want is what pathNext must return for hop j of walk id.
+func (m *pathModel) want(id int64, j int32) graph.NodeID {
+	if n, ok := m.runs[id]; !ok || j >= n {
+		return graph.None
+	}
+	next, ok := m.next[[2]int64{id, int64(j)}]
+	if !ok {
+		return graph.None
+	}
+	return next
+}
+
+// TestPathShelfReplayMatchesReference drives the path shelves and a map
+// keyed by (walk, hop) through the same random mints, hop records and
+// reads: walks minted with a run, without one (GET-MORE-WALKS batch and
+// coupon IDs, walks minted while the trail was off) and never minted,
+// hops never taken, and reads past a run's end.
+func TestPathShelfReplayMatchesReference(t *testing.T) {
 	const (
 		nodes = 6
-		walks = 12
-		ops   = 5000
+		ops   = 20000
 	)
 	r := rng.New(3)
 	st := newNetState(nodes)
 	st.trail = true
-	ref := make([]map[int64][]graph.NodeID, nodes)
-	for v := range ref {
-		ref[v] = make(map[int64][]graph.NodeID)
-	}
-	for op := 0; op < ops; op++ {
-		at := graph.NodeID(r.Intn(nodes))
-		wid := int64(r.Intn(walks))
-		next := graph.NodeID(r.Intn(nodes))
-		st.recordHop(at, wid, next)
-		ref[at][wid] = append(ref[at][wid], next)
-	}
-	// Two replay passes over interleaved (node, walk) cursors: each pass
-	// must pop every list FIFO from the start.
-	for pass := 0; pass < 2; pass++ {
-		st.beginReplay()
-		cursors := make(map[[2]int64]int)
-		for i := 0; i < 4*ops; i++ {
-			at := graph.NodeID(r.Intn(nodes))
-			wid := int64(r.Intn(walks))
-			ck := [2]int64{int64(at), wid}
-			next, ok := st.replayNext(at, wid)
-			want := ref[at][wid]
-			c := cursors[ck]
-			if c < len(want) {
-				if !ok || next != want[c] {
-					t.Fatalf("pass %d: replayNext(%d, %d) = (%d, %v), want (%d, true)", pass, at, wid, next, ok, want[c])
-				}
-				cursors[ck] = c + 1
-			} else if ok {
-				t.Fatalf("pass %d: replayNext(%d, %d) returned %d after the list was exhausted", pass, at, wid, next)
-			}
+	ref := newPathModel()
+	check := func(id int64, j int32) {
+		t.Helper()
+		if got, want := st.pathNext(id, j), ref.want(id, j); got != want {
+			t.Fatalf("pathNext(%#x, %d) = %d, want %d", id, j, got, want)
 		}
 	}
-	// hopsOf view matches the reference lists exactly.
-	for v := 0; v < nodes; v++ {
-		for wid := int64(0); wid < walks; wid++ {
-			got := st.hopsOf(graph.NodeID(v), wid)
-			want := ref[v][wid]
-			if len(got) != len(want) {
-				t.Fatalf("hopsOf(%d, %d): %d hops, want %d", v, wid, len(got), len(want))
+	var reserved []int64
+	for op := 0; op < ops; op++ {
+		at := graph.NodeID(r.Intn(nodes))
+		switch r.Intn(10) {
+		case 0: // a walk with its run
+			n := int32(r.Intn(24))
+			id := st.newWalk(at, n)
+			ref.mint(id, n)
+			if n > 0 {
+				reserved = append(reserved, id)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("hopsOf(%d, %d)[%d] = %d, want %d", v, wid, i, got[i], want[i])
-				}
+		case 1: // a batch or refill-coupon ID, or a walk minted trail-off
+			var id int64
+			if r.Intn(2) == 0 {
+				id = st.newWalkID(at)
+			} else {
+				st.trail = false
+				id = st.newWalk(at, int32(1+r.Intn(8)))
+				st.trail = true
 			}
+			ref.mint(id, -1)
+		case 2, 3, 4, 5: // a hop of a reserved walk
+			if len(reserved) == 0 {
+				continue
+			}
+			id := reserved[r.Intn(len(reserved))]
+			j := int32(r.Intn(int(ref.runs[id])))
+			next := graph.NodeID(r.Intn(nodes))
+			st.recordHop(id, j, next)
+			ref.next[[2]int64{id, int64(j)}] = next
+		case 6, 7, 8: // a read, up to a few hops past the run
+			if len(ref.ids) == 0 {
+				continue
+			}
+			id := ref.ids[r.Intn(len(ref.ids))]
+			check(id, int32(r.Intn(28)))
+		case 9: // a seq nobody minted yet
+			check(int64(at)<<32|int64(st.seq[at]+uint32(r.Intn(3))), int32(r.Intn(4)))
+		}
+	}
+	for _, id := range ref.ids {
+		for j := int32(0); j < 26; j++ {
+			check(id, j)
 		}
 	}
 }
@@ -228,7 +266,8 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		warm.addCoupon(at, coupon{owner: graph.NodeID(r.Intn(nodes)), walkID: int64(i)})
-		warm.recordHop(at, int64(r.Intn(9)), graph.NodeID(r.Intn(nodes)))
+		id := warm.newWalk(at, int32(1+r.Intn(9)))
+		warm.recordHop(id, int32(r.Intn(9)%int(warm.paths[at].runs[walkSeq(id)].n)), graph.NodeID(r.Intn(nodes)))
 		warm.recordGMWSend(at, gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: graph.NodeID(r.Intn(nodes))}, 1)
 		warm.newWalkID(at)
 	}
@@ -238,12 +277,12 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 
 	// Drive both through identical ops and compare all observations.
 	r = rng.New(5)
+	var walks []int64 // minted with a run after the reset
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		owner := graph.NodeID(r.Intn(nodes))
-		wid := int64(r.Intn(9))
 		key := gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: owner}
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			a, b := warm.newWalkID(at), fresh.newWalkID(at)
 			if a != b {
@@ -253,16 +292,28 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 			warm.addCoupon(at, c)
 			fresh.addCoupon(at, c)
 		case 1:
-			warm.recordHop(at, wid, owner)
-			fresh.recordHop(at, wid, owner)
+			n := int32(1 + r.Intn(9))
+			a, b := warm.newWalk(at, n), fresh.newWalk(at, n)
+			if a != b {
+				t.Fatalf("newWalk(%d): warm %d, fresh %d", at, a, b)
+			}
+			walks = append(walks, a)
 		case 2:
+			if len(walks) == 0 {
+				continue
+			}
+			id := walks[r.Intn(len(walks))]
+			j := int32(r.Intn(int(fresh.paths[walkOwner(id)].runs[walkSeq(id)].n)))
+			warm.recordHop(id, j, owner)
+			fresh.recordHop(id, j, owner)
+		case 3:
 			warm.recordGMWSend(at, key, 2)
 			fresh.recordGMWSend(at, key, 2)
-		case 3:
+		case 4:
 			if a, b := warm.gmwAvailable(at, key), fresh.gmwAvailable(at, key); a != b {
 				t.Fatalf("gmwAvailable: warm %d, fresh %d", a, b)
 			}
-		case 4:
+		case 5:
 			aw := warm.localCoupons(at, owner)
 			fr := fresh.localCoupons(at, owner)
 			if len(aw) != len(fr) {
@@ -273,13 +324,12 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 					t.Fatalf("localCoupons[%d]: warm %+v, fresh %+v", i, aw[i], fr[i])
 				}
 			}
-		case 5:
-			warm.beginReplay()
-			fresh.beginReplay()
-			a, aok := warm.replayNext(at, wid)
-			b, bok := fresh.replayNext(at, wid)
-			if a != b || aok != bok {
-				t.Fatalf("replayNext: warm (%d, %v), fresh (%d, %v)", a, aok, b, bok)
+		case 6:
+			// Any walk ID this node may have minted, before the reset too.
+			id := int64(at)<<32 | int64(r.Intn(2000))
+			j := int32(r.Intn(11))
+			if a, b := warm.pathNext(id, j), fresh.pathNext(id, j); a != b {
+				t.Fatalf("pathNext(%#x, %d): warm %d, fresh %d", id, j, a, b)
 			}
 		}
 	}

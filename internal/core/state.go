@@ -14,7 +14,7 @@ type coupon struct {
 	length int32
 	// refill marks coupons minted by GET-MORE-WALKS, whose trajectories
 	// are recorded as aggregate counts (batch identifies the refill) and
-	// retraced backward; Phase 1 coupons replay forward via hop records.
+	// retraced backward; Phase 1 coupons replay forward along their paths.
 	refill bool
 	batch  int64
 }
@@ -28,27 +28,21 @@ type gmwKey struct {
 	nbr   graph.NodeID
 }
 
-// hopRec is one recorded walk departure: walk walkID left this node
-// towards next.
-type hopRec struct {
-	walkID int64
-	next   graph.NodeID
-}
-
 // netState is the per-node persistent state of the walk system: short-walk
 // coupons, local walk-ID sequencing, and — only while the hop trail is
-// kept — hop records for retracing and GET-MORE-WALKS flow ledgers.
-// Indexed by node; each node only ever touches its own slot, preserving
-// the locality discipline of the model.
+// kept — the paths of the walks each node minted and GET-MORE-WALKS flow
+// ledgers. Indexed by node; each node only ever touches its own slot,
+// preserving the locality discipline of the model, with one exception:
+// a token writes its hops into its owner's path run (see paths).
 //
-// The hop trail (hops and gmw) is read by regeneration only, so it is off
-// until Walker.KeepTrail turns it on for the rest of the Reset epoch; see
-// there for the contract.
+// The hop trail (paths and gmw) is read by regeneration only, so it is
+// off until Walker.KeepTrail turns it on for the rest of the Reset epoch;
+// see there for the contract.
 //
-// All three per-node stores are flat, slab-backed shelves (see slab.go)
-// rather than Go maps: lookups are open-addressed over int32 slot tables,
-// values live in growable slabs, and clearing truncates instead of
-// freeing. Together with reset this makes the whole structure warm-
+// All per-node stores are flat, slab-backed shelves (see slab.go) rather
+// than Go maps: lookups are open-addressed over int32 slot tables or plain
+// indexes, values live in growable slabs, and clearing truncates instead
+// of freeing. Together with reset this makes the whole structure warm-
 // reusable: a pooled worker serves request after request without
 // reallocating any of it, and the simulated execution stays bit-identical
 // to a freshly built state (the shelves preserve append order, swap-remove
@@ -56,12 +50,15 @@ type hopRec struct {
 type netState struct {
 	// coupons[v] shelves the unused coupons held at v, bucketed by owner.
 	coupons []couponShelf
-	// hops[v] is v's departure log plus the lazily-indexed per-walk FIFO
-	// view regeneration replays; empty unless trail is set. Recording a
-	// hop is the hottest per-message operation of Phase 1 and the naive
-	// walks, so it stays a plain append; the indexing cost is paid once,
-	// only by walks that are actually regenerated.
-	hops []hopShelf
+	// paths[v] holds the path of every walk token v minted while the trail
+	// was kept: a run of `total` slots, reserved when the walk is minted,
+	// whose slot j the token fills with its successor when it takes hop j
+	// (the token carries j = total − remaining). Recording is one store
+	// and replay one load, with no log to index. Runs are reserved only by
+	// the owner during a protocol's Init or by the driver between runs, so
+	// a slab never moves while another shard writes into it. Empty unless
+	// trail is set.
+	paths []pathShelf
 	// gmw[v] is v's count-aggregated GET-MORE-WALKS flow ledger: tokens
 	// sent per (batch, step, nbr) and how many of each flow earlier
 	// backward retraces consumed (sampling without replacement keeps joint
@@ -70,17 +67,14 @@ type netState struct {
 	// seq[v] is v's local counter for minting walk IDs.
 	seq []uint32
 
-	// trail says recordHop and recordGMWSend record. It only changes
-	// between engine runs, so the per-message read needs no ordering under
-	// sharded execution.
+	// trail says newWalk reserves path runs and recordHop and
+	// recordGMWSend record. It only changes between engine runs, so the
+	// per-message read needs no ordering under sharded execution.
 	trail bool
 	// trailGap says some walk of this Reset epoch ran with the trail off,
-	// so the logs cannot vouch for any walk's completeness (see walkRun).
+	// so the trail cannot vouch for any walk's completeness (see walkRun).
 	trailGap bool
 
-	// replayEpoch stamps hop-replay cursors: beginReplay bumps it, which
-	// lazily resets every cursor without touching the slabs.
-	replayEpoch uint32
 	// mark/markEpoch is a reusable node-marking scratch (epoch-stamped
 	// visited set) for protocol steps that need a small dedup — e.g. the
 	// backward retrace's distinct-neighbor query fan-out.
@@ -91,7 +85,7 @@ type netState struct {
 func newNetState(n int) *netState {
 	return &netState{
 		coupons: make([]couponShelf, n),
-		hops:    make([]hopShelf, n),
+		paths:   make([]pathShelf, n),
 		gmw:     make([]gmwShelf, n),
 		seq:     make([]uint32, n),
 		mark:    make([]uint32, n),
@@ -107,12 +101,12 @@ func newNetState(n int) *netState {
 func (s *netState) reset() {
 	for v := range s.coupons {
 		s.coupons[v].clear()
-		s.hops[v].clear()
+		s.paths[v].clear()
 		s.gmw[v].clear()
 	}
 	clear(s.seq)
 	s.trail, s.trailGap = false, false
-	// Epoch counters deliberately survive: stamps from before the reset
+	// The mark epoch deliberately survives: stamps from before the reset
 	// are stale by construction.
 }
 
@@ -157,8 +151,22 @@ func (s *netState) newWalkID(v graph.NodeID) int64 {
 	return id
 }
 
+// newWalk mints the ID of a walk token of total hops at node v and, with
+// the trail kept, reserves the run its hops are recorded into. Only v's
+// own Init step or the driver between runs may call it (see paths).
+func (s *netState) newWalk(v graph.NodeID, total int32) int64 {
+	id := s.newWalkID(v)
+	if s.trail {
+		s.paths[v].reserve(walkSeq(id), total)
+	}
+	return id
+}
+
 // walkOwner extracts the minting node from a walk ID.
 func walkOwner(walkID int64) graph.NodeID { return graph.NodeID(walkID >> 32) }
+
+// walkSeq extracts the minting node's local sequence number from a walk ID.
+func walkSeq(walkID int64) uint32 { return uint32(walkID) }
 
 func (s *netState) addCoupon(at graph.NodeID, c coupon) {
 	s.coupons[at].add(c)
@@ -177,46 +185,18 @@ func (s *netState) localCoupons(at, owner graph.NodeID) []coupon {
 	return s.coupons[at].get(owner)
 }
 
-// recordHop remembers that walk walkID left node at towards next (a no-op
-// with the trail off).
-func (s *netState) recordHop(at graph.NodeID, walkID int64, next graph.NodeID) {
-	if !s.trail {
-		return
-	}
-	h := &s.hops[at]
-	h.log = append(h.log, hopRec{walkID: walkID, next: next})
+// recordHop remembers that walk walkID took its hop j towards next. The
+// walk was minted with the trail kept, which reserved the slot; whichever
+// node the token is at writes it, a different slot per hop.
+func (s *netState) recordHop(walkID int64, j int32, next graph.NodeID) {
+	s.paths[walkOwner(walkID)].set(walkSeq(walkID), j, next)
 }
 
-// beginReplay starts a new replay pass: every hop cursor in the network
-// lazily resets to the front of its walk's recorded successors.
-func (s *netState) beginReplay() {
-	s.replayEpoch++
-	if s.replayEpoch == 0 { // wrapped: stale stamps could collide
-		for v := range s.hops {
-			clear(s.hops[v].cstamp)
-		}
-		s.replayEpoch = 1
-	}
-}
-
-// replayNext consumes the next recorded successor of walkID at node at,
-// in the FIFO order the original walk departed (indexing any log entries
-// appended since the last replay). ok=false means the walk's recorded
-// segment ends at this node.
-func (s *netState) replayNext(at graph.NodeID, walkID int64) (next graph.NodeID, ok bool) {
-	return s.hops[at].replayNext(walkID, s.replayEpoch)
-}
-
-// hopsOf returns the recorded successors of walkID at node at, in visit
-// order (diagnostic/test view of the replay index).
-func (s *netState) hopsOf(at graph.NodeID, walkID int64) []graph.NodeID {
-	h := &s.hops[at]
-	h.ensureIndexed()
-	idx := h.walkSlot(walkID, false)
-	if idx < 0 {
-		return nil
-	}
-	return h.nexts[idx]
+// pathNext returns the successor walk walkID recorded for its hop j, or
+// graph.None where the walk's recorded segment ends: j is past its run,
+// the walk has no run, or the token never took that hop.
+func (s *netState) pathNext(walkID int64, j int32) graph.NodeID {
+	return s.paths[walkOwner(walkID)].get(walkSeq(walkID), j)
 }
 
 // beginMark starts a fresh node-marking scratch epoch.

@@ -11,7 +11,7 @@ import (
 
 // trailWorkload runs every walk entry point once, on a parameterization
 // starved enough that GET-MORE-WALKS runs too (so both halves of the
-// trail, hop logs and flow ledgers, have something to record).
+// trail, walk paths and flow ledgers, have something to record).
 func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 	t.Helper()
 	single, err := w.SingleRandomWalk(0, 80)
@@ -40,11 +40,23 @@ func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 
 var starved = Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 
+// pathSlots counts the path slots st has reserved and the capacity its
+// path shelves hold.
+func pathSlots(st *netState) (slots, capacity int) {
+	for v := range st.paths {
+		p := &st.paths[v]
+		slots += len(p.slab)
+		capacity += cap(p.slab) + cap(p.runs)
+	}
+	return slots, capacity
+}
+
 // TestTrailOffMatchesOn: keeping the trail changes no random draw, message
 // or cost — every WalkResult (destination, segments, Cost, Breakdown) is
 // deep-equal with it off and on, sequentially and sharded (the shards read
-// the flag concurrently; run under -race) — and a walker that never kept it
-// never allocated a log or a ledger.
+// the flag concurrently, and write hops into other shards' path runs; run
+// under -race) — and a walker that never kept it never reserved a path
+// slot or allocated a ledger.
 func TestTrailOffMatchesOn(t *testing.T) {
 	g := kite(t)
 	for _, shards := range []int{1, 3} {
@@ -58,19 +70,18 @@ func TestTrailOffMatchesOn(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: walks differ with the trail off:\noff %+v\non  %+v", shards, got, want)
 		}
-		hops, flows := 0, 0
-		for v := range lean.st.hops {
-			if h := &lean.st.hops[v]; len(h.log) != 0 || cap(h.log) != 0 {
-				t.Fatalf("shards=%d: trail-less walker has a hop log at node %d (len %d, cap %d)", shards, v, len(h.log), cap(h.log))
-			}
+		if slots, capacity := pathSlots(lean.st); slots != 0 || capacity != 0 {
+			t.Fatalf("shards=%d: trail-less walker reserved %d path slots (capacity %d)", shards, slots, capacity)
+		}
+		flows := 0
+		for v := range lean.st.gmw {
 			if f := &lean.st.gmw[v]; len(f.keys) != 0 || cap(f.keys) != 0 || cap(f.recs) != 0 || len(f.tab.slots) != 0 {
 				t.Fatalf("shards=%d: trail-less walker has a flow ledger at node %d", shards, v)
 			}
-			hops += len(kept.st.hops[v].log)
 			flows += len(kept.st.gmw[v].keys)
 		}
-		if hops == 0 || flows == 0 {
-			t.Fatalf("shards=%d: trail-keeping walker recorded %d hops, %d flows", shards, hops, flows)
+		if slots, _ := pathSlots(kept.st); slots == 0 || flows == 0 {
+			t.Fatalf("shards=%d: trail-keeping walker reserved %d path slots, recorded %d flows", shards, slots, flows)
 		}
 		for i, res := range want {
 			if _, err := kept.Regenerate(res); err != nil {
@@ -142,10 +153,8 @@ func TestTrailResetRestoresOff(t *testing.T) {
 	if _, err := w.Regenerate(res); !errors.Is(err, ErrNoRegen) {
 		t.Fatalf("Regenerate in the epoch after Reset: err = %v, want ErrNoRegen", err)
 	}
-	for v := range w.st.hops {
-		if n := len(w.st.hops[v].log); n != 0 {
-			t.Fatalf("node %d logged %d hops in a trail-less epoch", v, n)
-		}
+	if slots, _ := pathSlots(w.st); slots != 0 {
+		t.Fatalf("a trail-less epoch reserved %d path slots", slots)
 	}
 	// Opting in again after the next Reset works.
 	if err := w.Reset(DefaultParams()); err != nil {
@@ -283,4 +292,44 @@ func benchWalk(b *testing.B, w *Walker, seed uint64, keepTrail bool) int {
 		b.Fatal(err)
 	}
 	return res.Cost.Rounds
+}
+
+// BenchmarkRegenerateMany is the trail-on row of a spanning-tree phase:
+// on a warm walker over Torus(8,8) that keeps the trail, seven ℓ=256 walks
+// (MANY-RANDOM-WALKS) and then one RegenerateMany pass over all of them.
+// rounds/op covers both and is the simulated cost.
+func BenchmarkRegenerateMany(b *testing.B) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := NewWalker(g, 1, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sources := make([]graph.NodeID, 7)
+	request := func(seed uint64) int {
+		if err := w.Reset(DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
+		w.Network().Reseed(seed)
+		w.KeepTrail()
+		many, err := w.ManyRandomWalks(sources, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces, err := w.RegenerateMany(many.Walks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return many.Cost.Rounds + traces[0].Cost.Rounds
+	}
+	request(0) // grow the slabs
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rounds += request(uint64(i + 1))
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -68,7 +68,7 @@ type WalkResult struct {
 //
 // A Walker is NOT safe for concurrent use: its per-node netState is one
 // shared simulation, and interleaving two walks would corrupt coupon
-// inventories and hop logs. Every exported method holds an atomic in-use
+// inventories and hop trails. Every exported method holds an atomic in-use
 // flag for its duration and returns an error wrapping ErrConcurrentUse if
 // another call is already in flight, instead of corrupting state. For
 // concurrent workloads use distwalk.Service, which multiplexes requests
@@ -113,7 +113,7 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 
 // NewWalkerOn builds a Walker over an existing simulated network. The
 // caller controls the network's seed (NewNetwork or Network.Reseed);
-// walker state (coupons, hop logs, walk IDs) starts fresh. This is the
+// walker state (coupons, hop trail, walk IDs) starts fresh. This is the
 // pooling constructor: distwalk.Service keeps one Network per worker and
 // builds a throwaway Walker on it per request.
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
@@ -482,11 +482,12 @@ func (w *Walker) advanceToken(ctx *congest.Ctx, remaining int32) (int, int32) {
 	return -1, 0
 }
 
-// recordHop records that walk walkID leaves the executing node by port.
-// With the trail off the neighbor behind the port is never looked up.
-func (w *Walker) recordHop(ctx *congest.Ctx, walkID int64, port int) {
+// recordHop records that token t leaves the executing node by port with
+// rem steps left after the move: hop t.total−rem−1 of its walk. With the
+// trail off the neighbor behind the port is never looked up.
+func (w *Walker) recordHop(ctx *congest.Ctx, t walkToken, rem int32, port int) {
 	if w.st.trail {
-		w.st.recordHop(ctx.Node(), walkID, ctx.Neighbors()[port].To)
+		w.st.recordHop(t.walkID, t.total-rem-1, ctx.Neighbors()[port].To)
 	}
 }
 

@@ -2,11 +2,14 @@ package distwalk_test
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
 
 	"distwalk"
+	"distwalk/internal/stats"
 )
 
 // The hop trail is kept only by requests that regenerate (WalkTrace,
@@ -140,4 +143,174 @@ func TestTrailMixedBatch(t *testing.T) {
 		t.Fatalf("a traced member changed the batch's walks:\nmixed %+v\nplain %+v", mixed, plain)
 	}
 	checkTrace(t, mixed[2], trace)
+}
+
+// traceDigest folds everything a Trace reports — every node's positions,
+// first-visit time and edge, and the regeneration cost — into one value.
+func traceDigest(h interface{ Write([]byte) (int, error) }, tr *distwalk.Trace) {
+	for v := range tr.Positions {
+		fmt.Fprintf(h, "%d:%v:%d:%d;", v, tr.Positions[v], tr.FirstVisitTime[v], tr.FirstVisitFrom[v])
+	}
+	fmt.Fprintf(h, "cost=%+v covered=%v|", tr.Cost, tr.Covered)
+}
+
+// TestRegenerateTracePinned pins regeneration's output bit for bit, at
+// one, two and four shards: the traces of RegenerateMany over a
+// MANY-RANDOM-WALKS batch (Phase-1 segments replayed forward, naive tails
+// too), a WalkTrace whose walk used a GET-MORE-WALKS refill (retraced
+// backward) and the parents of RandomSpanningTree (the Aldous–Broder
+// first-visit edges of a regenerated covering walk). Each case first
+// checks that it reached the path it pins.
+func TestRegenerateTracePinned(t *testing.T) {
+	torus, err := distwalk.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kite, err := distwalk.Candy(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starved := distwalk.Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		run  func(t *testing.T, shards int) uint64
+		want uint64
+	}{
+		{"RegenerateMany", func(t *testing.T, shards int) uint64 {
+			w := newWalker(t, torus, 5, distwalk.DefaultParams())
+			w.Network().SetShards(shards)
+			w.KeepTrail()
+			many, err := w.ManyRandomWalks([]distwalk.NodeID{0, 9, 27, 36, 63}, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase1 := 0
+			for _, wr := range many.Walks {
+				for _, s := range wr.Segments[:len(wr.Segments)-1] {
+					if !s.FromRefill {
+						phase1++
+					}
+				}
+			}
+			if many.NaiveFallback || phase1 == 0 {
+				t.Fatalf("batch replays no Phase-1 segment (naive fallback %v)", many.NaiveFallback)
+			}
+			traces, err := w.RegenerateMany(many.Walks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, tr := range traces {
+				traceDigest(h, tr)
+			}
+			return h.Sum64()
+		}, 0xbe69e16e673a3419},
+		{"WalkTraceRefill", func(t *testing.T, shards int) uint64 {
+			svc, err := distwalk.NewService(kite, 11, distwalk.WithWorkers(1), distwalk.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			walk, tr, err := svc.WalkTrace(ctx, 3, 0, 80, distwalk.WithParams(starved))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refill := false
+			for _, s := range walk.Segments {
+				refill = refill || s.FromRefill
+			}
+			if !refill {
+				t.Fatal("walk has no GET-MORE-WALKS segment to retrace")
+			}
+			checkTrace(t, walk, tr)
+			h := fnv.New64a()
+			traceDigest(h, tr)
+			return h.Sum64()
+		}, 0x73207810df511cf6},
+		{"RandomSpanningTree", func(t *testing.T, shards int) uint64 {
+			svc, err := distwalk.NewService(torus, 7, distwalk.WithWorkers(1), distwalk.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			res, err := svc.RandomSpanningTree(ctx, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := distwalk.ValidateSpanningTree(torus, 0, res.Parent); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
+			return h.Sum64()
+		}, 0x189f1802ac13da09},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2, 4} {
+			if got := c.run(t, shards); got != c.want {
+				t.Errorf("%s at %d shards: digest %#x, want %#x", c.name, shards, got, c.want)
+			}
+		}
+	}
+}
+
+// TestTrailEndpointLaw: the endpoint law is the same with the trail on
+// and off. Per key, WalkTrace (trail kept) ends where SingleRandomWalk
+// (trail off) does, and both samples pass χ² against the exact ℓ-step
+// distribution, on a stitching-heavy parameterization.
+func TestTrailEndpointLaw(t *testing.T) {
+	const (
+		src     = distwalk.NodeID(5)
+		ell     = 30
+		samples = 2000
+	)
+	ctx := context.Background()
+	g, err := distwalk.Candy(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := distwalk.NewService(g, 9, distwalk.WithWorkers(1), distwalk.WithParams(distwalk.Params{Lambda: 3, LambdaC: 1, Eta: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	off, on := make([]int, g.N()), make([]int, g.N())
+	for key := uint64(0); key < samples; key++ {
+		lean, err := svc.SingleRandomWalk(ctx, key, src, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, tr, err := svc.WalkTrace(ctx, key, src, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walk.Destination != lean.Destination {
+			t.Fatalf("key %d: trail on ends at %d, trail off at %d", key, walk.Destination, lean.Destination)
+		}
+		checkTrace(t, walk, tr)
+		off[lean.Destination]++
+		on[walk.Destination]++
+	}
+	exact, err := distwalk.WalkDistribution(g, src, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name   string
+		counts []int
+	}{{"off", off}, {"on", on}} {
+		stat, df, err := stats.ChiSquare(run.counts, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := stats.ChiSquarePValue(stat, df)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("trail %s: chi2=%.2f df=%d p=%.4f", run.name, stat, df, p)
+		if p < 1e-4 {
+			t.Fatalf("trail %s: endpoint law rejected: chi2=%v df=%d p=%v counts=%v exact=%v", run.name, stat, df, p, run.counts, exact)
+		}
+	}
 }
