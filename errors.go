@@ -29,7 +29,8 @@ import (
 var (
 	// ErrBadNode reports a node ID outside [0, n).
 	ErrBadNode = core.ErrBadNode
-	// ErrBadLength reports a negative walk length.
+	// ErrBadLength reports a walk length outside [0, math.MaxInt32] (hop
+	// counts travel as 32-bit message fields).
 	ErrBadLength = core.ErrBadLength
 	// ErrGraphTooSmall reports an operation that needs more nodes than the
 	// graph has (walks need n >= 2).
@@ -112,9 +113,9 @@ var (
 	// hung process, network partition. Also matches ErrEngineLost.
 	ErrEngineTimeout = wire.ErrEngineTimeout
 	// ErrBadMutation reports an invalid ApplyMutations batch: endpoints
-	// out of range, a self-loop, a negative weight, a removal naming a
-	// missing edge, or an edit that would isolate a node. The batch is
-	// rejected whole; the service's topology is unchanged.
+	// out of range, a self-loop, a negative or non-finite weight, a
+	// removal naming a missing edge, or an edit that would isolate a node.
+	// The batch is rejected whole; the service's topology is unchanged.
 	ErrBadMutation = graph.ErrEdit
 )
 

@@ -1,12 +1,49 @@
 package distwalk_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"distwalk"
 )
+
+// TestWalkLengthBeyondInt32Refused: walk tokens and message codecs carry
+// hop counts as int32, so every walk entry point must refuse a length
+// above math.MaxInt32 with ErrBadLength before any engine run — not wrap
+// it into a short walk, and not hand a worker a λ that panics it.
+func TestWalkLengthBeyondInt32Refused(t *testing.T) {
+	g, err := distwalk.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := distwalk.NewService(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// The deadline only bounds the work a missing check would start.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const ell = 1 << 32
+	bigLambda := distwalk.WithParams(distwalk.Params{LambdaC: 1, Eta: 1, Lambda: 1 << 31})
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"NaiveWalk", func() error { _, err := svc.NaiveWalk(ctx, 1, 5, ell); return err }},
+		{"SingleRandomWalk", func() error { _, err := svc.SingleRandomWalk(ctx, 2, 5, ell, bigLambda); return err }},
+		{"ManyRandomWalks", func() error { _, err := svc.ManyRandomWalks(ctx, 3, []distwalk.NodeID{5, 9}, ell); return err }},
+		{"SubmitWalk", func() error { _, err := svc.SubmitWalk(ctx, 4, 5, ell); return err }},
+	}
+	for _, tc := range cases {
+		if err := tc.call(); !errors.Is(err, distwalk.ErrBadLength) {
+			t.Errorf("%s at ℓ = 1<<32: err = %v, want ErrBadLength", tc.name, err)
+		}
+	}
+}
 
 // TestSentinelTaxonomy table-tests the exported sentinel set: every
 // sentinel must survive wrapping under errors.Is (the dispatch idiom the

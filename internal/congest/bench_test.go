@@ -52,7 +52,7 @@ func BenchmarkEngineBurst(b *testing.B) {
 
 // benchToken forwards a single token for `hops` random steps — the
 // steady-state shape of every walk protocol (1 active edge, 1 message per
-// round, sparse step set) — addressed by NodeID through Send or, with
+// round, sparse step set) — addressed by NodeID through SendTo or, with
 // byPort, by the drawn port through SendPort.
 type benchToken struct {
 	hops   int
@@ -65,7 +65,7 @@ func (p *benchToken) send(ctx *Ctx, rem int) {
 		ctx.SendPort(port, intPayload(0).Kind(), 1, uint64(rem), 0, 0, 0)
 		return
 	}
-	Send(ctx, ctx.Neighbors()[port].To, intPayload(rem))
+	ctx.SendTo(ctx.Neighbors()[port].To, intPayload(0).Kind(), 1, uint64(rem), 0, 0, 0)
 }
 
 func (p *benchToken) Init(ctx *Ctx) {
@@ -161,12 +161,12 @@ func BenchmarkEngineTreeSweeps(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Broadcast(net, tree, intPayload(7), nil); err != nil {
+		if _, err := Broadcast(net, tree, []Message{intPayload(7).msg()}, nil); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := Convergecast(net, tree,
-			func(v graph.NodeID) intPayload { return intPayload(v) },
-			func(_ graph.NodeID, a, c intPayload) intPayload { return a + c },
+			func(v graph.NodeID) Message { return intPayload(v).msg() },
+			sumInts,
 		); err != nil {
 			b.Fatal(err)
 		}

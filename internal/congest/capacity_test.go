@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"testing"
 
 	"distwalk/internal/graph"
@@ -110,17 +111,17 @@ func TestBroadcastManyDeliversAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := []intPayload{10, 20, 30, 40, 50}
+	items := intMsgs(10, 20, 30, 40, 50)
 	got := make(map[graph.NodeID][]int)
-	res, err := BroadcastMany(net, tree, items, func(v graph.NodeID, p intPayload) {
-		got[v] = append(got[v], int(p))
+	res, err := Broadcast(net, tree, items, func(v graph.NodeID, m *Message) {
+		got[v] = append(got[v], int(readInt(m)))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if len(got[graph.NodeID(v)]) != len(items) {
-			t.Fatalf("node %d received %d of %d items", v, len(got[graph.NodeID(v)]), len(items))
+		if want := []int{10, 20, 30, 40, 50}; !slices.Equal(got[graph.NodeID(v)], want) {
+			t.Fatalf("node %d received %v, want %v", v, got[graph.NodeID(v)], want)
 		}
 	}
 	// Pipelined: len(items) + height - 1 rounds.
@@ -137,7 +138,7 @@ func TestBroadcastManyEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BroadcastMany(net, tree, nil, func(graph.NodeID, intPayload) {
+	res, err := Broadcast(net, tree, nil, func(graph.NodeID, *Message) {
 		t.Fatal("visited with no items")
 	})
 	if err != nil || res.Rounds != 0 {

@@ -14,29 +14,10 @@ import (
 // bits per message anyway).
 const PayloadWords = 4
 
-// Payload is the content of a message, packed into at most PayloadWords
-// engine words. Words reports its size in O(log n)-bit units and must be
-// >= 1; the engine uses it for traffic metrics. Kind is a protocol-defined
-// tag distinguishing payload types within one run (types used in the same
-// run must have distinct kinds). Encode packs the payload; messages carry
-// the words inline, so sending never boxes or heap-allocates.
-type Payload interface {
-	Words() int
-	Kind() uint16
-	Encode() [PayloadWords]uint64
-}
-
-// WirePayload is a Payload that can decode itself; Decode is called on the
-// zero value of V and must return the payload encoded in w. The generic
-// tree primitives (Broadcast, Convergecast, ...) require it.
-type WirePayload[V any] interface {
-	Payload
-	Decode(w [PayloadWords]uint64) V
-}
-
-// Message is a payload in flight on a directed edge: the payload's words
-// inline plus the routing metadata. It is pointer-free, so per-edge queues
-// are flat slabs the garbage collector never scans.
+// Message is a payload in flight on a directed edge: a protocol-defined
+// Kind tag, the payload's size and up to PayloadWords words inline, plus
+// the routing metadata. It is pointer-free, so per-edge queues are flat
+// slabs the garbage collector never scans.
 type Message struct {
 	From, To graph.NodeID
 	Kind     uint16
@@ -44,19 +25,12 @@ type Message struct {
 	W        [PayloadWords]uint64
 }
 
-// Words reports the payload size in O(log n)-bit units (as declared by the
-// sender's Payload.Words).
+// Words reports the payload size in O(log n)-bit units, as declared by
+// the sender (SendTo / SendPort) or by MakeMessage.
 func (m Message) Words() int { return int(m.words) }
 
-// As decodes a message's payload as type V. The caller must have checked
-// m.Kind (or be in a run with a single payload type).
-func As[V WirePayload[V]](m Message) V {
-	var z V
-	return z.Decode(m.W)
-}
-
 // Pack2 packs two 32-bit values into one engine word (little end first);
-// Unpack2 reverses it. Payload Encode/Decode implementations share these.
+// Unpack2 reverses it. The protocols' message codecs share these.
 func Pack2(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
 
 // Unpack2 splits a word packed by Pack2.
@@ -162,13 +136,15 @@ type Network struct {
 // sized once, on first use, and "cleared" by bumping the epoch: a slot is
 // meaningful only when its stamp matches the current epoch, so starting a
 // fresh protocol run costs one increment, not a sweep. acc/pending carry
-// convergecast state as encoded payload words — runs execute one at a
-// time, so a single scratch serves every protocol on the network.
+// convergecast state and items the messages a Broadcast floods — runs
+// execute one at a time, so a single scratch serves every protocol on
+// the network.
 type nodeScratch struct {
 	epoch   uint32
 	stamp   []uint32
-	acc     [][PayloadWords]uint64
+	acc     []Message
 	pending []int32
+	items   []Message
 }
 
 // scratch hands out the node scratch for one protocol run, advancing the
@@ -179,7 +155,7 @@ func (n *Network) scratch() *nodeScratch {
 	if s.stamp == nil {
 		nn := n.g.N()
 		s.stamp = make([]uint32, nn)
-		s.acc = make([][PayloadWords]uint64, nn)
+		s.acc = make([]Message, nn)
 		s.pending = make([]int32, nn)
 	}
 	s.epoch++
@@ -377,29 +353,6 @@ func (n *Network) collectShards() {
 	}
 }
 
-// send enqueues a message from the executing node to a neighbor. A node
-// only ever writes its own outgoing edge queues, so the push, the
-// activity mark and the error sink are all local to the caller's shard.
-// In cluster mode the owning engine resolves the edge — the least-loaded
-// pick needs queue depths only it knows — so the validated send is
-// buffered for it unresolved (see remote.go).
-func (n *Network) send(c *Ctx, to graph.NodeID, kind uint16, words int, w *[PayloadWords]uint64) {
-	sh := c.sh
-	if sh.runErr != nil {
-		return
-	}
-	if n.remote == nil {
-		sh.runErr = sh.enqueue(c.node, to, kind, words, w)
-		return
-	}
-	if !wordsOK(words) || n.nbrIndex(c.node, to) < 0 {
-		sh.runErr = sendError(c.node, to, 0, words)
-		return
-	}
-	d := n.remoteOf[c.node]
-	n.pushBuf[d] = append(n.pushBuf[d], Message{From: c.node, To: to, Kind: kind, words: uint16(words), W: *w})
-}
-
 // Ctx is the per-node view handed to protocol callbacks. Each shard owns
 // one, so activity and send bookkeeping stay shard-local.
 type Ctx struct {
@@ -419,22 +372,37 @@ func (c *Ctx) Round() int { return c.net.round }
 // is reused by the engine; protocols must not retain it across calls.
 func (c *Ctx) Inbox() []Message { return c.inbox }
 
-// Send enqueues a message to a neighbor; it is delivered no earlier than
-// the next round, later under congestion. It is a free function because Go
-// methods cannot be generic. Nothing boxes or allocates, but the payload's
-// methods are three indirect calls through the instantiation's dictionary
-// (see doc.go); protocols that send once per walk step use SendPort.
-func Send[V Payload](c *Ctx, to graph.NodeID, p V) {
-	w := p.Encode() // handed on by address: re-copying it per call level stalls the send path
-	c.net.send(c, to, p.Kind(), p.Words(), &w)
+// SendTo enqueues a message to the neighbor to: kind, size in O(log n)-bit
+// words and the payload words as scalars, which travel in registers to
+// the queue slot. It is delivered no earlier than the next round, later
+// under congestion; with parallel edges to the neighbor the least-loaded
+// one is used. A node only ever writes its own outgoing edge queues, so
+// the push, the activity mark and the error sink are all local to the
+// caller's shard. In cluster mode the owning engine resolves the edge —
+// the least-loaded pick needs queue depths only it knows — so the
+// validated send is buffered for it unresolved (see remote.go).
+func (c *Ctx) SendTo(to graph.NodeID, kind uint16, words int, w0, w1, w2, w3 uint64) {
+	sh := c.sh
+	if sh.runErr != nil {
+		return
+	}
+	n := c.net
+	if n.remote == nil {
+		sh.runErr = sh.enqueue(c.node, to, kind, words, w0, w1, w2, w3)
+		return
+	}
+	if !wordsOK(words) || n.nbrIndex(c.node, to) < 0 {
+		sh.runErr = sendError(c.node, to, 0, words)
+		return
+	}
+	n.pushRemote(c.node, to, kind, words, w0, w1, w2, w3)
 }
 
-// SendPort is Send addressed by port — the index into Neighbors() that a
-// walk step has just drawn — with the payload already encoded: kind, size
-// and the words as scalars, which travel in registers to the queue slot.
-// Without parallel edges at the node the port is the directed edge and
-// nothing is looked up; with them it names the neighbor and the
-// least-loaded edge is picked exactly as Send would (see doc.go).
+// SendPort is SendTo addressed by port — the index into Neighbors() that
+// a walk step has just drawn. Without parallel edges at the node the port
+// is the directed edge and nothing is looked up; with them it names the
+// neighbor and the least-loaded edge is picked exactly as SendTo would
+// (see doc.go).
 func (c *Ctx) SendPort(port int, kind uint16, words int, w0, w1, w2, w3 uint64) {
 	sh := c.sh
 	if sh.runErr != nil {
@@ -450,9 +418,33 @@ func (c *Ctx) SendPort(port int, kind uint16, words int, w0, w1, w2, w3 uint64) 
 		sh.runErr = sendError(c.node, graph.None, port, words)
 		return
 	}
-	d := n.remoteOf[c.node]
-	n.pushBuf[d] = append(n.pushBuf[d], Message{From: c.node, To: hs[port].To, Kind: kind, words: uint16(words),
+	n.pushRemote(c.node, hs[port].To, kind, words, w0, w1, w2, w3)
+}
+
+// pushRemote buffers a validated send for the engine owning its sender.
+func (n *Network) pushRemote(from, to graph.NodeID, kind uint16, words int, w0, w1, w2, w3 uint64) {
+	d := n.remoteOf[from]
+	n.pushBuf[d] = append(n.pushBuf[d], Message{From: from, To: to, Kind: kind, words: uint16(words),
 		W: [PayloadWords]uint64{w0, w1, w2, w3}})
+}
+
+// Payload, Send and As adapt a type that encodes itself to SendTo for the
+// one caller left that sends that way, benchmark/probes.go's flood;
+// ROADMAP 2(a) deletes them once the flood sends with SendPort.
+type Payload interface {
+	Words() int
+	Kind() uint16
+	Encode() [PayloadWords]uint64
+}
+
+func Send[V Payload](c *Ctx, to graph.NodeID, p V) {
+	w := p.Encode()
+	c.SendTo(to, p.Kind(), p.Words(), w[0], w[1], w[2], w[3])
+}
+
+func As[V interface{ Decode([PayloadWords]uint64) V }](m Message) V {
+	var z V
+	return z.Decode(m.W)
 }
 
 // RNG returns this node's persistent random stream.

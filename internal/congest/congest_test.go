@@ -18,6 +18,24 @@ func (intPayload) Decode(w [PayloadWords]uint64) intPayload {
 	return intPayload(int64(w[0]))
 }
 
+// msg is p as a tree-primitive item.
+func (p intPayload) msg() Message { return MakeMessage(0, 0, p.Kind(), p.Words(), p.Encode()) }
+
+// readInt reads an intPayload item.
+func readInt(m *Message) intPayload { return As[intPayload](*m) }
+
+// sumInts is a Convergecast merge adding intPayload items.
+func sumInts(_ graph.NodeID, acc, child *Message) { *acc = (readInt(acc) + readInt(child)).msg() }
+
+// intMsgs is the items callback of an Upcast of intPayloads.
+func intMsgs(ps ...intPayload) []Message {
+	out := make([]Message, len(ps))
+	for i, p := range ps {
+		out[i] = p.msg()
+	}
+	return out
+}
+
 // burst sends k messages from node `from` to node `to` during Init and
 // records arrivals at `to`.
 type burst struct {

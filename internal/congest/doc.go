@@ -39,24 +39,18 @@
 // of how sparse the round is, so a quiet network (one token in flight)
 // pays nothing for the idle edges.
 //
-// Messages are word-encoded, not boxed. A Message carries its payload
-// inline as up to PayloadWords uint64 words plus a protocol-defined Kind
-// tag. Payload types pack themselves in Encode/Decode and the generic
-// Send[V] takes the concrete type, so nothing is boxed. The old engine
-// stored payloads in an interface field, which heap-allocated on every
-// send (any non-pointer value boxed into an interface escapes) and made
-// every queue a GC scan target. Word encoding also matches the model: a
-// payload IS O(log n) bits, so it fits in O(1) machine words. What the
-// generic call is not is static. Go compiles one Send body per GC shape
-// and reaches the type's methods through a dictionary, so in the
-// disassembly Encode, Kind and Words are three indirect calls (CALL CX,
-// CALL BX twice), and Encode's [4]uint64 comes back through the stack as
-// four 8-byte stores that are then re-read 16 bytes at a time (MOVUPS) —
-// a store-forwarding stall on every send. That is noise for a tree sweep;
-// for a walk token, sent once per walk step, it was 13 % of a Phase-1
-// profile. So the token path calls SendPort: kind, size and the payload
-// words as scalar arguments, which travel in registers to the queue slot
-// and are stored there 8 bytes at a time.
+// Messages are words, not boxed values. A Message carries a
+// protocol-defined Kind tag, its size in O(log n)-bit units and up to
+// PayloadWords uint64 words inline — the model's O(log n) bits in O(1)
+// machine words — so queues are pointer-free slabs the garbage collector
+// never scans. There is one send shape: the sender passes kind, size and
+// the words as scalar arguments, addressed to a neighbor (Ctx.SendTo) or
+// to a port (Ctx.SendPort), and the scalars travel in registers to the
+// queue slot and are stored there 8 bytes at a time; both fronts end in
+// edgeHalf.put. Each protocol owns plain functions for its messages: an
+// encoder that returns the words (or, for the tree primitives' items, a
+// Message built with MakeMessage) and a read… function that decodes them
+// in place from the inbox slot the message arrived in.
 //
 // Queues are chains through one slab per edge half. A directed edge keeps
 // a 12-byte header (queue: head, tail, size) and every message queued on
@@ -72,7 +66,7 @@
 // on, where per-edge buffers held about 64 500 after one request and
 // 137 000 after eighty. Last-in first-out reuse keeps the slots in use
 // the ones just touched, so the kernel's working set is the in-flight
-// messages and stays inside the L2 cache. Send looks up the directed edge
+// messages and stays inside the L2 cache. SendTo looks up the directed edge
 // with a binary search in a flat sorted per-node neighbor index
 // (nbrTo/nbrEdge) instead of a per-node map[NodeID][]int32; parallel
 // edges sit contiguously in adjacency order, so the least-loaded
@@ -84,7 +78,7 @@
 // data-dependent branches mispredict on a random neighbor. The
 // parallel-edge rule: a node joined to some neighbor by more than one
 // edge has a choice to make, so its port only names the neighbor and the
-// send takes the same lookup and least-loaded pick as Send; every other
+// send takes the same lookup and least-loaded pick as SendTo; every other
 // node's port IS the edge. Which nodes those are is one bit per node that
 // buildIndex derives while it sorts (so every Reshape does), not a
 // setting. Both fronts land the message through put, so queue depths,
@@ -93,7 +87,7 @@
 //
 // Determinism argument: delivery iterates edges in ascending directed
 // index (drain order = old sorted order); within an edge, FIFO; node
-// steps run in ascending node ID; Send validation, capacity clamping,
+// steps run in ascending node ID; send validation, capacity clamping,
 // crash handling and the Result counters are computed at the same points
 // with the same values as the pre-rewrite engine. The engine itself
 // consumes no randomness. Hence for a fixed seed the message trace, the
@@ -136,10 +130,13 @@
 // epoch increment: a slot is meaningful only while its stamp equals the
 // current epoch, so stale state from the previous run is unreachable
 // without ever sweeping the arrays (the rare uint32 wrap does one sweep).
-// Convergecast keeps its per-node aggregates in the scratch as encoded
-// payload words — every aggregate type is a WirePayload, so Encode/Decode
-// round-trips exactly (any value that survives a tree edge already does) —
-// and the BFS build marks visited nodes by stamping. One scratch suffices
+// The tree primitives move Messages: Broadcast floods items, Upcast
+// returns the collected items, and Convergecast keeps each node's
+// aggregate in the scratch as a Message that merge updates in place and
+// the node relays to its parent as is, so nothing is decoded or
+// re-encoded between hops. Broadcast copies its items into the scratch
+// too, which keeps a caller's one-item slice on the caller's stack. The
+// BFS build marks visited nodes by stamping. One scratch suffices
 // because the engine executes one Run at a time.
 //
 // # One round kernel, three transports

@@ -155,7 +155,7 @@ func (e *ShardEngine) Push(round int, msgs []Message) error {
 			return fmt.Errorf("%w: sender %d outside shard %d range [%d,%d)",
 				ErrBadPush, m.From, e.index, e.nodeLo, e.nodeHi)
 		}
-		if err := e.edges.enqueue(m.From, m.To, m.Kind, int(m.words), &m.W); err != nil {
+		if err := e.edges.enqueue(m.From, m.To, m.Kind, int(m.words), m.W[0], m.W[1], m.W[2], m.W[3]); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadPush, err)
 		}
 	}
@@ -180,9 +180,10 @@ func (e *ShardEngine) RunEnd() (Result, LossRecord) {
 	return e.edges.res, e.edges.loss
 }
 
-// MakeMessage constructs a Message explicitly; the wire codec uses it to
-// rebuild messages on the far side of a connection (words is the payload
-// size in O(log n)-bit units as declared by the sender's Payload).
+// MakeMessage constructs a Message explicitly: the wire codec rebuilds
+// messages on the far side of a connection with it, and protocols build
+// the items the tree primitives carry (words is the payload size in
+// O(log n)-bit units).
 func MakeMessage(from, to graph.NodeID, kind uint16, words int, w [PayloadWords]uint64) Message {
 	return Message{From: from, To: to, Kind: kind, words: uint16(words), W: w}
 }

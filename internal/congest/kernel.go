@@ -217,7 +217,7 @@ func (h *edgeHalf) reset() {
 // enqueue validates a send and queues it on a directed edge from→to;
 // from must be a node whose edges this half owns. With parallel edges the
 // least-loaded one is used (ties to the first in adjacency order).
-func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w *[PayloadWords]uint64) error {
+func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w0, w1, w2, w3 uint64) error {
 	l := h.l
 	i := l.nbrIndex(from, to)
 	if i < 0 || !wordsOK(words) {
@@ -229,14 +229,15 @@ func (h *edgeHalf) enqueue(from, to graph.NodeID, kind uint16, words int, w *[Pa
 			best = e
 		}
 	}
-	h.put(best, from, to, kind, words).W = *w
+	m := h.put(best, from, to, kind, words)
+	m.W[0], m.W[1], m.W[2], m.W[3] = w0, w1, w2, w3
 	return nil
 }
 
-// enqueuePort is enqueue addressed by the sender's port, payload words as
-// scalars. A node without parallel edges has nothing to choose — its port
-// IS the directed edge; one with them goes through enqueue, so the
-// least-loaded pick does not depend on how a send is addressed.
+// enqueuePort is enqueue addressed by the sender's port. A node without
+// parallel edges has nothing to choose — its port IS the directed edge;
+// one with them goes through enqueue, so the least-loaded pick does not
+// depend on how a send is addressed.
 func (h *edgeHalf) enqueuePort(from graph.NodeID, port int, kind uint16, words int, w0, w1, w2, w3 uint64) error {
 	l := h.l
 	hs := l.g.Neighbors(from)
@@ -245,7 +246,7 @@ func (h *edgeHalf) enqueuePort(from graph.NodeID, port int, kind uint16, words i
 	}
 	to := hs[port].To
 	if l.hasParallel(from) {
-		return h.enqueue(from, to, kind, words, &[PayloadWords]uint64{w0, w1, w2, w3})
+		return h.enqueue(from, to, kind, words, w0, w1, w2, w3)
 	}
 	m := h.put(l.off[from]+int32(port), from, to, kind, words)
 	m.W[0], m.W[1], m.W[2], m.W[3] = w0, w1, w2, w3

@@ -9,9 +9,10 @@ import (
 	"distwalk/internal/graph"
 )
 
-// Port-addressed sends, differentially against the to-addressed path: the
-// same protocol, the same draws, the two addressings — everything
-// observable must be equal on every transport.
+// Port-addressed sends, differentially against the to-addressed ones: the
+// same protocol, the same draws, the three addressings (SendPort, SendTo
+// and the Send adapter over SendTo) — everything observable must be equal
+// on every transport.
 
 // transport is one way to execute a run: shards in-process, or — with
 // engines > 0 — a loopback cluster.
@@ -90,23 +91,25 @@ func TestSendPortMatchesSend(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(tr transport, byPort bool) sendDigest {
+			run := func(tr transport, via sendVia) sendDigest {
 				net := tr.build(t, tc.g, tc.edgeCap, tc.plan)
-				p := (&stressProto{seeds: 12, hops: 30, awakeRounds: 12, byPort: byPort}).prepare(tc.g.N())
+				p := (&stressProto{seeds: 12, hops: 30, awakeRounds: 12, via: via}).prepare(tc.g.N())
 				res, err := net.Run(p)
 				if err != nil {
-					t.Fatalf("%v byPort=%v: %v", tr, byPort, err)
+					t.Fatalf("%v via %v: %v", tr, via, err)
 				}
 				return sendDigest{res: res, got: p.got, sum: p.sum, loss: net.loss}
 			}
-			want := run(sendPortTransports[0], false)
+			want := run(sendPortTransports[0], viaSend)
 			if tc.check != nil && !tc.check(want.res, want.loss) {
 				t.Fatalf("reference run %+v (loss %+v) never reached the case it covers", want.res, want.loss)
 			}
 			for _, tr := range sendPortTransports {
-				if got := run(tr, true); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v: SendPort run diverged from Send at S=1:\n got %+v loss %+v\nwant %+v loss %+v",
-						tr, got.res, got.loss, want.res, want.loss)
+				for _, via := range []sendVia{viaSend, viaPort, viaTo} {
+					if got := run(tr, via); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v: %v run diverged from Send at S=1:\n got %+v loss %+v\nwant %+v loss %+v",
+							tr, via, got.res, got.loss, want.res, want.loss)
+					}
 				}
 			}
 		})

@@ -115,13 +115,13 @@ func TestSetShardsClamps(t *testing.T) {
 // SetActive-driven steps, RNG consumption, and per-node receipt logs. Every
 // node forwards each received token to a random neighbor for `hops` hops,
 // and node 0 additionally stays awake for `awakeRounds` rounds emitting a
-// fresh token each round. byPort sends every token with SendPort instead
-// of Send — same draws, same neighbors, so the same execution.
+// fresh token each round. via picks the send front every token goes
+// through — same draws, same neighbors, so the same execution.
 type stressProto struct {
 	seeds       int
 	hops        int
 	awakeRounds int
-	byPort      bool
+	via         sendVia
 
 	got []int   // messages received per node (sized by prepare)
 	sum []int64 // payload checksum per node
@@ -147,15 +147,30 @@ func (tokenPayload) Decode(w [PayloadWords]uint64) tokenPayload {
 	return tokenPayload{hops: h, val: v}
 }
 
+// sendVia is one addressing of a send: the Send adapter, SendPort by the
+// drawn port, or SendTo by the drawn port's neighbor.
+type sendVia int
+
+const (
+	viaSend sendVia = iota
+	viaPort
+	viaTo
+)
+
+func (v sendVia) String() string { return [...]string{"Send", "SendPort", "SendTo"}[v] }
+
 // send hands tk to a uniformly drawn neighbor.
 func (p *stressProto) send(ctx *Ctx, tk tokenPayload) {
 	port := ctx.RNG().Intn(ctx.Degree())
-	if p.byPort {
-		w := tk.Encode()
+	w := tk.Encode()
+	switch p.via {
+	case viaPort:
 		ctx.SendPort(port, tk.Kind(), tk.Words(), w[0], w[1], w[2], w[3])
-		return
+	case viaTo:
+		ctx.SendTo(ctx.Neighbors()[port].To, tk.Kind(), tk.Words(), w[0], w[1], w[2], w[3])
+	default:
+		Send(ctx, ctx.Neighbors()[port].To, tk)
 	}
-	Send(ctx, ctx.Neighbors()[port].To, tk)
 }
 
 func (p *stressProto) Init(ctx *Ctx) {
@@ -318,23 +333,23 @@ func TestShardIdentityTreeProtocols(t *testing.T) {
 		}
 		o.costs[0] = res
 		o.tree = append([]graph.NodeID(nil), tree.Parent...)
-		res, err = Broadcast(net, tree, intPayload(11), nil)
+		res, err = Broadcast(net, tree, []Message{intPayload(11).msg()}, nil)
 		if err != nil {
 			return o, err
 		}
 		o.costs[1] = res
 		sum, res, err := Convergecast(net, tree,
-			func(v graph.NodeID) intPayload { return intPayload(v) },
-			func(_ graph.NodeID, a, c intPayload) intPayload { return a + c },
+			func(v graph.NodeID) Message { return intPayload(v).msg() },
+			sumInts,
 		)
 		if err != nil {
 			return o, err
 		}
 		o.costs[2] = res
-		o.sum = int64(sum)
-		items, res, err := Upcast(net, tree, func(v graph.NodeID) []intPayload {
+		o.sum = int64(readInt(&sum))
+		items, res, err := Upcast(net, tree, func(v graph.NodeID) []Message {
 			if v%3 == 0 {
-				return []intPayload{intPayload(v), intPayload(v * 2)}
+				return intMsgs(intPayload(v), intPayload(v*2))
 			}
 			return nil
 		})
@@ -343,8 +358,8 @@ func TestShardIdentityTreeProtocols(t *testing.T) {
 		}
 		o.costs[3] = res
 		o.upcount = len(items)
-		for _, it := range items {
-			o.sum += int64(it)
+		for i := range items {
+			o.sum += int64(readInt(&items[i]))
 		}
 		return o, nil
 	}

@@ -20,29 +20,12 @@ type Tree struct {
 	Height int
 }
 
-// Payload kinds local to the BFS protocol run.
+// Message kinds local to the BFS protocol run. An announce carries the
+// receiver's depth in its one word; a child ack carries nothing.
 const (
 	kindAnnounce uint16 = 1
 	kindChildAck uint16 = 2
 )
-
-type announce struct{ depth int32 }
-
-func (announce) Words() int   { return 1 }
-func (announce) Kind() uint16 { return kindAnnounce }
-func (a announce) Encode() [PayloadWords]uint64 {
-	return [PayloadWords]uint64{uint64(uint32(a.depth))}
-}
-func (announce) Decode(w [PayloadWords]uint64) announce {
-	return announce{depth: int32(uint32(w[0]))}
-}
-
-type childAck struct{}
-
-func (childAck) Words() int                           { return 1 }
-func (childAck) Kind() uint16                         { return kindChildAck }
-func (childAck) Encode() [PayloadWords]uint64         { return [PayloadWords]uint64{} }
-func (childAck) Decode([PayloadWords]uint64) childAck { return childAck{} }
 
 type bfsProto struct {
 	root     graph.NodeID
@@ -62,8 +45,8 @@ func (p *bfsProto) Init(ctx *Ctx) {
 	}
 	p.visit(v)
 	p.depth[v] = 0
-	for _, h := range ctx.Neighbors() {
-		Send(ctx, h.To, announce{depth: 1})
+	for port := range ctx.Neighbors() {
+		ctx.SendPort(port, kindAnnounce, 1, 1, 0, 0, 0)
 	}
 }
 
@@ -75,14 +58,14 @@ func (p *bfsProto) Step(ctx *Ctx) {
 			if p.visited(v) {
 				continue
 			}
-			pl := As[announce](m)
+			depth := int32(uint32(m.W[0]))
 			p.visit(v)
 			p.parent[v] = m.From
-			p.depth[v] = pl.depth
-			Send(ctx, m.From, childAck{})
-			for _, h := range ctx.Neighbors() {
+			p.depth[v] = depth
+			ctx.SendTo(m.From, kindChildAck, 1, 0, 0, 0, 0)
+			for port, h := range ctx.Neighbors() {
 				if h.To != m.From {
-					Send(ctx, h.To, announce{depth: pl.depth + 1})
+					ctx.SendPort(port, kindAnnounce, 1, uint64(uint32(depth+1)), 0, 0, 0)
 				}
 			}
 		case kindChildAck:
@@ -148,82 +131,86 @@ func BuildBFSTreeReuse(net *Network, root graph.NodeID, recycle *Tree) (*Tree, R
 	return t, res, nil
 }
 
-type broadcastProto[V WirePayload[V]] struct {
-	t       *Tree
-	payload V
-	visit   func(graph.NodeID, V)
+// relay sends m's payload on to the neighbor to.
+func (c *Ctx) relay(to graph.NodeID, m *Message) {
+	c.SendTo(to, m.Kind, int(m.words), m.W[0], m.W[1], m.W[2], m.W[3])
 }
 
-func (p *broadcastProto[V]) Init(ctx *Ctx) {
+// The tree primitives below move Messages: items are built with
+// MakeMessage and read back from the *Message a callback is handed. A Run
+// carries only its own protocol's messages, so none filters by kind.
+
+type broadcastProto struct {
+	t     *Tree
+	items []Message
+	visit func(graph.NodeID, *Message)
+}
+
+func (p *broadcastProto) Init(ctx *Ctx) {
 	v := ctx.Node()
 	if v != p.t.Root {
 		return
 	}
+	for i := range p.items {
+		p.forward(ctx, v, &p.items[i])
+	}
+}
+
+func (p *broadcastProto) Step(ctx *Ctx) {
+	v := ctx.Node()
+	in := ctx.Inbox()
+	for i := range in {
+		p.forward(ctx, v, &in[i])
+	}
+}
+
+func (p *broadcastProto) forward(ctx *Ctx, v graph.NodeID, m *Message) {
 	if p.visit != nil {
-		p.visit(v, p.payload)
+		p.visit(v, m)
 	}
 	for _, c := range p.t.Children[v] {
-		Send(ctx, c, p.payload)
+		ctx.relay(c, m)
 	}
 }
 
-func (p *broadcastProto[V]) Step(ctx *Ctx) {
-	v := ctx.Node()
-	var z V
-	for _, m := range ctx.Inbox() {
-		if m.Kind != z.Kind() {
-			continue
-		}
-		pl := z.Decode(m.W)
-		if p.visit != nil {
-			p.visit(v, pl)
-		}
-		for _, c := range p.t.Children[v] {
-			Send(ctx, c, pl)
-		}
-	}
-}
-
-// Broadcast floods payload from the root to every node over tree edges
-// (Height rounds). visit is called at every node, root included, when the
-// payload arrives; it may be nil.
-func Broadcast[V WirePayload[V]](net *Network, t *Tree, payload V, visit func(graph.NodeID, V)) (Result, error) {
-	return net.Run(&broadcastProto[V]{t: t, payload: payload, visit: visit})
+// Broadcast floods items from the root to every node over tree edges,
+// pipelined one message per edge per round: O(len(items) + Height)
+// rounds. visit is called at every node, root included, for every item
+// as it arrives; it may be nil. The items are copied into the network's
+// scratch, so a caller's one-item slice literal stays on its stack.
+func Broadcast(net *Network, t *Tree, items []Message, visit func(graph.NodeID, *Message)) (Result, error) {
+	net.ns.items = append(net.ns.items[:0], items...)
+	return net.Run(&broadcastProto{t: t, items: net.ns.items, visit: visit})
 }
 
 // convergecastProto keeps its per-node aggregates in the network's node
-// scratch as encoded payload words (every V is a WirePayload, so
-// Encode/Decode round-trips exactly — a value that survives a tree edge
-// survives the scratch). A convergecast therefore allocates nothing per
-// call; before the scratch, the two O(n) arrays here were the dominant
-// per-stitch allocation of SAMPLE-DESTINATION.
-type convergecastProto[V WirePayload[V]] struct {
+// scratch, so a convergecast allocates nothing per call; before the
+// scratch, the two O(n) arrays here were the dominant per-stitch
+// allocation of SAMPLE-DESTINATION.
+type convergecastProto struct {
 	t       *Tree
-	initVal func(graph.NodeID) V
-	merge   func(graph.NodeID, V, V) V
+	initVal func(graph.NodeID) Message
+	merge   func(v graph.NodeID, acc, child *Message)
 
 	sc   *nodeScratch
-	out  V
+	out  Message
 	done bool
 }
 
-func (p *convergecastProto[V]) Init(ctx *Ctx) {
+func (p *convergecastProto) Init(ctx *Ctx) {
 	v := ctx.Node()
-	p.sc.acc[v] = p.initVal(v).Encode()
+	p.sc.acc[v] = p.initVal(v)
 	p.sc.pending[v] = int32(len(p.t.Children[v]))
 	if p.sc.pending[v] == 0 {
 		p.emit(ctx, v)
 	}
 }
 
-func (p *convergecastProto[V]) Step(ctx *Ctx) {
+func (p *convergecastProto) Step(ctx *Ctx) {
 	v := ctx.Node()
-	var z V
-	for _, m := range ctx.Inbox() {
-		if m.Kind != z.Kind() {
-			continue
-		}
-		p.sc.acc[v] = p.merge(v, z.Decode(p.sc.acc[v]), z.Decode(m.W)).Encode()
+	in := ctx.Inbox()
+	for i := range in {
+		p.merge(v, &p.sc.acc[v], &in[i])
 		p.sc.pending[v]--
 		if p.sc.pending[v] == 0 {
 			p.emit(ctx, v)
@@ -231,115 +218,65 @@ func (p *convergecastProto[V]) Step(ctx *Ctx) {
 	}
 }
 
-func (p *convergecastProto[V]) emit(ctx *Ctx, v graph.NodeID) {
-	var z V
+func (p *convergecastProto) emit(ctx *Ctx, v graph.NodeID) {
 	if v == p.t.Root {
-		p.out = z.Decode(p.sc.acc[v])
+		p.out = p.sc.acc[v]
 		p.done = true
 		return
 	}
-	Send(ctx, p.t.Parent[v], z.Decode(p.sc.acc[v]))
+	ctx.relay(p.t.Parent[v], &p.sc.acc[v])
 }
 
-// Convergecast aggregates a value up the tree in Height rounds: each node
-// starts with initVal(node) and folds in each child's aggregate with
-// merge(node, acc, childVal); the root's final aggregate is returned.
-// merge must be associative-enough for the caller's purpose (children
-// arrive in delivery order).
-func Convergecast[V WirePayload[V]](
+// Convergecast aggregates a message up the tree in Height rounds: each
+// node starts with initVal(node) and folds in each child's aggregate with
+// merge(node, acc, child), which updates *acc in place; the root's final
+// aggregate is returned. merge must be associative-enough for the
+// caller's purpose (children arrive in delivery order).
+func Convergecast(
 	net *Network,
 	t *Tree,
-	initVal func(graph.NodeID) V,
-	merge func(graph.NodeID, V, V) V,
-) (V, Result, error) {
-	p := &convergecastProto[V]{t: t, initVal: initVal, merge: merge, sc: net.scratch()}
+	initVal func(graph.NodeID) Message,
+	merge func(v graph.NodeID, acc, child *Message),
+) (Message, Result, error) {
+	p := &convergecastProto{t: t, initVal: initVal, merge: merge, sc: net.scratch()}
 	res, err := net.Run(p)
-	var zero V
 	if err != nil {
-		return zero, res, err
+		return Message{}, res, err
 	}
 	if !p.done {
-		return zero, res, fmt.Errorf("congest: convergecast did not complete at root %d", t.Root)
+		return Message{}, res, fmt.Errorf("congest: convergecast did not complete at root %d", t.Root)
 	}
 	return p.out, res, nil
 }
 
-type broadcastManyProto[V WirePayload[V]] struct {
-	t     *Tree
-	items []V
-	visit func(graph.NodeID, V)
+type upcastProto struct {
+	t         *Tree
+	items     func(graph.NodeID) []Message
+	collected []Message
 }
 
-func (p *broadcastManyProto[V]) Init(ctx *Ctx) {
+func (p *upcastProto) Init(ctx *Ctx) {
 	v := ctx.Node()
-	if v != p.t.Root {
+	items := p.items(v)
+	for i := range items {
+		p.forward(ctx, v, &items[i])
+	}
+}
+
+func (p *upcastProto) Step(ctx *Ctx) {
+	v := ctx.Node()
+	in := ctx.Inbox()
+	for i := range in {
+		p.forward(ctx, v, &in[i])
+	}
+}
+
+func (p *upcastProto) forward(ctx *Ctx, v graph.NodeID, m *Message) {
+	if v == p.t.Root {
+		p.collected = append(p.collected, *m)
 		return
 	}
-	for _, it := range p.items {
-		if p.visit != nil {
-			p.visit(v, it)
-		}
-		for _, c := range p.t.Children[v] {
-			Send(ctx, c, it)
-		}
-	}
-}
-
-func (p *broadcastManyProto[V]) Step(ctx *Ctx) {
-	v := ctx.Node()
-	var z V
-	for _, m := range ctx.Inbox() {
-		if m.Kind != z.Kind() {
-			continue
-		}
-		pl := z.Decode(m.W)
-		if p.visit != nil {
-			p.visit(v, pl)
-		}
-		for _, c := range p.t.Children[v] {
-			Send(ctx, c, pl)
-		}
-	}
-}
-
-// BroadcastMany floods a batch of payloads from the root to every node,
-// pipelined one message per edge per round: O(len(items) + Height) rounds.
-// visit is called at every node for every item; it may be nil.
-func BroadcastMany[V WirePayload[V]](net *Network, t *Tree, items []V, visit func(graph.NodeID, V)) (Result, error) {
-	return net.Run(&broadcastManyProto[V]{t: t, items: items, visit: visit})
-}
-
-type upcastProto[V WirePayload[V]] struct {
-	t         *Tree
-	items     func(graph.NodeID) []V
-	collected []V
-}
-
-func (p *upcastProto[V]) Init(ctx *Ctx) {
-	v := ctx.Node()
-	for _, it := range p.items(v) {
-		if v == p.t.Root {
-			p.collected = append(p.collected, it)
-		} else {
-			Send(ctx, p.t.Parent[v], it)
-		}
-	}
-}
-
-func (p *upcastProto[V]) Step(ctx *Ctx) {
-	v := ctx.Node()
-	var z V
-	for _, m := range ctx.Inbox() {
-		if m.Kind != z.Kind() {
-			continue
-		}
-		pl := z.Decode(m.W)
-		if v == p.t.Root {
-			p.collected = append(p.collected, pl)
-		} else {
-			Send(ctx, p.t.Parent[v], pl)
-		}
-	}
+	ctx.relay(p.t.Parent[v], m)
 }
 
 // Upcast streams every node's items to the root over tree edges, pipelined
@@ -347,8 +284,8 @@ func (p *upcastProto[V]) Step(ctx *Ctx) {
 // Peleg's book). With a total of s items the run takes O(s + Height)
 // rounds, which the engine's queueing measures naturally. Items arrive in
 // a deterministic order.
-func Upcast[V WirePayload[V]](net *Network, t *Tree, items func(graph.NodeID) []V) ([]V, Result, error) {
-	p := &upcastProto[V]{t: t, items: items}
+func Upcast(net *Network, t *Tree, items func(graph.NodeID) []Message) ([]Message, Result, error) {
+	p := &upcastProto{t: t, items: items}
 	res, err := net.Run(p)
 	if err != nil {
 		return nil, res, err

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -112,8 +113,8 @@ func TestBroadcastReachesAll(t *testing.T) {
 	}
 	net, tree, _ := buildTree(t, g, 0)
 	var visited []graph.NodeID
-	res, err := Broadcast(net, tree, intPayload(7), func(v graph.NodeID, p intPayload) {
-		if p != 7 {
+	res, err := Broadcast(net, tree, []Message{intPayload(7).msg()}, func(v graph.NodeID, m *Message) {
+		if p := readInt(m); p != 7 {
 			t.Errorf("node %d received %d", v, p)
 		}
 		visited = append(visited, v)
@@ -136,14 +137,14 @@ func TestConvergecastSums(t *testing.T) {
 	}
 	net, tree, _ := buildTree(t, g, 0)
 	total, res, err := Convergecast(net, tree,
-		func(v graph.NodeID) intPayload { return intPayload(int(v)) },
-		func(_ graph.NodeID, acc, child intPayload) intPayload { return acc + child },
+		func(v graph.NodeID) Message { return intPayload(int(v)).msg() },
+		sumInts,
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := g.N() * (g.N() - 1) / 2
-	if int(total) != want {
+	if int(readInt(&total)) != want {
 		t.Fatalf("convergecast sum=%d, want %d", total, want)
 	}
 	if res.Rounds != tree.Height {
@@ -162,13 +163,13 @@ func TestConvergecastSingleton(t *testing.T) {
 		t.Fatal(err)
 	}
 	total, res, err := Convergecast(net, tree,
-		func(graph.NodeID) intPayload { return 5 },
-		func(_ graph.NodeID, a, c intPayload) intPayload { return a + c },
+		func(graph.NodeID) Message { return intPayload(5).msg() },
+		sumInts,
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 5 || res.Rounds != 0 {
+	if readInt(&total) != 5 || res.Rounds != 0 {
 		t.Fatalf("singleton convergecast total=%d rounds=%d", total, res.Rounds)
 	}
 }
@@ -179,8 +180,8 @@ func TestUpcastCollectsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	net, tree, _ := buildTree(t, g, 0)
-	items, _, err := Upcast(net, tree, func(v graph.NodeID) []intPayload {
-		return []intPayload{intPayload(v)}
+	items, _, err := Upcast(net, tree, func(v graph.NodeID) []Message {
+		return intMsgs(intPayload(v))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +190,8 @@ func TestUpcastCollectsEverything(t *testing.T) {
 		t.Fatalf("collected %d items, want %d", len(items), g.N())
 	}
 	got := make([]int, len(items))
-	for i, it := range items {
-		got[i] = int(it)
+	for i := range items {
+		got[i] = int(readInt(&items[i]))
 	}
 	sort.Ints(got)
 	for i, v := range got {
@@ -209,11 +210,11 @@ func TestUpcastPipelines(t *testing.T) {
 	}
 	net, tree, _ := buildTree(t, g, 0)
 	const s = 20
-	items, res, err := Upcast(net, tree, func(v graph.NodeID) []intPayload {
+	items, res, err := Upcast(net, tree, func(v graph.NodeID) []Message {
 		if v == 9 {
-			out := make([]intPayload, s)
+			out := make([]Message, s)
 			for i := range out {
-				out[i] = intPayload(i)
+				out[i] = intPayload(i).msg()
 			}
 			return out
 		}
@@ -234,11 +235,59 @@ func TestUpcastPipelines(t *testing.T) {
 func TestUpcastNoItems(t *testing.T) {
 	g, _ := graph.Path(4)
 	net, tree, _ := buildTree(t, g, 0)
-	items, res, err := Upcast(net, tree, func(graph.NodeID) []intPayload { return nil })
+	items, res, err := Upcast(net, tree, func(graph.NodeID) []Message { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(items) != 0 || res.Rounds != 0 {
 		t.Fatalf("empty upcast items=%d rounds=%d", len(items), res.Rounds)
 	}
+}
+
+// TestTreePrimitivesCarryMessagesExactly: an item's kind, size and all
+// four words reach every node through Broadcast, the root through Upcast,
+// and the root's aggregate through Convergecast — relayed hop by hop and
+// parked in the node scratch — unchanged.
+func TestTreePrimitivesCarryMessagesExactly(t *testing.T) {
+	g, err := graph.Torus(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, tree, _ := buildTree(t, g, 3)
+	item := MakeMessage(0, 0, 9, 4, [PayloadWords]uint64{math.MaxUint64, 0, 1 << 63, 12345})
+	check := func(where string, m *Message) {
+		t.Helper()
+		if m.Kind != item.Kind || m.Words() != item.Words() || m.W != item.W {
+			t.Fatalf("%s: kind %d, %d words, %v; want kind %d, %d words, %v",
+				where, m.Kind, m.Words(), m.W, item.Kind, item.Words(), item.W)
+		}
+	}
+	seen := 0
+	if _, err := Broadcast(net, tree, []Message{item}, func(_ graph.NodeID, m *Message) {
+		check("Broadcast", m)
+		seen++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != g.N() {
+		t.Fatalf("Broadcast visited %d of %d nodes", seen, g.N())
+	}
+	items, _, err := Upcast(net, tree, func(graph.NodeID) []Message { return []Message{item} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != g.N() {
+		t.Fatalf("Upcast collected %d of %d items", len(items), g.N())
+	}
+	for i := range items {
+		check("Upcast", &items[i])
+	}
+	got, _, err := Convergecast(net, tree,
+		func(graph.NodeID) Message { return item },
+		func(_ graph.NodeID, acc, child *Message) { check("Convergecast child", child) },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Convergecast", &got)
 }

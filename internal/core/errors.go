@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Sentinel errors of the walk layer. Every failure returned by Walker
 // methods wraps one of these (or a graph/congest sentinel), so callers can
@@ -8,8 +12,9 @@ import "errors"
 var (
 	// ErrBadNode reports a node ID outside [0, n).
 	ErrBadNode = errors.New("core: node out of range")
-	// ErrBadLength reports a negative walk length.
-	ErrBadLength = errors.New("core: negative walk length")
+	// ErrBadLength reports a walk length outside [0, math.MaxInt32]: the
+	// walk tokens and message codecs carry hop counts as int32.
+	ErrBadLength = errors.New("core: walk length out of range")
 	// ErrGraphTooSmall reports an operation that needs at least two nodes
 	// (a walk cannot leave a single-node graph).
 	ErrGraphTooSmall = errors.New("core: graph too small")
@@ -26,3 +31,13 @@ var (
 	// the first walk since its last Reset.
 	ErrNoRegen = errors.New("core: walk cannot be regenerated")
 )
+
+// CheckLength is the one walk-length check: ell must be non-negative and
+// fit the 32-bit hop counters the protocols' messages carry, or it fails
+// with ErrBadLength instead of wrapping.
+func CheckLength(ell int) error {
+	if ell < 0 || ell > math.MaxInt32 {
+		return fmt.Errorf("%w: %d not in [0,%d]", ErrBadLength, ell, math.MaxInt32)
+	}
+	return nil
+}

@@ -19,14 +19,14 @@ type gmwMsg struct {
 	steps int32
 }
 
-func (gmwMsg) Words() int   { return 3 }
-func (gmwMsg) Kind() uint16 { return kindGMWMsg }
-func (t gmwMsg) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(t.batch), congest.Pack2(t.count, t.steps)}
-}
-func (gmwMsg) Decode(w [congest.PayloadWords]uint64) gmwMsg {
-	count, steps := congest.Unpack2(w[1])
-	return gmwMsg{batch: int64(w[0]), count: count, steps: steps}
+// gmwMsgWords is a bundle's size in O(log n)-bit words.
+const gmwMsgWords = 3
+
+func (t gmwMsg) encode() (w0, w1 uint64) { return uint64(t.batch), congest.Pack2(t.count, t.steps) }
+
+func readGMWMsg(m *congest.Message) gmwMsg {
+	count, steps := congest.Unpack2(m.W[1])
+	return gmwMsg{batch: int64(m.W[0]), count: count, steps: steps}
 }
 
 // gmwProto refills the exhausted connector v with ⌊ℓ/λ⌋ fresh short walks.
@@ -50,11 +50,9 @@ func (p *gmwProto) Init(ctx *congest.Ctx) {
 }
 
 func (p *gmwProto) Step(ctx *congest.Ctx) {
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindGMWMsg {
-			continue
-		}
-		t := congest.As[gmwMsg](m)
+	in := ctx.Inbox()
+	for i := range in {
+		t := readGMWMsg(&in[i])
 		if t.batch != p.batch {
 			continue
 		}
@@ -102,7 +100,8 @@ func (p *gmwProto) processTokens(ctx *congest.Ctx, count, steps int32) {
 			f.count += out[i].count
 		}
 		p.w.st.recordGMWSend(v, gmwKey{batch: p.batch, step: f.steps, nbr: f.nbr}, f.count)
-		congest.Send(ctx, f.nbr, gmwMsg{batch: p.batch, count: f.count, steps: f.steps})
+		w0, w1 := gmwMsg{batch: p.batch, count: f.count, steps: f.steps}.encode()
+		ctx.SendTo(f.nbr, kindGMWMsg, gmwMsgWords, w0, w1, 0, 0)
 	}
 	p.w.gmwOut[v] = out[:0]
 }

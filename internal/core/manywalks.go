@@ -88,8 +88,8 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) 
 			return nil, err
 		}
 	}
-	if ell < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, ell)
+	if err := CheckLength(ell); err != nil {
+		return nil, err
 	}
 	out := &ManyResult{
 		Destinations: make([]graph.NodeID, len(sources)),
@@ -249,7 +249,7 @@ func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int, par
 // O(k + D) rounds: the destinations upcast (walk, dest) reports to the
 // root, which floods them back down, both pipelined.
 func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
-	perNode := make(map[graph.NodeID][]destReport, len(sources))
+	perNode := make(map[graph.NodeID][]congest.Message, len(sources))
 	for i := range sources {
 		if out.Errs != nil && out.Errs[i] != nil {
 			continue // failed walk: no destination to announce
@@ -260,9 +260,9 @@ func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
 			walkID: last.WalkID,
 			dest:   wr.Destination,
 			deg:    int32(w.g.Degree(wr.Destination)),
-		})
+		}.msg())
 	}
-	reports, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []destReport {
+	reports, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
 		return perNode[u]
 	})
 	out.Cost.Add(res)
@@ -272,7 +272,7 @@ func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
 	if want := len(sources) - out.Failed; len(reports) != want {
 		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), want)
 	}
-	res, err = congest.BroadcastMany(w.net, w.tree, reports, nil)
+	res, err = congest.Broadcast(w.net, w.tree, reports, nil)
 	out.Cost.Add(res)
 	return err
 }
@@ -316,9 +316,6 @@ func (p *naiveManyProto) Init(ctx *congest.Ctx) {
 func (p *naiveManyProto) Step(ctx *congest.Ctx) {
 	in := ctx.Inbox()
 	for i := range in {
-		if in[i].Kind != kindNaiveToken {
-			continue
-		}
 		t := readToken(&in[i])
 		if _, mine := p.start[t.walkID]; mine {
 			p.forward(ctx, t)

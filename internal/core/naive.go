@@ -17,14 +17,14 @@ type destReport struct {
 	deg    int32
 }
 
-func (destReport) Words() int   { return 3 }
-func (destReport) Kind() uint16 { return kindDestReport }
-func (r destReport) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(r.walkID), congest.Pack2(int32(r.dest), r.deg)}
+func (r destReport) msg() congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kindDestReport, 3,
+		[congest.PayloadWords]uint64{uint64(r.walkID), congest.Pack2(int32(r.dest), r.deg)})
 }
-func (destReport) Decode(w [congest.PayloadWords]uint64) destReport {
-	dest, deg := congest.Unpack2(w[1])
-	return destReport{walkID: int64(w[0]), dest: graph.NodeID(dest), deg: deg}
+
+func readDestReport(m *congest.Message) destReport {
+	dest, deg := congest.Unpack2(m.W[1])
+	return destReport{walkID: int64(m.W[0]), dest: graph.NodeID(dest), deg: deg}
 }
 
 // naiveSegment walks `steps` hops from start by token forwarding (recording
@@ -54,16 +54,16 @@ func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int6
 // walk's source this completes 1-RW-SoD: the source outputs the
 // destination's ID.
 func (w *Walker) reportToSource(tree *congest.Tree, dest graph.NodeID, walkID int64) (congest.Result, error) {
-	reports, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []destReport {
+	reports, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
 		if u == dest {
-			return []destReport{{walkID: walkID, dest: dest, deg: int32(w.g.Degree(dest))}}
+			return []congest.Message{destReport{walkID: walkID, dest: dest, deg: int32(w.g.Degree(dest))}.msg()}
 		}
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	if len(reports) != 1 || reports[0].dest != dest {
+	if len(reports) != 1 || readDestReport(&reports[0]).dest != dest {
 		return res, fmt.Errorf("core: destination report lost (got %d reports)", len(reports))
 	}
 	return res, nil

@@ -24,8 +24,7 @@ const tokenWords = 3
 // encode packs the token into its two payload words and readToken
 // decodes them in place, from the inbox slot the token arrived in. A token
 // is sent once per walk step — all but a few of a request's messages — so
-// it goes out by the port the step drew, already encoded
-// (congest.Ctx.SendPort), not through the generic Send.
+// it goes out by the port the step drew (congest.Ctx.SendPort).
 func (t walkToken) encode() (w0, w1 uint64) {
 	return uint64(t.walkID), congest.Pack2(t.remaining, t.total)
 }
@@ -75,9 +74,7 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 func (p *phase1Proto) Step(ctx *congest.Ctx) {
 	in := ctx.Inbox()
 	for i := range in {
-		if in[i].Kind == kindWalkToken {
-			p.forward(ctx, readToken(&in[i]))
-		}
+		p.forward(ctx, readToken(&in[i]))
 	}
 }
 

@@ -27,18 +27,10 @@ import (
 // repeat — O(1) rounds per hop and one message per involved edge. Each
 // visited node learns its walk position, exactly like forward replay.
 
+// The retrace's three messages, and their sizes in O(log n)-bit words.
 type gmwQuery struct {
 	batch int64
 	step  int32
-}
-
-func (gmwQuery) Words() int   { return 2 }
-func (gmwQuery) Kind() uint16 { return kindGMWQuery }
-func (q gmwQuery) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(q.batch), uint64(uint32(q.step))}
-}
-func (gmwQuery) Decode(w [congest.PayloadWords]uint64) gmwQuery {
-	return gmwQuery{batch: int64(w[0]), step: int32(uint32(w[1]))}
 }
 
 type gmwReply struct {
@@ -47,30 +39,36 @@ type gmwReply struct {
 	count int32
 }
 
-func (gmwReply) Words() int   { return 3 }
-func (gmwReply) Kind() uint16 { return kindGMWReply }
-func (r gmwReply) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(r.batch), congest.Pack2(r.step, r.count)}
-}
-func (gmwReply) Decode(w [congest.PayloadWords]uint64) gmwReply {
-	step, count := congest.Unpack2(w[1])
-	return gmwReply{batch: int64(w[0]), step: step, count: count}
-}
-
 type gmwClaim struct {
 	batch int64
 	step  int32 // the claimed flow's arrival step
 	pos   int32 // walk position of the claiming node
 }
 
-func (gmwClaim) Words() int   { return 3 }
-func (gmwClaim) Kind() uint16 { return kindGMWClaim }
-func (c gmwClaim) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(c.batch), congest.Pack2(c.step, c.pos)}
+const (
+	gmwQueryWords = 2
+	gmwReplyWords = 3
+	gmwClaimWords = 3
+)
+
+func (q gmwQuery) encode() (w0, w1 uint64) { return uint64(q.batch), uint64(uint32(q.step)) }
+
+func readGMWQuery(m *congest.Message) gmwQuery {
+	return gmwQuery{batch: int64(m.W[0]), step: int32(uint32(m.W[1]))}
 }
-func (gmwClaim) Decode(w [congest.PayloadWords]uint64) gmwClaim {
-	step, pos := congest.Unpack2(w[1])
-	return gmwClaim{batch: int64(w[0]), step: step, pos: pos}
+
+func (r gmwReply) encode() (w0, w1 uint64) { return uint64(r.batch), congest.Pack2(r.step, r.count) }
+
+func readGMWReply(m *congest.Message) gmwReply {
+	step, count := congest.Unpack2(m.W[1])
+	return gmwReply{batch: int64(m.W[0]), step: step, count: count}
+}
+
+func (c gmwClaim) encode() (w0, w1 uint64) { return uint64(c.batch), congest.Pack2(c.step, c.pos) }
+
+func readGMWClaim(m *congest.Message) gmwClaim {
+	step, pos := congest.Unpack2(m.W[1])
+	return gmwClaim{batch: int64(m.W[0]), step: step, pos: pos}
 }
 
 // backwardProto retraces one refill segment.
@@ -107,23 +105,22 @@ func (p *backwardProto) Init(ctx *congest.Ctx) {
 
 func (p *backwardProto) Step(ctx *congest.Ctx) {
 	v := ctx.Node()
-	for _, m := range ctx.Inbox() {
+	in := ctx.Inbox()
+	for i := range in {
+		m := &in[i]
 		switch m.Kind {
 		case kindGMWQuery:
 			// "How many batch tokens did you route to me (arriving at hop
 			// counter step) that are still unclaimed?" — the ledger at this
 			// node is keyed by the asking neighbor.
-			msg := congest.As[gmwQuery](m)
+			msg := readGMWQuery(m)
 			key := gmwKey{batch: msg.batch, step: msg.step, nbr: m.From}
-			congest.Send(ctx, m.From, gmwReply{
-				batch: msg.batch,
-				step:  msg.step,
-				count: p.w.st.gmwAvailable(v, key),
-			})
+			w0, w1 := gmwReply{batch: msg.batch, step: msg.step, count: p.w.st.gmwAvailable(v, key)}.encode()
+			ctx.SendTo(m.From, kindGMWReply, gmwReplyWords, w0, w1, 0, 0)
 		case kindGMWReply:
-			p.onReply(ctx, m.From, congest.As[gmwReply](m))
+			p.onReply(ctx, m.From, readGMWReply(m))
 		case kindGMWClaim:
-			p.onClaim(ctx, m.From, congest.As[gmwClaim](m))
+			p.onClaim(ctx, m.From, readGMWClaim(m))
 		}
 	}
 }
@@ -151,8 +148,9 @@ func (p *backwardProto) query(ctx *congest.Ctx, step, pos int32) {
 	}
 	p.pending.remaining = len(p.pending.nbrs)
 	p.pending.active = true
+	w0, w1 := gmwQuery{batch: p.seg.Batch, step: step}.encode()
 	for _, nbr := range p.pending.nbrs {
-		congest.Send(ctx, nbr, gmwQuery{batch: p.seg.Batch, step: step})
+		ctx.SendTo(nbr, kindGMWQuery, gmwQueryWords, w0, w1, 0, 0)
 	}
 }
 
@@ -197,7 +195,8 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 	// This node now knows its position and first-visit predecessor.
 	p.trace.record(v, p.pending.pos, pred)
 	p.pending.active = false
-	congest.Send(ctx, pred, gmwClaim{batch: p.seg.Batch, step: p.pending.step, pos: p.pending.pos})
+	w0, w1 := gmwClaim{batch: p.seg.Batch, step: p.pending.step, pos: p.pending.pos}.encode()
+	ctx.SendTo(pred, kindGMWClaim, gmwClaimWords, w0, w1, 0, 0)
 }
 
 func (p *backwardProto) onClaim(ctx *congest.Ctx, from graph.NodeID, msg gmwClaim) {

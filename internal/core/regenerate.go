@@ -36,13 +36,13 @@ type regenToken struct {
 	pos    int32
 }
 
-func (regenToken) Words() int   { return 2 }
-func (regenToken) Kind() uint16 { return kindRegenToken }
-func (t regenToken) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(t.walkID), uint64(uint32(t.pos))}
-}
-func (regenToken) Decode(w [congest.PayloadWords]uint64) regenToken {
-	return regenToken{walkID: int64(w[0]), pos: int32(uint32(w[1]))}
+// regenWords is a replay token's size in O(log n)-bit words.
+const regenWords = 2
+
+func (t regenToken) encode() (w0, w1 uint64) { return uint64(t.walkID), uint64(uint32(t.pos)) }
+
+func readRegenToken(m *congest.Message) regenToken {
+	return regenToken{walkID: int64(m.W[0]), pos: int32(uint32(m.W[1]))}
 }
 
 type regenEmit struct {
@@ -75,13 +75,11 @@ func (p *regenProto) Init(ctx *congest.Ctx) {
 
 func (p *regenProto) Step(ctx *congest.Ctx) {
 	v := ctx.Node()
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindRegenToken {
-			continue
-		}
-		t := congest.As[regenToken](m)
+	in := ctx.Inbox()
+	for i := range in {
+		t := readRegenToken(&in[i])
 		if rw, ok := p.walks[t.walkID]; ok {
-			rw.trace.record(v, t.pos, m.From)
+			rw.trace.record(v, t.pos, in[i].From)
 			p.advance(ctx, t.walkID, t.pos, rw.start)
 		}
 	}
@@ -95,7 +93,8 @@ func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos, start int32) {
 	if next == graph.None {
 		return // segment ends here
 	}
-	congest.Send(ctx, next, regenToken{walkID: walkID, pos: pos + 1})
+	w0, w1 := regenToken{walkID: walkID, pos: pos + 1}.encode()
+	ctx.SendTo(next, kindRegenToken, regenWords, w0, w1, 0, 0)
 }
 
 // record notes that the walk was at v at position pos, arriving from

@@ -28,32 +28,11 @@ import (
 //     (Sweep 3 of Algorithm 3) and the new connector learns it holds the
 //     walk token.
 
-// sampleRequest travels from the connector to the root (sweep 1).
-type sampleRequest struct {
-	owner graph.NodeID
-}
-
-func (sampleRequest) Words() int   { return 1 }
-func (sampleRequest) Kind() uint16 { return kindSampleRequest }
-func (r sampleRequest) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(uint32(r.owner))}
-}
-func (sampleRequest) Decode(w [congest.PayloadWords]uint64) sampleRequest {
-	return sampleRequest{owner: graph.NodeID(uint32(w[0]))}
-}
-
-// sampleAnnounce is flooded down the tree (sweep 2).
-type sampleAnnounce struct {
-	owner graph.NodeID
-}
-
-func (sampleAnnounce) Words() int   { return 1 }
-func (sampleAnnounce) Kind() uint16 { return kindSampleAnnounce }
-func (a sampleAnnounce) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{uint64(uint32(a.owner))}
-}
-func (sampleAnnounce) Decode(w [congest.PayloadWords]uint64) sampleAnnounce {
-	return sampleAnnounce{owner: graph.NodeID(uint32(w[0]))}
+// ownerMsg is the request (sweep 1, connector to root) and the
+// announcement (sweep 2, flooded down the tree): one word naming the
+// connector whose coupons are sampled.
+func ownerMsg(kind uint16, owner graph.NodeID) congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kind, 1, [congest.PayloadWords]uint64{uint64(uint32(owner))})
 }
 
 // sampleCand is a weighted candidate in the convergecast (sweep 3).
@@ -66,26 +45,26 @@ type sampleCand struct {
 	batch  int64
 }
 
-func (sampleCand) Words() int   { return 4 }
-func (sampleCand) Kind() uint16 { return kindSampleCand }
-func (c sampleCand) Encode() [congest.PayloadWords]uint64 {
-	// length is a short-walk length (non-negative, far below 2^31), so its
-	// top packed bit is free to carry the refill flag.
+func (c sampleCand) msg() congest.Message {
+	// length is a short-walk length (non-negative int32), so its top
+	// packed bit is free to carry the refill flag.
 	w3 := congest.Pack2(int32(c.dest), c.length)
 	if c.refill {
 		w3 |= 1 << 63
 	}
-	return [congest.PayloadWords]uint64{uint64(c.count), uint64(c.walkID), uint64(c.batch), w3}
+	return congest.MakeMessage(graph.None, graph.None, kindSampleCand, 4,
+		[congest.PayloadWords]uint64{uint64(c.count), uint64(c.walkID), uint64(c.batch), w3})
 }
-func (sampleCand) Decode(w [congest.PayloadWords]uint64) sampleCand {
-	dest, length := congest.Unpack2(w[3] &^ (1 << 63))
+
+func readSampleCand(m *congest.Message) sampleCand {
+	dest, length := congest.Unpack2(m.W[3] &^ (1 << 63))
 	return sampleCand{
-		count:  int64(w[0]),
-		walkID: int64(w[1]),
-		batch:  int64(w[2]),
+		count:  int64(m.W[0]),
+		walkID: int64(m.W[1]),
+		batch:  int64(m.W[2]),
 		dest:   graph.NodeID(dest),
 		length: length,
-		refill: w[3]>>63 != 0,
+		refill: m.W[3]>>63 != 0,
 	}
 }
 
@@ -101,9 +80,7 @@ type sampleResult struct {
 	batch  int64
 }
 
-func (sampleResult) Words() int   { return 4 }
-func (sampleResult) Kind() uint16 { return kindSampleResult }
-func (r sampleResult) Encode() [congest.PayloadWords]uint64 {
+func (r sampleResult) msg() congest.Message {
 	w3 := uint64(uint32(r.length))
 	if r.found {
 		w3 |= 1 << 62
@@ -111,20 +88,21 @@ func (r sampleResult) Encode() [congest.PayloadWords]uint64 {
 	if r.refill {
 		w3 |= 1 << 63
 	}
-	return [congest.PayloadWords]uint64{
+	return congest.MakeMessage(graph.None, graph.None, kindSampleResult, 4, [congest.PayloadWords]uint64{
 		uint64(r.walkID), uint64(r.batch), congest.Pack2(int32(r.owner), int32(r.dest)), w3,
-	}
+	})
 }
-func (sampleResult) Decode(w [congest.PayloadWords]uint64) sampleResult {
-	owner, dest := congest.Unpack2(w[2])
+
+func readSampleResult(m *congest.Message) sampleResult {
+	owner, dest := congest.Unpack2(m.W[2])
 	return sampleResult{
-		walkID: int64(w[0]),
-		batch:  int64(w[1]),
+		walkID: int64(m.W[0]),
+		batch:  int64(m.W[1]),
 		owner:  graph.NodeID(owner),
 		dest:   graph.NodeID(dest),
-		length: int32(uint32(w[3])),
-		found:  w[3]>>62&1 != 0,
-		refill: w[3]>>63 != 0,
+		length: int32(uint32(m.W[3])),
+		found:  m.W[3]>>62&1 != 0,
+		refill: m.W[3]>>63 != 0,
 	}
 }
 
@@ -144,9 +122,9 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 		tree = t
 	} else {
 		// Request sweep: v -> root along parent pointers (depth(v) rounds).
-		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []sampleRequest {
+		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
 			if u == v {
-				return []sampleRequest{{owner: v}}
+				return []congest.Message{ownerMsg(kindSampleRequest, v)}
 			}
 			return nil
 		})
@@ -157,18 +135,18 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 	}
 
 	// Announce sweep: every node learns whose coupons are being sampled.
-	res, err := congest.Broadcast(w.net, tree, sampleAnnounce{owner: v}, nil)
+	res, err := congest.Broadcast(w.net, tree, []congest.Message{ownerMsg(kindSampleAnnounce, v)}, nil)
 	cost.Add(res)
 	if err != nil {
 		return sampleResult{}, cost, fmt.Errorf("sample-destination announce: %w", err)
 	}
 
 	// Sample sweep: weighted reservoir over the tree.
-	pick, res, err := congest.Convergecast(w.net, tree,
-		func(u graph.NodeID) sampleCand {
+	picked, res, err := congest.Convergecast(w.net, tree,
+		func(u graph.NodeID) congest.Message {
 			local := w.st.localCoupons(u, v)
 			if len(local) == 0 {
-				return sampleCand{}
+				return sampleCand{}.msg()
 			}
 			c := local[w.net.NodeRNG(u).Intn(len(local))]
 			return sampleCand{
@@ -178,25 +156,26 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 				length: c.length,
 				refill: c.refill,
 				batch:  c.batch,
-			}
+			}.msg()
 		},
-		func(u graph.NodeID, acc, child sampleCand) sampleCand {
-			total := acc.count + child.count
+		func(u graph.NodeID, acc, child *congest.Message) {
+			keep, c := readSampleCand(acc), readSampleCand(child)
+			total := keep.count + c.count
 			if total == 0 {
-				return sampleCand{}
+				return // both empty: acc already is the empty candidate
 			}
-			keep := acc
-			if int64(w.net.NodeRNG(u).Uint64n(uint64(total))) < child.count {
-				keep = child
+			if int64(w.net.NodeRNG(u).Uint64n(uint64(total))) < c.count {
+				keep = c
 			}
 			keep.count = total
-			return keep
+			*acc = keep.msg()
 		},
 	)
 	cost.Add(res)
 	if err != nil {
 		return sampleResult{}, cost, fmt.Errorf("sample-destination convergecast: %w", err)
 	}
+	pick := readSampleCand(&picked)
 
 	out := sampleResult{
 		owner:  v,
@@ -209,8 +188,8 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 	}
 	// Result sweep: the coupon holder deletes it; v (and the new connector)
 	// learn the outcome.
-	res, err = congest.Broadcast(w.net, tree, out, func(u graph.NodeID, r sampleResult) {
-		if r.found && u == r.dest {
+	res, err = congest.Broadcast(w.net, tree, []congest.Message{out.msg()}, func(u graph.NodeID, m *congest.Message) {
+		if r := readSampleResult(m); r.found && u == r.dest {
 			w.st.takeCoupon(u, r.owner, r.walkID)
 		}
 	})

@@ -245,8 +245,8 @@ func (w *Walker) singleRandomWalk(source graph.NodeID, ell int) (*WalkResult, er
 	if err := w.checkNode(source); err != nil {
 		return nil, err
 	}
-	if ell < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, ell)
+	if err := CheckLength(ell); err != nil {
+		return nil, err
 	}
 	out := &WalkResult{Source: source, Destination: source, Length: ell}
 	if ell == 0 {
@@ -400,8 +400,8 @@ func (w *Walker) naiveWalk(source graph.NodeID, ell int) (*WalkResult, error) {
 	if err := w.checkNode(source); err != nil {
 		return nil, err
 	}
-	if ell < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, ell)
+	if err := CheckLength(ell); err != nil {
+		return nil, err
 	}
 	out := &WalkResult{Source: source, Destination: source, Length: ell, Naive: true}
 	if ell == 0 {

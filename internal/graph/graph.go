@@ -14,6 +14,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"distwalk/internal/rng"
 )
@@ -69,7 +70,8 @@ func (g *G) M() int { return len(g.edges) }
 // AddEdge adds an unweighted (weight-1) undirected edge between u and v.
 func (g *G) AddEdge(u, v NodeID) error { return g.AddWeightedEdge(u, v, 1) }
 
-// AddWeightedEdge adds an undirected edge between u and v with weight w > 0.
+// AddWeightedEdge adds an undirected edge between u and v with a finite
+// weight w > 0.
 // Self-loops are rejected: the paper's simple random walk has no
 // stay-in-place move.
 func (g *G) AddWeightedEdge(u, v NodeID, w float64) error {
@@ -78,8 +80,8 @@ func (g *G) AddWeightedEdge(u, v NodeID, w float64) error {
 		return fmt.Errorf("graph: self-loop at node %d", u)
 	case !g.valid(u) || !g.valid(v):
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.N())
-	case w <= 0:
-		return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, v, w)
+	case !validWeight(w):
+		return fmt.Errorf("graph: edge (%d,%d) has weight %v, want finite and positive", u, v, w)
 	}
 	e := int32(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
@@ -92,6 +94,10 @@ func (g *G) AddWeightedEdge(u, v NodeID, w float64) error {
 	}
 	return nil
 }
+
+// validWeight reports whether w is a usable edge weight: finite and
+// positive. NaN fails both comparisons, so it poisons no weighted degree.
+func validWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
 
 // Weighted reports whether any edge has weight != 1.
 func (g *G) Weighted() bool { return g.weighted }

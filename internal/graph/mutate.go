@@ -21,14 +21,14 @@ import (
 )
 
 // ErrEdit reports an invalid edge edit: endpoints out of range, a
-// self-loop, a negative weight, a removal with no matching edge, or an
-// edit that would leave a node isolated. Errors returned by ApplyEdits
-// match it under errors.Is.
+// self-loop, a negative or non-finite weight, a removal with no matching
+// edge, or an edit that would leave a node isolated. Errors returned by
+// ApplyEdits match it under errors.Is.
 var ErrEdit = errors.New("graph: invalid edge edit")
 
 // EdgeEdit names one undirected edge to add or remove. For additions, W
-// is the edge weight (0 means 1, the unweighted convention; negative is
-// an error). For removals, W is ignored and the lowest-index edge
+// is the edge weight (0 means 1, the unweighted convention; negative, NaN
+// and ±Inf are errors). For removals, W is ignored and the lowest-index edge
 // joining U and V (either orientation) is removed — with parallel edges
 // this is the earliest-inserted survivor.
 type EdgeEdit struct {
@@ -118,8 +118,8 @@ func (g *G) ApplyEdits(remove, add []EdgeEdit) (*G, error) {
 		if w == 0 {
 			w = 1
 		}
-		if w < 0 {
-			return nil, fmt.Errorf("add[%d]: %w: edge (%d,%d) has negative weight %v", i, ErrEdit, ed.U, ed.V, w)
+		if !validWeight(w) {
+			return nil, fmt.Errorf("add[%d]: %w: edge (%d,%d) has weight %v, want finite and positive", i, ErrEdit, ed.U, ed.V, w)
 		}
 		own(ed.U)
 		own(ed.V)

@@ -38,7 +38,8 @@ type Options struct {
 	// (default 2: buckets of within-factor-2 stationary mass).
 	BucketRatio float64
 	// MaxEll caps the doubling search (default 4·n³, far beyond any
-	// connected non-bipartite graph's mixing time at default ε).
+	// connected non-bipartite graph's mixing time at default ε, clamped
+	// at the longest walk, math.MaxInt32).
 	MaxEll int
 	// Debug prints each tested (ℓ, statistic, threshold) to stdout.
 	Debug bool
@@ -67,31 +68,29 @@ type Estimate struct {
 	Cost congest.Result
 }
 
-type floatPayload float64
+// Message kinds: the degree sum and one bucket's statistics.
+const (
+	kindFloat  uint16 = 1
+	kindBucket uint16 = 2
+)
 
-func (floatPayload) Words() int   { return 2 }
-func (floatPayload) Kind() uint16 { return 1 }
-func (f floatPayload) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{math.Float64bits(float64(f))}
+func floatMsg(f float64) congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kindFloat, 2, [congest.PayloadWords]uint64{math.Float64bits(f)})
 }
-func (floatPayload) Decode(w [congest.PayloadWords]uint64) floatPayload {
-	return floatPayload(math.Float64frombits(w[0]))
-}
 
-type bucketPayload Bucket
+func readFloat(m *congest.Message) float64 { return math.Float64frombits(m.W[0]) }
 
-func (bucketPayload) Words() int   { return 5 }
-func (bucketPayload) Kind() uint16 { return 2 }
-func (b bucketPayload) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{
+func bucketMsg(b Bucket) congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kindBucket, 5, [congest.PayloadWords]uint64{
 		math.Float64bits(b.Mass), math.Float64bits(b.Mass2), uint64(b.Count),
-	}
+	})
 }
-func (bucketPayload) Decode(w [congest.PayloadWords]uint64) bucketPayload {
-	return bucketPayload{
-		Mass:  math.Float64frombits(w[0]),
-		Mass2: math.Float64frombits(w[1]),
-		Count: int64(w[2]),
+
+func readBucket(m *congest.Message) Bucket {
+	return Bucket{
+		Mass:  math.Float64frombits(m.W[0]),
+		Mass2: math.Float64frombits(m.W[1]),
+		Count: int64(m.W[2]),
 	}
 }
 
@@ -112,7 +111,7 @@ func EstimateTau(w *core.Walker, x graph.NodeID, opt Options) (*Estimate, error)
 		opt.BucketRatio = 2
 	}
 	if opt.MaxEll <= 0 {
-		opt.MaxEll = 4 * n * n * n
+		opt.MaxEll = min(4*n*n*n, math.MaxInt32)
 	}
 	out := &Estimate{Source: x, Samples: opt.Samples}
 
@@ -200,19 +199,19 @@ func bucketSetup(w *core.Walker, ratio float64) ([]Bucket, congest.Result, error
 	var cost congest.Result
 
 	degSum, res, err := congest.Convergecast(w.Network(), tree,
-		func(v graph.NodeID) floatPayload { return floatPayload(g.WeightedDegree(v)) },
-		func(_ graph.NodeID, a, c floatPayload) floatPayload { return a + c },
+		func(v graph.NodeID) congest.Message { return floatMsg(g.WeightedDegree(v)) },
+		func(_ graph.NodeID, acc, child *congest.Message) { *acc = floatMsg(readFloat(acc) + readFloat(child)) },
 	)
 	cost.Add(res)
 	if err != nil {
 		return nil, cost, err
 	}
-	res, err = congest.Broadcast(w.Network(), tree, degSum, nil)
+	res, err = congest.Broadcast(w.Network(), tree, []congest.Message{degSum}, nil)
 	cost.Add(res)
 	if err != nil {
 		return nil, cost, err
 	}
-	total := float64(degSum)
+	total := readFloat(&degSum)
 	if total <= 0 {
 		return nil, cost, fmt.Errorf("mixing: graph has no edges")
 	}
@@ -225,26 +224,23 @@ func bucketSetup(w *core.Walker, ratio float64) ([]Bucket, congest.Result, error
 	buckets := make([]Bucket, maxBuckets)
 	for j := 0; j < maxBuckets; j++ {
 		b, res, err := congest.Convergecast(w.Network(), tree,
-			func(v graph.NodeID) bucketPayload {
+			func(v graph.NodeID) congest.Message {
 				pi := g.WeightedDegree(v) / total
 				if BucketOf(pi, ratio, maxBuckets) != j {
-					return bucketPayload{}
+					return bucketMsg(Bucket{})
 				}
-				return bucketPayload{Mass: pi, Mass2: pi * pi, Count: 1}
+				return bucketMsg(Bucket{Mass: pi, Mass2: pi * pi, Count: 1})
 			},
-			func(_ graph.NodeID, a, c bucketPayload) bucketPayload {
-				return bucketPayload{
-					Mass:  a.Mass + c.Mass,
-					Mass2: a.Mass2 + c.Mass2,
-					Count: a.Count + c.Count,
-				}
+			func(_ graph.NodeID, acc, child *congest.Message) {
+				a, c := readBucket(acc), readBucket(child)
+				*acc = bucketMsg(Bucket{Mass: a.Mass + c.Mass, Mass2: a.Mass2 + c.Mass2, Count: a.Count + c.Count})
 			},
 		)
 		cost.Add(res)
 		if err != nil {
 			return nil, cost, err
 		}
-		buckets[j] = Bucket(b)
+		buckets[j] = readBucket(&b)
 	}
 	return buckets, cost, nil
 }

@@ -30,16 +30,19 @@ type ivMsg struct {
 	senderOrder int32
 }
 
-const kindIvMsg uint16 = 1
+// An ivMsg's kind and its size in O(log n)-bit words.
+const (
+	kindIvMsg  uint16 = 1
+	ivMsgWords        = 3
+)
 
-func (ivMsg) Words() int   { return 3 }
-func (ivMsg) Kind() uint16 { return kindIvMsg }
-func (m ivMsg) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{congest.Pack2(m.lo, m.hi), uint64(uint32(m.senderOrder))}
+func (m ivMsg) encode() (w0, w1 uint64) {
+	return congest.Pack2(m.lo, m.hi), uint64(uint32(m.senderOrder))
 }
-func (ivMsg) Decode(w [congest.PayloadWords]uint64) ivMsg {
-	lo, hi := congest.Unpack2(w[0])
-	return ivMsg{lo: lo, hi: hi, senderOrder: int32(uint32(w[1]))}
+
+func readIvMsg(m *congest.Message) ivMsg {
+	lo, hi := congest.Unpack2(m.W[0])
+	return ivMsg{lo: lo, hi: hi, senderOrder: int32(uint32(m.W[1]))}
 }
 
 // Result reports a PATH-VERIFICATION run.
@@ -216,11 +219,9 @@ func (p *proto) Init(ctx *congest.Ctx) {
 func (p *proto) Step(ctx *congest.Ctx) {
 	v := ctx.Node()
 	myOrder := p.order[v]
-	for _, m := range ctx.Inbox() {
-		if m.Kind != kindIvMsg {
-			continue
-		}
-		msg := congest.As[ivMsg](m)
+	in := ctx.Inbox()
+	for i := range in {
+		msg := readIvMsg(&in[i])
 		got := iv{lo: msg.lo, hi: msg.hi}
 		// Edge-witness extension: the message came over a real edge from
 		// the segment's endpoint, and this node is the next/previous path
@@ -268,7 +269,8 @@ func (p *proto) flush(ctx *congest.Ctx) {
 			if !p.vf.sent[v].add(p.vf.epoch, sentKey{nbr: h.To, lo: cand.lo, hi: cand.hi}) {
 				continue
 			}
-			congest.Send(ctx, h.To, ivMsg{lo: cand.lo, hi: cand.hi, senderOrder: p.order[v]})
+			w0, w1 := ivMsg{lo: cand.lo, hi: cand.hi, senderOrder: p.order[v]}.encode()
+			ctx.SendPort(i, kindIvMsg, ivMsgWords, w0, w1, 0, 0)
 			break
 		}
 		if !q.empty() {

@@ -71,32 +71,35 @@ type Result struct {
 	Cost congest.Result
 }
 
-type boolPayload bool
+// Message kinds: the cover check's AND and the delivered tree edges.
+const (
+	kindCovered    uint16 = 1
+	kindEdgeReport uint16 = 2
+)
 
-func (boolPayload) Words() int   { return 1 }
-func (boolPayload) Kind() uint16 { return 1 }
-func (b boolPayload) Encode() [congest.PayloadWords]uint64 {
+// coveredMsg is the cover check's running AND: "was every node below
+// me visited?"
+func coveredMsg(b bool) congest.Message {
 	var w [congest.PayloadWords]uint64
 	if b {
 		w[0] = 1
 	}
-	return w
+	return congest.MakeMessage(graph.None, graph.None, kindCovered, 1, w)
 }
-func (boolPayload) Decode(w [congest.PayloadWords]uint64) boolPayload {
-	return boolPayload(w[0] != 0)
-}
+
+func readCovered(m *congest.Message) bool { return m.W[0] != 0 }
 
 type edgeReport struct {
 	child, parent graph.NodeID
 }
 
-func (edgeReport) Words() int   { return 2 }
-func (edgeReport) Kind() uint16 { return 2 }
-func (r edgeReport) Encode() [congest.PayloadWords]uint64 {
-	return [congest.PayloadWords]uint64{congest.Pack2(int32(r.child), int32(r.parent))}
+func (r edgeReport) msg() congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kindEdgeReport, 2,
+		[congest.PayloadWords]uint64{congest.Pack2(int32(r.child), int32(r.parent))})
 }
-func (edgeReport) Decode(w [congest.PayloadWords]uint64) edgeReport {
-	child, parent := congest.Unpack2(w[0])
+
+func readEdgeReport(m *congest.Message) edgeReport {
+	child, parent := congest.Unpack2(m.W[0])
 	return edgeReport{child: graph.NodeID(child), parent: graph.NodeID(parent)}
 }
 
@@ -191,13 +194,15 @@ func coverCheck(w *core.Walker, trace *core.Trace) (bool, congest.Result, error)
 		return false, congest.Result{}, fmt.Errorf("spanning: walker has no BFS tree")
 	}
 	all, cost, err := congest.Convergecast(w.Network(), tree,
-		func(v graph.NodeID) boolPayload { return trace.FirstVisitTime[v] >= 0 },
-		func(_ graph.NodeID, acc, child boolPayload) boolPayload { return acc && child },
+		func(v graph.NodeID) congest.Message { return coveredMsg(trace.FirstVisitTime[v] >= 0) },
+		func(_ graph.NodeID, acc, child *congest.Message) {
+			*acc = coveredMsg(readCovered(acc) && readCovered(child))
+		},
 	)
 	if err != nil {
 		return false, cost, err
 	}
-	return bool(all), cost, nil
+	return readCovered(&all), cost, nil
 }
 
 // deliver upcasts all tree edges to the root, pipelined: O(n + D) rounds.
@@ -206,9 +211,9 @@ func deliver(w *core.Walker, out *Result) (congest.Result, error) {
 	if tree == nil {
 		return congest.Result{}, fmt.Errorf("spanning: walker has no BFS tree")
 	}
-	reports, cost, err := congest.Upcast(w.Network(), tree, func(v graph.NodeID) []edgeReport {
+	reports, cost, err := congest.Upcast(w.Network(), tree, func(v graph.NodeID) []congest.Message {
 		if p := out.Parent[v]; p != graph.None {
-			return []edgeReport{{child: v, parent: p}}
+			return []congest.Message{edgeReport{child: v, parent: p}.msg()}
 		}
 		return nil
 	})
@@ -217,6 +222,11 @@ func deliver(w *core.Walker, out *Result) (congest.Result, error) {
 	}
 	if len(reports) != w.Graph().N()-1 {
 		return cost, fmt.Errorf("spanning: delivered %d edges, want %d", len(reports), w.Graph().N()-1)
+	}
+	for i := range reports {
+		if r := readEdgeReport(&reports[i]); out.Parent[r.child] != r.parent {
+			return cost, fmt.Errorf("spanning: delivered edge (%d,%d) is not in the tree", r.child, r.parent)
+		}
 	}
 	return cost, nil
 }

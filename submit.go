@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"distwalk/internal/cache"
+	"distwalk/internal/core"
 	"distwalk/internal/sched"
 )
 
@@ -132,8 +133,8 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 	if source < 0 || int(source) >= snap.g.N() {
 		return nil, fmt.Errorf("%w: node %d not in [0,%d)", ErrBadNode, source, snap.g.N())
 	}
-	if ell < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, ell)
+	if err := core.CheckLength(ell); err != nil {
+		return nil, err
 	}
 	if k.digest == cacheKindTrace && cfg.params.Metropolis {
 		return nil, fmt.Errorf("%w: Metropolis-Hastings walks cannot be traced", ErrNoRegen)
