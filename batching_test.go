@@ -432,6 +432,16 @@ func TestBatchingBackpressureAndShutdown(t *testing.T) {
 	if svc.Stats().Rejected == 0 {
 		t.Fatal("stats did not count the rejection")
 	}
+	// WithRetry does not re-admit a rejected submission: it fails at
+	// submit time, counted as one rejection and no retry.
+	before := svc.Stats()
+	if _, err := svc.SubmitWalk(ctx, 100, 0, 200, distwalk.WithRetry(3)); !errors.Is(err, distwalk.ErrQueueFull) {
+		t.Fatalf("submit with WithRetry(3) on a full queue: err = %v, want ErrQueueFull", err)
+	}
+	after := svc.Stats()
+	if rej, ret := after.Rejected-before.Rejected, after.Retry.Retries-before.Retry.Retries; rej != 1 || ret != 0 {
+		t.Fatalf("one rejected submit counted Rejected +%d and Retries +%d, want +1 and +0", rej, ret)
+	}
 	stopLong() // free the worker; parked and queued batches drain
 	<-longDone
 	for i, h := range handles {

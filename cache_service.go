@@ -14,9 +14,9 @@ type CacheStats = cache.Stats
 // the same epoch source ApplyMutations uses, minus the graph change: the
 // generation is folded into every cache digest, so all prior keys become
 // unreachable. Requests already in flight complete under the generation
-// they admitted with (epoch-pinned) and are not stored. Workers only
-// restamp their warm state — no network is rebuilt, and in cluster mode
-// no session is re-dialed (the graph digest is unchanged). Returns
+// they admitted with (epoch-pinned) and are not stored. Workers keep
+// their warm state — the graph is the one they hold, so no network is
+// rebuilt, and in cluster mode no session is re-dialed. Returns
 // ErrCacheDisabled when the service was built without WithResultCache.
 func (s *Service) InvalidateCache() error {
 	if s.cache == nil {

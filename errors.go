@@ -61,7 +61,9 @@ var (
 	ErrNoRegen = core.ErrNoRegen
 	// ErrQueueFull reports a SubmitWalk rejected because the batching
 	// scheduler's admission queue for that request's config is full —
-	// backpressure, not failure; shed load or retry (WithRetry). A queue
+	// backpressure, not failure; shed load or submit again later. It is
+	// Retryable, but WithRetry does not re-admit: the queue drains only
+	// as batches flush, so the caller's own loop picks the wait. A queue
 	// holds 4x the batch size.
 	ErrQueueFull = sched.ErrQueueFull
 	// ErrBatchAborted reports a submitted walk whose batch never

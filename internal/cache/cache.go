@@ -1,8 +1,8 @@
 // Package cache implements the serving tier's deterministic result
 // cache: a sharded, byte-accounted LRU with singleflight request
-// coalescing and pluggable admission. See doc.go for the design notes
-// (key digest layout, generation invalidation, leader rules, the
-// frozen-entry/copy-on-return contract).
+// coalescing and one fixed admission rule. See doc.go for the design
+// notes (key digest layout, generation invalidation, leader rules,
+// admission, the frozen-entry/copy-on-return contract).
 package cache
 
 import (

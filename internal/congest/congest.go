@@ -114,12 +114,6 @@ type Network struct {
 	maxRound int
 	ctx      context.Context // optional; checked periodically by Run
 
-	// topoGen is the topology generation stamp for warm-state coherence:
-	// the service layer stamps every network with the generation of the
-	// graph it was last (re)shaped for, and compares it against the
-	// current epoch on prepare. See reshape.go.
-	topoGen uint64
-
 	// Cluster execution (nil = in-process): the remote shard engines, the
 	// node -> engine index, the per-engine send buffers and the reusable
 	// receive buffer; see remote.go.

@@ -251,53 +251,43 @@
 //
 // # Warm-reuse lifecycle
 //
-// Pooling now extends one layer above the engine. The protocol layer keeps
+// Pooling extends one layer above the engine. The protocol layer keeps
 // its own per-node state (coupon shelves and, when a request keeps its
-// hop trail, hop logs and GET-MORE-WALKS flow ledgers — see internal/core's
-// slab-backed netState) in flat growable slabs whose clear operations
-// truncate rather than free. A pooled worker's lifecycle per request is
-// therefore:
+// hop trail, per-walk path runs and GET-MORE-WALKS flow ledgers — see
+// internal/core's slab-backed netState) in flat growable slabs whose
+// clear operations truncate rather than free. A pooled worker's
+// lifecycle per request is therefore:
 //
-//	Reseed(derivedSeed)  -> fresh deterministic RNG streams
-//	Walker.Reset(params) -> shelves truncate, cursors re-epoch,
-//	                        tree slabs retire for recycling
-//	serve request        -> steady-state allocation-free
+//	Reshape(snapshot graph) -> nothing, unless the graph changed
+//	Reseed(derivedSeed)     -> fresh deterministic RNG streams
+//	Walker.Reset(params)    -> shelves truncate, the walker re-reads
+//	                           the graph, tree slabs retire for recycling
+//	serve request           -> steady-state allocation-free
 //
 // Reset restores the exact observable state of a freshly built walker, so
 // warm reuse is invisible to the cost model: the golden counter tests and
 // the service determinism stress tests pin that a worker's Nth request is
 // bit-identical to the same request on a zero-history worker.
 //
-// # Generation-stamped warm state
+// # Warm state follows the graph
 //
-// Warm reuse survives topology mutation through a generation stamp.
-// Every Network carries an opaque uint64 set by its owner
-// (SetGeneration/Generation — the engine never interprets it); the
-// service layer stamps each pooled worker with the topology generation
-// it was last built or reshaped for. On checkout it compares the stamp
-// against the current generation: equal means the warm state is
-// current and the request proceeds on the unchanged hot path (one
-// integer compare — mutation support is zero-cost for static graphs,
-// which the unchanged goldens prove); stale means the worker calls
-// Reshape(g2) before serving.
+// Warm reuse survives topology mutation because a network's warm state
+// is identified by one thing, the *graph.G it holds. Graphs are
+// immutable (a mutation builds a copy-on-write successor), and the
+// service pins every request to a snapshot, so on checkout a pooled
+// worker calls Reshape with its request's graph. When that is the graph
+// already installed — the static case, and an InvalidateCache that
+// republishes the same graph — Reshape returns at one pointer compare:
+// mutation support is free for static graphs, which the unchanged
+// goldens prove. Otherwise it rebuilds and reports changed.
 //
 // Reshape rebuilds exactly the structures that depend on the edge set
 // — the directed-edge index (off/nbrTo/nbrEdge), the queue headers, the
 // compiled fault plan — via the same buildIndex that NewNetwork uses,
-// and leaves everything sized-to-n alone (per-node RNG stream slots,
-// tree scratch, inboxes). It reports what the shard partition needed:
-//
-//   - ReshapeNone: same *graph.G pointer — only the stamp was behind
-//     (an InvalidateCache generation bump publishes the same graph),
-//     nothing rebuilds.
-//   - ReshapeIncremental: the old contiguous node bounds still balance
-//     the new edge distribution within the planner's slack (maxLoad*S
-//     within 5/4 of mean), so the partition is kept and only the flat
-//     index and the queue headers rebuild. This is the common case for small edit
-//     batches and keeps per-shard warm structures meaningful.
-//   - ReshapeFull: the edit skewed per-shard load past the slack (or
-//     the network is unsharded, where the distinction is vacuous), so
-//     PlanShards re-partitions from scratch.
+// re-plans the shard partition with planShards (S−1 binary searches
+// over the new prefix sums; every shard is rebuilt and adopts its
+// predecessor's slab), and leaves everything sized-to-n alone (per-node
+// RNG stream slots, tree scratch, inboxes).
 //
 // Reshape refuses what cannot be reshaped in place: a nil or
 // node-count-changing graph, a network attached to remote cluster
@@ -307,14 +297,15 @@
 // recompiled against the new topology; a plan naming a now-removed
 // link fails the reshape with ErrBadFault — the service validates
 // plan-vs-edit before publishing, so hitting this in a worker is the
-// defensive backstop, not a control path.
+// defensive backstop, not a control path. A refusal changes nothing:
+// the new index and plan are built aside and swapped in only when both
+// succeed, so the network keeps its graph and plan and a retry is
+// refused again.
 //
 // Reshape must be followed by Reseed before serving: after
 // Reshape(g2)+Reseed(s) the network is observably identical to
 // NewNetwork(g2, s) — the same contract warm reuse already pinned,
-// extended to the mutation axis. The generation stamp itself is owner
-// state and survives Reshape untouched; the service re-stamps after a
-// successful reshape so a failed one retries on the next checkout.
+// extended to the mutation axis.
 //
 // # Fault injection and charging order
 //

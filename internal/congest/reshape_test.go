@@ -21,9 +21,9 @@ func reshapeGraph(t *testing.T) *graph.G {
 func TestReshapeNoneOnSameGraph(t *testing.T) {
 	g := reshapeGraph(t)
 	net := NewNetwork(g, 7)
-	kind, err := net.Reshape(g)
-	if err != nil || kind != ReshapeNone {
-		t.Fatalf("Reshape(same graph) = %v, %v; want ReshapeNone, nil", kind, err)
+	changed, err := net.Reshape(g)
+	if err != nil || changed {
+		t.Fatalf("Reshape(same graph) = %v, %v; want false, nil", changed, err)
 	}
 }
 
@@ -41,12 +41,9 @@ func TestReshapeMatchesFreshNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := NewNetwork(g, 7)
-	kind, err := net.Reshape(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != ReshapeFull {
-		t.Fatalf("unsharded Reshape = %v, want ReshapeFull", kind)
+	changed, err := net.Reshape(g2)
+	if err != nil || !changed {
+		t.Fatalf("Reshape(new graph) = %v, %v; want true, nil", changed, err)
 	}
 	net.Reseed(7)
 
@@ -68,8 +65,7 @@ func TestReshapeMatchesFreshNetwork(t *testing.T) {
 // back to growing memory. Reshape rebuilds every edge half; the queue slab
 // and the transfer buffers the traffic had grown carry over, so the run
 // after a reshape allocates exactly what a warm run does — nothing when
-// unsharded (a full reshape), the per-Run goroutines when sharded (an
-// incremental one).
+// unsharded, the per-Run goroutines when sharded.
 func TestReshapeKeepsQueueMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -79,11 +75,8 @@ func TestReshapeKeepsQueueMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		shards int
-		kind   ReshapeKind
-	}{{1, ReshapeFull}, {2, ReshapeIncremental}} {
-		net := NewNetwork(g, 7, WithShards(tc.shards))
+	for _, shards := range []int{1, 2} {
+		net := NewNetwork(g, 7, WithShards(shards))
 		run := func() {
 			if _, err := net.Run(&benchFlood{rounds: 8}); err != nil {
 				t.Fatal(err)
@@ -91,9 +84,8 @@ func TestReshapeKeepsQueueMemory(t *testing.T) {
 		}
 		next := g2
 		reshape := func() {
-			kind, err := net.Reshape(next)
-			if err != nil || kind != tc.kind {
-				t.Fatalf("S=%d: Reshape = %v, %v; want %v", tc.shards, kind, err, tc.kind)
+			if changed, err := net.Reshape(next); err != nil || !changed {
+				t.Fatalf("S=%d: Reshape = %v, %v; want true, nil", shards, changed, err)
 			}
 			if next == g2 {
 				next = g
@@ -110,13 +102,13 @@ func TestReshapeKeepsQueueMemory(t *testing.T) {
 		both := testing.AllocsPerRun(10, func() { reshape(); run() })
 		if both != alone+warm {
 			t.Errorf("S=%d: Reshape+Run allocates %.1f objects, Reshape alone %.1f and a warm Run %.1f: the run after a reshape grew memory",
-				tc.shards, both, alone, warm)
+				shards, both, alone, warm)
 		}
 	}
 }
 
-// skewEdits piles 300 parallel edges onto node 0, enough to push the first
-// shard of reshapeGraph's partition past the reshape slack.
+// skewEdits piles 300 parallel edges onto node 0, enough to move the
+// degree-balanced boundaries of reshapeGraph's partition.
 func skewEdits() []graph.EdgeEdit {
 	heavy := make([]graph.EdgeEdit, 300)
 	for i := range heavy {
@@ -125,56 +117,39 @@ func skewEdits() []graph.EdgeEdit {
 	return heavy
 }
 
-func TestReshapeShardedKinds(t *testing.T) {
+// shardBoundsOf reads the network's current partition as S+1 node bounds.
+func shardBoundsOf(net *Network) []int32 {
+	bounds := []int32{0}
+	for _, sh := range net.shards {
+		bounds = append(bounds, sh.nodeHi)
+	}
+	return bounds
+}
+
+// TestReshapeReplansShards: every Reshape re-plans the partition, so after
+// it the bounds are what PlanShards gives the new graph at the same shard
+// count — after a small edit and after one that skews the edge load.
+func TestReshapeReplansShards(t *testing.T) {
 	g := reshapeGraph(t)
 	net := NewNetwork(g, 7, WithShards(4))
-	preBounds := make([]int32, 5)
-	for i, sh := range net.shards {
-		preBounds[i] = sh.nodeLo
-	}
-	preBounds[4] = net.shards[3].nodeHi
-
-	// One removed and one added edge leave the per-shard edge balance
-	// essentially untouched: the old partition must be kept.
 	g2, err := g.ApplyEdits([]graph.EdgeEdit{{U: 0, V: 1}}, []graph.EdgeEdit{{U: 0, V: 77}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, err := net.Reshape(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != ReshapeIncremental {
-		t.Fatalf("balanced mutation reshaped as %v, want ReshapeIncremental", kind)
-	}
-	for i, sh := range net.shards {
-		if sh.nodeLo != preBounds[i] {
-			t.Fatalf("incremental reshape moved shard %d lower bound %d -> %d", i, preBounds[i], sh.nodeLo)
-		}
-	}
-
-	// Piling parallel edges onto one node blows the first shard's edge
-	// share past the slack: the partition must be re-planned.
 	g3, err := g2.ApplyEdits(nil, skewEdits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, err = net.Reshape(g3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != ReshapeFull {
-		t.Fatalf("skewed mutation reshaped as %v, want ReshapeFull", kind)
-	}
-	moved := false
-	for i, sh := range net.shards {
-		if sh.nodeLo != preBounds[i] {
-			moved = true
-			break
+	for _, next := range []*graph.G{g2, g3} {
+		if changed, err := net.Reshape(next); err != nil || !changed {
+			t.Fatalf("Reshape = %v, %v; want true, nil", changed, err)
+		}
+		if got, want := shardBoundsOf(net), PlanShards(next, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition after Reshape = %v, want PlanShards = %v", got, want)
 		}
 	}
-	if !moved {
-		t.Fatal("full reshape kept the old (now unbalanced) shard bounds")
+	if reflect.DeepEqual(PlanShards(g2, 4), PlanShards(g3, 4)) {
+		t.Fatal("the skewing edit did not move the planned bounds; the test lost its second case")
 	}
 }
 
@@ -242,33 +217,46 @@ func TestReshapeFaultPlanRecompile(t *testing.T) {
 	}
 }
 
-func TestGenerationStamp(t *testing.T) {
-	g := reshapeGraph(t)
-	net := NewNetwork(g, 7)
-	if got := net.Generation(); got != 0 {
-		t.Fatalf("fresh network Generation() = %d, want 0 (unstamped)", got)
-	}
-	net.SetGeneration(5)
-	if got := net.Generation(); got != 5 {
-		t.Fatalf("Generation() = %d after SetGeneration(5)", got)
-	}
-	// The stamp is owner state: reshaping does not touch it.
-	g2, err := g.ApplyEdits(nil, []graph.EdgeEdit{{U: 0, V: 20}})
+// TestReshapeRefusalChangesNothing: a Reshape the installed fault plan
+// refuses leaves the network as it was — same graph, same plan, same
+// index — and a retry is refused again instead of passing on a network
+// that silently dropped its plan.
+func TestReshapeRefusalChangesNothing(t *testing.T) {
+	g, err := graph.Torus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Reshape(g2); err != nil {
+	net := NewNetwork(g, 7)
+	plan := &fault.Plan{LinkDrops: []fault.LinkDrop{{From: 0, To: 1, Prob: 1}}}
+	if err := net.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if got := net.Generation(); got != 5 {
-		t.Fatalf("Reshape changed the generation stamp to %d", got)
+	g2, err := g.ApplyEdits([]graph.EdgeEdit{{U: 0, V: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := append([]int32(nil), net.off...)
+	for try := 1; try <= 2; try++ {
+		changed, err := net.Reshape(g2)
+		if !errors.Is(err, ErrBadFault) || changed {
+			t.Fatalf("try %d: Reshape = %v, %v; want false, ErrBadFault", try, changed, err)
+		}
+		if net.Graph() != g {
+			t.Fatalf("try %d: the refused Reshape installed the new graph", try)
+		}
+		if net.FaultPlan() != plan {
+			t.Fatalf("try %d: the refused Reshape dropped the fault plan (now %v)", try, net.FaultPlan())
+		}
+		if !reflect.DeepEqual(net.off, off) {
+			t.Fatalf("try %d: the refused Reshape rebuilt the edge index", try)
+		}
 	}
 }
 
-// TestShardStatsSurviveReshape: both Reshape kinds rebuild the shard
-// structs, and neither may detach the network from its ShardCounters
-// block (a Service's block sums its workers' networks into monotone
-// totals).
+// TestShardStatsSurviveReshape: Reshape rebuilds the shard structs, and
+// must not detach the network from its ShardCounters block (a Service's
+// block sums its workers' networks into monotone totals) — whether or not
+// the re-planned bounds moved.
 func TestShardStatsSurviveReshape(t *testing.T) {
 	g := reshapeGraph(t)
 	block := make(ShardCounters, 2)
@@ -283,28 +271,22 @@ func TestShardStatsSurviveReshape(t *testing.T) {
 	}
 	before := run()
 
-	for _, step := range []struct {
-		add  []graph.EdgeEdit
-		want ReshapeKind
-	}{
-		{[]graph.EdgeEdit{{U: 0, V: 77}}, ReshapeIncremental},
-		{skewEdits(), ReshapeFull},
-	} {
-		g2, err := net.Graph().ApplyEdits(nil, step.add)
+	for step, add := range [][]graph.EdgeEdit{{{U: 0, V: 77}}, skewEdits()} {
+		g2, err := net.Graph().ApplyEdits(nil, add)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind, err := net.Reshape(g2); err != nil || kind != step.want {
-			t.Fatalf("Reshape = %v, %v; want %v", kind, err, step.want)
+		if changed, err := net.Reshape(g2); err != nil || !changed {
+			t.Fatalf("Reshape %d = %v, %v; want true, nil", step, changed, err)
 		}
 		if got := block.Stats(); !reflect.DeepEqual(got, before) {
-			t.Fatalf("%v reshape changed ShardStats\n got %+v\nwant %+v", step.want, got, before)
+			t.Fatalf("reshape %d changed ShardStats\n got %+v\nwant %+v", step, got, before)
 		}
 		after := run()
 		for i := range after.Stepped {
 			if after.Stepped[i] <= before.Stepped[i] || after.Delivered[i] <= before.Delivered[i] ||
 				after.BarrierWait[i] <= before.BarrierWait[i] {
-				t.Fatalf("shard %d counters not cumulative across a %v reshape: %+v then %+v", i, step.want, before, after)
+				t.Fatalf("shard %d counters not cumulative across reshape: %+v then %+v", i, before, after)
 			}
 		}
 		before = after

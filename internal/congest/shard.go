@@ -180,11 +180,10 @@ func (n *Network) SetShards(s int) {
 
 // applyShardBounds rebuilds the shards over the given node boundaries
 // (len s+1, bounds[0]==0, bounds[s]==n). Callers must have reset the old
-// layout first. Reshape uses it directly to keep an old partition's
-// bounds over a rebuilt edge index. The queue slab and transfer buffers
-// (emptied) carry over when the shard count is unchanged (Reshape never
-// changes it), and so does the ShardCounters block; SetShards to a
-// different count detaches it.
+// layout first. The queue slab and transfer buffers (emptied) carry over
+// when the shard count is unchanged (Reshape never changes it), and so
+// does the ShardCounters block; SetShards to a different count detaches
+// it.
 func (n *Network) applyShardBounds(bounds []int32) {
 	s := len(bounds) - 1
 	if n.counters != nil && len(n.counters) != s {
@@ -214,15 +213,6 @@ func (n *Network) applyShardBounds(bounds []int32) {
 			}
 		}
 	}
-}
-
-// shardBounds returns the current partition's S+1 node boundaries.
-func (n *Network) shardBounds() []int32 {
-	bounds := make([]int32, len(n.shards)+1)
-	for i, sh := range n.shards {
-		bounds[i+1] = sh.nodeHi
-	}
-	return bounds
 }
 
 // Shards reports the current shard count.

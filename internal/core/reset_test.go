@@ -91,6 +91,72 @@ func TestWalkerResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestWalkerSurvivesReshape: a walker built once on a pooled network
+// stays valid across Network.Reshape. After Reshape(g2), Reseed and Reset
+// it must run exactly like a fresh walker on NewNetwork(g2, seed): Reset
+// re-reads the graph, so no step is drawn from the old adjacency.
+func TestWalkerSurvivesReshape(t *testing.T) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 trades a neighbor for two, and 9-10 becomes a parallel pair:
+	// degrees change, so a stale graph draws different ports.
+	g2, err := g.ApplyEdits(
+		[]graph.EdgeEdit{{U: 0, V: 1}},
+		[]graph.EdgeEdit{{U: 0, V: 27}, {U: 0, V: 36}, {U: 9, V: 10}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 31
+	type answers struct {
+		Single *WalkResult
+		Many   *ManyResult
+		Traces []*Trace
+	}
+	run := func(w *Walker) (a answers) {
+		t.Helper()
+		w.KeepTrail()
+		if a.Single, err = w.SingleRandomWalk(0, 512); err != nil {
+			t.Fatal(err)
+		}
+		if a.Many, err = w.ManyRandomWalks([]graph.NodeID{0, 9, 10, 63}, 256); err != nil {
+			t.Fatal(err)
+		}
+		if a.Traces, err = w.RegenerateMany(append([]*WalkResult{a.Single}, a.Many.Walks...)); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	fresh, err := NewWalkerOn(congest.NewNetwork(g2, seed), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(fresh)
+
+	net := congest.NewNetwork(g, seed)
+	warm, err := NewWalkerOn(net, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(warm) // served on the old graph first
+	if changed, err := net.Reshape(g2); err != nil || !changed {
+		t.Fatalf("Reshape = %v, %v; want true, nil", changed, err)
+	}
+	net.Reseed(seed)
+	if err := warm.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	if warm.Graph() != g2 {
+		t.Fatal("Reset kept the walker on the graph from before the reshape")
+	}
+	if got := run(warm); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the reshaped walker diverged from a fresh one on the new graph:\n got %+v\nwant %+v", got.Single, want.Single)
+	}
+}
+
 func mustRegen(t *testing.T, w *Walker, res *WalkResult) *Trace {
 	t.Helper()
 	tr, err := w.Regenerate(res)

@@ -114,8 +114,8 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 // NewWalkerOn builds a Walker over an existing simulated network. The
 // caller controls the network's seed (NewNetwork or Network.Reseed);
 // walker state (coupons, hop trail, walk IDs) starts fresh. This is the
-// pooling constructor: distwalk.Service keeps one Network per worker and
-// builds a throwaway Walker on it per request.
+// pooling constructor: distwalk.Service builds one Walker per worker
+// network, once, and Resets it per request (see Reset).
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: NewWalkerOn needs a non-nil network")
@@ -138,7 +138,9 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 // Reset returns the walker to the observable state of a freshly built one
 // — empty coupon inventories and walk-ID counters, no BFS tree, and the
 // hop trail off and empty (see KeepTrail) — while keeping every slab's
-// capacity, and installs prm as the walker's parameters. Any previously
+// capacity, and installs prm as the walker's parameters. It re-reads the
+// network's graph, so a walker survives Network.Reshape: its slabs are
+// sized by the node count, which a reshape keeps. Any previously
 // returned Tree is invalidated (its arrays are recycled by the next tree
 // build).
 //
@@ -147,7 +149,7 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 // sequential requests run allocation-free in steady state. Combined with
 // Network.Reseed the execution stays bit-identical to a fresh walker on a
 // fresh network — determinism is a function of (graph, seed, request),
-// never of what the walker served before.
+// never of what the walker served before or which graph it served it on.
 func (w *Walker) Reset(prm Params) error {
 	if err := w.acquire(); err != nil {
 		return err
@@ -157,6 +159,7 @@ func (w *Walker) Reset(prm Params) error {
 		return err
 	}
 	w.prm = prm
+	w.g = w.net.Graph()
 	w.st.reset()
 	if w.tree != nil {
 		w.spare = w.tree

@@ -104,14 +104,14 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 	// the batch fails here, atomically, instead of on some worker later.
 	if p := s.cfg.fplan; p != nil {
 		for _, l := range p.LinkDrops {
-			if !hasEdge(g2, l.From, l.To) {
+			if !g2.HasEdge(l.From, l.To) {
 				return Generation(cur.gen), fmt.Errorf(
 					"distwalk: mutation rejected: %w: installed fault plan drops link (%d,%d), absent from the new topology (%w)",
 					ErrBadMutation, l.From, l.To, ErrBadFault)
 			}
 		}
 		for _, l := range p.LinkDelays {
-			if !hasEdge(g2, l.From, l.To) {
+			if !g2.HasEdge(l.From, l.To) {
 				return Generation(cur.gen), fmt.Errorf(
 					"distwalk: mutation rejected: %w: installed fault plan delays link (%d,%d), absent from the new topology (%w)",
 					ErrBadMutation, l.From, l.To, ErrBadFault)
@@ -141,18 +141,4 @@ func (s *Service) publishTopology(next *topology) {
 	if s.cache != nil {
 		s.cache.Purge()
 	}
-}
-
-// hasEdge reports whether g has an edge u-v in the given orientation's
-// adjacency (undirected edges appear in both).
-func hasEdge(g *Graph, u, v NodeID) bool {
-	if u < 0 || int(u) >= g.N() {
-		return false
-	}
-	for _, h := range g.Neighbors(u) {
-		if h.To == v {
-			return true
-		}
-	}
-	return false
 }

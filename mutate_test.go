@@ -442,8 +442,8 @@ func TestMutationPinnedBatchFallbackStaysOnSnapshot(t *testing.T) {
 
 // testShardIdentityMutate extends the bit-identity contract across a
 // mutation: requests before and after the same edit batch must produce
-// identical results at every shard count — whichever reshape kind
-// (incremental or full) each shard count's worker networks took.
+// identical results at every shard count — whichever partition each
+// shard count's worker networks re-planned.
 func testShardIdentityMutate(t *testing.T, shards int) {
 	ctx := context.Background()
 	g := mustTorus(t, 12, 12)
@@ -544,7 +544,8 @@ func TestShardIdentityMutate8(t *testing.T) { testShardIdentityMutate(t, 8) }
 // a fact derived from the topology at every reshape. A mutation that adds
 // a parallel edge and one that removes it again must each leave the warm
 // service answering exactly like a fresh one over the same graph — sharded
-// or not, with and without the hop trail.
+// or not, with and without the hop trail, and for the applications that
+// drive the walker through many runs (spanning tree, mixing estimate).
 func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
 	ctx := context.Background()
 	sources := []distwalk.NodeID{0, 1, 9, 0}
@@ -553,6 +554,9 @@ func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
 		Many          *distwalk.ManyResult
 		Traced        *distwalk.WalkResult
 		Trace         *distwalk.Trace
+		Tree          *distwalk.RSTResult
+		Mixing        *distwalk.MixingEstimate
+		MixingErr     string // the bipartite steps cannot mix
 	}
 	ask := func(svc *distwalk.Service) (a answers) {
 		t.Helper()
@@ -569,12 +573,22 @@ func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
 		if a.Traced, a.Trace, err = svc.WalkTrace(ctx, 4, 0, 256); err != nil {
 			t.Fatal(err)
 		}
+		if a.Tree, err = svc.RandomSpanningTree(ctx, 5, 9); err != nil {
+			t.Fatal(err)
+		}
+		mix := distwalk.WithMixingOptions(distwalk.MixingOptions{Samples: 16, MaxEll: 256})
+		if a.Mixing, err = svc.EstimateMixingTime(ctx, 6, 1, mix); errors.Is(err, distwalk.ErrNoMixing) {
+			a.MixingErr = err.Error()
+		} else if err != nil {
+			t.Fatal(err)
+		}
 		return a
 	}
 	steps := []distwalk.Mutations{
 		{}, // the simple torus: every send takes the direct path
 		{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 1}, {U: 9, V: 10}}},    // 0, 1, 9, 10 now choose among edges
 		{RemoveEdges: []distwalk.EdgeMutation{{U: 0, V: 1}, {U: 9, V: 10}}}, // and are back to one edge per neighbor
+		{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 2}}},                   // an odd cycle: the walks now mix
 	}
 	for _, shards := range []int{1, 2} {
 		warm, err := distwalk.NewService(mustTorus(t, 8, 8), 42, distwalk.WithShards(shards))
@@ -592,6 +606,9 @@ func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
 			}
 			got, want := ask(warm), ask(fresh)
 			fresh.Close()
+			if i == len(steps)-1 && got.Mixing == nil {
+				t.Fatalf("shards=%d: the odd cycle did not mix (%s); the step lost its mixing case", shards, got.MixingErr)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d step %d: the reshaped service diverged from a fresh one:\n got %+v\nwant %+v",
 					shards, i, got.Single, want.Single)

@@ -273,17 +273,19 @@ func WithResultCache(bytes int64) Option {
 // WithRetry sets how many times a failed request is re-executed before
 // its error is returned (default 0: fail fast). Only retryable failures
 // re-execute — see Retryable: typed fault errors (ErrNodeCrashed,
-// ErrMessageLost) and transient scheduling rejections (ErrQueueFull,
-// ErrBatchAborted). Each retry runs with a fresh seed derived from
-// (service seed, request key, attempt number), so a walk that died in a
-// crashed or lossy region re-randomizes deterministically: the result of
-// (key, attempt) is reproducible, and attempt 0 is bit-identical to a
-// service without retries. Every retry stays on the topology snapshot
-// the request admitted under, so a retried request straddling an
-// ApplyMutations still returns what a never-mutated service would.
-// Retries run back to back — the "network" is simulated, so there is
-// nothing to wait for — and the request context is checked between
-// attempts. Applies per request or as a service default.
+// ErrMessageLost) and aborted batches (ErrBatchAborted). A SubmitWalk
+// rejected with ErrQueueFull is not re-admitted: it fails at submit
+// time, counted once and not as a retry. Each retry runs with a fresh
+// seed derived from (service seed, request key, attempt number), so a
+// walk that died in a crashed or lossy region re-randomizes
+// deterministically: the result of (key, attempt) is reproducible, and
+// attempt 0 is bit-identical to a service without retries. Every retry
+// stays on the topology snapshot the request admitted under, so a
+// retried request straddling an ApplyMutations still returns what a
+// never-mutated service would. Retries run back to back — the "network"
+// is simulated, so there is nothing to wait for — and the request
+// context is checked between attempts. Applies per request or as a
+// service default.
 func WithRetry(max int) Option {
 	return newOption("WithRetry", func(c *config) {
 		if max >= 0 {

@@ -75,7 +75,7 @@ type Service struct {
 	// RetryStats; updated lock-free, read by Stats.
 	mut struct {
 		applied, edgesAdded, edgesRemoved atomic.Int64
-		reshardsInc, reshardsFull         atomic.Int64
+		reshapes                          atomic.Int64
 	}
 	retry struct{ attempts, retries, recovered, exhausted, faults atomic.Int64 }
 
@@ -153,13 +153,16 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	workers := make([]*poolWorker, cfg.workers)
 	for i := range workers {
 		n := congest.NewNetwork(g, seed, netOpts...)
-		n.SetGeneration(1)
 		if cfg.fplan != nil {
 			if err := n.SetFaultPlan(cfg.fplan); err != nil {
 				return nil, err
 			}
 		}
-		workers[i] = &poolWorker{net: n}
+		w, err := core.NewWalkerOn(n, core.DefaultParams())
+		if err != nil {
+			return nil, err
+		}
+		workers[i] = &poolWorker{net: n, wkr: w}
 	}
 	for i := 0; cluster != nil && i < len(workers); i++ {
 		var err error
@@ -267,10 +270,8 @@ type MutationStats struct {
 	Applied      int64 `metric:"mutations_applied_total,counter"`
 	EdgesAdded   int64 `metric:"mutation_edges_total{op=add},counter"`
 	EdgesRemoved int64 `metric:"mutation_edges_total{op=remove},counter"`
-	// ReshardsIncremental/ReshardsFull count worker-network reshapes by
-	// kind: incremental kept the existing shard partition (the mutation
-	// left the per-shard edge balance within tolerance), full re-planned
-	// it (or the network was unsharded).
+	// ReshardsFull counts worker-network reshapes; each re-plans the
+	// shard partition, so ReshardsIncremental is always 0.
 	ReshardsIncremental int64 `metric:"reshards_total{kind=incremental},counter"`
 	ReshardsFull        int64 `metric:"reshards_total{kind=full},counter"`
 }
@@ -331,12 +332,11 @@ func (s *Service) Stats() ServiceStats {
 		Faults:    s.retry.faults.Load(),
 	}
 	out.Mutation = MutationStats{
-		Generation:          s.topo.Load().gen,
-		Applied:             s.mut.applied.Load(),
-		EdgesAdded:          s.mut.edgesAdded.Load(),
-		EdgesRemoved:        s.mut.edgesRemoved.Load(),
-		ReshardsIncremental: s.mut.reshardsInc.Load(),
-		ReshardsFull:        s.mut.reshardsFull.Load(),
+		Generation:   s.topo.Load().gen,
+		Applied:      s.mut.applied.Load(),
+		EdgesAdded:   s.mut.edgesAdded.Load(),
+		EdgesRemoved: s.mut.edgesRemoved.Load(),
+		ReshardsFull: s.mut.reshapes.Load(),
 	}
 	return out
 }
@@ -448,8 +448,8 @@ func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt
 // composition), wherever execJob places them. It readies the
 // worker's warm state for (seed, cfg) at snap: sync the warm topology to
 // the snapshot, reseed the private network, restore the round budget and
-// Reset the pooled walker (the first request builds it; a reshaped graph
-// forces a rebuild). Then it runs fn under ctx with fault outcomes typed.
+// Reset the worker's walker, which re-reads a reshaped graph. Then it
+// runs fn under ctx with fault outcomes typed.
 func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
 	if err := s.syncWarm(pw, snap); err != nil {
 		return err
@@ -460,13 +460,7 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 	} else {
 		pw.net.SetMaxRounds(congest.DefaultMaxRounds)
 	}
-	if pw.wkr == nil {
-		w, err := core.NewWalkerOn(pw.net, cfg.params)
-		if err != nil {
-			return err
-		}
-		pw.wkr = w
-	} else if err := pw.wkr.Reset(cfg.params); err != nil {
+	if err := pw.wkr.Reset(cfg.params); err != nil {
 		return err
 	}
 	pw.net.SetContext(ctx)
@@ -501,30 +495,16 @@ func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, f
 	return c.local(pw.sess, !moved, sync, run)
 }
 
-// syncWarm reshapes a worker network whose warm state trails the
-// request's topology snapshot, restamping it and discarding the pooled
-// walker when the graph actually changed (the walker's degree-sized
-// slabs describe the dead topology). A pure generation bump over the
-// same graph (InvalidateCache) restamps without rebuilding anything.
-// The network must be detached unless the graph is unchanged.
+// syncWarm reshapes a worker network to the request's snapshot graph
+// and counts the reshape. It does nothing when the network already holds
+// that graph (the static case, and an InvalidateCache that republished
+// it). The network must be detached unless the graph is unchanged.
 func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
-	if pw.net.Generation() == snap.gen {
-		return nil
+	changed, err := pw.net.Reshape(snap.g)
+	if changed {
+		s.mut.reshapes.Add(1)
 	}
-	kind, err := pw.net.Reshape(snap.g)
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case congest.ReshapeIncremental:
-		s.mut.reshardsInc.Add(1)
-		pw.wkr = nil
-	case congest.ReshapeFull:
-		s.mut.reshardsFull.Add(1)
-		pw.wkr = nil
-	}
-	pw.net.SetGeneration(snap.gen)
-	return nil
+	return err
 }
 
 // runBatch is the scheduler's executor: hand the flushed batch to a pool

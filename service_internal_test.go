@@ -45,6 +45,47 @@ func TestServiceMatchesDerivedSeedWalker(t *testing.T) {
 	}
 }
 
+// TestWorkerWalkerSurvivesMutation: a worker builds its walker once. A
+// mutation reshapes the worker's network under it, and the next request
+// Resets the same walker onto the new graph instead of replacing it.
+func TestWorkerWalkerSurvivesMutation(t *testing.T) {
+	ctx := context.Background()
+	g, err := Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(g, 42, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	walker := func() *core.Walker {
+		ch := make(chan *core.Walker)
+		svc.jobs <- func(pw *poolWorker) { ch <- pw.wkr }
+		return <-ch
+	}
+	before := walker()
+	if _, err := svc.SingleRandomWalk(ctx, 1, 0, 256); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ApplyMutations(ctx, Mutations{AddEdges: []EdgeMutation{{U: 0, V: 27}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.SingleRandomWalk(ctx, 2, 0, 256); err != nil {
+		t.Fatal(err)
+	}
+	after := walker()
+	if before == nil || after != before {
+		t.Fatalf("the worker's walker was replaced across ApplyMutations (%p -> %p)", before, after)
+	}
+	if after.Graph() != svc.Graph() {
+		t.Fatal("the worker's walker does not serve the mutated graph")
+	}
+	if n := svc.Stats().Mutation.ReshardsFull; n != 1 {
+		t.Fatalf("ReshardsFull = %d after one mutation on one worker, want 1", n)
+	}
+}
+
 // wireEngines serves n engine servers on loopback from this process and
 // returns their addresses; they close with the test.
 func wireEngines(t *testing.T, n int) []string {

@@ -205,12 +205,6 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 		Topo:      snap,
 	}
 	ch, err := s.batch.Submit(ctx, req)
-	// Backpressure retry: a full admission queue drains as batches flush,
-	// so with WithRetry we re-admit instead of failing fast.
-	for attempt := 0; err != nil && errors.Is(err, sched.ErrQueueFull) && attempt < cfg.retries && ctx.Err() == nil; attempt++ {
-		s.retry.retries.Add(1)
-		ch, err = s.batch.Submit(ctx, req)
-	}
 	if err != nil {
 		if errors.Is(err, sched.ErrSchedulerClosed) {
 			return nil, fmt.Errorf("%w (request %d)", ErrServiceClosed, key)
