@@ -11,6 +11,8 @@
 package distwalk_test
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -125,6 +127,50 @@ func BenchmarkEstimateMixingTime(b *testing.B) {
 		rounds += est.Cost.Rounds
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
+// BenchmarkClusterVsInProcess is the cluster crossover table: the
+// cluster-walks request (ManyRandomWalks, k=8, ℓ=1024) on growing tori,
+// over two loopback wire servers and on WithShards(2) in process. The
+// cluster ÷ in-process ns/op ratio per torus says whether cluster mode
+// pays anywhere; rounds/op is the same in both modes.
+func BenchmarkClusterVsInProcess(b *testing.B) {
+	for _, side := range []int{16, 48, 96} {
+		g, err := distwalk.Torus(side, side)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources := make([]distwalk.NodeID, 8)
+		for i := range sources {
+			sources[i] = distwalk.NodeID(i * g.N() / len(sources))
+		}
+		for _, mode := range []string{"cluster", "inprocess"} {
+			b.Run(fmt.Sprintf("torus=%d/%s", side, mode), func(b *testing.B) {
+				opt := distwalk.WithShards(2)
+				if mode == "cluster" {
+					opt = distwalk.WithCluster(startWireServers(b, 2)...)
+				}
+				svc, err := distwalk.NewService(g, 1, distwalk.WithWorkers(1), opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer svc.Close()
+				if _, err := svc.ManyRandomWalks(context.Background(), 0, sources, 1024); err != nil {
+					b.Fatal(err) // warm-up: sessions dialed, slabs grown
+				}
+				rounds := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := svc.ManyRandomWalks(context.Background(), uint64(i%8), sources, 1024)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds += res.Cost.Rounds
+				}
+				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			})
+		}
+	}
 }
 
 func benchName(key string, v int) string {

@@ -223,11 +223,12 @@ func (p *clusterPool) arm(ctx context.Context, sg *sessionGroup) {
 	}
 }
 
-// drop tears down every session of sg and detaches its network. The
-// protocol is strictly synchronous per session, but the round loop writes
-// to all engines before reading any reply — once one engine fails mid-run,
-// the surviving sessions may hold half-exchanged frames and cannot be
-// trusted with another run, so the whole group goes. The failing engine
+// drop tears down every session of sg and detaches its network. A
+// session has at most two requests outstanding (a round's Push and the
+// next round's Deliver), and the round loop writes to all engines before
+// reading any reply — once one engine fails mid-run, the surviving
+// sessions may hold unread replies and cannot be trusted with another
+// run, so the whole group goes. The failing engine
 // is marked lost (errors.As digs the shard out of cause).
 func (p *clusterPool) drop(sg *sessionGroup, cause error) {
 	var le *wire.EngineLostError

@@ -184,10 +184,12 @@
 //     processes (engine.go, internal/wire, cmd/distwalkd) and the client
 //     keeps one node half over all nodes (remote.go). A send is validated
 //     here and shipped unresolved to the engine owning the sender; each
-//     round the client writes every engine its sends and awaits every ack
-//     (the acks carry the queued-edge counts the verdict needs), then
-//     asks every engine to drain and merges the returned buffers in
-//     engine order.
+//     round the client writes every engine its sends and a request to
+//     drain, then merges the returned buffers in engine order. The
+//     verdict needs only whether any message is still queued, which the
+//     client counts itself (pushed − delivered) when the fault plan loses
+//     no message; a lossy plan makes it await the engines' acks, which
+//     carry the queued-edge counts, before it asks for the drain.
 //
 // Determinism argument — why every transport computes the same
 // execution. The only order-sensitive operation is inbox append order
@@ -242,8 +244,8 @@
 // spin), so WithShards(2) on two CPUs runs the Phase-1 heavy walk
 // requests in about half the sequential time from Torus(48,48) up and
 // still ahead on Torus(16,16); with more shard workers than Ps every
-// crossing is a park and a wake-up. A cluster pays two round trips per
-// round. Each shard tallies its steps, merges and barrier wait — spin
+// crossing is a park and a wake-up. A cluster pays one round trip per
+// round, two under a fault plan that can lose messages. Each shard tallies its steps, merges and barrier wait — spin
 // time included — and a Run adds them once, at its end, to the
 // ShardCounters block the network was given (WithShardCounters); the
 // network itself keeps no total. ShardStats, the block's snapshot, makes

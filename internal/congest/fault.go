@@ -147,6 +147,13 @@ func (f *faultState) resetRun() {
 	}
 }
 
+// lossless reports whether the compiled plan can lose no message: no
+// crash, no churn window, no lossy link (delays only defer delivery). A
+// nil plan is lossless.
+func (f *faultState) lossless() bool {
+	return f == nil || (f.downFrom == nil && f.winOff == nil && f.drop == nil)
+}
+
 // down reports whether the plan has v down at the given round.
 func (f *faultState) down(v graph.NodeID, round int) bool {
 	if f.downFrom != nil && f.downFrom[v] >= 0 && int32(round) >= f.downFrom[v] {

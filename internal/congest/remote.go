@@ -12,16 +12,19 @@ import (
 // transport below. The node half — Init/Step, per-node RNG streams, the
 // awake list — runs here as the network's single shard; its own edge half
 // stays idle. Each round the client ships its sends to the engine owning
-// the sender, asks every engine to deliver, and merges the returned
-// buffers in ascending engine order — the kernel's mergeIn, so inboxes,
+// the sender, asks every engine to deliver (in the same flush when the
+// fault plan loses no message), and merges the returned buffers in
+// ascending engine order — the kernel's mergeIn, so inboxes,
 // RNG traces, counters and fault charging stay bit-identical to the
 // in-process drivers (see doc.go).
 
 // RemoteShard is one remote shard engine as seen by the client: a
-// strictly alternating request/reply transport over the engine's
-// RunBegin/Push/Deliver/RunEnd state machine. The Send/Read split lets
-// the round loop write to every engine before reading any reply, so the
-// engines of a round work concurrently while the client stays
+// request/reply transport over the engine's RunBegin/Push/Deliver/RunEnd
+// state machine. Replies come back in request order, and at most two
+// requests are outstanding: a round may send SendPushes and SendDeliver
+// before it reads the PushAck and then the Buffer. The Send/Read split
+// lets the round loop write to every engine before reading any reply, so
+// the engines of a round work concurrently while the client stays
 // single-threaded. LoopbackShard is the in-process reference
 // implementation; internal/wire provides the TCP one.
 type RemoteShard interface {
@@ -59,8 +62,11 @@ type RemoteResult struct {
 // torn down. Cluster mode supports the uniform edge capacity and fault
 // plans (shipped to the engines at dial time by the caller); the
 // per-edge capacity table is a client-local construct the engines never
-// see, so a network using it refuses to connect. Pass an empty group to
-// restore in-process execution.
+// see, so a network using it refuses to connect. The engines must carry
+// the network's own fault plan: on a network whose plan loses no message
+// the round loop decides quiescence from its own count of messages in
+// flight, and a run whose engines drop messages anyway fails with
+// ErrRemoteShard. Pass an empty group to restore in-process execution.
 func (n *Network) ConnectRemote(group []RemoteShard, bounds []int32) error {
 	if len(group) == 0 {
 		n.remote = nil
@@ -97,47 +103,47 @@ func remoteFail(i int, err error) error {
 	return fmt.Errorf("%w: shard %d: %w", ErrRemoteShard, i, err)
 }
 
-// flushPushes ships the buffered sends of the current round to every
-// engine (writes first, then reads, so engines resolve concurrently) and
-// returns the summed active edge count — the cluster analogue of
-// summing sh.active.count over the in-process shards.
-func (n *Network) flushPushes() (int, error) {
-	for i, r := range n.remote {
-		if err := r.SendPushes(n.round, n.pushBuf[i]); err != nil {
-			return 0, remoteFail(i, err)
+// exchange writes every engine its part of a round — the sends the
+// step of round r produced (push) and the request to deliver round r+1
+// (deliver) — before reading any reply, so the engines work concurrently.
+// It then reads the replies in ascending engine order, each engine's ack
+// before its buffer (the order the engine answers in), and merges the
+// buffers into the client's node half. It returns the summed active edge
+// count — the cluster analogue of summing sh.active.count over the
+// in-process shards — and the number of messages delivered.
+func (n *Network) exchange(sh *shard, r int, push, deliver bool) (active, delivered int, err error) {
+	for i, e := range n.remote {
+		if push {
+			if err := e.SendPushes(r, n.pushBuf[i]); err != nil {
+				return 0, 0, remoteFail(i, err)
+			}
+		}
+		if deliver {
+			if err := e.SendDeliver(r + 1); err != nil {
+				return 0, 0, remoteFail(i, err)
+			}
 		}
 	}
-	active := 0
-	for i, r := range n.remote {
-		a, err := r.ReadPushAck()
-		if err != nil {
-			return 0, remoteFail(i, err)
+	for i, e := range n.remote {
+		if push {
+			a, err := e.ReadPushAck()
+			if err != nil {
+				return 0, 0, remoteFail(i, err)
+			}
+			active += a
+			n.pushBuf[i] = n.pushBuf[i][:0]
 		}
-		active += a
-		n.pushBuf[i] = n.pushBuf[i][:0]
-	}
-	return active, nil
-}
-
-// remoteDeliver runs one round's delivery: every engine drains its edge
-// range for the current round (requests first, so they drain
-// concurrently), and the returned buffers merge into the client's node
-// half in ascending engine order.
-func (n *Network) remoteDeliver(sh *shard) error {
-	for i, r := range n.remote {
-		if err := r.SendDeliver(n.round); err != nil {
-			return remoteFail(i, err)
+		if deliver {
+			buf, err := e.ReadBuffer(n.recvBuf[:0])
+			if err != nil {
+				return 0, 0, remoteFail(i, err)
+			}
+			sh.mergeIn(buf)
+			delivered += len(buf)
+			n.recvBuf = buf[:0]
 		}
 	}
-	for i, r := range n.remote {
-		buf, err := r.ReadBuffer(n.recvBuf[:0])
-		if err != nil {
-			return remoteFail(i, err)
-		}
-		sh.mergeIn(buf)
-		n.recvBuf = buf[:0]
-	}
-	return nil
+	return active, delivered, nil
 }
 
 // finishRemote collects every engine's counters and first-loss record.
@@ -158,10 +164,16 @@ func (n *Network) finishRemote() error {
 }
 
 // runRemote is the cluster driver: the kernel's round with the transfer
-// buffers crossing the RemoteShard transport — sends flushed to the
-// engines (whose acks carry the queued-edge count the verdict needs),
-// deliveries read back and merged. A transport failure abandons the
-// session; any other end tells every engine to finish the run.
+// buffers crossing the RemoteShard transport. On a network whose fault
+// plan loses no message, the client counts the messages in flight
+// (pushed, not yet delivered): that count is zero exactly when the
+// engines' summed active count is, so the verdict runs before the flush
+// and a continuing round costs one exchange per engine — the round's
+// pushes and the next round's delivery written together. A plan that can
+// drop messages keeps the two-exchange round, since only the engines
+// know what they dropped: push, then the verdict on the acks' active
+// count, then deliver. A transport failure abandons the session; any
+// other end tells every engine to finish the run.
 func (n *Network) runRemote(p Proto, halter Halter) error {
 	for i := range n.pushBuf {
 		n.pushBuf[i] = n.pushBuf[i][:0]
@@ -173,18 +185,43 @@ func (n *Network) runRemote(p Proto, halter Halter) error {
 	}
 	sh := n.shards[0]
 	sh.init(p)
+	lossless := n.flt.lossless()
+	inFlight := 0
 	for {
-		queued, err := n.flushPushes()
-		if err != nil {
-			return err
+		r := n.round
+		queued := 0
+		if lossless {
+			for _, b := range n.pushBuf {
+				inFlight += len(b)
+			}
+			queued = inFlight
+		} else {
+			active, _, err := n.exchange(sh, r, true, false)
+			if err != nil {
+				return err
+			}
+			queued = active
 		}
-		if stop, err := n.verdict(halter, queued); stop {
+		stop, err := n.verdict(halter, queued)
+		if lossless {
+			active, delivered, xerr := n.exchange(sh, r, true, !stop)
+			if xerr != nil {
+				return xerr
+			}
+			if (active == 0) != (inFlight == 0) {
+				stop, err = true, fmt.Errorf("%w: round %d: engines report %d active edges with %d messages in flight "+
+					"(do the engines carry the network's fault plan?)", ErrRemoteShard, r, active, inFlight)
+			}
+			inFlight -= delivered
+		} else if !stop {
+			if _, _, err := n.exchange(sh, r, false, true); err != nil {
+				return err
+			}
+		}
+		if stop {
 			if ferr := n.finishRemote(); err == nil {
 				err = ferr
 			}
-			return err
-		}
-		if err := n.remoteDeliver(sh); err != nil {
 			return err
 		}
 		sh.wake()
@@ -194,13 +231,18 @@ func (n *Network) runRemote(p Proto, halter Halter) error {
 
 // LoopbackShard is the in-process reference implementation of
 // RemoteShard: a ShardEngine called directly, with the request/reply
-// split emulated by a one-slot mailbox. It documents the transport
-// contract, anchors the wire implementation's identity tests (cluster
-// execution must be bit-identical with either transport), and gives
-// tests a cluster client with no processes or sockets involved.
+// split emulated by one mailbox slot per reply kind. SendPushes runs the
+// push and keeps the ack; ReadBuffer runs the delivery SendDeliver asked
+// for. A pipelined round (push, deliver, then both reads) therefore sees
+// the same ack and buffer an engine answering in request order sends. It
+// documents the transport contract, anchors the wire implementation's
+// identity tests (cluster execution must be bit-identical with either
+// transport), and gives tests a cluster client with no processes or
+// sockets involved.
 type LoopbackShard struct {
-	eng   *ShardEngine
-	round int
+	eng    *ShardEngine
+	active int // the pending PushAck
+	round  int // the pending Deliver
 }
 
 // NewLoopbackGroup builds an in-process engine group over the same plan a
@@ -232,12 +274,13 @@ func (l *LoopbackShard) RunBegin() error {
 
 // SendPushes implements RemoteShard.
 func (l *LoopbackShard) SendPushes(round int, msgs []Message) error {
-	l.round = round
-	return l.eng.Push(round, msgs)
+	err := l.eng.Push(round, msgs)
+	l.active = l.eng.Active()
+	return err
 }
 
 // ReadPushAck implements RemoteShard.
-func (l *LoopbackShard) ReadPushAck() (int, error) { return l.eng.Active(), nil }
+func (l *LoopbackShard) ReadPushAck() (int, error) { return l.active, nil }
 
 // SendDeliver implements RemoteShard.
 func (l *LoopbackShard) SendDeliver(round int) error {

@@ -33,13 +33,13 @@ func newSched(n int) *sched {
 	}
 }
 
-// add inserts i, reporting whether it was newly added.
-func (s *sched) add(i int32) bool {
+// add inserts i; adding a member is a no-op.
+func (s *sched) add(i int32) {
 	idx := int(i)
 	w := idx >> 6
 	mask := uint64(1) << uint(idx&63)
 	if s.level[0][w]&mask != 0 {
-		return false
+		return
 	}
 	s.level[0][w] |= mask
 	s.count++
@@ -52,7 +52,6 @@ func (s *sched) add(i int32) bool {
 		}
 		s.level[lv][w] |= mask
 	}
-	return true
 }
 
 // drain visits every member in ascending order, removing it first. The

@@ -9,10 +9,11 @@
 // network) driving one remote ShardEngine. A cluster of S engines serving
 // W workers therefore carries W×S sessions; sessions share nothing but
 // the server process, mirroring the in-process design where every pooled
-// worker owns its own Network. A session is strictly synchronous — the
-// client writes one request frame and reads exactly one reply (RunBegin
-// and Goodbye, which have no reply, are the exceptions) — so neither end
-// ever needs to multiplex.
+// worker owns its own Network. Every request frame has exactly one reply
+// (RunBegin and Goodbye, which have none, are the exceptions), the server
+// handles requests one at a time and replies in request order, and the
+// client has at most two requests outstanding: a round's Push and the
+// next round's Deliver. Neither end ever needs to multiplex.
 //
 // # Framing
 //
@@ -49,12 +50,26 @@
 //
 // A run is:
 //
-//	RunBegin                        (no reply; engine resets)
-//	repeat per round r = 0, 1, ...:
-//	  Push{r, sends}  → PushAck{active}
-//	  ... client decides: quiesce/halt/budget/cancel? ...
-//	  Deliver{r+1}    → Buffer{delivered messages}
-//	RunEnd            → RunResult{counters, first loss}
+//	RunBegin                          (no reply; engine resets)
+//	repeat per continuing round r = 0, 1, ...:
+//	  Push{r, sends}, Deliver{r+1}    → PushAck{active}, Buffer{delivered}
+//	final round:
+//	  Push{r, sends}                  → PushAck{active}
+//	RunEnd                            → RunResult{counters, first loss}
+//
+// The client decides each round's verdict — quiescence, halt, round
+// budget, cancellation — before it writes the round. Quiescence needs
+// the engines' summed active count only to test it against zero, and on
+// a run that cannot lose a message the client knows that test already:
+// the messages it pushed and has not had delivered are zero exactly when
+// the engines' queues are empty. The acks still carry the count, and a
+// disagreement fails the run. A fault plan that can drop messages
+// (crashes, churn, lossy links) hides the losses from the client, so
+// such a run keeps two exchanges per round:
+//
+//	Push{r, sends}  → PushAck{active}
+//	... client decides the verdict from the summed active count ...
+//	Deliver{r+1}    → Buffer{delivered messages}
 //
 // Push ships the round's sends from the engine's node range unresolved
 // (from, to, kind, words, payload); the engine resolves the least-loaded
@@ -64,7 +79,7 @@
 // range for the round in ascending edge order, charging faults in the
 // canonical delay → crash → loss order, and returns the surviving
 // messages. The client writes the round's frames to all S engines before
-// reading any reply, so engines work concurrently; replies merge in
+// reading any reply, so engines work concurrently; buffers merge in
 // ascending shard order, which reproduces the sequential engine's global
 // ascending-directed-edge delivery order (engines own ascending
 // contiguous edge ranges). RunResult returns the engine's Result

@@ -418,6 +418,42 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
+// TestSessionAbandonedMidRound drops a client with a pipelined round
+// outstanding — Push and Deliver written, neither reply read — and no
+// Goodbye: the server must close the session on its own (the package's
+// TestMain fence then finds its goroutine gone).
+func TestSessionAbandonedMidRound(t *testing.T) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatalf("torus: %v", err)
+	}
+	srv, addr := startServer(t, ServerConfig{PinShard: -1})
+	c, err := DialEngine(addr, HelloFor(g, 1, 0, 1, 1, nil))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if err := c.RunBegin(); err != nil {
+		t.Fatalf("run begin: %v", err)
+	}
+	if err := c.SendPushes(0, []congest.Message{
+		congest.MakeMessage(0, 1, 7, 1, [congest.PayloadWords]uint64{1}),
+	}); err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	if err := c.SendDeliver(1); err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	c.broken = true // abandon: Close drops the connection without a Goodbye
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().ActiveSessions.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned session is still open after 5s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestSessionBadFrames pins the server's typed rejection of protocol
 // violations inside an established session.
 func TestSessionBadFrames(t *testing.T) {

@@ -80,7 +80,7 @@ func mustService(t *testing.T, g *distwalk.Graph, opts ...distwalk.Option) *dist
 
 // startWireServers serves n engine servers on loopback from this process
 // and returns their addresses; they close with the test.
-func startWireServers(t *testing.T, n int) []string {
+func startWireServers(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
