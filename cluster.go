@@ -25,31 +25,13 @@ const (
 	clusterRoundFloor   = 100 * time.Millisecond
 )
 
-// errClusterMoved is clusterPool.exec's report that the remote engines do
-// not (or no longer) serve the job's topology; nothing ran. The executor
-// runs such a job on local shards, so the error never reaches a caller.
-var errClusterMoved = errors.New("cluster serves another topology generation")
-
-// clusterPlan pins the graph the cluster's remote engines are currently
-// built for and the handshake that builds them (shard 0's Hello; its
-// Bounds are the shard plan). A rotation replaces the whole plan in one
-// store, so a worker that dials sessions and then re-reads the plan can
-// detect a rotation that raced its dials.
-type clusterPlan struct {
-	g     *Graph
-	hello wire.Hello
-}
-
-// clusterPool is a Service's cluster mode: the engine addresses, the plan
-// the engines currently serve, per-engine health and traffic, the
-// failover counter and every worker's session group.
+// clusterPool is a Service's cluster mode: the engine addresses, what
+// every handshake shares (seed, fault plan), per-engine health and
+// traffic, the failover counter and every worker's session group.
 type clusterPool struct {
 	addrs []string
 	seed  uint64
 	fplan *fault.Plan
-
-	// plan is rotated by ApplyMutations (see rotate).
-	plan atomic.Pointer[clusterPlan]
 
 	// Per engine: whether its last session was lost or its last dial
 	// failed (Stats' Health), and the traffic block every worker's
@@ -66,106 +48,88 @@ type clusterPool struct {
 }
 
 // sessionGroup is one worker's sessions, one per engine, and the network
-// they carry. Entries go nil when a session is lost, until the worker's
-// next cluster run redials them; plan is the plan the sessions were
-// dialed under. Only its worker touches it (and teardown, once the
+// they carry. g is the graph the sessions serve and hello the handshake
+// that builds it (shard 0's; its Bounds are the shard plan): a session
+// is built from its own Hello, so it serves g for its lifetime. Entries
+// go nil when a session is lost, until the worker's next cluster run
+// redials them. Only its worker touches it (and teardown, once the
 // workers are gone): a session starts no goroutine and holds no lock.
 type sessionGroup struct {
 	net   *congest.Network
 	conns []*wire.EngineConn
-	plan  *clusterPlan
+	g     *Graph
+	hello wire.Hello
 }
 
-// newClusterPool validates the engine list against g (generation gen)
-// and pins the initial plan. No session is dialed until join.
-func newClusterPool(addrs []string, seed uint64, fplan *fault.Plan, g *Graph, gen uint64) (*clusterPool, error) {
+// newClusterPool validates the engine list against g. No session is
+// dialed until join. Mutations keep the node count, so the check holds
+// for every graph the service will serve.
+func newClusterPool(addrs []string, seed uint64, fplan *fault.Plan, g *Graph) (*clusterPool, error) {
 	if len(addrs) > g.N() {
 		return nil, fmt.Errorf("%w: %d cluster engines for a %d-node graph",
 			ErrClusterConfig, len(addrs), g.N())
 	}
-	p := &clusterPool{
+	return &clusterPool{
 		addrs: addrs,
 		seed:  seed,
 		fplan: fplan,
 		lost:  make([]atomic.Bool, len(addrs)),
 		tally: make([]wire.EngineCounters, len(addrs)),
-	}
-	return p, p.rotate(g, gen)
+	}, nil
 }
 
-// rotate pins the plan for serving g at generation gen (graph digest,
-// shard plan, edge capacity, fault plan). Every session re-sends its
-// handshake with only the shard index varying, which is what pins
-// redialed sessions to the same graph digest; a session group dialed
-// under an older plan is dropped by its next run, so that redial re-pins
-// the engines to the strictly newer generation.
-func (p *clusterPool) rotate(g *Graph, gen uint64) error {
-	h := wire.HelloFor(g, len(p.addrs), 0, 1, p.seed, p.fplan)
-	if len(h.Bounds) != len(p.addrs)+1 {
-		return fmt.Errorf("%w: shard plan has %d ranges for %d engines",
-			ErrClusterConfig, len(h.Bounds)-1, len(p.addrs))
-	}
-	h.Gen = gen
-	p.plan.Store(&clusterPlan{g: g, hello: h})
-	return nil
-}
-
-// join dials a session group for a worker's network under the current
-// plan and attaches the network to it. The group belongs to the pool from
-// the start, so teardown also closes the sessions of a failed join.
-func (p *clusterPool) join(n *congest.Network) (*sessionGroup, error) {
+// join dials a session group serving g for a worker's network and
+// attaches the network to it. The group belongs to the pool from the
+// start, so teardown also closes the sessions of a failed join.
+func (p *clusterPool) join(n *congest.Network, g *Graph) (*sessionGroup, error) {
 	sg := &sessionGroup{net: n, conns: make([]*wire.EngineConn, len(p.addrs))}
 	p.groups = append(p.groups, sg)
-	return sg, p.attach(context.Background(), sg, p.plan.Load())
+	p.serve(sg, g)
+	return sg, p.attach(context.Background(), sg)
+}
+
+// serve points sg at g: its sessions are dialed with g's handshake from
+// now on. The group must hold no session.
+func (p *clusterPool) serve(sg *sessionGroup, g *Graph) {
+	sg.g, sg.hello = g, wire.HelloFor(g, len(p.addrs), 0, 1, p.seed, p.fplan)
 }
 
 // exec runs a job on sg's engines: the session bracket per-key attempts
-// and batches share. A job pinned to a graph the engines no longer serve
-// is refused (errClusterMoved) and healthy sessions are kept for later
-// jobs. A group dialed under a superseded plan holds engines built from a
-// dead topology and is dropped, so the redial re-pins the engines. Then,
-// in this order, sync brings the detached network to the job's snapshot
-// (Reshape refuses an attached network), missing sessions are dialed
-// within ctx and the network attaches. A mutation racing the dials shows
-// as a plan change afterwards, and the job is refused likewise — also
-// when an engine another worker already re-pinned rejected the stale
-// Hello. The round deadline follows ctx, and a run that broke any
-// session drops the whole group (see drop).
+// and batches share. A job whose snapshot graph is not the one sg's
+// sessions serve drops them and redials with the snapshot's handshake,
+// so a job admitted before a mutation runs on the engines against its
+// own snapshot; an InvalidateCache republishes the same graph and
+// redials nothing. Then, in this order, sync brings the detached network
+// to the job's snapshot (Reshape refuses an attached network), missing
+// sessions are dialed within ctx and the network attaches. The round
+// deadline follows ctx, and a run that broke any session drops the whole
+// group (see drop).
 func (p *clusterPool) exec(ctx context.Context, sg *sessionGroup, g *Graph, sync, run func() error) error {
-	plan := p.plan.Load()
-	if plan.g != g {
-		return errClusterMoved
-	}
-	if sg.plan != plan {
+	if sg.g != g {
 		p.drop(sg, nil)
+		p.serve(sg, g)
 	}
 	if err := sync(); err != nil {
 		return err
 	}
-	err := p.attach(ctx, sg, plan)
-	if p.plan.Load() != plan {
-		return errClusterMoved
-	}
-	if err != nil {
+	if err := p.attach(ctx, sg); err != nil {
 		return err
 	}
 	p.arm(ctx, sg)
-	err = run()
+	err := run()
 	if sg.broken() {
 		p.drop(sg, err)
 	}
 	return err
 }
 
-// local runs a job on in-process shards — the WithShards(len(addrs))
-// path, bit-identical to the cluster run by the identity contract — for
-// a job the engines have rotated past, or as a counted failover after a
-// lost cluster run. The network detaches; healthy sessions are kept for
-// the next current-generation job.
-func (p *clusterPool) local(sg *sessionGroup, failover bool, sync, run func() error) error {
-	if failover {
-		p.failovers.Add(1)
-	}
+// local is the counted WithClusterFallback failover: it re-runs a job
+// whose cluster run was lost on in-process shards — the
+// WithShards(len(addrs)) path, bit-identical to the cluster run by the
+// identity contract. The network detaches; healthy sessions are kept
+// for the next job.
+func (p *clusterPool) local(sg *sessionGroup, sync, run func() error) error {
+	p.failovers.Add(1)
 	sg.net.ConnectRemote(nil, nil)
 	if err := sync(); err != nil {
 		return err
@@ -175,12 +139,11 @@ func (p *clusterPool) local(sg *sessionGroup, failover bool, sync, run func() er
 	return run()
 }
 
-// attach dials sg's missing sessions with plan's handshake within ctx and
-// attaches the network to the group under plan's shard bounds. With every
-// session present and attached it is a no-op. exec drops a group whose
-// run broke a session, so no session attach finds is broken.
-func (p *clusterPool) attach(ctx context.Context, sg *sessionGroup, plan *clusterPlan) error {
-	sg.plan = plan
+// attach dials sg's missing sessions with its handshake within ctx and
+// attaches the network to the group under the handshake's shard bounds.
+// With every session present and attached it is a no-op. exec drops a
+// group whose run broke a session, so no session attach finds is broken.
+func (p *clusterPool) attach(ctx context.Context, sg *sessionGroup) error {
 	for i, c := range sg.conns {
 		if c != nil {
 			continue
@@ -188,7 +151,7 @@ func (p *clusterPool) attach(ctx context.Context, sg *sessionGroup, plan *cluste
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("distwalk: cluster engine %d (%s) not redialed: %w", i, p.addrs[i], err)
 		}
-		h := plan.hello
+		h := sg.hello
 		h.Shard = i
 		c, err := wire.DialEngineContext(ctx, p.addrs[i], h, &p.tally[i])
 		p.lost[i].Store(err != nil)
@@ -204,7 +167,7 @@ func (p *clusterPool) attach(ctx context.Context, sg *sessionGroup, plan *cluste
 	for i, c := range sg.conns {
 		group[i] = c
 	}
-	return sg.net.ConnectRemote(group, plan.hello.Bounds)
+	return sg.net.ConnectRemote(group, sg.hello.Bounds)
 }
 
 // arm installs a job's per-exchange deadline on every session: ctx's
@@ -248,7 +211,7 @@ func (p *clusterPool) teardown() {
 }
 
 // close closes the group's sessions (nil-safe: dial failures and dropped
-// sessions leave holes) and forgets the plan they were dialed under.
+// sessions leave holes).
 func (sg *sessionGroup) close() {
 	for i, c := range sg.conns {
 		if c != nil {
@@ -256,7 +219,6 @@ func (sg *sessionGroup) close() {
 			sg.conns[i] = nil
 		}
 	}
-	sg.plan = nil
 }
 
 // broken reports whether any of the group's sessions failed.

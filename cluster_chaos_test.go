@@ -159,7 +159,7 @@ func TestClusterChaosHungEngineTimesOut(t *testing.T) {
 // the engine mid-run makes the request complete in process with results
 // bit-identical to WithShards(S) — the same-seed re-execution argument —
 // and once the engine restarts on its old port the next request redials
-// it with the pinned digest and traffic returns to the cluster.
+// it with the same handshake and traffic returns to the cluster.
 func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
@@ -232,7 +232,7 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 	}
 
 	// Restart the engine on its old port: the next request must redial it
-	// (re-handshaking against the pinned digest), report it healthy again
+	// (re-sending the same handshake), report it healthy again
 	// and run on it.
 	eng0b := startEngineAt(t, eng0.addr, "-debug-addr", "127.0.0.1:0")
 	deadline := time.Now().Add(30 * time.Second)

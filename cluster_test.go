@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -559,21 +560,39 @@ func TestClusterHandshakeErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("GenerationMismatch", func(t *testing.T) {
-		// The first session pins the engine to its graph generation; a
-		// later service over a different graph is refused.
+	t.Run("TwoGraphsOneEngine", func(t *testing.T) {
+		// An engine keeps no graph across sessions: two services over
+		// different graphs hold sessions with it at once, and each serves
+		// requests bit-identical to its in-process twin.
 		eng := startEngine(t)
-		svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
-		if err != nil {
-			t.Fatal(err)
+		graphs := []*distwalk.Graph{g, other}
+		clus := make([]*distwalk.Service, len(graphs))
+		for i, gr := range graphs {
+			clu, err := distwalk.NewService(gr, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
+			if err != nil {
+				t.Fatalf("%d-node graph: %v", gr.N(), err)
+			}
+			defer clu.Close()
+			clus[i] = clu
 		}
-		if _, err := svc.SingleRandomWalk(context.Background(), 1, 0, 64); err != nil {
-			t.Fatalf("warm-up request: %v", err)
-		}
-		svc.Close()
-		_, err = distwalk.NewService(other, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng.addr))
-		if !errors.Is(err, distwalk.ErrClusterRejected) {
-			t.Fatalf("NewService with mismatched graph = %v, want ErrClusterRejected", err)
+		for i, gr := range graphs {
+			local, err := distwalk.NewService(gr, 42, distwalk.WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer local.Close()
+			got, err := clus[i].SingleRandomWalk(context.Background(), 1, 0, 64)
+			if err != nil {
+				t.Fatalf("%d-node graph: %v", gr.N(), err)
+			}
+			want, err := local.SingleRandomWalk(context.Background(), 1, 0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d-node graph: cluster dest=%d %+v, in-process dest=%d %+v",
+					gr.N(), got.Destination, got.Cost, want.Destination, want.Cost)
+			}
 		}
 	})
 

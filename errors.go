@@ -97,8 +97,9 @@ var (
 	// ErrClusterRejected for typed server rejections.
 	ErrClusterEngine = congest.ErrRemoteShard
 	// ErrClusterRejected reports a distwalkd server refusing a session or
-	// request with a typed wire error: graph generation mismatch, shard
-	// index out of range, draining server, protocol violation. Surfaced by
+	// request with a typed wire error: graph digest not matching the
+	// shipped edges, shard index out of range, draining server, protocol
+	// violation. Surfaced by
 	// NewService (handshake) and mid-request (wrapped in
 	// ErrClusterEngine); errors.As against *wire.RemoteError exposes the
 	// code — but the wire package is internal, so match this sentinel.

@@ -293,8 +293,8 @@
 //
 // Reshape refuses what cannot be reshaped in place: a nil or
 // node-count-changing graph, a network attached to remote cluster
-// engines (the service swaps the cluster plan instead; engines re-pin
-// via the rotated handshake), and per-edge capacity functions (capOf
+// engines (the service detaches it and redials sessions built from the
+// new graph's handshake instead), and per-edge capacity functions (capOf
 // closures may capture the old graph). An installed fault plan is
 // recompiled against the new topology; a plan naming a now-removed
 // link fails the reshape with ErrBadFault — the service validates

@@ -37,11 +37,12 @@
 // list, the shard plan (PlanShards bounds), the session's shard index,
 // the engine edge capacity, the service seed (informational) and the
 // fault plan the engine must charge. The server verifies the digest
-// against the shipped topology, pins the first generation it serves
-// (later sessions offering a different generation are rejected with
-// CodeGeneration), checks the shard index against the plan and any
-// -shard pin (CodeShardIndex), compiles the engine (bad plans fail with
-// CodeBadPlan) and answers Welcome. Any rejection is an Error frame
+// against the shipped topology (CodeGeneration on a mismatch), checks
+// the shard index against the plan and any -shard pin (CodeShardIndex),
+// compiles the engine (bad plans fail with CodeBadPlan) and answers
+// Welcome. The engine serves that topology for the session's lifetime;
+// the server keeps no topology across sessions, so sessions for
+// different graphs may be open on one server at once. Any rejection is an Error frame
 // carrying a typed code; the client surfaces it as a *RemoteError whose
 // Unwrap matches the corresponding sentinel (ErrGeneration,
 // ErrShardIndex, ...).
@@ -101,11 +102,9 @@
 // know which frames the surviving sessions consumed. There is no
 // heartbeat: an engine that dies between runs surfaces on the next
 // exchange that uses its session, and the client redials on the request
-// after that, re-sending the pinned Hello — digest included — so a
-// restarted engine serving a different graph generation is rejected,
-// never silently adopted. On the server side, the TCP keepalive Go
-// enables on accepted connections ends the sessions of clients that
-// vanished.
+// after that, re-sending the Hello of the graph the session served. On
+// the server side, the TCP keepalive Go enables on accepted connections
+// ends the sessions of clients that vanished.
 //
 // # Shutdown
 //

@@ -90,8 +90,8 @@ func readFrameAndKeep(r io.Reader, buf *[]byte) (FrameType, any, error) {
 // FuzzHello drives the server handshake with arbitrary Hello payloads
 // over an in-memory pipe: every input must end in a Welcome or a typed
 // Error frame within the handshake timeout, and never panic. A fresh
-// server per input keeps one input's generation pin from shaping the
-// next one's reply.
+// server per input keeps each input's reply independent of the inputs
+// before it.
 func FuzzHello(f *testing.F) {
 	g, err := graph.Torus(4, 4)
 	if err != nil {

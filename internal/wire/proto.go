@@ -21,10 +21,10 @@ const (
 	// Magic is the protocol magic number ("DWK1").
 	Magic = 0x44574b31
 	// Version is the protocol version; both ends must match exactly.
-	// Version 2 added Hello.Gen (the topology generation ordinal that
-	// lets a mutated client rotate the server's pinned digest); version 3
-	// retired the Ping/Pong heartbeat frames, so a version-2 client fails
-	// at the handshake rather than on its first idle ping.
+	// Version 2 added Hello.Gen (a topology generation ordinal, no longer
+	// read); version 3 retired the Ping/Pong heartbeat frames, so a
+	// version-2 client fails at the handshake rather than on its first
+	// idle ping.
 	Version = 3
 )
 
@@ -48,11 +48,11 @@ var (
 	ErrBadMagic = errors.New("wire: bad protocol magic")
 	// ErrVersion reports a protocol version mismatch.
 	ErrVersion = errors.New("wire: protocol version mismatch")
-	// ErrGeneration reports a graph generation (topology digest) that
-	// conflicts with the one the server is already serving.
+	// ErrGeneration reports a Hello whose topology digest does not match
+	// the edge list it ships.
 	ErrGeneration = errors.New("wire: graph generation mismatch")
 	// ErrShardIndex reports a shard index outside the handshake's plan,
-	// or one the server is pinned against.
+	// or one a -shard server does not serve.
 	ErrShardIndex = errors.New("wire: shard index out of range")
 	// ErrBadPlan reports a handshake whose shard bounds or fault plan the
 	// engine rejected.
@@ -172,11 +172,9 @@ func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64
 
 // GraphDigest fingerprints a topology (FNV-1a 64 over the node count and
 // the weighted edge list, in insertion order). The handshake carries it
-// alongside the generation ordinal: a distwalkd process pins the
-// (digest, generation) pair of the first session it serves and refuses
-// sessions for any other digest — unless the session offers a strictly
-// newer generation, which rotates the pin (see Hello.Gen) — so one
-// cluster never silently mixes topologies.
+// next to the edge list, and the server refuses (CodeGeneration) a Hello
+// whose edges do not hash to it, so a session's engine is built from
+// exactly the topology its client declared.
 func GraphDigest(g *graph.G) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -208,11 +206,9 @@ func GraphDigest(g *graph.G) uint64 {
 type Hello struct {
 	Seed   uint64
 	Digest uint64
-	// Gen is the client's topology generation ordinal. The server pins
-	// (Digest, Gen) from the first session it serves; a later Hello with
-	// a strictly greater Gen rotates the pin to its digest (the client
-	// mutated its graph), while a different digest at the same or older
-	// Gen is rejected with CodeGeneration.
+	// Gen is encoded but unread: each session's engine serves the
+	// topology its own Hello ships. It stays on the wire until the
+	// benchmark probes stop setting it.
 	Gen     uint64
 	N       int
 	Edges   []graph.Edge
@@ -224,8 +220,6 @@ type Hello struct {
 
 // HelloFor builds the Hello a client sends for one shard of a cluster
 // over g: PlanShards bounds for `engines` shards and the graph's digest.
-// Gen is left zero; callers serving epoch-versioned topologies stamp it
-// before dialing.
 func HelloFor(g *graph.G, engines, shard, edgeCap int, seed uint64, plan *fault.Plan) Hello {
 	return Hello{
 		Seed:    seed,

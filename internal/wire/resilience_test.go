@@ -196,7 +196,7 @@ func TestEngineLostErrorUnwrap(t *testing.T) {
 }
 
 // congestRemoteFail mirrors congest's remoteFail wrapping, keeping the
-// cross-package taxonomy pinned here.
+// cross-package taxonomy checked here.
 func congestRemoteFail(err error) error {
 	return errors.Join(congest.ErrRemoteShard, err)
 }

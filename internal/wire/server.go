@@ -15,23 +15,20 @@ import (
 )
 
 // Server is the distwalkd session host: it accepts engine sessions, runs
-// the handshake (pinning the first graph generation it serves; a session
-// offering a strictly newer generation ordinal rotates the pin), and
-// drives one congest.ShardEngine per connection through the
-// RunBegin/Push/Deliver/RunEnd state machine. Sessions are independent —
-// each client worker holds its own session per engine, exactly as each
-// pooled worker holds its own Network in-process.
+// the handshake, and drives one congest.ShardEngine per connection
+// through the RunBegin/Push/Deliver/RunEnd state machine. Sessions are
+// independent: each builds its engine from the topology its own Hello
+// ships, so one server may serve different graphs to different sessions
+// at once, and each client worker holds its own session per engine,
+// exactly as each pooled worker holds its own Network in-process.
 type Server struct {
 	cfg ServerConfig
 	m   Metrics
 
-	mu        sync.Mutex
-	ln        net.Listener
-	sessions  map[*session]struct{}
-	closing   bool
-	pinned    bool
-	pinDigest uint64
-	pinGen    uint64
+	mu       sync.Mutex
+	ln       net.Listener
+	sessions map[*session]struct{}
+	closing  bool
 
 	wg sync.WaitGroup
 }
@@ -314,38 +311,18 @@ func (ss *session) handshake() bool {
 		return false
 	}
 	srv.mu.Lock()
-	switch {
-	case srv.closing:
-		srv.mu.Unlock()
+	closing := srv.closing
+	srv.mu.Unlock()
+	if closing {
 		ss.sendErr(CodeShuttingDown, "engine is draining")
 		return false
-	case !srv.pinned:
-		srv.pinned = true
-		srv.pinDigest = h.Digest
-		srv.pinGen = h.Gen
-	case srv.pinDigest == h.Digest:
-		// Same topology; the generation ordinal is irrelevant (a pure
-		// cache-epoch bump does not change the digest).
-	case h.Gen > srv.pinGen:
-		// The client mutated its graph: a strictly newer generation
-		// rotates the pin. Sessions already running keep their own
-		// engines (built at their handshake) and finish undisturbed.
-		srv.pinDigest = h.Digest
-		srv.pinGen = h.Gen
-	default:
-		pin, gen := srv.pinDigest, srv.pinGen
-		srv.mu.Unlock()
-		ss.sendErr(CodeGeneration, fmt.Sprintf("engine serves generation %d (digest %016x), session offered generation %d (digest %016x)",
-			gen, pin, h.Gen, h.Digest))
-		return false
 	}
-	srv.mu.Unlock()
 	if h.Shard < 0 || h.Shard >= len(h.Bounds)-1 {
 		ss.sendErr(CodeShardIndex, fmt.Sprintf("shard index %d outside plan of %d shards", h.Shard, len(h.Bounds)-1))
 		return false
 	}
 	if srv.cfg.PinShard >= 0 && h.Shard != srv.cfg.PinShard {
-		ss.sendErr(CodeShardIndex, fmt.Sprintf("engine is pinned to shard %d, session asked for %d", srv.cfg.PinShard, h.Shard))
+		ss.sendErr(CodeShardIndex, fmt.Sprintf("engine serves only shard %d, session asked for %d", srv.cfg.PinShard, h.Shard))
 		return false
 	}
 	eng, err := congest.NewShardEngine(g, h.Bounds, h.Shard, h.EdgeCap, h.Plan)

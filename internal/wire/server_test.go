@@ -253,20 +253,38 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	})
 
-	t.Run("generation pin", func(t *testing.T) {
-		// A healthy session pins the generation...
-		c, err := DialEngine(addr, HelloFor(g, 2, 0, 1, 1, nil))
-		if err != nil {
-			t.Fatalf("first dial: %v", err)
-		}
-		defer c.Close()
-		// ...and a session for a different topology is refused.
+	t.Run("two topologies one server", func(t *testing.T) {
+		// The server keeps no topology across sessions: sessions for g and
+		// a mutated g2 are open at once, and each engine serves the graph
+		// its own Hello shipped.
 		g2, _ := graph.Torus(4, 4)
 		if err := g2.AddWeightedEdge(0, 5, 2); err != nil {
 			t.Fatalf("add edge: %v", err)
 		}
-		if _, err := DialEngine(addr, HelloFor(g2, 2, 0, 1, 1, nil)); !errors.Is(err, ErrGeneration) {
-			t.Fatalf("got %v, want ErrGeneration", err)
+		seeds := []graph.NodeID{0, 5, 10}
+		nets := make([]*congest.Network, 2)
+		for i, gr := range []*graph.G{g, g2} {
+			group, bounds, _ := dialGroup(t, addr, gr, 2, 1, nil)
+			nets[i] = congest.NewNetwork(gr, 42)
+			if err := nets[i].ConnectRemote(group, bounds); err != nil {
+				t.Fatalf("connect %d: %v", i, err)
+			}
+		}
+		for i, gr := range []*graph.G{g, g2} {
+			want := newTokenProto(gr.N(), seeds, 30)
+			wantRes, err := congest.NewNetwork(gr, 42).Run(want)
+			if err != nil {
+				t.Fatalf("sequential run %d: %v", i, err)
+			}
+			got := newTokenProto(gr.N(), seeds, 30)
+			res, err := nets[i].Run(got)
+			if err != nil {
+				t.Fatalf("cluster run %d: %v", i, err)
+			}
+			if res != wantRes || !reflect.DeepEqual(got.got, want.got) {
+				t.Fatalf("topology %d: result %+v, want %+v (receipts equal: %v)",
+					i, res, wantRes, reflect.DeepEqual(got.got, want.got))
+			}
 		}
 	})
 
@@ -315,8 +333,10 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	})
 
-	if rejects := srv.Metrics().Rejects.Load(); rejects < 7 {
-		t.Fatalf("reject counter %d, want >= 7", rejects)
+	// One each from corrupt digest, shard out of range, bad bounds and
+	// node count, two from raw magic and version.
+	if rejects := srv.Metrics().Rejects.Load(); rejects != 6 {
+		t.Fatalf("reject counter %d, want 6", rejects)
 	}
 }
 
@@ -327,11 +347,11 @@ func TestPinnedShardServer(t *testing.T) {
 	}
 	_, addr := startServer(t, ServerConfig{PinShard: 1})
 	if _, err := DialEngine(addr, HelloFor(g, 2, 0, 1, 1, nil)); !errors.Is(err, ErrShardIndex) {
-		t.Fatalf("pinned server accepted shard 0: %v", err)
+		t.Fatalf("-shard 1 server accepted shard 0: %v", err)
 	}
 	c, err := DialEngine(addr, HelloFor(g, 2, 1, 1, 1, nil))
 	if err != nil {
-		t.Fatalf("pinned server refused its own shard: %v", err)
+		t.Fatalf("-shard 1 server refused its own shard: %v", err)
 	}
 	c.Close()
 }

@@ -69,10 +69,9 @@ func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen)
 // snapshot while new requests admit under the new generation.
 //
 // Publishing a generation invalidates the result cache exactly like
-// InvalidateCache (the generation is folded into every cache digest)
-// and — in cluster mode — rotates the engine handshake so the next dial
-// re-pins the remote processes to the new graph digest instead of being
-// rejected forever.
+// InvalidateCache (the generation is folded into every cache digest).
+// In cluster mode, each worker's next job on the new graph redials its
+// engine sessions with that graph's handshake.
 //
 // An empty batch returns the current generation without bumping it.
 // Invalid edits (ErrBadMutation), edits that would strand the installed
@@ -119,11 +118,6 @@ func (s *Service) ApplyMutations(ctx context.Context, m Mutations) (Generation, 
 		}
 	}
 	next := &topology{gen: cur.gen + 1, g: g2}
-	if s.cluster != nil {
-		if err := s.cluster.rotate(g2, next.gen); err != nil {
-			return Generation(cur.gen), fmt.Errorf("distwalk: mutation rejected: %w", err)
-		}
-	}
 	s.publishTopology(next)
 	s.mut.applied.Add(1)
 	s.mut.edgesAdded.Add(int64(len(m.AddEdges)))

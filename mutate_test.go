@@ -738,11 +738,10 @@ func TestMutationChaos(t *testing.T) {
 }
 
 // TestClusterMutationRehandshake drives a mutation through a real
-// 2-process cluster: after ApplyMutations rotates the cluster's
-// handshake, the next request re-dials the engines, the engines re-pin
-// to the new graph digest and higher generation (instead of rejecting
-// the unknown digest forever), and the result is bit-identical to an
-// in-process service over the mutated graph. No WithClusterFallback is
+// 2-process cluster: after ApplyMutations, the next request redials the
+// engines with the mutated graph's handshake, the engines build their
+// shards from it, and the result is bit-identical to an in-process
+// service over the mutated graph. No WithClusterFallback is
 // installed, so a successful request proves the remote path worked.
 func TestClusterMutationRehandshake(t *testing.T) {
 	if testing.Short() {
@@ -777,7 +776,7 @@ func TestClusterMutationRehandshake(t *testing.T) {
 	}
 	res, err := clu.SingleRandomWalk(ctx, 2, 0, 1024)
 	if err != nil {
-		t.Fatalf("post-mutation cluster request failed (engines should re-pin, not reject): %v", err)
+		t.Fatalf("post-mutation cluster request failed (engines should accept the new handshake): %v", err)
 	}
 
 	// The request genuinely ran on the re-handshaken engines.
@@ -820,10 +819,10 @@ func TestClusterMutationRehandshake(t *testing.T) {
 
 // TestClusterPinnedBatchAcrossMutation: a SubmitWalk queued across an
 // ApplyMutations runs, as a batch, on the snapshot it admitted under —
-// in a cluster service exactly as in process. The engines already serve
-// the new graph when the batch flushes, so the batch runs on local
-// shards: bit-identical to WithShards(2), with no failover counted and,
-// with or without WithRetry, no error.
+// in a cluster service exactly as in process. The batch runs on the
+// engines, whose sessions are dialed with that snapshot's handshake:
+// bit-identical to WithShards(2), with no failover counted and, with or
+// without WithRetry, no error.
 func TestClusterPinnedBatchAcrossMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster batches over TCP skipped in -short mode")
@@ -873,6 +872,13 @@ func TestClusterPinnedBatchAcrossMutation(t *testing.T) {
 			}
 			if st.Cluster.Failovers != 0 {
 				t.Fatalf("a pinned batch counted as a failover: %+v", st.Cluster)
+			}
+			runs := int64(0)
+			for _, e := range st.Cluster.Engines {
+				runs += e.Runs
+			}
+			if runs == 0 {
+				t.Fatalf("the pinned batch ran on no engine: %+v", st.Cluster)
 			}
 		})
 	}

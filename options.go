@@ -187,8 +187,9 @@ func WithShards(s int) Option {
 // same cost counters, same fault census, per request key — the cluster
 // identity suite pins exactly that. Each pool worker holds one session
 // per engine, so a service runs Workers()×len(addrs) sessions; a lost
-// session is redialed by the worker's next cluster run, and Close tears
-// them all down. Construction-only: per-request use fails with
+// session, or one serving another graph than the job's snapshot, is
+// redialed by the worker's next cluster run, and Close tears them all
+// down. Construction-only: per-request use fails with
 // ErrOptionScope. Cluster mode excludes WithShards (the in-process shard
 // layout is moot; it is forced to 1) and requires len(addrs) <= n.
 // NewService fails with ErrClusterConfig on a bad engine list and with a

@@ -123,7 +123,7 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 		// is moot (ConnectRemote forces it off anyway).
 		cfg.shards = 1
 		var err error
-		if cluster, err = newClusterPool(cfg.cluster, seed, cfg.fplan, g, 1); err != nil {
+		if cluster, err = newClusterPool(cfg.cluster, seed, cfg.fplan, g); err != nil {
 			return nil, err
 		}
 	}
@@ -166,7 +166,7 @@ func NewService(g *Graph, seed uint64, opts ...Option) (*Service, error) {
 	}
 	for i := 0; cluster != nil && i < len(workers); i++ {
 		var err error
-		if workers[i].sess, err = cluster.join(workers[i].net); err != nil {
+		if workers[i].sess, err = cluster.join(workers[i].net, g); err != nil {
 			// A later dial failing must not leak the sessions already
 			// established.
 			cluster.teardown()
@@ -470,12 +470,12 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 
 // execJob is the one executor, for per-key attempts and batches alike:
 // it decides where the prepared job run executes. In process it just
-// runs. In cluster mode it runs on the remote engines — unless they serve
-// another graph than the job's snapshot, when it runs on local shards, or
-// its cluster run is lost to an engine and fallback is on, when it fails
-// over to local shards with the same seed. Sharded execution is
-// bit-identical to cluster execution per (graph, seed, job), so neither
-// local path changes a result; only the failover is counted.
+// runs. In cluster mode it runs on the remote engines, against the job's
+// own snapshot graph (the worker's sessions follow it; see
+// clusterPool.exec), unless its cluster run is lost to an engine and
+// fallback is on, when it fails over to local shards with the same seed
+// and is counted. Sharded execution is bit-identical to cluster
+// execution per (graph, seed, job), so the failover changes no result.
 func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, fallback bool, run func() error) error {
 	c := s.cluster
 	if c == nil {
@@ -483,16 +483,13 @@ func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, f
 	}
 	sync := func() error { return s.syncWarm(pw, snap) }
 	err := c.exec(ctx, pw.sess, snap.g, sync, run)
-	moved := err == errClusterMoved
-	if !moved {
-		if err == nil || !fallback || !errors.Is(err, ErrClusterEngine) {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("distwalk: cluster run lost and cannot fail over: %w", cerr)
-		}
+	if err == nil || !fallback || !errors.Is(err, ErrClusterEngine) {
+		return err
 	}
-	return c.local(pw.sess, !moved, sync, run)
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("distwalk: cluster run lost and cannot fail over: %w", cerr)
+	}
+	return c.local(pw.sess, sync, run)
 }
 
 // syncWarm reshapes a worker network to the request's snapshot graph
@@ -513,10 +510,10 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 // executes under no member's context: one member's cancellation must not
 // abort its batchmates, so post-flush cancellation is not observed (see
 // internal/sched's determinism notes). It goes through the executor
-// per-key attempts use, so in cluster mode a batch pinned to a topology
-// the engines have rotated past runs on local shards, and one whose
-// sessions cannot be dialed fails over there when WithClusterFallback is
-// the service default. Any other failure before the run aborts the batch
+// per-key attempts use, so in cluster mode a batch runs on the engines
+// against the snapshot its members admitted under, and one whose
+// sessions cannot be dialed fails over to local shards when
+// WithClusterFallback is the service default. Any other failure before the run aborts the batch
 // retryably (ErrBatchAborted). A batch that loses an engine mid-run has
 // already reported the loss to its members (Execute aborts them
 // retryably), so it never runs twice; under WithRetry its members then

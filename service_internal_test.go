@@ -87,10 +87,11 @@ func TestWorkerWalkerSurvivesMutation(t *testing.T) {
 }
 
 // wireEngines serves n engine servers on loopback from this process and
-// returns their addresses; they close with the test.
-func wireEngines(t *testing.T, n int) []string {
+// returns their addresses and the servers; they close with the test.
+func wireEngines(t *testing.T, n int) ([]string, []*wire.Server) {
 	t.Helper()
 	addrs := make([]string, n)
+	srvs := make([]*wire.Server, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -99,9 +100,9 @@ func wireEngines(t *testing.T, n int) []string {
 		srv := wire.NewServer(wire.ServerConfig{PinShard: -1})
 		go srv.Serve(ln)
 		t.Cleanup(srv.Close)
-		addrs[i] = ln.Addr().String()
+		addrs[i], srvs[i] = ln.Addr().String(), srv
 	}
-	return addrs
+	return addrs, srvs
 }
 
 // TestCountersWorkerInvariant pins the counter blocks against who served
@@ -115,7 +116,7 @@ func TestCountersWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := wireEngines(t, 2)
+	engines, _ := wireEngines(t, 2)
 	walks := func(t *testing.T, svc *Service, keys []uint64) {
 		var wg sync.WaitGroup
 		for _, key := range keys {
@@ -176,13 +177,11 @@ func TestCountersWorkerInvariant(t *testing.T) {
 	})
 }
 
-// TestClusterMovedRequestRunsOnLocalShards covers the executor's moved
-// path for a per-key request: admitted under one generation and run after
-// a mutation rotated the cluster plan, it runs on local shards against
-// its snapshot — bit-identical to WithShards(2), no engine traffic and no
-// failover counted — and the next current-generation request runs on the
-// engines again.
-func TestClusterMovedRequestRunsOnLocalShards(t *testing.T) {
+// TestClusterPinnedRequestRunsOnEngines: a per-key request admitted under
+// one generation and run after a mutation runs on the engines against its
+// own snapshot (the worker redials with that snapshot's handshake) —
+// bit-identical to WithShards(2), with no failover counted.
+func TestClusterPinnedRequestRunsOnEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sessions over TCP skipped in -short mode")
 	}
@@ -214,29 +213,117 @@ func TestClusterMovedRequestRunsOnLocalShards(t *testing.T) {
 	defer local.Close()
 	want := pinned(t, local)
 
-	clu, err := NewService(g, 42, WithWorkers(1), WithCluster(wireEngines(t, 2)...))
+	addrs, _ := wireEngines(t, 2)
+	clu, err := NewService(g, 42, WithWorkers(1), WithCluster(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	runs := func() (n int64) {
-		for _, e := range clu.Stats().Cluster.Engines {
-			n += e.Runs
+	got := pinned(t, clu)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned request diverged from in-process:\n  cluster: dest=%d %+v\n  local:   dest=%d %+v",
+			got.Destination, got.Cost, want.Destination, want.Cost)
+	}
+	st := clu.Stats().Cluster
+	runs := int64(0)
+	for _, e := range st.Engines {
+		runs += e.Runs
+	}
+	if st.Failovers != 0 || runs == 0 {
+		t.Fatalf("pinned request did not run on the engines, or counted as a failover: %+v", st)
+	}
+}
+
+// TestClusterSessionsFollowSnapshot pins what a worker's sessions cost
+// when the published graph changes, counted by the servers' accepted
+// sessions (1 worker, 2 engines): an InvalidateCache republishes the
+// same graph and opens none; the first request after a mutation opens 2;
+// a request admitted before that mutation and run after it opens 2 (its
+// snapshot is the old graph), and the next current request 2 more. Every
+// result equals its WithShards(2) twin's.
+func TestClusterSessionsFollowSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sessions over TCP skipped in -short mode")
+	}
+	ctx := context.Background()
+	g, err := Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, srvs := wireEngines(t, 2)
+	sessions := func() (n int64) {
+		for _, srv := range srvs {
+			n += srv.Metrics().Sessions.Load()
 		}
 		return n
 	}
-	got := pinned(t, clu)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("moved request diverged from in-process:\n  cluster: dest=%d %+v\n  local:   dest=%d %+v",
-			got.Destination, got.Cost, want.Destination, want.Cost)
+	var (
+		staleCfg  *config
+		staleSnap *topology
+	)
+	type step struct {
+		name string
+		do   func(t *testing.T, svc *Service) *WalkResult
+		dial int64 // sessions the step opens
 	}
-	if st := clu.Stats().Cluster; st.Failovers != 0 || runs() != 0 {
-		t.Fatalf("moved request reached the engines or counted as a failover: %+v", st)
+	walk := func(key uint64) func(*testing.T, *Service) *WalkResult {
+		return func(t *testing.T, svc *Service) *WalkResult {
+			res, err := svc.SingleRandomWalk(ctx, key, 0, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
 	}
-	if _, err := clu.SingleRandomWalk(ctx, 4, 0, 256); err != nil {
-		t.Fatal(err)
+	steps := []step{
+		{"first request", walk(1), 0},
+		{"invalidate cache", func(t *testing.T, svc *Service) *WalkResult {
+			if err := svc.InvalidateCache(); err != nil {
+				t.Fatal(err)
+			}
+			return walk(2)(t, svc)
+		}, 0},
+		{"mutation", func(t *testing.T, svc *Service) *WalkResult {
+			// Key 4 admits before the mutation and runs in the next step.
+			if staleCfg, staleSnap, err = svc.admit(4, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.ApplyMutations(ctx, Mutations{AddEdges: []EdgeMutation{{U: 0, V: 30}}}); err != nil {
+				t.Fatal(err)
+			}
+			return walk(3)(t, svc)
+		}, 2},
+		{"stale request", func(t *testing.T, svc *Service) *WalkResult {
+			res, err := runRequest(ctx, svc, &singleKind, 4, operands{node: 0, ell: 256}, staleCfg, staleSnap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}, 2},
+		{"next current request", walk(5), 2},
 	}
-	if runs() == 0 {
-		t.Fatal("the next current-generation request ran no engine run")
+	run := func(t *testing.T, opts ...Option) []*WalkResult {
+		svc, err := NewService(g, 42, append(opts, WithWorkers(1), WithResultCache(1<<20))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		out := make([]*WalkResult, len(steps))
+		for i, st := range steps {
+			before := sessions()
+			out[i] = st.do(t, svc)
+			if opened := sessions() - before; svc.cluster != nil && opened != st.dial {
+				t.Fatalf("%s opened %d sessions, want %d", st.name, opened, st.dial)
+			}
+		}
+		return out
+	}
+	want := run(t, WithShards(2))
+	got := run(t, WithCluster(addrs...))
+	for i, st := range steps {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s diverged from in-process:\n  cluster: dest=%d %+v\n  local:   dest=%d %+v",
+				st.name, got[i].Destination, got[i].Cost, want[i].Destination, want[i].Cost)
+		}
 	}
 }
