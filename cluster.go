@@ -3,7 +3,9 @@ package distwalk
 // Cluster mode (WithCluster): the transport layer of every worker's
 // network runs inside remote distwalkd engines, one session per engine
 // per worker. Everything cluster mode adds to a Service sits behind
-// clusterPool; the Service only calls its methods.
+// clusterPool; the Service only calls its methods. A job runs on the
+// engines or fails typed: a lost engine fails it with ErrClusterEngine,
+// and the worker's next job redials the session.
 
 import (
 	"context"
@@ -27,7 +29,7 @@ const (
 
 // clusterPool is a Service's cluster mode: the engine addresses, what
 // every handshake shares (seed, fault plan), per-engine health and
-// traffic, the failover counter and every worker's session group.
+// traffic, and every worker's session group.
 type clusterPool struct {
 	addrs []string
 	seed  uint64
@@ -38,10 +40,6 @@ type clusterPool struct {
 	// session with it adds to.
 	lost  []atomic.Bool
 	tally []wire.EngineCounters
-
-	// failovers counts jobs re-run on local shards after a lost cluster
-	// run (see local).
-	failovers atomic.Int64
 
 	// groups are every worker's sessions, reached only by teardown.
 	groups []*sessionGroup
@@ -121,22 +119,6 @@ func (p *clusterPool) exec(ctx context.Context, sg *sessionGroup, g *Graph, sync
 		p.drop(sg, err)
 	}
 	return err
-}
-
-// local is the counted WithClusterFallback failover: it re-runs a job
-// whose cluster run was lost on in-process shards — the
-// WithShards(len(addrs)) path, bit-identical to the cluster run by the
-// identity contract. The network detaches; healthy sessions are kept
-// for the next job.
-func (p *clusterPool) local(sg *sessionGroup, sync, run func() error) error {
-	p.failovers.Add(1)
-	sg.net.ConnectRemote(nil, nil)
-	if err := sync(); err != nil {
-		return err
-	}
-	sg.net.SetShards(len(p.addrs))
-	defer sg.net.SetShards(1)
-	return run()
 }
 
 // attach dials sg's missing sessions with its handshake within ctx and
@@ -235,7 +217,7 @@ func (sg *sessionGroup) broken() bool {
 // the start: Stats and /metrics must name every engine before it has
 // served anything, which is exactly when a dead one needs to be visible.
 func (p *clusterPool) stats() ClusterStats {
-	out := ClusterStats{Failovers: p.failovers.Load()}
+	var out ClusterStats
 	for i := range p.tally {
 		health := "healthy"
 		if p.lost[i].Load() {

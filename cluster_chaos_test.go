@@ -3,15 +3,14 @@ package distwalk_test
 // Chaos suite for cluster failure semantics: real distwalkd processes are
 // SIGKILLed and SIGSTOPped mid-run and between requests, while the
 // Service must (a) surface typed ErrClusterEngine failures within the
-// request's deadline instead of hanging, (b) recover bit-identically in
-// process under WithClusterFallback, and (c) redial with the pinned
-// digest once a killed engine returns on its old port. CI runs it under
-// -race in the cluster job's chaos step.
+// request's deadline instead of hanging, never re-running the request in
+// process, and (b) redial with the same handshake once a killed engine
+// returns on its old port, bit-identical to WithShards(S) again. CI runs
+// it under -race in the cluster job's chaos step.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"syscall"
 	"testing"
 	"time"
@@ -85,7 +84,7 @@ func TestClusterChaosKillMidRunFailsTyped(t *testing.T) {
 	if len(st.Cluster.Health) != 1 || st.Cluster.Health[0] != "lost" {
 		t.Fatalf("killed engine not reported lost: %+v", st.Cluster)
 	}
-	// Without fallback, follow-up requests keep failing typed — fast.
+	// Follow-up requests keep failing typed on the refused redial.
 	if _, err := svc.SingleRandomWalk(context.Background(), 2, 0, 64); !errors.Is(err, distwalk.ErrClusterEngine) {
 		t.Fatalf("request after kill = %v, want ErrClusterEngine", err)
 	}
@@ -154,13 +153,12 @@ func TestClusterChaosHungEngineTimesOut(t *testing.T) {
 	within(2, 64, nil)
 }
 
-// TestClusterChaosFallbackRecoversBitIdentical is the acceptance
-// criterion for graceful degradation: with WithClusterFallback, killing
-// the engine mid-run makes the request complete in process with results
-// bit-identical to WithShards(S) — the same-seed re-execution argument —
-// and once the engine restarts on its old port the next request redials
-// it with the same handshake and traffic returns to the cluster.
-func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
+// TestClusterChaosKillThenRedialBitIdentical is the isolation contract
+// end to end: killing an engine mid-run fails the request typed — it is
+// not re-run in process, so Failovers stays 0 — and once the engine
+// restarts on its old port the next request redials it with the same
+// handshake, and the service is bit-identical to WithShards(S) again.
+func TestClusterChaosKillThenRedialBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
 	}
@@ -169,8 +167,7 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const engines = 2
-	// Reference digests from the in-process sharded service cluster mode
-	// is bit-identical to — fallback must land exactly here.
+	// The in-process sharded service cluster mode is bit-identical to.
 	ref, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithShards(engines))
 	if err != nil {
 		t.Fatal(err)
@@ -179,77 +176,51 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 
 	eng0 := startEngine(t, "-debug-addr", "127.0.0.1:0")
 	eng1 := startEngine(t)
-	svc, err := distwalk.NewService(g, 42,
-		distwalk.WithWorkers(1),
-		distwalk.WithCluster(eng0.addr, eng1.addr),
-		distwalk.WithClusterFallback())
+	svc, err := distwalk.NewService(g, 42, distwalk.WithWorkers(1), distwalk.WithCluster(eng0.addr, eng1.addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	// Kill engine 0 mid-run: the long walk must still complete, and
-	// bit-identically to the reference.
-	type result struct {
-		out string
-		err error
-	}
-	resCh := make(chan result, 1)
-	longWalk := func(svc *distwalk.Service) (string, error) {
-		res, err := svc.SingleRandomWalk(context.Background(), 99, 0, 300_000)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("dest=%d len=%d cost=%+v", res.Destination, res.Length, res.Cost), nil
-	}
+	// Kill engine 0 mid-run: the long walk fails typed, promptly.
+	errCh := make(chan error, 1)
 	go func() {
-		out, err := longWalk(svc)
-		resCh <- result{out, err}
+		_, err := svc.SingleRandomWalk(context.Background(), 99, 0, 300_000)
+		errCh <- err
 	}()
 	waitMidRun(t, eng0, 200)
 	if err := eng0.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	var got result
 	select {
-	case got = <-resCh:
+	case err := <-errCh:
+		if !errors.Is(err, distwalk.ErrClusterEngine) || !errors.Is(err, distwalk.ErrEngineLost) {
+			t.Fatalf("request across a mid-run kill = %v, want ErrClusterEngine + ErrEngineLost", err)
+		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("fallback request hung after SIGKILL")
+		t.Fatal("request hung after SIGKILL")
 	}
-	if got.err != nil {
-		t.Fatalf("request with fallback failed: %v", got.err)
-	}
-	want, err := longWalk(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.out != want {
-		t.Fatalf("fallback diverged from WithShards(%d):\n  cluster:  %s\n  sharded:  %s", engines, got.out, want)
-	}
-	st := svc.Stats()
-	if st.Cluster.Failovers < 1 {
-		t.Fatalf("Stats().Cluster.Failovers = %d, want >= 1", st.Cluster.Failovers)
+	st := svc.Stats().Cluster
+	if st.Health[0] != "lost" || st.Failovers != 0 {
+		t.Fatalf("after the kill: Health %v, Failovers %d; want engine 0 lost and no failover", st.Health, st.Failovers)
 	}
 
-	// Restart the engine on its old port: the next request must redial it
-	// (re-sending the same handshake), report it healthy again
-	// and run on it.
+	// Restart the engine on its old port: the next request redials it
+	// with the same handshake, reports it healthy again and runs on it.
+	eng0.waitExit(t, 10*time.Second)
 	eng0b := startEngineAt(t, eng0.addr, "-debug-addr", "127.0.0.1:0")
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := svc.SingleRandomWalk(context.Background(), 7, 0, 64); err == nil &&
-			svc.Stats().Cluster.Health[0] == "healthy" && fetchEngineVars(t, eng0b.debug)["runs"] > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("service never returned to the restarted engine: %+v", svc.Stats().Cluster)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if _, err := svc.SingleRandomWalk(context.Background(), 7, 0, 64); err != nil {
+		t.Fatalf("request after restart: %v", err)
+	}
+	if h := svc.Stats().Cluster.Health[0]; h != "healthy" {
+		t.Fatalf("Health[0] = %q after the redial, want healthy", h)
+	}
+	if runs := fetchEngineVars(t, eng0b.debug)["runs"]; runs == 0 {
+		t.Fatal("the restarted engine served no run")
 	}
 
 	// Full identity sweep on the healed cluster: every workload digest
-	// matches the in-process reference again, and none of it failed over.
-	failovers := svc.Stats().Cluster.Failovers
+	// matches the in-process reference again.
 	for _, wl := range shardWorkloads() {
 		a, errA := wl.run(ref, 5)
 		b, errB := wl.run(svc, 5)
@@ -260,15 +231,15 @@ func TestClusterChaosFallbackRecoversBitIdentical(t *testing.T) {
 			t.Errorf("%s diverged after redial:\n  sharded: %s\n  cluster: %s", wl.name, a, b)
 		}
 	}
-	if got := svc.Stats().Cluster.Failovers; got != failovers {
-		t.Errorf("healed cluster failed over %d more times", got-failovers)
+	if got := svc.Stats().Cluster.Failovers; got != 0 {
+		t.Errorf("Failovers = %d, want 0", got)
 	}
 }
 
 // TestClusterChaosIdleDeath: an engine killed while the cluster is idle
-// surfaces on the next request that uses its session — typed and fast
-// without fallback, bit-identical to WithShards(1) with it — and a
-// request after the engine restarts on its old port runs on it again.
+// surfaces on the next request that uses its session, typed and fast,
+// and a request after the engine restarts on its old port runs on it
+// again, bit-identical to WithShards(1).
 func TestClusterChaosIdleDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos over TCP skipped in -short mode")
@@ -299,7 +270,7 @@ func TestClusterChaosIdleDeath(t *testing.T) {
 	}
 	eng.waitExit(t, 10*time.Second)
 
-	// Without fallback the dead session fails the next request at once.
+	// The dead session fails the next request at once.
 	start := time.Now()
 	_, err = svc.SingleRandomWalk(ctx, 2, 0, 512)
 	if !errors.Is(err, distwalk.ErrClusterEngine) || !errors.Is(err, distwalk.ErrEngineLost) {
@@ -309,24 +280,17 @@ func TestClusterChaosIdleDeath(t *testing.T) {
 		t.Fatalf("idle death surfaced after %v, want within 1s", elapsed)
 	}
 
-	// With fallback the refused redial falls over, bit for bit.
-	a, errA := ref.SingleRandomWalk(ctx, 3, 0, 512)
-	b, errB := svc.SingleRandomWalk(ctx, 3, 0, 512, distwalk.WithClusterFallback())
+	// Restarted on its old port, the engine serves again: a cluster
+	// request never runs in process, so a success ran remotely, and it
+	// matches WithShards(1) bit for bit.
+	startEngineAt(t, eng.addr)
+	a, errA := ref.SingleRandomWalk(ctx, 4, 0, 512)
+	b, errB := svc.SingleRandomWalk(ctx, 4, 0, 512)
 	if errA != nil || errB != nil {
-		t.Fatalf("post-death request: ref err %v, cluster err %v", errA, errB)
+		t.Fatalf("request after restart: ref err %v, cluster err %v", errA, errB)
 	}
 	if a.Destination != b.Destination || a.Length != b.Length || a.Cost != b.Cost {
-		t.Fatalf("fallback after idle death diverged: ref %+v, cluster %+v", a, b)
-	}
-	if got := svc.Stats().Cluster.Failovers; got < 1 {
-		t.Fatalf("Failovers = %d, want >= 1", got)
-	}
-
-	// Restarted on its old port, the engine serves again: no fallback is
-	// set, so a success ran remotely.
-	startEngineAt(t, eng.addr)
-	if _, err := svc.SingleRandomWalk(ctx, 4, 0, 512); err != nil {
-		t.Fatalf("request after restart: %v", err)
+		t.Fatalf("request after restart diverged: ref %+v, cluster %+v", a, b)
 	}
 	if h := svc.Stats().Cluster.Health[0]; h != "healthy" {
 		t.Fatalf("Health[0] = %q after restart, want healthy", h)

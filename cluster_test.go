@@ -654,7 +654,7 @@ func TestDistwalkdExitCodes(t *testing.T) {
 	}
 }
 
-// --- observability: Stats().Cluster, StatsHandler, expvar on both ends ---
+// --- observability: Stats().Cluster and /metrics on the client, expvar on the engine ---
 
 // TestClusterMetricsBeforeFirstRequest: a cluster service that has served
 // nothing already names every engine in Stats and on /metrics. An engine
@@ -758,51 +758,17 @@ func TestClusterStatsAndDebug(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Client side: per-engine traffic in Stats().Cluster.
+	// Client side: per-engine traffic and health in Stats().Cluster.
 	st := svc.Stats()
-	if len(st.Cluster.Engines) != 1 {
+	if len(st.Cluster.Engines) != 1 || len(st.Cluster.Health) != 1 {
 		t.Fatalf("Stats().Cluster = %+v, want one engine", st.Cluster)
 	}
 	es := st.Cluster.Engines[0]
 	if es.Addr != eng.addr || es.Runs == 0 || es.Rounds == 0 || es.MsgsOut == 0 || es.BytesIn == 0 {
 		t.Fatalf("engine stats incomplete: %+v", es)
 	}
-
-	// Client side over HTTP: StatsHandler serves the same snapshot.
-	req := httptest.NewRequest("GET", "/debug/distwalk", nil)
-	rr := httptest.NewRecorder()
-	svc.StatsHandler().ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("StatsHandler status %d", rr.Code)
-	}
-	var decoded struct {
-		Cluster struct {
-			Engines []struct {
-				Addr string
-				Runs int64
-			}
-			Health []string
-		}
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("StatsHandler body is not JSON: %v\n%s", err, rr.Body)
-	}
-	if len(decoded.Cluster.Engines) != 1 || decoded.Cluster.Engines[0].Addr != eng.addr || decoded.Cluster.Engines[0].Runs == 0 {
-		t.Fatalf("StatsHandler cluster section = %+v", decoded.Cluster)
-	}
-	if len(decoded.Cluster.Health) != 1 || decoded.Cluster.Health[0] != "healthy" {
-		t.Fatalf("StatsHandler cluster health = %+v", decoded.Cluster.Health)
-	}
-
-	// Client side via expvar: publish succeeds once, duplicate is a typed
-	// error instead of expvar's panic.
-	// Unique per run: expvar names are process-global (go test -count=2).
-	name := fmt.Sprintf("distwalk-cluster-test-%d", time.Now().UnixNano())
-	if err := svc.PublishExpvar(name); err != nil {
-		t.Fatalf("PublishExpvar: %v", err)
-	}
-	if err := svc.PublishExpvar(name); err == nil {
-		t.Fatal("duplicate PublishExpvar succeeded, want error")
+	if st.Cluster.Health[0] != "healthy" {
+		t.Fatalf("Stats().Cluster.Health = %v, want healthy", st.Cluster.Health)
 	}
 
 	// Server side: the daemon's -debug-addr exports wire.Metrics under

@@ -106,9 +106,8 @@ var (
 	ErrClusterRejected = wire.ErrEngine
 	// ErrEngineLost reports a cluster engine session that died in use —
 	// connection reset, SIGKILL'd daemon, protocol desync — or an engine
-	// the redial could not reach. Always wrapped in ErrClusterEngine; with
-	// WithClusterFallback the request recovers in-process instead of
-	// surfacing this.
+	// the redial could not reach. Always wrapped in ErrClusterEngine; the
+	// request fails, and the worker's next request redials the engine.
 	ErrEngineLost = wire.ErrEngineLost
 	// ErrEngineTimeout reports a cluster engine that failed to answer
 	// within the per-exchange deadline — the request context's remaining

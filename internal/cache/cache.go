@@ -121,7 +121,7 @@ type Execution struct {
 	// Bytes is the deep size estimate charged against capacity.
 	Bytes int64
 	// Rounds is the simulated-round cost. The cache does not read it; it
-	// stays because benchmark/replay.go sets it (ROADMAP item 7's
+	// stays because benchmark/replay.go sets it (ROADMAP 2A(i)'s
 	// benchmark PR may drop it).
 	Rounds int64
 	// NoStore shares the value with coalesced waiters but keeps it out of

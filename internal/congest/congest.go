@@ -424,7 +424,7 @@ func (n *Network) pushRemote(from, to graph.NodeID, kind uint16, words int, w0, 
 
 // Payload, Send and As adapt a type that encodes itself to SendTo for the
 // one caller left that sends that way, benchmark/probes.go's flood;
-// ROADMAP 2(a) deletes them once the flood sends with SendPort.
+// ROADMAP 2A(a) deletes them once the flood sends with SendPort.
 type Payload interface {
 	Words() int
 	Kind() uint16

@@ -201,3 +201,77 @@ func TestClaimLemma26UniformCountsAblation(t *testing.T) {
 			refills[1], rounds[1], refills[0], rounds[0])
 	}
 }
+
+// roundRatio is the paper's walk's rounds over the naive walk's at ℓ
+// from node 0, each summed over three seeds.
+func roundRatio(t *testing.T, g *graph.G, ell int) float64 {
+	t.Helper()
+	var fast, naive float64
+	for seed := uint64(claimSeed); seed < claimSeed+3; seed++ {
+		fast += float64(stitchedWalk(t, g, seed, DefaultParams(), 0, ell).Cost.Rounds)
+		naive += naiveRounds(t, g, seed, ell)
+	}
+	return fast / naive
+}
+
+// crossover returns ℓ*, the first walk length at which the paper's walk
+// takes fewer rounds than the naive walk: doubling from 64, then
+// bisecting the last doubling step down to a sixteenth of ℓ*.
+func crossover(t *testing.T, g *graph.G) int {
+	t.Helper()
+	const maxEll = 1 << 14
+	hi := 64
+	for roundRatio(t, g, hi) >= 1 {
+		if hi *= 2; hi > maxEll {
+			t.Fatalf("%d-node graph: the paper's walk never beats the naive walk up to ℓ=%d", g.N(), maxEll)
+		}
+	}
+	for lo := hi / 2; hi-lo > hi/16; {
+		if mid := (lo + hi) / 2; roundRatio(t, g, mid) < 1 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// Where the paper's walk pays: it beats the naive O(ℓ) walk only once
+// √(ℓD)·polylog < ℓ, so the crossover ℓ* grows with D — about 32–44·D on
+// paths and tori — and past it the advantage opens up. Nothing is held
+// beyond 8ℓ*: once ℓ ≫ n² the walk refills and the ratio climbs back.
+func TestClaimCrossoverGrowsWithD(t *testing.T) {
+	for _, family := range []struct {
+		name  string
+		sizes []int
+		build func(int) (*graph.G, error)
+	}{
+		{"path", []int{32, 64, 128}, graph.Path},
+		{"torus", []int{8, 16, 32}, func(k int) (*graph.G, error) { return graph.Torus(k, k) }},
+	} {
+		prev := 0
+		for _, size := range family.sizes {
+			g, err := family.build(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diam, err := g.Diameter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			star := crossover(t, g)
+			perD, past := float64(star)/float64(diam), roundRatio(t, g, 8*star)
+			t.Logf("%s %d (D=%d): ℓ*=%d, ℓ*/D=%.1f, rounds ÷ naive at 8ℓ* %.3f", family.name, size, diam, star, perD, past)
+			if star <= prev {
+				t.Errorf("%s %d (D=%d): ℓ*=%d, not above the smaller-D graph's %d", family.name, size, diam, star, prev)
+			}
+			if perD < 24 || perD > 64 {
+				t.Errorf("%s %d (D=%d): ℓ*/D = %.1f, want within [24, 64]", family.name, size, diam, perD)
+			}
+			if past > 0.5 {
+				t.Errorf("%s %d (D=%d): rounds ÷ naive at 8ℓ* = %.3f, want ≤ 0.5", family.name, size, diam, past)
+			}
+			prev = star
+		}
+	}
+}

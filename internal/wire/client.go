@@ -21,7 +21,7 @@ const DefaultHandshakeTimeout = 30 * time.Second
 // Engine-loss taxonomy. Dial failures and mid-session I/O failures on an
 // EngineConn wrap these sentinels, so callers can tell a dead peer from a
 // server-side rejection (*RemoteError / ErrEngine) and react — redial,
-// fail over — instead of string matching.
+// retry — instead of string matching.
 var (
 	// ErrEngineTimeout reports an engine that did not answer within the
 	// session's per-exchange deadline or the dial's handshake bound.

@@ -741,8 +741,8 @@ func TestMutationChaos(t *testing.T) {
 // 2-process cluster: after ApplyMutations, the next request redials the
 // engines with the mutated graph's handshake, the engines build their
 // shards from it, and the result is bit-identical to an in-process
-// service over the mutated graph. No WithClusterFallback is
-// installed, so a successful request proves the remote path worked.
+// service over the mutated graph. Cluster mode never runs a request in
+// process, so a successful request proves the remote path worked.
 func TestClusterMutationRehandshake(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster re-handshake over TCP skipped in -short mode")

@@ -43,9 +43,6 @@ type config struct {
 	// cluster is the distwalkd engine address list (construction-time
 	// only; see WithCluster). Empty = in-process execution.
 	cluster []string
-	// clusterFallback re-executes a request on in-process shards when its
-	// cluster run is lost (see WithClusterFallback).
-	clusterFallback bool
 }
 
 func defaultConfig() config {
@@ -60,11 +57,11 @@ func defaultConfig() config {
 // the call site. Options come in two scopes:
 //
 //   - Per-request options (walk parameterization, budgets, retries,
-//     partial results, cluster fallback) may be passed to
-//     NewService — where they set the service default — or to any
-//     request method, where they override the default for that request
-//     only. A cluster run's round deadline has no option: it follows the
-//     request context.
+//     partial results) may be passed to NewService — where they set the
+//     service default — or to any request method, where they override
+//     the default for that request only. Cluster mode has no per-request
+//     option: a run's round deadline follows the request context, and a
+//     lost engine fails the request (see WithCluster).
 //
 //   - Construction-only options shape state that exists once per
 //     service: the worker pool (WithWorkers), the shard layout
@@ -189,9 +186,12 @@ func WithShards(s int) Option {
 // per engine, so a service runs Workers()×len(addrs) sessions; a lost
 // session, or one serving another graph than the job's snapshot, is
 // redialed by the worker's next cluster run, and Close tears them all
-// down. Construction-only: per-request use fails with
-// ErrOptionScope. Cluster mode excludes WithShards (the in-process shard
-// layout is moot; it is forced to 1) and requires len(addrs) <= n.
+// down. A request whose engine is lost fails with ErrClusterEngine (and
+// ErrEngineLost); it is never re-run in process, so the engines stay the
+// only place a cluster service simulates the network. Construction-only:
+// per-request use fails with ErrOptionScope. Cluster mode excludes
+// WithShards (the in-process shard layout is moot; it is forced to 1)
+// and requires len(addrs) <= n.
 // NewService fails with ErrClusterConfig on a bad engine list and with a
 // wire-typed error (ErrClusterEngine-matching on session failures) when
 // an engine is unreachable or rejects the handshake.
@@ -199,24 +199,6 @@ func WithCluster(addrs ...string) Option {
 	return ctorOption("WithCluster", func(c *config) {
 		c.cluster = append([]string(nil), addrs...)
 	})
-}
-
-// WithClusterFallback enables graceful degradation in cluster mode: when
-// a remote engine is lost mid-request (round deadline, crash, redial
-// refused), the request transparently re-executes on in-process
-// shards — the WithShards(len(addrs)) path — with the same derived seed.
-// Sharded execution is bit-identical to cluster execution per (graph,
-// service seed, key), so a failed-over result is indistinguishable from a
-// fault-free cluster run; Stats().Cluster.Failovers counts how often it
-// happened. Without this option a lost engine fails the request with a
-// typed ErrClusterEngine error. Composes with WithRetry unchanged: the
-// failover happens inside the attempt, before retry salting would kick
-// in. Applies per request or as a service default. A SubmitWalk batch
-// follows the service default, and fails over only when its sessions
-// cannot be dialed before it runs: a batch that loses an engine mid-run
-// has already reported the loss to its members and aborts retryably.
-func WithClusterFallback() Option {
-	return newOption("WithClusterFallback", func(c *config) { c.clusterFallback = true })
 }
 
 // WithMaxRounds caps the simulated rounds of every engine run performed

@@ -28,7 +28,6 @@ func TestOptionTable(t *testing.T) {
 	}{
 		{"WithBatching", distwalk.WithBatching(4, time.Millisecond), true},
 		{"WithCluster", distwalk.WithCluster("127.0.0.1:1"), true},
-		{"WithClusterFallback", distwalk.WithClusterFallback(), false},
 		{"WithFaultPlan", distwalk.WithFaultPlan(&distwalk.FaultPlan{}), true},
 		{"WithMaxRounds", distwalk.WithMaxRounds(1 << 20), false},
 		{"WithMixingOptions", distwalk.WithMixingOptions(distwalk.MixingOptions{}), false},

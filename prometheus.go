@@ -7,8 +7,8 @@ import (
 )
 
 // MetricsHandler returns an http.Handler that serves the service's
-// counters in the Prometheus text exposition format (version 0.0.4),
-// the scrape-ready counterpart of the JSON StatsHandler:
+// counters in the Prometheus text exposition format (version 0.0.4).
+// With Stats it is the client's whole stats surface:
 //
 //	mux.Handle("/metrics", svc.MetricsHandler())
 //

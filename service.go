@@ -83,8 +83,8 @@ type Service struct {
 	// to at the end of each Run (nil unless WithShards).
 	shardTally congest.ShardCounters
 
-	// cluster is cluster mode: engine sessions, plan, health, traffic and
-	// failovers (nil unless WithCluster; see cluster.go).
+	// cluster is cluster mode: engine sessions, health and traffic (nil
+	// unless WithCluster; see cluster.go).
 	cluster *clusterPool
 
 	closeOnce sync.Once
@@ -249,8 +249,8 @@ type ServiceStats struct {
 	Shards ShardStats `metric:"distwalk_shard_"`
 	// Retry reports the service's recovery activity (see WithRetry).
 	Retry RetryStats `metric:"distwalk_"`
-	// Cluster reports cluster-mode traffic, engine health and failovers
-	// (zero value when built without WithCluster).
+	// Cluster reports cluster-mode traffic and engine health (zero value
+	// when built without WithCluster).
 	Cluster ClusterStats `metric:"distwalk_cluster_,omitzero"`
 	// Cache reports the result cache's activity — hits, misses, coalesced
 	// waiters, evictions, byte footprint (zero value when built without
@@ -271,13 +271,14 @@ type MutationStats struct {
 	EdgesAdded   int64 `metric:"mutation_edges_total{op=add},counter"`
 	EdgesRemoved int64 `metric:"mutation_edges_total{op=remove},counter"`
 	// ReshardsFull counts worker-network reshapes; each re-plans the
-	// shard partition, so ReshardsIncremental is always 0.
+	// shard partition, so ReshardsIncremental is always 0; it remains
+	// only because the benchmark reads it (ROADMAP 2A(f)).
 	ReshardsIncremental int64 `metric:"reshards_total{kind=incremental},counter"`
 	ReshardsFull        int64 `metric:"reshards_total{kind=full},counter"`
 }
 
 // ClusterStats is the cluster-mode slice of a service's counters:
-// per-engine traffic and health, and failovers.
+// per-engine traffic and health.
 type ClusterStats struct {
 	// Engines reports, per remote shard engine, the traffic carried
 	// (runs, rounds, messages, raw bytes), summed over every worker's
@@ -287,8 +288,10 @@ type ClusterStats struct {
 	// once a session with it died or a dial to it failed, "healthy"
 	// again after the next successful dial.
 	Health []string `metric:"engine_healthy,gauge,index=engine,is=healthy"`
-	// Failovers counts requests re-executed on in-process shards after
-	// losing their cluster run (see WithClusterFallback).
+	// Failovers is always 0: a lost engine fails the request, and no
+	// request is re-executed in process. The field and its
+	// distwalk_cluster_failovers_total series remain only because the
+	// benchmark's cluster check reads it (ROADMAP 2A(j)).
 	Failovers int64 `metric:"failovers_total,counter"`
 }
 
@@ -438,7 +441,7 @@ func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
 	seed := attemptSeed(s.seed, key, attempt)
-	return s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
+	return s.execJob(ctx, pw, snap, func() error {
 		return s.runPrepared(ctx, cfg, seed, snap, pw, fn)
 	})
 }
@@ -472,24 +475,13 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 // it decides where the prepared job run executes. In process it just
 // runs. In cluster mode it runs on the remote engines, against the job's
 // own snapshot graph (the worker's sessions follow it; see
-// clusterPool.exec), unless its cluster run is lost to an engine and
-// fallback is on, when it fails over to local shards with the same seed
-// and is counted. Sharded execution is bit-identical to cluster
-// execution per (graph, seed, job), so the failover changes no result.
-func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, fallback bool, run func() error) error {
-	c := s.cluster
-	if c == nil {
+// clusterPool.exec), and a lost engine fails the job with
+// ErrClusterEngine: it is not re-run in process.
+func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, run func() error) error {
+	if s.cluster == nil {
 		return run()
 	}
-	sync := func() error { return s.syncWarm(pw, snap) }
-	err := c.exec(ctx, pw.sess, snap.g, sync, run)
-	if err == nil || !fallback || !errors.Is(err, ErrClusterEngine) {
-		return err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("distwalk: cluster run lost and cannot fail over: %w", cerr)
-	}
-	return c.local(pw.sess, sync, run)
+	return s.cluster.exec(ctx, pw.sess, snap.g, func() error { return s.syncWarm(pw, snap) }, run)
 }
 
 // syncWarm reshapes a worker network to the request's snapshot graph
@@ -511,9 +503,8 @@ func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 // abort its batchmates, so post-flush cancellation is not observed (see
 // internal/sched's determinism notes). It goes through the executor
 // per-key attempts use, so in cluster mode a batch runs on the engines
-// against the snapshot its members admitted under, and one whose
-// sessions cannot be dialed fails over to local shards when
-// WithClusterFallback is the service default. Any other failure before the run aborts the batch
+// against the snapshot its members admitted under. A failure before the
+// run, sessions that cannot be dialed included, aborts the batch
 // retryably (ErrBatchAborted). A batch that loses an engine mid-run has
 // already reported the loss to its members (Execute aborts them
 // retryably), so it never runs twice; under WithRetry its members then
@@ -525,7 +516,7 @@ func (s *Service) runBatch(b *sched.Batch) {
 		defer close(done)
 		ctx, cfg := context.Background(), s.cfg
 		cfg.params, cfg.maxRounds = b.Params, b.MaxRounds
-		err := s.execJob(ctx, pw, snap, cfg.clusterFallback, func() error {
+		err := s.execJob(ctx, pw, snap, func() error {
 			return s.runPrepared(ctx, cfg, b.Seed, snap, pw, func(w *core.Walker) error {
 				b.Execute(w) // reports its own failure to the members
 				return nil
