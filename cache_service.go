@@ -57,10 +57,6 @@ func copyManyResult(r *ManyResult) *ManyResult {
 			}
 		}
 	}
-	if r.Errs != nil {
-		// Errors are immutable values; the slice itself is copied.
-		out.Errs = append([]error(nil), r.Errs...)
-	}
 	return &out
 }
 
@@ -102,45 +98,42 @@ func copyMixing(r *MixingEstimate) *MixingEstimate {
 
 // --- Cache entry estimates (requestKind.entry) ---
 //
-// Deep size charged against the byte budget, and whether the result may
-// be stored. Struct headers are rounded constants (exactness buys nothing
-// — the budget is a pressure valve, not an allocator); the slice
-// payloads, which dominate for real results, are counted element-exact.
+// Deep size charged against the byte budget. Struct headers are rounded
+// constants (exactness buys nothing — the budget is a pressure valve, not
+// an allocator); the slice payloads, which dominate for real results, are
+// counted element-exact.
 
 func sizeWalkResult(r *WalkResult) int64 {
 	return int64(96 + 40*len(r.Segments))
 }
 
-func walkEntry(r *WalkResult) (int64, bool) {
-	return sizeWalkResult(r), true
+func walkEntry(r *WalkResult) int64 {
+	return sizeWalkResult(r)
 }
 
-// Partial results (some walks lost to faults) are shared with coalesced
-// waiters but never stored: a retry deserves a chance to do better than a
-// cached casualty list.
-func manyEntry(r *ManyResult) (int64, bool) {
-	sz := int64(112 + 4*len(r.Destinations) + 16*len(r.Errs) + 8*len(r.Walks))
+func manyEntry(r *ManyResult) int64 {
+	sz := int64(112 + 4*len(r.Destinations) + 8*len(r.Walks))
 	for _, w := range r.Walks {
 		if w != nil {
 			sz += sizeWalkResult(w)
 		}
 	}
-	return sz, r.Failed == 0
+	return sz
 }
 
-func traceEntry(p tracedWalk) (int64, bool) {
+func traceEntry(p tracedWalk) int64 {
 	t := p.trace
 	sz := sizeWalkResult(p.walk) + int64(96+24*len(t.Positions)+4*len(t.FirstVisitTime)+4*len(t.FirstVisitFrom))
 	for _, pos := range t.Positions {
 		sz += int64(4 * len(pos))
 	}
-	return sz, true
+	return sz
 }
 
-func rstEntry(r *RSTResult) (int64, bool) {
-	return int64(80 + 4*len(r.Parent)), true
+func rstEntry(r *RSTResult) int64 {
+	return int64(80 + 4*len(r.Parent))
 }
 
-func mixEntry(*MixingEstimate) (int64, bool) {
-	return 128, true // flat struct, no slices
+func mixEntry(*MixingEstimate) int64 {
+	return 128 // flat struct, no slices
 }

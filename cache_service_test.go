@@ -506,49 +506,6 @@ func TestInvalidateCache(t *testing.T) {
 	}
 }
 
-// TestCachePartialResultsNotStored: a ManyRandomWalks result with
-// casualties (Failed > 0) is returned but never admitted — the next
-// identical request re-executes (a retry deserves a chance to do better
-// than a cached casualty list).
-func TestCachePartialResultsNotStored(t *testing.T) {
-	ctx := context.Background()
-	g, err := Torus(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &FaultPlan{Churn: []FaultChurn{{Node: 27, From: 30, To: 400}}}
-	svc, err := NewService(g, 42, WithFaultPlan(plan), WithPartialResults(), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	sources := make([]NodeID, 8)
-	for i := range sources {
-		sources[i] = NodeID(i * 9)
-	}
-	for key := uint64(1); key <= 20; key++ {
-		res, err := svc.ManyRandomWalks(ctx, key, sources, 600)
-		if err != nil || res.Failed == 0 {
-			continue
-		}
-		before := svc.Stats().Cache
-		again, err := svc.ManyRandomWalks(ctx, key, sources, 600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, again) {
-			t.Fatalf("key %d: partial result not deterministic", key)
-		}
-		after := svc.Stats().Cache
-		if after.Hits != before.Hits || after.Misses != before.Misses+1 {
-			t.Fatalf("key %d: partial result was served from the store (stats %+v -> %+v)",
-				key, before, after)
-		}
-		return
-	}
-	t.Skip("fault plan produced no partial batch in 20 keys")
-}
-
 // TestCacheConcurrentStress drives concurrent hit/miss/coalesce traffic
 // with mutating callers under -race: returned results must never alias
 // the store or each other.

@@ -71,7 +71,7 @@ func chaosTypedErr(err error) bool {
 // chaosRun fires a fixed concurrent request mix at a service built with
 // the given plan and shard count and returns (digest, retry stats). The
 // digest covers every observable: destinations, costs (which embed
-// FaultStats), per-walk partial errors, and full error texts — so two
+// FaultStats) and full error texts — so two
 // equal digests mean bit-identical fault charging and recovery.
 func chaosRun(t *testing.T, g *distwalk.Graph, plan *distwalk.FaultPlan, shards int) (string, distwalk.RetryStats) {
 	t.Helper()
@@ -80,7 +80,6 @@ func chaosRun(t *testing.T, g *distwalk.Graph, plan *distwalk.FaultPlan, shards 
 		distwalk.WithShards(shards),
 		distwalk.WithFaultPlan(plan),
 		distwalk.WithRetry(2),
-		distwalk.WithPartialResults(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func chaosRun(t *testing.T, g *distwalk.Graph, plan *distwalk.FaultPlan, shards 
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("dests=%v failed=%d errs=%v cost=%+v", res.Destinations, res.Failed, res.Errs, res.Cost), nil
+			return fmt.Sprintf("dests=%v cost=%+v", res.Destinations, res.Cost), nil
 		}},
 		{"spanning", func(key uint64) (string, error) {
 			res, err := svc.RandomSpanningTree(ctx, key, 0)

@@ -381,7 +381,6 @@ func testClusterIdentityFaulty(t *testing.T, engines int) {
 			distwalk.WithWorkers(2),
 			distwalk.WithFaultPlan(plan),
 			distwalk.WithRetry(2),
-			distwalk.WithPartialResults(),
 		}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -411,7 +410,7 @@ func testClusterIdentityFaulty(t *testing.T, engines int) {
 			if err != nil {
 				return "err=" + err.Error(), nil
 			}
-			return fmt.Sprintf("dests=%v failed=%d errs=%v cost=%+v", res.Destinations, res.Failed, res.Errs, res.Cost), nil
+			return fmt.Sprintf("dests=%v cost=%+v", res.Destinations, res.Cost), nil
 		}},
 		{"RandomSpanningTree", func(svc *distwalk.Service, key uint64) (string, error) {
 			res, err := svc.RandomSpanningTree(ctx, key, 0)

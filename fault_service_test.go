@@ -10,6 +10,7 @@ package distwalk_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"distwalk"
@@ -21,12 +22,18 @@ import (
 // stitching traffic through it dies.
 func faultyTorus(t *testing.T, opts ...distwalk.Option) *distwalk.Service {
 	t.Helper()
+	return churnTorus(t, 400, opts...)
+}
+
+// churnTorus is faultyTorus with node 27 down for rounds [30, to).
+func churnTorus(t *testing.T, to int, opts ...distwalk.Option) *distwalk.Service {
+	t.Helper()
 	g, err := distwalk.Torus(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &distwalk.FaultPlan{
-		Churn: []distwalk.FaultChurn{{Node: 27, From: 30, To: 400}},
+		Churn: []distwalk.FaultChurn{{Node: 27, From: 30, To: to}},
 	}
 	svc, err := distwalk.NewService(g, 42, append([]distwalk.Option{distwalk.WithFaultPlan(plan)}, opts...)...)
 	if err != nil {
@@ -116,60 +123,60 @@ func TestCrashedWalkFailsFastThenRecoversWithRetry(t *testing.T) {
 	}
 }
 
-// TestPartialResultsIsolatesWalkFailures pins WithPartialResults: a batch
-// where the fault kills some walks still returns the survivors, with the
-// casualties reported per walk as typed errors.
-func TestPartialResultsIsolatesWalkFailures(t *testing.T) {
+// TestManyRandomWalksFailsWholeThenRecoversWithRetry pins the batch
+// contract: a fault that kills any walk fails the whole ManyRandomWalks
+// request with the typed first-loss error, and WithRetry re-runs the
+// batch on an attempt-salted seed until every walk completes.
+func TestManyRandomWalksFailsWholeThenRecoversWithRetry(t *testing.T) {
 	ctx := context.Background()
 	const ell = 600
-	svc := faultyTorus(t, distwalk.WithPartialResults())
-	strict := faultyTorus(t)
+	// A short churn window leaves the salted re-runs room to route round
+	// the down node; under [30, 400) no retry budget recovers a batch.
+	strict := churnTorus(t, 60)
+	retry := churnTorus(t, 60, distwalk.WithRetry(6))
 
 	sources := make([]distwalk.NodeID, 8)
 	for i := range sources {
 		sources[i] = distwalk.NodeID(i * 9)
 	}
+	failed, recovered := 0, 0
 	for key := uint64(1); key <= 20; key++ {
-		res, err := svc.ManyRandomWalks(ctx, key, sources, ell)
+		_, err := strict.ManyRandomWalks(ctx, key, sources, ell)
+		if err == nil {
+			continue
+		}
+		failed++
+		if !errors.Is(err, distwalk.ErrNodeCrashed) {
+			t.Fatalf("key %d: batch error %v does not wrap ErrNodeCrashed", key, err)
+		}
+		res, err := retry.ManyRandomWalks(ctx, key, sources, ell)
 		if err != nil {
-			// Shared-phase failure: allowed, but must be typed.
 			if !errors.Is(err, distwalk.ErrNodeCrashed) {
-				t.Fatalf("key %d: batch error %v not typed", key, err)
+				t.Fatalf("key %d: retried batch error %v not typed", key, err)
 			}
 			continue
 		}
-		if res.Failed == 0 {
-			continue
-		}
-		// Strict mode fails the same batch outright.
-		if _, serr := strict.ManyRandomWalks(ctx, key, sources, ell); serr == nil {
-			t.Errorf("key %d: strict service succeeded where partial recorded %d failures", key, res.Failed)
-		}
-		fails := 0
-		for i := range sources {
-			if res.Errs[i] == nil {
-				if res.Destinations[i] == distwalk.None {
-					t.Errorf("key %d walk %d: no error but no destination", key, i)
-				}
-				continue
-			}
-			fails++
-			if !errors.Is(res.Errs[i], distwalk.ErrNodeCrashed) {
-				t.Errorf("key %d walk %d: per-walk error %v not typed", key, i, res.Errs[i])
-			}
-			if res.Destinations[i] != distwalk.None {
-				t.Errorf("key %d walk %d: failed walk has destination %d", key, i, res.Destinations[i])
+		recovered++
+		for i, d := range res.Destinations {
+			if d == distwalk.None {
+				t.Errorf("key %d walk %d: recovered batch has no destination", key, i)
 			}
 		}
-		if fails != res.Failed {
-			t.Errorf("key %d: Failed = %d but %d non-nil Errs", key, res.Failed, fails)
+		again, err := retry.ManyRandomWalks(ctx, key, sources, ell)
+		if err != nil || !reflect.DeepEqual(again.Destinations, res.Destinations) {
+			t.Errorf("key %d: recovered batch not reproducible: %v / %v vs %v", key, err, again, res.Destinations)
 		}
-		if fails == len(sources) {
-			continue
-		}
-		return // saw a genuinely partial batch with survivors: done
 	}
-	t.Fatal("no partial batch observed in 20 keys; the scenario needs retuning")
+	t.Logf("strict failures %d/20, recovered under WithRetry(6): %d", failed, recovered)
+	if failed == 0 {
+		t.Fatal("no batch failed in 20 keys; the scenario needs retuning")
+	}
+	if recovered == 0 {
+		t.Fatal("no failed batch recovered within 6 retries")
+	}
+	if st := retry.Stats().Retry; st.Recovered < 1 {
+		t.Fatalf("retry counters did not move: %+v", st)
+	}
 }
 
 // TestFaultPlanRejectedAtConstruction pins NewService's validation: an

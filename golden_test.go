@@ -212,6 +212,8 @@ type serviceGoldenCase struct {
 	opts  []distwalk.Option // on top of WithWorkers(1)
 	run   func(svc *distwalk.Service) (distwalk.Cost, error)
 	want  serviceGolden
+	// retry, when set, pins the retry counters one execution moves.
+	retry *distwalk.RetryStats
 }
 
 // serviceGoldenCases are the headline Service workloads at service seed
@@ -310,7 +312,8 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 		},
 		{
 			// A churn window, two lossy links and one slow link, up to 3
-			// retries: the counters are the surviving attempt's.
+			// retries: the counters are the surviving attempt's. Attempts
+			// 0-2 lose a walk, and the whole batch re-runs each time.
 			name: "FaultyManyWalks/torus16x16/k8/ell1024", graph: torus,
 			opts: []distwalk.Option{
 				distwalk.WithFaultPlan(&distwalk.FaultPlan{
@@ -324,10 +327,11 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 						{From: 100, To: torus.Neighbors(100)[0].To, Rounds: 1},
 					},
 				}),
-				distwalk.WithRetry(3), distwalk.WithPartialResults(),
+				distwalk.WithRetry(3),
 			},
-			run:  manyFromZero(8),
-			want: serviceGolden{Rounds: 2320, Messages: 556077, Words: 1666183, Dropped: 80},
+			run:   manyFromZero(8),
+			want:  serviceGolden{Rounds: 2223, Messages: 548115, Words: 1642297, Dropped: 82},
+			retry: &distwalk.RetryStats{Attempts: 4, Retries: 3, Recovered: 1, Faults: 3},
 		},
 		{
 			name: "NaiveWalk/torus16x16/ell2048", graph: torus,
@@ -403,32 +407,40 @@ func TestServiceGoldenCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			exec := func() (distwalk.Cost, serviceGolden) {
-				before := svc.Stats().Cache
+			exec := func() (distwalk.Cost, serviceGolden, distwalk.RetryStats) {
+				before := svc.Stats()
 				cost, err := tc.run(svc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				after := svc.Stats().Cache
+				after := svc.Stats()
+				r0, r1 := before.Retry, after.Retry
 				return cost, serviceGolden{
-					Rounds: cost.Rounds, Messages: cost.Messages, Words: cost.Words,
-					Dropped:     cost.Faults.Dropped + cost.Faults.LinkDropped,
-					CacheHits:   after.Hits - before.Hits,
-					CacheMisses: after.Misses - before.Misses,
-				}
+						Rounds: cost.Rounds, Messages: cost.Messages, Words: cost.Words,
+						Dropped:     cost.Faults.Dropped + cost.Faults.LinkDropped,
+						CacheHits:   after.Cache.Hits - before.Cache.Hits,
+						CacheMisses: after.Cache.Misses - before.Cache.Misses,
+					}, distwalk.RetryStats{
+						Attempts: r1.Attempts - r0.Attempts, Retries: r1.Retries - r0.Retries,
+						Recovered: r1.Recovered - r0.Recovered, Exhausted: r1.Exhausted - r0.Exhausted,
+						Faults: r1.Faults - r0.Faults,
+					}
 			}
-			cost, got := exec()
-			if cost2, got2 := exec(); cost2 != cost || got2 != got {
-				t.Errorf("second execution of the same key diverged:\nfirst  %+v %+v\nsecond %+v %+v",
-					cost, got, cost2, got2)
+			cost, got, retry := exec()
+			if cost2, got2, retry2 := exec(); cost2 != cost || got2 != got || retry2 != retry {
+				t.Errorf("second execution of the same key diverged:\nfirst  %+v %+v %+v\nsecond %+v %+v %+v",
+					cost, got, retry, cost2, got2, retry2)
 			}
 			if *captureGolden {
-				fmt.Printf("%s:\n\twant: serviceGolden{Rounds: %d, Messages: %d, Words: %d, Dropped: %d, CacheHits: %d, CacheMisses: %d},\n",
-					tc.name, got.Rounds, got.Messages, got.Words, got.Dropped, got.CacheHits, got.CacheMisses)
+				fmt.Printf("%s:\n\twant: serviceGolden{Rounds: %d, Messages: %d, Words: %d, Dropped: %d, CacheHits: %d, CacheMisses: %d},\n\tretry: %+v\n",
+					tc.name, got.Rounds, got.Messages, got.Words, got.Dropped, got.CacheHits, got.CacheMisses, retry)
 				return
 			}
 			if got != tc.want {
 				t.Errorf("service golden counters changed:\n got %+v\nwant %+v", got, tc.want)
+			}
+			if tc.retry != nil && retry != *tc.retry {
+				t.Errorf("retry counters changed:\n got %+v\nwant %+v", retry, *tc.retry)
 			}
 		})
 	}

@@ -20,7 +20,7 @@
 //	generation | kind | request key |
 //	Params{LambdaC, Lambda, Eta, Theory, FixedLength, UniformCounts,
 //	       PerCallBFS, Metropolis} |
-//	maxRounds | retries | partial |
+//	maxRounds | retries |
 //	kind-specific operands (source/ℓ, the sources list, root + RST
 //	options, x + mixing options)
 //
@@ -87,9 +87,9 @@
 // # Admission
 //
 // The store only ever sees successful, per-key-deterministic results:
-// failures are never offered, partial ManyResults (Failed > 0) and
-// batched compositions (deterministic per batch, not per key) are
-// offered with NoStore so waiters still share them. On top of that, a
+// failures are never offered, and batched compositions (deterministic
+// per batch, not per key) and results that outlived their topology
+// epoch are offered with NoStore so waiters still share them. On top of that, a
 // per-entry size cap (MaxEntryBytes, clamped to the shard capacity)
 // bounds what one entry may occupy. Capacity is byte-accounted (deep
 // payload estimate plus a fixed per-entry overhead) and enforced per

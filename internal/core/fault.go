@@ -53,12 +53,3 @@ func (w *Walker) faultize(err error) error {
 // applications broadcast/convergecast outside the Walker methods, so the
 // Service applies this at its own boundary.
 func Faultize(w *Walker, err error) error { return w.faultize(err) }
-
-// abortive reports errors that must abort a partial-results batch as a
-// whole instead of being charged to one walk: cancellation (the caller
-// is gone) and walker misuse.
-func abortive(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrConcurrentUse)
-}

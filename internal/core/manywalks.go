@@ -23,24 +23,6 @@ type ManyResult struct {
 	Refills int
 	// Cost is the total simulated cost of the batch.
 	Cost congest.Result
-	// Errs holds per-walk failures in partial-results mode
-	// (ManyRandomWalksPartial): Errs[i] is nil iff walk i completed. Nil
-	// in all-or-nothing mode.
-	Errs []error
-	// Failed counts non-nil entries of Errs.
-	Failed int
-}
-
-// fail charges a per-walk error to walk i in partial-results mode. The
-// walk's destination becomes graph.None; any stitched prefix remains on
-// Walks[i] for inspection.
-func (m *ManyResult) fail(i int, err error) {
-	m.Errs[i] = err
-	m.Failed++
-	m.Destinations[i] = graph.None
-	if m.Walks[i] != nil {
-		m.Walks[i].Destination = graph.None
-	}
 }
 
 // ManyRandomWalks computes k independent ℓ-step walks from the given (not
@@ -53,33 +35,14 @@ func (w *Walker) ManyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		return nil, err
 	}
 	defer w.release()
-	res, err := w.manyRandomWalks(sources, ell, false)
+	res, err := w.manyRandomWalks(sources, ell)
 	if err != nil {
 		return nil, w.faultize(err)
 	}
 	return res, nil
 }
 
-// ManyRandomWalksPartial is ManyRandomWalks with per-walk failure
-// isolation: when a fault (crashed node, lost message) kills individual
-// walks, the surviving walks still complete and the casualties are
-// reported in ManyResult.Errs instead of failing the whole batch.
-// Shared-phase failures (BFS tree, Phase 1, cancellation, walker misuse)
-// still abort everything — with no short walks provisioned there is
-// nothing to salvage.
-func (w *Walker) ManyRandomWalksPartial(sources []graph.NodeID, ell int) (*ManyResult, error) {
-	if err := w.acquire(); err != nil {
-		return nil, err
-	}
-	defer w.release()
-	res, err := w.manyRandomWalks(sources, ell, true)
-	if err != nil {
-		return nil, w.faultize(err)
-	}
-	return res, nil
-}
-
-func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) (*ManyResult, error) {
+func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("core: no sources")
 	}
@@ -94,9 +57,6 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) 
 	out := &ManyResult{
 		Destinations: make([]graph.NodeID, len(sources)),
 		Walks:        make([]*WalkResult, len(sources)),
-	}
-	if partial {
-		out.Errs = make([]error, len(sources))
 	}
 	if ell == 0 {
 		for i, s := range sources {
@@ -124,7 +84,7 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) 
 		// "If λ > ℓ then run the naive random walk algorithm, i.e., the
 		// sources find walks of length ℓ simultaneously by sending tokens."
 		out.NaiveFallback = true
-		return out, w.naiveMany(out, sources, ell, partial)
+		return out, w.naiveMany(out, sources, ell)
 	}
 	out.Lambda = lam
 
@@ -145,16 +105,7 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) 
 		wr := &WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam}
 		cur, completed, err := w.stitchSegments(wr, s, ell, lam)
 		if err != nil {
-			werr := fmt.Errorf("core: walk %d from %d: %w", i, s, err)
-			if !partial || abortive(err) {
-				return nil, werr
-			}
-			out.Walks[i] = wr
-			out.Cost.Add(wr.Cost)
-			out.Refills += wr.Refills
-			out.fail(i, w.faultize(werr))
-			tails[i] = tailSpec{start: graph.None}
-			continue
+			return nil, fmt.Errorf("core: walk %d from %d: %w", i, s, err)
 		}
 		tails[i] = tailSpec{start: cur, steps: int32(ell - completed)}
 		out.Walks[i] = wr
@@ -162,15 +113,13 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int, partial bool) 
 		out.Refills += wr.Refills
 		out.Cost.Add(wr.Cost)
 	}
-	if err := w.runTails(out, tails, partial); err != nil {
+	if err := w.runTails(out, tails); err != nil {
 		return nil, err
 	}
 	return out, w.notifyAll(out, sources)
 }
 
 // tailSpec is one deferred naive tail: steps hops remaining from start.
-// start == graph.None marks a walk already failed in partial mode; it
-// gets no tail token.
 type tailSpec struct {
 	start graph.NodeID
 	steps int32
@@ -178,10 +127,9 @@ type tailSpec struct {
 
 // runTails completes every walk's remaining steps with simultaneous token
 // forwarding — O(max tail + congestion) rounds instead of the sum — and
-// appends the tail to out.Walks[i] as its last segment. In partial mode a
-// tail whose token vanished (lost to a fault) is charged to its walk;
-// otherwise it fails the batch.
-func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error {
+// appends the tail to out.Walks[i] as its last segment. A tail whose
+// token vanished (lost to a fault) fails the batch.
+func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
 	p := &naiveManyProto{
 		w:     w,
 		steps: make([]int32, len(tails)),
@@ -190,10 +138,6 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 	}
 	wids := make([]int64, len(tails))
 	for i, tl := range tails {
-		if tl.start == graph.None {
-			wids[i] = -1
-			continue
-		}
 		wid := w.st.newWalk(tl.start, tl.steps)
 		wids[i] = wid
 		p.start[wid] = i
@@ -207,16 +151,8 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 		return err
 	}
 	for i, tl := range tails {
-		if tl.start == graph.None {
-			continue
-		}
 		if p.dest[i] == graph.None {
-			err := fmt.Errorf("core: token of walk %d did not complete", i)
-			if partial {
-				out.fail(i, w.faultize(err))
-				continue
-			}
-			return err
+			return fmt.Errorf("core: token of walk %d did not complete", i)
 		}
 		wr := out.Walks[i]
 		wr.Segments = append(wr.Segments, Segment{
@@ -233,13 +169,13 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec, partial bool) error
 
 // naiveMany walks all k tokens simultaneously (the k+ℓ regime): every
 // walk is one ℓ-step tail from its source.
-func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int, partial bool) error {
+func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int) error {
 	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
 		out.Walks[i] = &WalkResult{Source: s, Destination: s, Length: ell, Naive: true}
 		tails[i] = tailSpec{start: s, steps: int32(ell)}
 	}
-	if err := w.runTails(out, tails, partial); err != nil {
+	if err := w.runTails(out, tails); err != nil {
 		return err
 	}
 	return w.notifyAll(out, sources)
@@ -250,11 +186,7 @@ func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int, par
 // root, which floods them back down, both pipelined.
 func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
 	perNode := make(map[graph.NodeID][]congest.Message, len(sources))
-	for i := range sources {
-		if out.Errs != nil && out.Errs[i] != nil {
-			continue // failed walk: no destination to announce
-		}
-		wr := out.Walks[i]
+	for _, wr := range out.Walks {
 		last := wr.Segments[len(wr.Segments)-1]
 		perNode[wr.Destination] = append(perNode[wr.Destination], destReport{
 			walkID: last.WalkID,
@@ -269,8 +201,8 @@ func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if want := len(sources) - out.Failed; len(reports) != want {
-		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), want)
+	if len(reports) != len(sources) {
+		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), len(sources))
 	}
 	res, err = congest.Broadcast(w.net, w.tree, reports, nil)
 	out.Cost.Add(res)
@@ -296,9 +228,7 @@ type naiveManyProto struct {
 func (p *naiveManyProto) Init(ctx *congest.Ctx) {
 	v := ctx.Node()
 	// Iterate the ordered slice, not the map: map order would make RNG
-	// consumption (and thus the whole run) non-deterministic. The walk
-	// index comes from the start map — walkIDs is sparse when partial
-	// mode dropped failed walks before the tail run.
+	// consumption (and thus the whole run) non-deterministic.
 	for _, wid := range p.walkIDs {
 		if walkOwner(wid) != v {
 			continue

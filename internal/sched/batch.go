@@ -156,45 +156,26 @@ func BatchSeed(seed uint64, sortedKeys []uint64) uint64 {
 // pass for the walks selected by traceIdx (indices into sources; nil for
 // none). The returned traces align with traceIdx. The group keeps the
 // walker's hop trail iff traceIdx is non-empty: one traced member makes
-// every walk of the group record, a group without one runs lean. With
-// partial set, walks killed by injected faults are reported per walk in
-// ManyResult.Errs instead of failing the group; their trace slots (if any)
-// stay nil.
-func ExecGroup(w *core.Walker, sources []graph.NodeID, ell int, traceIdx []int, partial bool) (*core.ManyResult, []*core.Trace, error) {
+// every walk of the group record, a group without one runs lean. A walk
+// lost to an injected fault fails the whole group.
+func ExecGroup(w *core.Walker, sources []graph.NodeID, ell int, traceIdx []int) (*core.ManyResult, []*core.Trace, error) {
 	if len(traceIdx) > 0 {
 		w.KeepTrail()
 	}
-	var many *core.ManyResult
-	var err error
-	if partial {
-		many, err = w.ManyRandomWalksPartial(sources, ell)
-	} else {
-		many, err = w.ManyRandomWalks(sources, ell)
-	}
+	many, err := w.ManyRandomWalks(sources, ell)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(traceIdx) == 0 {
 		return many, nil, nil
 	}
-	walks := make([]*core.WalkResult, 0, len(traceIdx))
-	live := make([]int, 0, len(traceIdx)) // positions in traceIdx whose walk completed
+	walks := make([]*core.WalkResult, len(traceIdx))
 	for i, idx := range traceIdx {
-		if many.Errs != nil && many.Errs[idx] != nil {
-			continue
-		}
-		walks = append(walks, many.Walks[idx])
-		live = append(live, i)
+		walks[i] = many.Walks[idx]
 	}
-	traces := make([]*core.Trace, len(traceIdx))
-	if len(walks) > 0 {
-		got, err := w.RegenerateMany(walks)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, i := range live {
-			traces[i] = got[j]
-		}
+	traces, err := w.RegenerateMany(walks)
+	if err != nil {
+		return nil, nil, err
 	}
 	return many, traces, nil
 }
@@ -213,7 +194,7 @@ func (b *Batch) Execute(w *core.Walker) {
 			traceIdx = append(traceIdx, i)
 		}
 	}
-	many, traces, err := ExecGroup(w, sources, b.Ell, traceIdx, false)
+	many, traces, err := ExecGroup(w, sources, b.Ell, traceIdx)
 	if err != nil {
 		b.Abort(err)
 		return

@@ -20,8 +20,9 @@
 // at least one member asked for a trace, so one traced member makes the
 // whole group record and a group without one runs lean; recording
 // changes no walk, cost or seed, and a regeneration the trail cannot
-// serve fails the batch with core.ErrNoRegen instead of returning a
-// partial trace.
+// serve fails the batch with core.ErrNoRegen instead of returning an
+// incomplete trace. A walk lost to an injected fault fails the batch
+// whole: every member receives ErrBatchAborted wrapping the typed fault.
 //
 // # Flush policy
 //

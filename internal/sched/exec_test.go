@@ -39,7 +39,7 @@ func TestExecGroupMatchesManyRandomWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, traces, err := ExecGroup(walker(t, g, 42), sources, 500, nil, false)
+	got, traces, err := ExecGroup(walker(t, g, 42), sources, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestExecGroupTraces(t *testing.T) {
 	g := torus(t)
 	sources := []graph.NodeID{3, 11, 3}
 	const ell = 400
-	many, traces, err := ExecGroup(walker(t, g, 7), sources, ell, []int{0, 2}, false)
+	many, traces, err := ExecGroup(walker(t, g, 7), sources, ell, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

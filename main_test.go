@@ -3,6 +3,7 @@ package distwalk
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"testing"
@@ -18,6 +19,12 @@ import (
 // goroutine count must fall back to its pre-run value within leakGrace;
 // otherwise the binary prints every goroutine's stack and exits non-zero.
 func TestMain(m *testing.M) {
+	// A -fuzz run's coordinator watches for interrupts through os/signal,
+	// whose watcher goroutine, once started, runs for the life of the
+	// process; start it here so that it belongs to the baseline.
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt)
+	signal.Stop(c)
 	before := runtime.NumGoroutine()
 	code := m.Run()
 	if code == 0 {

@@ -32,8 +32,6 @@ type config struct {
 	// retries is the number of re-executions after a retryable failure
 	// (0 = fail fast).
 	retries int
-	// partial switches ManyRandomWalks to per-walk failure isolation.
-	partial bool
 	// fplan is the deterministic fault plan installed on every worker
 	// network (construction-time only; see WithFaultPlan).
 	fplan *fault.Plan
@@ -56,12 +54,12 @@ func defaultConfig() config {
 // Option configures a Service at construction and/or a single request at
 // the call site. Options come in two scopes:
 //
-//   - Per-request options (walk parameterization, budgets, retries,
-//     partial results) may be passed to NewService — where they set the
-//     service default — or to any request method, where they override
-//     the default for that request only. Cluster mode has no per-request
-//     option: a run's round deadline follows the request context, and a
-//     lost engine fails the request (see WithCluster).
+//   - Per-request options (walk parameterization, budgets, retries)
+//     may be passed to NewService — where they set the service default
+//     — or to any request method, where they override the default for
+//     that request only. Cluster mode has no per-request option: a
+//     run's round deadline follows the request context, and a lost
+//     engine fails the request (see WithCluster).
 //
 //   - Construction-only options shape state that exists once per
 //     service: the worker pool (WithWorkers), the shard layout
@@ -275,17 +273,6 @@ func WithRetry(max int) Option {
 			c.retries = max
 		}
 	})
-}
-
-// WithPartialResults switches ManyRandomWalks to per-walk failure
-// isolation: walks killed by injected faults no longer fail the whole
-// request; survivors complete and ManyResult.Errs reports the casualties
-// (Errs[i] non-nil, Destinations[i] == None). Shared-phase failures
-// (BFS tree, Phase 1, cancellation) still fail the request. Per-walk
-// errors do not trigger WithRetry — the request itself succeeded.
-// Per request or service default.
-func WithPartialResults() Option {
-	return newOption("WithPartialResults", func(c *config) { c.partial = true })
 }
 
 // WithFaultPlan installs a deterministic fault plan on every worker's

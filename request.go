@@ -45,7 +45,7 @@ type requestKind[T any] struct {
 	// run executes the request on a worker's prepared walker.
 	run func(w *core.Walker, cfg *config, op operands) (T, error)
 	// entry sizes a result for the cache (see cache_service.go).
-	entry func(T) (bytes int64, storable bool)
+	entry func(T) int64
 	// copy deep-copies a frozen master for return.
 	copy func(T) T
 	// walk views a result as a submitted walk (the async kinds only).
@@ -91,8 +91,8 @@ var (
 			}
 			d.I64(int64(op.ell))
 		},
-		run: func(w *core.Walker, cfg *config, op operands) (*ManyResult, error) {
-			res, _, err := sched.ExecGroup(w, op.sources, op.ell, nil, cfg.partial)
+		run: func(w *core.Walker, _ *config, op operands) (*ManyResult, error) {
+			res, _, err := sched.ExecGroup(w, op.sources, op.ell, nil)
 			return res, err
 		},
 		entry: manyEntry,
@@ -154,10 +154,10 @@ var (
 // canonical cache key: topology generation, request kind, request key,
 // the full walk parameterization, the round budget, the retry budget
 // (under a fault plan, which attempt succeeds — and therefore which
-// attempt-salted seed produced the result — depends on it), the
-// partial-results mode, and the kind-specific operands. Fields that
-// cannot change a result (workers, shards, cluster transport, batching
-// windows) are deliberately absent; see internal/cache/doc.go.
+// attempt-salted seed produced the result — depends on it), and the
+// kind-specific operands. Fields that cannot change a result (workers,
+// shards, cluster transport, batching windows) are deliberately absent;
+// see internal/cache/doc.go.
 func requestDigest[T any](gen uint64, k *requestKind[T], key uint64, op operands, cfg *config) cache.Key {
 	d := cache.NewDigest()
 	d.U64(gen)
@@ -174,7 +174,6 @@ func requestDigest[T any](gen uint64, k *requestKind[T], key uint64, op operands
 	d.Bool(p.Metropolis)
 	d.I64(int64(cfg.maxRounds))
 	d.I64(int64(cfg.retries))
-	d.Bool(cfg.partial)
 	k.fold(d, op, cfg)
 	return d.Key()
 }
@@ -218,11 +217,10 @@ func serveAt[T any](ctx context.Context, s *Service, k *requestKind[T], key uint
 		if err != nil {
 			return cache.Execution{}, err
 		}
-		bytes, storable := k.entry(res)
 		// An epoch-pinned result that outlived its generation is shared
 		// with the flight's waiters but never stored: its own key is
 		// already unreachable, and it is stale under any successor's.
-		return cache.Execution{Value: res, Bytes: bytes, NoStore: !storable || s.topo.Load() != snap}, nil
+		return cache.Execution{Value: res, Bytes: k.entry(res), NoStore: s.topo.Load() != snap}, nil
 	})
 	if err != nil {
 		// The only error Do surfaces unwrapped is a coalesced waiter's own

@@ -190,9 +190,9 @@ func TestShardIdentity8(t *testing.T) { testShardIdentity(t, 8) }
 // contract: with a fault plan installed (a crash, churn windows, lossy and
 // slow links), every request must produce identical results, identical
 // FaultStats (embedded in cost=%+v) and — for requests the faults kill —
-// the identical typed error text at every shard count. Retries and
-// partial-results mode are on, so the retry layer's salted re-seeding is
-// covered by the identity check too.
+// the identical typed error text at every shard count. Retries are on,
+// so the retry layer's salted re-seeding is covered by the identity
+// check too.
 func testShardIdentityFaulty(t *testing.T, shards int) {
 	g, err := distwalk.Torus(12, 12)
 	if err != nil {
@@ -218,7 +218,6 @@ func testShardIdentityFaulty(t *testing.T, shards int) {
 			distwalk.WithWorkers(2),
 			distwalk.WithFaultPlan(plan),
 			distwalk.WithRetry(2),
-			distwalk.WithPartialResults(),
 		}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +247,7 @@ func testShardIdentityFaulty(t *testing.T, shards int) {
 			if err != nil {
 				return "err=" + err.Error(), nil
 			}
-			return fmt.Sprintf("dests=%v failed=%d errs=%v cost=%+v", res.Destinations, res.Failed, res.Errs, res.Cost), nil
+			return fmt.Sprintf("dests=%v cost=%+v", res.Destinations, res.Cost), nil
 		}},
 		{"RandomSpanningTree", func(svc *distwalk.Service, key uint64) (string, error) {
 			res, err := svc.RandomSpanningTree(ctx, key, 0)
