@@ -18,6 +18,29 @@ type Tree struct {
 	Depth    []int32
 	// Height is the maximum depth, i.e. the eccentricity of the root.
 	Height int
+
+	childSlab []graph.NodeID // backs Children; see carveChildren
+}
+
+// carveChildren empties every child list of a recycled tree and carves it
+// anew from the tree's one child slab. A node acks at most deg(v)
+// children, so Children[v] gets deg(v) slots and a rebuild from another
+// root never grows a list. The slab is kept across rebuilds and grows only for a
+// graph with more edges.
+func (t *Tree) carveChildren(g *graph.G) {
+	total := 0
+	for v := range t.Children {
+		total += g.Degree(graph.NodeID(v))
+	}
+	if cap(t.childSlab) < total {
+		t.childSlab = make([]graph.NodeID, total)
+	}
+	off := 0
+	for v := range t.Children {
+		end := off + g.Degree(graph.NodeID(v))
+		t.Children[v] = t.childSlab[off:off:end]
+		off = end
+	}
 }
 
 // Message kinds local to the BFS protocol run. An announce carries the
@@ -84,9 +107,11 @@ func BuildBFSTree(net *Network, root graph.NodeID) (*Tree, Result, error) {
 // BuildBFSTreeReuse is BuildBFSTree recycling the slabs of a retired Tree
 // of the same network (pass nil for a fresh build). The recycled Tree must
 // no longer be referenced by its previous owner: its arrays are
-// overwritten in place. The build itself borrows the network's epoch-
-// stamped node scratch for the visited set, so a warm rebuild allocates
-// nothing.
+// overwritten in place. A recycled Tree's child lists are carved from one
+// slab by degree (a fresh build appends to them instead, so a one-off tree
+// such as Params.PerCallBFS's pays no Σdeg slab), and the build borrows
+// the network's epoch-stamped node scratch for the visited set, so a warm
+// rebuild allocates nothing.
 func BuildBFSTreeReuse(net *Network, root graph.NodeID, recycle *Tree) (*Tree, Result, error) {
 	n := net.Graph().N()
 	if root < 0 || int(root) >= n {
@@ -100,9 +125,7 @@ func BuildBFSTreeReuse(net *Network, root graph.NodeID, recycle *Tree) (*Tree, R
 			Depth:    make([]int32, n),
 		}
 	} else {
-		for v := range t.Children {
-			t.Children[v] = t.Children[v][:0]
-		}
+		t.carveChildren(net.Graph())
 	}
 	t.Root = root
 	t.Height = 0

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -84,6 +85,53 @@ func TestBFSTreeChildrenConsistent(t *testing.T) {
 	}
 	if count != g.N()-1 {
 		t.Fatalf("tree has %d child links, want %d", count, g.N()-1)
+	}
+}
+
+// TestBFSTreeReuseMatchesFresh: a tree rebuilt from every root over the
+// slabs of the previous one equals a fresh build, and its child lists stay
+// carved from one degree-indexed slab, so rebuilds never grow a list. A
+// fresh build carves nothing: a one-off tree pays no Σdeg slab.
+func TestBFSTreeReuseMatchesFresh(t *testing.T) {
+	g, err := graph.ConnectedER(40, 0.12, rng.New(5), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewNetwork(g, 42)
+	var tree *Tree
+	rebuild := func(root graph.NodeID) {
+		tree, _, err = BuildBFSTreeReuse(net, root, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild(0)
+	if tree.childSlab != nil {
+		t.Fatal("a fresh build carved a child slab")
+	}
+	rebuild(0)
+	slab := &tree.childSlab[0]
+	for root := graph.NodeID(0); int(root) < g.N(); root++ {
+		rebuild(root)
+		_, want, _ := buildTree(t, g, root)
+		if tree.Root != want.Root || tree.Height != want.Height ||
+			!slices.Equal(tree.Parent, want.Parent) || !slices.Equal(tree.Depth, want.Depth) {
+			t.Fatalf("root %d: recycled tree differs from a fresh build", root)
+		}
+		for v := range want.Children {
+			if !slices.Equal(tree.Children[v], want.Children[v]) {
+				t.Fatalf("root %d: Children[%d] = %v, fresh build %v", root, v, tree.Children[v], want.Children[v])
+			}
+			if cap(tree.Children[v]) != g.Degree(graph.NodeID(v)) {
+				t.Fatalf("root %d: Children[%d] has capacity %d, want its degree %d", root, v, cap(tree.Children[v]), g.Degree(graph.NodeID(v)))
+			}
+		}
+	}
+	if &tree.childSlab[0] != slab {
+		t.Fatal("a rebuild replaced the child slab")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { rebuild(7) }); allocs > 1 {
+		t.Fatalf("a recycled rebuild allocated %.0f times, want at most the protocol value", allocs)
 	}
 }
 

@@ -141,16 +141,18 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 		return sampleResult{}, cost, fmt.Errorf("sample-destination announce: %w", err)
 	}
 
-	// Sample sweep: weighted reservoir over the tree.
+	// Sample sweep: weighted reservoir over the tree. Each node counts and
+	// picks v's coupons by scanning its own list, O(Σ coupons) = O(2mη)
+	// local work per stitch — against Phase 1's O(2mηλ) messages.
 	picked, res, err := congest.Convergecast(w.net, tree,
 		func(u graph.NodeID) congest.Message {
-			local := w.st.localCoupons(u, v)
-			if len(local) == 0 {
+			n := w.st.couponCount(u, v)
+			if n == 0 {
 				return sampleCand{}.msg()
 			}
-			c := local[w.net.NodeRNG(u).Intn(len(local))]
+			c := w.st.couponAt(u, v, w.net.NodeRNG(u).Intn(n))
 			return sampleCand{
-				count:  int64(len(local)),
+				count:  int64(n),
 				walkID: c.walkID,
 				dest:   u,
 				length: c.length,

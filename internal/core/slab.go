@@ -12,19 +12,20 @@ import (
 // ledgers, hop indexes) that were allocated on first touch and thrown away
 // per request; at service scale the map machinery — bucket allocation,
 // hashing boxed keys, GC scanning — dominated the per-walk cost once the
-// engine itself went zero-alloc. The coupon and flow shelves replace the
-// maps with one shared open-addressed slot table (slotTable) over growable
-// slabs; the path shelf needs no table, because a walk ID already is an
-// index (owner, seq) and a token already carries its hop counter.
+// engine itself went zero-alloc. Each shelf below is flat, and only the
+// flow shelf hashes:
 //
-//   - The slot table is a []int32 of slab-index+1 values (0 = empty)
-//     probed linearly from a mixed hash; clearing is a memclr, never a
-//     free.
-//   - Values live in parallel slabs appended in insertion order; clearing
-//     truncates to :0, so capacity survives across requests (warm reuse).
-//   - Entries are never deleted individually (the protocols only ever add,
-//     mutate in place, or clear wholesale), which keeps linear probing
-//     exact without tombstones.
+//   - The coupon shelf is one flat list per node in append order, carved
+//     from one slab sized by the expected Phase 1 inventory (see
+//     netState.provisionCoupons); an owner's coupons are its subsequence.
+//   - The flow shelf (GMW ledgers, kept only with the hop trail) indexes
+//     exact (batch, step, nbr) keys with an open-addressed slot table: a
+//     []int32 of slab-index+1 values (0 = empty) probed linearly from a
+//     mixed hash, over parallel key/record slabs. Entries are never
+//     deleted individually, so linear probing stays exact without
+//     tombstones; clearing is a memclr plus a truncation, never a free.
+//   - The path shelf needs no table, because a walk ID already is an
+//     index (owner, seq) and a token already carries its hop counter.
 //
 // Determinism: lookups are by exact key, lists preserve append order and
 // swap-remove semantics, and nothing here iterates a table in hash order
@@ -32,32 +33,22 @@ import (
 // identically to the map it replaced (see TestCouponShelfMatchesReference
 // and friends).
 
-// slabKey is a key usable in a slotTable: comparable for probe equality,
-// self-hashing (via rng.Mix64) for probe starts.
-type slabKey interface {
-	comparable
-	hash() uint64
-}
-
-// ownerKey adapts the coupon shelf's owner IDs to slabKey.
-type ownerKey graph.NodeID
-
-func (k ownerKey) hash() uint64 { return rng.Mix64(uint64(uint32(k))) }
+// hash mixes a flow key into a slot table's probe start.
 func (k gmwKey) hash() uint64 {
 	return rng.Mix64(uint64(k.batch)) ^ rng.Mix64(uint64(uint32(k.step))<<32|uint64(uint32(k.nbr)))
 }
 
-// slotTable is the shared open-addressed index of the shelves: it maps a
-// key to an index into the owner's parallel key/value slabs. The caller
-// owns the key slab (keys[i] is the key of slab entry i); the table only
-// stores slot positions, so clearing it is a memclr and growth rehashes
-// from the slab, allocating nothing but the new table.
-type slotTable[K slabKey] struct {
+// slotTable is the flow shelf's open-addressed index: it maps a key to an
+// index into the shelf's parallel key/record slabs. The caller owns the
+// key slab (keys[i] is the key of slab entry i); the table only stores
+// slot positions, so clearing it is a memclr and growth rehashes from the
+// slab, allocating nothing but the new table.
+type slotTable struct {
 	slots []int32 // slab index + 1, 0 = empty
 }
 
 // find returns the slab index of k, or -1.
-func (t *slotTable[K]) find(keys []K, k K) int {
+func (t *slotTable) find(keys []gmwKey, k gmwKey) int {
 	if len(t.slots) == 0 {
 		return -1
 	}
@@ -74,7 +65,7 @@ func (t *slotTable[K]) find(keys []K, k K) int {
 
 // add indexes keys[idx] (which the caller just appended), growing to keep
 // the load factor under 3/4 (rehashing every slab entry on growth).
-func (t *slotTable[K]) add(keys []K, idx int) {
+func (t *slotTable) add(keys []gmwKey, idx int) {
 	if len(t.slots) == 0 || 4*(idx+1) > 3*len(t.slots) {
 		n := 2 * len(t.slots)
 		if n < 8 {
@@ -89,7 +80,7 @@ func (t *slotTable[K]) add(keys []K, idx int) {
 }
 
 // place writes v at the first free slot of h's probe sequence.
-func (t *slotTable[K]) place(h uint64, v int32) {
+func (t *slotTable) place(h uint64, v int32) {
 	i := h & uint64(len(t.slots)-1)
 	for t.slots[i] != 0 {
 		i = (i + 1) & uint64(len(t.slots)-1)
@@ -97,84 +88,70 @@ func (t *slotTable[K]) place(h uint64, v int32) {
 	t.slots[i] = v
 }
 
-func (t *slotTable[K]) clear() { clear(t.slots) }
+func (t *slotTable) clear() { clear(t.slots) }
 
-// --- couponShelf: one node's unused coupons, grouped by owner ---
+// --- couponShelf: one node's unused coupons ---
 
-// couponShelf stores a node's coupons bucketed by owner. owners and lists
-// are parallel slabs in first-touch order. Bucket lists keep exact append
-// order, and removal is the same swap-remove the map-based store used, so
-// the uniform coupon sampling of SAMPLE-DESTINATION consumes RNG
-// identically.
+// couponShelf holds a node's unused coupons as one flat list in append
+// order. An owner's coupons are its subsequence of the list, which is
+// exactly the per-owner list the map-backed store kept: take swap-removes
+// within that subsequence, so the uniform coupon sampling of
+// SAMPLE-DESTINATION consumes RNG identically. A node holds about its
+// Phase 1 starts or its stationary share of all starts, so the scans below
+// are short; a list carved from the walker's slab
+// (netState.provisionCoupons) has a capped capacity, and an overflow
+// reallocates that node's list alone.
 type couponShelf struct {
-	tab    slotTable[ownerKey]
-	owners []ownerKey
-	lists  [][]coupon
+	list []coupon
 }
 
-// bucket returns the slab index of owner's list, or -1. With create it
-// inserts an empty bucket.
-func (s *couponShelf) bucket(owner graph.NodeID, create bool) int {
-	idx := s.tab.find(s.owners, ownerKey(owner))
-	if idx >= 0 || !create {
-		return idx
-	}
-	idx = len(s.owners)
-	s.owners = append(s.owners, ownerKey(owner))
-	if idx < cap(s.lists) {
-		s.lists = s.lists[:idx+1] // recycle the truncated bucket's capacity
-	} else {
-		s.lists = append(s.lists, nil)
-	}
-	s.tab.add(s.owners, idx)
-	return idx
-}
+func (s *couponShelf) add(c coupon) { s.list = append(s.list, c) }
 
-func (s *couponShelf) add(c coupon) {
-	idx := s.bucket(c.owner, true)
-	s.lists[idx] = append(s.lists[idx], c)
-}
-
-// get returns owner's coupon list (nil if none), in append order.
-func (s *couponShelf) get(owner graph.NodeID) []coupon {
-	idx := s.bucket(owner, false)
-	if idx < 0 {
-		return nil
-	}
-	return s.lists[idx]
-}
-
-// take removes the coupon with the given walkID from owner's list by
-// swap-remove, reporting whether it was present. The scan is linear in
-// the node's local coupons for that owner — O(local), exactly like the
-// map-backed store (and unlike a global scan, which the protocols never
-// need: every node only touches its own shelf).
-func (s *couponShelf) take(owner graph.NodeID, walkID int64) bool {
-	idx := s.bucket(owner, false)
-	if idx < 0 {
-		return false
-	}
-	list := s.lists[idx]
-	for i, c := range list {
-		if c.walkID == walkID {
-			list[i] = list[len(list)-1]
-			s.lists[idx] = list[:len(list)-1]
-			return true
+// count returns how many of the node's coupons owner holds.
+func (s *couponShelf) count(owner graph.NodeID) int {
+	n := 0
+	for i := range s.list {
+		if s.list[i].owner == owner {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// clear empties the shelf keeping every slab's capacity: bucket lists and
-// the owner slab truncate, the slot table memclrs.
-func (s *couponShelf) clear() {
-	for i := range s.lists {
-		s.lists[i] = s.lists[i][:0]
+// nth returns owner's i-th coupon in its subsequence; i < count(owner).
+func (s *couponShelf) nth(owner graph.NodeID, i int) coupon {
+	for j := range s.list {
+		if s.list[j].owner == owner {
+			if i == 0 {
+				return s.list[j]
+			}
+			i--
+		}
 	}
-	s.lists = s.lists[:0]
-	s.owners = s.owners[:0]
-	s.tab.clear()
+	panic("core: coupon index out of range")
 }
+
+// take removes owner's coupon with the given walkID, reporting whether it
+// was present: owner's last coupon moves into the taken slot, and the gap
+// it leaves closes without reordering any other owner's coupons. The
+// scans are linear in the node's local coupons — O(local), never a global
+// scan: every node only touches its own shelf.
+func (s *couponShelf) take(owner graph.NodeID, walkID int64) bool {
+	at := slices.IndexFunc(s.list, func(c coupon) bool { return c.owner == owner && c.walkID == walkID })
+	if at < 0 {
+		return false
+	}
+	last := len(s.list) - 1
+	for s.list[last].owner != owner {
+		last--
+	}
+	s.list[at] = s.list[last]
+	s.list = slices.Delete(s.list, last, last+1)
+	return true
+}
+
+// clear empties the shelf keeping the list's capacity.
+func (s *couponShelf) clear() { s.list = s.list[:0] }
 
 // --- gmwShelf: one node's GET-MORE-WALKS flow ledger ---
 
@@ -189,7 +166,7 @@ type gmwRec struct {
 // gmwShelf stores a node's flow records with open-addressed lookup on the
 // (batch, step, nbr) triple; keys and records are parallel slabs.
 type gmwShelf struct {
-	tab  slotTable[gmwKey]
+	tab  slotTable
 	keys []gmwKey
 	recs []gmwRec
 }

@@ -40,16 +40,19 @@ type gmwKey struct {
 // see there for the contract.
 //
 // All per-node stores are flat, slab-backed shelves (see slab.go) rather
-// than Go maps: lookups are open-addressed over int32 slot tables or plain
-// indexes, values live in growable slabs, and clearing truncates instead
-// of freeing. Together with reset this makes the whole structure warm-
-// reusable: a pooled worker serves request after request without
-// reallocating any of it, and the simulated execution stays bit-identical
+// than Go maps: coupons are one list per node carved from one slab, flow
+// ledgers are open-addressed over int32 slot tables, paths are plain
+// indexes, and clearing truncates instead of freeing. Together with reset
+// this makes the whole structure warm-reusable: a pooled worker serves
+// request after request without reallocating any of it, and the simulated execution stays bit-identical
 // to a freshly built state (the shelves preserve append order, swap-remove
 // semantics and exact-key lookup of the old maps).
 type netState struct {
-	// coupons[v] shelves the unused coupons held at v, bucketed by owner.
-	coupons []couponShelf
+	// coupons[v] shelves the unused coupons held at v, one flat list per
+	// node, carved from couponSlab (see provisionCoupons).
+	coupons    []couponShelf
+	couponSlab []coupon
+	carved     couponLayout // what couponSlab was last carved for
 	// paths[v] holds the path of every walk token v minted while the trail
 	// was kept: a run of `total` slots, reserved when the walk is minted,
 	// whose slot j the token fills with its successor when it takes hop j
@@ -110,13 +113,84 @@ func (s *netState) reset() {
 	// are stale by construction.
 }
 
-// clearCoupons empties every node's coupon shelf (Phase 1 re-provisioning
-// drops the previous inventory; a kept hop trail survives so previously
-// returned walks remain retraceable).
-func (s *netState) clearCoupons() {
-	for v := range s.coupons {
-		s.coupons[v].clear()
+// couponSlack is how many times its expected Phase 1 inventory a node's
+// carved coupon list holds: room for the spread of a walk's endpoint, the
+// sources' extra walks and GET-MORE-WALKS refills.
+const couponSlack = 4
+
+// couponLayout is what a node's expected Phase 1 inventory depends on
+// besides the graph. The zero value means no list is carved yet.
+type couponLayout struct {
+	eta                 int
+	uniform, metropolis bool
+}
+
+// starts returns how many walks Phase 1 starts at v, leaving out the
+// sources' extra walks (phase1Proto.Init).
+func (l couponLayout) starts(g *graph.G, v graph.NodeID) int {
+	switch d := g.Degree(v); {
+	case d == 0:
+		return 0
+	case l.uniform:
+		return l.eta
+	default:
+		return l.eta * d
 	}
+}
+
+// room returns the carve of v's coupon list, given the total walks Phase 1
+// starts: couponSlack times the larger of v's own starts and its
+// stationary share of the total (deg(v)/2m for the simple walk, 1/n under
+// Metropolis). A short walk's endpoint law moves from the start law toward
+// the stationary one, so the larger of the two is what v holds in the
+// usual case; with the default parameters both are η·deg(v). The shares
+// round down, so the carves sum to at most 2·couponSlack times the total.
+func (l couponLayout) room(g *graph.G, total int, v graph.NodeID) int {
+	d := g.Degree(v)
+	if d == 0 {
+		return 0
+	}
+	share := total / g.N()
+	if !l.metropolis {
+		share = total * d / (2 * g.M())
+	}
+	return couponSlack * max(l.starts(g, v), share)
+}
+
+// provisionCoupons empties every node's coupon list before Phase 1 (re-
+// provisioning drops the previous inventory; a kept hop trail survives so
+// previously returned walks remain retraceable). The first time, and
+// whenever η or the walk's counts or target change, it carves every list
+// anew from the one coupon slab, each list's capacity capped at its room
+// so that an overflow reallocates that node's list alone. Otherwise it
+// only truncates, so a list that once outgrew its carve keeps its grown
+// capacity instead of regrowing on every warm request.
+func (s *netState) provisionCoupons(g *graph.G, prm Params) {
+	l := couponLayout{eta: prm.Eta, uniform: prm.UniformCounts, metropolis: prm.Metropolis}
+	if l == s.carved {
+		for v := range s.coupons {
+			s.coupons[v].clear()
+		}
+		return
+	}
+	total := 0
+	for v := range s.coupons {
+		total += l.starts(g, graph.NodeID(v))
+	}
+	size := 0
+	for v := range s.coupons {
+		size += l.room(g, total, graph.NodeID(v))
+	}
+	if cap(s.couponSlab) < size {
+		s.couponSlab = make([]coupon, size)
+	}
+	off := 0
+	for v := range s.coupons {
+		end := off + l.room(g, total, graph.NodeID(v))
+		s.coupons[v].list = s.couponSlab[off:off:end]
+		off = end
+	}
+	s.carved = l
 }
 
 // recordGMWSend remembers that node at routed `count` tokens of `key.batch`
@@ -174,15 +248,18 @@ func (s *netState) addCoupon(at graph.NodeID, c coupon) {
 
 // takeCoupon removes the coupon with the given walkID owned by owner from
 // node at, reporting whether it was present. The scan is linear in node
-// at's coupons for that owner — O(local state), never O(network) — and
-// swap-remove keeps list order identical to the old map-backed store.
+// at's coupons — O(local state), never O(network) — and owner's other
+// coupons keep the order a swap-remove within owner's list leaves them in.
 func (s *netState) takeCoupon(at, owner graph.NodeID, walkID int64) bool {
 	return s.coupons[at].take(owner, walkID)
 }
 
-// localCoupons returns node at's unused coupons owned by owner.
-func (s *netState) localCoupons(at, owner graph.NodeID) []coupon {
-	return s.coupons[at].get(owner)
+// couponCount returns how many unused coupons owned by owner node at
+// holds, and couponAt the i-th of them in append order.
+func (s *netState) couponCount(at, owner graph.NodeID) int { return s.coupons[at].count(owner) }
+
+func (s *netState) couponAt(at, owner graph.NodeID, i int) coupon {
+	return s.coupons[at].nth(owner, i)
 }
 
 // recordHop remembers that walk walkID took its hop j towards next. The
@@ -219,14 +296,12 @@ func (s *netState) markNode(v graph.NodeID) bool {
 }
 
 // couponTotal counts all unused coupons in the network owned by owner
-// (test/diagnostic helper; protocols count locally instead). It visits
-// each node's shelf once and reads only that owner's bucket, so the cost
-// is O(n) table probes — independent of how many coupons other owners
-// hold.
+// (test/diagnostic helper; protocols count locally instead). It scans
+// every node's list once: O(n + total coupons).
 func (s *netState) couponTotal(owner graph.NodeID) int {
 	total := 0
 	for v := range s.coupons {
-		total += len(s.coupons[v].get(owner))
+		total += s.coupons[v].count(owner)
 	}
 	return total
 }

@@ -450,7 +450,7 @@ func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Resu
 	if w.prepared && w.lambda == lam {
 		return congest.Result{}, nil
 	}
-	w.st.clearCoupons()
+	w.st.provisionCoupons(w.g, w.prm)
 	res, err := w.walkRun(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
 	if err != nil {
 		return res, fmt.Errorf("core: phase 1: %w", err)
