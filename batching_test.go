@@ -223,7 +223,7 @@ func TestBatchedCancelIsolation(t *testing.T) {
 
 // TestSubmitWalkUnbatchedIsPerKeyPath pins the default mode: without
 // WithBatching, SubmitWalk is the per-key deterministic path run async —
-// bit-identical to SingleRandomWalk, and SubmitWalkTrace to WalkTrace.
+// bit-identical to SingleRandomWalk.
 func TestSubmitWalkUnbatchedIsPerKeyPath(t *testing.T) {
 	g, err := distwalk.Torus(8, 8)
 	if err != nil {
@@ -255,75 +255,6 @@ func TestSubmitWalkUnbatchedIsPerKeyPath(t *testing.T) {
 		t.Fatalf("unbatched batch info = %+v, want size 1, reason unbatched", info)
 	}
 
-	ht, err := svc.SubmitWalkTrace(ctx, 13, 4, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotWalk, err := ht.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTrace, err := ht.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWalk, wantTrace, err := svc.WalkTrace(ctx, 13, 4, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotWalk, wantWalk) || !reflect.DeepEqual(gotTrace, wantTrace) {
-		t.Fatal("unbatched SubmitWalkTrace diverged from WalkTrace on the same key")
-	}
-}
-
-// TestBatchedTraceDeterminism: traced members inside a batch get a replay
-// of their own walk, deterministic per composition like everything else.
-func TestBatchedTraceDeterminism(t *testing.T) {
-	g, err := distwalk.Torus(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() (*distwalk.WalkResult, *distwalk.Trace) {
-		svc, err := distwalk.NewService(g, 21,
-			distwalk.WithWorkers(1), distwalk.WithBatching(2, time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		ctx := context.Background()
-		ht, err := svc.SubmitWalkTrace(ctx, 1, 0, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := svc.SubmitWalk(ctx, 2, 9, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk, err := ht.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := ht.Trace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h2.Result(); err != nil {
-			t.Fatal(err)
-		}
-		return walk, trace
-	}
-	walkA, traceA := run()
-	walkB, traceB := run()
-	if !reflect.DeepEqual(walkA, walkB) || !reflect.DeepEqual(traceA, traceB) {
-		t.Fatal("batched trace not deterministic across identical compositions")
-	}
-	if traceA.FirstVisitTime[walkA.Source] != 0 {
-		t.Fatal("trace does not start at the source")
-	}
-	positions := traceA.Positions[walkA.Destination]
-	if len(positions) == 0 || positions[len(positions)-1] != 300 {
-		t.Fatal("trace does not end at the walk's destination")
-	}
 }
 
 // TestBatchedGoldenCounters pins the batched cost model bit for bit, the

@@ -62,13 +62,8 @@ func copyManyResult(r *ManyResult) *ManyResult {
 
 func copyTrace(t *Trace) *Trace {
 	out := *t
-	if t.Positions != nil {
-		out.Positions = make([][]int32, len(t.Positions))
-		for i, p := range t.Positions {
-			if p != nil {
-				out.Positions[i] = append([]int32(nil), p...)
-			}
-		}
+	if t.Path != nil {
+		out.Path = append([]NodeID(nil), t.Path...)
 	}
 	if t.FirstVisitTime != nil {
 		out.FirstVisitTime = append([]int32(nil), t.FirstVisitTime...)
@@ -123,11 +118,7 @@ func manyEntry(r *ManyResult) int64 {
 
 func traceEntry(p tracedWalk) int64 {
 	t := p.trace
-	sz := sizeWalkResult(p.walk) + int64(96+24*len(t.Positions)+4*len(t.FirstVisitTime)+4*len(t.FirstVisitFrom))
-	for _, pos := range t.Positions {
-		sz += int64(4 * len(pos))
-	}
-	return sz
+	return sizeWalkResult(p.walk) + int64(96+4*len(t.Path)+4*len(t.FirstVisitTime)+4*len(t.FirstVisitFrom))
 }
 
 func rstEntry(r *RSTResult) int64 {

@@ -38,23 +38,9 @@ func cacheTestPair(t *testing.T, opts ...Option) (fresh, cached *Service) {
 	return fresh, cached
 }
 
-// handleValue collects a submitted walk's outcome in the shape the
-// synchronous twin returns it (*WalkResult, or []any{walk, trace}).
-func handleValue(h *WalkHandle, traced bool) (any, BatchInfo, error) {
-	walk, err := h.Result()
-	if err != nil {
-		return nil, BatchInfo{}, err
-	}
-	if !traced {
-		return walk, h.Batch(), nil
-	}
-	tr, _ := h.Trace()
-	return []any{walk, tr}, h.Batch(), nil
-}
-
 // TestCacheBitIdentityGoldens pins the acceptance criterion: every kind,
 // through every serving mode — uncached, cache miss, cache hit and, for
-// the kinds with an async twin, async unbatched and async cached —
+// the kind with an async twin, async unbatched and async cached —
 // deep-equals an execution on an uncached service, cost counters
 // included. The handles' flush reasons follow the cache outcome: a
 // leader executed (FlushUnbatched), a hit was served (FlushCached) at
@@ -88,9 +74,7 @@ func TestCacheBitIdentityGoldens(t *testing.T) {
 				return nil, err
 			}
 			return []any{w, tr}, nil
-		}, func(s *Service, key uint64) (*WalkHandle, error) {
-			return s.SubmitWalkTrace(ctx, key, 5, 400)
-		}},
+		}, nil},
 		{"rst", func(s *Service, key uint64) (any, error) {
 			return s.RandomSpanningTree(ctx, key, 0)
 		}, nil},
@@ -141,10 +125,11 @@ func TestCacheBitIdentityGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.name, mode.name, err)
 			}
-			got, info, err := handleValue(h, c.name == "trace")
+			got, err := h.Result()
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.name, mode.name, err)
 			}
+			info := h.Batch()
 			ref := want
 			if mode.key != key {
 				if ref, err = c.run(fresh, mode.key); err != nil {
@@ -313,7 +298,7 @@ func TestCachedSubmitSharesSyncEntries(t *testing.T) {
 	}
 
 	// And the reverse: an async leader's stored result serves sync hits.
-	h2, err := cached.SubmitWalkTrace(ctx, 8, 9, 400)
+	h2, err := cached.SubmitWalk(ctx, 8, 9, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,19 +306,19 @@ func TestCachedSubmitSharesSyncEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	preHits := cached.Stats().Cache.Hits
-	w2, tr2, err := cached.WalkTrace(ctx, 8, 9, 400)
+	w2, err := cached.SingleRandomWalk(ctx, 8, 9, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, ftr, err := fresh.WalkTrace(ctx, 8, 9, 400)
+	fw, err := fresh.SingleRandomWalk(ctx, 8, 9, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fw, w2) || !reflect.DeepEqual(ftr, tr2) {
-		t.Fatal("sync WalkTrace hit on an async-stored entry differs from fresh")
+	if !reflect.DeepEqual(fw, w2) {
+		t.Fatal("sync SingleRandomWalk hit on an async-stored entry differs from fresh")
 	}
 	if cached.Stats().Cache.Hits != preHits+1 {
-		t.Fatal("sync WalkTrace did not hit the async-stored entry")
+		t.Fatal("sync SingleRandomWalk did not hit the async-stored entry")
 	}
 
 	// Handles coalesced onto an async leader: the leader's handle reports
@@ -390,27 +375,19 @@ func TestCachedSubmitSharesSyncEntries(t *testing.T) {
 	if _, err := batched.SingleRandomWalk(ctx, 7, 4, 500); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := batched.WalkTrace(ctx, 8, 9, 400); err != nil {
-		t.Fatal(err)
-	}
 	hb, err := batched.SubmitWalk(ctx, 7, 4, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hbt, err := batched.SubmitWalkTrace(ctx, 8, 9, 400)
-	if err != nil {
-		t.Fatal(err)
+	gotB, errB := hb.Result()
+	if errB != nil {
+		t.Fatal(errB)
 	}
-	gotB, infoB, errB := handleValue(hb, false)
-	gotBT, infoBT, errBT := handleValue(hbt, true)
-	if errB != nil || errBT != nil {
-		t.Fatal(errB, errBT)
-	}
-	if !reflect.DeepEqual(want, gotB) || !reflect.DeepEqual([]any{fw, ftr}, gotBT) {
+	if !reflect.DeepEqual(want, gotB) {
 		t.Fatal("batched service's cache serve differs from a fresh execution")
 	}
-	if infoB.Reason != FlushCached || infoBT.Reason != FlushCached {
-		t.Fatalf("batched service's cache serves report %v and %v, want FlushCached", infoB.Reason, infoBT.Reason)
+	if infoB := hb.Batch(); infoB.Reason != FlushCached {
+		t.Fatalf("batched service's cache serve reports %v, want FlushCached", infoB.Reason)
 	}
 	if st := batched.Stats(); st.Submitted != 0 {
 		t.Fatalf("cache-served submissions reached the scheduler: %+v", st.SchedStats)
@@ -458,10 +435,8 @@ func TestCacheMutationIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1.Segments = nil
-	for i := range tr1.Positions {
-		for j := range tr1.Positions[i] {
-			tr1.Positions[i][j] = -7
-		}
+	for i := range tr1.Path {
+		tr1.Path[i] = -7
 	}
 	tr1.FirstVisitTime[0] = -7
 	w2, tr2, err := cached.WalkTrace(ctx, 2, 5, 400)

@@ -73,7 +73,7 @@ type (
 	WalkResult = core.WalkResult
 	// ManyResult describes a MANY-RANDOM-WALKS batch.
 	ManyResult = core.ManyResult
-	// Trace is a regenerated walk: per-node positions and first visits.
+	// Trace is a regenerated walk: its path and every node's first visit.
 	Trace = core.Trace
 	// Cost aggregates rounds, messages and queueing of simulated runs.
 	Cost = congest.Result

@@ -135,8 +135,12 @@ func TestClaimLemma27ConnectorBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		visitCount := make(map[graph.NodeID]int)
+		for _, v := range trace.Path {
+			visitCount[v]++
+		}
 		for v, c := range connectorCounts(res) {
-			visits := len(trace.Positions[v])
+			visits := visitCount[v]
 			if ratio := float64(c*lambda) / (float64(visits) * logSq); ratio > worst {
 				worst = ratio
 				where = fmt.Sprintf("seed %d: node %d is a connector %d times in %d visits", seed, v, c, visits)

@@ -17,12 +17,11 @@
 //     It replays each forward segment from its walk's path, the run of
 //     4-byte successors the token filled in hop by hop (slot j holds hop
 //     j; see netState.paths). This hop trail is opt-in: a fresh or Reset
-//     Walker reserves and records nothing until KeepTrail, which the
-//     callers that regenerate
-//     (distwalk's trace kinds, sched.ExecGroup for a group with a traced
-//     member, spanning.RandomSpanningTree) call before their first walk;
+//     Walker reserves and records nothing until KeepTrail, which the two
+//     callers that regenerate (distwalk's WalkTrace kind and
+//     spanning.RandomSpanningTree) call before their first walk;
 //     Regenerate after any trail-less walk of the epoch fails with
-//     ErrNoRegen.
+//     ErrNoRegen. The result is the walk's path, one node per position.
 //   - The naive ℓ-round token walk and the PODC 2009 Õ(ℓ^{2/3}D^{1/3})
 //     parameterization, as baselines.
 //

@@ -192,9 +192,13 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 			break
 		}
 	}
-	// This node now knows its position and first-visit predecessor.
-	p.trace.record(v, p.pending.pos, pred)
+	// This node now knows its position.
 	p.pending.active = false
+	if !p.trace.record(v, p.pending.pos) {
+		p.err = fmt.Errorf("core: backward retrace recorded position %d twice or off its walk", p.pending.pos)
+		p.done = true
+		return
+	}
 	w0, w1 := gmwClaim{batch: p.seg.Batch, step: p.pending.step, pos: p.pending.pos}.encode()
 	ctx.SendTo(pred, kindGMWClaim, gmwClaimWords, w0, w1, 0, 0)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
@@ -11,11 +10,12 @@ import (
 // Trace is the result of regenerating a walk (Section 2.2, "Regenerating
 // the entire random walk"): every node knows its position(s) in the
 // ℓ-step walk. The arrays aggregate per-node local knowledge for driver
-// convenience: Positions[v] is known to v, and so on.
+// convenience: v knows the positions i with Path[i] = v, FirstVisitTime[v],
+// and so on.
 type Trace struct {
-	// Positions[v] lists the walk positions (0..ℓ) at which the walk was
-	// at v, in increasing order. Position 0 is the source.
-	Positions [][]int32
+	// Path[i] is the node the walk was at after i steps, for i in 0..ℓ:
+	// Path[0] is the source and Path[ℓ] the destination.
+	Path []graph.NodeID
 	// FirstVisitTime[v] is the first position at which the walk was at v,
 	// or -1 if the walk never visited v.
 	FirstVisitTime []int32
@@ -65,6 +65,9 @@ type regenProto struct {
 	// token's walk position into the segment's hop index; walk IDs are
 	// network-unique, so many walks replay concurrently in one run.
 	walks map[int64]regenWalk
+	// bad is set by a visit recorded twice or off the walk; a sound
+	// replay never writes it.
+	bad bool
 }
 
 func (p *regenProto) Init(ctx *congest.Ctx) {
@@ -79,7 +82,10 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 	for i := range in {
 		t := readRegenToken(&in[i])
 		if rw, ok := p.walks[t.walkID]; ok {
-			rw.trace.record(v, t.pos, in[i].From)
+			if !rw.trace.record(v, t.pos) {
+				p.bad = true
+				return
+			}
 			p.advance(ctx, t.walkID, t.pos, rw.start)
 		}
 	}
@@ -97,16 +103,16 @@ func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos, start int32) {
 	ctx.SendTo(next, kindRegenToken, regenWords, w0, w1, 0, 0)
 }
 
-// record notes that the walk was at v at position pos, arriving from
-// `from`. Replay passes deliver visits out of position order (parallel
-// forward segments, backward refill retraces), so first-visit bookkeeping
-// keeps the minimum position rather than the first arrival.
-func (tr *Trace) record(v graph.NodeID, pos int32, from graph.NodeID) {
-	tr.Positions[v] = append(tr.Positions[v], pos)
-	if tr.FirstVisitTime[v] < 0 || pos < tr.FirstVisitTime[v] {
-		tr.FirstVisitTime[v] = pos
-		tr.FirstVisitFrom[v] = from
+// record notes that the walk was at v at position pos. Only the node the
+// walk was at records a position, so on a sound replay no two shards write
+// one slot; it reports false, recording nothing, for a position off the
+// walk or recorded before.
+func (tr *Trace) record(v graph.NodeID, pos int32) bool {
+	if pos < 0 || int(pos) >= len(tr.Path) || tr.Path[pos] != graph.None {
+		return false
 	}
+	tr.Path[pos] = v
+	return true
 }
 
 // Regenerate replays a completed walk so that every node learns its
@@ -170,17 +176,19 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 			return nil, fmt.Errorf("core: nil walk result (index %d)", i)
 		}
 		trace := &Trace{
-			Positions:      make([][]int32, n),
+			Path:           make([]graph.NodeID, res.Length+1),
 			FirstVisitTime: make([]int32, n),
 			FirstVisitFrom: make([]graph.NodeID, n),
+		}
+		for pos := range trace.Path {
+			trace.Path[pos] = graph.None
 		}
 		for v := range trace.FirstVisitTime {
 			trace.FirstVisitTime[v] = -1
 			trace.FirstVisitFrom[v] = graph.None
 		}
 		// The source knows it is position 0.
-		trace.Positions[res.Source] = append(trace.Positions[res.Source], 0)
-		trace.FirstVisitTime[res.Source] = 0
+		trace.Path[0] = res.Source
 		traces[i] = trace
 
 		pos := int32(0)
@@ -207,6 +215,9 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.bad {
+		return nil, fmt.Errorf("core: regeneration recorded a walk position twice or off its walk")
+	}
 	for _, r := range refills {
 		res, err := w.retraceRefill(r.seg, r.startPos, r.trace)
 		traces[0].Cost.Add(res)
@@ -214,22 +225,23 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 			return nil, err
 		}
 	}
-	// Replays interleave arrival order; each node sorts its own position
-	// list (local work is free in the model). Then check per-walk
-	// invariants: ℓ+1 recorded positions, ending at the destination.
+	// Every position 0..ℓ must now hold one node. One ascending pass
+	// fills each node's first visit: its least position, entered from
+	// the node one position earlier (the Aldous–Broder edge).
 	for i, trace := range traces {
 		res := walks[i]
-		total := 0
-		for v := range trace.Positions {
-			slices.Sort(trace.Positions[v])
-			total += len(trace.Positions[v])
+		for pos, v := range trace.Path {
+			if v == graph.None {
+				return nil, fmt.Errorf("core: regeneration of walk %d left position %d unrecorded", i, pos)
+			}
+			if trace.FirstVisitTime[v] < 0 {
+				trace.FirstVisitTime[v] = int32(pos)
+				if pos > 0 {
+					trace.FirstVisitFrom[v] = trace.Path[pos-1]
+				}
+			}
 		}
-		if total != res.Length+1 {
-			return nil, fmt.Errorf("core: regeneration of walk %d recorded %d positions, want %d",
-				i, total, res.Length+1)
-		}
-		if last := trace.Positions[res.Destination]; len(last) == 0 ||
-			last[len(last)-1] != int32(res.Length) {
+		if trace.Path[res.Length] != res.Destination {
 			return nil, fmt.Errorf("core: regeneration of walk %d did not end at destination %d",
 				i, res.Destination)
 		}

@@ -6,28 +6,17 @@ import (
 	"distwalk/internal/graph"
 )
 
-// reconstruct builds the full node sequence of a walk from a Trace and
+// reconstruct returns the full node sequence of a walk from a Trace and
 // verifies basic integrity along the way.
 func reconstruct(t *testing.T, g *graph.G, tr *Trace, res *WalkResult) []graph.NodeID {
 	t.Helper()
-	seq := make([]graph.NodeID, res.Length+1)
-	for i := range seq {
-		seq[i] = graph.None
-	}
-	for v := range tr.Positions {
-		for _, pos := range tr.Positions[v] {
-			if pos < 0 || int(pos) > res.Length {
-				t.Fatalf("position %d out of range [0,%d]", pos, res.Length)
-			}
-			if seq[pos] != graph.None {
-				t.Fatalf("position %d claimed by both %d and %d", pos, seq[pos], v)
-			}
-			seq[pos] = graph.NodeID(v)
-		}
+	seq := tr.Path
+	if len(seq) != res.Length+1 {
+		t.Fatalf("path holds %d positions, want %d", len(seq), res.Length+1)
 	}
 	for i, v := range seq {
-		if v == graph.None {
-			t.Fatalf("position %d unclaimed", i)
+		if v < 0 || int(v) >= g.N() {
+			t.Fatalf("position %d holds node %d, not in [0,%d)", i, v, g.N())
 		}
 		if i > 0 && !g.HasEdge(seq[i-1], v) {
 			t.Fatalf("positions %d->%d use non-edge (%d,%d)", i-1, i, seq[i-1], v)
@@ -234,5 +223,45 @@ func TestRegenerateCostComparableToWalk(t *testing.T) {
 	if tr.Cost.Rounds > res.Cost.Rounds {
 		t.Fatalf("regeneration (%d rounds) cost more than the walk (%d rounds)",
 			tr.Cost.Rounds, res.Cost.Rounds)
+	}
+}
+
+// TestRegenerateAllocsFollowSegments: regenerating a walk allocates its
+// trace (the ℓ+1 path and two per-node arrays) and the replay's per-segment
+// bookkeeping, not one entry per recorded position. Measured on
+// Torus(16,16), seed 5, source 0, default parameters: 13 / 16 / 26
+// allocations per Regenerate at ℓ = 256 / 1 024 / 4 096 (go 1.24); the
+// bounds are about 1.5 times those.
+func TestRegenerateAllocsFollowSegments(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		ell   int
+		bound float64
+	}{{256, 20}, {1024, 24}, {4096, 40}} {
+		w := newWalker(t, g, 5, DefaultParams())
+		w.KeepTrail()
+		res, err := w.SingleRandomWalk(0, c.ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var regenErr error
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := w.Regenerate(res); err != nil {
+				regenErr = err
+			}
+		})
+		if regenErr != nil {
+			t.Fatal(regenErr)
+		}
+		t.Logf("ℓ=%d: %.0f allocs per Regenerate", c.ell, allocs)
+		if allocs > c.bound {
+			t.Errorf("ℓ=%d: %.0f allocs per Regenerate, want at most %.0f", c.ell, allocs, c.bound)
+		}
 	}
 }

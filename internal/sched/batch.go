@@ -16,7 +16,7 @@ import (
 // closed sentinel at the boundary.
 var (
 	// ErrQueueFull reports a Submit rejected because the request's group
-	// already has QueueLimit members pending (backpressure).
+	// already has 4*MaxBatch members pending (backpressure).
 	ErrQueueFull = errors.New("distwalk: batch queue full")
 	// ErrBatchAborted reports a batched request that was completed without
 	// executing its walk: the shared execution failed as a whole, or the
@@ -27,15 +27,13 @@ var (
 )
 
 // Request is one walk-shaped admission: sample the endpoint of an
-// Ell-step walk from Source (and regenerate it when Trace is set), under
-// the given parameterization. Params, MaxRounds and Ell define the
-// request's compatibility group; Key identifies the request within the
-// batch seed derivation.
+// Ell-step walk from Source under the given parameterization. Params,
+// MaxRounds and Ell define the request's compatibility group; Key
+// identifies the request within the batch seed derivation.
 type Request struct {
 	Key       uint64
 	Source    graph.NodeID
 	Ell       int
-	Trace     bool
 	Params    core.Params
 	MaxRounds int
 	// Topo identifies the topology epoch the request admitted under; it
@@ -45,12 +43,11 @@ type Request struct {
 }
 
 // Result is one member's demultiplexed outcome. Exactly one Result is
-// delivered per admitted request, always: on success Walk (and Trace when
-// requested) are set; on failure Err wraps a sentinel (ErrBatchAborted,
-// a context error for pre-flush cancellation, ...).
+// delivered per admitted request, always: on success Walk is set; on
+// failure Err wraps a sentinel (ErrBatchAborted, a context error for
+// pre-flush cancellation, ...).
 type Result struct {
 	Walk  *core.WalkResult
-	Trace *core.Trace
 	Batch BatchInfo
 	Err   error
 }
@@ -150,74 +147,35 @@ func BatchSeed(seed uint64, sortedKeys []uint64) uint64 {
 	return s
 }
 
-// ExecGroup is the single group-execution path shared by coalesced
-// batches and the service's ManyRandomWalks entry point: one
-// MANY-RANDOM-WALKS run for all sources, then one shared RegenerateMany
-// pass for the walks selected by traceIdx (indices into sources; nil for
-// none). The returned traces align with traceIdx. The group keeps the
-// walker's hop trail iff traceIdx is non-empty: one traced member makes
-// every walk of the group record, a group without one runs lean. A walk
-// lost to an injected fault fails the whole group.
-func ExecGroup(w *core.Walker, sources []graph.NodeID, ell int, traceIdx []int) (*core.ManyResult, []*core.Trace, error) {
-	if len(traceIdx) > 0 {
-		w.KeepTrail()
-	}
-	many, err := w.ManyRandomWalks(sources, ell)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(traceIdx) == 0 {
-		return many, nil, nil
-	}
-	walks := make([]*core.WalkResult, len(traceIdx))
-	for i, idx := range traceIdx {
-		walks[i] = many.Walks[idx]
-	}
-	traces, err := w.RegenerateMany(walks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return many, traces, nil
-}
-
-// Execute runs the batch as one shared group execution on w and delivers
+// Execute runs the batch as one MANY-RANDOM-WALKS call on w and delivers
 // every member's demultiplexed result: its own walk (endpoint, segments,
-// per-walk cost), its trace when requested, and the batch's total and
-// amortized cost. w must run on a network reseeded with b.Seed and have
-// been Reset with b.Params — the executor callback's contract.
+// per-walk cost) and the batch's total and amortized cost. w must run on
+// a network reseeded with b.Seed and have been Reset with b.Params — the
+// executor callback's contract. A walk lost to an injected fault fails
+// the whole batch.
 func (b *Batch) Execute(w *core.Walker) {
 	sources := make([]graph.NodeID, len(b.members))
-	var traceIdx []int
 	for i, p := range b.members {
 		sources[i] = p.req.Source
-		if p.req.Trace {
-			traceIdx = append(traceIdx, i)
-		}
 	}
-	many, traces, err := ExecGroup(w, sources, b.Ell, traceIdx)
+	many, err := w.ManyRandomWalks(sources, b.Ell)
 	if err != nil {
 		b.Abort(err)
 		return
-	}
-	cost := many.Cost
-	traceOf := make(map[int]*core.Trace, len(traceIdx))
-	for i, idx := range traceIdx {
-		traceOf[idx] = traces[i]
-		cost.Add(traces[i].Cost)
 	}
 	info := BatchInfo{
 		Size:      len(b.members),
 		Seed:      b.Seed,
 		Reason:    b.Reason,
-		Cost:      cost,
-		Amortized: core.SplitCost(cost, len(b.members)),
+		Cost:      many.Cost,
+		Amortized: core.SplitCost(many.Cost, len(b.members)),
 	}
 	// Counters first: a member that has its result must find it counted.
 	if b.sched != nil {
 		b.sched.noteExecuted(info)
 	}
 	for i, p := range b.members {
-		p.out <- Result{Walk: many.Walks[i], Trace: traceOf[i], Batch: info}
+		p.out <- Result{Walk: many.Walks[i], Batch: info}
 	}
 }
 

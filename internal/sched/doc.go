@@ -13,16 +13,11 @@
 // serve both: same walk parameterization (η, λ/LambdaC, Theory,
 // Metropolis, ...; the full core.Params), same round budget, same walk
 // length ℓ, and same topology epoch (Request.Topo), so no batch mixes
-// graph generations. Sources and the trace flag may differ freely within
-// a group: sources become the batch's source list, and trace-requesting
-// members share one RegenerateMany pass after the walks complete.
-// ExecGroup turns the walker's hop trail on (core.Walker.KeepTrail) iff
-// at least one member asked for a trace, so one traced member makes the
-// whole group record and a group without one runs lean; recording
-// changes no walk, cost or seed, and a regeneration the trail cannot
-// serve fails the batch with core.ErrNoRegen instead of returning an
-// incomplete trace. A walk lost to an injected fault fails the batch
-// whole: every member receives ErrBatchAborted wrapping the typed fault.
+// graph generations. Sources may differ freely within a group: they
+// become the batch's source list. A batch only samples endpoints; it
+// never keeps the hop trail or regenerates. A walk lost to an injected
+// fault fails the batch whole: every member receives ErrBatchAborted
+// wrapping the typed fault.
 //
 // # Flush policy
 //
@@ -47,8 +42,8 @@
 // admission order), the batch seed is derived by folding the sorted member
 // keys into the service seed (BatchSeed), and the batch runs as one
 // MANY-RANDOM-WALKS call on a network reseeded with that seed. Two batches
-// with the same member set therefore produce bit-identical walks, costs
-// and traces, no matter how the members arrived, which worker ran the
+// with the same member set therefore produce bit-identical walks and
+// costs, no matter how the members arrived, which worker ran the
 // batch, or what ran before it. Which members end up in one batch does
 // depend on arrival timing — that is inherent to coalescing and is the
 // only nondeterminism batching introduces. One caveat: request keys are
@@ -72,10 +67,11 @@
 //
 // # Backpressure
 //
-// Each group's admission queue is bounded by QueueLimit. When executions
-// cannot keep up — all MaxInFlight slots busy and the queue at its limit —
-// Submit fails fast with ErrQueueFull instead of queueing unboundedly;
-// callers shed load or retry. Rejections are counted in Stats.
+// Each group's admission queue holds at most 4*MaxBatch members. When
+// executions cannot keep up — all MaxInFlight slots busy and the queue at
+// its limit — Submit fails fast with ErrQueueFull instead of queueing
+// unboundedly; callers shed load or retry. Rejections are counted in
+// Stats.
 //
 // # Metrics
 //

@@ -28,51 +28,36 @@ func walker(t *testing.T, g *graph.G, seed uint64) *core.Walker {
 	return w
 }
 
-// TestExecGroupMatchesManyRandomWalks pins the rewiring claim: the shared
-// group-execution path without traces is bit-identical to a plain
-// ManyRandomWalks call, so routing the service's batch entry point
-// through it changes nothing.
+// TestExecGroupMatchesManyRandomWalks pins that executing a group is a
+// plain ManyRandomWalks call: every member's demultiplexed walk and the
+// batch cost are bit-identical to the direct call on the same walker
+// seed, duplicate sources included.
 func TestExecGroupMatchesManyRandomWalks(t *testing.T) {
 	g := torus(t)
 	sources := []graph.NodeID{0, 9, 17, 9}
-	want, err := walker(t, g, 42).ManyRandomWalks(sources, 500)
+	const ell = 500
+	want, err := walker(t, g, 42).ManyRandomWalks(sources, ell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, traces, err := ExecGroup(walker(t, g, 42), sources, 500, nil)
-	if err != nil {
-		t.Fatal(err)
+	b := &Batch{Ell: ell, Params: core.DefaultParams(), Seed: 42}
+	for i, src := range sources {
+		b.members = append(b.members, &pending{
+			req: Request{Key: uint64(i), Source: src, Ell: ell, Params: core.DefaultParams()},
+			out: make(chan Result, 1),
+		})
 	}
-	if traces != nil {
-		t.Fatal("traces requested by nobody")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ExecGroup diverged from ManyRandomWalks:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestExecGroupTraces checks the shared regeneration pass: traced members
-// get a full replay of their own walk while the untraced run stays
-// untouched.
-func TestExecGroupTraces(t *testing.T) {
-	g := torus(t)
-	sources := []graph.NodeID{3, 11, 3}
-	const ell = 400
-	many, traces, err := ExecGroup(walker(t, g, 7), sources, ell, []int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want 2", len(traces))
-	}
-	for i, idx := range []int{0, 2} {
-		tr, wr := traces[i], many.Walks[idx]
-		if tr.FirstVisitTime[wr.Source] != 0 {
-			t.Fatalf("trace %d: source first visit at %d, want 0", i, tr.FirstVisitTime[wr.Source])
+	b.Execute(walker(t, g, 42))
+	for i, p := range b.members {
+		r := <-p.out
+		if r.Err != nil {
+			t.Fatal(r.Err)
 		}
-		positions := tr.Positions[wr.Destination]
-		if len(positions) == 0 || positions[len(positions)-1] != int32(ell) {
-			t.Fatalf("trace %d does not end at the walk's destination", i)
+		if !reflect.DeepEqual(r.Walk, want.Walks[i]) {
+			t.Fatalf("member %d diverged from ManyRandomWalks:\n got %+v\nwant %+v", i, r.Walk, want.Walks[i])
+		}
+		if r.Batch.Size != len(sources) || r.Batch.Cost != want.Cost {
+			t.Fatalf("member %d: batch info %+v, want size %d cost %+v", i, r.Batch, len(sources), want.Cost)
 		}
 	}
 }
@@ -91,8 +76,8 @@ func realExec(t *testing.T, g *graph.G) func(*Batch) {
 }
 
 // TestBatchExecuteDemux runs a real coalesced batch end to end and checks
-// the demultiplexed per-member results against a direct MANY-RANDOM-WALKS
-// reference on the batch seed.
+// the demultiplexed per-member results, and the batch's cost, against a
+// direct MANY-RANDOM-WALKS reference on the batch seed.
 func TestBatchExecuteDemux(t *testing.T) {
 	g := torus(t)
 	const ell = 300
@@ -103,10 +88,7 @@ func TestBatchExecuteDemux(t *testing.T) {
 	sources := []graph.NodeID{1, 2, 3, 4}
 	chans := make([]<-chan Result, len(keys))
 	for i := range keys {
-		ch, err := s.Submit(ctx, Request{
-			Key: keys[i], Source: sources[i], Ell: ell,
-			Trace: i == 0, Params: core.DefaultParams(),
-		})
+		ch, err := s.Submit(ctx, Request{Key: keys[i], Source: sources[i], Ell: ell, Params: core.DefaultParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +120,8 @@ func TestBatchExecuteDemux(t *testing.T) {
 		if r.Batch.Size != 4 || r.Batch.Seed != seed {
 			t.Fatalf("member %d: batch info %+v, want size 4 seed %d", i, r.Batch, seed)
 		}
-		if (r.Trace != nil) != (i == 0) {
-			t.Fatalf("member %d: trace presence wrong", i)
+		if r.Batch.Cost != ref.Cost {
+			t.Fatalf("member %d: batch cost %+v, want the reference's %+v", i, r.Batch.Cost, ref.Cost)
 		}
 	}
 	// Amortization: the batch cost exceeds any per-walk share, and the

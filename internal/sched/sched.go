@@ -25,11 +25,6 @@ type Config struct {
 	// member was admitted (default 2ms): the latency a lone request pays
 	// waiting for batchmates that never come.
 	MaxDelay time.Duration
-	// QueueLimit bounds each group's admission queue; Submit beyond it
-	// fails with ErrQueueFull (default 4*MaxBatch). A limit below
-	// MaxBatch is honored: the size trigger then never fires and batches
-	// cap at QueueLimit members, flushed by the delay window.
-	QueueLimit int
 	// MaxInFlight bounds concurrently executing batches (default 1; the
 	// service sets it to its worker-pool size).
 	MaxInFlight int
@@ -42,9 +37,6 @@ func (c Config) withDefaults() Config {
 	}
 	if d.MaxDelay <= 0 {
 		d.MaxDelay = DefaultMaxDelay
-	}
-	if d.QueueLimit < 1 {
-		d.QueueLimit = 4 * d.MaxBatch
 	}
 	if d.MaxInFlight < 1 {
 		d.MaxInFlight = 1
@@ -131,7 +123,7 @@ func (s *Scheduler) Submit(ctx context.Context, req Request) (<-chan Result, err
 	// Reap members already cancelled before judging fullness, so a queue
 	// of dead requests cannot reject a live one.
 	g.members = s.dropCancelledLocked(g.members)
-	if len(g.members) >= s.cfg.QueueLimit {
+	if len(g.members) >= 4*s.cfg.MaxBatch {
 		s.st.Rejected++
 		return nil, fmt.Errorf("%w: %d requests pending for this config (request %d)",
 			ErrQueueFull, len(g.members), req.Key)

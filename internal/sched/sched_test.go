@@ -173,16 +173,17 @@ func TestGroupingByCompatibleConfig(t *testing.T) {
 
 func TestQueueFullBackpressure(t *testing.T) {
 	e := &stubExec{gate: make(chan struct{})}
-	s := New(1, Config{MaxBatch: 1, MaxDelay: time.Hour, QueueLimit: 2, MaxInFlight: 1}, e.exec)
+	s := New(1, Config{MaxBatch: 1, MaxDelay: time.Hour, MaxInFlight: 1}, e.exec)
 	ctx := context.Background()
 	// First submit flushes immediately (MaxBatch 1) and parks in exec.
 	first, err := s.Submit(ctx, req(1, 0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The in-flight slot is taken, so these two queue up to the limit...
+	// The in-flight slot is taken, so these four queue up to the limit
+	// of 4*MaxBatch...
 	var queued []<-chan Result
-	for k := uint64(2); k <= 3; k++ {
+	for k := uint64(2); k <= 5; k++ {
 		ch, err := s.Submit(ctx, req(k, 0, 100))
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +191,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		queued = append(queued, ch)
 	}
 	// ...and the next is rejected with ErrQueueFull.
-	if _, err := s.Submit(ctx, req(4, 0, 100)); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(ctx, req(6, 0, 100)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	close(e.gate) // release the parked batch; the queue drains
@@ -201,8 +202,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	s.Close()
 	st := s.Stats()
-	if st.Rejected != 1 || st.Submitted != 3 {
-		t.Fatalf("stats submitted/rejected = %d/%d, want 3/1", st.Submitted, st.Rejected)
+	if st.Rejected != 1 || st.Submitted != 5 {
+		t.Fatalf("stats submitted/rejected = %d/%d, want 5/1", st.Submitted, st.Rejected)
 	}
 }
 
@@ -273,14 +274,14 @@ func TestCancelObservedEagerly(t *testing.T) {
 // full of cancelled members must not reject live submissions.
 func TestQueueReclaimsCancelledCapacity(t *testing.T) {
 	e := &stubExec{gate: make(chan struct{})}
-	s := New(1, Config{MaxBatch: 1, MaxDelay: time.Hour, QueueLimit: 2, MaxInFlight: 1}, e.exec)
+	s := New(1, Config{MaxBatch: 1, MaxDelay: time.Hour, MaxInFlight: 1}, e.exec)
 	ctx := context.Background()
 	first, err := s.Submit(ctx, req(1, 0, 100)) // flushes, parks in exec
 	if err != nil {
 		t.Fatal(err)
 	}
 	cctx, cancel := context.WithCancel(ctx)
-	dead := make([]<-chan Result, 2)
+	dead := make([]<-chan Result, 4)
 	for i := range dead {
 		ch, err := s.Submit(cctx, req(uint64(2+i), 0, 100))
 		if err != nil {
@@ -311,36 +312,6 @@ func TestQueueReclaimsCancelledCapacity(t *testing.T) {
 	s.Close()
 }
 
-// TestQueueLimitBelowMaxBatchHonored: an explicit limit smaller than the
-// batch size must bound the queue (and thus the batch) at that limit,
-// not be silently replaced by the default.
-func TestQueueLimitBelowMaxBatchHonored(t *testing.T) {
-	e := &stubExec{}
-	s := New(1, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueLimit: 2}, e.exec)
-	defer s.Close()
-	ctx := context.Background()
-	a, err := s.Submit(ctx, req(1, 0, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Submit(ctx, req(2, 0, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(ctx, req(3, 0, 100)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third submit: err = %v, want ErrQueueFull at the configured limit of 2", err)
-	}
-	for _, ch := range []<-chan Result{a, b} {
-		r := <-ch
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.Batch.Size != 2 || r.Batch.Reason != ReasonDelay {
-			t.Fatalf("batch %+v, want size 2 flushed by delay", r.Batch)
-		}
-	}
-}
-
 func TestCloseAbortsPending(t *testing.T) {
 	e := &stubExec{}
 	s := New(1, Config{MaxBatch: 8, MaxDelay: time.Hour}, e.exec)
@@ -362,7 +333,7 @@ func TestCloseAbortsPending(t *testing.T) {
 
 func TestSizeOverflowKeepsDueAndDrains(t *testing.T) {
 	e := &stubExec{gate: make(chan struct{})}
-	s := New(1, Config{MaxBatch: 2, MaxDelay: time.Hour, QueueLimit: 8, MaxInFlight: 1}, e.exec)
+	s := New(1, Config{MaxBatch: 2, MaxDelay: time.Hour, MaxInFlight: 1}, e.exec)
 	ctx := context.Background()
 	// 5 submissions: one batch of 2 flushes and parks; 3 overflow members
 	// wait for the slot.

@@ -211,8 +211,8 @@ func WithMaxRounds(r int) Option {
 }
 
 // WithBatching enables the request-coalescing scheduler: concurrent
-// SubmitWalk/SubmitWalkTrace requests with compatible config coalesce
-// into shared MANY-RANDOM-WALKS executions, amortizing the batch cost
+// SubmitWalk requests with compatible config coalesce into shared
+// MANY-RANDOM-WALKS executions, amortizing the batch cost
 // Õ(min(√(kℓD)+k, k+ℓ)) across its k walks. A batch flushes when it
 // reaches maxBatch members or maxDelay after its first member arrived,
 // whichever comes first; non-positive values keep the defaults (8

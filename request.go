@@ -10,7 +10,6 @@ import (
 	"distwalk/internal/cache"
 	"distwalk/internal/core"
 	"distwalk/internal/mixing"
-	"distwalk/internal/sched"
 	"distwalk/internal/spanning"
 )
 
@@ -48,12 +47,10 @@ type requestKind[T any] struct {
 	entry func(T) int64
 	// copy deep-copies a frozen master for return.
 	copy func(T) T
-	// walk views a result as a submitted walk (the async kinds only).
-	walk func(T) tracedWalk
 }
 
-// tracedWalk is the result of a WalkTrace/SubmitWalkTrace request: the
-// walk and its regenerated trace travel as one cache entry.
+// tracedWalk is the result of a WalkTrace request: the walk and its
+// regenerated trace travel as one cache entry.
 type tracedWalk struct {
 	walk  *WalkResult
 	trace *Trace
@@ -75,7 +72,6 @@ func walkKind(digest uint64, walk func(*core.Walker, NodeID, int) (*WalkResult, 
 		},
 		entry: walkEntry,
 		copy:  copyWalkResult,
-		walk:  func(r *WalkResult) tracedWalk { return tracedWalk{walk: r} },
 	}
 }
 
@@ -92,8 +88,7 @@ var (
 			d.I64(int64(op.ell))
 		},
 		run: func(w *core.Walker, _ *config, op operands) (*ManyResult, error) {
-			res, _, err := sched.ExecGroup(w, op.sources, op.ell, nil)
-			return res, err
+			return w.ManyRandomWalks(op.sources, op.ell)
 		},
 		entry: manyEntry,
 		copy:  copyManyResult,
@@ -115,7 +110,6 @@ var (
 		},
 		entry: traceEntry,
 		copy:  copyTracedWalk,
-		walk:  func(p tracedWalk) tracedWalk { return p },
 	}
 	rstKind = requestKind[*RSTResult]{
 		digest: cacheKindRST,

@@ -61,7 +61,7 @@ type Service struct {
 	wg   sync.WaitGroup
 
 	// batch is the request-coalescing scheduler (nil unless WithBatching
-	// was given): SubmitWalk/SubmitWalkTrace requests queue here and
+	// was given): SubmitWalk requests queue here and
 	// execute as shared MANY-RANDOM-WALKS batches on the same pool.
 	batch *sched.Scheduler
 
@@ -550,9 +550,9 @@ func (s *Service) NaiveWalk(ctx context.Context, key uint64, source NodeID, ell 
 
 // ManyRandomWalks samples k independent ℓ-step walks from the given (not
 // necessarily distinct) sources in Õ(min(√(kℓD)+k, k+ℓ)) simulated rounds
-// (Theorem 2.8), as one request. It runs on the same group-execution path
-// (sched.ExecGroup) that serves coalesced SubmitWalk batches — one
-// explicit batch under the caller's key instead of a scheduled one.
+// (Theorem 2.8), as one request: the same MANY-RANDOM-WALKS call that
+// serves a coalesced SubmitWalk batch, under the caller's key instead of
+// a batch seed.
 func (s *Service) ManyRandomWalks(ctx context.Context, key uint64, sources []NodeID, ell int, opts ...Option) (*ManyResult, error) {
 	return serve(ctx, s, &manyKind, key, operands{sources: sources, ell: ell}, opts)
 }
@@ -560,9 +560,10 @@ func (s *Service) ManyRandomWalks(ctx context.Context, key uint64, sources []Nod
 // WalkTrace samples an ℓ-step walk from source and then regenerates it
 // (Section 2.2, "Regenerating the entire random walk") so every simulated
 // node learns its position(s) in the walk, as one request. The returned
-// Trace carries per-node positions and first-visit edges — the primitive
-// the spanning-tree application builds on — plus the regeneration cost;
-// the WalkResult carries the walk itself.
+// Trace carries the walk's path (the node at every position 0..ℓ) and
+// first-visit edges — the primitive the spanning-tree application builds
+// on — plus the regeneration cost; the WalkResult carries the walk itself.
+// WalkTrace and RandomSpanningTree are the only requests that regenerate.
 func (s *Service) WalkTrace(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkResult, *Trace, error) {
 	p, err := serve(ctx, s, &traceKind, key, operands{node: source, ell: ell}, opts)
 	return p.walk, p.trace, err

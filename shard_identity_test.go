@@ -59,9 +59,10 @@ func shardWorkloads() []shardWorkload {
 				return "", err
 			}
 			sum := int64(0)
+			positions := positionsOf(trace)
 			for v, ft := range trace.FirstVisitTime {
 				sum += int64(ft)*31 + int64(trace.FirstVisitFrom[v])
-				for _, p := range trace.Positions[v] {
+				for _, p := range positions[v] {
 					sum = sum*3 + int64(p)
 				}
 			}
@@ -292,10 +293,10 @@ func TestShardIdentityFaulty2(t *testing.T) { testShardIdentityFaulty(t, 2) }
 func TestShardIdentityFaulty4(t *testing.T) { testShardIdentityFaulty(t, 4) }
 func TestShardIdentityFaulty8(t *testing.T) { testShardIdentityFaulty(t, 8) }
 
-// batchedBursts runs two exactly-full SubmitWalk/SubmitWalkTrace bursts
-// (the second on the warm worker) on a one-worker batching service built
-// with opts, and digests everything a member can observe: walk, trace,
-// and the batch's seed, size and cost.
+// batchedBursts runs two exactly-full SubmitWalk bursts (the second on
+// the warm worker) on a one-worker batching service built with opts, and
+// digests everything a member can observe: walk, and the batch's seed,
+// size and cost.
 func batchedBursts(t *testing.T, g *distwalk.Graph, opts ...distwalk.Option) (string, distwalk.ServiceStats) {
 	t.Helper()
 	ctx := context.Background()
@@ -309,11 +310,7 @@ func batchedBursts(t *testing.T, g *distwalk.Graph, opts ...distwalk.Option) (st
 	for burst, ell := range []int{512, 384} {
 		handles := make([]*distwalk.WalkHandle, 4)
 		for i := range handles {
-			submit := svc.SubmitWalk
-			if i%2 == 1 {
-				submit = svc.SubmitWalkTrace
-			}
-			h, err := submit(ctx, uint64(10*burst+i), distwalk.NodeID(7*i), ell)
+			h, err := svc.SubmitWalk(ctx, uint64(10*burst+i), distwalk.NodeID(7*i), ell)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,9 +322,6 @@ func batchedBursts(t *testing.T, g *distwalk.Graph, opts ...distwalk.Option) (st
 				t.Fatal(err)
 			}
 			out += fmt.Sprintf("%d/%+v", res.Destination, res.Cost)
-			if tr, _ := h.Trace(); tr != nil {
-				out += fmt.Sprintf("/%v%v%+v", tr.FirstVisitTime, tr.FirstVisitFrom, tr.Cost)
-			}
 			b := h.Batch()
 			out += fmt.Sprintf("/%d:%d:%+v:%+v;", b.Seed, b.Size, b.Cost, b.Amortized)
 		}

@@ -78,13 +78,6 @@ func (h *WalkHandle) Result() (*WalkResult, error) {
 	return h.res.Walk, h.res.Err
 }
 
-// Trace blocks like Result and returns the regenerated trace (nil unless
-// the request was submitted via SubmitWalkTrace).
-func (h *WalkHandle) Trace() (*Trace, error) {
-	h.wait()
-	return h.res.Trace, h.res.Err
-}
-
 // Batch blocks like Result and describes the execution that served the
 // request — how many walks shared it and at what amortized cost.
 func (h *WalkHandle) Batch() BatchInfo {
@@ -105,21 +98,10 @@ func (h *WalkHandle) Batch() BatchInfo {
 // After flush the shared execution runs to completion regardless.
 // SubmitWalk itself fails fast on invalid arguments, a full admission
 // queue (ErrQueueFull) or a closed service (ErrServiceClosed).
+//
+// A submitted walk is SingleRandomWalk's request, so the two share cache
+// entries.
 func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkHandle, error) {
-	return submitAsync(ctx, s, &singleKind, key, source, ell, opts)
-}
-
-// SubmitWalkTrace is SubmitWalk plus regeneration: the walk's trace
-// (per-node positions and first-visit edges) is computed in the batch's
-// shared RegenerateMany pass and returned via WalkHandle.Trace.
-func (s *Service) SubmitWalkTrace(ctx context.Context, key uint64, source NodeID, ell int, opts ...Option) (*WalkHandle, error) {
-	return submitAsync(ctx, s, &traceKind, key, source, ell, opts)
-}
-
-// submitAsync admits one submitted walk of kind k — singleKind, or
-// traceKind for a traced walk: the async twins share the synchronous
-// entry points' descriptors, and with them their cache entries.
-func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, source NodeID, ell int, opts []Option) (*WalkHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -136,9 +118,6 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 	if err := core.CheckLength(ell); err != nil {
 		return nil, err
 	}
-	if k.digest == cacheKindTrace && cfg.params.Metropolis {
-		return nil, fmt.Errorf("%w: Metropolis-Hastings walks cannot be traced", ErrNoRegen)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
@@ -146,7 +125,7 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 	if s.batch == nil {
 		// Unbatched: the synchronous entry points' request, run async.
 		ch := make(chan sched.Result, 1)
-		go func() { ch <- serveWalk(ctx, s, k, key, op, cfg, snap) }()
+		go func() { ch <- serveWalk(ctx, s, key, op, cfg, snap) }()
 		return newWalkHandle(ch), nil
 	}
 	if s.cache != nil {
@@ -155,9 +134,9 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 		// but a batch execution never leads a flight, because its result
 		// is deterministic per batch composition, not per key, and must
 		// not be published to per-key waiters (or the store).
-		if v, f, o := s.cache.Attach(requestDigest(snap.gen, k, key, op, cfg)); o != cache.Miss {
+		if v, f, o := s.cache.Attach(requestDigest(snap.gen, &singleKind, key, op, cfg)); o != cache.Miss {
 			served := func(v any) sched.Result {
-				return s.walkResult(key, k.walk(k.copy(v.(T))), cache.Hit, nil)
+				return s.walkResult(key, copyWalkResult(v.(*WalkResult)), cache.Hit, nil)
 			}
 			ch := make(chan sched.Result, 1)
 			if o == cache.Hit {
@@ -175,7 +154,7 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 					// The leader failed with an error that may be private
 					// to it; fall back to this request's own batched
 					// submission.
-					h, err := submitBatched(ctx, s, k, key, op, cfg, snap)
+					h, err := submitBatched(ctx, s, key, op, cfg, snap)
 					if err != nil {
 						ch <- sched.Result{Err: err}
 						return
@@ -187,19 +166,18 @@ func submitAsync[T any](ctx context.Context, s *Service, k *requestKind[T], key 
 			return newWalkHandle(ch), nil
 		}
 	}
-	return submitBatched(ctx, s, k, key, op, cfg, snap)
+	return submitBatched(ctx, s, key, op, cfg, snap)
 }
 
 // submitBatched queues one admitted submission to the batching scheduler,
 // fail-fast (ErrQueueFull at submit time) and wrapped with the
 // abort-fallback when retries are on. The admission epoch joins the
 // batch-compatibility group, so no batch ever mixes generations.
-func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) (*WalkHandle, error) {
+func submitBatched(ctx context.Context, s *Service, key uint64, op operands, cfg *config, snap *topology) (*WalkHandle, error) {
 	req := sched.Request{
 		Key:       key,
 		Source:    op.node,
 		Ell:       op.ell,
-		Trace:     k.digest == cacheKindTrace,
 		Params:    cfg.params,
 		MaxRounds: cfg.maxRounds,
 		Topo:      snap,
@@ -223,7 +201,7 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 		r := <-ch
 		if r.Err != nil && Retryable(r.Err) {
 			s.retry.retries.Add(1)
-			fb := serveWalk(ctx, s, k, key, op, cfg, snap)
+			fb := serveWalk(ctx, s, key, op, cfg, snap)
 			if fb.Err == nil {
 				s.retry.recovered.Add(1)
 			}
@@ -236,29 +214,25 @@ func submitBatched[T any](ctx context.Context, s *Service, k *requestKind[T], ke
 
 // serveWalk serves one submitted walk on the per-key path, as a size-one
 // batch.
-func serveWalk[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) sched.Result {
-	v, o, err := serveAt(ctx, s, k, key, op, cfg, snap)
-	return s.walkResult(key, k.walk(v), o, err)
+func serveWalk(ctx context.Context, s *Service, key uint64, op operands, cfg *config, snap *topology) sched.Result {
+	walk, o, err := serveAt(ctx, s, &singleKind, key, op, cfg, snap)
+	return s.walkResult(key, walk, o, err)
 }
 
 // walkResult wraps a per-key walk in a size-one BatchInfo so callers can
 // treat batched and unbatched services uniformly. The reason follows the
 // cache outcome: a Miss executed (FlushUnbatched), anything else was
 // served (FlushCached) at the stored execution's cost.
-func (s *Service) walkResult(key uint64, p tracedWalk, o cache.Outcome, err error) sched.Result {
+func (s *Service) walkResult(key uint64, walk *WalkResult, o cache.Outcome, err error) sched.Result {
 	if err != nil {
 		return sched.Result{Err: err}
-	}
-	cost := p.walk.Cost
-	if p.trace != nil {
-		cost.Add(p.trace.Cost)
 	}
 	reason := FlushUnbatched
 	if o != cache.Miss {
 		reason = FlushCached
 	}
-	return sched.Result{Walk: p.walk, Trace: p.trace, Batch: BatchInfo{
+	return sched.Result{Walk: walk, Batch: BatchInfo{
 		Size: 1, Seed: deriveSeed(s.seed, key), Reason: reason,
-		Cost: cost, Amortized: cost,
+		Cost: walk.Cost, Amortized: walk.Cost,
 	}}
 }

@@ -6,16 +6,16 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
-	"time"
 
 	"distwalk"
 	"distwalk/internal/stats"
 )
 
 // The hop trail is kept only by requests that regenerate (WalkTrace,
-// SubmitWalkTrace, RandomSpanningTree); every other kind leaves the
-// worker's walker trail-less. These tests pin the two places where a
-// trail-less request and a tracing one could be confused for each other.
+// RandomSpanningTree); every other kind, and every batch, leaves the
+// worker's walker trail-less. These tests pin where a trail-less request
+// and a tracing one could be confused for each other (the cache), and
+// what regeneration returns.
 
 // checkTrace asserts tr is a complete regeneration of walk.
 func checkTrace(t *testing.T, walk *distwalk.WalkResult, tr *distwalk.Trace) {
@@ -23,20 +23,25 @@ func checkTrace(t *testing.T, walk *distwalk.WalkResult, tr *distwalk.Trace) {
 	if tr == nil {
 		t.Fatal("no trace")
 	}
-	total := 0
-	for _, p := range tr.Positions {
-		total += len(p)
+	if len(tr.Path) != walk.Length+1 {
+		t.Fatalf("trace holds %d positions, want %d", len(tr.Path), walk.Length+1)
 	}
-	if total != walk.Length+1 {
-		t.Fatalf("trace holds %d positions, want %d", total, walk.Length+1)
-	}
-	if tr.FirstVisitTime[walk.Source] != 0 {
+	if tr.Path[0] != walk.Source || tr.FirstVisitTime[walk.Source] != 0 {
 		t.Fatal("trace does not start at the source")
 	}
-	last := tr.Positions[walk.Destination]
-	if len(last) == 0 || int(last[len(last)-1]) != walk.Length {
+	if tr.Path[walk.Length] != walk.Destination {
 		t.Fatal("trace does not end at the walk's destination")
 	}
+}
+
+// positionsOf lists, for every node v, the walk positions at which the
+// walk was at v, in increasing order.
+func positionsOf(tr *distwalk.Trace) [][]int32 {
+	out := make([][]int32, len(tr.FirstVisitTime))
+	for pos, v := range tr.Path {
+		out[v] = append(out[v], int32(pos))
+	}
+	return out
 }
 
 // TestTrailWalkTraceAfterSingleCached: on a cached one-worker service,
@@ -88,68 +93,11 @@ func TestTrailWalkTraceAfterSingleCached(t *testing.T) {
 	}
 }
 
-// TestTrailMixedBatch: one SubmitWalkTrace member makes its whole batch
-// keep the trail. The trace member gets its trace, and every member gets
-// the walk an all-SubmitWalk batch of the same composition (hence the same
-// seed) produces — recording changes nothing a member can observe.
-func TestTrailMixedBatch(t *testing.T) {
-	g, err := distwalk.Torus(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ell = 300
-	run := func(traced int) ([]*distwalk.WalkResult, *distwalk.Trace) {
-		svc, err := distwalk.NewService(g, 21, distwalk.WithWorkers(1), distwalk.WithBatching(4, time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		ctx := context.Background()
-		handles := make([]*distwalk.WalkHandle, 4)
-		for i := range handles {
-			submit := svc.SubmitWalk
-			if i == traced {
-				submit = svc.SubmitWalkTrace
-			}
-			if handles[i], err = submit(ctx, uint64(i+1), distwalk.NodeID(9*i), ell); err != nil {
-				t.Fatal(err)
-			}
-		}
-		walks := make([]*distwalk.WalkResult, len(handles))
-		var trace *distwalk.Trace
-		seed := handles[0].Batch().Seed
-		for i, h := range handles {
-			if walks[i], err = h.Result(); err != nil {
-				t.Fatal(err)
-			}
-			if b := h.Batch(); b.Size != len(handles) || b.Seed != seed {
-				t.Fatalf("member %d rode batch size %d seed %d, want one full batch", i, b.Size, b.Seed)
-			}
-			tr, err := h.Trace()
-			if i == traced {
-				if err != nil {
-					t.Fatalf("trace member: %v", err)
-				}
-				trace = tr
-			} else if tr != nil {
-				t.Fatalf("member %d did not ask for a trace and got one", i)
-			}
-		}
-		return walks, trace
-	}
-	plain, _ := run(-1)
-	mixed, trace := run(2)
-	if !reflect.DeepEqual(mixed, plain) {
-		t.Fatalf("a traced member changed the batch's walks:\nmixed %+v\nplain %+v", mixed, plain)
-	}
-	checkTrace(t, mixed[2], trace)
-}
-
 // traceDigest folds everything a Trace reports — every node's positions,
 // first-visit time and edge, and the regeneration cost — into one value.
 func traceDigest(h interface{ Write([]byte) (int, error) }, tr *distwalk.Trace) {
-	for v := range tr.Positions {
-		fmt.Fprintf(h, "%d:%v:%d:%d;", v, tr.Positions[v], tr.FirstVisitTime[v], tr.FirstVisitFrom[v])
+	for v, pos := range positionsOf(tr) {
+		fmt.Fprintf(h, "%d:%v:%d:%d;", v, pos, tr.FirstVisitTime[v], tr.FirstVisitFrom[v])
 	}
 	fmt.Fprintf(h, "cost=%+v covered=%v|", tr.Cost, tr.Covered)
 }
