@@ -290,11 +290,11 @@ func TestBatchedGoldenCounters(t *testing.T) {
 		}
 	}
 	info := handles[0].Batch()
-	wantCost := distwalk.Cost{Rounds: 5005, Messages: 1163101, Words: 3486999, MaxQueue: 17}
+	wantCost := distwalk.Cost{Rounds: 4982, Messages: 1161061, Words: 3480879, MaxQueue: 17}
 	if info.Cost != wantCost {
 		t.Errorf("golden batch cost changed:\n got %+v\nwant %+v", info.Cost, wantCost)
 	}
-	wantAm := distwalk.Cost{Rounds: 625, Messages: 145387, Words: 435874, MaxQueue: 17}
+	wantAm := distwalk.Cost{Rounds: 622, Messages: 145132, Words: 435109, MaxQueue: 17}
 	if info.Amortized != wantAm {
 		t.Errorf("golden amortized cost changed:\n got %+v\nwant %+v", info.Amortized, wantAm)
 	}

@@ -99,7 +99,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2244, Messages: 584684, Words: 1751910, MaxQueue: 12},
+			want: distwalk.Cost{Rounds: 2243, Messages: 584429, Words: 1751145, MaxQueue: 12},
 		},
 		{
 			name: "NaiveWalk/torus16x16/ell2048/seed3",
@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 3238, Messages: 171776, Words: 505324, MaxQueue: 13},
+			want: distwalk.Cost{Rounds: 3182, Messages: 170012, Words: 500032, MaxQueue: 13},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -157,7 +157,7 @@ func goldenCases() []goldenCase {
 				}
 				return est.Cost
 			},
-			want: distwalk.Cost{Rounds: 600, Messages: 21114, Words: 63964, MaxQueue: 48},
+			want: distwalk.Cost{Rounds: 288, Messages: 2970, Words: 9532, MaxQueue: 17},
 		},
 	}
 }
@@ -218,8 +218,8 @@ type serviceGoldenCase struct {
 
 // serviceGoldenCases are the headline Service workloads at service seed
 // 42, request key 1. Two headline workloads are pinned elsewhere and have
-// no row here: BatchedWalks (8 × SubmitWalk ℓ=4096, keys 8..15: 625
-// amortized rounds, 145387 messages, 435874 words) is
+// no row here: BatchedWalks (8 × SubmitWalk ℓ=4096, keys 8..15: 622
+// amortized rounds, 145132 messages, 435109 words) is
 // TestBatchedGoldenCounters, and ClusterManyWalks (the ManyRandomWalks row
 // over two distwalkd engines) must equal that row because
 // testClusterIdentity pins cluster == in-process sharded and
@@ -267,7 +267,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024", graph: torus,
 			run:  manyFromZero(8),
-			want: serviceGolden{Rounds: 2178, Messages: 591470, Words: 1772362},
+			want: serviceGolden{Rounds: 2155, Messages: 589430, Words: 1766242},
 		},
 		{
 			// Four shards pinned, not GOMAXPROCS: the same workload on
@@ -285,7 +285,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 5230, Messages: 12495233, Words: 37467075},
+			want: serviceGolden{Rounds: 5229, Messages: 12492930, Words: 37460166},
 		},
 		{
 			// Starts cold, then 16 requests over 4 distinct keys: 4
@@ -308,7 +308,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return total, nil
 			},
-			want: serviceGolden{Rounds: 35068, Messages: 9408904, Words: 28193944, CacheHits: 12, CacheMisses: 4},
+			want: serviceGolden{Rounds: 34700, Messages: 9376264, Words: 28096024, CacheHits: 12, CacheMisses: 4},
 		},
 		{
 			// A churn window, two lossy links and one slow link, up to 3
@@ -330,7 +330,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				distwalk.WithRetry(3),
 			},
 			run:   manyFromZero(8),
-			want:  serviceGolden{Rounds: 2223, Messages: 548115, Words: 1642297, Dropped: 82},
+			want:  serviceGolden{Rounds: 2200, Messages: 546075, Words: 1636177, Dropped: 82},
 			retry: &distwalk.RetryStats{Attempts: 4, Retries: 3, Recovered: 1, Faults: 3},
 		},
 		{
@@ -353,7 +353,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 18133, Messages: 3562775, Words: 10595581},
+			want: serviceGolden{Rounds: 18013, Messages: 3551300, Words: 10561156},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).
@@ -372,7 +372,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 		{
 			name: "RefillWalks/torus16x16/k16/ell1024/lambda64", graph: torus,
 			run:  manyFromZero(16, distwalk.WithParams(refill)),
-			want: serviceGolden{Rounds: 14682, Messages: 224479, Words: 668463},
+			want: serviceGolden{Rounds: 14651, Messages: 220399, Words: 656223},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4", graph: regular,
@@ -383,7 +383,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return est.Cost, nil
 			},
-			want: serviceGolden{Rounds: 591, Messages: 21124, Words: 63994},
+			want: serviceGolden{Rounds: 279, Messages: 2980, Words: 9562},
 		},
 	}
 }

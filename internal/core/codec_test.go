@@ -112,7 +112,9 @@ func TestCodecTreeItems(t *testing.T) {
 
 	for _, r := range []destReport{
 		{walkID: highWalk, dest: maxNode, deg: maxLen},
+		{walkID: highWalk, dest: maxNode, deg: maxLen, rootSource: true},
 		{walkID: 0, dest: graph.None, deg: 0},
+		{walkID: 0, dest: graph.None, deg: 0, rootSource: true},
 	} {
 		m := r.msg()
 		checkShape(t, "destReport", &m, 3, 3)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
@@ -116,7 +118,7 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	if err := w.runTails(out, tails); err != nil {
 		return nil, err
 	}
-	return out, w.notifyAll(out, sources)
+	return out, w.notifyAll(out)
 }
 
 // tailSpec is one deferred naive tail: steps hops remaining from start.
@@ -137,11 +139,11 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
 		dest:  make([]graph.NodeID, len(tails)),
 	}
 	wids := make([]int64, len(tails))
+	p.walkIDs = wids
 	for i, tl := range tails {
 		wid := w.st.newWalk(tl.start, tl.steps)
 		wids[i] = wid
 		p.start[wid] = i
-		p.walkIDs = append(p.walkIDs, wid)
 		p.steps[i] = tl.steps
 		p.dest[i] = graph.None
 	}
@@ -168,45 +170,70 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
 }
 
 // naiveMany walks all k tokens simultaneously (the k+ℓ regime): every
-// walk is one ℓ-step tail from its source.
+// walk is one ℓ-step tail from its source. The k results and their
+// one-segment lists are carved from two slabs.
 func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int) error {
+	walks := make([]WalkResult, len(sources))
+	segs := make([]Segment, len(sources))
 	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
-		out.Walks[i] = &WalkResult{Source: s, Destination: s, Length: ell, Naive: true}
+		walks[i] = WalkResult{Source: s, Destination: s, Length: ell, Naive: true, Segments: segs[i : i : i+1]}
+		out.Walks[i] = &walks[i]
 		tails[i] = tailSpec{start: s, steps: int32(ell)}
 	}
 	if err := w.runTails(out, tails); err != nil {
 		return err
 	}
-	return w.notifyAll(out, sources)
+	return w.notifyAll(out)
 }
 
-// notifyAll delivers every walk's destination back to its source in
-// O(k + D) rounds: the destinations upcast (walk, dest) reports to the
-// root, which floods them back down, both pipelined.
-func (w *Walker) notifyAll(out *ManyResult, sources []graph.NodeID) error {
-	perNode := make(map[graph.NodeID][]congest.Message, len(sources))
-	for _, wr := range out.Walks {
+// notifyAll tells every walk's source its destination in O(k + D) rounds.
+// The destinations upcast their (walk, dest) reports to the root,
+// pipelined; the root then floods down, pipelined, only the reports whose
+// source is some other node, since it is itself the source of the rest.
+// When every walk starts at the root, as in the mixing-time estimator and
+// the spanning tree, no flood runs.
+func (w *Walker) notifyAll(out *ManyResult) error {
+	root := w.tree.Root
+	// One flat list, stable-sorted by destination: each node's reports go
+	// up in walk order.
+	byDest := make([]congest.Message, len(out.Walks))
+	for i, wr := range out.Walks {
 		last := wr.Segments[len(wr.Segments)-1]
-		perNode[wr.Destination] = append(perNode[wr.Destination], destReport{
-			walkID: last.WalkID,
-			dest:   wr.Destination,
-			deg:    int32(w.g.Degree(wr.Destination)),
-		}.msg())
+		byDest[i] = destReport{
+			walkID:     last.WalkID,
+			dest:       wr.Destination,
+			deg:        int32(w.g.Degree(wr.Destination)),
+			rootSource: wr.Source == root,
+		}.msg()
 	}
+	slices.SortStableFunc(byDest, func(a, b congest.Message) int {
+		return destVs(a, readDestReport(&b).dest)
+	})
 	reports, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
-		return perNode[u]
+		lo, _ := slices.BinarySearchFunc(byDest, u, destVs)
+		hi, _ := slices.BinarySearchFunc(byDest, u+1, destVs)
+		return byDest[lo:hi]
 	})
 	out.Cost.Add(res)
 	if err != nil {
 		return err
 	}
-	if len(reports) != len(sources) {
-		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), len(sources))
+	if len(reports) != len(out.Walks) {
+		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), len(out.Walks))
 	}
-	res, err = congest.Broadcast(w.net, w.tree, reports, nil)
+	flood := slices.DeleteFunc(reports, func(m congest.Message) bool { return readDestReport(&m).rootSource })
+	if len(flood) == 0 {
+		return nil
+	}
+	res, err = congest.Broadcast(w.net, w.tree, flood, nil)
 	out.Cost.Add(res)
 	return err
+}
+
+// destVs orders a destination report against node u.
+func destVs(m congest.Message, u graph.NodeID) int {
+	return cmp.Compare(readDestReport(&m).dest, u)
 }
 
 // naiveManyProto is the classic token walk: "The walk of length ℓ is

@@ -198,3 +198,98 @@ func TestManyWalksDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestNotifyFloodsOnlyForeignReports pins the notification's exact cost
+// on the naive k-walk path: k·ℓ token hops, one upcast hop per tree level
+// of each destination, and n−1 tree edges for each report the root floods,
+// which is one per walk whose source is not the root.
+func TestNotifyFloodsOnlyForeignReports(t *testing.T) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, ell = 12, 8
+	for _, c := range []struct {
+		name      string
+		source    func(i int) graph.NodeID
+		maxRounds int // the cost when every report was flooded
+	}{
+		{"all at root", func(int) graph.NodeID { return 0 }, 38},
+		{"spread", func(i int) graph.NodeID { return graph.NodeID(i * 5 % 64) }, 33},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWalker(t, g, 3, DefaultParams())
+			if _, err := w.Prepare(0); err != nil {
+				t.Fatal(err)
+			}
+			sources := make([]graph.NodeID, k)
+			for i := range sources {
+				sources[i] = c.source(i)
+			}
+			res, err := w.ManyRandomWalks(sources, ell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.NaiveFallback {
+				t.Fatal("k=12, ℓ=8 did not take the naive path")
+			}
+			want := int64(k * ell)
+			for i, d := range res.Destinations {
+				want += int64(w.Tree().Depth[d])
+				if sources[i] != w.Tree().Root {
+					want += int64(g.N() - 1)
+				}
+			}
+			t.Logf("%d rounds, %d messages", res.Cost.Rounds, res.Cost.Messages)
+			if res.Cost.Messages != want {
+				t.Errorf("%d messages, want %d", res.Cost.Messages, want)
+			}
+			if res.Cost.Rounds > c.maxRounds {
+				t.Errorf("%d rounds, want at most %d", res.Cost.Rounds, c.maxRounds)
+			}
+		})
+	}
+}
+
+// TestNaiveManyAllocs gates the naive k-walk path's allocations on a warm
+// walker: the results, their segments and the destination reports come
+// from a fixed number of slabs, not one allocation per walk.
+func TestNaiveManyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		k     int
+		bound float64
+	}{{8, 23}, {96, 32}} {
+		w := newWalker(t, g, 5, DefaultParams())
+		sources := make([]graph.NodeID, c.k)
+		for i := range sources {
+			sources[i] = graph.NodeID(i * 7 % g.N())
+		}
+		res, err := w.ManyRandomWalks(sources, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.NaiveFallback {
+			t.Fatalf("k=%d, ℓ=8 did not take the naive path", c.k)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := w.ManyRandomWalks(sources, 8); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		t.Logf("k=%d: %.0f allocs per ManyRandomWalks", c.k, allocs)
+		if allocs > c.bound {
+			t.Errorf("k=%d: %.0f allocs per ManyRandomWalks, want at most %.0f", c.k, allocs, c.bound)
+		}
+	}
+}

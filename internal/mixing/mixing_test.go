@@ -1,7 +1,6 @@
 package mixing
 
 import (
-	"math"
 	"testing"
 
 	"distwalk/internal/core"
@@ -239,5 +238,4 @@ func TestEstimateTauRoundsSublinearInTau(t *testing.T) {
 	if est.Cost.Rounds >= naive {
 		t.Fatalf("estimator cost %d not below naive %d", est.Cost.Rounds, naive)
 	}
-	_ = math.Sqrt // keep math imported for future tuning
 }

@@ -192,7 +192,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0x189f1802ac13da09},
+		}, 0x5e3e031d0ff7f04d},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
