@@ -219,19 +219,19 @@ func roundRatio(t *testing.T, g *graph.G, ell int) float64 {
 }
 
 // crossover returns ℓ*, the first walk length at which the paper's walk
-// takes fewer rounds than the naive walk: doubling from 64, then
-// bisecting the last doubling step down to a sixteenth of ℓ*.
-func crossover(t *testing.T, g *graph.G) int {
+// takes fewer rounds than the naive walk (ratio(ℓ) < 1): doubling from
+// 64, then bisecting the last doubling step down to a sixteenth of ℓ*.
+func crossover(t *testing.T, g *graph.G, ratio func(ell int) float64) int {
 	t.Helper()
 	const maxEll = 1 << 14
 	hi := 64
-	for roundRatio(t, g, hi) >= 1 {
+	for ratio(hi) >= 1 {
 		if hi *= 2; hi > maxEll {
 			t.Fatalf("%d-node graph: the paper's walk never beats the naive walk up to ℓ=%d", g.N(), maxEll)
 		}
 	}
 	for lo := hi / 2; hi-lo > hi/16; {
-		if mid := (lo + hi) / 2; roundRatio(t, g, mid) < 1 {
+		if mid := (lo + hi) / 2; ratio(mid) < 1 {
 			hi = mid
 		} else {
 			lo = mid
@@ -263,7 +263,7 @@ func TestClaimCrossoverGrowsWithD(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			star := crossover(t, g)
+			star := crossover(t, g, func(ell int) float64 { return roundRatio(t, g, ell) })
 			perD, past := float64(star)/float64(diam), roundRatio(t, g, 8*star)
 			t.Logf("%s %d (D=%d): ℓ*=%d, ℓ*/D=%.1f, rounds ÷ naive at 8ℓ* %.3f", family.name, size, diam, star, perD, past)
 			if star <= prev {
@@ -276,6 +276,90 @@ func TestClaimCrossoverGrowsWithD(t *testing.T) {
 				t.Errorf("%s %d (D=%d): rounds ÷ naive at 8ℓ* = %.3f, want ≤ 0.5", family.name, size, diam, past)
 			}
 			prev = star
+		}
+	}
+}
+
+// manyRounds is the rounds of k walks of length ℓ (MANY-RANDOM-WALKS from
+// sources i·37 mod n) under prm, summed over three seeds, and whether
+// any of them fell back to the naive k-walk.
+func manyRounds(t *testing.T, g *graph.G, prm Params, k, ell int) (rounds float64, naive bool) {
+	t.Helper()
+	sources := make([]graph.NodeID, k)
+	for i := range sources {
+		sources[i] = graph.NodeID(i * 37 % g.N())
+	}
+	for seed := uint64(claimSeed); seed < claimSeed+3; seed++ {
+		res, err := newWalker(t, g, seed, prm).ManyRandomWalks(sources, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds += float64(res.Cost.Rounds)
+		naive = naive || res.NaiveFallback
+	}
+	return rounds, naive
+}
+
+// manyRatio is the stitched k walks' rounds over the naive k-walk's, which
+// Lambda = ℓ+1 forces (λ > ℓ falls back).
+func manyRatio(t *testing.T, g *graph.G, k, ell int) float64 {
+	t.Helper()
+	fast, _ := manyRounds(t, g, DefaultParams(), k, ell)
+	naive, _ := manyRounds(t, g, Params{Lambda: ell + 1, LambdaC: 1, Eta: 1}, k, ell)
+	return fast / naive
+}
+
+// Theorem 2.8: k walks take Õ(min(√(kℓD)+k, k+ℓ)) rounds. At fixed ℓ the
+// stitched walks' rounds grow like √k until λ = Θ(√(kℓD)+k) passes ℓ and
+// the k walks run as naive tokens. The naive k-walk costs ≈ ℓ at every
+// k, so the crossover against it moves like ℓ*(k) ≈ c²·k·D: k walks need
+// k times the length before stitching pays.
+func TestClaimThm28ManyWalksInK(t *testing.T) {
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ell = 4096
+	var ks, rounds []float64
+	for k := 1; k <= 32; k *= 2 {
+		r, naive := manyRounds(t, g, DefaultParams(), k, ell)
+		if naive {
+			break
+		}
+		ks, rounds = append(ks, float64(k)), append(rounds, r)
+	}
+	s := exponent(t, ks, rounds)
+	t.Logf("Torus(16,16), ℓ=%d: rounds at k=%v: %v; exponent in k %.3f", ell, ks, rounds, s)
+	if len(ks) < 5 || s < 0.3 || s > 0.65 {
+		t.Errorf("growth exponent in k = %.3f over k=%v, want ≈0.5 over k = 1…16 at least", s, ks)
+	}
+
+	for _, size := range []int{8, 12} {
+		g, err := graph.Torus(size, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diam, err := g.Diameter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks, stars []float64
+		for _, k := range []int{1, 4, 16} {
+			star := crossover(t, g, func(ell int) float64 { return manyRatio(t, g, k, ell) })
+			perKD := float64(star) / float64(k*diam)
+			t.Logf("Torus(%d,%d) (D=%d), k=%d: ℓ*=%d, ℓ*/(kD)=%.1f", size, size, diam, k, star, perKD)
+			if perKD < 24 || perKD > 64 {
+				t.Errorf("Torus(%d,%d) (D=%d), k=%d: ℓ*/(kD) = %.1f, want within [24, 64]", size, size, diam, k, perKD)
+			}
+			if n := len(stars); n > 0 && float64(star) <= stars[n-1] {
+				t.Errorf("Torus(%d,%d), k=%d: ℓ*=%d, not above k=%v's %v", size, size, k, star, ks[n-1], stars[n-1])
+			}
+			ks, stars = append(ks, float64(k)), append(stars, float64(star))
+		}
+		s := exponent(t, ks, stars)
+		t.Logf("Torus(%d,%d): ℓ* grows like k^%.3f", size, size, s)
+		if s < 0.75 || s > 1.25 {
+			t.Errorf("Torus(%d,%d): ℓ* grows like k^%.3f, want about linearly", size, size, s)
 		}
 	}
 }
