@@ -290,11 +290,11 @@ func TestBatchedGoldenCounters(t *testing.T) {
 		}
 	}
 	info := handles[0].Batch()
-	wantCost := distwalk.Cost{Rounds: 4982, Messages: 1161061, Words: 3480879, MaxQueue: 17}
+	wantCost := distwalk.Cost{Rounds: 4764, Messages: 1159246, Words: 3475422, MaxQueue: 15}
 	if info.Cost != wantCost {
 		t.Errorf("golden batch cost changed:\n got %+v\nwant %+v", info.Cost, wantCost)
 	}
-	wantAm := distwalk.Cost{Rounds: 622, Messages: 145132, Words: 435109, MaxQueue: 17}
+	wantAm := distwalk.Cost{Rounds: 595, Messages: 144905, Words: 434427, MaxQueue: 15}
 	if info.Amortized != wantAm {
 		t.Errorf("golden amortized cost changed:\n got %+v\nwant %+v", info.Amortized, wantAm)
 	}
@@ -302,8 +302,8 @@ func TestBatchedGoldenCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if member.Destination != 255 {
-		t.Errorf("golden member destination changed: got %d, want 255", member.Destination)
+	if member.Destination != 166 {
+		t.Errorf("golden member destination changed: got %d, want 166", member.Destination)
 	}
 	single, err := svc.SingleRandomWalk(ctx, 1, 0, 4096)
 	if err != nil {

@@ -56,8 +56,9 @@ var (
 	// ErrCacheDisabled reports a cache operation (InvalidateCache) on a
 	// service built without WithResultCache.
 	ErrCacheDisabled = errors.New("distwalk: service has no result cache (see WithResultCache)")
-	// ErrNoRegen reports a walk that cannot be regenerated
-	// (Metropolis-Hastings walks leave no hop trail).
+	// ErrNoRegen reports a walk that cannot be regenerated:
+	// Metropolis-Hastings walks are not replayed, and a walk the replay
+	// cannot reproduce fails with it instead of returning a wrong path.
 	ErrNoRegen = core.ErrNoRegen
 	// ErrQueueFull reports a SubmitWalk rejected because the batching
 	// scheduler's admission queue for that request's config is full —

@@ -94,6 +94,7 @@ type Network struct {
 	links // the directed-edge index, queues, fault schedules and round
 
 	nodeRNG []rng.RNG // one stream per node, re-derived in place by Reseed
+	seedMix uint64    // the mixed seed of the last Reseed; see SeedMix
 	inbox   [][]Message
 	awake   []bool // nodes that requested Step without messages
 
@@ -263,8 +264,15 @@ func (n *Network) Reseed(seed uint64) {
 	for v := range n.nodeRNG {
 		base.StreamInto(uint64(v), &n.nodeRNG[v])
 	}
+	n.seedMix = rng.Mix64(seed + 0x9e3779b97f4a7c15)
 	n.loss = LossRecord{}
 }
+
+// SeedMix returns the last Reseed's seed, mixed (the first splitmix64
+// output of it). It is the seed component of counter-keyed draws: a
+// protocol that draws a value from (seed, key, counter) instead of from a
+// node's stream can recompute that draw at any time and at any node.
+func (n *Network) SeedMix() uint64 { return n.seedMix }
 
 // NodeRNG returns node v's persistent random stream. Protocol code uses it
 // through Ctx; tests may use it directly.

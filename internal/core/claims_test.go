@@ -126,7 +126,6 @@ func TestClaimLemma27ConnectorBound(t *testing.T) {
 	worst, where := 0.0, ""
 	for seed := uint64(claimSeed); seed < claimSeed+5; seed++ {
 		w := newWalker(t, g, seed, Params{Lambda: lambda, LambdaC: 1, Eta: 6})
-		w.KeepTrail()
 		res, err := w.SingleRandomWalk(0, ell)
 		if err != nil {
 			t.Fatal(err)

@@ -14,14 +14,16 @@
 //   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
 //   - Walk regeneration (Section 2.2): every node learns its position(s)
 //     in the sampled walk, enabling the random-spanning-tree application.
-//     It replays each forward segment from its walk's path, the run of
-//     4-byte successors the token filled in hop by hop (slot j holds hop
-//     j; see netState.paths). This hop trail is opt-in: a fresh or Reset
-//     Walker reserves and records nothing until KeepTrail, which the two
-//     callers that regenerate (distwalk's WalkTrace kind and
-//     spanning.RandomSpanningTree) call before their first walk;
-//     Regenerate after any trail-less walk of the epoch fails with
-//     ErrNoRegen. The result is the walk's path, one node per position.
+//     A walk token's step j draws from a value keyed by (request seed,
+//     walk ID, j) — a counter-based draw (Salmon et al., SC'11) — so each
+//     node recomputes the hops it forwarded instead of storing them, and
+//     the replay sends one message per hop, stopping at each segment's
+//     length. GET-MORE-WALKS segments, whose bundles carry counts rather
+//     than token identities, are retraced backward through flow ledgers
+//     recorded on every refill. A walk the replay cannot reproduce (another
+//     seed or Reset epoch) fails with ErrNoRegen; so does any
+//     Metropolis-Hastings walk. The result is the walk's path, one node
+//     per position.
 //   - The naive ℓ-round token walk and the PODC 2009 Õ(ℓ^{2/3}D^{1/3})
 //     parameterization, as baselines.
 //

@@ -25,10 +25,13 @@ var (
 	// shared simulation); the guard turns silent state corruption into a
 	// clean error. Use distwalk.Service for concurrency.
 	ErrConcurrentUse = errors.New("core: walker is not safe for concurrent use")
-	// ErrNoRegen reports a regeneration request the hop trail cannot
-	// serve: Metropolis-Hastings walks leave no trail for stay steps, and
-	// a walker keeps no trail at all unless KeepTrail asked for one before
-	// the first walk since its last Reset.
+	// ErrNoRegen reports a walk that regeneration cannot replay:
+	// Metropolis-Hastings walks are not replayed, and a walk is replayed
+	// only by the walker that ran it, in the same Reset epoch and under
+	// the same seed. The replay recomputes every hop from (seed, walk ID,
+	// step), so a walk it cannot reproduce shows as segments that do not
+	// meet, or a refill without recorded flows, and fails with this error
+	// instead of returning a wrong path.
 	ErrNoRegen = errors.New("core: walk cannot be regenerated")
 )
 

@@ -159,5 +159,5 @@ func (w *Walker) getMoreWalks(v graph.NodeID, ell, lambda int) (congest.Result, 
 		count:  count,
 		lambda: int32(lambda),
 	}
-	return w.walkRun(p)
+	return w.net.Run(p)
 }

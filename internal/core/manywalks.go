@@ -141,13 +141,13 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
 	wids := make([]int64, len(tails))
 	p.walkIDs = wids
 	for i, tl := range tails {
-		wid := w.st.newWalk(tl.start, tl.steps)
+		wid := w.st.newWalkID(tl.start)
 		wids[i] = wid
 		p.start[wid] = i
 		p.steps[i] = tl.steps
 		p.dest[i] = graph.None
 	}
-	res, err := w.walkRun(p)
+	res, err := w.net.Run(p)
 	out.Cost.Add(res)
 	if err != nil {
 		return err
@@ -281,12 +281,11 @@ func (p *naiveManyProto) Step(ctx *congest.Ctx) {
 }
 
 func (p *naiveManyProto) forward(ctx *congest.Ctx, t walkToken) {
-	port, rem := p.w.advanceToken(ctx, t.remaining)
+	port, rem := p.w.advanceToken(ctx, t)
 	if port < 0 {
 		p.dest[p.start[t.walkID]] = ctx.Node()
 		return
 	}
-	p.w.recordHop(ctx, t, rem, port)
 	t.remaining = rem
 	w0, w1 := t.encode()
 	ctx.SendPort(port, kindNaiveToken, tokenWords, w0, w1, 0, 0)

@@ -214,8 +214,8 @@ func TestNotifyFloodsOnlyForeignReports(t *testing.T) {
 		source    func(i int) graph.NodeID
 		maxRounds int // the cost when every report was flooded
 	}{
-		{"all at root", func(int) graph.NodeID { return 0 }, 38},
-		{"spread", func(i int) graph.NodeID { return graph.NodeID(i * 5 % 64) }, 33},
+		{"all at root", func(int) graph.NodeID { return 0 }, 39},
+		{"spread", func(i int) graph.NodeID { return graph.NodeID(i * 5 % 64) }, 36},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := newWalker(t, g, 3, DefaultParams())

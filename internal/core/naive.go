@@ -35,11 +35,10 @@ func readDestReport(m *congest.Message) destReport {
 	return destReport{walkID: int64(m.W[0]), dest: graph.NodeID(dest), deg: deg, rootSource: m.W[1]>>63 != 0}
 }
 
-// naiveSegment walks `steps` hops from start by token forwarding (recording
-// hops for later regeneration when the trail is kept) and returns the
-// destination plus cost: a one-token naiveManyProto.
+// naiveSegment walks `steps` hops from start by token forwarding and
+// returns the destination plus cost: a one-token naiveManyProto.
 func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int64, congest.Result, error) {
-	wid := w.st.newWalk(start, int32(steps))
+	wid := w.st.newWalkID(start)
 	p := &naiveManyProto{
 		w:       w,
 		steps:   []int32{int32(steps)},
@@ -47,7 +46,7 @@ func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int6
 		start:   map[int64]int{wid: 0},
 		dest:    []graph.NodeID{graph.None},
 	}
-	res, err := w.walkRun(p)
+	res, err := w.net.Run(p)
 	if err != nil {
 		return graph.None, 0, res, err
 	}

@@ -42,7 +42,7 @@ type Params struct {
 	// distribution instead of the simple walk — the generalization the
 	// PODC 2009 predecessor supports (Section 1.3). Stays consume walk
 	// steps but no messages. Endpoint sampling (single and many walks) is
-	// fully supported; Regenerate is not (stay steps leave no hop trail),
+	// fully supported; Regenerate is not (it fails with ErrNoRegen),
 	// matching this paper's focus on the simple walk for its applications.
 	Metropolis bool
 }

@@ -37,10 +37,10 @@ func readToken(m *congest.Message) walkToken {
 // phase1Proto performs Phase 1 of SINGLE-RANDOM-WALK: every node v starts
 // η·deg(v) independent short walks (η with UniformCounts), each of length
 // λ + r with r uniform in [0, λ−1] (exactly λ with FixedLength). Each
-// forwarding node records the successor so the walk can be retraced later;
-// the destination stores a coupon. The engine's per-edge queues charge the
-// congestion this phase is known for (Lemma 2.1: O(λη log n) rounds
-// w.h.p.).
+// hop is a keyed draw the forwarding node can recompute, so the walk can
+// be retraced later (see hopPort); the destination stores a coupon. The
+// engine's per-edge queues charge the congestion this phase is known for
+// (Lemma 2.1: O(λη log n) rounds w.h.p.).
 type phase1Proto struct {
 	w      *Walker
 	lambda int32
@@ -66,7 +66,7 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 		if !p.w.prm.FixedLength {
 			total += int32(ctx.RNG().Intn(int(p.lambda)))
 		}
-		wid := p.w.st.newWalk(v, total)
+		wid := p.w.st.newWalkID(v)
 		p.forward(ctx, walkToken{walkID: wid, remaining: total, total: total})
 	}
 }
@@ -83,7 +83,7 @@ func (p *phase1Proto) Step(ctx *congest.Ctx) {
 // Metropolis-Hastings variant are free: they consume walk steps but no
 // messages), storing the coupon when the walk completes.
 func (p *phase1Proto) forward(ctx *congest.Ctx, t walkToken) {
-	port, rem := p.w.advanceToken(ctx, t.remaining)
+	port, rem := p.w.advanceToken(ctx, t)
 	if port < 0 {
 		p.w.st.addCoupon(ctx.Node(), coupon{
 			owner:  walkOwner(t.walkID),
@@ -92,7 +92,6 @@ func (p *phase1Proto) forward(ctx *congest.Ctx, t walkToken) {
 		})
 		return
 	}
-	p.w.recordHop(ctx, t, rem, port)
 	t.remaining = rem
 	w0, w1 := t.encode()
 	ctx.SendPort(port, kindWalkToken, tokenWords, w0, w1, 0, 0)

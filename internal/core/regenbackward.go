@@ -178,7 +178,8 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 		total += int64(c)
 	}
 	if total <= 0 {
-		p.err = fmt.Errorf("core: backward retrace stuck at node %d step %d (no recorded flow)", v, p.pending.step)
+		p.err = fmt.Errorf("%w: backward retrace stuck at node %d step %d (no recorded flow: the refill is not this walker's since its last Reset)",
+			ErrNoRegen, v, p.pending.step)
 		p.done = true
 		return
 	}

@@ -29,7 +29,7 @@ type Trace struct {
 	Cost congest.Result
 }
 
-// regenToken replays one recorded segment hop by hop; pos is the global
+// regenToken replays one forward segment hop by hop; pos is the global
 // walk position upon arrival.
 type regenToken struct {
 	walkID int64
@@ -45,21 +45,20 @@ func readRegenToken(m *congest.Message) regenToken {
 	return regenToken{walkID: int64(m.W[0]), pos: int32(uint32(m.W[1]))}
 }
 
-type regenEmit struct {
-	walkID   int64
-	startPos int32
-}
-
 // regenWalk is what the replay knows of one forward segment: the trace its
-// visits go to and the global walk position of its first node.
+// visits go to, the global walk position of its first node, its length,
+// and the key its hops were drawn from (walkKey).
 type regenWalk struct {
-	trace *Trace
-	start int32
+	trace  *Trace
+	start  int32
+	length int32
+	key    uint64
 }
 
 type regenProto struct {
-	w     *Walker
-	emits map[graph.NodeID][]regenEmit
+	w *Walker
+	// emits[v] lists the walk IDs of the segments that start at v.
+	emits map[graph.NodeID][]int64
 
 	// walks routes each segment's visits to its own trace and turns a
 	// token's walk position into the segment's hop index; walk IDs are
@@ -71,8 +70,9 @@ type regenProto struct {
 }
 
 func (p *regenProto) Init(ctx *congest.Ctx) {
-	for _, e := range p.emits[ctx.Node()] {
-		p.advance(ctx, e.walkID, e.startPos, e.startPos)
+	for _, wid := range p.emits[ctx.Node()] {
+		rw := p.walks[wid]
+		p.advance(ctx, wid, rw.start, rw)
 	}
 }
 
@@ -86,21 +86,22 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 				p.bad = true
 				return
 			}
-			p.advance(ctx, t.walkID, t.pos, rw.start)
+			p.advance(ctx, t.walkID, t.pos, rw)
 		}
 	}
 }
 
 // advance forwards the replay token at walk position pos along the hop
-// the segment took there, hop pos−start of its recorded path; the segment
-// ends where its path does.
-func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos, start int32) {
-	next := p.w.st.pathNext(walkID, pos-start)
-	if next == graph.None {
-		return // segment ends here
+// the segment took there: hop pos−start, recomputed from the key the
+// walk token drew it from. The segment ends after its length hops.
+func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos int32, rw regenWalk) {
+	j := pos - rw.start
+	if j >= rw.length {
+		return
 	}
+	port := p.w.hopPort(ctx.Node(), rw.key, j)
 	w0, w1 := regenToken{walkID: walkID, pos: pos + 1}.encode()
-	ctx.SendTo(next, kindRegenToken, regenWords, w0, w1, 0, 0)
+	ctx.SendPort(port, kindRegenToken, regenWords, w0, w1, 0, 0)
 }
 
 // record notes that the walk was at v at position pos. Only the node the
@@ -117,10 +118,16 @@ func (tr *Trace) record(v graph.NodeID, pos int32) bool {
 
 // Regenerate replays a completed walk so that every node learns its
 // position(s) in it, in time comparable to Phase 1 (Section 2.2). Phase 1
-// and tail segments replay forward in parallel, one message per recorded
-// hop; GET-MORE-WALKS segments (rare — w.h.p. absent, Theorem 2.5) are
-// retraced backward through their recorded flow counts, one at a time so
-// the without-replacement claims stay exact.
+// and tail segments replay forward in parallel, one message per hop, each
+// hop recomputed by the node that forwarded it from the key the walk drew
+// it from; GET-MORE-WALKS segments (rare — w.h.p. absent, Theorem 2.5)
+// are retraced backward through their recorded flow counts, one at a time
+// so the without-replacement claims stay exact.
+//
+// The replay reproduces only walks of this walker's current seed and
+// Reset epoch. A walk it does not reproduce — its replayed segments do
+// not meet where the walk's next segment starts, or at its destination —
+// fails with ErrNoRegen and no trace, as does any walk under Metropolis.
 func (w *Walker) Regenerate(res *WalkResult) (*Trace, error) {
 	if err := w.acquire(); err != nil {
 		return nil, err
@@ -156,10 +163,7 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 		return nil, fmt.Errorf("core: no walks to regenerate")
 	}
 	if w.prm.Metropolis {
-		return nil, fmt.Errorf("%w: Metropolis-Hastings stay steps leave no hop trail", ErrNoRegen)
-	}
-	if w.st.trailGap {
-		return nil, fmt.Errorf("%w: the walker kept no hop trail for some walk since its last Reset (call KeepTrail before the first walk)", ErrNoRegen)
+		return nil, fmt.Errorf("%w: Metropolis-Hastings walks are not replayed", ErrNoRegen)
 	}
 	n := w.g.N()
 	type refillAt struct {
@@ -169,7 +173,8 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	}
 	var refills []refillAt
 	traces := make([]*Trace, len(walks))
-	emits := make(map[graph.NodeID][]regenEmit)
+	seedMix := w.net.SeedMix()
+	emits := make(map[graph.NodeID][]int64)
 	segs := make(map[int64]regenWalk)
 	for i, res := range walks {
 		if res == nil {
@@ -199,8 +204,8 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 				if _, dup := segs[s.WalkID]; dup {
 					return nil, fmt.Errorf("core: walk ID %d regenerated twice", s.WalkID)
 				}
-				emits[s.Start] = append(emits[s.Start], regenEmit{walkID: s.WalkID, startPos: pos})
-				segs[s.WalkID] = regenWalk{trace: trace, start: pos}
+				emits[s.Start] = append(emits[s.Start], s.WalkID)
+				segs[s.WalkID] = regenWalk{trace: trace, start: pos, length: int32(s.Length), key: walkKey(seedMix, s.WalkID)}
 			}
 			pos += int32(s.Length)
 		}
@@ -218,6 +223,9 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if p.bad {
 		return nil, fmt.Errorf("core: regeneration recorded a walk position twice or off its walk")
 	}
+	if err := checkJunctions(walks, traces); err != nil {
+		return nil, err
+	}
 	for _, r := range refills {
 		res, err := w.retraceRefill(r.seg, r.startPos, r.trace)
 		traces[0].Cost.Add(res)
@@ -229,7 +237,6 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	// fills each node's first visit: its least position, entered from
 	// the node one position earlier (the Aldous–Broder edge).
 	for i, trace := range traces {
-		res := walks[i]
 		for pos, v := range trace.Path {
 			if v == graph.None {
 				return nil, fmt.Errorf("core: regeneration of walk %d left position %d unrecorded", i, pos)
@@ -241,10 +248,6 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 				}
 			}
 		}
-		if trace.Path[res.Length] != res.Destination {
-			return nil, fmt.Errorf("core: regeneration of walk %d did not end at destination %d",
-				i, res.Destination)
-		}
 		trace.Covered = true
 		for v := range trace.FirstVisitTime {
 			if trace.FirstVisitTime[v] < 0 {
@@ -254,4 +257,30 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 		}
 	}
 	return traces, nil
+}
+
+// checkJunctions checks that every forward segment's replay ended where
+// the walk's next segment starts, or the last one at the walk's
+// destination. A sound replay always does; one that recomputed hops the
+// walk never drew (another seed, another Reset epoch) almost never does,
+// and is refused before any backward retrace runs on top of it.
+func checkJunctions(walks []*WalkResult, traces []*Trace) error {
+	for i, res := range walks {
+		pos := 0
+		for k, s := range res.Segments {
+			pos += s.Length
+			if s.FromRefill || s.Length == 0 {
+				continue
+			}
+			want, what := res.Destination, "its destination"
+			if k+1 < len(res.Segments) {
+				want, what = res.Segments[k+1].Start, "the next segment's start"
+			}
+			if got := traces[i].Path[pos]; got != want {
+				return fmt.Errorf("%w: walk %d's segment %d replays to node %d, not to %s %d (the walk is not this walker's since its last Reset and Reseed)",
+					ErrNoRegen, i, k, got, what, want)
+			}
+		}
+	}
+	return nil
 }

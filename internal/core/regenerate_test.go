@@ -38,7 +38,6 @@ func TestRegenerateStitchedWalk(t *testing.T) {
 	)
 	for seed := uint64(0); seed < 20; seed++ {
 		w = newWalker(t, g, seed, Params{Lambda: 4, LambdaC: 1, Eta: 4})
-		w.KeepTrail()
 		r, err := w.SingleRandomWalk(5, 60)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +79,6 @@ func TestRegenerateStitchedWalk(t *testing.T) {
 func TestRegenerateNaiveWalk(t *testing.T) {
 	g := kite(t)
 	w := newWalker(t, g, 7, DefaultParams())
-	w.KeepTrail()
 	res, err := w.NaiveWalk(0, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,6 @@ func TestRegenerateCoverFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(t, g, 9, DefaultParams())
-	w.KeepTrail()
 	// A long walk on K4 covers it w.h.p.
 	res, err := w.NaiveWalk(0, 200)
 	if err != nil {
@@ -133,7 +130,6 @@ func TestRegenerateRefillSegmentsBackward(t *testing.T) {
 	g := kite(t)
 	prm := Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 	w := newWalker(t, g, 11, prm)
-	w.KeepTrail()
 	checked := 0
 	for i := 0; i < 20; i++ {
 		res, err := w.SingleRandomWalk(0, 80)
@@ -180,7 +176,6 @@ func TestRegenerateManyRefillCouponsFromOneBatch(t *testing.T) {
 	}
 	prm := Params{Lambda: 3, LambdaC: 1, Eta: 1, UniformCounts: true}
 	w := newWalker(t, g, 17, prm)
-	w.KeepTrail()
 	for i := 0; i < 10; i++ {
 		res, err := w.SingleRandomWalk(0, 120)
 		if err != nil {
@@ -208,7 +203,6 @@ func TestRegenerateCostComparableToWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(t, g, 13, DefaultParams())
-	w.KeepTrail()
 	res, err := w.SingleRandomWalk(0, 4000)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +239,6 @@ func TestRegenerateAllocsFollowSegments(t *testing.T) {
 		bound float64
 	}{{256, 20}, {1024, 24}, {4096, 40}} {
 		w := newWalker(t, g, 5, DefaultParams())
-		w.KeepTrail()
 		res, err := w.SingleRandomWalk(0, c.ell)
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,6 @@ func TestWalkerResetMatchesFresh(t *testing.T) {
 	run := func(w *Walker) []*WalkResult {
 		t.Helper()
 		var out []*WalkResult
-		w.KeepTrail()
 		single, err := w.SingleRandomWalk(3, 512)
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +116,6 @@ func TestWalkerSurvivesReshape(t *testing.T) {
 	}
 	run := func(w *Walker) (a answers) {
 		t.Helper()
-		w.KeepTrail()
 		if a.Single, err = w.SingleRandomWalk(0, 512); err != nil {
 			t.Fatal(err)
 		}

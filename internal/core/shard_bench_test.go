@@ -29,11 +29,11 @@ func BenchmarkShardedWalk(b *testing.B) {
 					b.Fatal(err)
 				}
 				w.Network().SetShards(shards)
-				benchWalk(b, w, 0, false) // grow the slabs
+				benchWalk(b, w, 0) // grow the slabs
 				rounds := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rounds += benchWalk(b, w, uint64(i+1), false)
+					rounds += benchWalk(b, w, uint64(i+1))
 				}
 				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				if shards == 1 {

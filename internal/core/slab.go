@@ -9,23 +9,21 @@ import (
 
 // Slab-backed per-node stores for the protocol layer. The walk protocols
 // used to keep per-node Go maps (coupons by owner, GET-MORE-WALKS flow
-// ledgers, hop indexes) that were allocated on first touch and thrown away
+// ledgers) that were allocated on first touch and thrown away
 // per request; at service scale the map machinery — bucket allocation,
 // hashing boxed keys, GC scanning — dominated the per-walk cost once the
-// engine itself went zero-alloc. Each shelf below is flat, and only the
+// engine itself went zero-alloc. Both shelves below are flat, and only the
 // flow shelf hashes:
 //
 //   - The coupon shelf is one flat list per node in append order, carved
 //     from one slab sized by the expected Phase 1 inventory (see
 //     netState.provisionCoupons); an owner's coupons are its subsequence.
-//   - The flow shelf (GMW ledgers, kept only with the hop trail) indexes
-//     exact (batch, step, nbr) keys with an open-addressed slot table: a
-//     []int32 of slab-index+1 values (0 = empty) probed linearly from a
-//     mixed hash, over parallel key/record slabs. Entries are never
-//     deleted individually, so linear probing stays exact without
-//     tombstones; clearing is a memclr plus a truncation, never a free.
-//   - The path shelf needs no table, because a walk ID already is an
-//     index (owner, seq) and a token already carries its hop counter.
+//   - The flow shelf (GMW ledgers) indexes exact (batch, step, nbr) keys
+//     with an open-addressed slot table: a []int32 of slab-index+1 values
+//     (0 = empty) probed linearly from a mixed hash, over parallel
+//     key/record slabs. Entries are never deleted individually, so linear
+//     probing stays exact without tombstones; clearing is a memclr plus a
+//     truncation, never a free.
 //
 // Determinism: lookups are by exact key, lists preserve append order and
 // swap-remove semantics, and nothing here iterates a table in hash order
@@ -191,59 +189,4 @@ func (s *gmwShelf) clear() {
 	s.keys = s.keys[:0]
 	s.recs = s.recs[:0]
 	s.tab.clear()
-}
-
-// --- pathShelf: the paths of the walks one node minted ---
-
-// pathRun locates one walk's path in its owner's slab: the successor the
-// walk took at hop j is slab[base+j], for j < n.
-type pathRun struct {
-	base, n int32
-}
-
-// pathShelf stores the paths of the walk tokens a node minted, one run per
-// walk indexed by the walk's local sequence number; seqs minted without a
-// run (GET-MORE-WALKS batches and their coupons, walks minted with the
-// trail off) hold an empty one. A walk ID's seq is its index, so neither
-// recording nor replay hashes anything.
-type pathShelf struct {
-	runs []pathRun
-	slab []graph.NodeID
-}
-
-// reserve appends the run of walk seq, n slots all graph.None until the
-// token's hops fill them. seq must be the most recently minted at this
-// node (runs are reserved right after minting).
-func (s *pathShelf) reserve(seq uint32, n int32) {
-	for len(s.runs) < int(seq) {
-		s.runs = append(s.runs, pathRun{})
-	}
-	base := len(s.slab)
-	s.runs = append(s.runs, pathRun{base: int32(base), n: n})
-	s.slab = slices.Grow(s.slab, int(n))[:base+int(n)]
-	for i := base; i < len(s.slab); i++ {
-		s.slab[i] = graph.None
-	}
-}
-
-// set records next as hop j of walk seq, which must lie in its run.
-func (s *pathShelf) set(seq uint32, j int32, next graph.NodeID) {
-	s.slab[s.runs[seq].base+j] = next
-}
-
-// get returns hop j of walk seq, or graph.None past the end of its run.
-func (s *pathShelf) get(seq uint32, j int32) graph.NodeID {
-	if int(seq) >= len(s.runs) {
-		return graph.None
-	}
-	r := s.runs[seq]
-	if j >= r.n {
-		return graph.None
-	}
-	return s.slab[r.base+j]
-}
-
-func (s *pathShelf) clear() {
-	s.runs = s.runs[:0]
-	s.slab = s.slab[:0]
 }

@@ -131,7 +131,6 @@ func TestGMWShelfMatchesReference(t *testing.T) {
 	)
 	r := rng.New(2)
 	st := newNetState(nodes)
-	st.trail = true
 	sent := make([]map[gmwKey]int32, nodes)
 	used := make([]map[gmwKey]int32, nodes)
 	for v := range sent {
@@ -176,132 +175,30 @@ func TestGMWShelfMatchesReference(t *testing.T) {
 	}
 }
 
-// pathModel is the reference the path shelves are held to: the successor
-// of every recorded (walk, hop) pair, and each minted walk's run length
-// (-1 for a walk minted without a run).
-type pathModel struct {
-	next map[[2]int64]graph.NodeID
-	runs map[int64]int32
-	ids  []int64 // minted walks in mint order
-}
-
-func newPathModel() *pathModel {
-	return &pathModel{next: make(map[[2]int64]graph.NodeID), runs: make(map[int64]int32)}
-}
-
-func (m *pathModel) mint(id int64, n int32) {
-	m.runs[id] = n
-	m.ids = append(m.ids, id)
-}
-
-// want is what pathNext must return for hop j of walk id.
-func (m *pathModel) want(id int64, j int32) graph.NodeID {
-	if n, ok := m.runs[id]; !ok || j >= n {
-		return graph.None
-	}
-	next, ok := m.next[[2]int64{id, int64(j)}]
-	if !ok {
-		return graph.None
-	}
-	return next
-}
-
-// TestPathShelfReplayMatchesReference drives the path shelves and a map
-// keyed by (walk, hop) through the same random mints, hop records and
-// reads: walks minted with a run, without one (GET-MORE-WALKS batch and
-// coupon IDs, walks minted while the trail was off) and never minted,
-// hops never taken, and reads past a run's end.
-func TestPathShelfReplayMatchesReference(t *testing.T) {
-	const (
-		nodes = 6
-		ops   = 20000
-	)
-	r := rng.New(3)
-	st := newNetState(nodes)
-	st.trail = true
-	ref := newPathModel()
-	check := func(id int64, j int32) {
-		t.Helper()
-		if got, want := st.pathNext(id, j), ref.want(id, j); got != want {
-			t.Fatalf("pathNext(%#x, %d) = %d, want %d", id, j, got, want)
-		}
-	}
-	var reserved []int64
-	for op := 0; op < ops; op++ {
-		at := graph.NodeID(r.Intn(nodes))
-		switch r.Intn(10) {
-		case 0: // a walk with its run
-			n := int32(r.Intn(24))
-			id := st.newWalk(at, n)
-			ref.mint(id, n)
-			if n > 0 {
-				reserved = append(reserved, id)
-			}
-		case 1: // a batch or refill-coupon ID, or a walk minted trail-off
-			var id int64
-			if r.Intn(2) == 0 {
-				id = st.newWalkID(at)
-			} else {
-				st.trail = false
-				id = st.newWalk(at, int32(1+r.Intn(8)))
-				st.trail = true
-			}
-			ref.mint(id, -1)
-		case 2, 3, 4, 5: // a hop of a reserved walk
-			if len(reserved) == 0 {
-				continue
-			}
-			id := reserved[r.Intn(len(reserved))]
-			j := int32(r.Intn(int(ref.runs[id])))
-			next := graph.NodeID(r.Intn(nodes))
-			st.recordHop(id, j, next)
-			ref.next[[2]int64{id, int64(j)}] = next
-		case 6, 7, 8: // a read, up to a few hops past the run
-			if len(ref.ids) == 0 {
-				continue
-			}
-			id := ref.ids[r.Intn(len(ref.ids))]
-			check(id, int32(r.Intn(28)))
-		case 9: // a seq nobody minted yet
-			check(int64(at)<<32|int64(st.seq[at]+uint32(r.Intn(3))), int32(r.Intn(4)))
-		}
-	}
-	for _, id := range ref.ids {
-		for j := int32(0); j < 26; j++ {
-			check(id, j)
-		}
-	}
-}
-
 // TestNetStateResetMatchesFresh pins the warm-reuse contract at the store
 // level: after arbitrary use plus reset, every observation matches a
 // freshly built netState driven through the same subsequent ops.
 func TestNetStateResetMatchesFresh(t *testing.T) {
 	const nodes = 5
 	warm := newNetState(nodes)
-	warm.trail = true
 	// Dirty the warm state thoroughly.
 	r := rng.New(4)
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		warm.addCoupon(at, coupon{owner: graph.NodeID(r.Intn(nodes)), walkID: int64(i)})
-		id := warm.newWalk(at, int32(1+r.Intn(9)))
-		warm.recordHop(id, int32(r.Intn(9)%int(warm.paths[at].runs[walkSeq(id)].n)), graph.NodeID(r.Intn(nodes)))
 		warm.recordGMWSend(at, gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: graph.NodeID(r.Intn(nodes))}, 1)
 		warm.newWalkID(at)
 	}
 	warm.reset()
 	fresh := newNetState(nodes)
-	warm.trail, fresh.trail = true, true
 
 	// Drive both through identical ops and compare all observations.
 	r = rng.New(5)
-	var walks []int64 // minted with a run after the reset
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		owner := graph.NodeID(r.Intn(nodes))
 		key := gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: owner}
-		switch r.Intn(7) {
+		switch r.Intn(4) {
 		case 0:
 			a, b := warm.newWalkID(at), fresh.newWalkID(at)
 			if a != b {
@@ -311,28 +208,13 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 			warm.addCoupon(at, c)
 			fresh.addCoupon(at, c)
 		case 1:
-			n := int32(1 + r.Intn(9))
-			a, b := warm.newWalk(at, n), fresh.newWalk(at, n)
-			if a != b {
-				t.Fatalf("newWalk(%d): warm %d, fresh %d", at, a, b)
-			}
-			walks = append(walks, a)
-		case 2:
-			if len(walks) == 0 {
-				continue
-			}
-			id := walks[r.Intn(len(walks))]
-			j := int32(r.Intn(int(fresh.paths[walkOwner(id)].runs[walkSeq(id)].n)))
-			warm.recordHop(id, j, owner)
-			fresh.recordHop(id, j, owner)
-		case 3:
 			warm.recordGMWSend(at, key, 2)
 			fresh.recordGMWSend(at, key, 2)
-		case 4:
+		case 2:
 			if a, b := warm.gmwAvailable(at, key), fresh.gmwAvailable(at, key); a != b {
 				t.Fatalf("gmwAvailable: warm %d, fresh %d", a, b)
 			}
-		case 5:
+		case 3:
 			aw := warm.localCoupons(at, owner)
 			fr := fresh.localCoupons(at, owner)
 			if len(aw) != len(fr) {
@@ -342,13 +224,6 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 				if aw[i] != fr[i] {
 					t.Fatalf("localCoupons[%d]: warm %+v, fresh %+v", i, aw[i], fr[i])
 				}
-			}
-		case 6:
-			// Any walk ID this node may have minted, before the reset too.
-			id := int64(at)<<32 | int64(r.Intn(2000))
-			j := int32(r.Intn(11))
-			if a, b := warm.pathNext(id, j), fresh.pathNext(id, j); a != b {
-				t.Fatalf("pathNext(%#x, %d): warm %d, fresh %d", id, j, a, b)
 			}
 		}
 	}

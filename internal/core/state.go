@@ -14,7 +14,8 @@ type coupon struct {
 	length int32
 	// refill marks coupons minted by GET-MORE-WALKS, whose trajectories
 	// are recorded as aggregate counts (batch identifies the refill) and
-	// retraced backward; Phase 1 coupons replay forward along their paths.
+	// retraced backward; Phase 1 coupons replay forward, their hops
+	// recomputed (see Walker.hopPort).
 	refill bool
 	batch  int64
 }
@@ -29,54 +30,37 @@ type gmwKey struct {
 }
 
 // netState is the per-node persistent state of the walk system: short-walk
-// coupons, local walk-ID sequencing, and — only while the hop trail is
-// kept — the paths of the walks each node minted and GET-MORE-WALKS flow
-// ledgers. Indexed by node; each node only ever touches its own slot,
-// preserving the locality discipline of the model, with one exception:
-// a token writes its hops into its owner's path run (see paths).
+// coupons, local walk-ID sequencing and GET-MORE-WALKS flow ledgers.
+// Indexed by node; each node only ever touches its own slot, preserving
+// the locality discipline of the model.
 //
-// The hop trail (paths and gmw) is read by regeneration only, so it is
-// off until Walker.KeepTrail turns it on for the rest of the Reset epoch;
-// see there for the contract.
+// No node stores the hops it forwarded: a hop is a draw keyed by (seed,
+// walk ID, step), which the node recomputes when regeneration replays the
+// walk (Walker.hopPort). A GET-MORE-WALKS bundle carries a count, not
+// token identities, so its hops cannot be keyed that way; the flow
+// ledgers record them instead, on every refill.
 //
 // All per-node stores are flat, slab-backed shelves (see slab.go) rather
 // than Go maps: coupons are one list per node carved from one slab, flow
-// ledgers are open-addressed over int32 slot tables, paths are plain
-// indexes, and clearing truncates instead of freeing. Together with reset
-// this makes the whole structure warm-reusable: a pooled worker serves
-// request after request without reallocating any of it, and the simulated execution stays bit-identical
-// to a freshly built state (the shelves preserve append order, swap-remove
-// semantics and exact-key lookup of the old maps).
+// ledgers are open-addressed over int32 slot tables, and clearing
+// truncates instead of freeing. Together with reset this makes the whole
+// structure warm-reusable: a pooled worker serves request after request
+// without reallocating any of it, and the simulated execution stays
+// bit-identical to a freshly built state (the shelves preserve append
+// order, swap-remove semantics and exact-key lookup of the old maps).
 type netState struct {
 	// coupons[v] shelves the unused coupons held at v, one flat list per
 	// node, carved from couponSlab (see provisionCoupons).
 	coupons    []couponShelf
 	couponSlab []coupon
 	carved     couponLayout // what couponSlab was last carved for
-	// paths[v] holds the path of every walk token v minted while the trail
-	// was kept: a run of `total` slots, reserved when the walk is minted,
-	// whose slot j the token fills with its successor when it takes hop j
-	// (the token carries j = total − remaining). Recording is one store
-	// and replay one load, with no log to index. Runs are reserved only by
-	// the owner during a protocol's Init or by the driver between runs, so
-	// a slab never moves while another shard writes into it. Empty unless
-	// trail is set.
-	paths []pathShelf
 	// gmw[v] is v's count-aggregated GET-MORE-WALKS flow ledger: tokens
 	// sent per (batch, step, nbr) and how many of each flow earlier
 	// backward retraces consumed (sampling without replacement keeps joint
-	// retraces exact). Empty unless trail is set.
+	// retraces exact).
 	gmw []gmwShelf
 	// seq[v] is v's local counter for minting walk IDs.
 	seq []uint32
-
-	// trail says newWalk reserves path runs and recordHop and
-	// recordGMWSend record. It only changes between engine runs, so the
-	// per-message read needs no ordering under sharded execution.
-	trail bool
-	// trailGap says some walk of this Reset epoch ran with the trail off,
-	// so the trail cannot vouch for any walk's completeness (see walkRun).
-	trailGap bool
 
 	// mark/markEpoch is a reusable node-marking scratch (epoch-stamped
 	// visited set) for protocol steps that need a small dedup — e.g. the
@@ -88,7 +72,6 @@ type netState struct {
 func newNetState(n int) *netState {
 	return &netState{
 		coupons: make([]couponShelf, n),
-		paths:   make([]pathShelf, n),
 		gmw:     make([]gmwShelf, n),
 		seq:     make([]uint32, n),
 		mark:    make([]uint32, n),
@@ -96,19 +79,17 @@ func newNetState(n int) *netState {
 }
 
 // reset returns the state to that of a freshly built netState — empty
-// shelves, zeroed walk-ID counters, hop trail off — while keeping every
-// slab's capacity.
+// shelves and zeroed walk-ID counters — while keeping every slab's
+// capacity.
 // This is what lets a pooled worker's walker serve many sequential
 // requests warm: same observable behaviour as newNetState(n), none of the
 // allocation.
 func (s *netState) reset() {
 	for v := range s.coupons {
 		s.coupons[v].clear()
-		s.paths[v].clear()
 		s.gmw[v].clear()
 	}
 	clear(s.seq)
-	s.trail, s.trailGap = false, false
 	// The mark epoch deliberately survives: stamps from before the reset
 	// are stale by construction.
 }
@@ -158,7 +139,7 @@ func (l couponLayout) room(g *graph.G, total int, v graph.NodeID) int {
 }
 
 // provisionCoupons empties every node's coupon list before Phase 1 (re-
-// provisioning drops the previous inventory; a kept hop trail survives so
+// provisioning drops the previous inventory; the flow ledgers survive so
 // previously returned walks remain retraceable). The first time, and
 // whenever η or the walk's counts or target change, it carves every list
 // anew from the one coupon slab, each list's capacity capped at its room
@@ -194,12 +175,8 @@ func (s *netState) provisionCoupons(g *graph.G, prm Params) {
 }
 
 // recordGMWSend remembers that node at routed `count` tokens of `key.batch`
-// toward key.nbr, arriving there with hop counter key.step (a no-op with
-// the trail off).
+// toward key.nbr, arriving there with hop counter key.step.
 func (s *netState) recordGMWSend(at graph.NodeID, key gmwKey, count int32) {
-	if !s.trail {
-		return
-	}
 	s.gmw[at].rec(key, true).sent += count
 }
 
@@ -225,22 +202,8 @@ func (s *netState) newWalkID(v graph.NodeID) int64 {
 	return id
 }
 
-// newWalk mints the ID of a walk token of total hops at node v and, with
-// the trail kept, reserves the run its hops are recorded into. Only v's
-// own Init step or the driver between runs may call it (see paths).
-func (s *netState) newWalk(v graph.NodeID, total int32) int64 {
-	id := s.newWalkID(v)
-	if s.trail {
-		s.paths[v].reserve(walkSeq(id), total)
-	}
-	return id
-}
-
 // walkOwner extracts the minting node from a walk ID.
 func walkOwner(walkID int64) graph.NodeID { return graph.NodeID(walkID >> 32) }
-
-// walkSeq extracts the minting node's local sequence number from a walk ID.
-func walkSeq(walkID int64) uint32 { return uint32(walkID) }
 
 func (s *netState) addCoupon(at graph.NodeID, c coupon) {
 	s.coupons[at].add(c)
@@ -260,20 +223,6 @@ func (s *netState) couponCount(at, owner graph.NodeID) int { return s.coupons[at
 
 func (s *netState) couponAt(at, owner graph.NodeID, i int) coupon {
 	return s.coupons[at].nth(owner, i)
-}
-
-// recordHop remembers that walk walkID took its hop j towards next. The
-// walk was minted with the trail kept, which reserved the slot; whichever
-// node the token is at writes it, a different slot per hop.
-func (s *netState) recordHop(walkID int64, j int32, next graph.NodeID) {
-	s.paths[walkOwner(walkID)].set(walkSeq(walkID), j, next)
-}
-
-// pathNext returns the successor walk walkID recorded for its hop j, or
-// graph.None where the walk's recorded segment ends: j is past its run,
-// the walk has no run, or the token never took that hop.
-func (s *netState) pathNext(walkID int64, j int32) graph.NodeID {
-	return s.paths[walkOwner(walkID)].get(walkSeq(walkID), j)
 }
 
 // beginMark starts a fresh node-marking scratch epoch.

@@ -10,8 +10,9 @@ import (
 )
 
 // trailWorkload runs every walk entry point once, on a parameterization
-// starved enough that GET-MORE-WALKS runs too (so both halves of the
-// trail, walk paths and flow ledgers, have something to record).
+// starved enough that GET-MORE-WALKS runs too (so both halves of
+// regeneration, the forward replay and the backward retrace through the
+// flow ledgers, have something to replay).
 func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 	t.Helper()
 	single, err := w.SingleRandomWalk(0, 80)
@@ -40,133 +41,122 @@ func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 
 var starved = Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 
-// pathSlots counts the path slots st has reserved and the capacity its
-// path shelves hold.
-func pathSlots(st *netState) (slots, capacity int) {
-	for v := range st.paths {
-		p := &st.paths[v]
-		slots += len(p.slab)
-		capacity += cap(p.slab) + cap(p.runs)
-	}
-	return slots, capacity
-}
-
-// TestTrailOffMatchesOn: keeping the trail changes no random draw, message
-// or cost — every WalkResult (destination, segments, Cost, Breakdown) is
-// deep-equal with it off and on, sequentially and sharded (the shards read
-// the flag concurrently, and write hops into other shards' path runs; run
-// under -race) — and a walker that never kept it never reserved a path
-// slot or allocated a ledger.
-func TestTrailOffMatchesOn(t *testing.T) {
+// TestEveryWalkRegenerates: every walk of every entry point regenerates,
+// its GET-MORE-WALKS segments included, with no opt-in, sequentially and
+// sharded (the shards recompute hops and record flow ledgers
+// concurrently; run under -race) — and both the walks and their traces
+// are deep-equal at 1 and 3 shards.
+func TestEveryWalkRegenerates(t *testing.T) {
 	g := kite(t)
+	var walks [][]*WalkResult
+	var traces [][]*Trace
 	for _, shards := range []int{1, 3} {
-		lean := newWalker(t, g, 11, starved)
-		lean.Network().SetShards(shards)
-		kept := newWalker(t, g, 11, starved)
-		kept.Network().SetShards(shards)
-		kept.KeepTrail()
-
-		got, want := trailWorkload(t, lean), trailWorkload(t, kept)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: walks differ with the trail off:\noff %+v\non  %+v", shards, got, want)
-		}
-		if slots, capacity := pathSlots(lean.st); slots != 0 || capacity != 0 {
-			t.Fatalf("shards=%d: trail-less walker reserved %d path slots (capacity %d)", shards, slots, capacity)
-		}
-		flows := 0
-		for v := range lean.st.gmw {
-			if f := &lean.st.gmw[v]; len(f.keys) != 0 || cap(f.keys) != 0 || cap(f.recs) != 0 || len(f.tab.slots) != 0 {
-				t.Fatalf("shards=%d: trail-less walker has a flow ledger at node %d", shards, v)
+		w := newWalker(t, g, 11, starved)
+		w.Network().SetShards(shards)
+		got := trailWorkload(t, w)
+		var trs []*Trace
+		for i, res := range got {
+			tr, err := w.Regenerate(res)
+			if err != nil {
+				t.Fatalf("shards=%d: regenerate walk %d: %v", shards, i, err)
 			}
-			flows += len(kept.st.gmw[v].keys)
+			reconstruct(t, g, tr, res)
+			trs = append(trs, tr)
 		}
-		if slots, _ := pathSlots(kept.st); slots == 0 || flows == 0 {
-			t.Fatalf("shards=%d: trail-keeping walker reserved %d path slots, recorded %d flows", shards, slots, flows)
-		}
-		for i, res := range want {
-			if _, err := kept.Regenerate(res); err != nil {
-				t.Fatalf("shards=%d: regenerate walk %d with the trail kept: %v", shards, i, err)
-			}
-		}
+		walks, traces = append(walks, got), append(traces, trs)
+	}
+	if !reflect.DeepEqual(walks[0], walks[1]) {
+		t.Fatalf("walks differ at 1 and 3 shards:\n1 %+v\n3 %+v", walks[0], walks[1])
+	}
+	if !reflect.DeepEqual(traces[0], traces[1]) {
+		t.Fatal("traces differ at 1 and 3 shards")
 	}
 }
 
-// TestTrailMissingIsErrNoRegen: a forgotten opt-in fails loudly. Any walk
-// of the epoch that ran without the trail makes regeneration refuse with
-// ErrNoRegen, also for walks that ran after a late KeepTrail.
-func TestTrailMissingIsErrNoRegen(t *testing.T) {
-	g := kite(t)
-	w := newWalker(t, g, 7, DefaultParams())
-	first, err := w.SingleRandomWalk(5, 60)
+// TestRegenerateOtherSeedIsErrNoRegen: the replay recomputes every hop
+// from the walker's current seed, so after Reset + Reseed to another seed
+// a walk does not replay: it fails with ErrNoRegen and no trace instead of
+// returning some other path. Back under the walk's own seed it replays
+// the same path again.
+func TestRegenerateOtherSeedIsErrNoRegen(t *testing.T) {
+	g, err := graph.Torus(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Regenerate(first); !errors.Is(err, ErrNoRegen) {
-		t.Fatalf("Regenerate after a trail-less walk: err = %v, want ErrNoRegen", err)
-	}
-	w.KeepTrail() // too late for this epoch
-	second, err := w.NaiveWalk(0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Regenerate(second); !errors.Is(err, ErrNoRegen) {
-		t.Fatalf("Regenerate after a late KeepTrail: err = %v, want ErrNoRegen", err)
-	}
-	if _, err := w.RegenerateMany([]*WalkResult{first, second}); !errors.Is(err, ErrNoRegen) {
-		t.Fatalf("RegenerateMany after a late KeepTrail: err = %v, want ErrNoRegen", err)
-	}
-	// Building the tree moves no walk token: KeepTrail after Prepare is in
-	// time.
-	w = newWalker(t, g, 7, DefaultParams())
-	if _, err := w.Prepare(5); err != nil {
-		t.Fatal(err)
-	}
-	w.KeepTrail()
-	res, err := w.SingleRandomWalk(5, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Regenerate(res); err != nil {
-		t.Fatalf("Regenerate with the trail kept from the first walk on: %v", err)
-	}
-}
-
-// TestTrailResetRestoresOff: the opt-in lasts one Reset epoch.
-func TestTrailResetRestoresOff(t *testing.T) {
-	g := kite(t)
 	w := newWalker(t, g, 3, DefaultParams())
-	w.KeepTrail()
-	res, err := w.SingleRandomWalk(5, 60)
+	single, err := w.SingleRandomWalk(5, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Regenerate(res); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Reset(DefaultParams()); err != nil {
-		t.Fatal(err)
-	}
-	res, err = w.SingleRandomWalk(5, 60)
+	naive, err := w.NaiveWalk(0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Regenerate(res); !errors.Is(err, ErrNoRegen) {
-		t.Fatalf("Regenerate in the epoch after Reset: err = %v, want ErrNoRegen", err)
+	if single.Naive || single.Refills != 0 || len(single.Segments) < 3 {
+		t.Fatalf("want a stitched walk without refills, got %d segments, %d refills", len(single.Segments), single.Refills)
 	}
-	if slots, _ := pathSlots(w.st); slots != 0 {
-		t.Fatalf("a trail-less epoch reserved %d path slots", slots)
+	reseed := func(seed uint64) {
+		if err := w.Reset(DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
+		w.Network().Reseed(seed)
 	}
-	// Opting in again after the next Reset works.
-	if err := w.Reset(DefaultParams()); err != nil {
-		t.Fatal(err)
+	for _, res := range []*WalkResult{single, naive} {
+		want := mustRegen(t, w, res)
+		reseed(4)
+		if tr, err := w.Regenerate(res); !errors.Is(err, ErrNoRegen) || tr != nil {
+			t.Fatalf("Regenerate under another seed: trace %v, err = %v; want no trace and ErrNoRegen", tr != nil, err)
+		}
+		reseed(3)
+		if got := mustRegen(t, w, res); !reflect.DeepEqual(got.Path, want.Path) {
+			t.Fatal("back under its own seed the walk replays another path")
+		}
 	}
-	w.KeepTrail()
-	res, err = w.SingleRandomWalk(5, 60)
+}
+
+// TestHopKeyDoesNotAlias: hop j of walk w draws from (seed, w, j) with no
+// two pairs sharing a draw. A packed key such as walkID + j<<40 would make
+// (owner v, hop j) draw like (owner v+256, hop j−1), so on Torus(48,48)
+// node 256's walk s would follow node 0's walk s one hop behind; the χ²
+// endpoint suites, on graphs of at most 256 nodes, cannot see that. The
+// draws must also change with the seed.
+func TestHopKeyDoesNotAlias(t *testing.T) {
+	g, err := graph.Torus(48, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Regenerate(res); err != nil {
-		t.Fatalf("Regenerate after Reset + KeepTrail: %v", err)
+	w := newWalker(t, g, 1, DefaultParams())
+	const v = graph.NodeID(100) // every node has degree 4
+	port := func(walkID int64, j int32) int { return w.hopPort(v, walkKey(w.net.SeedMix(), walkID), j) }
+	const ahead = int64(256) << 32
+	if hopKey(walkKey(w.net.SeedMix(), 0), 1) == hopKey(walkKey(w.net.SeedMix(), ahead), 0) {
+		t.Error("(owner 0, hop 1) and (owner 256, hop 0) share a key")
+	}
+	same, pairs := 0, 0
+	for s := int64(0); s < 64; s++ {
+		for j := int32(1); j <= 32; j++ {
+			pairs++
+			if port(s, j) == port(ahead|s, j-1) {
+				same++
+			}
+		}
+	}
+	if share := float64(same) / float64(pairs); share > 0.35 {
+		t.Errorf("walk 256<<32|s at hop j−1 draws walk s's port at hop j in %d of %d pairs, want about 1/4", same, pairs)
+	}
+	var before []int
+	for j := int32(0); j < 64; j++ {
+		before = append(before, port(7, j))
+	}
+	w.Network().Reseed(2)
+	same = 0
+	for j := int32(0); j < 64; j++ {
+		if port(7, j) == before[j] {
+			same++
+		}
+	}
+	if same > 28 {
+		t.Errorf("after a reseed walk 7 draws %d of its 64 ports as before, want about 16", same)
 	}
 }
 
@@ -245,48 +235,37 @@ func TestQueueMemoryFollowsOccupancy(t *testing.T) {
 	}
 }
 
-// BenchmarkPhase1Trail is the trail's own before/after row: Phase 1 plus
-// one ℓ=1024 walk on Torus(48,48) — the benchmark's seq-walks request —
-// on a warm walker, with the trail off and on. rounds/op is the simulated
-// cost and must read the same in both.
+// BenchmarkPhase1Trail is Phase 1 plus one ℓ=1024 walk on Torus(48,48) —
+// the benchmark's seq-walks request — on a warm walker. Walks store no
+// hops, so this one row is what regeneration costs a walk that is never
+// regenerated: nothing. rounds/op is the simulated cost.
 func BenchmarkPhase1Trail(b *testing.B) {
 	g, err := graph.Torus(48, 48)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, keep := range []bool{false, true} {
-		name := "off"
-		if keep {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			w, err := NewWalker(g, 1, DefaultParams())
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchWalk(b, w, 0, keep) // grow the slabs
-			rounds := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rounds += benchWalk(b, w, uint64(i+1), keep)
-			}
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-		})
+	w, err := NewWalker(g, 1, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
 	}
+	benchWalk(b, w, 0) // grow the slabs
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rounds += benchWalk(b, w, uint64(i+1))
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
 // benchWalk serves one request the way a pooled worker does — Reset,
 // Reseed, then SingleRandomWalk ℓ=1024 from node 0 — and returns its
 // simulated rounds.
-func benchWalk(b *testing.B, w *Walker, seed uint64, keepTrail bool) int {
+func benchWalk(b *testing.B, w *Walker, seed uint64) int {
 	if err := w.Reset(DefaultParams()); err != nil {
 		b.Fatal(err)
 	}
 	w.Network().Reseed(seed)
-	if keepTrail {
-		w.KeepTrail()
-	}
 	res, err := w.SingleRandomWalk(0, 1024)
 	if err != nil {
 		b.Fatal(err)
@@ -294,9 +273,9 @@ func benchWalk(b *testing.B, w *Walker, seed uint64, keepTrail bool) int {
 	return res.Cost.Rounds
 }
 
-// BenchmarkRegenerateMany is the trail-on row of a spanning-tree phase:
-// on a warm walker over Torus(8,8) that keeps the trail, seven ℓ=256 walks
-// (MANY-RANDOM-WALKS) and then one RegenerateMany pass over all of them.
+// BenchmarkRegenerateMany is the row of a spanning-tree phase: on a warm
+// walker over Torus(8,8), seven ℓ=256 walks (MANY-RANDOM-WALKS) and then
+// one RegenerateMany pass over all of them.
 // rounds/op covers both and is the simulated cost.
 func BenchmarkRegenerateMany(b *testing.B) {
 	g, err := graph.Torus(8, 8)
@@ -313,7 +292,6 @@ func BenchmarkRegenerateMany(b *testing.B) {
 			b.Fatal(err)
 		}
 		w.Network().Reseed(seed)
-		w.KeepTrail()
 		many, err := w.ManyRandomWalks(sources, 256)
 		if err != nil {
 			b.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
+	"distwalk/internal/rng"
 )
 
 // Segment is one stitched piece of a completed walk: a short walk (or the
@@ -68,11 +69,11 @@ type WalkResult struct {
 //
 // A Walker is NOT safe for concurrent use: its per-node netState is one
 // shared simulation, and interleaving two walks would corrupt coupon
-// inventories and hop trails. Every exported method holds an atomic in-use
-// flag for its duration and returns an error wrapping ErrConcurrentUse if
-// another call is already in flight, instead of corrupting state. For
-// concurrent workloads use distwalk.Service, which multiplexes requests
-// over a pool of independent walkers.
+// inventories and flow ledgers. Every exported method holds an atomic
+// in-use flag for its duration and returns an error wrapping
+// ErrConcurrentUse if another call is already in flight, instead of
+// corrupting state. For concurrent workloads use distwalk.Service, which
+// multiplexes requests over a pool of independent walkers.
 type Walker struct {
 	g   *graph.G
 	net *congest.Network
@@ -113,7 +114,7 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 
 // NewWalkerOn builds a Walker over an existing simulated network. The
 // caller controls the network's seed (NewNetwork or Network.Reseed);
-// walker state (coupons, hop trail, walk IDs) starts fresh. This is the
+// walker state (coupons, flow ledgers, walk IDs) starts fresh. This is the
 // pooling constructor: distwalk.Service builds one Walker per worker
 // network, once, and Resets it per request (see Reset).
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
@@ -136,13 +137,12 @@ func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 
 // Reset returns the walker to the observable state of a freshly built one
-// — empty coupon inventories and walk-ID counters, no BFS tree, and the
-// hop trail off and empty (see KeepTrail) — while keeping every slab's
-// capacity, and installs prm as the walker's parameters. It re-reads the
-// network's graph, so a walker survives Network.Reshape: its slabs are
-// sized by the node count, which a reshape keeps. Any previously
-// returned Tree is invalidated (its arrays are recycled by the next tree
-// build).
+// — empty coupon inventories, flow ledgers and walk-ID counters, and no
+// BFS tree — while keeping every slab's capacity, and installs prm as the
+// walker's parameters. It re-reads the network's graph, so a walker
+// survives Network.Reshape: its slabs are sized by the node count, which
+// a reshape keeps. Any previously returned Tree is invalidated (its
+// arrays are recycled by the next tree build).
 //
 // This is the warm-pooling half of NewWalkerOn: distwalk.Service keeps one
 // Walker per worker and Resets it per request instead of reallocating, so
@@ -168,27 +168,6 @@ func (w *Walker) Reset(prm Params) error {
 	w.lambda = 0
 	w.prepared = false
 	return nil
-}
-
-// KeepTrail makes the walker keep its hop trail — every short walk's next
-// hop at every node it leaves, and the GET-MORE-WALKS flow counts — until
-// the next Reset. The trail is what Regenerate and RegenerateMany replay
-// and nothing else reads, so a fresh or Reset walker keeps none: walks
-// are destination-only unless the caller says here, before the first walk
-// it may regenerate, that it wants more. Keeping the trail changes no
-// random draw, message or cost. Once any walk since the last Reset ran
-// without it, regeneration fails with ErrNoRegen; calling KeepTrail
-// afterwards does not repair that. Like SetContext it is a plain setter,
-// for the goroutine that drives the walker to call between walks.
-func (w *Walker) KeepTrail() { w.st.trail = true }
-
-// walkRun runs a protocol that moves walk tokens — the runs whose hops the
-// trail records — and notes the gap when the trail is off.
-func (w *Walker) walkRun(p congest.Proto) (congest.Result, error) {
-	if !w.st.trail {
-		w.st.trailGap = true
-	}
-	return w.net.Run(p)
 }
 
 // acquire claims the walker for one exported call; it fails instead of
@@ -443,15 +422,15 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 
 // ensurePhase1 provisions short walks of base length lam if the current
 // inventory was built for a different λ (or not at all); extra adds walks
-// at the upcoming walks' sources (the "+k" of Lemma 2.6). A kept hop trail
-// retains the records of earlier inventories, so previously returned walks
+// at the upcoming walks' sources (the "+k" of Lemma 2.6). The flow ledgers
+// of earlier refills survive re-provisioning, so previously returned walks
 // remain retraceable.
 func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
 	if w.prepared && w.lambda == lam {
 		return congest.Result{}, nil
 	}
 	w.st.provisionCoupons(w.g, w.prm)
-	res, err := w.walkRun(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
+	res, err := w.net.Run(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
 	if err != nil {
 		return res, fmt.Errorf("core: phase 1: %w", err)
 	}
@@ -460,38 +439,45 @@ func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Resu
 	return res, nil
 }
 
-// advanceToken draws walk steps at the executing node until the token
+// advanceToken draws walk steps of token t at the executing node until it
 // moves or finishes in place. It returns the port the token leaves by (an
 // index into the node's Neighbors) and the steps remaining after the
 // move, or (-1, 0) if the token's steps ran out at the current node. For
 // the simple walk a step always moves; with Params.Metropolis stay steps
 // are consumed locally (no message, no round — a token that stays sends
-// nothing).
-func (w *Walker) advanceToken(ctx *congest.Ctx, remaining int32) (int, int32) {
+// nothing). Step j of the walk (j = total − remaining) draws from hopKey,
+// so the node can recompute it later (see hopPort).
+func (w *Walker) advanceToken(ctx *congest.Ctx, t walkToken) (int, int32) {
 	v := ctx.Node()
-	for remaining > 0 {
-		if !w.prm.Metropolis {
-			// graph.StepPort samples edges weight-proportionally (uniform on
-			// unweighted graphs); err is impossible here, v has degree >= 1.
-			port, _ := w.g.StepPort(ctx.RNG(), v)
-			return port, remaining - 1
+	walk := walkKey(w.net.SeedMix(), t.walkID)
+	for rem := t.remaining; rem > 0; rem-- {
+		if port := w.hopPort(v, walk, t.total-rem); port >= 0 {
+			return port, rem - 1
 		}
-		port, err := w.g.MHStepPort(ctx.RNG(), v)
-		if err != nil || port >= 0 {
-			return port, remaining - 1
-		}
-		remaining-- // stayed: one walk step, no message
+		// stayed: one walk step, no message
 	}
 	return -1, 0
 }
 
-// recordHop records that token t leaves the executing node by port with
-// rem steps left after the move: hop t.total−rem−1 of its walk. With the
-// trail off the neighbor behind the port is never looked up.
-func (w *Walker) recordHop(ctx *congest.Ctx, t walkToken, rem int32, port int) {
-	if w.st.trail {
-		w.st.recordHop(t.walkID, t.total-rem-1, ctx.Neighbors()[port].To)
+// walkKey folds the network's mixed seed and a walk ID into the key its
+// steps draw from, and hopKey adds step j. Each component goes through
+// the mixer on its own, so no (walk, step) pair aliases another: a packed
+// key such as walkID + j<<40 would give (owner v, step j) the draw of
+// (owner v+256, step j−1), because the owner sits in the ID's bits 32–63.
+func walkKey(seedMix uint64, walkID int64) uint64 { return rng.Mix64(seedMix ^ uint64(walkID)) }
+
+func hopKey(walk uint64, j int32) uint64 { return rng.Mix64(walk ^ uint64(uint32(j))) }
+
+// hopPort is step j of the walk keyed walk at node v: the port it leaves v
+// by, weight-proportional (uniform on unweighted graphs), or -1 for a
+// Metropolis-Hastings stay. It is a function of (seed, walk ID, j) and the
+// node's adjacency alone — what the node "remembers" of every hop it
+// forwarded, without storing any (Section 2.2's replay recomputes it).
+func (w *Walker) hopPort(v graph.NodeID, walk uint64, j int32) int {
+	if w.prm.Metropolis {
+		return w.g.MHPortAt(v, hopKey(walk, j))
 	}
+	return w.g.PortAt(v, hopKey(walk, j))
 }
 
 func (w *Walker) checkNode(v graph.NodeID) error {

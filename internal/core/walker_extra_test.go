@@ -169,7 +169,6 @@ func TestManyWalksRefillAccounting(t *testing.T) {
 func TestRegenerateManyValidation(t *testing.T) {
 	g, _ := graph.Complete(4)
 	w := newWalker(t, g, 19, DefaultParams())
-	w.KeepTrail()
 	if _, err := w.RegenerateMany(nil); err == nil {
 		t.Fatal("empty slice accepted")
 	}
@@ -193,7 +192,6 @@ func TestRegenerateManyTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWalker(t, g, 23, DefaultParams())
-	w.KeepTrail()
 	many, err := w.ManyRandomWalks([]graph.NodeID{0, 7, 13}, 400)
 	if err != nil {
 		t.Fatal(err)

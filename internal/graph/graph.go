@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"distwalk/internal/rng"
 )
@@ -177,11 +178,16 @@ func (g *G) MHStepPort(r *rng.RNG, v NodeID) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	ratio := g.wdeg[v] / g.wdeg[g.adj[v][port].To]
-	if ratio >= 1 || r.Float64() < ratio {
+	if ratio := g.acceptRatio(v, port); ratio >= 1 || r.Float64() < ratio {
 		return port, nil
 	}
 	return -1, nil
+}
+
+// acceptRatio is W(v)/W(u) for the proposal to leave v by port to u: the
+// Metropolis-Hastings walk accepts it with probability min(1, ratio).
+func (g *G) acceptRatio(v NodeID, port int) float64 {
+	return g.wdeg[v] / g.wdeg[g.adj[v][port].To]
 }
 
 // StepPort is Step but returns the chosen port, the index into
@@ -195,16 +201,59 @@ func (g *G) StepPort(r *rng.RNG, v NodeID) (int, error) {
 	if !g.weighted {
 		return r.Intn(len(hs)), nil
 	}
-	target := r.Float64() * g.wdeg[v]
+	return g.weightedPort(v, r.Float64()), nil
+}
+
+// weightedPort returns the port whose edge covers u·W(v) in v's cumulative
+// edge weights, for u uniform in [0, 1): a weight-proportional choice.
+func (g *G) weightedPort(v NodeID, u float64) int {
+	hs := g.adj[v]
+	target := u * g.wdeg[v]
 	acc := 0.0
 	for j, h := range hs {
 		acc += h.W
 		if target < acc {
-			return j, nil
+			return j
 		}
 	}
-	return len(hs) - 1, nil // numerical edge case: target == wdeg
+	return len(hs) - 1 // numerical edge case: target == wdeg
 }
+
+// PortAt is StepPort drawn from x, one uniform 64-bit value, instead of
+// from a stream, so that the same x picks the same port wherever and
+// whenever it is computed: the counter-keyed draw of a walk's hops. The
+// unweighted choice is Lemire's multiply-shift without rejection (its
+// bias is below deg(v)/2⁶⁴), the weighted one the top 53 bits of x as
+// StepPort's uniform. It returns -1 at an isolated node.
+func (g *G) PortAt(v NodeID, x uint64) int {
+	hs := g.adj[v]
+	if len(hs) == 0 {
+		return -1
+	}
+	if !g.weighted {
+		hi, _ := bits.Mul64(x, uint64(len(hs)))
+		return int(hi)
+	}
+	return g.weightedPort(v, unitFloat(x))
+}
+
+// MHPortAt is MHStepPort drawn from x: the proposal is PortAt(v, x) and
+// the acceptance draws from rng.Mix64(x). It returns -1 when the walk
+// stays at v (or v is isolated).
+func (g *G) MHPortAt(v NodeID, x uint64) int {
+	port := g.PortAt(v, x)
+	if port < 0 {
+		return -1
+	}
+	if ratio := g.acceptRatio(v, port); ratio >= 1 || unitFloat(rng.Mix64(x)) < ratio {
+		return port
+	}
+	return -1
+}
+
+// unitFloat maps x to [0, 1) with 53 bits of precision, as rng.Float64
+// maps a stream's next value.
+func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // MinDegree returns the minimum degree, or 0 for an empty graph.
 func (g *G) MinDegree() int {

@@ -15,7 +15,7 @@
 // length ℓ, and same topology epoch (Request.Topo), so no batch mixes
 // graph generations. Sources may differ freely within a group: they
 // become the batch's source list. A batch only samples endpoints; it
-// never keeps the hop trail or regenerates. A walk lost to an injected
+// never regenerates. A walk lost to an injected
 // fault fails the batch whole: every member receives ErrBatchAborted
 // wrapping the typed fault.
 //

@@ -137,8 +137,6 @@ func RandomSpanningTree(w *core.Walker, root graph.NodeID, opt Options) (*Result
 		maxLen = ell
 	}
 
-	// Every candidate walk is regenerated, so all of them keep their trail.
-	w.KeepTrail()
 	out := &Result{Root: root, WalkLength: ell}
 	sources := make([]graph.NodeID, walksPerPhase)
 	for i := range sources {

@@ -544,7 +544,7 @@ func TestShardIdentityMutate8(t *testing.T) { testShardIdentityMutate(t, 8) }
 // a fact derived from the topology at every reshape. A mutation that adds
 // a parallel edge and one that removes it again must each leave the warm
 // service answering exactly like a fresh one over the same graph — sharded
-// or not, with and without the hop trail, and for the applications that
+// or not, with and without regeneration, and for the applications that
 // drive the walker through many runs (spanning tree, mixing estimate).
 func TestReshapeParallelEdgeTogglesSendPath(t *testing.T) {
 	ctx := context.Background()

@@ -97,7 +97,6 @@ var (
 		digest: cacheKindTrace,
 		fold:   foldWalk,
 		run: func(w *core.Walker, _ *config, op operands) (tracedWalk, error) {
-			w.KeepTrail()
 			walk, err := w.SingleRandomWalk(op.node, op.ell)
 			if err != nil {
 				return tracedWalk{}, err

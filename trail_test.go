@@ -11,11 +11,10 @@ import (
 	"distwalk/internal/stats"
 )
 
-// The hop trail is kept only by requests that regenerate (WalkTrace,
-// RandomSpanningTree); every other kind, and every batch, leaves the
-// worker's walker trail-less. These tests pin where a trail-less request
-// and a tracing one could be confused for each other (the cache), and
-// what regeneration returns.
+// Only WalkTrace and RandomSpanningTree regenerate; every other kind, and
+// every batch, only samples endpoints. These tests pin where a sampling
+// request and a tracing one could be confused for each other (the cache),
+// and what regeneration returns.
 
 // checkTrace asserts tr is a complete regeneration of walk.
 func checkTrace(t *testing.T, walk *distwalk.WalkResult, tr *distwalk.Trace) {
@@ -47,8 +46,8 @@ func positionsOf(tr *distwalk.Trace) [][]int32 {
 // TestTrailWalkTraceAfterSingleCached: on a cached one-worker service,
 // WalkTrace with the key and operands of an earlier SingleRandomWalk must
 // execute on its own (the kinds have distinct cache digests — a hit would
-// hand back a walk whose trail was never kept) and return the same walk
-// plus a complete trace, on the worker the trail-less request left warm.
+// hand back a walk without its trace) and return the same walk plus a
+// complete trace, on the worker the sampling request left warm.
 func TestTrailWalkTraceAfterSingleCached(t *testing.T) {
 	g, err := distwalk.Torus(9, 9)
 	if err != nil {
@@ -72,7 +71,7 @@ func TestTrailWalkTraceAfterSingleCached(t *testing.T) {
 		t.Fatalf("cache served the trace from the single's entry: %d misses, %d hits, want 2 and 0", cs.Misses, cs.Hits)
 	}
 	if !reflect.DeepEqual(walk, single) {
-		t.Fatalf("keeping the trail changed the walk:\ntrace  %+v\nsingle %+v", walk, single)
+		t.Fatalf("tracing changed the walk:\ntrace  %+v\nsingle %+v", walk, single)
 	}
 	checkTrace(t, walk, tr)
 	// And the other way round: the single's entry is still served, and a
@@ -128,7 +127,6 @@ func TestRegenerateTracePinned(t *testing.T) {
 		{"RegenerateMany", func(t *testing.T, shards int) uint64 {
 			w := newWalker(t, torus, 5, distwalk.DefaultParams())
 			w.Network().SetShards(shards)
-			w.KeepTrail()
 			many, err := w.ManyRandomWalks([]distwalk.NodeID{0, 9, 27, 36, 63}, 1024)
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +151,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 				traceDigest(h, tr)
 			}
 			return h.Sum64()
-		}, 0xbe69e16e673a3419},
+		}, 0x13c54b4d840fd0dd},
 		{"WalkTraceRefill", func(t *testing.T, shards int) uint64 {
 			svc, err := distwalk.NewService(kite, 11, distwalk.WithWorkers(1), distwalk.WithShards(shards))
 			if err != nil {
@@ -175,7 +173,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			traceDigest(h, tr)
 			return h.Sum64()
-		}, 0x73207810df511cf6},
+		}, 0xd67ff7ed3ffc2f28},
 		{"RandomSpanningTree", func(t *testing.T, shards int) uint64 {
 			svc, err := distwalk.NewService(torus, 7, distwalk.WithWorkers(1), distwalk.WithShards(shards))
 			if err != nil {
@@ -192,7 +190,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0x5e3e031d0ff7f04d},
+		}, 0x18673232b929204d},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
