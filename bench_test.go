@@ -129,6 +129,62 @@ func BenchmarkEstimateMixingTime(b *testing.B) {
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
+// BenchmarkCacheHit is the result-cache hit path through the Service:
+// admission, request digest, sharded-LRU lookup and the deep copy, with
+// the engine doing none of the work. single is cache-churn's hit
+// (SingleRandomWalk ℓ=64 on Torus(48,48)), many is cache-hot's
+// (ManyRandomWalks k=8 ℓ=1024 on Torus(16,16)).
+func BenchmarkCacheHit(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		side int
+		k    int // 0: SingleRandomWalk
+		ell  int
+	}{
+		{"single", 48, 0, 64},
+		{"many", 16, 8, 1024},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, err := distwalk.Torus(tc.side, tc.side)
+			if err != nil {
+				b.Fatal(err)
+			}
+			svc, err := distwalk.NewService(g, 1, distwalk.WithWorkers(1), distwalk.WithResultCache(64<<20))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			sources := make([]distwalk.NodeID, tc.k)
+			for i := range sources {
+				sources[i] = distwalk.NodeID(i * g.N() / len(sources))
+			}
+			ctx := context.Background()
+			hit := func() (err error) {
+				if tc.k == 0 {
+					_, err = svc.SingleRandomWalk(ctx, 0, 0, tc.ell)
+				} else {
+					_, err = svc.ManyRandomWalks(ctx, 0, sources, tc.ell)
+				}
+				return err
+			}
+			if err := hit(); err != nil {
+				b.Fatal(err) // the miss that stores the entry
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := hit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := svc.Stats().Cache; st.Misses != 1 {
+				b.Fatalf("%d cache misses, want only the first call's", st.Misses)
+			}
+		})
+	}
+}
+
 // BenchmarkClusterVsInProcess is the cluster crossover table: the
 // cluster-walks request (ManyRandomWalks, k=8, ℓ=1024) on growing tori,
 // over two loopback wire servers and on WithShards(2) in process. The

@@ -44,17 +44,37 @@ func copyWalkResult(r *WalkResult) *WalkResult {
 	return &out
 }
 
+// copyManyResult copies the k walks into one []WalkResult and all their
+// segments into one []core.Segment, so a copy makes the same handful of
+// allocations at any k. Each walk's Segments is a capped sub-slice of
+// the segment slab: an append to one walk reallocates instead of
+// overwriting the next walk's segments.
 func copyManyResult(r *ManyResult) *ManyResult {
 	out := *r
 	if r.Destinations != nil {
 		out.Destinations = append([]NodeID(nil), r.Destinations...)
 	}
 	if r.Walks != nil {
-		out.Walks = make([]*WalkResult, len(r.Walks))
-		for i, w := range r.Walks {
+		n := 0
+		for _, w := range r.Walks {
 			if w != nil {
-				out.Walks[i] = copyWalkResult(w)
+				n += len(w.Segments)
 			}
+		}
+		out.Walks = make([]*WalkResult, len(r.Walks))
+		walks := make([]WalkResult, len(r.Walks))
+		segs := make([]core.Segment, 0, n)
+		for i, w := range r.Walks {
+			if w == nil {
+				continue
+			}
+			walks[i] = *w
+			if w.Segments != nil {
+				lo := len(segs)
+				segs = append(segs, w.Segments...)
+				walks[i].Segments = segs[lo:len(segs):len(segs)]
+			}
+			out.Walks[i] = &walks[i]
 		}
 	}
 	return &out

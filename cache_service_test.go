@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distwalk/internal/cache"
+	"distwalk/internal/core"
 	"distwalk/internal/sched"
 )
 
@@ -424,6 +425,33 @@ func TestCacheMutationIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, second) {
 		t.Fatal("mutating a returned result corrupted the cached entry")
+	}
+
+	// A hit's walks share one segment slab, each walk a capped sub-slice
+	// of it: appending to one walk's Segments must reallocate, never
+	// overwrite the next walk's first segment.
+	for i, w := range second.Walks {
+		if len(w.Segments) < 2 {
+			t.Fatalf("walk %d has %d segments; the slab check needs ≥ 2 per walk", i, len(w.Segments))
+		}
+	}
+	stray := core.Segment{Start: -7, End: -7, WalkID: -7, Length: -7}
+	second.Destinations = append(second.Destinations, -7)
+	for _, w := range second.Walks {
+		w.Segments = append(w.Segments, stray)
+	}
+	for i, w := range second.Walks {
+		n := len(want.Walks[i].Segments)
+		if !reflect.DeepEqual(w.Segments[:n], want.Walks[i].Segments) || w.Segments[n] != stray {
+			t.Fatalf("appending to a sibling walk's segments overwrote walk %d's", i)
+		}
+	}
+	third, err := cached.ManyRandomWalks(ctx, 1, []NodeID{0, 11, 22}, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, third) {
+		t.Fatal("appending to a returned result corrupted the cached entry")
 	}
 
 	wWant, trWant, err := fresh.WalkTrace(ctx, 2, 5, 400)

@@ -7,10 +7,10 @@ package cache
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -25,18 +25,36 @@ type Key [16]byte
 // Digest accumulates the result-determining fields of a request into a
 // Key. Fields must be written in a fixed order with fixed widths — the
 // encoding, not the caller's formatting, is what makes keys canonical.
-type Digest struct{ h hash.Hash }
+//
+// The state is FNV-1a 128 held in two words and updated in place, so a
+// digest allocates nothing; its Key is byte-for-byte what hash/fnv's
+// New128a returns over the same little-endian words.
+type Digest struct{ hi, lo uint64 }
+
+// FNV-1a 128 constants: the offset basis, and the prime 2^88 + 0x13b
+// split into its low word and the shift of its high bit.
+const (
+	offset128Hi = 0x6c62272e07bb0142
+	offset128Lo = 0x62b821756295c58d
+	prime128Lo  = 0x13b
+	prime128Sh  = 24
+)
 
 // NewDigest returns an empty digest.
-func NewDigest() *Digest { return &Digest{h: fnv.New128a()} }
+func NewDigest() *Digest { return &Digest{hi: offset128Hi, lo: offset128Lo} }
 
-// U64 folds a fixed-width unsigned word.
+// U64 folds a fixed-width unsigned word, least significant byte first.
 func (d *Digest) U64(v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+	hi, lo := d.hi, d.lo
+	for i := 0; i < 8; i++ {
+		lo ^= v & 0xff
+		v >>= 8
+		// (hi, lo) *= 2^88 + 0x13b, mod 2^128.
+		h, l := bits.Mul64(prime128Lo, lo)
+		hi = h + lo<<prime128Sh + prime128Lo*hi
+		lo = l
 	}
-	d.h.Write(b[:])
+	d.hi, d.lo = hi, lo
 }
 
 // I64 folds a signed word (two's-complement, fixed width).
@@ -55,10 +73,12 @@ func (d *Digest) Bool(v bool) {
 	}
 }
 
-// Key returns the digest of everything folded so far.
+// Key returns the digest of everything folded so far: the 128-bit state,
+// big-endian.
 func (d *Digest) Key() Key {
 	var k Key
-	copy(k[:], d.h.Sum(nil))
+	binary.BigEndian.PutUint64(k[:8], d.hi)
+	binary.BigEndian.PutUint64(k[8:], d.lo)
 	return k
 }
 

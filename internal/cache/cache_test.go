@@ -2,8 +2,11 @@ package cache
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +72,57 @@ func TestDigestCanonical(t *testing.T) {
 		// Not a requirement, just documenting that Bool == U64(0/1).
 		t.Fatal("Bool(true) must encode exactly like U64(1)")
 	}
+}
+
+// digestOp encodes one fuzz operation: a selector byte (U64, I64, F64,
+// Bool by its value mod 4) and the 8-byte little-endian operand.
+func digestOp(op byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{op}, v)
+}
+
+// FuzzDigestMatchesFNV128a pins the cache key bytes: any sequence of
+// U64 / I64 / F64 / Bool folds must give the Key that hash/fnv's
+// New128a gives over the same words written little-endian. The corpus
+// seeds the empty digest, Bool(true) and U64(1) (the same word), and
+// -0.0 and +0.0 (different words).
+func FuzzDigestMatchesFNV128a(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(digestOp(3, 1))
+	f.Add(digestOp(0, 1))
+	f.Add(digestOp(2, math.Float64bits(math.Copysign(0, -1))))
+	f.Add(digestOp(2, 0))
+	f.Add(append(digestOp(1, math.MaxUint64), digestOp(3, 0)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, ref := NewDigest(), fnv.New128a()
+		for ; len(data) >= 9; data = data[9:] {
+			v := binary.LittleEndian.Uint64(data[1:9])
+			var word uint64
+			switch data[0] % 4 {
+			case 0:
+				d.U64(v)
+				word = v
+			case 1:
+				d.I64(int64(v))
+				word = uint64(int64(v))
+			case 2:
+				x := math.Float64frombits(v)
+				d.F64(x)
+				word = math.Float64bits(x)
+			case 3:
+				b := v&1 == 1
+				d.Bool(b)
+				if b {
+					word = 1
+				}
+			}
+			ref.Write(binary.LittleEndian.AppendUint64(nil, word))
+		}
+		var want Key
+		copy(want[:], ref.Sum(nil))
+		if got := d.Key(); got != want {
+			t.Fatalf("Key %x, hash/fnv New128a %x", got, want)
+		}
+	})
 }
 
 func TestHitMissStats(t *testing.T) {

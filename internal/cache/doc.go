@@ -38,18 +38,25 @@
 // one Service — a cache lives and dies with its Service, so they need no
 // digest bits.
 //
+// The digest is computed inline: Digest holds the FNV-1a 128 state in two
+// uint64 words and folds each byte with one 64×64→128 multiply, so
+// building a key allocates nothing (no hash.Hash, no per-field byte
+// slice, no Sum buffer). Its Key is byte-for-byte what hash/fnv's New128a
+// returns over the same little-endian words — FuzzDigestMatchesFNV128a
+// holds that, so every Key is the one the hash.Hash version produced.
+//
 // # Generation invalidation, not TTL
 //
 // Entries never expire: they are immutable facts about a frozen
-// topology. The only invalidation is Service.InvalidateCache, which
-// bumps the graph generation folded into every digest and purges the
-// store. This is the groundwork for the dynamic-graphs roadmap item:
-// a topology mutation bumps the generation, old-generation entries
-// become unreachable instantly (their digests can no longer be
-// produced), and requests already in flight complete epoch-pinned under
-// the generation they digested — a leader finishing after a purge may
-// briefly re-admit an old-generation entry, which no live digest can
-// reach and which ages out through the LRU.
+// topology. A new graph generation invalidates them. Service.ApplyMutations
+// publishes one with every accepted edge-edit batch, and
+// Service.InvalidateCache publishes one over the unchanged graph; both
+// bump the generation folded into every digest and purge the store.
+// Old-generation entries become unreachable instantly (their digests can
+// no longer be produced), and requests already in flight complete
+// epoch-pinned under the generation they digested — a leader finishing
+// after a purge may briefly re-admit an old-generation entry, which no
+// live digest can reach and which ages out through the LRU.
 //
 // # Singleflight leader rules
 //
@@ -83,6 +90,14 @@
 // while making the invariant unverifiable. The -race stress suite runs
 // concurrent hit/miss/coalesce traffic with mutating callers to prove
 // returned results never alias the store.
+//
+// Past the caller's own request state, a hit allocates its copy and
+// nothing else, and the copy makes one allocation per slice field, not
+// one per element: a ManyResult's k walks are copied into one
+// []WalkResult and all their segments into one []Segment, each walk
+// holding a capped sub-slice (segs[lo:hi:hi]) of it, so an append to one
+// walk's Segments reallocates instead of overwriting its sibling's.
+// TestCacheHitAllocs gates the count per kind, equal at k = 8 and k = 32.
 //
 // # Admission
 //

@@ -10,9 +10,14 @@ import (
 
 // Fault awareness: the engine records the first message lost to an
 // injected fault (crash-stop, churn window, lossy link) per request. A
-// protocol that loses a token to a fault does not return a wrong sample
-// — the Las Vegas drivers detect the inconsistency (missing coupon,
-// unfinished tail, unreachable BFS node, stalled convergecast) and fail.
+// protocol that loses a token to a fault mostly does not return a wrong
+// sample — the Las Vegas protocols detect the inconsistency (missing
+// coupon, unfinished tail, unreachable BFS node, stalled convergecast)
+// and fail. Phase 1 is the exception: a short-walk token lost there takes
+// its coupon with it, nothing misses it, and stitching draws from the
+// coupons that survived (refilling as usual), so the request can succeed
+// with LossError set and a sample drawn only from short walks that
+// dodged the fault. ROADMAP lists the reproduction.
 // faultize converts those detection errors into the typed fault error at
 // every Walker entry point, so callers (and the Service retry policy)
 // dispatch on ErrNodeCrashed/ErrMessageLost instead of parsing protocol

@@ -34,13 +34,12 @@ type operands struct {
 
 // requestKind describes one entry point to serve. Descriptors are
 // package-level values over plain functions and operands travel by
-// value: describing a request allocates nothing, so a cache hit pays for
-// its digest and its copy only.
+// value: describing a request allocates nothing, so a cache hit allocates
+// only the config admit resolves and the copy it returns.
 type requestKind[T any] struct {
-	digest uint64 // the kind word of the cache key
-	// fold writes the kind-specific operands into the cache key, after
-	// the fields requestDigest folds for every kind.
-	fold func(d *cache.Digest, op operands, cfg *config)
+	// digest is the kind word of the cache key; requestDigest also
+	// switches on it to fold the kind-specific operands.
+	digest uint64
 	// run executes the request on a worker's prepared walker.
 	run func(w *core.Walker, cfg *config, op operands) (T, error)
 	// entry sizes a result for the cache (see cache_service.go).
@@ -56,17 +55,11 @@ type tracedWalk struct {
 	trace *Trace
 }
 
-func foldWalk(d *cache.Digest, op operands, _ *config) {
-	d.I64(int64(op.node))
-	d.I64(int64(op.ell))
-}
-
 // walkKind describes SingleRandomWalk and NaiveWalk: the same operands
 // and result type under two digest kinds.
 func walkKind(digest uint64, walk func(*core.Walker, NodeID, int) (*WalkResult, error)) requestKind[*WalkResult] {
 	return requestKind[*WalkResult]{
 		digest: digest,
-		fold:   foldWalk,
 		run: func(w *core.Walker, _ *config, op operands) (*WalkResult, error) {
 			return walk(w, op.node, op.ell)
 		},
@@ -80,13 +73,6 @@ var (
 	naiveKind  = walkKind(cacheKindNaive, (*core.Walker).NaiveWalk)
 	manyKind   = requestKind[*ManyResult]{
 		digest: cacheKindMany,
-		fold: func(d *cache.Digest, op operands, _ *config) {
-			d.I64(int64(len(op.sources)))
-			for _, src := range op.sources {
-				d.I64(int64(src))
-			}
-			d.I64(int64(op.ell))
-		},
 		run: func(w *core.Walker, _ *config, op operands) (*ManyResult, error) {
 			return w.ManyRandomWalks(op.sources, op.ell)
 		},
@@ -95,7 +81,6 @@ var (
 	}
 	traceKind = requestKind[tracedWalk]{
 		digest: cacheKindTrace,
-		fold:   foldWalk,
 		run: func(w *core.Walker, _ *config, op operands) (tracedWalk, error) {
 			walk, err := w.SingleRandomWalk(op.node, op.ell)
 			if err != nil {
@@ -112,13 +97,6 @@ var (
 	}
 	rstKind = requestKind[*RSTResult]{
 		digest: cacheKindRST,
-		fold: func(d *cache.Digest, op operands, cfg *config) {
-			d.I64(int64(op.node))
-			d.I64(int64(cfg.rst.StartLength))
-			d.I64(int64(cfg.rst.WalksPerPhase))
-			d.I64(int64(cfg.rst.MaxLength))
-			d.Bool(cfg.rst.Deliver)
-		},
 		run: func(w *core.Walker, cfg *config, op operands) (*RSTResult, error) {
 			return spanning.RandomSpanningTree(w, op.node, cfg.rst)
 		},
@@ -127,14 +105,6 @@ var (
 	}
 	mixKind = requestKind[*MixingEstimate]{
 		digest: cacheKindMix,
-		fold: func(d *cache.Digest, op operands, cfg *config) {
-			d.I64(int64(op.node))
-			d.I64(int64(cfg.mix.Samples))
-			d.F64(cfg.mix.Eps)
-			d.F64(cfg.mix.BucketRatio)
-			d.I64(int64(cfg.mix.MaxEll))
-			// Options.Debug only prints; it cannot change the estimate.
-		},
 		run: func(w *core.Walker, cfg *config, op operands) (*MixingEstimate, error) {
 			return mixing.EstimateTau(w, op.node, cfg.mix)
 		},
@@ -150,11 +120,12 @@ var (
 // attempt-salted seed produced the result — depends on it), and the
 // kind-specific operands. Fields that cannot change a result (workers,
 // shards, cluster transport, batching windows) are deliberately absent;
-// see internal/cache/doc.go.
-func requestDigest[T any](gen uint64, k *requestKind[T], key uint64, op operands, cfg *config) cache.Key {
+// see internal/cache/doc.go. Nothing here escapes, so building a key
+// allocates nothing.
+func requestDigest(gen, kind, key uint64, op operands, cfg *config) cache.Key {
 	d := cache.NewDigest()
 	d.U64(gen)
-	d.U64(k.digest)
+	d.U64(kind)
 	d.U64(key)
 	p := cfg.params
 	d.F64(p.LambdaC)
@@ -167,7 +138,30 @@ func requestDigest[T any](gen uint64, k *requestKind[T], key uint64, op operands
 	d.Bool(p.Metropolis)
 	d.I64(int64(cfg.maxRounds))
 	d.I64(int64(cfg.retries))
-	k.fold(d, op, cfg)
+	switch kind {
+	case cacheKindSingle, cacheKindNaive, cacheKindTrace:
+		d.I64(int64(op.node))
+		d.I64(int64(op.ell))
+	case cacheKindMany:
+		d.I64(int64(len(op.sources)))
+		for _, src := range op.sources {
+			d.I64(int64(src))
+		}
+		d.I64(int64(op.ell))
+	case cacheKindRST:
+		d.I64(int64(op.node))
+		d.I64(int64(cfg.rst.StartLength))
+		d.I64(int64(cfg.rst.WalksPerPhase))
+		d.I64(int64(cfg.rst.MaxLength))
+		d.Bool(cfg.rst.Deliver)
+	case cacheKindMix:
+		d.I64(int64(op.node))
+		d.I64(int64(cfg.mix.Samples))
+		d.F64(cfg.mix.Eps)
+		d.F64(cfg.mix.BucketRatio)
+		d.I64(int64(cfg.mix.MaxEll))
+		// Options.Debug only prints; it cannot change the estimate.
+	}
 	return d.Key()
 }
 
@@ -205,7 +199,7 @@ func serveAt[T any](ctx context.Context, s *Service, k *requestKind[T], key uint
 		v, err := runRequest(ctx, s, k, key, op, cfg, snap)
 		return v, cache.Miss, err
 	}
-	v, o, err := s.cache.Do(ctx, requestDigest(snap.gen, k, key, op, cfg), func() (cache.Execution, error) {
+	v, o, err := s.cache.Do(ctx, requestDigest(snap.gen, k.digest, key, op, cfg), func() (cache.Execution, error) {
 		res, err := runRequest(ctx, s, k, key, op, cfg, snap)
 		if err != nil {
 			return cache.Execution{}, err

@@ -134,7 +134,7 @@ func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell
 		// but a batch execution never leads a flight, because its result
 		// is deterministic per batch composition, not per key, and must
 		// not be published to per-key waiters (or the store).
-		if v, f, o := s.cache.Attach(requestDigest(snap.gen, &singleKind, key, op, cfg)); o != cache.Miss {
+		if v, f, o := s.cache.Attach(requestDigest(snap.gen, cacheKindSingle, key, op, cfg)); o != cache.Miss {
 			served := func(v any) sched.Result {
 				return s.walkResult(key, copyWalkResult(v.(*WalkResult)), cache.Hit, nil)
 			}
