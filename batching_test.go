@@ -290,11 +290,11 @@ func TestBatchedGoldenCounters(t *testing.T) {
 		}
 	}
 	info := handles[0].Batch()
-	wantCost := distwalk.Cost{Rounds: 4764, Messages: 1159246, Words: 3475422, MaxQueue: 15}
+	wantCost := distwalk.Cost{Rounds: 4269, Messages: 1155032, Words: 3471208, MaxQueue: 15}
 	if info.Cost != wantCost {
 		t.Errorf("golden batch cost changed:\n got %+v\nwant %+v", info.Cost, wantCost)
 	}
-	wantAm := distwalk.Cost{Rounds: 595, Messages: 144905, Words: 434427, MaxQueue: 15}
+	wantAm := distwalk.Cost{Rounds: 533, Messages: 144379, Words: 433901, MaxQueue: 15}
 	if info.Amortized != wantAm {
 		t.Errorf("golden amortized cost changed:\n got %+v\nwant %+v", info.Amortized, wantAm)
 	}

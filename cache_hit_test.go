@@ -7,10 +7,11 @@ import (
 	"distwalk"
 )
 
-// TestCacheHitAllocs gates what a warm result-cache hit allocates: the
-// request's config and its deep copy, nothing else. The request digest
-// allocates nothing, and a ManyRandomWalks copy makes the same number of
-// allocations at k = 8 and k = 32 (one slab per slice field).
+// TestCacheHitAllocs gates what a warm result-cache hit allocates: its
+// deep copy, nothing else — the request's config stays on the stack, per
+// request options included. The request digest allocates nothing, and a
+// ManyRandomWalks copy makes the same number of allocations at k = 8 and
+// k = 32 (one slab per slice field).
 func TestCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -34,36 +35,41 @@ func TestCacheHitAllocs(t *testing.T) {
 		return s
 	}
 	src8, src32 := sources(8), sources(32)
+	dnp09 := distwalk.WithParams(distwalk.DNP09Params(500, 8)) // built once: building an option allocates
 	hits := []struct {
 		name string
 		max  float64
 		run  func() error
 	}{
-		{"SingleRandomWalk", 3, func() error {
+		{"SingleRandomWalk", 2, func() error {
 			_, err := svc.SingleRandomWalk(ctx, 1, 3, 500)
 			return err
 		}},
-		{"NaiveWalk", 3, func() error {
+		{"SingleRandomWalk/WithParams", 2, func() error {
+			_, err := svc.SingleRandomWalk(ctx, 8, 3, 500, dnp09)
+			return err
+		}},
+		{"NaiveWalk", 2, func() error {
 			_, err := svc.NaiveWalk(ctx, 2, 3, 200)
 			return err
 		}},
-		{"ManyRandomWalks/k=8", 6, func() error {
+		{"ManyRandomWalks/k=8", 5, func() error {
 			_, err := svc.ManyRandomWalks(ctx, 3, src8, 400)
 			return err
 		}},
-		{"ManyRandomWalks/k=32", 6, func() error {
+		{"ManyRandomWalks/k=32", 5, func() error {
 			_, err := svc.ManyRandomWalks(ctx, 4, src32, 400)
 			return err
 		}},
-		{"WalkTrace", 7, func() error {
+		{"WalkTrace", 6, func() error {
 			_, _, err := svc.WalkTrace(ctx, 5, 5, 400)
 			return err
 		}},
-		{"RandomSpanningTree", 3, func() error {
+		{"RandomSpanningTree", 2, func() error {
 			_, err := svc.RandomSpanningTree(ctx, 6, 0)
 			return err
 		}},
-		{"EstimateMixingTime", 2, func() error {
+		{"EstimateMixingTime", 1, func() error {
 			_, err := svc.EstimateMixingTime(ctx, 7, 0)
 			return err
 		}},

@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 1658, Messages: 401011, Words: 1200823, MaxQueue: 15},
+			want: distwalk.Cost{Rounds: 1433, Messages: 398635, Words: 1198447, MaxQueue: 15},
 		},
 		{
 			name: "SingleRandomWalk/torus16x16/ell256/seed7",
@@ -83,7 +83,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 418, Messages: 101670, Words: 302956, MaxQueue: 17},
+			want: distwalk.Cost{Rounds: 399, Messages: 101412, Words: 302698, MaxQueue: 17},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024/seed9",
@@ -99,7 +99,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2204, Messages: 583462, Words: 1748244, MaxQueue: 13},
+			want: distwalk.Cost{Rounds: 2062, Messages: 583462, Words: 1748244, MaxQueue: 13},
 		},
 		{
 			name: "NaiveWalk/torus16x16/ell2048/seed3",
@@ -125,7 +125,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 545, Messages: 142243, Words: 424651, MaxQueue: 11},
+			want: distwalk.Cost{Rounds: 498, Messages: 141718, Words: 424126, MaxQueue: 11},
 		},
 		{
 			name: "RandomSpanningTree/torus8x8/seed11",
@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 3194, Messages: 172230, Words: 506686, MaxQueue: 11},
+			want: distwalk.Cost{Rounds: 2966, Messages: 171096, Words: 505552, MaxQueue: 11},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -218,8 +218,8 @@ type serviceGoldenCase struct {
 
 // serviceGoldenCases are the headline Service workloads at service seed
 // 42, request key 1. Two headline workloads are pinned elsewhere and have
-// no row here: BatchedWalks (8 × SubmitWalk ℓ=4096, keys 8..15: 595
-// amortized rounds, 144905 messages, 434427 words) is
+// no row here: BatchedWalks (8 × SubmitWalk ℓ=4096, keys 8..15: 533
+// amortized rounds, 144379 messages, 433901 words) is
 // TestBatchedGoldenCounters, and ClusterManyWalks (the ManyRandomWalks row
 // over two distwalkd engines) must equal that row because
 // testClusterIdentity pins cluster == in-process sharded and
@@ -262,12 +262,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 1799, Messages: 406010, Words: 1215864},
+			want: serviceGolden{Rounds: 1612, Messages: 403911, Words: 1213765},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024", graph: torus,
 			run:  manyFromZero(8),
-			want: serviceGolden{Rounds: 2170, Messages: 591421, Words: 1772215},
+			want: serviceGolden{Rounds: 2065, Messages: 591421, Words: 1772215},
 		},
 		{
 			// Four shards pinned, not GOMAXPROCS: the same workload on
@@ -285,7 +285,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 5254, Messages: 12505558, Words: 37498050},
+			want: serviceGolden{Rounds: 4853, Messages: 12505558, Words: 37498050},
 		},
 		{
 			// Starts cold, then 16 requests over 4 distinct keys: 4
@@ -308,7 +308,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return total, nil
 			},
-			want: serviceGolden{Rounds: 34804, Messages: 9369924, Words: 28077004, CacheHits: 12, CacheMisses: 4},
+			want: serviceGolden{Rounds: 33124, Messages: 9369924, Words: 28077004, CacheHits: 12, CacheMisses: 4},
 		},
 		{
 			// A churn window, two lossy links and one slow link, up to 3
@@ -330,7 +330,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				distwalk.WithRetry(3),
 			},
 			run:   manyFromZero(8),
-			want:  serviceGolden{Rounds: 2191, Messages: 527346, Words: 1579990, Dropped: 120},
+			want:  serviceGolden{Rounds: 2086, Messages: 527346, Words: 1579990, Dropped: 120},
 			retry: &distwalk.RetryStats{Attempts: 3, Retries: 2, Recovered: 1, Faults: 2},
 		},
 		{
@@ -353,7 +353,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 11129, Messages: 2284064, Words: 6799656},
+			want: serviceGolden{Rounds: 10286, Messages: 2275335, Words: 6790927},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).
@@ -367,12 +367,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				cost.Add(trace.Cost)
 				return cost, nil
 			},
-			want: serviceGolden{Rounds: 1640, Messages: 291298, Words: 869688},
+			want: serviceGolden{Rounds: 1489, Messages: 289713, Words: 868103},
 		},
 		{
 			name: "RefillWalks/torus16x16/k16/ell1024/lambda64", graph: torus,
 			run:  manyFromZero(16, distwalk.WithParams(refill)),
-			want: serviceGolden{Rounds: 13679, Messages: 208663, Words: 621207},
+			want: serviceGolden{Rounds: 9995, Messages: 170788, Words: 583332},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4", graph: regular,

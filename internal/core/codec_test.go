@@ -137,18 +137,17 @@ func TestCodecTreeItems(t *testing.T) {
 		}
 	}
 
-	for _, found := range []bool{false, true} {
-		for _, refill := range []bool{false, true} {
-			for _, r := range []sampleResult{
-				{owner: maxNode, walkID: highWalk, dest: maxNode, length: maxLen, found: found, refill: refill, batch: highWalk},
-				{owner: 0, walkID: 0, dest: graph.None, length: 0, found: found, refill: refill, batch: 0},
-				{owner: graph.None, walkID: 1, dest: 0, length: 1, found: found, refill: refill, batch: -1},
-			} {
-				m := r.msg()
-				checkShape(t, "sampleResult", &m, 8, 4)
-				if got := readSampleResult(&m); got != r {
-					t.Fatalf("sampleResult %+v read back as %+v", r, got)
-				}
+	for flags := range 8 {
+		found, follow, refill := flags&1 != 0, flags&2 != 0, flags&4 != 0
+		for _, r := range []sampleResult{
+			{owner: maxNode, walkID: highWalk, dest: maxNode, length: maxLen, found: found, follow: follow, refill: refill, batch: highWalk},
+			{owner: 0, walkID: 0, dest: graph.None, length: 0, found: found, follow: follow, refill: refill, batch: 0},
+			{owner: graph.None, walkID: 1, dest: 0, length: 1, found: found, follow: follow, refill: refill, batch: -1},
+		} {
+			m := r.msg()
+			checkShape(t, "sampleResult", &m, 8, 4)
+			if got := readSampleResult(&m); got != r {
+				t.Fatalf("sampleResult %+v read back as %+v", r, got)
 			}
 		}
 	}

@@ -14,7 +14,8 @@ type ManyResult struct {
 	// Destinations[i] is the endpoint of the walk from sources[i].
 	Destinations []graph.NodeID
 	// Walks holds the per-walk composition; shared costs (tree, Phase 1,
-	// batched notifications) appear only in Cost.
+	// the pipelined stitch requests, batched notifications) appear only
+	// in Cost.
 	Walks []*WalkResult
 	// Lambda is the short-walk base length used (0 on the naive path).
 	Lambda int
@@ -100,12 +101,29 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	}
 	out.Cost.Add(p1)
 
+	// Every walk stitches at least once when ℓ ≥ 2λ. Its first stitch
+	// then needs no announce part of its own: one pipelined upcast brings
+	// all k requests to the root, the root announces the first walk, and
+	// each walk's last result broadcast announces the next walk's source.
+	announced := ell >= 2*lam && !w.prm.PerCallBFS
+	if announced {
+		res, err := w.requestAll(sources)
+		out.Cost.Add(res)
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	// Stitch the k walks one at a time (as in the paper), but defer every
 	// walk's ≤2λ-step naive tail so all k tails run concurrently below.
 	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
+		next := graph.None
+		if i+1 < len(sources) {
+			next = sources[i+1]
+		}
 		wr := &WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam}
-		cur, completed, err := w.stitchSegments(wr, s, ell, lam)
+		cur, completed, err := w.stitchSegments(wr, s, ell, lam, announced, next)
 		if err != nil {
 			return nil, fmt.Errorf("core: walk %d from %d: %w", i, s, err)
 		}
@@ -119,6 +137,40 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		return nil, err
 	}
 	return out, w.notifyAll(out)
+}
+
+// requestAll opens MANY-RANDOM-WALKS' stitching. One pipelined upcast
+// carries a SAMPLE-DESTINATION request for every walk whose source is
+// not the tree root, in O(k + D) rounds where one request each would
+// cost Σ depth(sᵢ), and the root announces the first walk's source.
+func (w *Walker) requestAll(sources []graph.NodeID) (congest.Result, error) {
+	var cost congest.Result
+	// One flat list sorted by source, searched per node, as notifyAll's.
+	var reqs []congest.Message
+	for _, s := range sources {
+		if s != w.tree.Root {
+			reqs = append(reqs, ownerMsg(kindSampleRequest, s))
+		}
+	}
+	if len(reqs) > 0 { // walks from the root need no request
+		slices.SortFunc(reqs, func(a, b congest.Message) int { return cmp.Compare(a.W[0], b.W[0]) })
+		byOwner := func(m congest.Message, u graph.NodeID) int { return cmp.Compare(graph.NodeID(m.W[0]), u) }
+		_, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
+			lo, _ := slices.BinarySearchFunc(reqs, u, byOwner)
+			hi, _ := slices.BinarySearchFunc(reqs, u+1, byOwner)
+			return reqs[lo:hi]
+		})
+		cost.Add(res)
+		if err != nil {
+			return cost, fmt.Errorf("core: sample-destination requests: %w", err)
+		}
+	}
+	res, err := congest.Broadcast(w.net, w.tree, []congest.Message{ownerMsg(kindSampleAnnounce, sources[0])}, nil)
+	cost.Add(res)
+	if err != nil {
+		return cost, fmt.Errorf("core: sample-destination announce: %w", err)
+	}
+	return cost, nil
 }
 
 // tailSpec is one deferred naive tail: steps hops remaining from start.

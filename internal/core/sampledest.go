@@ -15,10 +15,13 @@ import (
 // Algorithm 3 rebuilds a BFS tree rooted at v per invocation; by default we
 // reuse the tree rooted at the walk's source and add a request sweep from v
 // to the root (same Θ(D) round cost; Params.PerCallBFS restores the
-// literal behaviour). The sweeps are:
+// literal behaviour). The sweeps come in two parts. The announce part:
 //
 //  1. request: v tells the root it needs a sample (depth(v) rounds),
-//  2. announce: the root broadcasts "sampling for owner v" (height rounds),
+//  2. announce: the root broadcasts "sampling for owner v" (height rounds).
+//
+// The sample part:
+//
 //  3. sample:  convergecast in which each node offers a uniform local pick
 //     of its coupons for v with its count, and every inner node keeps a
 //     child's candidate with probability proportional to its count —
@@ -27,6 +30,17 @@ import (
 //  4. result: the root broadcasts the chosen coupon; its holder deletes it
 //     (Sweep 3 of Algorithm 3) and the new connector learns it holds the
 //     walk token.
+//
+// The result names the coupon's holder, which is the walk's next
+// connector, and its follow bit says whether another stitch follows. So
+// every node already knows the next owner, and a walk runs the announce
+// part only for its first stitch and after a GET-MORE-WALKS refill (the
+// refilled connector asks again once its new coupons are stored); every
+// other stitch is sweeps 3 and 4 alone. MANY-RANDOM-WALKS goes further:
+// one pipelined upcast carries every walk's request, and each walk's last
+// result broadcast carries the next walk's announcement as a second item
+// (one more round, not a fresh sweep). Under Params.PerCallBFS every call
+// builds its own tree, so every call runs all four sweeps.
 
 // ownerMsg is the request (sweep 1, connector to root) and the
 // announcement (sweep 2, flooded down the tree): one word naming the
@@ -69,19 +83,25 @@ func readSampleCand(m *congest.Message) sampleCand {
 }
 
 // sampleResult is flooded down the tree (sweep 4). found=false means the
-// owner has no unused coupons left and must call GET-MORE-WALKS.
+// owner has no unused coupons left and must call GET-MORE-WALKS. follow
+// means the next stitch samples for dest at once: the broadcast is its
+// announcement.
 type sampleResult struct {
 	owner  graph.NodeID
 	walkID int64
 	dest   graph.NodeID
 	length int32
 	found  bool
+	follow bool
 	refill bool
 	batch  int64
 }
 
 func (r sampleResult) msg() congest.Message {
 	w3 := uint64(uint32(r.length))
+	if r.follow {
+		w3 |= 1 << 61
+	}
 	if r.found {
 		w3 |= 1 << 62
 	}
@@ -102,26 +122,28 @@ func readSampleResult(m *congest.Message) sampleResult {
 		dest:   graph.NodeID(dest),
 		length: int32(uint32(m.W[3])),
 		found:  m.W[3]>>62&1 != 0,
+		follow: m.W[3]>>61&1 != 0,
 		refill: m.W[3]>>63 != 0,
 	}
 }
 
-// sampleDestination runs the four sweeps for connector v and returns the
-// sampled coupon (if any) plus the exact round cost.
-func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result, error) {
+// announce runs the announce part for connector v and returns the tree
+// the sample part runs on: under PerCallBFS a fresh BFS tree rooted at v,
+// which replaces the request, and otherwise the walker's tree.
+func (w *Walker) announce(v graph.NodeID) (*congest.Tree, congest.Result, error) {
 	var cost congest.Result
-
 	tree := w.tree
 	if w.prm.PerCallBFS {
 		// Algorithm 3 sweep 1: fresh BFS tree rooted at the connector.
 		t, res, err := congest.BuildBFSTree(w.net, v)
 		cost.Add(res)
 		if err != nil {
-			return sampleResult{}, cost, fmt.Errorf("sample-destination: %w", err)
+			return nil, cost, fmt.Errorf("sample-destination: %w", err)
 		}
 		tree = t
-	} else {
-		// Request sweep: v -> root along parent pointers (depth(v) rounds).
+	} else if v != tree.Root {
+		// Request sweep: v -> root along parent pointers (depth(v) rounds;
+		// the root asks itself).
 		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
 			if u == v {
 				return []congest.Message{ownerMsg(kindSampleRequest, v)}
@@ -130,7 +152,7 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 		})
 		cost.Add(res)
 		if err != nil {
-			return sampleResult{}, cost, fmt.Errorf("sample-destination request: %w", err)
+			return nil, cost, fmt.Errorf("sample-destination request: %w", err)
 		}
 	}
 
@@ -138,9 +160,19 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 	res, err := congest.Broadcast(w.net, tree, []congest.Message{ownerMsg(kindSampleAnnounce, v)}, nil)
 	cost.Add(res)
 	if err != nil {
-		return sampleResult{}, cost, fmt.Errorf("sample-destination announce: %w", err)
+		return nil, cost, fmt.Errorf("sample-destination announce: %w", err)
 	}
+	return tree, cost, nil
+}
 
+// sample runs the sample part for connector v over tree and returns the
+// sampled coupon (if any) plus the exact round cost. A coupon no longer
+// than slack leaves another stitch to do, so the result sets follow
+// (never under PerCallBFS, whose next call announces on its own tree).
+// When none follows and next is a node, the result broadcast carries
+// next's announcement as a second item.
+func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next graph.NodeID) (sampleResult, congest.Result, error) {
+	var cost congest.Result
 	// Sample sweep: weighted reservoir over the tree. Each node counts and
 	// picks v's coupons by scanning its own list, O(Σ coupons) = O(2mη)
 	// local work per stitch — against Phase 1's O(2mηλ) messages.
@@ -179,18 +211,28 @@ func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result
 	}
 	pick := readSampleCand(&picked)
 
+	found := pick.count > 0
+	follow := found && !w.prm.PerCallBFS && int(pick.length) <= slack
 	out := sampleResult{
 		owner:  v,
 		walkID: pick.walkID,
 		dest:   pick.dest,
 		length: pick.length,
-		found:  pick.count > 0,
+		found:  found,
+		follow: follow,
 		refill: pick.refill,
 		batch:  pick.batch,
 	}
 	// Result sweep: the coupon holder deletes it; v (and the new connector)
 	// learn the outcome.
-	res, err = congest.Broadcast(w.net, tree, []congest.Message{out.msg()}, func(u graph.NodeID, m *congest.Message) {
+	items, n := [2]congest.Message{out.msg()}, 1
+	if found && !follow && !w.prm.PerCallBFS && next != graph.None {
+		items[1], n = ownerMsg(kindSampleAnnounce, next), 2
+	}
+	res, err = congest.Broadcast(w.net, tree, items[:n], func(u graph.NodeID, m *congest.Message) {
+		if m.Kind != kindSampleResult {
+			return
+		}
 		if r := readSampleResult(m); r.found && u == r.dest {
 			w.st.takeCoupon(u, r.owner, r.walkID)
 		}

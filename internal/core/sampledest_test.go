@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"distwalk/internal/congest"
 	"distwalk/internal/graph"
 	"distwalk/internal/stats"
 )
@@ -16,6 +17,18 @@ func plantCoupons(w *Walker, owner graph.NodeID, holders []graph.NodeID) []int64
 		ids[i] = id
 	}
 	return ids
+}
+
+// sampleDestination runs one stand-alone SAMPLE-DESTINATION(v): the
+// announce part, then the sample part with no stitch to follow.
+func (w *Walker) sampleDestination(v graph.NodeID) (sampleResult, congest.Result, error) {
+	tree, cost, err := w.announce(v)
+	if err != nil {
+		return sampleResult{}, cost, err
+	}
+	r, res, err := w.sample(tree, v, -1, graph.None)
+	cost.Add(res)
+	return r, cost, err
 }
 
 func TestSampleDestinationUniform(t *testing.T) {
@@ -163,5 +176,133 @@ func TestSampleDestinationCostIsTreeBound(t *testing.T) {
 	}
 	if cost.Rounds > 5*w.tree.Height+5 {
 		t.Fatalf("sampling cost %d rounds exceeds 5·height=%d", cost.Rounds, 5*w.tree.Height)
+	}
+}
+
+// stitchSweeps measures, on w's tree, what a stitch whose owner is known
+// costs (the convergecast plus the result broadcast) and what the
+// announce broadcast costs. An empty candidate draws nothing, so
+// measuring them moves no random stream.
+func stitchSweeps(t *testing.T, w *Walker) (later, announce congest.Result) {
+	t.Helper()
+	_, later, err := congest.Convergecast(w.net, w.tree,
+		func(graph.NodeID) congest.Message { return sampleCand{}.msg() },
+		func(graph.NodeID, *congest.Message, *congest.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := congest.Broadcast(w.net, w.tree, []congest.Message{sampleResult{}.msg()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later.Add(result)
+	announce, err = congest.Broadcast(w.net, w.tree, []congest.Message{ownerMsg(kindSampleAnnounce, 0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return later, announce
+}
+
+// TestLaterStitchesSkipAnnounce pins the stitch's sweep count on a fixed
+// Torus(8,8) walk: the first stitch from the tree root pays the announce
+// broadcast (its request is free), and every later stitch pays exactly
+// the convergecast plus the result broadcast, because the previous
+// result already named its owner.
+func TestLaterStitchesSkipAnnounce(t *testing.T) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, ell = 1, 512
+	w := newWalker(t, g, seed, DefaultParams())
+	if _, err := w.Prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	later, announce := stitchSweeps(t, w)
+	lam := w.prm.lambda(ell, w.tree.Height, g.N())
+	if _, err := w.ensurePhase1(lam, map[graph.NodeID]int{0: 1}); err != nil {
+		t.Fatal(err)
+	}
+	out := &WalkResult{}
+	cur, announced, completed, stitches := graph.NodeID(0), false, 0, 0
+	for ; completed <= ell-2*lam; stitches++ {
+		before := out.Cost
+		pick, err := w.stitchOnce(out, cur, announced, ell-2*lam-completed, graph.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pick.found {
+			t.Fatalf("stitch %d found no coupon", stitches)
+		}
+		want := later
+		if stitches == 0 {
+			want.Add(announce)
+		}
+		got := congest.Result{
+			Rounds:   out.Cost.Rounds - before.Rounds,
+			Messages: out.Cost.Messages - before.Messages,
+			Words:    out.Cost.Words - before.Words,
+		}
+		if got.Rounds != want.Rounds || got.Messages != want.Messages || got.Words != want.Words {
+			t.Errorf("stitch %d cost %d rounds, %d messages, %d words; want %d, %d, %d",
+				stitches, got.Rounds, got.Messages, got.Words, want.Rounds, want.Messages, want.Words)
+		}
+		completed += int(pick.length)
+		cur, announced = pick.dest, true
+	}
+	if stitches < 2 {
+		t.Fatalf("%d stitches, want at least 2", stitches)
+	}
+
+	// The same walk end to end. With the announce part on every stitch
+	// it cost 402 rounds and 25 494 messages, 139 of the rounds stitching.
+	res, err := newWalker(t, g, seed, DefaultParams()).SingleRandomWalk(0, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Segments) != stitches+1 || res.Refills != 0 {
+		t.Fatalf("walk has %d segments and %d refills, want %d and 0", len(res.Segments), res.Refills, stitches+1)
+	}
+	if want := announce.Rounds + stitches*later.Rounds; res.Breakdown.Stitch != want {
+		t.Errorf("stitching cost %d rounds, want %d", res.Breakdown.Stitch, want)
+	}
+	t.Logf("%d stitches: %d stitch rounds; walk %d rounds, %d messages", stitches, res.Breakdown.Stitch, res.Cost.Rounds, res.Cost.Messages)
+	if res.Cost.Rounds >= 402 || res.Cost.Messages >= 25494 {
+		t.Errorf("walk cost %d rounds, %d messages; want below 402 and 25 494", res.Cost.Rounds, res.Cost.Messages)
+	}
+}
+
+// TestManyWalksCarryNextAnnounce pins MANY-RANDOM-WALKS' stitch sweeps on
+// Torus(8,8): every stitch pays the convergecast plus the result
+// broadcast, and each walk's last result carries the next walk's
+// announcement for one more round. The requests and walk 0's
+// announcement are shared costs, outside every walk's Breakdown.
+func TestManyWalksCarryNextAnnounce(t *testing.T) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(t, g, 2, DefaultParams())
+	if _, err := w.Prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	later, _ := stitchSweeps(t, w)
+	sources := []graph.NodeID{0, 0, 9, 36}
+	res, err := w.ManyRandomWalks(sources, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NaiveFallback || res.Refills != 0 {
+		t.Fatalf("naive %v, %d refills; want stitched walks without refills", res.NaiveFallback, res.Refills)
+	}
+	for i, wr := range res.Walks {
+		stitches := len(wr.Segments) - 1 // the last segment is the tail
+		want := stitches * later.Rounds
+		if i+1 < len(res.Walks) {
+			want++ // the next walk's announcement
+		}
+		if stitches < 1 || wr.Breakdown.Stitch != want {
+			t.Errorf("walk %d: %d stitches cost %d rounds, want %d", i, stitches, wr.Breakdown.Stitch, want)
+		}
 	}
 }

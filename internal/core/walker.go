@@ -278,7 +278,7 @@ func (w *Walker) singleRandomWalk(source graph.NodeID, ell int) (*WalkResult, er
 // current connector and jump to its destination, until fewer than 2λ steps
 // remain; then finish naively.
 func (w *Walker) stitch(out *WalkResult, source graph.NodeID, ell, lam int) error {
-	cur, completed, err := w.stitchSegments(out, source, ell, lam)
+	cur, completed, err := w.stitchSegments(out, source, ell, lam, false, graph.None)
 	if err != nil {
 		return err
 	}
@@ -290,14 +290,16 @@ func (w *Walker) stitch(out *WalkResult, source graph.NodeID, ell, lam int) erro
 // count. The ≤2λ-step naive tail is left to the caller: SINGLE-RANDOM-WALK
 // runs it immediately, MANY-RANDOM-WALKS defers all k tails and runs them
 // concurrently (sequential tails of Θ(λ)=Θ(√(kℓD)) steps each would cost
-// k√(kℓD) rounds and break Theorem 2.8's bound).
-func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam int) (graph.NodeID, int, error) {
+// k√(kℓD) rounds and break Theorem 2.8's bound). announced says the
+// source's first stitch was announced already; next, when a node, is the
+// source of the walk stitched after this one, whose announcement the last
+// result carries.
+func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam int, announced bool, next graph.NodeID) (graph.NodeID, int, error) {
 	cur := source
 	completed := 0
 	for completed <= ell-2*lam {
-		pick, cost, err := w.sampleDestination(cur)
-		out.Cost.Add(cost)
-		out.Breakdown.Stitch += cost.Rounds
+		slack := ell - 2*lam - completed
+		pick, err := w.stitchOnce(out, cur, announced, slack, next)
 		if err != nil {
 			return cur, completed, err
 		}
@@ -311,9 +313,7 @@ func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam i
 			if err != nil {
 				return cur, completed, err
 			}
-			pick, cost, err = w.sampleDestination(cur)
-			out.Cost.Add(cost)
-			out.Breakdown.Stitch += cost.Rounds
+			pick, err = w.stitchOnce(out, cur, false, slack, next)
 			if err != nil {
 				return cur, completed, err
 			}
@@ -331,8 +331,28 @@ func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam i
 		})
 		completed += int(pick.length)
 		cur = pick.dest
+		announced = true // the result just broadcast named cur
 	}
 	return cur, completed, nil
+}
+
+// stitchOnce runs one SAMPLE-DESTINATION at connector v, with the
+// announce part unless v was announced already, and charges it to out.
+func (w *Walker) stitchOnce(out *WalkResult, v graph.NodeID, announced bool, slack int, next graph.NodeID) (sampleResult, error) {
+	tree := w.tree
+	if !announced || w.prm.PerCallBFS {
+		t, cost, err := w.announce(v)
+		out.Cost.Add(cost)
+		out.Breakdown.Stitch += cost.Rounds
+		if err != nil {
+			return sampleResult{}, err
+		}
+		tree = t
+	}
+	pick, cost, err := w.sample(tree, v, slack, next)
+	out.Cost.Add(cost)
+	out.Breakdown.Stitch += cost.Rounds
+	return pick, err
 }
 
 // naiveTail walks the remaining steps by token forwarding and records the

@@ -11,13 +11,13 @@ import (
 // what was packed, at the fields' extremes, under their historical kinds
 // and sizes.
 func TestCodecMessages(t *testing.T) {
-	for _, b := range []bool{false, true} {
-		m := coveredMsg(b)
+	for _, mask := range []uint64{0, 1, 1 << 63, math.MaxUint64} {
+		m := coveredMsg(mask)
 		if m.Kind != 1 || m.Words() != 1 {
 			t.Fatalf("coveredMsg: kind %d, %d words; want kind 1, 1 word", m.Kind, m.Words())
 		}
-		if got := readCovered(&m); got != b {
-			t.Fatalf("coveredMsg(%v) read back as %v", b, got)
+		if got := readCovered(&m); got != mask {
+			t.Fatalf("coveredMsg(%#x) read back as %#x", mask, got)
 		}
 	}
 	for _, r := range []edgeReport{

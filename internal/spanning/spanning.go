@@ -4,14 +4,14 @@
 // fast SINGLE-RANDOM-WALK machinery.
 //
 // The driver follows the paper exactly: starting from ℓ = n, each phase
-// runs ⌈log₂ n⌉ walks of length ℓ from the root; a distributed cover check
-// (O(D) rounds per walk) finds a walk that visited every node; if none
-// covers, ℓ doubles. The covering walk is regenerated so every node knows
-// its first-visit time and predecessor, and each non-root node outputs the
-// edge of its first visit — the Aldous-Broder rule, whose output is a
-// uniform spanning tree. Expected cover length is O(mD) (Aleliunas et
-// al.), so the doubling stops at ℓ = O(mD) w.h.p. and the total cost is
-// Õ(√(mD)) rounds (Theorem 4.1).
+// runs ⌈log₂ n⌉ walks of length ℓ from the root; one distributed cover
+// check (O(D) rounds for all of the phase's walks) finds a walk that
+// visited every node; if none covers, ℓ doubles. The covering walk is
+// regenerated so every node knows its first-visit time and predecessor,
+// and each non-root node outputs the edge of its first visit — the
+// Aldous-Broder rule, whose output is a uniform spanning tree. Expected
+// cover length is O(mD) (Aleliunas et al.), so the doubling stops at
+// ℓ = O(mD) w.h.p. and the total cost is Õ(√(mD)) rounds (Theorem 4.1).
 //
 // Wilson's algorithm (wilson.go) provides a centralized exactly-uniform
 // reference sampler, and Kirchhoff's matrix-tree theorem (count.go) the
@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,17 +78,13 @@ const (
 	kindEdgeReport uint16 = 2
 )
 
-// coveredMsg is the cover check's running AND: "was every node below
-// me visited?"
-func coveredMsg(b bool) congest.Message {
-	var w [congest.PayloadWords]uint64
-	if b {
-		w[0] = 1
-	}
-	return congest.MakeMessage(graph.None, graph.None, kindCovered, 1, w)
+// coveredMsg is the cover check's running AND: bit i says "walk i
+// visited every node below me".
+func coveredMsg(mask uint64) congest.Message {
+	return congest.MakeMessage(graph.None, graph.None, kindCovered, 1, [congest.PayloadWords]uint64{mask})
 }
 
-func readCovered(m *congest.Message) bool { return m.W[0] != 0 }
+func readCovered(m *congest.Message) uint64 { return m.W[0] }
 
 type edgeReport struct {
 	child, parent graph.NodeID
@@ -158,49 +155,67 @@ func RandomSpanningTree(w *core.Walker, root graph.NodeID, opt Options) (*Result
 			return nil, err
 		}
 		out.Cost.Add(traces[0].Cost)
-		for _, trace := range traces {
-			covered, res, err := coverCheck(w, trace)
+		first, res, err := coverCheck(w, traces)
+		out.Cost.Add(res)
+		if err != nil {
+			return nil, err
+		}
+		if first < 0 {
+			continue
+		}
+		// Aldous-Broder rule: each non-root node outputs its first-visit
+		// edge. FirstVisitFrom is node-local knowledge.
+		out.Parent = traces[first].FirstVisitFrom
+		if opt.Deliver {
+			res, err := deliver(w, out)
 			out.Cost.Add(res)
 			if err != nil {
 				return nil, err
 			}
-			if !covered {
-				continue
-			}
-			// Aldous-Broder rule: each non-root node outputs its
-			// first-visit edge. FirstVisitFrom is node-local knowledge.
-			out.Parent = trace.FirstVisitFrom
-			if opt.Deliver {
-				res, err := deliver(w, out)
-				out.Cost.Add(res)
-				if err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
 		}
+		return out, nil
 	}
 	return nil, fmt.Errorf("%w: tried up to ℓ=%d (max %d)", ErrNoCover, ell/2, maxLen)
 }
 
-// coverCheck is the distributed AND over "was I visited?" — a single
+// coverCheck is the distributed AND over "was I visited?" — one
 // convergecast over the walker's BFS tree, O(D) rounds ("this can be
-// easily checked in O(D) time", Section 4.1).
-func coverCheck(w *core.Walker, trace *core.Trace) (bool, congest.Result, error) {
+// easily checked in O(D) time", Section 4.1), for up to 64 walks at once:
+// bit i of a node's word says walk i visited it, and the words are ANDed
+// up the tree. It returns the lowest covering index, the walk a check of
+// one walk after another would pick, or -1 if none covers. A phase of more
+// than 64 walks checks them 64 at a time.
+func coverCheck(w *core.Walker, traces []*core.Trace) (int, congest.Result, error) {
+	var cost congest.Result
 	tree := w.Tree()
 	if tree == nil {
-		return false, congest.Result{}, fmt.Errorf("spanning: walker has no BFS tree")
+		return -1, cost, fmt.Errorf("spanning: walker has no BFS tree")
 	}
-	all, cost, err := congest.Convergecast(w.Network(), tree,
-		func(v graph.NodeID) congest.Message { return coveredMsg(trace.FirstVisitTime[v] >= 0) },
-		func(_ graph.NodeID, acc, child *congest.Message) {
-			*acc = coveredMsg(readCovered(acc) && readCovered(child))
-		},
-	)
-	if err != nil {
-		return false, cost, err
+	for base := 0; base < len(traces); base += 64 {
+		batch := traces[base:min(base+64, len(traces))]
+		all, res, err := congest.Convergecast(w.Network(), tree,
+			func(v graph.NodeID) congest.Message {
+				var mask uint64
+				for i, tr := range batch {
+					if tr.FirstVisitTime[v] >= 0 {
+						mask |= 1 << i
+					}
+				}
+				return coveredMsg(mask)
+			},
+			func(_ graph.NodeID, acc, child *congest.Message) {
+				*acc = coveredMsg(readCovered(acc) & readCovered(child))
+			},
+		)
+		cost.Add(res)
+		if err != nil {
+			return -1, cost, err
+		}
+		if mask := readCovered(&all); mask != 0 {
+			return base + bits.TrailingZeros64(mask), cost, nil
+		}
 	}
-	return readCovered(&all), cost, nil
+	return -1, cost, nil
 }
 
 // deliver upcasts all tree edges to the root, pipelined: O(n + D) rounds.

@@ -327,3 +327,63 @@ func TestRSTFasterThanNaiveSchedule(t *testing.T) {
 			res.Cost.Rounds, naive)
 	}
 }
+
+// TestCoverCheckPicksLowestCoveringWalk checks the one-convergecast cover
+// check against the walk-by-walk rule it replaces: the lowest covering
+// index wins, -1 means none covers, and a phase of more than 64 walks
+// takes one convergecast per 64 walks it has to look at.
+func TestCoverCheckPicksLowestCoveringWalk(t *testing.T) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(t, g, 1)
+	if _, err := w.Prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	// trace i misses node i%16 unless i is listed as covering.
+	traces := func(k int, covering ...int) []*core.Trace {
+		out := make([]*core.Trace, k)
+		for i := range out {
+			fv := make([]int32, g.N())
+			fv[i%g.N()] = -1
+			for _, c := range covering {
+				if c == i {
+					fv[i%g.N()] = 0
+				}
+			}
+			out[i] = &core.Trace{FirstVisitTime: fv}
+		}
+		return out
+	}
+	one, _, err := coverCheck(w, traces(1, 0))
+	if err != nil || one != 0 {
+		t.Fatalf("single covering walk: got %d, %v", one, err)
+	}
+	_, sweep, err := coverCheck(w, traces(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		k        int
+		covering []int
+		want     int
+		sweeps   int
+	}{
+		{"none", 5, nil, -1, 1},
+		{"lowest of two", 5, []int{4, 2}, 2, 1},
+		{"first", 5, []int{0, 1, 2, 3, 4}, 0, 1},
+		{"second word", 70, []int{68, 66}, 66, 2},
+		{"first word wins", 70, []int{66, 63}, 63, 1},
+		{"none of 70", 70, nil, -1, 2},
+	} {
+		got, cost, err := coverCheck(w, traces(c.k, c.covering...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want || cost.Rounds != c.sweeps*sweep.Rounds {
+			t.Errorf("%s: walk %d in %d rounds, want walk %d in %d", c.name, got, cost.Rounds, c.want, c.sweeps*sweep.Rounds)
+		}
+	}
+}

@@ -72,16 +72,19 @@ func defaultConfig() config {
 type Option struct {
 	name     string
 	ctorOnly bool
-	f        func(*config)
+	// f returns its argument with the option applied. It works on a
+	// value, not a *config, so that applying a request's options does
+	// not move the request's config to the heap.
+	f func(config) config
 }
 
 // newOption builds a per-request (and construction) option.
-func newOption(name string, f func(*config)) Option {
+func newOption(name string, f func(config) config) Option {
 	return Option{name: name, f: f}
 }
 
 // ctorOption builds a construction-only option; applyRequest rejects it.
-func ctorOption(name string, f func(*config)) Option {
+func ctorOption(name string, f func(config) config) Option {
 	return Option{name: name, ctorOnly: true, f: f}
 }
 
@@ -89,7 +92,7 @@ func ctorOption(name string, f func(*config)) Option {
 func (c *config) apply(opts []Option) {
 	for _, o := range opts {
 		if o.f != nil {
-			o.f(c)
+			*c = o.f(*c)
 		}
 	}
 }
@@ -102,7 +105,7 @@ func (c *config) applyRequest(opts []Option) error {
 			return &OptionScopeError{Option: o.name}
 		}
 		if o.f != nil {
-			o.f(c)
+			*c = o.f(*c)
 		}
 	}
 	return nil
@@ -114,7 +117,7 @@ func (c *config) applyRequest(opts []Option) error {
 // DefaultParams (or DNP09Params for the PODC 2009 baseline) and set the
 // fields to change. Per request or service default.
 func WithParams(p Params) Option {
-	return newOption("WithParams", func(c *config) { c.params = p })
+	return newOption("WithParams", func(c config) config { c.params = p; return c })
 }
 
 // --- Spanning-tree driver (spanning.Options) ---
@@ -122,7 +125,7 @@ func WithParams(p Params) Option {
 // WithRSTOptions replaces the whole random-spanning-tree tuning.
 // Per request or service default.
 func WithRSTOptions(o RSTOptions) Option {
-	return newOption("WithRSTOptions", func(c *config) { c.rst = o })
+	return newOption("WithRSTOptions", func(c config) config { c.rst = o; return c })
 }
 
 // --- Mixing-time estimator (mixing.Options) ---
@@ -130,7 +133,7 @@ func WithRSTOptions(o RSTOptions) Option {
 // WithMixingOptions replaces the whole mixing-estimator tuning.
 // Per request or service default.
 func WithMixingOptions(o MixingOptions) Option {
-	return newOption("WithMixingOptions", func(c *config) { c.mix = o })
+	return newOption("WithMixingOptions", func(c config) config { c.mix = o; return c })
 }
 
 // --- Service-level knobs ---
@@ -139,10 +142,11 @@ func WithMixingOptions(o MixingOptions) Option {
 // concurrently (default GOMAXPROCS). Construction-only: the pool is
 // built once; per-request use fails with ErrOptionScope.
 func WithWorkers(n int) Option {
-	return ctorOption("WithWorkers", func(c *config) {
+	return ctorOption("WithWorkers", func(c config) config {
 		if n >= 1 {
 			c.workers = n
 		}
+		return c
 	})
 }
 
@@ -165,12 +169,12 @@ func WithWorkers(n int) Option {
 // throughput across requests, shards cut the latency of one request, and
 // workers*shards goroutines contend for the same cores.
 func WithShards(s int) Option {
-	return ctorOption("WithShards", func(c *config) {
+	return ctorOption("WithShards", func(c config) config {
+		c.shards = s
 		if s <= 0 {
 			c.shards = -1
-			return
 		}
-		c.shards = s
+		return c
 	})
 }
 
@@ -194,8 +198,9 @@ func WithShards(s int) Option {
 // wire-typed error (ErrClusterEngine-matching on session failures) when
 // an engine is unreachable or rejects the handshake.
 func WithCluster(addrs ...string) Option {
-	return ctorOption("WithCluster", func(c *config) {
+	return ctorOption("WithCluster", func(c config) config {
 		c.cluster = append([]string(nil), addrs...)
+		return c
 	})
 }
 
@@ -203,10 +208,11 @@ func WithCluster(addrs ...string) Option {
 // for a request; runs that exceed it fail with ErrBudgetExceeded.
 // Per request or service default.
 func WithMaxRounds(r int) Option {
-	return newOption("WithMaxRounds", func(c *config) {
+	return newOption("WithMaxRounds", func(c config) config {
 		if r >= 1 {
 			c.maxRounds = r
 		}
+		return c
 	})
 }
 
@@ -221,7 +227,7 @@ func WithMaxRounds(r int) Option {
 // keep their per-key determinism regardless. Construction-only:
 // per-request use fails with ErrOptionScope.
 func WithBatching(maxBatch int, maxDelay time.Duration) Option {
-	return ctorOption("WithBatching", func(c *config) {
+	return ctorOption("WithBatching", func(c config) config {
 		c.batchOn = true
 		if maxBatch >= 1 {
 			c.batch.MaxBatch = maxBatch
@@ -229,6 +235,7 @@ func WithBatching(maxBatch int, maxDelay time.Duration) Option {
 		if maxDelay > 0 {
 			c.batch.MaxDelay = maxDelay
 		}
+		return c
 	})
 }
 
@@ -244,10 +251,11 @@ func WithBatching(maxBatch int, maxDelay time.Duration) Option {
 // handles. bytes is the total capacity; values below 1 are ignored (no
 // cache). Construction-only: per-request use fails with ErrOptionScope.
 func WithResultCache(bytes int64) Option {
-	return ctorOption("WithResultCache", func(c *config) {
+	return ctorOption("WithResultCache", func(c config) config {
 		if bytes >= 1 {
 			c.cacheBytes = bytes
 		}
+		return c
 	})
 }
 
@@ -268,10 +276,11 @@ func WithResultCache(bytes int64) Option {
 // context is checked between attempts. Applies per request or as a
 // service default.
 func WithRetry(max int) Option {
-	return newOption("WithRetry", func(c *config) {
+	return newOption("WithRetry", func(c config) config {
 		if max >= 0 {
 			c.retries = max
 		}
+		return c
 	})
 }
 
@@ -284,5 +293,5 @@ func WithRetry(max int) Option {
 // invalid for the graph, and ApplyMutations rejects mutations that would
 // invalidate the installed plan (removing a faulted link).
 func WithFaultPlan(p *FaultPlan) Option {
-	return ctorOption("WithFaultPlan", func(c *config) { c.fplan = p })
+	return ctorOption("WithFaultPlan", func(c config) config { c.fplan = p; return c })
 }

@@ -33,15 +33,15 @@ type operands struct {
 }
 
 // requestKind describes one entry point to serve. Descriptors are
-// package-level values over plain functions and operands travel by
-// value: describing a request allocates nothing, so a cache hit allocates
-// only the config admit resolves and the copy it returns.
+// package-level values over plain functions, and operands and the config
+// travel by value: describing a request allocates nothing, so a cache hit
+// allocates only the copy it returns.
 type requestKind[T any] struct {
 	// digest is the kind word of the cache key; requestDigest also
 	// switches on it to fold the kind-specific operands.
 	digest uint64
 	// run executes the request on a worker's prepared walker.
-	run func(w *core.Walker, cfg *config, op operands) (T, error)
+	run func(w *core.Walker, cfg config, op operands) (T, error)
 	// entry sizes a result for the cache (see cache_service.go).
 	entry func(T) int64
 	// copy deep-copies a frozen master for return.
@@ -60,7 +60,7 @@ type tracedWalk struct {
 func walkKind(digest uint64, walk func(*core.Walker, NodeID, int) (*WalkResult, error)) requestKind[*WalkResult] {
 	return requestKind[*WalkResult]{
 		digest: digest,
-		run: func(w *core.Walker, _ *config, op operands) (*WalkResult, error) {
+		run: func(w *core.Walker, _ config, op operands) (*WalkResult, error) {
 			return walk(w, op.node, op.ell)
 		},
 		entry: walkEntry,
@@ -73,7 +73,7 @@ var (
 	naiveKind  = walkKind(cacheKindNaive, (*core.Walker).NaiveWalk)
 	manyKind   = requestKind[*ManyResult]{
 		digest: cacheKindMany,
-		run: func(w *core.Walker, _ *config, op operands) (*ManyResult, error) {
+		run: func(w *core.Walker, _ config, op operands) (*ManyResult, error) {
 			return w.ManyRandomWalks(op.sources, op.ell)
 		},
 		entry: manyEntry,
@@ -81,7 +81,7 @@ var (
 	}
 	traceKind = requestKind[tracedWalk]{
 		digest: cacheKindTrace,
-		run: func(w *core.Walker, _ *config, op operands) (tracedWalk, error) {
+		run: func(w *core.Walker, _ config, op operands) (tracedWalk, error) {
 			walk, err := w.SingleRandomWalk(op.node, op.ell)
 			if err != nil {
 				return tracedWalk{}, err
@@ -97,7 +97,7 @@ var (
 	}
 	rstKind = requestKind[*RSTResult]{
 		digest: cacheKindRST,
-		run: func(w *core.Walker, cfg *config, op operands) (*RSTResult, error) {
+		run: func(w *core.Walker, cfg config, op operands) (*RSTResult, error) {
 			return spanning.RandomSpanningTree(w, op.node, cfg.rst)
 		},
 		entry: rstEntry,
@@ -105,7 +105,7 @@ var (
 	}
 	mixKind = requestKind[*MixingEstimate]{
 		digest: cacheKindMix,
-		run: func(w *core.Walker, cfg *config, op operands) (*MixingEstimate, error) {
+		run: func(w *core.Walker, cfg config, op operands) (*MixingEstimate, error) {
 			return mixing.EstimateTau(w, op.node, cfg.mix)
 		},
 		entry: mixEntry,
@@ -170,12 +170,12 @@ func requestDigest(gen, kind, key uint64, op operands, cfg *config) cache.Key {
 // staleness check all use the returned snapshot, so a mutation published
 // after admission cannot move the request, or the waiters coalesced onto
 // its flight, off the generation its cache key names.
-func (s *Service) admit(key uint64, opts []Option) (*config, *topology, error) {
+func (s *Service) admit(key uint64, opts []Option) (config, *topology, error) {
 	cfg := s.cfg
 	if err := cfg.applyRequest(opts); err != nil {
-		return nil, nil, fmt.Errorf("distwalk: request %d: %w", key, err)
+		return cfg, nil, fmt.Errorf("distwalk: request %d: %w", key, err)
 	}
-	return &cfg, s.topo.Load(), nil
+	return cfg, s.topo.Load(), nil
 }
 
 // serve is the body of every synchronous entry point.
@@ -184,7 +184,7 @@ func serve[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64
 	if err != nil {
 		return v, err
 	}
-	v, _, err = serveAt(ctx, s, k, key, op, cfg, snap)
+	v, _, err = serveAt(ctx, s, k, key, op, &cfg, snap)
 	return v, err
 }
 
@@ -224,7 +224,8 @@ func serveAt[T any](ctx context.Context, s *Service, k *requestKind[T], key uint
 // runRequest executes the request's body on a pool worker (see submit).
 func runRequest[T any](ctx context.Context, s *Service, k *requestKind[T], key uint64, op operands, cfg *config, snap *topology) (T, error) {
 	var out T
-	err := s.submit(ctx, key, *cfg, snap, func(w *core.Walker) (err error) {
+	err := s.submit(ctx, key, *cfg, snap, func(w *core.Walker, cfg config) (err error) {
+		// cfg is the worker's copy (see runPrepared), not a capture.
 		out, err = k.run(w, cfg, op)
 		return err
 	})

@@ -370,7 +370,7 @@ func attemptSeed(seed, key uint64, attempt int) uint64 {
 // re-executing up to cfg.retries times, back to back, on retryable
 // failures (see Retryable). Every retry salts the attempt seed and stays
 // on snap, the topology the request admitted under (epoch pinning).
-func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topology, fn func(*core.Walker) error) error {
+func (s *Service) submit(ctx context.Context, key uint64, cfg config, snap *topology, fn func(*core.Walker, config) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
@@ -410,7 +410,7 @@ func isFaultErr(err error) bool {
 }
 
 // submitOnce runs one attempt of fn on a pool worker and waits for it.
-func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, fn func(*core.Walker) error) error {
+func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, fn func(*core.Walker, config) error) error {
 	done := make(chan error, 1)
 	job := func(pw *poolWorker) {
 		done <- s.executeOn(ctx, key, cfg, attempt, snap, pw, fn)
@@ -436,7 +436,7 @@ func (s *Service) submitOnce(ctx context.Context, key uint64, cfg config, attemp
 // the seed of (service seed, key, attempt), against snap, through the
 // executor. Nothing here depends on what the worker served before — that
 // is the per-key determinism contract.
-func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
+func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt int, snap *topology, pw *poolWorker, fn func(*core.Walker, config) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("distwalk: request %d not started: %w", key, err)
 	}
@@ -452,8 +452,10 @@ func (s *Service) executeOn(ctx context.Context, key uint64, cfg config, attempt
 // worker's warm state for (seed, cfg) at snap: sync the warm topology to
 // the snapshot, reseed the private network, restore the round budget and
 // Reset the worker's walker, which re-reads a reshaped graph. Then it
-// runs fn under ctx with fault outcomes typed.
-func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(*core.Walker) error) error {
+// runs fn under ctx with fault outcomes typed, handing it cfg by value:
+// a job body that captured its request's config instead would move that
+// config to the heap on every request, cache hits included.
+func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap *topology, pw *poolWorker, fn func(*core.Walker, config) error) error {
 	if err := s.syncWarm(pw, snap); err != nil {
 		return err
 	}
@@ -468,7 +470,7 @@ func (s *Service) runPrepared(ctx context.Context, cfg config, seed uint64, snap
 	}
 	pw.net.SetContext(ctx)
 	defer pw.net.SetContext(nil)
-	return core.Faultize(pw.wkr, fn(pw.wkr))
+	return core.Faultize(pw.wkr, fn(pw.wkr, cfg))
 }
 
 // execJob is the one executor, for per-key attempts and batches alike:
@@ -517,7 +519,7 @@ func (s *Service) runBatch(b *sched.Batch) {
 		ctx, cfg := context.Background(), s.cfg
 		cfg.params, cfg.maxRounds = b.Params, b.MaxRounds
 		err := s.execJob(ctx, pw, snap, func() error {
-			return s.runPrepared(ctx, cfg, b.Seed, snap, pw, func(w *core.Walker) error {
+			return s.runPrepared(ctx, cfg, b.Seed, snap, pw, func(w *core.Walker, _ config) error {
 				b.Execute(w) // reports its own failure to the members
 				return nil
 			})

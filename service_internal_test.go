@@ -200,7 +200,7 @@ func TestClusterPinnedRequestRunsOnEngines(t *testing.T) {
 		if _, err := svc.ApplyMutations(ctx, Mutations{AddEdges: []EdgeMutation{{U: 0, V: 30}}}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := runRequest(ctx, svc, &singleKind, 3, operands{node: 0, ell: 256}, cfg, snap)
+		res, err := runRequest(ctx, svc, &singleKind, 3, operands{node: 0, ell: 256}, &cfg, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestClusterSessionsFollowSnapshot(t *testing.T) {
 		return n
 	}
 	var (
-		staleCfg  *config
+		staleCfg  config
 		staleSnap *topology
 	)
 	type step struct {
@@ -294,7 +294,7 @@ func TestClusterSessionsFollowSnapshot(t *testing.T) {
 			return walk(3)(t, svc)
 		}, 2},
 		{"stale request", func(t *testing.T, svc *Service) *WalkResult {
-			res, err := runRequest(ctx, svc, &singleKind, 4, operands{node: 0, ell: 256}, staleCfg, staleSnap)
+			res, err := runRequest(ctx, svc, &singleKind, 4, operands{node: 0, ell: 256}, &staleCfg, staleSnap)
 			if err != nil {
 				t.Fatal(err)
 			}

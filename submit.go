@@ -125,7 +125,7 @@ func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell
 	if s.batch == nil {
 		// Unbatched: the synchronous entry points' request, run async.
 		ch := make(chan sched.Result, 1)
-		go func() { ch <- serveWalk(ctx, s, key, op, cfg, snap) }()
+		go func() { ch <- serveWalk(ctx, s, key, op, &cfg, snap) }()
 		return newWalkHandle(ch), nil
 	}
 	if s.cache != nil {
@@ -134,7 +134,7 @@ func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell
 		// but a batch execution never leads a flight, because its result
 		// is deterministic per batch composition, not per key, and must
 		// not be published to per-key waiters (or the store).
-		if v, f, o := s.cache.Attach(requestDigest(snap.gen, cacheKindSingle, key, op, cfg)); o != cache.Miss {
+		if v, f, o := s.cache.Attach(requestDigest(snap.gen, cacheKindSingle, key, op, &cfg)); o != cache.Miss {
 			served := func(v any) sched.Result {
 				return s.walkResult(key, copyWalkResult(v.(*WalkResult)), cache.Hit, nil)
 			}
@@ -154,7 +154,7 @@ func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell
 					// The leader failed with an error that may be private
 					// to it; fall back to this request's own batched
 					// submission.
-					h, err := submitBatched(ctx, s, key, op, cfg, snap)
+					h, err := submitBatched(ctx, s, key, op, &cfg, snap)
 					if err != nil {
 						ch <- sched.Result{Err: err}
 						return
@@ -166,7 +166,7 @@ func (s *Service) SubmitWalk(ctx context.Context, key uint64, source NodeID, ell
 			return newWalkHandle(ch), nil
 		}
 	}
-	return submitBatched(ctx, s, key, op, cfg, snap)
+	return submitBatched(ctx, s, key, op, &cfg, snap)
 }
 
 // submitBatched queues one admitted submission to the batching scheduler,
