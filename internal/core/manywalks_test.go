@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"distwalk/internal/dist"
@@ -290,6 +292,64 @@ func TestNaiveManyAllocs(t *testing.T) {
 		t.Logf("k=%d: %.0f allocs per ManyRandomWalks", c.k, allocs)
 		if allocs > c.bound {
 			t.Errorf("k=%d: %.0f allocs per ManyRandomWalks, want at most %.0f", c.k, allocs, c.bound)
+		}
+	}
+}
+
+// TestManyWalksNoStitchIsNaiveKWalk holds MANY-RANDOM-WALKS to the one
+// fallback rule SINGLE-RANDOM-WALK keeps: when 2λ > ℓ no walk can stitch,
+// so the k walks are the naive k-walk (Theorem 2.8's k+ℓ term) with no
+// Phase 1, bit for bit the run that Lambda = ℓ+1 forces. A cell with
+// 2λ ≤ ℓ still stitches.
+func TestManyWalksNoStitchIsNaiveKWalk(t *testing.T) {
+	run := func(g *graph.G, prm Params, k, ell int) (*ManyResult, *Walker) {
+		t.Helper()
+		sources := make([]graph.NodeID, k)
+		for i := range sources {
+			sources[i] = graph.NodeID(i * 37 % g.N())
+		}
+		w := newWalker(t, g, 1, prm)
+		res, err := w.ManyRandomWalks(sources, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, w
+	}
+	for _, tc := range []struct {
+		side, k, ell int
+		stitch       bool
+	}{
+		{16, 16, 1024, false},
+		{16, 32, 1024, false},
+		{48, 16, 1024, false},
+		{16, 4, 4096, true},
+	} {
+		g, err := graph.Torus(tc.side, tc.side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("Torus(%d,%d) k=%d ℓ=%d", tc.side, tc.side, tc.k, tc.ell)
+		got, w := run(g, DefaultParams(), tc.k, tc.ell)
+		lam := DefaultParams().lambdaMany(tc.k, tc.ell, max(w.tree.Height, 1), g.N())
+		t.Logf("%s: λ=%d, %d rounds, %d messages, fallback %v", name, lam, got.Cost.Rounds, got.Cost.Messages, got.NaiveFallback)
+		if tc.stitch {
+			if 2*lam > tc.ell || got.NaiveFallback || got.Lambda != lam {
+				t.Errorf("%s: λ=%d, fallback %v, Lambda %d; want a stitched run at λ", name, lam, got.NaiveFallback, got.Lambda)
+			}
+			continue
+		}
+		if 2*lam <= tc.ell || lam > tc.ell {
+			t.Fatalf("%s: λ=%d is not in ℓ/2 < λ ≤ ℓ", name, lam)
+		}
+		want, _ := run(g, Params{Lambda: tc.ell + 1, LambdaC: 1, Eta: 1}, tc.k, tc.ell)
+		if !got.NaiveFallback || got.Lambda != 0 {
+			t.Errorf("%s: fallback %v, Lambda %d; want the naive k-walk (fallback, Lambda 0)", name, got.NaiveFallback, got.Lambda)
+		}
+		if got.Cost != want.Cost {
+			t.Errorf("%s: cost %+v, naive k-walk %+v", name, got.Cost, want.Cost)
+		}
+		if !slices.Equal(got.Destinations, want.Destinations) {
+			t.Errorf("%s: destinations differ from the naive k-walk's", name)
 		}
 	}
 }
