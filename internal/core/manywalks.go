@@ -19,8 +19,8 @@ type ManyResult struct {
 	Walks []*WalkResult
 	// Lambda is the short-walk base length used (0 on the naive path).
 	Lambda int
-	// NaiveFallback reports that λ > ℓ made token forwarding optimal, so
-	// all k walks ran as parallel naive tokens (Õ(k+ℓ) rounds).
+	// NaiveFallback reports that no walk could stitch (2λ > ℓ), so all k
+	// walks ran as parallel naive tokens (Õ(k+ℓ) rounds) with no Phase 1.
 	NaiveFallback bool
 	// Refills counts GET-MORE-WALKS invocations across all walks.
 	Refills int
@@ -31,8 +31,9 @@ type ManyResult struct {
 // ManyRandomWalks computes k independent ℓ-step walks from the given (not
 // necessarily distinct) sources in Õ(min(√(kℓD)+k, k+ℓ)) rounds
 // (Theorem 2.8): one Phase 1 provisions short walks of length
-// λ = Θ(√(kℓD)+k), then the walks are stitched one at a time; if λ > ℓ the
-// k walks run as parallel naive tokens instead.
+// λ = Θ(√(kℓD)+k), then the walks are stitched one at a time. When no walk
+// can stitch (2λ > ℓ, the rule SINGLE-RANDOM-WALK keeps) the k walks run as
+// parallel naive tokens instead, with no Phase 1.
 func (w *Walker) ManyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, error) {
 	if err := w.acquire(); err != nil {
 		return nil, err
@@ -83,11 +84,11 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	}
 	lam := w.prm.lambdaMany(len(sources), ell, diam, w.g.N())
 
-	if lam > ell {
-		// "If λ > ℓ then run the naive random walk algorithm, i.e., the
-		// sources find walks of length ℓ simultaneously by sending tokens."
+	if !canStitch(ell, lam) {
+		// The paper's "if λ > ℓ then run the naive random walk algorithm",
+		// already at 2λ > ℓ: no walk stitches, so Phase 1 would buy nothing.
 		out.NaiveFallback = true
-		return out, w.naiveMany(out, sources, ell)
+		return out, w.finish(out, naiveMany(out, sources, ell))
 	}
 	out.Lambda = lam
 
@@ -101,11 +102,11 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	}
 	out.Cost.Add(p1)
 
-	// Every walk stitches at least once when ℓ ≥ 2λ. Its first stitch
-	// then needs no announce part of its own: one pipelined upcast brings
-	// all k requests to the root, the root announces the first walk, and
-	// each walk's last result broadcast announces the next walk's source.
-	announced := ell >= 2*lam && !w.prm.PerCallBFS
+	// Every walk stitches at least once, so its first stitch needs no
+	// announce part of its own: one pipelined upcast brings all k requests
+	// to the root, the root announces the first walk, and each walk's last
+	// result broadcast announces the next walk's source.
+	announced := !w.prm.PerCallBFS
 	if announced {
 		res, err := w.requestAll(sources)
 		out.Cost.Add(res)
@@ -133,10 +134,7 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		out.Refills += wr.Refills
 		out.Cost.Add(wr.Cost)
 	}
-	if err := w.runTails(out, tails); err != nil {
-		return nil, err
-	}
-	return out, w.notifyAll(out)
+	return out, w.finish(out, tails)
 }
 
 // requestAll opens MANY-RANDOM-WALKS' stitching. One pipelined upcast
@@ -179,11 +177,11 @@ type tailSpec struct {
 	steps int32
 }
 
-// runTails completes every walk's remaining steps with simultaneous token
-// forwarding — O(max tail + congestion) rounds instead of the sum — and
-// appends the tail to out.Walks[i] as its last segment. A tail whose
-// token vanished (lost to a fault) fails the batch.
-func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
+// finish completes every walk's remaining steps by simultaneous token
+// forwarding, in O(max tail + congestion) rounds instead of the sum,
+// appends each tail to out.Walks[i] as its last segment, then notifies
+// the sources. A tail whose token vanished (lost to a fault) fails the batch.
+func (w *Walker) finish(out *ManyResult, tails []tailSpec) error {
 	p := &naiveManyProto{
 		w:     w,
 		steps: make([]int32, len(tails)),
@@ -218,13 +216,13 @@ func (w *Walker) runTails(out *ManyResult, tails []tailSpec) error {
 		wr.Destination = p.dest[i]
 		out.Destinations[i] = p.dest[i]
 	}
-	return nil
+	return w.notifyAll(out)
 }
 
-// naiveMany walks all k tokens simultaneously (the k+ℓ regime): every
-// walk is one ℓ-step tail from its source. The k results and their
-// one-segment lists are carved from two slabs.
-func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int) error {
+// naiveMany sets up the naive k-walk (the k+ℓ regime): every walk is one
+// ℓ-step tail from its source. The k results and their one-segment lists
+// are carved from two slabs.
+func naiveMany(out *ManyResult, sources []graph.NodeID, ell int) []tailSpec {
 	walks := make([]WalkResult, len(sources))
 	segs := make([]Segment, len(sources))
 	tails := make([]tailSpec, len(sources))
@@ -233,10 +231,7 @@ func (w *Walker) naiveMany(out *ManyResult, sources []graph.NodeID, ell int) err
 		out.Walks[i] = &walks[i]
 		tails[i] = tailSpec{start: s, steps: int32(ell)}
 	}
-	if err := w.runTails(out, tails); err != nil {
-		return err
-	}
-	return w.notifyAll(out)
+	return tails
 }
 
 // notifyAll tells every walk's source its destination in O(k + D) rounds.

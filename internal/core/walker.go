@@ -50,7 +50,7 @@ type WalkResult struct {
 	// Lambda is the short-walk base length λ used.
 	Lambda int
 	// Naive reports that the walk fell back to pure token forwarding
-	// because 2λ > ℓ (short walks would overshoot).
+	// because no stitch was possible (2λ > ℓ).
 	Naive bool
 	// Refills counts GET-MORE-WALKS invocations during this walk.
 	Refills int
@@ -251,9 +251,7 @@ func (w *Walker) singleRandomWalk(source graph.NodeID, ell int) (*WalkResult, er
 	lam := w.prm.lambda(ell, diam, w.g.N())
 	out.Lambda = lam
 
-	if 2*lam > ell {
-		// Short walks would overshoot ℓ: the naive walk is optimal here
-		// (cf. MANY-RANDOM-WALKS, which falls back when λ > ℓ).
+	if !canStitch(ell, lam) {
 		out.Naive = true
 		if err := w.naiveTail(out, source, ell); err != nil {
 			return nil, err
@@ -285,6 +283,13 @@ func (w *Walker) stitch(out *WalkResult, source graph.NodeID, ell, lam int) erro
 	return w.naiveTail(out, cur, ell-completed)
 }
 
+// canStitch is Phase 2's loop condition: a short walk (up to 2λ−1 steps)
+// is stitched only while at least 2λ steps remain. It is also the one
+// naive-fallback rule of both walkers: a walk with !canStitch(ℓ, λ) never
+// stitches, Phase 1 would buy nothing, and the walk is the naive one
+// (Theorem 2.5's ℓ term; Theorem 2.8's k+ℓ term for k walks).
+func canStitch(remaining, lam int) bool { return 2*lam <= remaining }
+
 // stitchSegments runs the stitching loop of Phase 2 and stops when fewer
 // than 2λ steps remain, returning the final connector and completed step
 // count. The ≤2λ-step naive tail is left to the caller: SINGLE-RANDOM-WALK
@@ -297,7 +302,7 @@ func (w *Walker) stitch(out *WalkResult, source graph.NodeID, ell, lam int) erro
 func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam int, announced bool, next graph.NodeID) (graph.NodeID, int, error) {
 	cur := source
 	completed := 0
-	for completed <= ell-2*lam {
+	for canStitch(ell-completed, lam) {
 		slack := ell - 2*lam - completed
 		pick, err := w.stitchOnce(out, cur, announced, slack, next)
 		if err != nil {

@@ -190,7 +190,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0xbcfdaa67da4baa85},
+		}, 0x786beb023fe01f00},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
