@@ -387,3 +387,88 @@ func TestCoverCheckPicksLowestCoveringWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestRSTKeptInventoryMatchesNaiveSchedule compares the tree law of
+// RandomSpanningTree with that of the naive schedule (Lambda = 1<<30: the
+// same doubling phases, every walk a naive token) by a two-sample χ² over
+// the five trees of C5. Both sides condition on covering within the same
+// fixed horizons, so they share that bias and must agree. From
+// StartLength 12 the first phase stitches (λ = 6) and fails to cover a
+// quarter of the time; the next two phases (λ targets 8 and 11) stitch
+// from the first phase's kept inventory, which must therefore supply at
+// least a fifth of the trees.
+func TestRSTKeptInventoryMatchesNaiveSchedule(t *testing.T) {
+	g, err := graph.Cycle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := EnumerateTrees(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make(map[string]int, len(keys))
+	for i, k := range keys {
+		idx[k] = i
+	}
+	const samples, start = 2000, 12
+	opt := Options{StartLength: start, WalksPerPhase: 1}
+	// kept reports whether the covering phase stitched from an inventory
+	// an earlier phase provisioned: λ = ⌈√(ℓD) + 1⌉ for one walk (D = 2),
+	// kept while below twice the inventory's.
+	kept := func(phases int) bool {
+		inv := 0
+		for p, ell := 1, start; p <= phases; p, ell = p+1, ell*2 {
+			lam := int(math.Ceil(math.Sqrt(float64(2*ell)) + 1))
+			if p == phases {
+				return inv > 0 && lam < 2*inv
+			}
+			if inv == 0 || lam >= 2*inv {
+				inv = lam
+			}
+		}
+		return false
+	}
+	trees := func(prm core.Params, seed uint64) ([]int, int) {
+		counts, fromKept := make([]int, len(keys)), 0
+		for i := uint64(0); i < samples; i++ {
+			w, err := core.NewWalker(g, seed+i, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RandomSpanningTree(w, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, ok := idx[TreeKey(res.Parent)]
+			if !ok {
+				t.Fatalf("driver produced unknown tree %q", TreeKey(res.Parent))
+			}
+			counts[j]++
+			if kept(res.Phases) {
+				fromKept++
+			}
+		}
+		return counts, fromKept
+	}
+	fast, fromKept := trees(core.DefaultParams(), 20000)
+	naive, _ := trees(core.Params{Lambda: 1 << 30, Eta: 1}, 40000)
+	t.Logf("trees %v (%d from a kept inventory) vs naive schedule %v", fast, fromKept, naive)
+	if fromKept < samples/5 {
+		t.Fatalf("%d of %d trees came from a kept-inventory phase, want at least a fifth", fromKept, samples)
+	}
+	stat, df := 0.0, -1
+	for i := range fast {
+		if n := fast[i] + naive[i]; n > 0 {
+			d := float64(fast[i] - naive[i])
+			stat += d * d / float64(n)
+			df++
+		}
+	}
+	p, err := stats.ChiSquarePValue(stat, df)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p < 1e-4 {
+		t.Fatalf("tree law differs from the naive schedule's: χ²=%.1f (df %d), p=%v", stat, df, p)
+	}
+}
