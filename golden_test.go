@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2679, Messages: 135087, Words: 397525, MaxQueue: 11},
+			want: distwalk.Cost{Rounds: 2243, Messages: 64300, Words: 186046, MaxQueue: 10},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -353,7 +353,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 8851, Messages: 1541584, Words: 4589674},
+			want: serviceGolden{Rounds: 7503, Messages: 691664, Words: 2042974},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).

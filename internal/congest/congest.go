@@ -133,13 +133,16 @@ type Network struct {
 // fresh protocol run costs one increment, not a sweep. acc/pending carry
 // convergecast state and items the messages a Broadcast floods — runs
 // execute one at a time, so a single scratch serves every protocol on
-// the network.
+// the network. bc and cc are the one Broadcast and Convergecast run
+// state, which a run's Proto points at instead of a fresh allocation.
 type nodeScratch struct {
 	epoch   uint32
 	stamp   []uint32
 	acc     []Message
 	pending []int32
 	items   []Message
+	bc      broadcastProto
+	cc      convergecastProto
 }
 
 // scratch hands out the node scratch for one protocol run, advancing the

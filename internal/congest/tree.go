@@ -200,16 +200,21 @@ func (p *broadcastProto) forward(ctx *Ctx, v graph.NodeID, m *Message) {
 // pipelined one message per edge per round: O(len(items) + Height)
 // rounds. visit is called at every node, root included, for every item
 // as it arrives; it may be nil. The items are copied into the network's
-// scratch, so a caller's one-item slice literal stays on its stack.
+// scratch, so a caller's one-item slice literal stays on its stack, and
+// the run's state lives there too: a Broadcast allocates nothing.
 func Broadcast(net *Network, t *Tree, items []Message, visit func(graph.NodeID, *Message)) (Result, error) {
 	net.ns.items = append(net.ns.items[:0], items...)
-	return net.Run(&broadcastProto{t: t, items: net.ns.items, visit: visit})
+	p := &net.ns.bc
+	*p = broadcastProto{t: t, items: net.ns.items, visit: visit}
+	res, err := net.Run(p)
+	*p = broadcastProto{} // let go of the caller's tree and callback
+	return res, err
 }
 
 // convergecastProto keeps its per-node aggregates in the network's node
-// scratch, so a convergecast allocates nothing per call; before the
-// scratch, the two O(n) arrays here were the dominant per-stitch
-// allocation of SAMPLE-DESTINATION.
+// scratch, and is itself kept there, so a convergecast allocates nothing
+// per call; before the scratch, the two O(n) arrays here were the
+// dominant per-stitch allocation of SAMPLE-DESTINATION.
 type convergecastProto struct {
 	t       *Tree
 	initVal func(graph.NodeID) Message
@@ -261,15 +266,19 @@ func Convergecast(
 	initVal func(graph.NodeID) Message,
 	merge func(v graph.NodeID, acc, child *Message),
 ) (Message, Result, error) {
-	p := &convergecastProto{t: t, initVal: initVal, merge: merge, sc: net.scratch()}
+	sc := net.scratch()
+	p := &sc.cc
+	*p = convergecastProto{t: t, initVal: initVal, merge: merge, sc: sc}
 	res, err := net.Run(p)
+	out, done := p.out, p.done
+	*p = convergecastProto{} // let go of the caller's tree and callbacks
 	if err != nil {
 		return Message{}, res, err
 	}
-	if !p.done {
+	if !done {
 		return Message{}, res, fmt.Errorf("congest: convergecast did not complete at root %d", t.Root)
 	}
-	return p.out, res, nil
+	return out, res, nil
 }
 
 type upcastProto struct {

@@ -46,6 +46,7 @@ func (p *gmwProto) Init(ctx *congest.Ctx) {
 	if ctx.Node() != p.owner || p.count == 0 {
 		return
 	}
+	p.w.st.owned[p.owner] += int32(p.count)
 	p.processTokens(ctx, int32(p.count), 0)
 }
 

@@ -249,3 +249,61 @@ func TestKeptInventoryEndpointDistribution(t *testing.T) {
 		})
 	}
 }
+
+// TestStitchAllocatesNothing gates SAMPLE-DESTINATION's allocations: on a
+// warm walker with a fixed Lambda, a request (Reseed, Reset, walk) costs
+// as many allocations with dozens of stitches as with one or two, for a
+// single walk and for k walks.
+func TestStitchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := Params{Lambda: 8, LambdaC: 1, Eta: 4}
+	w := newWalker(t, g, 1, prm)
+	for _, k := range []int{1, 4} {
+		sources := slices.Repeat([]graph.NodeID{0}, k)
+		// request runs one request and returns its stitch and refill
+		// counts.
+		request := func(ell int) (stitches, refills int) {
+			w.Network().Reseed(9)
+			if err := w.Reset(prm); err != nil {
+				t.Fatal(err)
+			}
+			walks := []*WalkResult{nil}
+			if k == 1 {
+				res, err := w.SingleRandomWalk(0, ell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walks[0] = res
+			} else {
+				res, err := w.ManyRandomWalks(sources, ell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walks = res.Walks
+			}
+			for _, wr := range walks {
+				stitches += len(wr.Segments) - 1
+				refills += wr.Refills
+			}
+			return stitches, refills
+		}
+		allocs := map[int]float64{}
+		for _, ell := range []int{24, 512} {
+			stitches, refills := request(ell)
+			allocs[ell] = testing.AllocsPerRun(20, func() { request(ell) })
+			t.Logf("k=%d ℓ=%d: %d stitches, %d refills, %.0f allocs per request", k, ell, stitches, refills, allocs[ell])
+			if refills != 0 {
+				t.Fatalf("k=%d ℓ=%d: %d refills; the gate compares stitches alone", k, ell, refills)
+			}
+		}
+		if allocs[512] > allocs[24] {
+			t.Errorf("k=%d: %.0f allocs per request at ℓ=512, %.0f at ℓ=24: stitches allocate", k, allocs[512], allocs[24])
+		}
+	}
+}

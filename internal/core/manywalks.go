@@ -17,7 +17,9 @@ type ManyResult struct {
 	// the pipelined stitch requests, batched notifications) appear only
 	// in Cost.
 	Walks []*WalkResult
-	// Lambda is the short-walk base length used (0 on the naive path).
+	// Lambda is the short-walk base length the walks stitched with: the
+	// kept inventory's when one was kept (see Walker), else the call's own
+	// (0 on the naive path).
 	Lambda int
 	// NaiveFallback reports that no walk could stitch (2λ > ℓ), so all k
 	// walks ran as parallel naive tokens (Õ(k+ℓ) rounds) with no Phase 1.
@@ -90,8 +92,6 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		out.NaiveFallback = true
 		return out, w.finish(out, naiveMany(out, sources, ell))
 	}
-	out.Lambda = lam
-
 	extra := make(map[graph.NodeID]int, len(sources))
 	for _, s := range sources {
 		extra[s]++
@@ -101,6 +101,8 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		return nil, err
 	}
 	out.Cost.Add(p1)
+	lam = w.lambda
+	out.Lambda = lam
 
 	// Every walk stitches at least once, so its first stitch needs no
 	// announce part of its own: one pipelined upcast brings all k requests
@@ -123,7 +125,8 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 		if i+1 < len(sources) {
 			next = sources[i+1]
 		}
-		wr := &WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam}
+		// At most ℓ/λ segments, tail included, as in SINGLE-RANDOM-WALK.
+		wr := &WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam, Segments: make([]Segment, 0, ell/lam)}
 		cur, completed, err := w.stitchSegments(wr, s, ell, lam, announced, next)
 		if err != nil {
 			return nil, fmt.Errorf("core: walk %d from %d: %w", i, s, err)

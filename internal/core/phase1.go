@@ -49,6 +49,9 @@ type phase1Proto struct {
 	// connector once per walk they start, on top of the d(y)√(kℓ)
 	// stationary visits — so sources provision k extra short walks.
 	extra map[graph.NodeID]int
+	// topUp tops a kept inventory up instead (Walker.ensurePhase1): no
+	// η·deg(v) base, and a source starts only the extras it lacks.
+	topUp bool
 }
 
 func (p *phase1Proto) Init(ctx *congest.Ctx) {
@@ -56,11 +59,16 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 	if ctx.Degree() == 0 {
 		return
 	}
-	count := p.w.prm.Eta
-	if !p.w.prm.UniformCounts {
-		count *= ctx.Degree()
+	count := p.extra[v]
+	switch {
+	case p.topUp:
+		count = max(0, count-int(p.w.st.owned[v]))
+	case p.w.prm.UniformCounts:
+		count += p.w.prm.Eta
+	default:
+		count += p.w.prm.Eta * ctx.Degree()
 	}
-	count += p.extra[v]
+	p.w.st.owned[v] += int32(count)
 	for i := 0; i < count; i++ {
 		total := p.lambda
 		if !p.w.prm.FixedLength {

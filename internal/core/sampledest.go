@@ -173,38 +173,10 @@ func (w *Walker) announce(v graph.NodeID) (*congest.Tree, congest.Result, error)
 // next's announcement as a second item.
 func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next graph.NodeID) (sampleResult, congest.Result, error) {
 	var cost congest.Result
-	// Sample sweep: weighted reservoir over the tree. Each node counts and
-	// picks v's coupons by scanning its own list, O(Σ coupons) = O(2mη)
-	// local work per stitch — against Phase 1's O(2mηλ) messages.
-	picked, res, err := congest.Convergecast(w.net, tree,
-		func(u graph.NodeID) congest.Message {
-			n := w.st.couponCount(u, v)
-			if n == 0 {
-				return sampleCand{}.msg()
-			}
-			c := w.st.couponAt(u, v, w.net.NodeRNG(u).Intn(n))
-			return sampleCand{
-				count:  int64(n),
-				walkID: c.walkID,
-				dest:   u,
-				length: c.length,
-				refill: c.refill,
-				batch:  c.batch,
-			}.msg()
-		},
-		func(u graph.NodeID, acc, child *congest.Message) {
-			keep, c := readSampleCand(acc), readSampleCand(child)
-			total := keep.count + c.count
-			if total == 0 {
-				return // both empty: acc already is the empty candidate
-			}
-			if int64(w.net.NodeRNG(u).Uint64n(uint64(total))) < c.count {
-				keep = c
-			}
-			keep.count = total
-			*acc = keep.msg()
-		},
-	)
+	// Sample sweep: weighted reservoir over the tree (offerCoupon,
+	// keepCandidate).
+	w.sampleFor = v
+	picked, res, err := congest.Convergecast(w.net, tree, w.offer, w.keep)
 	cost.Add(res)
 	if err != nil {
 		return sampleResult{}, cost, fmt.Errorf("sample-destination convergecast: %w", err)
@@ -229,17 +201,64 @@ func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next grap
 	if found && !follow && !w.prm.PerCallBFS && next != graph.None {
 		items[1], n = ownerMsg(kindSampleAnnounce, next), 2
 	}
-	res, err = congest.Broadcast(w.net, tree, items[:n], func(u graph.NodeID, m *congest.Message) {
-		if m.Kind != kindSampleResult {
-			return
-		}
-		if r := readSampleResult(m); r.found && u == r.dest {
-			w.st.takeCoupon(u, r.owner, r.walkID)
-		}
-	})
+	res, err = congest.Broadcast(w.net, tree, items[:n], w.take)
 	cost.Add(res)
 	if err != nil {
 		return sampleResult{}, cost, fmt.Errorf("sample-destination result: %w", err)
 	}
 	return out, cost, nil
+}
+
+// offerCoupon is node u's start of the sample sweep: a uniform pick of
+// its coupons for the connector, with their count. Each node counts and
+// picks by scanning its own list, O(Σ coupons) = O(2mη) local work per
+// stitch — against Phase 1's O(2mηλ) messages.
+func (w *Walker) offerCoupon(u graph.NodeID) congest.Message {
+	v := w.sampleFor
+	n := w.st.couponCount(u, v)
+	if n == 0 {
+		return sampleCand{}.msg()
+	}
+	c := w.st.couponAt(u, v, w.net.NodeRNG(u).Intn(n))
+	return sampleCand{
+		count:  int64(n),
+		walkID: c.walkID,
+		dest:   u,
+		length: c.length,
+		refill: c.refill,
+		batch:  c.batch,
+	}.msg()
+}
+
+// keepCandidate folds a child's candidate into node u's, keeping the
+// child's with probability proportional to its count.
+func (w *Walker) keepCandidate(u graph.NodeID, acc, child *congest.Message) {
+	keep, c := readSampleCand(acc), readSampleCand(child)
+	total := keep.count + c.count
+	if total == 0 {
+		return // both empty: acc already is the empty candidate
+	}
+	if int64(w.net.NodeRNG(u).Uint64n(uint64(total))) < c.count {
+		keep = c
+	}
+	keep.count = total
+	*acc = keep.msg()
+}
+
+// takeResult is node u's part of the result sweep: the coupon's holder
+// deletes it, and its owner counts one walk of its own fewer.
+func (w *Walker) takeResult(u graph.NodeID, m *congest.Message) {
+	if m.Kind != kindSampleResult {
+		return
+	}
+	r := readSampleResult(m)
+	if !r.found {
+		return
+	}
+	if u == r.dest {
+		w.st.takeCoupon(u, r.owner, r.walkID)
+	}
+	if u == r.owner {
+		w.st.owned[u]--
+	}
 }

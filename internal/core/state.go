@@ -61,6 +61,10 @@ type netState struct {
 	gmw []gmwShelf
 	// seq[v] is v's local counter for minting walk IDs.
 	seq []uint32
+	// owned[v] counts v's own walks that are still unused coupons, as v
+	// can tell locally: the walks it started, less those whose
+	// SAMPLE-DESTINATION result named v as their owner.
+	owned []int32
 
 	// mark/markEpoch is a reusable node-marking scratch (epoch-stamped
 	// visited set) for protocol steps that need a small dedup — e.g. the
@@ -74,6 +78,7 @@ func newNetState(n int) *netState {
 		coupons: make([]couponShelf, n),
 		gmw:     make([]gmwShelf, n),
 		seq:     make([]uint32, n),
+		owned:   make([]int32, n),
 		mark:    make([]uint32, n),
 	}
 }
@@ -90,6 +95,7 @@ func (s *netState) reset() {
 		s.gmw[v].clear()
 	}
 	clear(s.seq)
+	clear(s.owned)
 	// The mark epoch deliberately survives: stamps from before the reset
 	// are stale by construction.
 }
@@ -147,6 +153,7 @@ func (l couponLayout) room(g *graph.G, total int, v graph.NodeID) int {
 // only truncates, so a list that once outgrew its carve keeps its grown
 // capacity instead of regrowing on every warm request.
 func (s *netState) provisionCoupons(g *graph.G, prm Params) {
+	clear(s.owned)
 	l := couponLayout{eta: prm.Eta, uniform: prm.UniformCounts, metropolis: prm.Metropolis}
 	if l == s.carved {
 		for v := range s.coupons {

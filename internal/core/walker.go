@@ -47,7 +47,8 @@ type WalkResult struct {
 	Source      graph.NodeID
 	Destination graph.NodeID
 	Length      int
-	// Lambda is the short-walk base length λ used.
+	// Lambda is the short-walk base length λ the walk stitched with: the
+	// kept inventory's when one was kept (see Walker), else the call's own.
 	Lambda int
 	// Naive reports that the walk fell back to pure token forwarding
 	// because no stitch was possible (2λ > ℓ).
@@ -65,7 +66,11 @@ type WalkResult struct {
 // Walker runs the paper's walk algorithms over one simulated network. A
 // Walker may run many walks; unused short-walk coupons persist between
 // walks exactly as in MANY-RANDOM-WALKS (Phase 1 provisions once, Phase 2
-// stitches per walk and refills on demand).
+// stitches per walk and refills on demand). The inventory outlives a
+// change of λ too: a call whose λ is below twice the inventory's stitches
+// with the inventory's λ, which keeps Theorem 2.8's O(λ + kℓD/λ) rounds
+// within a factor of 2, so the doubling phases of RandomSpanningTree
+// share one Phase 1 until λ doubles (see ensurePhase1).
 //
 // A Walker is NOT safe for concurrent use: its per-node netState is one
 // shared simulation, and interleaving two walks would corrupt coupon
@@ -80,10 +85,17 @@ type Walker struct {
 	prm Params
 	st  *netState
 
-	tree     *congest.Tree
-	spare    *congest.Tree // retired by Reset; its slabs are recycled by ensureTree
-	lambda   int           // λ of the current coupon inventory (0 = none)
-	prepared bool
+	tree   *congest.Tree
+	spare  *congest.Tree // retired by Reset; its slabs are recycled by ensureTree
+	lambda int           // λ of the current coupon inventory (0 = none)
+
+	// sampleFor is the connector SAMPLE-DESTINATION samples for; offer,
+	// keep and take are its per-node steps (sampledest.go), bound once per
+	// walker so that a stitch allocates no closure.
+	sampleFor graph.NodeID
+	offer     func(graph.NodeID) congest.Message
+	keep      func(u graph.NodeID, acc, child *congest.Message)
+	take      func(graph.NodeID, *congest.Message)
 
 	// gmwOut[v] is node v's (neighbor, arrival step) aggregation scratch
 	// for GET-MORE-WALKS token processing, reused across refills. It is
@@ -104,12 +116,13 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
 	}
-	return &Walker{
-		g:   g,
-		net: congest.NewNetwork(g, seed),
-		prm: prm,
-		st:  newNetState(g.N()),
-	}, nil
+	return walkerOver(congest.NewNetwork(g, seed), prm), nil
+}
+
+func walkerOver(net *congest.Network, prm Params) *Walker {
+	w := &Walker{g: net.Graph(), net: net, prm: prm, st: newNetState(net.Graph().N())}
+	w.offer, w.keep, w.take = w.offerCoupon, w.keepCandidate, w.takeResult
+	return w
 }
 
 // NewWalkerOn builds a Walker over an existing simulated network. The
@@ -128,7 +141,7 @@ func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
 	}
-	return &Walker{g: g, net: net, prm: prm, st: newNetState(g.N())}, nil
+	return walkerOver(net, prm), nil
 }
 
 // SetContext installs ctx on the underlying network: any simulated run
@@ -166,7 +179,6 @@ func (w *Walker) Reset(prm Params) error {
 		w.tree = nil
 	}
 	w.lambda = 0
-	w.prepared = false
 	return nil
 }
 
@@ -265,6 +277,11 @@ func (w *Walker) singleRandomWalk(source graph.NodeID, ell int) (*WalkResult, er
 	}
 	out.Cost.Add(p1)
 	out.Breakdown.Phase1 = p1.Rounds
+	lam = w.lambda
+	out.Lambda = lam
+	// Every stitched segment is at least λ long and leaves at least 2λ
+	// steps, so the walk has at most ℓ/λ segments, tail included.
+	out.Segments = make([]Segment, 0, ell/lam)
 
 	if err := w.stitch(out, source, ell, lam); err != nil {
 		return nil, err
@@ -445,22 +462,37 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 	return res, nil
 }
 
-// ensurePhase1 provisions short walks of base length lam if the current
-// inventory was built for a different λ (or not at all); extra adds walks
-// at the upcoming walks' sources (the "+k" of Lemma 2.6). The flow ledgers
-// of earlier refills survive re-provisioning, so previously returned walks
+// ensurePhase1 is the one provisioning rule of both walkers; afterwards
+// w.lambda is the λ the call stitches, refills and reports with. extra
+// names the walks the call starts at each source, which Lemma 2.6 adds to
+// the sources' inventories (its "+k"). A call whose λ is within a factor
+// of 2 above the current inventory's (λ/2 < λ_inv ≤ λ) keeps that
+// inventory, and Phase 1 runs only the extras that a source does not
+// already hold as unused walks of its own, with no η·deg(v) base: a
+// source that ran dry would fall back to GET-MORE-WALKS, whose segments
+// retrace backward at many times the cost. Any other call (no inventory,
+// λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. The flow ledgers of
+// earlier refills survive re-provisioning, so previously returned walks
 // remain retraceable.
 func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
-	if w.prepared && w.lambda == lam {
-		return congest.Result{}, nil
+	topUp := w.lambda > 0 && w.lambda <= lam && lam < 2*w.lambda
+	if topUp {
+		lacks := false
+		for s, n := range extra {
+			lacks = lacks || n > int(w.st.owned[s])
+		}
+		if !lacks {
+			return congest.Result{}, nil
+		}
+	} else {
+		w.st.provisionCoupons(w.g, w.prm)
+		w.lambda = lam
 	}
-	w.st.provisionCoupons(w.g, w.prm)
-	res, err := w.net.Run(&phase1Proto{w: w, lambda: int32(lam), extra: extra})
+	res, err := w.net.Run(&phase1Proto{w: w, lambda: int32(w.lambda), extra: extra, topUp: topUp})
 	if err != nil {
+		w.lambda = 0 // the next call re-provisions the partial inventory
 		return res, fmt.Errorf("core: phase 1: %w", err)
 	}
-	w.prepared = true
-	w.lambda = lam
 	return res, nil
 }
 
