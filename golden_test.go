@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2243, Messages: 64300, Words: 186046, MaxQueue: 10},
+			want: distwalk.Cost{Rounds: 2272, Messages: 65037, Words: 188257, MaxQueue: 10},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -353,7 +353,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 7503, Messages: 691664, Words: 2042974},
+			want: serviceGolden{Rounds: 11606, Messages: 780864, Words: 2297680},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).

@@ -12,6 +12,12 @@
 //     short walks, with reservoir sampling giving each new walk an
 //     independent uniform length without per-walk control messages.
 //   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
+//   - One short-walk inventory per Walker: unused walks persist between
+//     calls, and a call whose λ is below twice the inventory's stitches
+//     with the inventory's λ instead of re-running Phase 1; a top-up
+//     pass replaces only the walks earlier stitches used, and only when a
+//     source lacks the walks it starts (Walker.ensurePhase1). The
+//     doubling phases of the spanning-tree application share it.
 //   - Walk regeneration (Section 2.2): every node learns its position(s)
 //     in the sampled walk, enabling the random-spanning-tree application.
 //     A walk token's step j draws from a value keyed by (request seed,

@@ -23,11 +23,13 @@ func inventory(w *Walker) map[int64]coupon {
 
 // TestKeptInventoryRule pins ensurePhase1's one provisioning rule by exact
 // sweeps on Torus(8,8). A call whose λ is in [λ_inv, 2λ_inv) keeps the
-// inventory and stitches with λ_inv; its only Phase 1 tokens are the
-// sources' Lemma 2.6 extras that a source does not already hold, one
-// message per step of each. A call with λ ≥ 2λ_inv (or λ < λ_inv)
-// re-provisions η·deg(v) walks at every node plus all the extras, and so
-// does every call after Reset. The walk results report λ_inv.
+// inventory and stitches with λ_inv. It runs Phase 1 only when a source
+// holds fewer unused walks of its own than the call starts there, and
+// then each node starts only the walks it lacks to hold η·deg(v) plus
+// its extras again, one message per step of each. A call with
+// λ ≥ 2λ_inv (or λ < λ_inv) re-provisions η·deg(v) walks at every node
+// plus all the extras, and so does every call after Reset. The walk
+// results report λ_inv.
 func TestKeptInventoryRule(t *testing.T) {
 	g, err := graph.Torus(8, 8)
 	if err != nil {
@@ -69,21 +71,44 @@ func TestKeptInventoryRule(t *testing.T) {
 		if _, err := w.Prepare(0); err != nil {
 			t.Fatal(err)
 		}
-		provisioned(t, w, 64, map[graph.NodeID]int{0: 2})
-		// Node 0 holds 6 walks of its own, node 9 and node 18 hold 4.
-		for _, lam := range []int{64, 100, 127} {
-			extra := map[graph.NodeID]int{0: 9, 9: 1, 18: 6}
-			lack := map[graph.NodeID]int{}
-			for s, n := range extra {
-				lack[s] = max(0, n-w.st.couponTotal(s))
+		provisioned(t, w, 64, map[graph.NodeID]int{0: 1})
+		// A walk at the same λ uses some nodes' walks; node 0 keeps some.
+		walk, err := w.SingleRandomWalk(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walk.Breakdown.Phase1 != 0 || walk.Lambda != 64 || len(walk.Segments) < 8 {
+			t.Fatalf("walk paid %d Phase 1 rounds, λ %d, %d segments; want 0, 64 and a stitched walk",
+				walk.Breakdown.Phase1, walk.Lambda, len(walk.Segments))
+		}
+		for _, c := range []struct {
+			lam   int
+			extra map[graph.NodeID]int
+			runs  bool
+		}{
+			{100, map[graph.NodeID]int{0: 9, 9: 1}, true},
+			{127, map[graph.NodeID]int{0: 2, 18: 13}, true},
+			{64, map[graph.NodeID]int{0: 9, 18: 2}, false},
+		} {
+			lack, used := map[graph.NodeID]int{}, 0
+			for v := range g.N() {
+				u := graph.NodeID(v)
+				level := g.Degree(u) + c.extra[u]
+				if n := level - w.st.couponTotal(u); n > 0 {
+					lack[u] = n
+				}
+				used += max(0, g.Degree(u)-w.st.couponTotal(u))
+			}
+			if !c.runs {
+				lack = map[graph.NodeID]int{}
 			}
 			old := inventory(w)
-			res, err := w.ensurePhase1(lam, extra)
+			res, err := w.ensurePhase1(c.lam, c.extra)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if w.lambda != 64 {
-				t.Fatalf("λ=%d: inventory λ %d, want the kept 64", lam, w.lambda)
+				t.Fatalf("λ=%d: inventory λ %d, want the kept 64", c.lam, w.lambda)
 			}
 			now := inventory(w)
 			minted, steps := map[graph.NodeID]int{}, int64(0)
@@ -92,20 +117,19 @@ func TestKeptInventoryRule(t *testing.T) {
 					continue
 				}
 				if c.length < 64 || c.length >= 128 {
-					t.Fatalf("λ=%d: top-up coupon length %d outside [64, 128)", lam, c.length)
+					t.Fatalf("top-up coupon length %d outside [64, 128)", c.length)
 				}
 				minted[c.owner]++
 				steps += int64(c.length)
 			}
 			for id := range old {
 				if _, ok := now[id]; !ok {
-					t.Fatalf("λ=%d: kept coupon %d vanished", lam, id)
+					t.Fatalf("λ=%d: kept coupon %d vanished", c.lam, id)
 				}
 			}
-			maps.DeleteFunc(lack, func(_ graph.NodeID, n int) bool { return n == 0 })
-			t.Logf("λ=%d: topped up %v, %d messages", lam, minted, res.Messages)
+			t.Logf("λ=%d: %d walks used before, topped up %d nodes, %d messages", c.lam, used, len(minted), res.Messages)
 			if !maps.Equal(minted, lack) || res.Messages != steps {
-				t.Errorf("λ=%d: minted %v with %d messages; want %v with %d", lam, minted, res.Messages, lack, steps)
+				t.Errorf("λ=%d: minted %v with %d messages; want %v with %d", c.lam, minted, res.Messages, lack, steps)
 			}
 		}
 	})

@@ -49,8 +49,9 @@ type phase1Proto struct {
 	// connector once per walk they start, on top of the d(y)√(kℓ)
 	// stationary visits — so sources provision k extra short walks.
 	extra map[graph.NodeID]int
-	// topUp tops a kept inventory up instead (Walker.ensurePhase1): no
-	// η·deg(v) base, and a source starts only the extras it lacks.
+	// topUp tops a kept inventory up instead (Walker.ensurePhase1): a node
+	// starts only the walks it lacks to hold that many unused walks of its
+	// own again.
 	topUp bool
 }
 
@@ -59,14 +60,13 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 	if ctx.Degree() == 0 {
 		return
 	}
-	count := p.extra[v]
-	switch {
-	case p.topUp:
+	count := p.w.prm.Eta
+	if !p.w.prm.UniformCounts {
+		count *= ctx.Degree()
+	}
+	count += p.extra[v]
+	if p.topUp {
 		count = max(0, count-int(p.w.st.owned[v]))
-	case p.w.prm.UniformCounts:
-		count += p.w.prm.Eta
-	default:
-		count += p.w.prm.Eta * ctx.Degree()
 	}
 	p.w.st.owned[v] += int32(count)
 	for i := 0; i < count; i++ {

@@ -29,7 +29,8 @@ type Breakdown struct {
 	// TreeBuild is the BFS-tree construction (charged to the first walk
 	// from a given source).
 	TreeBuild int
-	// Phase1 is the short-walk preparation (charged when (re)provisioned).
+	// Phase1 is the short-walk preparation (charged when provisioned or
+	// topped up; see Walker).
 	Phase1 int
 	// Stitch covers all SAMPLE-DESTINATION sweeps.
 	Stitch int
@@ -467,13 +468,15 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 // names the walks the call starts at each source, which Lemma 2.6 adds to
 // the sources' inventories (its "+k"). A call whose λ is within a factor
 // of 2 above the current inventory's (λ/2 < λ_inv ≤ λ) keeps that
-// inventory, and Phase 1 runs only the extras that a source does not
-// already hold as unused walks of its own, with no η·deg(v) base: a
-// source that ran dry would fall back to GET-MORE-WALKS, whose segments
-// retrace backward at many times the cost. Any other call (no inventory,
-// λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. The flow ledgers of
-// earlier refills survive re-provisioning, so previously returned walks
-// remain retraceable.
+// inventory. Its Phase 1 runs only if a source holds fewer unused walks
+// of its own than it starts (a source that ran dry would fall back to
+// GET-MORE-WALKS, whose segments retrace backward at many times the
+// cost), and then only tops up: every node starts just the walks it
+// lacks to hold its η·deg(v) plus extras again, which replaces the walks
+// earlier stitches used at Phase 1's round cost. Any other call (no
+// inventory, λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. The flow
+// ledgers of earlier refills survive re-provisioning, so previously
+// returned walks remain retraceable.
 func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
 	topUp := w.lambda > 0 && w.lambda <= lam && lam < 2*w.lambda
 	if topUp {

@@ -13,6 +13,14 @@
 // cover length is O(mD) (Aleliunas et al.), so the doubling stops at
 // ℓ = O(mD) w.h.p. and the total cost is Õ(√(mD)) rounds (Theorem 4.1).
 //
+// The phases share one short-walk inventory. Doubling ℓ raises the
+// MANY-RANDOM-WALKS λ by about √2, and the walker keeps its Phase 1
+// inventory while the new λ is below twice the inventory's (see
+// core.Walker): the next phase stitches the previous phase's unused walks
+// with the inventory's λ, and Phase 1 only replaces the walks the
+// previous phases used. A phase re-provisions when λ has doubled, about
+// every other phase.
+//
 // Wilson's algorithm (wilson.go) provides a centralized exactly-uniform
 // reference sampler, and Kirchhoff's matrix-tree theorem (count.go) the
 // ground-truth tree counts, for the uniformity tests.

@@ -190,7 +190,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0xfb6148df3b95cb81},
+		}, 0x8e514657bdf3c2ef},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
