@@ -120,6 +120,8 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 	return walkerOver(congest.NewNetwork(g, seed), prm), nil
 }
 
+// walkerOver builds a walker with fresh state over net and binds
+// SAMPLE-DESTINATION's per-node steps once.
 func walkerOver(net *congest.Network, prm Params) *Walker {
 	w := &Walker{g: net.Graph(), net: net, prm: prm, st: newNetState(net.Graph().N())}
 	w.offer, w.keep, w.take = w.offerCoupon, w.keepCandidate, w.takeResult

@@ -34,12 +34,9 @@ func rstCost(t *testing.T, g *graph.G, prm core.Params) (rounds, msgs float64) {
 // every phase's walks run as the naive k-walk (Lambda = 1<<30 forces it),
 // which is what the code would otherwise run. The tree's stitched walks
 // win only as n grows, so the rounds ratio must fall with n. The ceilings
-// sit just above the ratios measured since the phases share one Phase 1
+// sit just above the ratios measured with the phases sharing one Phase 1
 // inventory until λ doubles: 1.14, 1.02 and 0.73 the rounds, 4.9, 7.0 and
-// 6.0 the messages. Each phase re-ran Phase 1 before (1.31, 1.20 and 0.74
-// the rounds; 9.4, 15.2 and 14.4 the messages), and before that
-// MANY-RANDOM-WALKS ran Phase 1 even in phases where no walk could stitch
-// (1.59, 1.41 and 0.93 the rounds).
+// 6.0 the messages.
 func TestClaimRSTAgainstNaiveSchedule(t *testing.T) {
 	prev := 0.0
 	for _, c := range []struct {
