@@ -441,7 +441,7 @@ func TestRSTKeptInventoryMatchesNaiveSchedule(t *testing.T) {
 			}
 			j, ok := idx[TreeKey(res.Parent)]
 			if !ok {
-				t.Fatalf("driver produced unknown tree %q", TreeKey(res.Parent))
+				t.Fatalf("RandomSpanningTree produced unknown tree %q", TreeKey(res.Parent))
 			}
 			counts[j]++
 			if kept(res.Phases) {
