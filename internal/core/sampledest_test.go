@@ -254,8 +254,8 @@ func TestLaterStitchesSkipAnnounce(t *testing.T) {
 		t.Fatalf("%d stitches, want at least 2", stitches)
 	}
 
-	// The same walk end to end. With the announce part on every stitch
-	// it cost 402 rounds and 25 494 messages, 139 of the rounds stitching.
+	// The same walk end to end: its stitching is the first announce plus
+	// the later-stitch sweeps, nothing more.
 	res, err := newWalker(t, g, seed, DefaultParams()).SingleRandomWalk(0, ell)
 	if err != nil {
 		t.Fatal(err)
@@ -267,9 +267,6 @@ func TestLaterStitchesSkipAnnounce(t *testing.T) {
 		t.Errorf("stitching cost %d rounds, want %d", res.Breakdown.Stitch, want)
 	}
 	t.Logf("%d stitches: %d stitch rounds; walk %d rounds, %d messages", stitches, res.Breakdown.Stitch, res.Cost.Rounds, res.Cost.Messages)
-	if res.Cost.Rounds >= 402 || res.Cost.Messages >= 25494 {
-		t.Errorf("walk cost %d rounds, %d messages; want below 402 and 25 494", res.Cost.Rounds, res.Cost.Messages)
-	}
 }
 
 // TestManyWalksCarryNextAnnounce pins MANY-RANDOM-WALKS' stitch sweeps on
