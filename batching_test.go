@@ -290,11 +290,11 @@ func TestBatchedGoldenCounters(t *testing.T) {
 		}
 	}
 	info := handles[0].Batch()
-	wantCost := distwalk.Cost{Rounds: 4269, Messages: 1155032, Words: 3471208, MaxQueue: 15}
+	wantCost := distwalk.Cost{Rounds: 4379, Messages: 1154758, Words: 3469366, MaxQueue: 15}
 	if info.Cost != wantCost {
 		t.Errorf("golden batch cost changed:\n got %+v\nwant %+v", info.Cost, wantCost)
 	}
-	wantAm := distwalk.Cost{Rounds: 533, Messages: 144379, Words: 433901, MaxQueue: 15}
+	wantAm := distwalk.Cost{Rounds: 547, Messages: 144344, Words: 433670, MaxQueue: 15}
 	if info.Amortized != wantAm {
 		t.Errorf("golden amortized cost changed:\n got %+v\nwant %+v", info.Amortized, wantAm)
 	}
@@ -302,8 +302,8 @@ func TestBatchedGoldenCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if member.Destination != 166 {
-		t.Errorf("golden member destination changed: got %d, want 166", member.Destination)
+	if member.Destination != 76 {
+		t.Errorf("golden member destination changed: got %d, want 76", member.Destination)
 	}
 	single, err := svc.SingleRandomWalk(ctx, 1, 0, 4096)
 	if err != nil {

@@ -60,7 +60,7 @@ type benchToken struct {
 }
 
 func (p *benchToken) send(ctx *Ctx, rem int) {
-	port := ctx.RNG().Intn(ctx.Degree())
+	port := drawPort(ctx, 0)
 	if p.byPort {
 		ctx.SendPort(port, intPayload(0).Kind(), 1, uint64(rem), 0, 0, 0)
 		return

@@ -93,8 +93,7 @@ const DefaultMaxRounds = 50_000_000
 type Network struct {
 	links // the directed-edge index, queues, fault schedules and round
 
-	nodeRNG []rng.RNG // one stream per node, re-derived in place by Reseed
-	seedMix uint64    // the mixed seed of the last Reseed; see SeedMix
+	seedMix uint64 // the mixed seed of the last Reseed; see SeedMix
 	inbox   [][]Message
 	awake   []bool // nodes that requested Step without messages
 
@@ -215,14 +214,13 @@ func WithMaxRounds(r int) Option {
 	}
 }
 
-// NewNetwork builds a simulator over g, with per-node RNG streams derived
-// from seed.
+// NewNetwork builds a simulator over g whose protocols draw from seed
+// (see SeedMix).
 func NewNetwork(g *graph.G, seed uint64, opts ...Option) *Network {
 	n := g.N()
 	net := &Network{
 		links:    links{g: g, cap: 1},
 		maxRound: DefaultMaxRounds,
-		nodeRNG:  make([]rng.RNG, n),
 		inbox:    make([][]Message, n),
 		awake:    make([]bool, n),
 	}
@@ -254,32 +252,24 @@ func (n *Network) SetMaxRounds(r int) {
 	}
 }
 
-// Reseed re-derives every per-node RNG stream from seed, exactly as
-// NewNetwork does, so a pooled network can be reused for a fresh
-// deterministic execution: after Reseed(s) the network behaves bit for bit
-// like a newly built NewNetwork(g, s). The queue slab and the inboxes
-// carry no protocol state, only capacity, and any in-flight messages left
-// by an aborted run are dropped by the next Run's reset. The first-loss
-// record (LossError) is request-scoped and clears here too; the installed
-// fault plan and crash schedule persist — they are topology configuration.
+// Reseed installs seed as NewNetwork does, so a pooled network can be
+// reused for a fresh deterministic execution: after Reseed(s) the network
+// behaves bit for bit like a newly built NewNetwork(g, s). It touches no
+// per-node state. The queue slab and the inboxes carry no protocol state,
+// only capacity, and any in-flight messages left by an aborted run are
+// dropped by the next Run's reset. The first-loss record (LossError) is
+// request-scoped and clears here too; the installed fault plan and crash
+// schedule persist — they are topology configuration.
 func (n *Network) Reseed(seed uint64) {
-	base := rng.New(seed)
-	for v := range n.nodeRNG {
-		base.StreamInto(uint64(v), &n.nodeRNG[v])
-	}
 	n.seedMix = rng.Mix64(seed + 0x9e3779b97f4a7c15)
 	n.loss = LossRecord{}
 }
 
 // SeedMix returns the last Reseed's seed, mixed (the first splitmix64
-// output of it). It is the seed component of counter-keyed draws: a
-// protocol that draws a value from (seed, key, counter) instead of from a
-// node's stream can recompute that draw at any time and at any node.
+// output of it). It is the seed component of every protocol draw: a
+// protocol draws a value from (seed, what the draw decides), never from a
+// stream, so it can recompute that draw at any time and at any node.
 func (n *Network) SeedMix() uint64 { return n.seedMix }
-
-// NodeRNG returns node v's persistent random stream. Protocol code uses it
-// through Ctx; tests may use it directly.
-func (n *Network) NodeRNG(v graph.NodeID) *rng.RNG { return &n.nodeRNG[v] }
 
 // Run executes p until quiescence, a Halter stop, the round budget, or —
 // when a context is installed with SetContext — cancellation. It returns
@@ -452,8 +442,9 @@ func As[V interface{ Decode([PayloadWords]uint64) V }](m Message) V {
 	return z.Decode(m.W)
 }
 
-// RNG returns this node's persistent random stream.
-func (c *Ctx) RNG() *rng.RNG { return &c.net.nodeRNG[c.node] }
+// SeedMix returns the network's SeedMix, the seed component of every
+// draw the executing protocol makes.
+func (c *Ctx) SeedMix() uint64 { return c.net.seedMix }
 
 // Degree returns the executing node's degree.
 func (c *Ctx) Degree() int { return c.net.g.Degree(c.node) }

@@ -2,9 +2,11 @@ package congest
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 
 	"distwalk/internal/graph"
+	"distwalk/internal/rng"
 )
 
 type intPayload int
@@ -301,6 +303,15 @@ func TestSetActiveDrivesSteps(t *testing.T) {
 	}
 }
 
+// drawPort is the test protocols' keyed draw: a uniform port of the
+// executing node for its i-th send this round, a function of the
+// network's seed, the node, the round and i alone.
+func drawPort(ctx *Ctx, i int) int {
+	x := rng.Mix64(rng.Mix64(rng.Mix64(ctx.SeedMix()^uint64(ctx.Node()))^uint64(ctx.Round())) ^ uint64(i))
+	hi, _ := bits.Mul64(x, uint64(ctx.Degree()))
+	return int(hi)
+}
+
 // randomWalker forwards a token to a uniformly random neighbor `hops`
 // times, recording the trajectory.
 type randomWalker struct {
@@ -312,8 +323,7 @@ func (p *randomWalker) Init(ctx *Ctx) {
 	if ctx.Node() == 0 {
 		p.path = append(p.path, 0)
 		if p.hops > 0 {
-			hs := ctx.Neighbors()
-			Send(ctx, hs[ctx.RNG().Intn(len(hs))].To, intPayload(p.hops-1))
+			Send(ctx, ctx.Neighbors()[drawPort(ctx, 0)].To, intPayload(p.hops-1))
 		}
 	}
 }
@@ -323,8 +333,7 @@ func (p *randomWalker) Step(ctx *Ctx) {
 		p.path = append(p.path, ctx.Node())
 		rem := int(As[intPayload](m))
 		if rem > 0 {
-			hs := ctx.Neighbors()
-			Send(ctx, hs[ctx.RNG().Intn(len(hs))].To, intPayload(rem-1))
+			Send(ctx, ctx.Neighbors()[drawPort(ctx, 0)].To, intPayload(rem-1))
 		}
 	}
 }
@@ -384,14 +393,5 @@ func TestResultAdd(t *testing.T) {
 	want := Result{Rounds: 7, Messages: 11, Words: 13, MaxQueue: 5}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
-	}
-}
-
-func TestNodeRNGStreamsDiffer(t *testing.T) {
-	net := pathNet(t, 3, 11)
-	a := net.NodeRNG(0).Uint64()
-	b := net.NodeRNG(1).Uint64()
-	if a == b {
-		t.Fatal("node RNG streams collide")
 	}
 }

@@ -3,8 +3,10 @@ package congest
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"distwalk/internal/fault"
 	"distwalk/internal/graph"
 )
 
@@ -57,24 +59,43 @@ func (p *roundCounter) Step(ctx *Ctx) {
 	pingpong{}.Step(ctx)
 }
 
+// TestReseedMatchesFreshNetwork: Reseed installs the seed every draw keys
+// on and clears the request's first-loss record, and nothing else carries
+// over, so a reseeded network runs a lossy workload bit for bit like a
+// fresh one.
 func TestReseedMatchesFreshNetwork(t *testing.T) {
 	g, err := graph.Torus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewNetwork(g, 99)
-	pooled := NewNetwork(g, 1) // different seed, then reseeded
-	// Burn some randomness on the pooled network so Reseed must fully
-	// restore the streams, not just match an untouched network.
-	pooled.NodeRNG(0).Uint64()
+	plan := WithFaultPlan(&fault.Plan{Seed: 11, DropProb: 0.2})
+	fresh := NewNetwork(g, 99, plan)
+	pooled := NewNetwork(g, 1, plan) // different seed, then reseeded
+	if pooled.SeedMix() == fresh.SeedMix() {
+		t.Fatal("seeds 1 and 99 mix to the same SeedMix")
+	}
+	// Run on the pooled network first, so Reseed must clear a loss.
+	if _, err := pooled.Run((&stressProto{seeds: 2, hops: 20}).prepare(g.N())); err != nil {
+		t.Fatal(err)
+	}
+	if pooled.LossError() == nil {
+		t.Fatal("a 20 % lossy run lost nothing; the test needs a loss to clear")
+	}
 	pooled.Reseed(99)
-	for v := 0; v < g.N(); v++ {
-		a, b := fresh.NodeRNG(graph.NodeID(v)), pooled.NodeRNG(graph.NodeID(v))
-		for i := 0; i < 8; i++ {
-			if x, y := a.Uint64(), b.Uint64(); x != y {
-				t.Fatalf("node %d draw %d: fresh %d != reseeded %d", v, i, x, y)
-			}
-		}
+	if pooled.SeedMix() != fresh.SeedMix() {
+		t.Fatalf("SeedMix after Reseed(99) = %#x, fresh network's = %#x", pooled.SeedMix(), fresh.SeedMix())
+	}
+	if err := pooled.LossError(); err != nil {
+		t.Fatalf("Reseed kept the loss record: %v", err)
+	}
+	a, b := (&stressProto{seeds: 2, hops: 20}).prepare(g.N()), (&stressProto{seeds: 2, hops: 20}).prepare(g.N())
+	ra, errA := fresh.Run(a)
+	rb, errB := pooled.Run(b)
+	if ra != rb || !errors.Is(errB, errA) || !reflect.DeepEqual(a.got, b.got) || !reflect.DeepEqual(a.sum, b.sum) {
+		t.Fatalf("reseeded run %+v (%v) differs from the fresh network's %+v (%v)", rb, errB, ra, errA)
+	}
+	if la, lb := fresh.LossError(), pooled.LossError(); (la == nil) != (lb == nil) || la != nil && la.Error() != lb.Error() {
+		t.Fatalf("loss records differ: fresh %v, reseeded %v", la, lb)
 	}
 }
 

@@ -12,15 +12,16 @@
 //     charges Phase 1 O(λη log n) rounds because ~η log n tokens cross an
 //     edge per walk step w.h.p.).
 //   - Messages sent in round r are deliverable from round r+1 on.
-//   - Nodes execute in increasing ID order within a round and draw
-//     randomness from per-node streams derived from the network seed, so a
-//     whole execution is reproducible.
+//   - Nodes execute in increasing ID order within a round. A protocol
+//     draws randomness as a pure function of the network seed (SeedMix)
+//     and of what the draw decides, never from a stream, so a whole
+//     execution is reproducible and any draw can be recomputed at any
+//     node.
 //
 // Protocols implement Proto and are run to quiescence (no queued messages,
 // no active nodes) or until an optional Halter says the goal is reached.
-// Node state persists wherever the protocol keeps it; the engine itself is
-// stateless between runs except for per-node RNG streams, which continue
-// across phases so that multi-phase algorithms remain reproducible.
+// Node state persists wherever the protocol keeps it; the engine itself
+// keeps no protocol state between runs, only the seed its draws key on.
 //
 // # Engine design notes
 //
@@ -112,9 +113,9 @@
 // ctx.Err(), and the in-flight messages it leaves behind are dropped by
 // the next Run's reset, so an aborted network is immediately reusable.
 //
-// Reseed re-derives the per-node RNG streams from a fresh seed using the
-// same construction as NewNetwork. Together with the reset discipline this
-// makes a Network poolable: the service layer (distwalk.Service) keeps one
+// Reseed installs a fresh seed as NewNetwork does, in O(1): it touches no
+// per-node state. Together with the reset discipline this makes a Network
+// poolable: the service layer (distwalk.Service) keeps one
 // Network per worker and reseeds it with a request-key-derived seed before
 // each request, which yields per-request determinism — the result of a
 // request depends only on (graph, service seed, request key), never on
@@ -205,15 +206,15 @@
 // half run in ascending ID order; steps in different halves interleave
 // arbitrarily, which is unobservable because protocol state is per-node
 // (each node's Step touches only its own slots of per-node stores, plus
-// its own outgoing queues and RNG stream — the same locality the CONGEST
-// model itself prescribes). Every queue and every fault decision is
+// its own outgoing queues — the same locality the CONGEST model itself
+// prescribes). Every queue and every fault decision is
 // per-edge state owned by exactly one edge half, so charging happens at
 // the sending side with the same values wherever the half runs:
 // Messages/Words/Dropped are sums over halves, MaxQueue a max, the first
 // loss the minimum (round, edge) — all order-free merges. The kernel
-// consumes no randomness, and per-node streams are consumed only by their
-// owner's Init/Step. Hence Result counters, walk outputs, RNG traces,
-// fault census and LossError are invariant across one shard,
+// consumes no randomness, and a protocol's draws are keyed, so no draw
+// depends on the order nodes step in. Hence Result counters, walk
+// outputs, fault census and LossError are invariant across one shard,
 // WithShards(S) and an S-engine cluster — pinned by the shard-identity
 // stress tests (engine-level, pathverify, and full-stack under -race) at
 // S = 2, 4, 8, the wire-level run identity tests (internal/wire) and the
@@ -260,7 +261,7 @@
 // lifecycle per request is therefore:
 //
 //	Reshape(snapshot graph) -> nothing, unless the graph changed
-//	Reseed(derivedSeed)     -> fresh deterministic RNG streams
+//	Reseed(derivedSeed)     -> the seed every draw keys on, O(1)
 //	Walker.Reset(params)    -> shelves truncate, the walker re-reads
 //	                           the graph, tree slabs retire for recycling
 //	serve request           -> steady-state allocation-free
@@ -287,8 +288,8 @@
 // compiled fault plan — via the same buildIndex that NewNetwork uses,
 // re-plans the shard partition with planShards (S−1 binary searches
 // over the new prefix sums; every shard is rebuilt and adopts its
-// predecessor's slab), and leaves everything sized-to-n alone (per-node
-// RNG stream slots, tree scratch, inboxes).
+// predecessor's slab), and leaves everything sized-to-n alone (tree
+// scratch, inboxes, awake flags).
 //
 // Reshape refuses what cannot be reshaped in place: a nil or
 // node-count-changing graph, a network attached to remote cluster

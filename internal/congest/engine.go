@@ -12,7 +12,7 @@ import (
 // shard — the per-directed-edge queues, fault-charging state and delivery
 // counters for a contiguous node range — running in a separate process
 // (cmd/distwalkd) behind the internal/wire protocol. The node half
-// (Init/Step, per-node RNG streams, awake bookkeeping) stays in the
+// (Init/Step, the seed its draws key on, awake bookkeeping) stays in the
 // client process; each round the client pushes that round's sends to the
 // engine owning the sender and asks every engine to deliver, merging the
 // returned buffers in ascending shard order. It is the same kernel the

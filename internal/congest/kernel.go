@@ -359,7 +359,7 @@ func (h *edgeHalf) noteLoss(e int32, m *Message, link bool) {
 // nodeHalf owns a contiguous node range [nodeLo, nodeHi): which of its
 // nodes step this round, its awake list, the first protocol error one of
 // its nodes raised, and the Ctx its protocol callbacks run under. The
-// per-node slabs (inboxes, awake flags, RNG streams) live in net.
+// per-node slabs (inboxes, awake flags) live in net.
 type nodeHalf struct {
 	net    *Network
 	nodeLo int32

@@ -9,14 +9,14 @@ import (
 
 // Cluster-mode client: the network's edge halves run as ShardEngines in
 // other processes (cmd/distwalkd), reached through the RemoteShard
-// transport below. The node half — Init/Step, per-node RNG streams, the
-// awake list — runs here as the network's single shard; its own edge half
-// stays idle. Each round the client ships its sends to the engine owning
-// the sender, asks every engine to deliver (in the same flush when the
-// fault plan loses no message), and merges the returned buffers in
-// ascending engine order — the kernel's mergeIn, so inboxes,
-// RNG traces, counters and fault charging stay bit-identical to the
-// in-process drivers (see doc.go).
+// transport below. The node half — Init/Step, the seed a protocol's draws
+// key on, the awake list — runs here as the network's single shard; its
+// own edge half stays idle. Each round the client ships its sends to the
+// engine owning the sender, asks every engine to deliver (in the same
+// flush when the fault plan loses no message), and merges the returned
+// buffers in ascending engine order — the kernel's mergeIn, so inboxes,
+// counters and fault charging stay bit-identical to the in-process
+// drivers (see doc.go).
 
 // RemoteShard is one remote shard engine as seen by the client: a
 // request/reply transport over the engine's RunBegin/Push/Deliver/RunEnd

@@ -28,7 +28,7 @@ import (
 // references an edge the new topology no longer has, say — the network
 // keeps its graph, index and plan, and a retry fails the same way.
 //
-// Reshape leaves the per-node RNG streams untouched: like SetShards it
+// Reshape keeps the seed and the first-loss record: like SetShards it
 // must be followed by Reseed before the next deterministic run (the
 // service layer's prepare always reseeds).
 func (n *Network) Reshape(g2 *graph.G) (changed bool, err error) {

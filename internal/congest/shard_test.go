@@ -112,7 +112,7 @@ func TestSetShardsClamps(t *testing.T) {
 // --- Bit-identity: sequential vs sharded on synthetic engine workloads ---
 
 // stressProto exercises every engine surface at once: fan-out floods,
-// SetActive-driven steps, RNG consumption, and per-node receipt logs. Every
+// SetActive-driven steps, keyed draws, and per-node receipt logs. Every
 // node forwards each received token to a random neighbor for `hops` hops,
 // and node 0 additionally stays awake for `awakeRounds` rounds emitting a
 // fresh token each round. via picks the send front every token goes
@@ -159,9 +159,10 @@ const (
 
 func (v sendVia) String() string { return [...]string{"Send", "SendPort", "SendTo"}[v] }
 
-// send hands tk to a uniformly drawn neighbor.
-func (p *stressProto) send(ctx *Ctx, tk tokenPayload) {
-	port := ctx.RNG().Intn(ctx.Degree())
+// send hands tk, the node's i-th send this round, to a uniformly drawn
+// neighbor.
+func (p *stressProto) send(ctx *Ctx, i int, tk tokenPayload) {
+	port := drawPort(ctx, i)
 	w := tk.Encode()
 	switch p.via {
 	case viaPort:
@@ -179,7 +180,7 @@ func (p *stressProto) Init(ctx *Ctx) {
 		return
 	}
 	for i := 0; i < p.seeds; i++ {
-		p.send(ctx, tokenPayload{hops: int32(p.hops), val: int32(v)})
+		p.send(ctx, i, tokenPayload{hops: int32(p.hops), val: int32(v)})
 	}
 	if v == 0 && p.awakeRounds > 0 {
 		ctx.SetActive(true)
@@ -188,12 +189,13 @@ func (p *stressProto) Init(ctx *Ctx) {
 
 func (p *stressProto) Step(ctx *Ctx) {
 	v := ctx.Node()
-	for _, m := range ctx.Inbox() {
+	in := ctx.Inbox()
+	for i, m := range in {
 		tk := As[tokenPayload](m)
 		p.got[v]++
 		p.sum[v] += int64(tk.val)*31 + int64(tk.hops)
 		if tk.hops > 0 && ctx.Degree() > 0 {
-			p.send(ctx, tokenPayload{hops: tk.hops - 1, val: tk.val + 1})
+			p.send(ctx, i, tokenPayload{hops: tk.hops - 1, val: tk.val + 1})
 		}
 	}
 	if v == 0 && p.awakeRounds > 0 {
@@ -202,7 +204,7 @@ func (p *stressProto) Step(ctx *Ctx) {
 			return
 		}
 		if ctx.Degree() > 0 {
-			p.send(ctx, tokenPayload{hops: 3, val: int32(ctx.Round())})
+			p.send(ctx, len(in), tokenPayload{hops: 3, val: int32(ctx.Round())})
 		}
 	}
 }

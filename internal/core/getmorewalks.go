@@ -47,7 +47,7 @@ func (p *gmwProto) Init(ctx *congest.Ctx) {
 		return
 	}
 	p.w.st.owned[p.owner] += int32(p.count)
-	p.processTokens(ctx, int32(p.count), 0)
+	p.processTokens(ctx, 0, int32(p.count), 0)
 }
 
 func (p *gmwProto) Step(ctx *congest.Ctx) {
@@ -57,7 +57,7 @@ func (p *gmwProto) Step(ctx *congest.Ctx) {
 		if t.batch != p.batch {
 			continue
 		}
-		p.processTokens(ctx, t.count, t.steps)
+		p.processTokens(ctx, i, t.count, t.steps)
 	}
 }
 
@@ -74,15 +74,17 @@ type gmwFlow struct {
 	count int32
 }
 
-// processTokens walks each of `count` tokens (having completed `steps`
-// hops and currently at the executing node) forward: reservoir stop
-// checks at every step ≥ λ, stay steps consumed locally, moves
-// aggregated into per-(neighbor, step) messages.
-func (p *gmwProto) processTokens(ctx *congest.Ctx, count, steps int32) {
+// processTokens walks each of the `count` tokens of the bundle in inbox
+// slot `slot` (having completed `steps` hops and currently at the
+// executing node) forward: reservoir stop checks at every step ≥ λ, stay
+// steps consumed locally, moves aggregated into per-(neighbor, step)
+// messages. Token j draws from refillKey.
+func (p *gmwProto) processTokens(ctx *congest.Ctx, slot int, count, steps int32) {
 	v := ctx.Node()
 	out := p.w.gmwOut[v][:0]
+	seedMix := p.w.net.SeedMix()
 	for j := int32(0); j < count; j++ {
-		out = p.walkOne(ctx, steps, out)
+		out = p.walkOne(ctx, refillKey(seedMix, p.batch, v, ctx.Round(), slot, j), steps, out)
 	}
 	// Deterministic send order: by neighbor, then arrival step (the same
 	// order the map-based aggregation sorted its keys into). walkOne
@@ -107,15 +109,15 @@ func (p *gmwProto) processTokens(ctx *congest.Ctx, count, steps int32) {
 	p.w.gmwOut[v] = out[:0]
 }
 
-// walkOne advances a single token: stop with probability 1/(λ−i) at each
-// step s = λ+i (uniform length on [λ, 2λ−1], Lemma 2.4), otherwise take a
-// walk step; Metropolis stays advance s without leaving the node. Moves
-// accumulate into out, which is returned (it may grow).
-func (p *gmwProto) walkOne(ctx *congest.Ctx, s int32, out []gmwFlow) []gmwFlow {
+// walkOne advances the token keyed key: stop with probability 1/(λ−i) at
+// each step s = λ+i (uniform length on [λ, 2λ−1], Lemma 2.4), otherwise
+// take a walk step; Metropolis stays advance s without leaving the node.
+// Moves accumulate into out, which is returned (it may grow).
+func (p *gmwProto) walkOne(ctx *congest.Ctx, key uint64, s int32, out []gmwFlow) []gmwFlow {
 	v := ctx.Node()
 	for {
 		if s >= p.lambda {
-			if ctx.RNG().Intn(int(2*p.lambda-s)) == 0 {
+			if bounded(refillStepKey(key, s, false), uint64(2*p.lambda-s)) == 0 {
 				p.w.st.addCoupon(v, coupon{
 					owner:  p.owner,
 					walkID: p.w.st.newWalkID(v),
@@ -126,21 +128,15 @@ func (p *gmwProto) walkOne(ctx *congest.Ctx, s int32, out []gmwFlow) []gmwFlow {
 				return out
 			}
 		}
-		if p.w.prm.Metropolis {
-			next, err := p.w.g.MHStep(ctx.RNG(), v)
-			if err == nil && next == v {
-				s++ // stayed: walk step consumed locally
-				continue
-			}
-			if err == nil {
-				out = append(out, gmwFlow{nbr: next, steps: s + 1, count: 1})
-			}
-			return out
+		if ctx.Degree() == 0 {
+			return out // isolated: the token has nowhere to go
 		}
-		if next, err := p.w.g.Step(ctx.RNG(), v); err == nil {
-			out = append(out, gmwFlow{nbr: next, steps: s + 1, count: 1})
+		port := p.w.portAt(v, refillStepKey(key, s, true))
+		if port < 0 {
+			s++ // a Metropolis stay: walk step consumed locally
+			continue
 		}
-		return out
+		return append(out, gmwFlow{nbr: ctx.Neighbors()[port].To, steps: s + 1, count: 1})
 	}
 }
 

@@ -222,38 +222,31 @@ func TestMHDeterministic(t *testing.T) {
 }
 
 func TestGraphMHStepAcceptance(t *testing.T) {
-	// Uniform-target MH on a star: the hub (W=15) always accepts a move
-	// to a leaf (min(1, 15/1) = 1); a leaf accepts its only proposal (the
-	// hub) with probability min(1, 1/15) and otherwise stays — that
+	// Uniform-target MH on a star, drawn from keys as the walks draw it
+	// (graph.MHPortAt): the hub (W=15) always accepts a move to a leaf
+	// (min(1, 15/1) = 1); a leaf accepts its only proposal (the hub) with
+	// probability min(1, 1/15) and otherwise stays (port −1) — that
 	// stickiness is exactly what flattens the stationary distribution.
 	g, err := graph.Star(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(12345)
+	key := func(i int) uint64 { return rng.Mix64(12345 ^ uint64(i)) }
 	for i := 0; i < 200; i++ {
-		next, err := g.MHStep(r, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next == 0 {
+		if port := g.MHPortAt(0, key(i)); port < 0 {
 			t.Fatal("hub stayed despite acceptance 1")
 		}
 	}
 	stays := 0
 	const draws = 3000
 	for i := 0; i < draws; i++ {
-		next, err := g.MHStep(r, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch next {
-		case 3:
+		switch port := g.MHPortAt(3, key(i)); port {
+		case -1:
 			stays++
 		case 0:
 			// moved to the hub, fine
 		default:
-			t.Fatalf("leaf stepped to non-neighbor %d", next)
+			t.Fatalf("leaf stepped by port %d, it has one", port)
 		}
 	}
 	frac := float64(stays) / draws

@@ -70,11 +70,11 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 	}
 	p.w.st.owned[v] += int32(count)
 	for i := 0; i < count; i++ {
+		wid := p.w.st.newWalkID(v)
 		total := p.lambda
 		if !p.w.prm.FixedLength {
-			total += int32(ctx.RNG().Intn(int(p.lambda)))
+			total += int32(bounded(lengthKey(walkKey(p.w.net.SeedMix(), wid)), uint64(p.lambda)))
 		}
-		wid := p.w.st.newWalkID(v)
 		p.forward(ctx, walkToken{walkID: wid, remaining: total, total: total})
 	}
 }

@@ -172,7 +172,8 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 	if p.pending.remaining > 0 {
 		return
 	}
-	// All replies in: sample the predecessor proportionally to flow.
+	// All replies in: sample the predecessor proportionally to flow, keyed
+	// by (walk ID, step) like a forward hop.
 	total := int64(0)
 	for _, c := range p.pending.counts {
 		total += int64(c)
@@ -183,7 +184,7 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 		p.done = true
 		return
 	}
-	x := int64(ctx.RNG().Uint64n(uint64(total)))
+	x := int64(bounded(hopKey(walkKey(p.w.net.SeedMix(), p.seg.WalkID), p.pending.step), uint64(total)))
 	acc := int64(0)
 	pred := p.pending.nbrs[len(p.pending.nbrs)-1]
 	for i, c := range p.pending.counts {

@@ -175,7 +175,8 @@ func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next grap
 	var cost congest.Result
 	// Sample sweep: weighted reservoir over the tree (offerCoupon,
 	// keepCandidate).
-	w.sampleFor = v
+	w.sampleFor, w.sampleKey = v, stitchKey(w.net.SeedMix(), w.stitches)
+	w.stitches++
 	picked, res, err := congest.Convergecast(w.net, tree, w.offer, w.keep)
 	cost.Add(res)
 	if err != nil {
@@ -210,16 +211,17 @@ func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next grap
 }
 
 // offerCoupon is node u's start of the sample sweep: a uniform pick of
-// its coupons for the connector, with their count. Each node counts and
-// picks by scanning its own list, O(Σ coupons) = O(2mη) local work per
-// stitch — against Phase 1's O(2mηλ) messages.
+// its coupons for the connector, with their count, drawn from the stitch's
+// key and u. Each node counts and picks by scanning its own list,
+// O(Σ coupons) = O(2mη) local work per stitch — against Phase 1's
+// O(2mηλ) messages.
 func (w *Walker) offerCoupon(u graph.NodeID) congest.Message {
 	v := w.sampleFor
 	n := w.st.couponCount(u, v)
 	if n == 0 {
 		return sampleCand{}.msg()
 	}
-	c := w.st.couponAt(u, v, w.net.NodeRNG(u).Intn(n))
+	c := w.st.couponAt(u, v, int(bounded(fold(w.sampleKey, uint64(uint32(u))), uint64(n))))
 	return sampleCand{
 		count:  int64(n),
 		walkID: c.walkID,
@@ -231,14 +233,17 @@ func (w *Walker) offerCoupon(u graph.NodeID) congest.Message {
 }
 
 // keepCandidate folds a child's candidate into node u's, keeping the
-// child's with probability proportional to its count.
+// child's with probability proportional to its count. The draw is keyed
+// by the stitch, u and the child's candidate walk, which no other child
+// of u offers.
 func (w *Walker) keepCandidate(u graph.NodeID, acc, child *congest.Message) {
 	keep, c := readSampleCand(acc), readSampleCand(child)
-	total := keep.count + c.count
-	if total == 0 {
-		return // both empty: acc already is the empty candidate
+	if c.count == 0 {
+		return // an empty child changes nothing
 	}
-	if int64(w.net.NodeRNG(u).Uint64n(uint64(total))) < c.count {
+	total := keep.count + c.count
+	x := fold(fold(w.sampleKey, uint64(uint32(u))), uint64(c.walkID))
+	if int64(bounded(x, uint64(total))) < c.count {
 		keep = c
 	}
 	keep.count = total

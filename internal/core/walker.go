@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"distwalk/internal/congest"
@@ -90,10 +91,15 @@ type Walker struct {
 	spare  *congest.Tree // retired by Reset; its slabs are recycled by ensureTree
 	lambda int           // λ of the current coupon inventory (0 = none)
 
-	// sampleFor is the connector SAMPLE-DESTINATION samples for; offer,
+	// sampleFor is the connector SAMPLE-DESTINATION samples for and
+	// sampleKey the key its draws fold their node into (stitchKey); offer,
 	// keep and take are its per-node steps (sampledest.go), bound once per
-	// walker so that a stitch allocates no closure.
+	// walker so that a stitch allocates no closure. stitches counts the
+	// samples since Reset: every node can, because every result is
+	// broadcast.
 	sampleFor graph.NodeID
+	sampleKey uint64
+	stitches  uint64
 	offer     func(graph.NodeID) congest.Message
 	keep      func(u graph.NodeID, acc, child *congest.Message)
 	take      func(graph.NodeID, *congest.Message)
@@ -129,8 +135,9 @@ func walkerOver(net *congest.Network, prm Params) *Walker {
 }
 
 // NewWalkerOn builds a Walker over an existing simulated network. The
-// caller controls the network's seed (NewNetwork or Network.Reseed);
-// walker state (coupons, flow ledgers, walk IDs) starts fresh. This is the
+// caller controls the network's seed (NewNetwork or Network.Reseed), which
+// every draw of the walker keys on; walker state (coupons, flow ledgers,
+// walk IDs, the stitch count) starts fresh. This is the
 // pooling constructor: distwalk.Service builds one Walker per worker
 // network, once, and Resets it per request (see Reset).
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
@@ -153,8 +160,8 @@ func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 
 // Reset returns the walker to the observable state of a freshly built one
-// — empty coupon inventories, flow ledgers and walk-ID counters, and no
-// BFS tree — while keeping every slab's capacity, and installs prm as the
+// — empty coupon inventories, flow ledgers, walk-ID and stitch counters,
+// and no BFS tree — while keeping every slab's capacity, and installs prm as the
 // walker's parameters. It re-reads the network's graph, so a walker
 // survives Network.Reshape: its slabs are sized by the node count, which
 // a reshape keeps. Any previously returned Tree is invalidated (its
@@ -162,10 +169,12 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 //
 // This is the warm-pooling half of NewWalkerOn: distwalk.Service keeps one
 // Walker per worker and Resets it per request instead of reallocating, so
-// sequential requests run allocation-free in steady state. Combined with
-// Network.Reseed the execution stays bit-identical to a fresh walker on a
-// fresh network — determinism is a function of (graph, seed, request),
-// never of what the walker served before or which graph it served it on.
+// sequential requests run allocation-free in steady state. Every draw is
+// keyed by the network's seed and by what it decides, walk IDs and the
+// stitch count among them, so combined with Network.Reseed the execution
+// stays bit-identical to a fresh walker on a fresh network — determinism
+// is a function of (graph, seed, request), never of what the walker
+// served before or which graph it served it on.
 func (w *Walker) Reset(prm Params) error {
 	if err := w.acquire(); err != nil {
 		return err
@@ -177,6 +186,7 @@ func (w *Walker) Reset(prm Params) error {
 	w.prm = prm
 	w.g = w.net.Graph()
 	w.st.reset()
+	w.stitches = 0
 	if w.tree != nil {
 		w.spare = w.tree
 		w.tree = nil
@@ -521,14 +531,60 @@ func (w *Walker) advanceToken(ctx *congest.Ctx, t walkToken) (int, int32) {
 	return -1, 0
 }
 
-// walkKey folds the network's mixed seed and a walk ID into the key its
-// steps draw from, and hopKey adds step j. Each component goes through
-// the mixer on its own, so no (walk, step) pair aliases another: a packed
-// key such as walkID + j<<40 would give (owner v, step j) the draw of
-// (owner v+256, step j−1), because the owner sits in the ID's bits 32–63.
-func walkKey(seedMix uint64, walkID int64) uint64 { return rng.Mix64(seedMix ^ uint64(walkID)) }
+// Every random draw of the protocols is a pure function of the network's
+// mixed seed and of what the draw decides, so any node can recompute any
+// draw at any time and a node keeps no random stream. A key folds its
+// components one at a time (fold): a packed key such as walkID + j<<40
+// would give (owner v, step j) the draw of (owner v+256, step j−1),
+// because the owner sits in a walk ID's bits 32–63. Mix64 is a bijection,
+// so two keys that differ only in their last component never coincide.
 
-func hopKey(walk uint64, j int32) uint64 { return rng.Mix64(walk ^ uint64(uint32(j))) }
+// fold mixes component x into key k.
+func fold(k, x uint64) uint64 { return rng.Mix64(k ^ x) }
+
+// walkKey folds the network's mixed seed and a walk ID into the key its
+// steps draw from, and hopKey adds step j.
+func walkKey(seedMix uint64, walkID int64) uint64 { return fold(seedMix, uint64(walkID)) }
+
+func hopKey(walk uint64, j int32) uint64 { return fold(walk, uint64(uint32(j))) }
+
+// lengthKey is the key of a Phase 1 walk's length draw: its hop key at
+// step −1, which no hop takes.
+func lengthKey(walk uint64) uint64 { return hopKey(walk, -1) }
+
+// stitchKey keys the draws of the stitch-th SAMPLE-DESTINATION since
+// Reset; a node folds itself in for its pick (offerCoupon), and then a
+// child's candidate for each merge (keepCandidate). Walk IDs are
+// non-negative, so bit 63 keeps the key off every walkKey.
+func stitchKey(seedMix, stitch uint64) uint64 { return fold(seedMix, stitch|1<<63) }
+
+// refillKey keys one GET-MORE-WALKS token: refill batch batch (a walk ID
+// nothing else keys a draw by), at node v in round r, from the bundle in
+// inbox slot slot (0 for the owner's Init, which runs in round 0 alone),
+// and rank j in that bundle. The (round, slot) pair names one message: a
+// sender and an arrival step do not, since a node forwards each bundle it
+// receives on its own, so two bundles can cross a pair of parallel edges
+// together. A token's stop and move at walk step s draw from
+// refillStepKey(key, s, false) and (key, s, true).
+func refillKey(seedMix uint64, batch int64, v graph.NodeID, r, slot int, j int32) uint64 {
+	k := fold(fold(walkKey(seedMix, batch), uint64(uint32(v))), uint64(r))
+	return fold(fold(k, uint64(slot)), uint64(uint32(j)))
+}
+
+func refillStepKey(token uint64, s int32, move bool) uint64 {
+	x := uint64(uint32(s)) << 1
+	if move {
+		x |= 1
+	}
+	return fold(token, x)
+}
+
+// bounded maps the uniform 64-bit draw x to [0, n) by multiply-shift, as
+// graph.PortAt does (bias below n/2⁶⁴).
+func bounded(x, n uint64) uint64 {
+	hi, _ := bits.Mul64(x, n)
+	return hi
+}
 
 // hopPort is step j of the walk keyed walk at node v: the port it leaves v
 // by, weight-proportional (uniform on unweighted graphs), or -1 for a
@@ -536,10 +592,16 @@ func hopKey(walk uint64, j int32) uint64 { return rng.Mix64(walk ^ uint64(uint32
 // node's adjacency alone — what the node "remembers" of every hop it
 // forwarded, without storing any (Section 2.2's replay recomputes it).
 func (w *Walker) hopPort(v graph.NodeID, walk uint64, j int32) int {
+	return w.portAt(v, hopKey(walk, j))
+}
+
+// portAt is one walk step at v drawn from x: the port it leaves v by, or
+// -1 for a Metropolis-Hastings stay (and at an isolated node).
+func (w *Walker) portAt(v graph.NodeID, x uint64) int {
 	if w.prm.Metropolis {
-		return w.g.MHPortAt(v, hopKey(walk, j))
+		return w.g.MHPortAt(v, x)
 	}
-	return w.g.PortAt(v, hopKey(walk, j))
+	return w.g.PortAt(v, x)
 }
 
 func (w *Walker) checkNode(v graph.NodeID) error {

@@ -4,7 +4,7 @@
 // algorithms are validated against these reference quantities (e.g. the
 // chi-square endpoint tests and the mixing-time brackets).
 //
-// The transition semantics mirror graph.Step and graph.MHStep exactly:
+// The transition semantics mirror graph.Step and graph.MHPortAt exactly:
 // the simple walk moves along an incident edge chosen with probability
 // proportional to its weight; the MH walk proposes the same way and
 // accepts with probability min(1, W(u)/W(v)), staying put otherwise.

@@ -7,9 +7,9 @@
 // whole point of reproducing a failure is replaying it. So faults are
 // declared up front as a Plan — data, not code — and every random
 // decision the plan requires is derived from the plan's own seed,
-// independent of the network seed and of every per-node protocol stream.
+// independent of the network seed and of every protocol draw.
 // Installing a plan perturbs exactly the deliveries it scripts; it never
-// shifts protocol RNG consumption, so a fault-free plan (or no plan) is
+// changes a protocol draw's key, so a fault-free plan (or no plan) is
 // bit-identical to the unfaulted engine.
 //
 // # The plan-determinism argument

@@ -56,7 +56,7 @@ type LinkDelay struct {
 
 // Plan is a deterministic fault schedule. The zero value injects nothing.
 // Seed feeds the plan's private decision stream (independent of the
-// network seed and of every protocol RNG stream), so the same plan
+// network seed and of every protocol draw), so the same plan
 // produces the same faults regardless of what runs on the network.
 type Plan struct {
 	// Seed drives the plan's random decisions (lossy-link sampling).

@@ -153,37 +153,6 @@ func (g *G) Step(r *rng.RNG, v NodeID) (NodeID, error) {
 	return g.adj[v][port].To, nil
 }
 
-// MHStep performs one step of the Metropolis-Hastings walk with uniform
-// target distribution: propose a neighbor with probability proportional to
-// the edge weight, accept with probability min(1, W(v)/W(u)) where W is
-// the weighted degree, otherwise stay at v. The chain's stationary
-// distribution is uniform over nodes regardless of the degree profile —
-// the generalization the PODC 2009 predecessor algorithm supports
-// (Section 1.3 of the paper). The returned node may equal v (a stay).
-func (g *G) MHStep(r *rng.RNG, v NodeID) (NodeID, error) {
-	port, err := g.MHStepPort(r, v)
-	switch {
-	case err != nil:
-		return None, err
-	case port < 0:
-		return v, nil
-	}
-	return g.adj[v][port].To, nil
-}
-
-// MHStepPort is MHStep but returns the port the walk leaves v by, or -1
-// when the proposal is rejected and the walk stays at v.
-func (g *G) MHStepPort(r *rng.RNG, v NodeID) (int, error) {
-	port, err := g.StepPort(r, v)
-	if err != nil {
-		return -1, err
-	}
-	if ratio := g.acceptRatio(v, port); ratio >= 1 || r.Float64() < ratio {
-		return port, nil
-	}
-	return -1, nil
-}
-
 // acceptRatio is W(v)/W(u) for the proposal to leave v by port to u: the
 // Metropolis-Hastings walk accepts it with probability min(1, ratio).
 func (g *G) acceptRatio(v NodeID, port int) float64 {
@@ -237,9 +206,14 @@ func (g *G) PortAt(v NodeID, x uint64) int {
 	return g.weightedPort(v, unitFloat(x))
 }
 
-// MHPortAt is MHStepPort drawn from x: the proposal is PortAt(v, x) and
-// the acceptance draws from rng.Mix64(x). It returns -1 when the walk
-// stays at v (or v is isolated).
+// MHPortAt is one step of the Metropolis-Hastings walk with uniform
+// target distribution, drawn from x: propose the port PortAt(v, x) to u,
+// accept it with probability min(1, W(v)/W(u)) where W is the weighted
+// degree (the acceptance draws from rng.Mix64(x)), otherwise stay at v.
+// The chain's stationary distribution is uniform over nodes regardless of
+// the degree profile — the generalization the PODC 2009 predecessor
+// algorithm supports (Section 1.3 of the paper). It returns -1 when the
+// walk stays at v (or v is isolated).
 func (g *G) MHPortAt(v NodeID, x uint64) int {
 	port := g.PortAt(v, x)
 	if port < 0 {

@@ -7,15 +7,17 @@
 // library's math/rand is seedable but offers no principled way to derive
 // many independent streams, so we implement xoshiro256** seeded through
 // splitmix64, the construction recommended by its authors for exactly this
-// purpose. Per-node streams are derived with Stream, which hashes the stream
-// index into the seed material so that streams are statistically independent
-// regardless of how many are created.
+// purpose. Independent streams are derived with Stream, which hashes the
+// stream index into the seed material so that streams are statistically
+// independent regardless of how many are created. The simulated protocols
+// keep no stream: each of their draws is Mix64 of a key naming what it
+// decides (see internal/core).
 package rng
 
 import "math/bits"
 
 // RNG is a xoshiro256** generator. It is not safe for concurrent use; derive
-// one stream per goroutine (or per simulated node) with Stream or Split.
+// one stream per goroutine with Stream or Split.
 type RNG struct {
 	s [4]uint64
 }
@@ -37,20 +39,13 @@ func New(seed uint64) *RNG {
 // sequences. Stream does not advance r.
 func (r *RNG) Stream(id uint64) *RNG {
 	d := &RNG{}
-	r.StreamInto(id, d)
-	return d
-}
-
-// StreamInto is Stream without the allocation: it overwrites dst with the
-// stream identified by id, so a caller that keeps its generators in a flat
-// slab can re-derive them in place.
-func (r *RNG) StreamInto(id uint64, dst *RNG) {
 	// Mix the stream id into each state word with distinct odd constants so
 	// that streams differ in every word even for adjacent ids.
 	sm := r.s[0] ^ (id * 0x9e3779b97f4a7c15)
-	for i := range dst.s {
-		sm, dst.s[i] = splitmix64(sm ^ r.s[i])
+	for i := range d.s {
+		sm, d.s[i] = splitmix64(sm ^ r.s[i])
 	}
+	return d
 }
 
 // Split returns a new independent generator derived from r's current state,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"net"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"distwalk/internal/congest"
 	"distwalk/internal/fault"
 	"distwalk/internal/graph"
+	"distwalk/internal/rng"
 )
 
 // startServer spins up a Server on a loopback listener and tears it down
@@ -49,8 +51,8 @@ func (tokenPayload) Decode(w [congest.PayloadWords]uint64) tokenPayload {
 }
 
 // tokenProto floods random-walking tokens from seed nodes and tallies the
-// per-node receipt history; any divergence between transports perturbs
-// the RNG streams and shows up in got.
+// per-node receipt history; any divergence between transports moves a
+// token or reorders an inbox, which changes its draws and shows up in got.
 type tokenProto struct {
 	seeds []graph.NodeID
 	hops  int32
@@ -61,25 +63,29 @@ func newTokenProto(n int, seeds []graph.NodeID, hops int32) *tokenProto {
 	return &tokenProto{seeds: seeds, hops: hops, got: make([]int64, n)}
 }
 
-func randNbr(c *congest.Ctx) graph.NodeID {
+// randNbr draws a uniform neighbor for the executing node's i-th send this
+// round, keyed by the network's seed, the node, the round and i.
+func randNbr(c *congest.Ctx, i int) graph.NodeID {
+	x := rng.Mix64(rng.Mix64(rng.Mix64(c.SeedMix()^uint64(c.Node()))^uint64(c.Round())) ^ uint64(i))
 	nbrs := c.Neighbors()
-	return nbrs[c.RNG().Intn(len(nbrs))].To
+	hi, _ := bits.Mul64(x, uint64(len(nbrs)))
+	return nbrs[hi].To
 }
 
 func (p *tokenProto) Init(c *congest.Ctx) {
-	for _, s := range p.seeds {
+	for i, s := range p.seeds {
 		if c.Node() == s {
-			congest.Send(c, randNbr(c), tokenPayload{hops: p.hops, val: int32(s)})
+			congest.Send(c, randNbr(c, i), tokenPayload{hops: p.hops, val: int32(s)})
 		}
 	}
 }
 
 func (p *tokenProto) Step(c *congest.Ctx) {
-	for _, m := range c.Inbox() {
+	for i, m := range c.Inbox() {
 		tk := congest.As[tokenPayload](m)
 		p.got[c.Node()] += int64(tk.val)*31 + int64(tk.hops)
 		if tk.hops > 0 {
-			congest.Send(c, randNbr(c), tokenPayload{hops: tk.hops - 1, val: tk.val})
+			congest.Send(c, randNbr(c, i), tokenPayload{hops: tk.hops - 1, val: tk.val})
 		}
 	}
 }

@@ -151,7 +151,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 				traceDigest(h, tr)
 			}
 			return h.Sum64()
-		}, 0x13c54b4d840fd0dd},
+		}, 0x934b0cf05513d3b8},
 		{"WalkTraceRefill", func(t *testing.T, shards int) uint64 {
 			svc, err := distwalk.NewService(kite, 11, distwalk.WithWorkers(1), distwalk.WithShards(shards))
 			if err != nil {
@@ -173,7 +173,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			traceDigest(h, tr)
 			return h.Sum64()
-		}, 0xd67ff7ed3ffc2f28},
+		}, 0x22cfb968ea4967},
 		{"RandomSpanningTree", func(t *testing.T, shards int) uint64 {
 			svc, err := distwalk.NewService(torus, 7, distwalk.WithWorkers(1), distwalk.WithShards(shards))
 			if err != nil {
@@ -190,7 +190,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0x8e514657bdf3c2ef},
+		}, 0xe65412ba5bdc80b2},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
