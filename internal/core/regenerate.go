@@ -202,7 +202,9 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 				refills = append(refills, refillAt{seg: s, startPos: pos, trace: trace})
 			} else {
 				if _, dup := segs[s.WalkID]; dup {
-					return nil, fmt.Errorf("core: walk ID %d regenerated twice", s.WalkID)
+					// One walker mints each ID once per epoch, so one of
+					// the two walks is not of this epoch.
+					return nil, fmt.Errorf("%w: walk ID %d regenerated twice", ErrNoRegen, s.WalkID)
 				}
 				emits[s.Start] = append(emits[s.Start], s.WalkID)
 				segs[s.WalkID] = regenWalk{trace: trace, start: pos, length: int32(s.Length), key: walkKey(seedMix, s.WalkID)}
