@@ -299,35 +299,6 @@ func TestAldousBroderUniformOnCycle(t *testing.T) {
 	}
 }
 
-func TestRSTFasterThanNaiveSchedule(t *testing.T) {
-	// Theorem 4.1's point: Õ(√(mD)) ≪ the O(mD) cover time. Compare
-	// like-for-like: the naive token implementation of the same doubling
-	// schedule costs Σ_phases walksPerPhase·ℓ rounds. At 16x16 the fast
-	// walks already win by ~2x, and the margin grows with n (E7 sweeps
-	// this).
-	g, err := graph.Torus(16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWalker(t, g, 5)
-	res, err := RandomSpanningTree(w, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateTree(g, 0, res.Parent); err != nil {
-		t.Fatal(err)
-	}
-	perPhase := res.Attempts / res.Phases
-	naive := 0
-	for p, ell := 0, g.N(); p < res.Phases; p, ell = p+1, ell*2 {
-		naive += perPhase * ell
-	}
-	if float64(res.Cost.Rounds) > 0.67*float64(naive) {
-		t.Fatalf("RST cost %d rounds vs naive schedule %d — speedup below 1.5x",
-			res.Cost.Rounds, naive)
-	}
-}
-
 // TestCoverCheckPicksLowestCoveringWalk checks the one-convergecast cover
 // check against the walk-by-walk rule it replaces: the lowest covering
 // index wins, -1 means none covers, and a phase of more than 64 walks
