@@ -9,26 +9,6 @@ import (
 // and the WithResultCache option.
 type CacheStats = cache.Stats
 
-// InvalidateCache invalidates every cached result by publishing a new
-// topology generation over the unchanged graph and purging the store —
-// the same epoch source ApplyMutations uses, minus the graph change: the
-// generation is folded into every cache digest, so all prior keys become
-// unreachable. Requests already in flight complete under the generation
-// they admitted with (epoch-pinned) and are not stored. Workers keep
-// their warm state — the graph is the one they hold, so no network is
-// rebuilt, and in cluster mode no session is re-dialed. Returns
-// ErrCacheDisabled when the service was built without WithResultCache.
-func (s *Service) InvalidateCache() error {
-	if s.cache == nil {
-		return ErrCacheDisabled
-	}
-	s.mutMu.Lock()
-	defer s.mutMu.Unlock()
-	cur := s.topo.Load()
-	s.publishTopology(&topology{gen: cur.gen + 1, g: cur.g})
-	return nil
-}
-
 // --- Copy-on-return ---
 //
 // Stored results are frozen masters; every return through the cached path

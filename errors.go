@@ -53,9 +53,6 @@ var (
 	ErrNoCover = spanning.ErrNoCover
 	// ErrServiceClosed reports a request submitted to a closed Service.
 	ErrServiceClosed = errors.New("distwalk: service closed")
-	// ErrCacheDisabled reports a cache operation (InvalidateCache) on a
-	// service built without WithResultCache.
-	ErrCacheDisabled = errors.New("distwalk: service has no result cache (see WithResultCache)")
 	// ErrNoRegen reports a walk that cannot be regenerated:
 	// Metropolis-Hastings walks are not replayed, and a walk the replay
 	// cannot reproduce fails with it instead of returning a wrong path.

@@ -291,12 +291,17 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 			// Starts cold, then 16 requests over 4 distinct keys: 4
 			// executions, 12 deep copies carrying the stored execution's
 			// cost. The counters are the 16-request sum, so Rounds is
-			// exactly four executions' worth.
+			// exactly four executions' worth. A chord added and removed
+			// again publishes two generations over the same adjacency, and
+			// each purges the cache.
 			name: "CachedManyWalks/torus16x16/16req4keys", graph: torus,
 			opts: []distwalk.Option{distwalk.WithResultCache(8 << 20)},
 			run: func(svc *distwalk.Service) (distwalk.Cost, error) {
-				if err := svc.InvalidateCache(); err != nil {
-					return distwalk.Cost{}, err
+				chord := []distwalk.EdgeMutation{{U: 0, V: 100}}
+				for _, m := range []distwalk.Mutations{{AddEdges: chord}, {RemoveEdges: chord}} {
+					if _, err := svc.ApplyMutations(ctx, m); err != nil {
+						return distwalk.Cost{}, err
+					}
 				}
 				var total distwalk.Cost
 				for i := 0; i < 16; i++ {

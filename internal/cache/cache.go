@@ -91,8 +91,8 @@ type Stats struct {
 	// CoalescedWaiters counts lookups that attached to another request's
 	// in-flight execution instead of running their own.
 	CoalescedWaiters int64 `metric:"lookups_total{outcome=coalesced},counter"`
-	// Evictions counts entries dropped: LRU pressure plus purges
-	// (InvalidateCache).
+	// Evictions counts entries dropped: LRU pressure plus purges (a new
+	// topology generation).
 	Evictions int64 `metric:"evictions_total,counter"`
 	// BytesUsed is the current charged footprint (payload + per-entry
 	// overhead); HitBytes sums the payload bytes served from the store.

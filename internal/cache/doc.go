@@ -49,9 +49,8 @@
 //
 // Entries never expire: they are immutable facts about a frozen
 // topology. A new graph generation invalidates them. Service.ApplyMutations
-// publishes one with every accepted edge-edit batch, and
-// Service.InvalidateCache publishes one over the unchanged graph; both
-// bump the generation folded into every digest and purge the store.
+// publishes one with every accepted edge-edit batch: it bumps the
+// generation folded into every digest and purges the store.
 // Old-generation entries become unreachable instantly (their digests can
 // no longer be produced), and requests already in flight complete
 // epoch-pinned under the generation they digested — a leader finishing

@@ -278,8 +278,8 @@
 // immutable (a mutation builds a copy-on-write successor), and the
 // service pins every request to a snapshot, so on checkout a pooled
 // worker calls Reshape with its request's graph. When that is the graph
-// already installed — the static case, and an InvalidateCache that
-// republishes the same graph — Reshape returns at one pointer compare:
+// already installed — the static case — Reshape returns at one pointer
+// compare:
 // mutation support is free for static graphs, which the unchanged
 // goldens prove. Otherwise it rebuilds and reports changed.
 //

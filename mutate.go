@@ -27,7 +27,7 @@ import (
 )
 
 // Generation is a topology epoch ordinal. A service starts at
-// generation 1; every ApplyMutations and InvalidateCache advances it by
+// generation 1; every ApplyMutations that edits the graph advances it by
 // one. Generations are totally ordered and never reused.
 type Generation uint64
 
@@ -57,10 +57,6 @@ type topology struct {
 	g   *Graph
 }
 
-// Generation returns the current topology generation. Requests admitted
-// now execute against this epoch.
-func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen) }
-
 // ApplyMutations atomically applies a batch of edge edits and publishes
 // the result as the next topology generation, returning the new
 // generation. The previous graph is never modified — the successor is
@@ -68,8 +64,8 @@ func (s *Service) Generation() Generation { return Generation(s.topo.Load().gen)
 // epoch-pinned requests in flight keep executing against an immutable
 // snapshot while new requests admit under the new generation.
 //
-// Publishing a generation invalidates the result cache exactly like
-// InvalidateCache (the generation is folded into every cache digest).
+// Publishing a generation invalidates the result cache: the generation is
+// folded into every cache digest, and the store is purged.
 // In cluster mode, each worker's next job on the new graph redials its
 // engine sessions with that graph's handshake.
 //

@@ -1,8 +1,8 @@
 package distwalk_test
 
 // Dynamic-topology tests: ApplyMutations semantics (atomicity, COW,
-// generation accounting), cache invalidation equivalence with
-// InvalidateCache, epoch pinning across in-flight, queued and retried
+// generation accounting), cache invalidation, epoch pinning across
+// in-flight, queued and retried
 // requests, and the mutation axis of the bit-identity contract
 // (same results at every shard count, in-process and cluster alike).
 
@@ -38,6 +38,17 @@ func neighborsHave(g *distwalk.Graph, u, v distwalk.NodeID) bool {
 	return false
 }
 
+// generation reads svc's current topology generation: an empty batch
+// returns it without bumping it.
+func generation(t *testing.T, svc *distwalk.Service) distwalk.Generation {
+	t.Helper()
+	gen, err := svc.ApplyMutations(context.Background(), distwalk.Mutations{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 func TestApplyMutationsBasics(t *testing.T) {
 	ctx := context.Background()
 	g := mustTorus(t, 6, 6)
@@ -46,11 +57,8 @@ func TestApplyMutationsBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if got := svc.Generation(); got != 1 {
-		t.Fatalf("fresh Generation() = %v, want 1", got)
-	}
-
-	// An empty batch is a no-op, not a bump.
+	// An empty batch is a no-op, not a bump: it reads the generation, 1
+	// on a fresh service.
 	gen, err := svc.ApplyMutations(ctx, distwalk.Mutations{})
 	if err != nil || gen != 1 {
 		t.Fatalf("empty batch: gen %v err %v, want 1 <nil>", gen, err)
@@ -63,8 +71,8 @@ func TestApplyMutationsBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 || svc.Generation() != 2 {
-		t.Fatalf("post-mutation generation = %v / %v, want 2", gen, svc.Generation())
+	if gen != 2 || generation(t, svc) != 2 {
+		t.Fatalf("post-mutation generation = %v / %v, want 2", gen, generation(t, svc))
 	}
 	g2 := svc.Graph()
 	if g2 == g {
@@ -202,8 +210,8 @@ func TestApplyMutationsRejectsBadBatches(t *testing.T) {
 			if !errors.Is(err, distwalk.ErrBadMutation) {
 				t.Fatalf("err = %v, want ErrBadMutation", err)
 			}
-			if gen != 1 || svc.Generation() != 1 {
-				t.Fatalf("rejected batch bumped the generation to %v", svc.Generation())
+			if gen != 1 || generation(t, svc) != 1 {
+				t.Fatalf("rejected batch bumped the generation to %v", generation(t, svc))
 			}
 		})
 	}
@@ -250,8 +258,8 @@ func TestApplyMutationsRejectsFaultPlanOrphan(t *testing.T) {
 	if !errors.Is(err, distwalk.ErrBadMutation) || !errors.Is(err, distwalk.ErrBadFault) {
 		t.Fatalf("err = %v, want ErrBadMutation and ErrBadFault", err)
 	}
-	if svc.Generation() != 1 {
-		t.Fatalf("generation bumped to %v by a rejected mutation", svc.Generation())
+	if gen := generation(t, svc); gen != 1 {
+		t.Fatalf("generation bumped to %v by a rejected mutation", gen)
 	}
 	// Removing some other edge is fine.
 	if _, err := svc.ApplyMutations(context.Background(), distwalk.Mutations{
@@ -261,12 +269,10 @@ func TestApplyMutationsRejectsFaultPlanOrphan(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesLikeInvalidateCache pins the invalidation
-// contract: ApplyMutations and InvalidateCache are the same epoch bump as
-// far as the result cache is concerned — after either, a previously
-// cached request misses (an old-generation hit is impossible), and
-// repeats under the new generation hit again.
-func TestMutationInvalidatesLikeInvalidateCache(t *testing.T) {
+// TestMutationInvalidatesCache pins the invalidation contract: after a
+// mutation a previously cached request misses (an old-generation hit is
+// impossible), and repeats under the new generation hit again.
+func TestMutationInvalidatesCache(t *testing.T) {
 	ctx := context.Background()
 	g := mustTorus(t, 8, 8)
 	svc, err := distwalk.NewService(g, 42, distwalk.WithResultCache(1<<20))
@@ -292,8 +298,12 @@ func TestMutationInvalidatesLikeInvalidateCache(t *testing.T) {
 		t.Fatalf("warmup: hits=%d misses=%d, want 1/1", h, m)
 	}
 
-	if _, err := svc.ApplyMutations(ctx, distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}}); err != nil {
+	gen, err := svc.ApplyMutations(ctx, distwalk.Mutations{AddEdges: []distwalk.EdgeMutation{{U: 0, V: 30}}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if gen != 2 {
+		t.Fatalf("ApplyMutations published generation %v, want 2", gen)
 	}
 	run() // must miss: the old generation's entry is unreachable
 	if h, m := hitsMisses(); h != 1 || m != 2 {
@@ -302,17 +312,6 @@ func TestMutationInvalidatesLikeInvalidateCache(t *testing.T) {
 	run() // and hit again under the new generation
 	if h, m := hitsMisses(); h != 2 || m != 2 {
 		t.Fatalf("re-warm after ApplyMutations: hits=%d misses=%d, want 2/2", h, m)
-	}
-
-	if err := svc.InvalidateCache(); err != nil {
-		t.Fatal(err)
-	}
-	run() // identical behavior: miss
-	if h, m := hitsMisses(); h != 2 || m != 3 {
-		t.Fatalf("after InvalidateCache: hits=%d misses=%d, want 2/3", h, m)
-	}
-	if svc.Generation() != 3 {
-		t.Fatalf("Generation() = %v after one mutation and one invalidation, want 3", svc.Generation())
 	}
 }
 
@@ -732,8 +731,8 @@ func TestMutationChaos(t *testing.T) {
 		t.Fatalf("post-chaos topology diverged from cold replay:\n  live:  dest=%d cost=%+v\n  fresh: dest=%d cost=%+v",
 			res.Destination, res.Cost, want.Destination, want.Cost)
 	}
-	if gen := svc.Generation(); gen != distwalk.Generation(1+len(batches)) {
-		t.Fatalf("Generation() = %v after %d mutations, want %d", gen, len(batches), 1+len(batches))
+	if gen := generation(t, svc); gen != distwalk.Generation(1+len(batches)) {
+		t.Fatalf("generation %v after %d mutations, want %d", gen, len(batches), 1+len(batches))
 	}
 }
 

@@ -245,7 +245,7 @@ func WithBatching(maxBatch int, maxDelay time.Duration) Option {
 // Because each request is a pure function of (topology generation, service
 // seed, request key, parameterization, budgets), a hit is bit-identical
 // to a fresh execution — cost counters included — and entries never
-// expire; invalidation is Service.InvalidateCache or any ApplyMutations.
+// expire; invalidation is any ApplyMutations that edits the graph.
 // Concurrent identical requests coalesce: one executes, the rest attach
 // to it (ServiceStats.Cache.CoalescedWaiters), including async Submit
 // handles. bytes is the total capacity; values below 1 are ignored (no

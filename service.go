@@ -51,8 +51,7 @@ type Service struct {
 
 	// topo is the current topology epoch: the graph served and its
 	// generation. Requests capture the pointer at admission (epoch
-	// pinning); mutMu serializes the publishers (ApplyMutations,
-	// InvalidateCache).
+	// pinning); mutMu serializes its publisher, ApplyMutations.
 	topo  atomic.Pointer[topology]
 	mutMu sync.Mutex
 
@@ -263,7 +262,7 @@ type ServiceStats struct {
 // MutationStats counts the service's dynamic-topology activity.
 type MutationStats struct {
 	// Generation is the current topology generation (starts at 1; every
-	// ApplyMutations and InvalidateCache advances it).
+	// ApplyMutations that edits the graph advances it).
 	Generation uint64 `metric:"topology_generation,gauge"`
 	// Applied counts published mutation batches; EdgesAdded/EdgesRemoved
 	// the edits they carried.
@@ -488,8 +487,8 @@ func (s *Service) execJob(ctx context.Context, pw *poolWorker, snap *topology, r
 
 // syncWarm reshapes a worker network to the request's snapshot graph
 // and counts the reshape. It does nothing when the network already holds
-// that graph (the static case, and an InvalidateCache that republished
-// it). The network must be detached unless the graph is unchanged.
+// that graph (the static case). The network must be detached unless the
+// graph is unchanged.
 func (s *Service) syncWarm(pw *poolWorker, snap *topology) error {
 	changed, err := pw.net.Reshape(snap.g)
 	if changed {

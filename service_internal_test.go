@@ -236,8 +236,8 @@ func TestClusterPinnedRequestRunsOnEngines(t *testing.T) {
 
 // TestClusterSessionsFollowSnapshot pins what a worker's sessions cost
 // when the published graph changes, counted by the servers' accepted
-// sessions (1 worker, 2 engines): an InvalidateCache republishes the
-// same graph and opens none; the first request after a mutation opens 2;
+// sessions (1 worker, 2 engines): a second request on the same graph
+// opens none; the first request after a mutation opens 2;
 // a request admitted before that mutation and run after it opens 2 (its
 // snapshot is the old graph), and the next current request 2 more. Every
 // result equals its WithShards(2) twin's.
@@ -277,12 +277,7 @@ func TestClusterSessionsFollowSnapshot(t *testing.T) {
 	}
 	steps := []step{
 		{"first request", walk(1), 0},
-		{"invalidate cache", func(t *testing.T, svc *Service) *WalkResult {
-			if err := svc.InvalidateCache(); err != nil {
-				t.Fatal(err)
-			}
-			return walk(2)(t, svc)
-		}, 0},
+		{"same graph", walk(2), 0},
 		{"mutation", func(t *testing.T, svc *Service) *WalkResult {
 			// Key 4 admits before the mutation and runs in the next step.
 			if staleCfg, staleSnap, err = svc.admit(4, nil); err != nil {
