@@ -97,8 +97,8 @@ func (p *clusterPool) serve(sg *sessionGroup, g *Graph) {
 // sessions serve drops them and redials with the snapshot's handshake,
 // so a job admitted before a mutation runs on the engines against its
 // own snapshot; a job on the graph the sessions serve redials nothing.
-// Then, in this order, sync brings the detached network
-// to the job's snapshot (Reshape refuses an attached network), missing
+// Then, in this order, sync brings the detached network to the job's
+// snapshot (Reshape refuses an attached network), missing
 // sessions are dialed within ctx and the network attaches. The round
 // deadline follows ctx, and a run that broke any session drops the whole
 // group (see drop).

@@ -115,8 +115,8 @@
 //
 // Reseed installs a fresh seed as NewNetwork does, in O(1): it touches no
 // per-node state. Together with the reset discipline this makes a Network
-// poolable: the service layer (distwalk.Service) keeps one
-// Network per worker and reseeds it with a request-key-derived seed before
+// poolable: the service layer (distwalk.Service) keeps one Network per
+// worker and reseeds it with a request-key-derived seed before
 // each request, which yields per-request determinism — the result of a
 // request depends only on (graph, service seed, request key), never on
 // which worker ran it or what ran on that worker before.
@@ -207,8 +207,8 @@
 // arbitrarily, which is unobservable because protocol state is per-node
 // (each node's Step touches only its own slots of per-node stores, plus
 // its own outgoing queues — the same locality the CONGEST model itself
-// prescribes). Every queue and every fault decision is
-// per-edge state owned by exactly one edge half, so charging happens at
+// prescribes). Every queue and every fault decision is per-edge state
+// owned by exactly one edge half, so charging happens at
 // the sending side with the same values wherever the half runs:
 // Messages/Words/Dropped are sums over halves, MaxQueue a max, the first
 // loss the minimum (round, edge) — all order-free merges. The kernel
@@ -279,9 +279,8 @@
 // service pins every request to a snapshot, so on checkout a pooled
 // worker calls Reshape with its request's graph. When that is the graph
 // already installed — the static case — Reshape returns at one pointer
-// compare:
-// mutation support is free for static graphs, which the unchanged
-// goldens prove. Otherwise it rebuilds and reports changed.
+// compare: mutation support is free for static graphs, which the
+// unchanged goldens prove. Otherwise it rebuilds and reports changed.
 //
 // Reshape rebuilds exactly the structures that depend on the edge set
 // — the directed-edge index (off/nbrTo/nbrEdge), the queue headers, the

@@ -82,9 +82,8 @@ type gmwFlow struct {
 func (p *gmwProto) processTokens(ctx *congest.Ctx, slot int, count, steps int32) {
 	v := ctx.Node()
 	out := p.w.gmwOut[v][:0]
-	seedMix := p.w.net.SeedMix()
 	for j := int32(0); j < count; j++ {
-		out = p.walkOne(ctx, refillKey(seedMix, p.batch, v, ctx.Round(), slot, j), steps, out)
+		out = p.walkOne(ctx, refillKey(ctx.SeedMix(), p.batch, v, ctx.Round(), slot, j), steps, out)
 	}
 	// Deterministic send order: by neighbor, then arrival step (the same
 	// order the map-based aggregation sorted its keys into). walkOne
@@ -117,7 +116,7 @@ func (p *gmwProto) walkOne(ctx *congest.Ctx, key uint64, s int32, out []gmwFlow)
 	v := ctx.Node()
 	for {
 		if s >= p.lambda {
-			if bounded(refillStepKey(key, s, false), uint64(2*p.lambda-s)) == 0 {
+			if bounded(fold(key, uint64(s)<<1), uint64(2*p.lambda-s)) == 0 {
 				p.w.st.addCoupon(v, coupon{
 					owner:  p.owner,
 					walkID: p.w.st.newWalkID(v),
@@ -131,7 +130,7 @@ func (p *gmwProto) walkOne(ctx *congest.Ctx, key uint64, s int32, out []gmwFlow)
 		if ctx.Degree() == 0 {
 			return out // isolated: the token has nowhere to go
 		}
-		port := p.w.portAt(v, refillStepKey(key, s, true))
+		port := p.w.portAt(v, fold(key, uint64(s)<<1|1))
 		if port < 0 {
 			s++ // a Metropolis stay: walk step consumed locally
 			continue

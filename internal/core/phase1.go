@@ -73,7 +73,7 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 		wid := p.w.st.newWalkID(v)
 		total := p.lambda
 		if !p.w.prm.FixedLength {
-			total += int32(bounded(lengthKey(walkKey(p.w.net.SeedMix(), wid)), uint64(p.lambda)))
+			total += int32(bounded(lengthKey(walkKey(ctx.SeedMix(), wid)), uint64(p.lambda)))
 		}
 		p.forward(ctx, walkToken{walkID: wid, remaining: total, total: total})
 	}

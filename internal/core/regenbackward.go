@@ -184,7 +184,7 @@ func (p *backwardProto) onReply(ctx *congest.Ctx, from graph.NodeID, msg gmwRepl
 		p.done = true
 		return
 	}
-	x := int64(bounded(hopKey(walkKey(p.w.net.SeedMix(), p.seg.WalkID), p.pending.step), uint64(total)))
+	x := int64(bounded(hopKey(walkKey(ctx.SeedMix(), p.seg.WalkID), p.pending.step), uint64(total)))
 	acc := int64(0)
 	pred := p.pending.nbrs[len(p.pending.nbrs)-1]
 	for i, c := range p.pending.counts {

@@ -137,9 +137,9 @@ func walkerOver(net *congest.Network, prm Params) *Walker {
 // NewWalkerOn builds a Walker over an existing simulated network. The
 // caller controls the network's seed (NewNetwork or Network.Reseed), which
 // every draw of the walker keys on; walker state (coupons, flow ledgers,
-// walk IDs, the stitch count) starts fresh. This is the
-// pooling constructor: distwalk.Service builds one Walker per worker
-// network, once, and Resets it per request (see Reset).
+// walk IDs, the stitch count) starts fresh. This is the pooling
+// constructor: distwalk.Service builds one Walker per worker network,
+// once, and Resets it per request (see Reset).
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: NewWalkerOn needs a non-nil network")
@@ -161,8 +161,8 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 
 // Reset returns the walker to the observable state of a freshly built one
 // — empty coupon inventories, flow ledgers, walk-ID and stitch counters,
-// and no BFS tree — while keeping every slab's capacity, and installs prm as the
-// walker's parameters. It re-reads the network's graph, so a walker
+// and no BFS tree — while keeping every slab's capacity, and installs prm
+// as the walker's parameters. It re-reads the network's graph, so a walker
 // survives Network.Reshape: its slabs are sized by the node count, which
 // a reshape keeps. Any previously returned Tree is invalidated (its
 // arrays are recycled by the next tree build).
@@ -521,7 +521,7 @@ func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Resu
 // so the node can recompute it later (see hopPort).
 func (w *Walker) advanceToken(ctx *congest.Ctx, t walkToken) (int, int32) {
 	v := ctx.Node()
-	walk := walkKey(w.net.SeedMix(), t.walkID)
+	walk := walkKey(ctx.SeedMix(), t.walkID)
 	for rem := t.remaining; rem > 0; rem-- {
 		if port := w.hopPort(v, walk, t.total-rem); port >= 0 {
 			return port, rem - 1
@@ -533,11 +533,11 @@ func (w *Walker) advanceToken(ctx *congest.Ctx, t walkToken) (int, int32) {
 
 // Every random draw of the protocols is a pure function of the network's
 // mixed seed and of what the draw decides, so any node can recompute any
-// draw at any time and a node keeps no random stream. A key folds its
-// components one at a time (fold): a packed key such as walkID + j<<40
-// would give (owner v, step j) the draw of (owner v+256, step j−1),
-// because the owner sits in a walk ID's bits 32–63. Mix64 is a bijection,
-// so two keys that differ only in their last component never coincide.
+// draw and no node keeps a random stream. A key folds its components one
+// at a time: a packed key such as walkID + j<<40 would give (owner v,
+// step j) the draw of (owner v+256, step j−1), because the owner sits in
+// a walk ID's bits 32–63. Mix64 is a bijection, so two keys that differ
+// only in their last component never coincide.
 
 // fold mixes component x into key k.
 func fold(k, x uint64) uint64 { return rng.Mix64(k ^ x) }
@@ -564,19 +564,11 @@ func stitchKey(seedMix, stitch uint64) uint64 { return fold(seedMix, stitch|1<<6
 // and rank j in that bundle. The (round, slot) pair names one message: a
 // sender and an arrival step do not, since a node forwards each bundle it
 // receives on its own, so two bundles can cross a pair of parallel edges
-// together. A token's stop and move at walk step s draw from
-// refillStepKey(key, s, false) and (key, s, true).
+// together. A token's stop at walk step s draws from fold(key, 2s), its
+// move from fold(key, 2s+1).
 func refillKey(seedMix uint64, batch int64, v graph.NodeID, r, slot int, j int32) uint64 {
 	k := fold(fold(walkKey(seedMix, batch), uint64(uint32(v))), uint64(r))
 	return fold(fold(k, uint64(slot)), uint64(uint32(j)))
-}
-
-func refillStepKey(token uint64, s int32, move bool) uint64 {
-	x := uint64(uint32(s)) << 1
-	if move {
-		x |= 1
-	}
-	return fold(token, x)
 }
 
 // bounded maps the uniform 64-bit draw x to [0, n) by multiply-shift, as
