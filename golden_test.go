@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 1609, Messages: 399945, Words: 1201867, MaxQueue: 15},
+			want: distwalk.Cost{Rounds: 1609, Messages: 399945, Words: 1197277, MaxQueue: 15},
 		},
 		{
 			name: "SingleRandomWalk/torus16x16/ell256/seed7",
@@ -83,7 +83,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 381, Messages: 100337, Words: 299473, MaxQueue: 17},
+			want: distwalk.Cost{Rounds: 381, Messages: 100337, Words: 298453, MaxQueue: 17},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024/seed9",
@@ -99,7 +99,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2083, Messages: 587261, Words: 1759641, MaxQueue: 13},
+			want: distwalk.Cost{Rounds: 2083, Messages: 587261, Words: 1755561, MaxQueue: 13},
 		},
 		{
 			name: "NaiveWalk/torus16x16/ell2048/seed3",
@@ -125,7 +125,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 564, Messages: 142662, Words: 426958, MaxQueue: 11},
+			want: distwalk.Cost{Rounds: 564, Messages: 142662, Words: 425428, MaxQueue: 11},
 		},
 		{
 			name: "RandomSpanningTree/torus8x8/seed11",
@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2247, Messages: 63970, Words: 185056, MaxQueue: 10},
+			want: distwalk.Cost{Rounds: 2247, Messages: 63970, Words: 182410, MaxQueue: 10},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -262,12 +262,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 1637, Messages: 400016, Words: 1203100},
+			want: serviceGolden{Rounds: 1637, Messages: 400016, Words: 1197490},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024", graph: torus,
 			run:  manyFromZero(8),
-			want: serviceGolden{Rounds: 2094, Messages: 584182, Words: 1750498},
+			want: serviceGolden{Rounds: 2094, Messages: 584182, Words: 1746418},
 		},
 		{
 			// Four shards pinned, not GOMAXPROCS: the same workload on
@@ -285,7 +285,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 4820, Messages: 12451052, Words: 37334532},
+			want: serviceGolden{Rounds: 4820, Messages: 12451052, Words: 37297684},
 		},
 		{
 			// Starts cold, then 16 requests over 4 distinct keys: 4
@@ -313,7 +313,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return total, nil
 			},
-			want: serviceGolden{Rounds: 32404, Messages: 9300564, Words: 27868924, CacheHits: 12, CacheMisses: 4},
+			want: serviceGolden{Rounds: 32404, Messages: 9300564, Words: 27803644, CacheHits: 12, CacheMisses: 4},
 		},
 		{
 			// A churn window, two lossy links and one slow link, up to 3
@@ -337,7 +337,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				distwalk.WithRetry(3),
 			},
 			run:   manyFromZero(8),
-			want:  serviceGolden{Rounds: 2220, Messages: 532716, Words: 1596100, Dropped: 114},
+			want:  serviceGolden{Rounds: 2220, Messages: 532716, Words: 1592020, Dropped: 114},
 			retry: &distwalk.RetryStats{Attempts: 1},
 		},
 		{
@@ -360,7 +360,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 7578, Messages: 686672, Words: 2029018},
+			want: serviceGolden{Rounds: 7578, Messages: 686672, Words: 2012188},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).
@@ -374,12 +374,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				cost.Add(trace.Cost)
 				return cost, nil
 			},
-			want: serviceGolden{Rounds: 1363, Messages: 286664, Words: 859466},
+			want: serviceGolden{Rounds: 1363, Messages: 286664, Words: 855386},
 		},
 		{
 			name: "RefillWalks/torus16x16/k16/ell1024/lambda64", graph: torus,
 			run:  manyFromZero(16, distwalk.WithParams(refill)),
-			want: serviceGolden{Rounds: 9789, Messages: 169080, Words: 578240},
+			want: serviceGolden{Rounds: 10915, Messages: 183510, Words: 524568},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4", graph: regular,

@@ -255,8 +255,8 @@
 // # Warm-reuse lifecycle
 //
 // Pooling extends one layer above the engine. The protocol layer keeps
-// its own per-node state (coupon shelves and GET-MORE-WALKS flow ledgers
-// — see internal/core's slab-backed netState) in flat growable slabs whose
+// its own per-node state (coupon shelves and walk-ID counters — see
+// internal/core's slab-backed netState) in flat growable slabs whose
 // clear operations truncate rather than free. A pooled worker's
 // lifecycle per request is therefore:
 //

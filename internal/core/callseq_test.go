@@ -16,6 +16,8 @@ import (
 //     count the kept-inventory top-up trusts;
 //   - the first call after a Reset equals the same call on a freshly built
 //     walker bit for bit, Cost included;
+//   - a successful RegenerateMany, run again, returns the same traces bit
+//     for bit: regeneration is a pure function of the walk;
 //   - every error is one of the package's typed errors, and nothing
 //     panics.
 //
@@ -140,6 +142,12 @@ func FuzzWalkerCallSequence(f *testing.F) {
 					t.Fatalf("call %d (op %d) after a Reset differs from a fresh walker's:\n got %+v (%v)\nwant %+v (%v)", calls, op, got, err, want, wantErr)
 				}
 				fresh = false
+			}
+			if (op == opRegen || op == opRegenMany) && err == nil {
+				again, againErr := call(w)
+				if againErr != nil || !reflect.DeepEqual(got, again) {
+					t.Fatalf("call %d (op %d) run again differs:\n got %+v (%v)\nwant %+v", calls, op, again, againErr, got)
+				}
 			}
 			switch r := got.(type) {
 			case *WalkResult:

@@ -369,3 +369,58 @@ func TestClaimThm28ManyWalksInK(t *testing.T) {
 		}
 	}
 }
+
+// Section 2.2: regenerating a walk "takes time at most the time taken in
+// Phase 1". RegenerateMany of k walks from one source must stay within
+// 2·(Phase 1 rounds + D) on Torus(16,16), under the default parameters
+// (no refill) and under UniformCounts with λ = 64, where every walk
+// refills from GET-MORE-WALKS many times. Phase 1's rounds are those of
+// the call's Phase 1 on a fresh walker of the seed: its draws are keyed by
+// the seed and the walk IDs, so it repeats the walk's own bit for bit. At
+// k = 16, ℓ = 1 024 the default λ passes ℓ/2 and the walks run as the
+// naive k-walk, which is held to the Phase 1 it skipped.
+func TestClaimRegenerationWithinPhase1(t *testing.T) {
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starved := DefaultParams()
+	starved.UniformCounts, starved.Lambda = true, 64
+	for _, kl := range []struct{ k, ell int }{{16, 1024}, {8, 2048}} {
+		for _, prm := range []Params{DefaultParams(), starved} {
+			sources := make([]graph.NodeID, kl.k)
+			worst, refills := 0.0, 0
+			for seed := uint64(1); seed <= 20; seed++ {
+				w := newWalker(t, g, seed, prm)
+				many, err := w.ManyRandomWalks(sources, kl.ell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces, err := w.RegenerateMany(many.Walks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := newWalker(t, g, seed, prm)
+				if _, err := fresh.ensureTree(0); err != nil {
+					t.Fatal(err)
+				}
+				lam := prm.lambdaMany(kl.k, kl.ell, w.Tree().Height, g.N())
+				p1, err := fresh.ensurePhase1(lam, map[graph.NodeID]int{0: kl.k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ratio := float64(traces[0].Cost.Rounds) / float64(p1.Rounds+w.Tree().Height)
+				worst = max(worst, ratio)
+				refills += many.Refills
+			}
+			t.Logf("k=%d ℓ=%d uniform=%v: %d refills over 20 seeds; worst regeneration ÷ (Phase 1 + D) %.2f",
+				kl.k, kl.ell, prm.UniformCounts, refills, worst)
+			if worst > 2 {
+				t.Errorf("k=%d ℓ=%d uniform=%v: regeneration took %.2f× (Phase 1 + D) rounds, want ≤ 2", kl.k, kl.ell, prm.UniformCounts, worst)
+			}
+			if prm.UniformCounts && refills == 0 {
+				t.Errorf("k=%d ℓ=%d: the starved inventory made no refill to regenerate", kl.k, kl.ell)
+			}
+		}
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // Every message of this package's protocols reads back exactly what its
-// encoder packed, at the fields' extremes, under the kind and size it has
-// always had (the goldens' Words counter and every digest depend on both).
+// encoder packed, at the fields' extremes, under its pinned kind and size
+// (the goldens' Words counter and every digest depend on both).
 
 const (
 	maxNode  = graph.NodeID(math.MaxInt32)
@@ -59,10 +59,6 @@ func TestCodecPointToPoint(t *testing.T) {
 		words, wantWords int
 	}{
 		{"regenToken", kindRegenToken, 4, regenWords, 2},
-		{"gmwMsg", kindGMWMsg, 9, gmwMsgWords, 3},
-		{"gmwQuery", kindGMWQuery, 10, gmwQueryWords, 2},
-		{"gmwReply", kindGMWReply, 11, gmwReplyWords, 3},
-		{"gmwClaim", kindGMWClaim, 12, gmwClaimWords, 3},
 	}
 	for _, s := range shapes {
 		if s.kind != s.want || s.words != s.wantWords {
@@ -76,22 +72,6 @@ func TestCodecPointToPoint(t *testing.T) {
 		rt := regenToken{walkID: x.walkID, pos: x.n}
 		if w0, w1 := rt.encode(); readRegenToken(pointToPoint(kindRegenToken, regenWords, w0, w1)) != rt {
 			t.Fatalf("regenToken %+v does not round-trip", rt)
-		}
-		gm := gmwMsg{batch: x.walkID, count: x.n, steps: maxLen - x.n}
-		if w0, w1 := gm.encode(); readGMWMsg(pointToPoint(kindGMWMsg, gmwMsgWords, w0, w1)) != gm {
-			t.Fatalf("gmwMsg %+v does not round-trip", gm)
-		}
-		q := gmwQuery{batch: x.walkID, step: x.n}
-		if w0, w1 := q.encode(); readGMWQuery(pointToPoint(kindGMWQuery, gmwQueryWords, w0, w1)) != q {
-			t.Fatalf("gmwQuery %+v does not round-trip", q)
-		}
-		r := gmwReply{batch: x.walkID, step: x.n, count: maxLen}
-		if w0, w1 := r.encode(); readGMWReply(pointToPoint(kindGMWReply, gmwReplyWords, w0, w1)) != r {
-			t.Fatalf("gmwReply %+v does not round-trip", r)
-		}
-		c := gmwClaim{batch: x.walkID, step: maxLen, pos: x.n}
-		if w0, w1 := c.encode(); readGMWClaim(pointToPoint(kindGMWClaim, gmwClaimWords, w0, w1)) != c {
-			t.Fatalf("gmwClaim %+v does not round-trip", c)
 		}
 	}
 }
@@ -123,29 +103,27 @@ func TestCodecTreeItems(t *testing.T) {
 		}
 	}
 
-	for _, refill := range []bool{false, true} {
-		for _, c := range []sampleCand{
-			{count: math.MaxInt64, walkID: highWalk, dest: maxNode, length: maxLen, refill: refill, batch: highWalk},
-			{count: 0, walkID: 0, dest: graph.None, length: 0, refill: refill, batch: 0},
-			{count: 1, walkID: int64(5) << 32, dest: 0, length: 1, refill: refill, batch: -1},
-		} {
-			m := c.msg()
-			checkShape(t, "sampleCand", &m, 7, 4)
-			if got := readSampleCand(&m); got != c {
-				t.Fatalf("sampleCand %+v read back as %+v", c, got)
-			}
+	for _, c := range []sampleCand{
+		{count: math.MaxInt64, walkID: highWalk, dest: maxNode, length: maxLen},
+		{count: 0, walkID: 0, dest: graph.None, length: 0},
+		{count: 1, walkID: int64(5) << 32, dest: 0, length: 1},
+	} {
+		m := c.msg()
+		checkShape(t, "sampleCand", &m, 7, 3)
+		if got := readSampleCand(&m); got != c {
+			t.Fatalf("sampleCand %+v read back as %+v", c, got)
 		}
 	}
 
-	for flags := range 8 {
-		found, follow, refill := flags&1 != 0, flags&2 != 0, flags&4 != 0
+	for flags := range 4 {
+		found, follow := flags&1 != 0, flags&2 != 0
 		for _, r := range []sampleResult{
-			{owner: maxNode, walkID: highWalk, dest: maxNode, length: maxLen, found: found, follow: follow, refill: refill, batch: highWalk},
-			{owner: 0, walkID: 0, dest: graph.None, length: 0, found: found, follow: follow, refill: refill, batch: 0},
-			{owner: graph.None, walkID: 1, dest: 0, length: 1, found: found, follow: follow, refill: refill, batch: -1},
+			{owner: maxNode, walkID: highWalk, dest: maxNode, length: maxLen, found: found, follow: follow},
+			{owner: 0, walkID: 0, dest: graph.None, length: 0, found: found, follow: follow},
+			{owner: graph.None, walkID: 1, dest: 0, length: 1, found: found, follow: follow},
 		} {
 			m := r.msg()
-			checkShape(t, "sampleResult", &m, 8, 4)
+			checkShape(t, "sampleResult", &m, 8, 3)
 			if got := readSampleResult(&m); got != r {
 				t.Fatalf("sampleResult %+v read back as %+v", r, got)
 			}

@@ -8,9 +8,13 @@
 //     [λ, 2λ−1] (Phase 1) and stitching them at connector nodes (Phase 2).
 //   - SAMPLE-DESTINATION (Algorithm 3): uniform sampling of an unused
 //     short-walk coupon via BFS-tree convergecast in O(D) rounds.
-//   - GET-MORE-WALKS (Algorithm 2): count-aggregated refill of a node's
-//     short walks, with reservoir sampling giving each new walk an
-//     independent uniform length without per-walk control messages.
+//   - GET-MORE-WALKS (Algorithm 2): refill of a node's short walks, run
+//     as a Phase 1 in which that node alone starts ⌊ℓ/λ⌋ walks, each with
+//     its own walk ID and keyed length and hops. This deviates from
+//     Algorithm 2 in one respect: a token travels as its own message, not
+//     in a count bundle per (edge, step), which adds at most
+//     ⌈(ℓ/λ)/deg(v)⌉ rounds of first-hop queueing and keeps Lemma 2.2's
+//     O(λ) while ℓ/λ ≤ λ.
 //   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
 //   - One short-walk inventory per Walker: unused walks persist between
 //     calls, and a call whose λ is below twice the inventory's stitches
@@ -24,12 +28,11 @@
 //     walk ID, j) — a counter-based draw (Salmon et al., SC'11) — so each
 //     node recomputes the hops it forwarded instead of storing them, and
 //     the replay sends one message per hop, stopping at each segment's
-//     length. GET-MORE-WALKS segments, whose bundles carry counts rather
-//     than token identities, are retraced backward through flow ledgers
-//     recorded on every refill. A walk the replay cannot reproduce (another
-//     seed or Reset epoch) fails with ErrNoRegen; so does any
-//     Metropolis-Hastings walk. The result is the walk's path, one node
-//     per position.
+//     length. Every segment replays forward in one pass, GET-MORE-WALKS
+//     segments included, in time comparable to Phase 1's. A walk the
+//     replay cannot reproduce (another seed or Reset epoch) fails with
+//     ErrNoRegen; so does any Metropolis-Hastings walk. The result is the
+//     walk's path, one node per position.
 //   - The naive ℓ-round token walk and the PODC 2009 Õ(ℓ^{2/3}D^{1/3})
 //     parameterization, as baselines.
 //

@@ -30,8 +30,9 @@ var (
 	// only by the walker that ran it, in the same Reset epoch and under
 	// the same seed. The replay recomputes every hop from (seed, walk ID,
 	// step), so a walk it cannot reproduce shows as segments that do not
-	// meet, or a refill without recorded flows, and fails with this error
-	// instead of returning a wrong path.
+	// meet and fails with this error instead of returning a wrong path.
+	// So does malformed input: no walks, a nil walk, or segments that do
+	// not sum to the walk's length or do not tile it.
 	ErrNoRegen = errors.New("core: walk cannot be regenerated")
 )
 

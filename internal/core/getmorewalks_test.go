@@ -32,9 +32,6 @@ func TestGetMoreWalksMintsCoupons(t *testing.T) {
 	}
 	for v := range w.st.coupons {
 		for _, c := range w.st.localCoupons(graph.NodeID(v), owner) {
-			if !c.refill {
-				t.Fatal("refill coupon not marked")
-			}
 			if int(c.length) < lambda || int(c.length) > 2*lambda-1 {
 				t.Fatalf("coupon length %d outside [λ, 2λ-1] = [%d, %d]", c.length, lambda, 2*lambda-1)
 			}

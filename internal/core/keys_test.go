@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"distwalk/internal/congest"
 	"distwalk/internal/graph"
 	"distwalk/internal/stats"
 )
@@ -82,82 +81,6 @@ func TestStitchKeyDoesNotAlias(t *testing.T) {
 	}
 	if same > stitches*3/10 {
 		t.Errorf("under another seed node 7 repeats %d of its %d picks, want about 1/4", same, stitches)
-	}
-}
-
-// refillKeyRecorder runs GET-MORE-WALKS and records, for every token a node
-// walks, its key and the tuple (node, round, sender, arrival step, rank)
-// that names it by where it came from.
-type refillKeyRecorder struct {
-	*gmwProto
-	keys   map[uint64]int
-	tuples map[[5]int64]int
-}
-
-func (r *refillKeyRecorder) record(ctx *congest.Ctx, slot int, from graph.NodeID, count, steps int32) {
-	for j := int32(0); j < count; j++ {
-		r.keys[refillKey(ctx.SeedMix(), r.batch, ctx.Node(), ctx.Round(), slot, j)]++
-		r.tuples[[5]int64{int64(ctx.Node()), int64(ctx.Round()), int64(from), int64(steps), int64(j)}]++
-	}
-}
-
-func (r *refillKeyRecorder) Init(ctx *congest.Ctx) {
-	if ctx.Node() == r.owner {
-		r.record(ctx, 0, graph.None, int32(r.count), 0)
-	}
-	r.gmwProto.Init(ctx)
-}
-
-func (r *refillKeyRecorder) Step(ctx *congest.Ctx) {
-	in := ctx.Inbox()
-	for i := range in {
-		if m := readGMWMsg(&in[i]); m.batch == r.batch {
-			r.record(ctx, i, in[i].From, m.count, m.steps)
-		}
-	}
-	r.gmwProto.Step(ctx)
-}
-
-// TestRefillTokensNeverShareKey: two GET-MORE-WALKS tokens never draw from
-// one key. A token is named by its bundle's inbox slot in its round, not
-// by its sender and arrival step: node 3 below forwards the bundles from
-// 1 and 2 on their own, both to node 4 over the two parallel edges, so
-// they arrive together from one sender with one arrival step. The
-// recorder counts those collisions to show the case occurs.
-func TestRefillTokensNeverShareKey(t *testing.T) {
-	g := graph.New(5)
-	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 4}} {
-		g.AddEdge(e[0], e[1])
-	}
-	for _, metropolis := range []bool{false, true} {
-		prm := DefaultParams()
-		prm.Metropolis = metropolis
-		w := newWalker(t, g, 3, prm)
-		w.gmwOut = make([][]gmwFlow, g.N())
-		r := &refillKeyRecorder{
-			gmwProto: &gmwProto{w: w, owner: 0, batch: w.st.newWalkID(0), count: 400, lambda: 16},
-			keys:     map[uint64]int{},
-			tuples:   map[[5]int64]int{},
-		}
-		if _, err := w.net.Run(r); err != nil {
-			t.Fatal(err)
-		}
-		tokens, shared := 0, 0
-		for _, n := range r.keys {
-			tokens += n
-			if n > 1 {
-				t.Fatalf("metropolis=%v: %d tokens share one key", metropolis, n)
-			}
-		}
-		for _, n := range r.tuples {
-			if n > 1 {
-				shared += n
-			}
-		}
-		if shared == 0 {
-			t.Errorf("metropolis=%v: no two tokens shared a (round, sender, arrival step, rank); the graph no longer shows why the inbox slot is keyed", metropolis)
-		}
-		t.Logf("metropolis=%v: %d token visits, %d of them on a shared (round, sender, arrival step, rank)", metropolis, tokens, shared)
 	}
 }
 

@@ -38,7 +38,7 @@ func readToken(m *congest.Message) walkToken {
 // η·deg(v) independent short walks (η with UniformCounts), each of length
 // λ + r with r uniform in [0, λ−1] (exactly λ with FixedLength). Each
 // hop is a keyed draw the forwarding node can recompute, so the walk can
-// be retraced later (see hopPort); the destination stores a coupon. The
+// be replayed later (see hopPort); the destination stores a coupon. The
 // engine's per-edge queues charge the congestion this phase is known for
 // (Lemma 2.1: O(λη log n) rounds w.h.p.).
 type phase1Proto struct {
@@ -53,6 +53,9 @@ type phase1Proto struct {
 	// starts only the walks it lacks to hold that many unused walks of its
 	// own again.
 	topUp bool
+	// refill makes the run GET-MORE-WALKS (getMoreWalks): only the extra
+	// walks start.
+	refill bool
 }
 
 func (p *phase1Proto) Init(ctx *congest.Ctx) {
@@ -60,9 +63,12 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 	if ctx.Degree() == 0 {
 		return
 	}
-	count := p.w.prm.Eta
-	if !p.w.prm.UniformCounts {
-		count *= ctx.Degree()
+	count := 0
+	if !p.refill {
+		count = p.w.prm.Eta
+		if !p.w.prm.UniformCounts {
+			count *= ctx.Degree()
+		}
 	}
 	count += p.extra[v]
 	if p.topUp {

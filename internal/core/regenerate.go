@@ -117,12 +117,11 @@ func (tr *Trace) record(v graph.NodeID, pos int32) bool {
 }
 
 // Regenerate replays a completed walk so that every node learns its
-// position(s) in it, in time comparable to Phase 1 (Section 2.2). Phase 1
-// and tail segments replay forward in parallel, one message per hop, each
-// hop recomputed by the node that forwarded it from the key the walk drew
-// it from; GET-MORE-WALKS segments (rare — w.h.p. absent, Theorem 2.5)
-// are retraced backward through their recorded flow counts, one at a time
-// so the without-replacement claims stay exact.
+// position(s) in it, in time comparable to Phase 1 (Section 2.2). Every
+// segment — Phase 1, GET-MORE-WALKS and tail — replays forward in
+// parallel, one message per hop, each hop recomputed by the node that
+// forwarded it from the key the walk drew it from. The replay stores and
+// consumes nothing, so regenerating a walk twice gives the same trace.
 //
 // The replay reproduces only walks of this walker's current seed and
 // Reset epoch. A walk it does not reproduce — its replayed segments do
@@ -160,25 +159,19 @@ func (w *Walker) RegenerateMany(walks []*WalkResult) ([]*Trace, error) {
 
 func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if len(walks) == 0 {
-		return nil, fmt.Errorf("core: no walks to regenerate")
+		return nil, fmt.Errorf("%w: no walks to regenerate", ErrNoRegen)
 	}
 	if w.prm.Metropolis {
 		return nil, fmt.Errorf("%w: Metropolis-Hastings walks are not replayed", ErrNoRegen)
 	}
 	n := w.g.N()
-	type refillAt struct {
-		seg      Segment
-		startPos int32
-		trace    *Trace
-	}
-	var refills []refillAt
 	traces := make([]*Trace, len(walks))
 	seedMix := w.net.SeedMix()
 	emits := make(map[graph.NodeID][]int64)
 	segs := make(map[int64]regenWalk)
 	for i, res := range walks {
 		if res == nil {
-			return nil, fmt.Errorf("core: nil walk result (index %d)", i)
+			return nil, fmt.Errorf("%w: nil walk result (index %d)", ErrNoRegen, i)
 		}
 		trace := &Trace{
 			Path:           make([]graph.NodeID, res.Length+1),
@@ -198,21 +191,17 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 
 		pos := int32(0)
 		for _, s := range res.Segments {
-			if s.FromRefill {
-				refills = append(refills, refillAt{seg: s, startPos: pos, trace: trace})
-			} else {
-				if _, dup := segs[s.WalkID]; dup {
-					// One walker mints each ID once per epoch, so one of
-					// the two walks is not of this epoch.
-					return nil, fmt.Errorf("%w: walk ID %d regenerated twice", ErrNoRegen, s.WalkID)
-				}
-				emits[s.Start] = append(emits[s.Start], s.WalkID)
-				segs[s.WalkID] = regenWalk{trace: trace, start: pos, length: int32(s.Length), key: walkKey(seedMix, s.WalkID)}
+			if _, dup := segs[s.WalkID]; dup {
+				// One walker mints each ID once per epoch, so one of
+				// the two walks is not of this epoch.
+				return nil, fmt.Errorf("%w: walk ID %d regenerated twice", ErrNoRegen, s.WalkID)
 			}
+			emits[s.Start] = append(emits[s.Start], s.WalkID)
+			segs[s.WalkID] = regenWalk{trace: trace, start: pos, length: int32(s.Length), key: walkKey(seedMix, s.WalkID)}
 			pos += int32(s.Length)
 		}
 		if int(pos) != res.Length {
-			return nil, fmt.Errorf("core: segments sum to %d, walk length is %d", pos, res.Length)
+			return nil, fmt.Errorf("%w: segments sum to %d, walk length is %d", ErrNoRegen, pos, res.Length)
 		}
 	}
 
@@ -223,17 +212,10 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 		return nil, err
 	}
 	if p.bad {
-		return nil, fmt.Errorf("core: regeneration recorded a walk position twice or off its walk")
+		return nil, fmt.Errorf("%w: regeneration recorded a walk position twice or off its walk", ErrNoRegen)
 	}
 	if err := checkJunctions(walks, traces); err != nil {
 		return nil, err
-	}
-	for _, r := range refills {
-		res, err := w.retraceRefill(r.seg, r.startPos, r.trace)
-		traces[0].Cost.Add(res)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Every position 0..ℓ must now hold one node. One ascending pass
 	// fills each node's first visit: its least position, entered from
@@ -261,17 +243,16 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	return traces, nil
 }
 
-// checkJunctions checks that every forward segment's replay ended where
-// the walk's next segment starts, or the last one at the walk's
-// destination. A sound replay always does; one that recomputed hops the
-// walk never drew (another seed, another Reset epoch) almost never does,
-// and is refused before any backward retrace runs on top of it.
+// checkJunctions checks that every segment's replay ended where the
+// walk's next segment starts, or the last one at the walk's destination.
+// A sound replay always does; one that recomputed hops the walk never
+// drew (another seed, another Reset epoch) almost never does.
 func checkJunctions(walks []*WalkResult, traces []*Trace) error {
 	for i, res := range walks {
 		pos := 0
 		for k, s := range res.Segments {
 			pos += s.Length
-			if s.FromRefill || s.Length == 0 {
+			if s.Length == 0 {
 				continue
 			}
 			want, what := res.Destination, "its destination"

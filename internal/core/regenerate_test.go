@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"distwalk/internal/graph"
@@ -31,7 +33,7 @@ func reconstruct(t *testing.T, g *graph.G, tr *Trace, res *WalkResult) []graph.N
 func TestRegenerateStitchedWalk(t *testing.T) {
 	g := kite(t)
 	// Find a seed whose stitched walk needed no refills (plenty exist with
-	// η=4); refill walks are covered by TestRegenerateRefusesRefillSegments.
+	// η=4); refill walks are covered by TestRegenerateRefillSegmentsForward.
 	var (
 		w   *Walker
 		res *WalkResult
@@ -122,11 +124,25 @@ func TestRegenerateCoverFlag(t *testing.T) {
 	}
 }
 
-func TestRegenerateRefillSegmentsBackward(t *testing.T) {
-	// GET-MORE-WALKS segments have no hop records; they retrace backward
-	// through the recorded flow counts. Starve the inventory so refills
-	// are guaranteed, then verify the regenerated sequence is a valid walk
-	// matching the stitched endpoints.
+// keyedPath recomputes a walk's path from its segments' keys, one hop at
+// a time, as a sequential reference for the distributed replay.
+func keyedPath(w *Walker, res *WalkResult) []graph.NodeID {
+	path := []graph.NodeID{res.Source}
+	for _, s := range res.Segments {
+		v, key := s.Start, walkKey(w.net.SeedMix(), s.WalkID)
+		for j := range int32(s.Length) {
+			v = w.g.Neighbors(v)[w.hopPort(v, key, j)].To
+			path = append(path, v)
+		}
+	}
+	return path
+}
+
+// TestRegenerateRefillSegmentsForward: a GET-MORE-WALKS walk draws its
+// hops from its own keys like a Phase 1 walk, so its segment replays
+// forward with the others. Starve the inventory so refills are
+// guaranteed, and check every regenerated path against keyedPath.
+func TestRegenerateRefillSegmentsForward(t *testing.T) {
 	g := kite(t)
 	prm := Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 	w := newWalker(t, g, 11, prm)
@@ -136,29 +152,15 @@ func TestRegenerateRefillSegmentsBackward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hasRefill := false
-		for _, s := range res.Segments {
-			if s.FromRefill {
-				hasRefill = true
-			}
-		}
 		tr, err := w.Regenerate(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := reconstruct(t, g, tr, res)
-		// Every stitched segment boundary must appear at its position.
-		pos := 0
-		for _, s := range res.Segments {
-			if seq[pos] != s.Start {
-				t.Fatalf("segment start %d at position %d, trace says %d", s.Start, pos, seq[pos])
-			}
-			pos += s.Length
-			if seq[pos] != s.End {
-				t.Fatalf("segment end %d at position %d, trace says %d", s.End, pos, seq[pos])
-			}
+		reconstruct(t, g, tr, res)
+		if want := keyedPath(w, res); !slices.Equal(tr.Path, want) {
+			t.Fatalf("walk %d: replayed path %v, want %v", i, tr.Path, want)
 		}
-		if hasRefill {
+		if res.Refills > 0 {
 			checked++
 		}
 	}
@@ -167,9 +169,40 @@ func TestRegenerateRefillSegmentsBackward(t *testing.T) {
 	}
 }
 
+// TestRegenerateTwiceSameTrace: the replay stores and consumes nothing,
+// so a second Regenerate of a walk returns the first trace bit for bit,
+// refill segments included.
+func TestRegenerateTwiceSameTrace(t *testing.T) {
+	g := kite(t)
+	prm := Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
+	refills := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		w := newWalker(t, g, seed, prm)
+		res, err := w.SingleRandomWalk(0, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refills += res.Refills
+		first, err := w.Regenerate(res)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		second, err := w.Regenerate(res)
+		if err != nil {
+			t.Fatalf("seed %d: second Regenerate: %v", seed, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("seed %d: second Regenerate returned another trace:\n first  %v\n second %v", seed, first.Path, second.Path)
+		}
+	}
+	if refills == 0 {
+		t.Fatal("starved inventory produced no refill walks to check")
+	}
+}
+
 func TestRegenerateManyRefillCouponsFromOneBatch(t *testing.T) {
-	// Several coupons of the same batch used by one walk must retrace
-	// consistently (the without-replacement claims).
+	// Several walks of one GET-MORE-WALKS run stitched into one walk must
+	// all replay.
 	g, err := graph.Complete(6)
 	if err != nil {
 		t.Fatal(err)

@@ -55,30 +55,20 @@ type sampleCand struct {
 	walkID int64
 	dest   graph.NodeID
 	length int32
-	refill bool
-	batch  int64
 }
 
 func (c sampleCand) msg() congest.Message {
-	// length is a short-walk length (non-negative int32), so its top
-	// packed bit is free to carry the refill flag.
-	w3 := congest.Pack2(int32(c.dest), c.length)
-	if c.refill {
-		w3 |= 1 << 63
-	}
-	return congest.MakeMessage(graph.None, graph.None, kindSampleCand, 4,
-		[congest.PayloadWords]uint64{uint64(c.count), uint64(c.walkID), uint64(c.batch), w3})
+	return congest.MakeMessage(graph.None, graph.None, kindSampleCand, 3,
+		[congest.PayloadWords]uint64{uint64(c.count), uint64(c.walkID), congest.Pack2(int32(c.dest), c.length)})
 }
 
 func readSampleCand(m *congest.Message) sampleCand {
-	dest, length := congest.Unpack2(m.W[3] &^ (1 << 63))
+	dest, length := congest.Unpack2(m.W[2])
 	return sampleCand{
 		count:  int64(m.W[0]),
 		walkID: int64(m.W[1]),
-		batch:  int64(m.W[2]),
 		dest:   graph.NodeID(dest),
 		length: length,
-		refill: m.W[3]>>63 != 0,
 	}
 }
 
@@ -93,37 +83,30 @@ type sampleResult struct {
 	length int32
 	found  bool
 	follow bool
-	refill bool
-	batch  int64
 }
 
 func (r sampleResult) msg() congest.Message {
-	w3 := uint64(uint32(r.length))
+	w2 := uint64(uint32(r.length))
 	if r.follow {
-		w3 |= 1 << 61
+		w2 |= 1 << 61
 	}
 	if r.found {
-		w3 |= 1 << 62
+		w2 |= 1 << 62
 	}
-	if r.refill {
-		w3 |= 1 << 63
-	}
-	return congest.MakeMessage(graph.None, graph.None, kindSampleResult, 4, [congest.PayloadWords]uint64{
-		uint64(r.walkID), uint64(r.batch), congest.Pack2(int32(r.owner), int32(r.dest)), w3,
+	return congest.MakeMessage(graph.None, graph.None, kindSampleResult, 3, [congest.PayloadWords]uint64{
+		uint64(r.walkID), congest.Pack2(int32(r.owner), int32(r.dest)), w2,
 	})
 }
 
 func readSampleResult(m *congest.Message) sampleResult {
-	owner, dest := congest.Unpack2(m.W[2])
+	owner, dest := congest.Unpack2(m.W[1])
 	return sampleResult{
 		walkID: int64(m.W[0]),
-		batch:  int64(m.W[1]),
 		owner:  graph.NodeID(owner),
 		dest:   graph.NodeID(dest),
-		length: int32(uint32(m.W[3])),
-		found:  m.W[3]>>62&1 != 0,
-		follow: m.W[3]>>61&1 != 0,
-		refill: m.W[3]>>63 != 0,
+		length: int32(uint32(m.W[2])),
+		found:  m.W[2]>>62&1 != 0,
+		follow: m.W[2]>>61&1 != 0,
 	}
 }
 
@@ -193,8 +176,6 @@ func (w *Walker) sample(tree *congest.Tree, v graph.NodeID, slack int, next grap
 		length: pick.length,
 		found:  found,
 		follow: follow,
-		refill: pick.refill,
-		batch:  pick.batch,
 	}
 	// Result sweep: the coupon holder deletes it; v (and the new connector)
 	// learn the outcome.
@@ -227,8 +208,6 @@ func (w *Walker) offerCoupon(u graph.NodeID) congest.Message {
 		walkID: c.walkID,
 		dest:   u,
 		length: c.length,
-		refill: c.refill,
-		batch:  c.batch,
 	}.msg()
 }
 

@@ -7,15 +7,11 @@ import (
 	"distwalk/internal/rng"
 )
 
-// Property tests pinning the flat slab-backed stores to the map-based
-// reference semantics they replaced. The protocols' determinism (and the
-// golden counter tests) depend on three behavioural contracts:
-//
-//   - an owner's coupons keep exact append order, and take is the same
-//     swap-remove the old map store used, within that owner's coupons;
-//   - GMW flow records accumulate per exact (batch, step, nbr) key;
-//   - a walk's recorded path reads back hop by hop, and ends where its
-//     reserved run does.
+// Property tests pinning the flat slab-backed coupon store to the
+// map-based reference semantics it replaced. The protocols' determinism
+// (and the golden counter tests) depend on its behavioural contract: an
+// owner's coupons keep exact append order, and take is the same
+// swap-remove the old map store used, within that owner's coupons.
 //
 // Each test drives the flat store and a plain map model through the same
 // randomized op sequence and demands identical observations throughout.
@@ -81,7 +77,7 @@ func TestCouponShelfMatchesReference(t *testing.T) {
 		switch r.Intn(10) {
 		case 0, 1, 2, 3: // add
 			nextID++
-			c := coupon{owner: owner, walkID: nextID, length: int32(r.Intn(64)), refill: r.Intn(2) == 0, batch: int64(r.Intn(5))}
+			c := coupon{owner: owner, walkID: nextID, length: int32(r.Intn(64))}
 			st.addCoupon(at, c)
 			if ref[at] == nil {
 				ref[at] = make(map[graph.NodeID][]coupon)
@@ -124,57 +120,6 @@ func TestCouponShelfMatchesReference(t *testing.T) {
 	}
 }
 
-func TestGMWShelfMatchesReference(t *testing.T) {
-	const (
-		nodes = 5
-		ops   = 20000
-	)
-	r := rng.New(2)
-	st := newNetState(nodes)
-	sent := make([]map[gmwKey]int32, nodes)
-	used := make([]map[gmwKey]int32, nodes)
-	for v := range sent {
-		sent[v] = make(map[gmwKey]int32)
-		used[v] = make(map[gmwKey]int32)
-	}
-
-	randKey := func() gmwKey {
-		return gmwKey{
-			batch: int64(r.Intn(6)),
-			step:  int32(r.Intn(8)),
-			nbr:   graph.NodeID(r.Intn(nodes)),
-		}
-	}
-	for op := 0; op < ops; op++ {
-		at := graph.NodeID(r.Intn(nodes))
-		key := randKey()
-		switch r.Intn(4) {
-		case 0, 1:
-			c := int32(1 + r.Intn(7))
-			st.recordGMWSend(at, key, c)
-			sent[at][key] += c
-		case 2:
-			if sent[at][key] > used[at][key] { // claims follow positive replies
-				st.claimGMW(at, key)
-				used[at][key]++
-			}
-		case 3:
-			got := st.gmwAvailable(at, key)
-			want := sent[at][key] - used[at][key]
-			if got != want {
-				t.Fatalf("gmwAvailable(%d, %+v) = %d, want %d", at, key, got, want)
-			}
-		}
-	}
-	for v := 0; v < nodes; v++ {
-		for key, s := range sent[v] {
-			if got := st.gmwAvailable(graph.NodeID(v), key); got != s-used[v][key] {
-				t.Fatalf("final gmwAvailable(%d, %+v) = %d, want %d", v, key, got, s-used[v][key])
-			}
-		}
-	}
-}
-
 // TestNetStateResetMatchesFresh pins the warm-reuse contract at the store
 // level: after arbitrary use plus reset, every observation matches a
 // freshly built netState driven through the same subsequent ops.
@@ -186,7 +131,6 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		warm.addCoupon(at, coupon{owner: graph.NodeID(r.Intn(nodes)), walkID: int64(i)})
-		warm.recordGMWSend(at, gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: graph.NodeID(r.Intn(nodes))}, 1)
 		warm.newWalkID(at)
 	}
 	warm.reset()
@@ -197,8 +141,7 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		at := graph.NodeID(r.Intn(nodes))
 		owner := graph.NodeID(r.Intn(nodes))
-		key := gmwKey{batch: int64(r.Intn(3)), step: int32(r.Intn(4)), nbr: owner}
-		switch r.Intn(4) {
+		switch r.Intn(2) {
 		case 0:
 			a, b := warm.newWalkID(at), fresh.newWalkID(at)
 			if a != b {
@@ -208,13 +151,6 @@ func TestNetStateResetMatchesFresh(t *testing.T) {
 			warm.addCoupon(at, c)
 			fresh.addCoupon(at, c)
 		case 1:
-			warm.recordGMWSend(at, key, 2)
-			fresh.recordGMWSend(at, key, 2)
-		case 2:
-			if a, b := warm.gmwAvailable(at, key), fresh.gmwAvailable(at, key); a != b {
-				t.Fatalf("gmwAvailable: warm %d, fresh %d", a, b)
-			}
-		case 3:
 			aw := warm.localCoupons(at, owner)
 			fr := fresh.localCoupons(at, owner)
 			if len(aw) != len(fr) {
@@ -391,7 +327,7 @@ func FuzzCouponShelf(f *testing.F) {
 			owner := graph.NodeID(arg % owners)
 			switch ops[0] % numOps {
 			case opAdd:
-				c := coupon{owner: owner, walkID: int64(len(minted) + 1), length: int32(arg), refill: arg%2 == 0, batch: int64(arg % 3)}
+				c := coupon{owner: owner, walkID: int64(len(minted) + 1), length: int32(arg)}
 				minted = append(minted, stored{at, owner})
 				st.addCoupon(at, c)
 				if ref[at] == nil {

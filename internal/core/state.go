@@ -12,74 +12,44 @@ type coupon struct {
 	owner  graph.NodeID
 	walkID int64
 	length int32
-	// refill marks coupons minted by GET-MORE-WALKS, whose trajectories
-	// are recorded as aggregate counts (batch identifies the refill) and
-	// retraced backward; Phase 1 coupons replay forward, their hops
-	// recomputed (see Walker.hopPort).
-	refill bool
-	batch  int64
-}
-
-// gmwKey identifies one aggregated GET-MORE-WALKS flow record at a node:
-// "tokens of `batch` that I sent to `nbr`, arriving there with hop counter
-// `step`".
-type gmwKey struct {
-	batch int64
-	step  int32
-	nbr   graph.NodeID
 }
 
 // netState is the per-node persistent state of the walk system: short-walk
-// coupons, local walk-ID sequencing and GET-MORE-WALKS flow ledgers.
-// Indexed by node; each node only ever touches its own slot, preserving
-// the locality discipline of the model.
+// coupons and local walk-ID sequencing. Indexed by node; each node only
+// ever touches its own slot, preserving the locality discipline of the
+// model.
 //
 // No node stores the hops it forwarded: a hop is a draw keyed by (seed,
 // walk ID, step), which the node recomputes when regeneration replays the
-// walk (Walker.hopPort). A GET-MORE-WALKS bundle carries a count, not
-// token identities, so its hops cannot be keyed that way; the flow
-// ledgers record them instead, on every refill.
+// walk (Walker.hopPort). That holds for GET-MORE-WALKS walks too, which
+// are Phase 1 walks started by one node (getMoreWalks).
 //
-// All per-node stores are flat, slab-backed shelves (see slab.go) rather
-// than Go maps: coupons are one list per node carved from one slab, flow
-// ledgers are open-addressed over int32 slot tables, and clearing
+// The coupon store is a flat, slab-backed shelf (see slab.go) rather than
+// a Go map: one list per node carved from one slab, and clearing
 // truncates instead of freeing. Together with reset this makes the whole
 // structure warm-reusable: a pooled worker serves request after request
 // without reallocating any of it, and the simulated execution stays
-// bit-identical to a freshly built state (the shelves preserve append
-// order, swap-remove semantics and exact-key lookup of the old maps).
+// bit-identical to a freshly built state (the shelf preserves the append
+// order and swap-remove semantics of the old maps).
 type netState struct {
 	// coupons[v] shelves the unused coupons held at v, one flat list per
 	// node, carved from couponSlab (see provisionCoupons).
 	coupons    []couponShelf
 	couponSlab []coupon
 	carved     couponLayout // what couponSlab was last carved for
-	// gmw[v] is v's count-aggregated GET-MORE-WALKS flow ledger: tokens
-	// sent per (batch, step, nbr) and how many of each flow earlier
-	// backward retraces consumed (sampling without replacement keeps joint
-	// retraces exact).
-	gmw []gmwShelf
 	// seq[v] is v's local counter for minting walk IDs.
 	seq []uint32
 	// owned[v] counts v's own walks that are still unused coupons, as v
 	// can tell locally: the walks it started, less those whose
 	// SAMPLE-DESTINATION result named v as their owner.
 	owned []int32
-
-	// mark/markEpoch is a reusable node-marking scratch (epoch-stamped
-	// visited set) for protocol steps that need a small dedup — e.g. the
-	// backward retrace's distinct-neighbor query fan-out.
-	mark      []uint32
-	markEpoch uint32
 }
 
 func newNetState(n int) *netState {
 	return &netState{
 		coupons: make([]couponShelf, n),
-		gmw:     make([]gmwShelf, n),
 		seq:     make([]uint32, n),
 		owned:   make([]int32, n),
-		mark:    make([]uint32, n),
 	}
 }
 
@@ -92,12 +62,9 @@ func newNetState(n int) *netState {
 func (s *netState) reset() {
 	for v := range s.coupons {
 		s.coupons[v].clear()
-		s.gmw[v].clear()
 	}
 	clear(s.seq)
 	clear(s.owned)
-	// The mark epoch deliberately survives: stamps from before the reset
-	// are stale by construction.
 }
 
 // couponSlack is how many times its expected Phase 1 inventory a node's
@@ -145,8 +112,8 @@ func (l couponLayout) room(g *graph.G, total int, v graph.NodeID) int {
 }
 
 // provisionCoupons empties every node's coupon list before Phase 1 (re-
-// provisioning drops the previous inventory; the flow ledgers survive so
-// previously returned walks remain retraceable). The first time, and
+// provisioning drops the previous inventory; the walk-ID counters survive,
+// so walks minted later never reuse a returned walk's ID). The first time, and
 // whenever η or the walk's counts or target change, it carves every list
 // anew from the one coupon slab, each list's capacity capped at its room
 // so that an overflow reallocates that node's list alone. Otherwise it
@@ -181,27 +148,6 @@ func (s *netState) provisionCoupons(g *graph.G, prm Params) {
 	s.carved = l
 }
 
-// recordGMWSend remembers that node at routed `count` tokens of `key.batch`
-// toward key.nbr, arriving there with hop counter key.step.
-func (s *netState) recordGMWSend(at graph.NodeID, key gmwKey, count int32) {
-	s.gmw[at].rec(key, true).sent += count
-}
-
-// gmwAvailable returns how many tokens of the flow remain unclaimed by
-// backward retraces.
-func (s *netState) gmwAvailable(at graph.NodeID, key gmwKey) int32 {
-	r := s.gmw[at].rec(key, false)
-	if r == nil {
-		return 0
-	}
-	return r.sent - r.used
-}
-
-// claimGMW consumes one token of the flow.
-func (s *netState) claimGMW(at graph.NodeID, key gmwKey) {
-	s.gmw[at].rec(key, true).used++
-}
-
 // newWalkID mints a network-unique walk ID at node v.
 func (s *netState) newWalkID(v graph.NodeID) int64 {
 	id := int64(v)<<32 | int64(s.seq[v])
@@ -230,25 +176,6 @@ func (s *netState) couponCount(at, owner graph.NodeID) int { return s.coupons[at
 
 func (s *netState) couponAt(at, owner graph.NodeID, i int) coupon {
 	return s.coupons[at].nth(owner, i)
-}
-
-// beginMark starts a fresh node-marking scratch epoch.
-func (s *netState) beginMark() {
-	s.markEpoch++
-	if s.markEpoch == 0 {
-		clear(s.mark)
-		s.markEpoch = 1
-	}
-}
-
-// markNode marks v in the current scratch epoch, reporting whether it was
-// already marked.
-func (s *netState) markNode(v graph.NodeID) bool {
-	if s.mark[v] == s.markEpoch {
-		return true
-	}
-	s.mark[v] = s.markEpoch
-	return false
 }
 
 // couponTotal counts all unused coupons in the network owned by owner

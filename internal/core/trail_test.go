@@ -10,9 +10,8 @@ import (
 )
 
 // trailWorkload runs every walk entry point once, on a parameterization
-// starved enough that GET-MORE-WALKS runs too (so both halves of
-// regeneration, the forward replay and the backward retrace through the
-// flow ledgers, have something to replay).
+// starved enough that GET-MORE-WALKS runs too (so regeneration replays
+// refill segments as well as Phase 1 and tail segments).
 func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 	t.Helper()
 	single, err := w.SingleRandomWalk(0, 80)
@@ -34,7 +33,7 @@ func trailWorkload(t *testing.T, w *Walker) []*WalkResult {
 		refills += r.Refills
 	}
 	if refills == 0 {
-		t.Fatal("starved inventory produced no refill: the flow ledger is not exercised")
+		t.Fatal("starved inventory produced no refill: no refill segment is replayed")
 	}
 	return out
 }
@@ -43,8 +42,7 @@ var starved = Params{Lambda: 2, LambdaC: 1, Eta: 1, UniformCounts: true}
 
 // TestEveryWalkRegenerates: every walk of every entry point regenerates,
 // its GET-MORE-WALKS segments included, with no opt-in, sequentially and
-// sharded (the shards recompute hops and record flow ledgers
-// concurrently; run under -race) — and both the walks and their traces
+// sharded (the shards recompute hops concurrently; run under -race) — and both the walks and their traces
 // are deep-equal at 1 and 3 shards.
 func TestEveryWalkRegenerates(t *testing.T) {
 	g := kite(t)

@@ -18,11 +18,6 @@ type Segment struct {
 	End    graph.NodeID
 	WalkID int64
 	Length int
-	// FromRefill marks segments minted by GET-MORE-WALKS; they are
-	// retraced backward through the recorded token-count flows of the
-	// batch identified by Batch, instead of by forward hop replay.
-	FromRefill bool
-	Batch      int64
 }
 
 // Breakdown attributes rounds to the stages of SINGLE-RANDOM-WALK.
@@ -76,7 +71,7 @@ type WalkResult struct {
 //
 // A Walker is NOT safe for concurrent use: its per-node netState is one
 // shared simulation, and interleaving two walks would corrupt coupon
-// inventories and flow ledgers. Every exported method holds an atomic
+// inventories and walk-ID counters. Every exported method holds an atomic
 // in-use flag for its duration and returns an error wrapping
 // ErrConcurrentUse if another call is already in flight, instead of
 // corrupting state. For concurrent workloads use distwalk.Service, which
@@ -104,13 +99,6 @@ type Walker struct {
 	keep      func(u graph.NodeID, acc, child *congest.Message)
 	take      func(graph.NodeID, *congest.Message)
 
-	// gmwOut[v] is node v's (neighbor, arrival step) aggregation scratch
-	// for GET-MORE-WALKS token processing, reused across refills. It is
-	// per-node (not one shared buffer) because several nodes process token
-	// bundles in the same round, which under sharded execution means
-	// concurrently; lazily sized on the first refill.
-	gmwOut [][]gmwFlow
-
 	busy atomic.Bool // in-use flag; see ErrConcurrentUse
 }
 
@@ -136,10 +124,10 @@ func walkerOver(net *congest.Network, prm Params) *Walker {
 
 // NewWalkerOn builds a Walker over an existing simulated network. The
 // caller controls the network's seed (NewNetwork or Network.Reseed), which
-// every draw of the walker keys on; walker state (coupons, flow ledgers,
-// walk IDs, the stitch count) starts fresh. This is the pooling
-// constructor: distwalk.Service builds one Walker per worker network,
-// once, and Resets it per request (see Reset).
+// every draw of the walker keys on; walker state (coupons, walk IDs, the
+// stitch count) starts fresh. This is the pooling constructor:
+// distwalk.Service builds one Walker per worker network, once, and Resets
+// it per request (see Reset).
 func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: NewWalkerOn needs a non-nil network")
@@ -160,9 +148,9 @@ func NewWalkerOn(net *congest.Network, prm Params) (*Walker, error) {
 func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 
 // Reset returns the walker to the observable state of a freshly built one
-// — empty coupon inventories, flow ledgers, walk-ID and stitch counters,
-// and no BFS tree — while keeping every slab's capacity, and installs prm
-// as the walker's parameters. It re-reads the network's graph, so a walker
+// — empty coupon inventories, walk-ID and stitch counters, and no BFS
+// tree — while keeping every slab's capacity, and installs prm as the
+// walker's parameters. It re-reads the network's graph, so a walker
 // survives Network.Reshape: its slabs are sized by the node count, which
 // a reshape keeps. Any previously returned Tree is invalidated (its
 // arrays are recycled by the next tree build).
@@ -357,12 +345,10 @@ func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam i
 			}
 		}
 		out.Segments = append(out.Segments, Segment{
-			Start:      cur,
-			End:        pick.dest,
-			WalkID:     pick.walkID,
-			Length:     int(pick.length),
-			FromRefill: pick.refill,
-			Batch:      pick.batch,
+			Start:  cur,
+			End:    pick.dest,
+			WalkID: pick.walkID,
+			Length: int(pick.length),
 		})
 		completed += int(pick.length)
 		cur = pick.dest
@@ -482,13 +468,11 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 // of 2 above the current inventory's (λ/2 < λ_inv ≤ λ) keeps that
 // inventory. Its Phase 1 runs only if a source holds fewer unused walks
 // of its own than it starts (a source that ran dry would fall back to
-// GET-MORE-WALKS, whose segments retrace backward at many times the
-// cost), and then only tops up: every node starts just the walks it
-// lacks to hold its η·deg(v) plus extras again, which replaces the walks
-// earlier stitches used at Phase 1's round cost. Any other call (no
-// inventory, λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. The flow
-// ledgers of earlier refills survive re-provisioning, so previously
-// returned walks remain retraceable.
+// GET-MORE-WALKS), and then only tops up: every node starts just the
+// walks it lacks to hold its η·deg(v) plus extras again, which replaces
+// the walks earlier stitches used at Phase 1's round cost. Any other call (no inventory,
+// λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. Walk IDs survive
+// re-provisioning, so previously returned walks still regenerate.
 func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
 	topUp := w.lambda > 0 && w.lambda <= lam && lam < 2*w.lambda
 	if topUp {
@@ -557,19 +541,6 @@ func lengthKey(walk uint64) uint64 { return hopKey(walk, -1) }
 // child's candidate for each merge (keepCandidate). Walk IDs are
 // non-negative, so bit 63 keeps the key off every walkKey.
 func stitchKey(seedMix, stitch uint64) uint64 { return fold(seedMix, stitch|1<<63) }
-
-// refillKey keys one GET-MORE-WALKS token: refill batch batch (a walk ID
-// nothing else keys a draw by), at node v in round r, from the bundle in
-// inbox slot slot (0 for the owner's Init, which runs in round 0 alone),
-// and rank j in that bundle. The (round, slot) pair names one message: a
-// sender and an arrival step do not, since a node forwards each bundle it
-// receives on its own, so two bundles can cross a pair of parallel edges
-// together. A token's stop at walk step s draws from fold(key, 2s), its
-// move from fold(key, 2s+1).
-func refillKey(seedMix uint64, batch int64, v graph.NodeID, r, slot int, j int32) uint64 {
-	k := fold(fold(walkKey(seedMix, batch), uint64(uint32(v))), uint64(r))
-	return fold(fold(k, uint64(slot)), uint64(uint32(j)))
-}
 
 // bounded maps the uniform 64-bit draw x to [0, n) by multiply-shift, as
 // graph.PortAt does (bias below n/2⁶⁴).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"distwalk/internal/dist"
@@ -166,23 +168,39 @@ func TestManyWalksRefillAccounting(t *testing.T) {
 	}
 }
 
+// TestRegenerateManyValidation: malformed input fails with ErrNoRegen —
+// no walks, a nil walk, segments that do not sum to the walk's length or
+// that overlap (a negative length, the sum kept), and the same walk twice
+// (its walk IDs would collide), which must be rejected, not silently
+// corrupted.
 func TestRegenerateManyValidation(t *testing.T) {
 	g, _ := graph.Complete(4)
 	w := newWalker(t, g, 19, DefaultParams())
-	if _, err := w.RegenerateMany(nil); err == nil {
-		t.Fatal("empty slice accepted")
-	}
-	if _, err := w.RegenerateMany([]*WalkResult{nil}); err == nil {
-		t.Fatal("nil entry accepted")
-	}
 	res, err := w.NaiveWalk(0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same walk twice shares walk IDs — must be rejected, not
-	// silently corrupted.
-	if _, err := w.RegenerateMany([]*WalkResult{res, res}); err == nil {
-		t.Fatal("duplicate walk accepted")
+	tampered := *res
+	tampered.Segments = slices.Clone(res.Segments)
+	tampered.Segments[0].Length++
+	// A segment of length −10 before the walk's own moves it to start at
+	// position −10, off the walk.
+	overlap := *res
+	overlap.Segments = []Segment{{Start: 0, End: 0, WalkID: 1 << 40, Length: -10}, res.Segments[0]}
+	overlap.Segments[1].Length += 10
+	for _, c := range []struct {
+		name  string
+		walks []*WalkResult
+	}{
+		{"empty slice", nil},
+		{"nil entry", []*WalkResult{nil}},
+		{"tampered segment length", []*WalkResult{&tampered}},
+		{"overlapping segments", []*WalkResult{&overlap}},
+		{"duplicate walk", []*WalkResult{res, res}},
+	} {
+		if _, err := w.RegenerateMany(c.walks); !errors.Is(err, ErrNoRegen) {
+			t.Errorf("%s: error %v, want ErrNoRegen", c.name, err)
+		}
 	}
 }
 

@@ -15,8 +15,4 @@ const (
 	kindSampleAnnounce
 	kindSampleCand
 	kindSampleResult
-	kindGMWMsg
-	kindGMWQuery
-	kindGMWReply
-	kindGMWClaim
 )

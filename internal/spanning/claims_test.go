@@ -35,8 +35,8 @@ func rstCost(t *testing.T, g *graph.G, prm core.Params) (rounds, msgs float64) {
 // which is what the code would otherwise run. The tree's stitched walks
 // win only as n grows, so the rounds ratio must fall with n. The ceilings
 // sit just above the ratios measured with the phases sharing one Phase 1
-// inventory until λ doubles: 1.14, 1.02 and 0.73 the rounds, 4.9, 7.0 and
-// 6.0 the messages.
+// inventory until λ doubles: 1.14, 1.02 and 0.72 the rounds, 5.0, 7.1 and
+// 6.1 the messages.
 func TestClaimRSTAgainstNaiveSchedule(t *testing.T) {
 	prev := 0.0
 	for _, c := range []struct {

@@ -15,7 +15,7 @@ import (
 // resultsDigestWant is TestResultsDigest's hash. It pins what the
 // algorithms return, not what they cost: a change to the cost model
 // (which sweeps run, how many rounds they take) must leave it alone.
-const resultsDigestWant = "ea1c08de7d0cb2e1"
+const resultsDigestWant = "f955daabbff468d2"
 
 // TestResultsDigest hashes every field of the Service's results except
 // the simulated cost — Cost, and the round attribution of WalkResult's
@@ -158,8 +158,7 @@ func (h resultHasher) walk(w *distwalk.WalkResult) {
 	h.ints(int(w.Source), int(w.Destination), w.Length, w.Lambda, w.Refills, len(w.Segments))
 	h.bools(w.Naive)
 	for _, s := range w.Segments {
-		h.ints(int(s.Start), int(s.End), int(s.WalkID), s.Length, int(s.Batch))
-		h.bools(s.FromRefill)
+		h.ints(int(s.Start), int(s.End), int(s.WalkID), s.Length)
 	}
 	b := w.Breakdown
 	h.ints(b.TreeBuild, b.Phase1, b.Refill, b.Tail, b.Report)

@@ -70,9 +70,8 @@ func shardWorkloads() []shardWorkload {
 		}},
 		{"RefillWalks", func(svc *distwalk.Service, key uint64) (string, error) {
 			// Deliberately under-provisioned Phase 1 forces GET-MORE-WALKS
-			// refills and their backward retraces — the protocol paths where
-			// many nodes process token bundles in one round, i.e. where
-			// sharded stepping is most concurrent.
+			// refills: Phase 1 runs started by one connector, interleaved
+			// with the stitches, under sharded stepping.
 			p := distwalk.DefaultParams()
 			p.UniformCounts = true
 			p.Lambda = 48
