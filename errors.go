@@ -53,9 +53,9 @@ var (
 	ErrNoCover = spanning.ErrNoCover
 	// ErrServiceClosed reports a request submitted to a closed Service.
 	ErrServiceClosed = errors.New("distwalk: service closed")
-	// ErrNoRegen reports a walk that cannot be regenerated:
-	// Metropolis-Hastings walks are not replayed, and a walk the replay
-	// cannot reproduce fails with it instead of returning a wrong path.
+	// ErrNoRegen reports a walk that cannot be regenerated: a walk the
+	// replay cannot reproduce (another seed or Reset epoch, or malformed
+	// segments) fails with it instead of returning a wrong path.
 	ErrNoRegen = core.ErrNoRegen
 	// ErrQueueFull reports a SubmitWalk rejected because the batching
 	// scheduler's admission queue for that request's config is full —

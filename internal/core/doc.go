@@ -15,7 +15,10 @@
 //     in a count bundle per (edge, step), which adds at most
 //     ⌈(ℓ/λ)/deg(v)⌉ rounds of first-hop queueing and keeps Lemma 2.2's
 //     O(λ) while ℓ/λ ≤ λ.
-//   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds.
+//   - MANY-RANDOM-WALKS: k walks in Õ(min(√(kℓD)+k, k+ℓ)) rounds. It is
+//     the one walk driver: SINGLE-RANDOM-WALK is its k = 1 case with
+//     Theorem 2.5's λ = √(ℓD) in place of Theorem 2.8's, and the naive
+//     walk its naive branch.
 //   - One short-walk inventory per Walker: unused walks persist between
 //     calls, and a call whose λ is below twice the inventory's stitches
 //     with the inventory's λ instead of re-running Phase 1; a top-up
@@ -29,10 +32,11 @@
 //     node recomputes the hops it forwarded instead of storing them, and
 //     the replay sends one message per hop, stopping at each segment's
 //     length. Every segment replays forward in one pass, GET-MORE-WALKS
-//     segments included, in time comparable to Phase 1's. A walk the
-//     replay cannot reproduce (another seed or Reset epoch) fails with
-//     ErrNoRegen; so does any Metropolis-Hastings walk. The result is the
-//     walk's path, one node per position.
+//     segments included, in time comparable to Phase 1's; a
+//     Metropolis-Hastings stay replays at the node, with no message. A
+//     walk the replay cannot reproduce (another seed or Reset epoch)
+//     fails with ErrNoRegen. The result is the walk's path, one node per
+//     position.
 //   - The naive ℓ-round token walk and the PODC 2009 Õ(ℓ^{2/3}D^{1/3})
 //     parameterization, as baselines.
 //

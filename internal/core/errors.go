@@ -25,10 +25,9 @@ var (
 	// shared simulation); the guard turns silent state corruption into a
 	// clean error. Use distwalk.Service for concurrency.
 	ErrConcurrentUse = errors.New("core: walker is not safe for concurrent use")
-	// ErrNoRegen reports a walk that regeneration cannot replay:
-	// Metropolis-Hastings walks are not replayed, and a walk is replayed
-	// only by the walker that ran it, in the same Reset epoch and under
-	// the same seed. The replay recomputes every hop from (seed, walk ID,
+	// ErrNoRegen reports a walk that regeneration cannot replay: a walk
+	// is replayed only by the walker that ran it, in the same Reset epoch
+	// and under the same seed. The replay recomputes every hop from (seed, walk ID,
 	// step), so a walk it cannot reproduce shows as segments that do not
 	// meet and fails with this error instead of returning a wrong path.
 	// So does malformed input: no walks, a nil walk, or segments that do

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
@@ -34,75 +35,99 @@ type ManyResult struct {
 // necessarily distinct) sources in Õ(min(√(kℓD)+k, k+ℓ)) rounds
 // (Theorem 2.8): one Phase 1 provisions short walks of length
 // λ = Θ(√(kℓD)+k), then the walks are stitched one at a time. When no walk
-// can stitch (2λ > ℓ, the rule SINGLE-RANDOM-WALK keeps) the k walks run as
-// parallel naive tokens instead, with no Phase 1.
+// can stitch (2λ > ℓ) the k walks run as parallel naive tokens instead,
+// with no Phase 1.
 func (w *Walker) ManyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, error) {
 	if err := w.acquire(); err != nil {
 		return nil, err
 	}
 	defer w.release()
-	res, err := w.manyRandomWalks(sources, ell)
+	k := len(sources)
+	c := &walkCall{
+		ManyResult: ManyResult{Destinations: make([]graph.NodeID, k), Walks: make([]*WalkResult, k)},
+		tails:      make([]tailSpec, k),
+	}
+	walks := make([]WalkResult, k)
+	for i := range walks {
+		c.Walks[i] = &walks[i]
+	}
+	err := w.manyRandomWalks(c, sources, ell, func(diam int) int { return w.prm.lambdaMany(k, ell, diam, w.g.N()) })
 	if err != nil {
 		return nil, w.faultize(err)
 	}
-	return res, nil
+	return &c.ManyResult, nil
 }
 
-func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, error) {
+// walkCall is one call of the walk driver: its result with the per-walk
+// storage the caller owns (k Destinations, k Walks each pointing at a
+// WalkResult, k tails), and what a k = 1 caller folds into its one walk.
+type walkCall struct {
+	ManyResult
+	tails []tailSpec
+	// shared holds the rounds of the stages the k walks share: the tree,
+	// Phase 1, the opening announce (Stitch; see requestAll), the tails
+	// and the destination report.
+	shared Breakdown
+	// ownLambda is the λ the call's rule gave, kept also when the call
+	// fell back to the naive walk; Lambda is the λ it stitched with.
+	ownLambda int
+}
+
+// manyRandomWalks is the one walk driver, MANY-RANDOM-WALKS, whose k = 1
+// case is SINGLE-RANDOM-WALK: it walks from each of the k sources into
+// c. lambda is the caller's λ rule given the tree height as D; a nil rule
+// runs the naive k-walk.
+func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, lambda func(diam int) int) error {
 	if len(sources) == 0 {
-		return nil, fmt.Errorf("core: no sources")
+		return fmt.Errorf("core: no sources")
 	}
 	for _, s := range sources {
 		if err := w.checkNode(s); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := CheckLength(ell); err != nil {
-		return nil, err
-	}
-	out := &ManyResult{
-		Destinations: make([]graph.NodeID, len(sources)),
-		Walks:        make([]*WalkResult, len(sources)),
+		return err
 	}
 	if ell == 0 {
 		for i, s := range sources {
-			out.Destinations[i] = s
-			out.Walks[i] = &WalkResult{Source: s, Destination: s}
+			c.Destinations[i] = s
+			*c.Walks[i] = WalkResult{Source: s, Destination: s, Naive: lambda == nil}
 		}
-		return out, nil
+		return nil
 	}
 	if w.g.N() == 1 {
-		return nil, fmt.Errorf("%w: cannot walk on a single-node graph", ErrGraphTooSmall)
+		return fmt.Errorf("%w: cannot walk on a single-node graph", ErrGraphTooSmall)
 	}
 
 	treeRes, err := w.ensureTree(sources[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.Cost.Add(treeRes)
-	diam := w.tree.Height
-	if diam < 1 {
-		diam = 1
+	c.Cost.Add(treeRes)
+	c.shared.TreeBuild = treeRes.Rounds
+	if lambda != nil {
+		c.ownLambda = lambda(max(w.tree.Height, 1))
 	}
-	lam := w.prm.lambdaMany(len(sources), ell, diam, w.g.N())
-
-	if !canStitch(ell, lam) {
+	if lambda == nil || !canStitch(ell, c.ownLambda) {
 		// The paper's "if λ > ℓ then run the naive random walk algorithm",
 		// already at 2λ > ℓ: no walk stitches, so Phase 1 would buy nothing.
-		out.NaiveFallback = true
-		return out, w.finish(out, naiveMany(out, sources, ell))
+		c.NaiveFallback = true
+		naiveMany(c, sources, ell)
+		return w.finish(c)
 	}
 	extra := make(map[graph.NodeID]int, len(sources))
 	for _, s := range sources {
 		extra[s]++
 	}
-	p1, err := w.ensurePhase1(lam, extra)
+	p1, err := w.ensurePhase1(c.ownLambda, extra)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.Cost.Add(p1)
-	lam = w.lambda
-	out.Lambda = lam
+	c.Cost.Add(p1)
+	c.shared.Phase1 = p1.Rounds
+	lam := w.lambda
+	c.Lambda = lam
 
 	// Every walk stitches at least once, so its first stitch needs no
 	// announce part of its own: one pipelined upcast brings all k requests
@@ -111,33 +136,33 @@ func (w *Walker) manyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	announced := !w.prm.PerCallBFS
 	if announced {
 		res, err := w.requestAll(sources)
-		out.Cost.Add(res)
+		c.Cost.Add(res)
+		c.shared.Stitch = res.Rounds
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	// Stitch the k walks one at a time (as in the paper), but defer every
 	// walk's ≤2λ-step naive tail so all k tails run concurrently below.
-	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
 		next := graph.None
 		if i+1 < len(sources) {
 			next = sources[i+1]
 		}
-		// At most ℓ/λ segments, tail included, as in SINGLE-RANDOM-WALK.
-		wr := &WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam, Segments: make([]Segment, 0, ell/lam)}
+		// Every stitched segment is at least λ long and leaves at least
+		// 2λ steps, so a walk has at most ℓ/λ segments, tail included.
+		wr := c.Walks[i]
+		*wr = WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam, Segments: make([]Segment, 0, ell/lam)}
 		cur, completed, err := w.stitchSegments(wr, s, ell, lam, announced, next)
 		if err != nil {
-			return nil, fmt.Errorf("core: walk %d from %d: %w", i, s, err)
+			return fmt.Errorf("core: walk %d from %d: %w", i, s, err)
 		}
-		tails[i] = tailSpec{start: cur, steps: int32(ell - completed)}
-		out.Walks[i] = wr
-		out.Destinations[i] = wr.Destination
-		out.Refills += wr.Refills
-		out.Cost.Add(wr.Cost)
+		c.tails[i] = tailSpec{start: cur, steps: int32(ell - completed)}
+		c.Refills += wr.Refills
+		c.Cost.Add(wr.Cost)
 	}
-	return out, w.finish(out, tails)
+	return w.finish(c)
 }
 
 // requestAll opens MANY-RANDOM-WALKS' stitching. One pipelined upcast
@@ -180,28 +205,29 @@ type tailSpec struct {
 	steps int32
 }
 
-// finish completes every walk's remaining steps by simultaneous token
-// forwarding, in O(max tail + congestion) rounds instead of the sum,
-// appends each tail to out.Walks[i] as its last segment, then notifies
+// finish completes every walk's remaining steps (c.tails) by simultaneous
+// token forwarding, in O(max tail + congestion) rounds instead of the
+// sum, appends each tail to c.Walks[i] as its last segment, then notifies
 // the sources. A tail whose token vanished (lost to a fault) fails the batch.
-func (w *Walker) finish(out *ManyResult, tails []tailSpec) error {
+func (w *Walker) finish(c *walkCall) error {
+	tails := c.tails
 	p := &naiveManyProto{
-		w:     w,
-		steps: make([]int32, len(tails)),
-		start: make(map[int64]int, len(tails)),
-		dest:  make([]graph.NodeID, len(tails)),
+		w:       w,
+		steps:   make([]int32, len(tails)),
+		walkIDs: make([]int64, len(tails)),
+		index:   make(map[int64]int, len(tails)),
+		dest:    make([]graph.NodeID, len(tails)),
 	}
-	wids := make([]int64, len(tails))
-	p.walkIDs = wids
 	for i, tl := range tails {
 		wid := w.st.newWalkID(tl.start)
-		wids[i] = wid
-		p.start[wid] = i
+		p.walkIDs[i] = wid
+		p.index[wid] = i
 		p.steps[i] = tl.steps
 		p.dest[i] = graph.None
 	}
 	res, err := w.net.Run(p)
-	out.Cost.Add(res)
+	c.Cost.Add(res)
+	c.shared.Tail = res.Rounds
 	if err != nil {
 		return err
 	}
@@ -209,32 +235,28 @@ func (w *Walker) finish(out *ManyResult, tails []tailSpec) error {
 		if p.dest[i] == graph.None {
 			return fmt.Errorf("core: token of walk %d did not complete", i)
 		}
-		wr := out.Walks[i]
+		wr := c.Walks[i]
 		wr.Segments = append(wr.Segments, Segment{
 			Start:  tl.start,
 			End:    p.dest[i],
-			WalkID: wids[i],
+			WalkID: p.walkIDs[i],
 			Length: int(tl.steps),
 		})
 		wr.Destination = p.dest[i]
-		out.Destinations[i] = p.dest[i]
+		c.Destinations[i] = p.dest[i]
 	}
-	return w.notifyAll(out)
+	return w.notifyAll(c)
 }
 
 // naiveMany sets up the naive k-walk (the k+ℓ regime): every walk is one
-// ℓ-step tail from its source. The k results and their one-segment lists
-// are carved from two slabs.
-func naiveMany(out *ManyResult, sources []graph.NodeID, ell int) []tailSpec {
-	walks := make([]WalkResult, len(sources))
+// ℓ-step tail from its source. The k one-segment lists are carved from
+// one slab.
+func naiveMany(c *walkCall, sources []graph.NodeID, ell int) {
 	segs := make([]Segment, len(sources))
-	tails := make([]tailSpec, len(sources))
 	for i, s := range sources {
-		walks[i] = WalkResult{Source: s, Destination: s, Length: ell, Naive: true, Segments: segs[i : i : i+1]}
-		out.Walks[i] = &walks[i]
-		tails[i] = tailSpec{start: s, steps: int32(ell)}
+		*c.Walks[i] = WalkResult{Source: s, Destination: s, Length: ell, Naive: true, Segments: segs[i : i : i+1]}
+		c.tails[i] = tailSpec{start: s, steps: int32(ell)}
 	}
-	return tails
 }
 
 // notifyAll tells every walk's source its destination in O(k + D) rounds.
@@ -243,12 +265,12 @@ func naiveMany(out *ManyResult, sources []graph.NodeID, ell int) []tailSpec {
 // source is some other node, since it is itself the source of the rest.
 // When every walk starts at the root, as in the mixing-time estimator and
 // the spanning tree, no flood runs.
-func (w *Walker) notifyAll(out *ManyResult) error {
+func (w *Walker) notifyAll(c *walkCall) error {
 	root := w.tree.Root
 	// One flat list, stable-sorted by destination: each node's reports go
 	// up in walk order.
-	byDest := make([]congest.Message, len(out.Walks))
-	for i, wr := range out.Walks {
+	byDest := make([]congest.Message, len(c.Walks))
+	for i, wr := range c.Walks {
 		last := wr.Segments[len(wr.Segments)-1]
 		byDest[i] = destReport{
 			walkID:     last.WalkID,
@@ -258,82 +280,80 @@ func (w *Walker) notifyAll(out *ManyResult) error {
 		}.msg()
 	}
 	slices.SortStableFunc(byDest, func(a, b congest.Message) int {
-		return destVs(a, readDestReport(&b).dest)
+		return cmp.Compare(readDestReport(&a).dest, readDestReport(&b).dest)
 	})
 	reports, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
-		lo, _ := slices.BinarySearchFunc(byDest, u, destVs)
-		hi, _ := slices.BinarySearchFunc(byDest, u+1, destVs)
+		// All n nodes ask for their reports, so the lookup is one search
+		// over byDest: a single decode when there is one walk.
+		lo := sort.Search(len(byDest), func(i int) bool { return readDestReport(&byDest[i]).dest >= u })
+		hi := lo
+		for hi < len(byDest) && readDestReport(&byDest[hi]).dest == u {
+			hi++
+		}
 		return byDest[lo:hi]
 	})
-	out.Cost.Add(res)
+	c.Cost.Add(res)
+	c.shared.Report = res.Rounds
 	if err != nil {
 		return err
 	}
-	if len(reports) != len(out.Walks) {
-		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), len(out.Walks))
+	if len(reports) != len(c.Walks) {
+		return fmt.Errorf("core: %d of %d destination reports arrived", len(reports), len(c.Walks))
 	}
 	flood := slices.DeleteFunc(reports, func(m congest.Message) bool { return readDestReport(&m).rootSource })
 	if len(flood) == 0 {
 		return nil
 	}
 	res, err = congest.Broadcast(w.net, w.tree, flood, nil)
-	out.Cost.Add(res)
+	c.Cost.Add(res)
+	c.shared.Report += res.Rounds
 	return err
-}
-
-// destVs orders a destination report against node u.
-func destVs(m congest.Message, u graph.NodeID) int {
-	return cmp.Compare(readDestReport(&m).dest, u)
 }
 
 // naiveManyProto is the classic token walk: "The walk of length ℓ is
 // performed by sending a token for ℓ steps, picking a random neighbor with
 // each step" (Section 1.2). It is both the paper's baseline and the final
-// ≤ 2λ-step tail of SINGLE-RANDOM-WALK (Algorithm 1, Phase 2 line 14;
-// naiveSegment runs it with one token). It forwards k tokens (of possibly
-// different lengths) simultaneously, each a walkToken sent under
-// kindNaiveToken; the engine's per-edge queues charge any congestion
-// between them.
+// ≤ 2λ-step tails of the stitched walks (Algorithm 1, Phase 2 line 14).
+// It forwards k tokens (of possibly different lengths) simultaneously,
+// each a walkToken sent under kindNaiveToken; the engine's per-edge
+// queues charge any congestion between them.
 type naiveManyProto struct {
 	w       *Walker
 	steps   []int32 // per walk index
 	walkIDs []int64
-	start   map[int64]int // walkID -> walk index
+	index   map[int64]int // walkID -> walk index
 	dest    []graph.NodeID
 }
 
 func (p *naiveManyProto) Init(ctx *congest.Ctx) {
 	v := ctx.Node()
-	// Iterate the ordered slice, not the map: map order would make RNG
-	// consumption (and thus the whole run) non-deterministic.
-	for _, wid := range p.walkIDs {
+	// Walk order, not map order: a node's tokens enter its edge queues in
+	// the order it sends them, so the order decides the run's queueing.
+	for i, wid := range p.walkIDs {
 		if walkOwner(wid) != v {
 			continue
 		}
-		idx := p.start[wid]
-		steps := p.steps[idx]
-		if steps == 0 {
-			p.dest[idx] = v
+		if p.steps[i] == 0 {
+			p.dest[i] = v
 			continue
 		}
-		p.forward(ctx, walkToken{walkID: wid, remaining: steps, total: steps})
+		p.forward(ctx, walkToken{walkID: wid, remaining: p.steps[i], total: p.steps[i]})
 	}
 }
 
+// Step forwards every token that arrived: a Run carries only its own
+// protocol's messages (wire.go), so every one is a naive token.
 func (p *naiveManyProto) Step(ctx *congest.Ctx) {
 	in := ctx.Inbox()
 	for i := range in {
-		t := readToken(&in[i])
-		if _, mine := p.start[t.walkID]; mine {
-			p.forward(ctx, t)
-		}
+		p.forward(ctx, readToken(&in[i]))
 	}
 }
 
 func (p *naiveManyProto) forward(ctx *congest.Ctx, t walkToken) {
 	port, rem := p.w.advanceToken(ctx, t)
 	if port < 0 {
-		p.dest[p.start[t.walkID]] = ctx.Node()
+		p.dest[p.index[t.walkID]] = ctx.Node()
 		return
 	}
 	t.remaining = rem

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"distwalk/internal/dist"
@@ -186,20 +187,103 @@ func TestMHStaysAreFree(t *testing.T) {
 	}
 }
 
-func TestMHRegenerateUnsupported(t *testing.T) {
-	g, err := graph.Torus(4, 4)
+// TestMHRegenerate replays a stitched Metropolis-Hastings walk: every
+// position is recorded, consecutive positions are a stay or an edge, the
+// stays are replayed, and a second replay returns the same trace.
+func TestMHRegenerate(t *testing.T) {
+	g, err := graph.Candy(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := DefaultParams()
-	prm.Metropolis = true
-	w := newWalker(t, g, 57, prm)
-	res, err := w.SingleRandomWalk(0, 50)
+	w := newWalker(t, g, 57, mhParams(4))
+	res, err := w.SingleRandomWalk(7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Regenerate(res); err == nil {
-		t.Fatal("MH regeneration should be rejected")
+	if len(res.Segments) < 2 {
+		t.Fatalf("walk did not stitch: %d segments", len(res.Segments))
+	}
+	tr, err := w.Regenerate(res)
+	if err != nil {
+		t.Fatalf("MH regeneration: %v", err)
+	}
+	if tr.Path[0] != res.Source || tr.Path[res.Length] != res.Destination {
+		t.Fatalf("path runs %d→%d, walk %d→%d", tr.Path[0], tr.Path[res.Length], res.Source, res.Destination)
+	}
+	stays := 0
+	for i := 1; i < len(tr.Path); i++ {
+		u, v := tr.Path[i-1], tr.Path[i]
+		switch {
+		case u == v:
+			stays++
+		case !g.HasEdge(u, v):
+			t.Fatalf("positions %d→%d jump %d→%d off the graph", i-1, i, u, v)
+		}
+	}
+	if stays == 0 {
+		t.Fatal("no stay replayed")
+	}
+	again, err := w.Regenerate(res)
+	if err != nil || !slices.Equal(again.Path, tr.Path) {
+		t.Fatalf("second replay differs (%v)", err)
+	}
+}
+
+// TestMHRegeneratedPathLaw χ²-tests regenerated Metropolis-Hastings
+// paths position by position: Path[t] of stitched walks (refills, stays
+// and tails included) must follow the exact t-step MH law from the
+// source, not only the endpoint.
+func TestMHRegeneratedPathLaw(t *testing.T) {
+	g, err := graph.Candy(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		source  = graph.NodeID(7)
+		ell     = 40
+		samples = 2000
+		batch   = 50
+	)
+	positions := []int{1, 3, 9, 20, 33, ell}
+	counts := make([][]int, len(positions))
+	for i := range counts {
+		counts[i] = make([]int, g.N())
+	}
+	w := newWalker(t, g, 67, mhParams(4))
+	stitched, refills := 0, 0
+	for done := 0; done < samples; done += batch {
+		walks := make([]*WalkResult, batch)
+		for i := range walks {
+			res, err := w.SingleRandomWalk(source, ell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Segments) > 1 {
+				stitched++
+			}
+			refills += res.Refills
+			walks[i] = res
+		}
+		traces, err := w.RegenerateMany(walks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			for i, pos := range positions {
+				counts[i][tr.Path[pos]]++
+			}
+		}
+	}
+	t.Logf("%d walks, %d stitched, %d refills", samples, stitched, refills)
+	if stitched == 0 || refills == 0 {
+		t.Fatal("the walks must stitch and refill")
+	}
+	for i, pos := range positions {
+		exact, err := dist.MHWalkDist(g, source, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDistribution(t, counts[i], exact)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
 )
@@ -33,45 +31,4 @@ func (r destReport) msg() congest.Message {
 func readDestReport(m *congest.Message) destReport {
 	dest, deg := congest.Unpack2(m.W[1] &^ (1 << 63))
 	return destReport{walkID: int64(m.W[0]), dest: graph.NodeID(dest), deg: deg, rootSource: m.W[1]>>63 != 0}
-}
-
-// naiveSegment walks `steps` hops from start by token forwarding and
-// returns the destination plus cost: a one-token naiveManyProto.
-func (w *Walker) naiveSegment(start graph.NodeID, steps int) (graph.NodeID, int64, congest.Result, error) {
-	wid := w.st.newWalkID(start)
-	p := &naiveManyProto{
-		w:       w,
-		steps:   []int32{int32(steps)},
-		walkIDs: []int64{wid},
-		start:   map[int64]int{wid: 0},
-		dest:    []graph.NodeID{graph.None},
-	}
-	res, err := w.net.Run(p)
-	if err != nil {
-		return graph.None, 0, res, err
-	}
-	if p.dest[0] == graph.None {
-		return graph.None, 0, res, fmt.Errorf("core: naive walk of %d steps from %d did not complete", steps, start)
-	}
-	return p.dest[0], wid, res, nil
-}
-
-// reportToSource sends (walkID, dest) from the destination to the tree
-// root over tree edges (depth(dest) rounds). With the tree rooted at the
-// walk's source this completes 1-RW-SoD: the source outputs the
-// destination's ID.
-func (w *Walker) reportToSource(tree *congest.Tree, dest graph.NodeID, walkID int64) (congest.Result, error) {
-	reports, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
-		if u == dest {
-			return []congest.Message{destReport{walkID: walkID, dest: dest, deg: int32(w.g.Degree(dest))}.msg()}
-		}
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-	if len(reports) != 1 || readDestReport(&reports[0]).dest != dest {
-		return res, fmt.Errorf("core: destination report lost (got %d reports)", len(reports))
-	}
-	return res, nil
 }

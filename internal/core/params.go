@@ -41,9 +41,9 @@ type Params struct {
 	// Metropolis samples the Metropolis-Hastings walk with uniform target
 	// distribution instead of the simple walk — the generalization the
 	// PODC 2009 predecessor supports (Section 1.3). Stays consume walk
-	// steps but no messages. Endpoint sampling (single and many walks) is
-	// fully supported; Regenerate is not (it fails with ErrNoRegen),
-	// matching this paper's focus on the simple walk for its applications.
+	// steps but no messages. Endpoint sampling (single and many walks) and
+	// Regenerate are supported: a stay is a keyed draw like a hop, so the
+	// replay recomputes it where the walk stayed.
 	Metropolis bool
 }
 

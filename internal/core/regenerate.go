@@ -93,15 +93,23 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 
 // advance forwards the replay token at walk position pos along the hop
 // the segment took there: hop pos−start, recomputed from the key the
-// walk token drew it from. The segment ends after its length hops.
+// walk token drew it from. A Metropolis-Hastings stay (port −1) keeps the
+// walk at this node one position later, so the node records that
+// position and replays the next hop itself, sending nothing, as the walk
+// token did. The segment ends after its length hops.
 func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos int32, rw regenWalk) {
-	j := pos - rw.start
-	if j >= rw.length {
-		return
+	v := ctx.Node()
+	for ; pos-rw.start < rw.length; pos++ {
+		if port := p.w.hopPort(v, rw.key, pos-rw.start); port >= 0 {
+			w0, w1 := regenToken{walkID: walkID, pos: pos + 1}.encode()
+			ctx.SendPort(port, kindRegenToken, regenWords, w0, w1, 0, 0)
+			return
+		}
+		if !rw.trace.record(v, pos+1) {
+			p.bad = true
+			return
+		}
 	}
-	port := p.w.hopPort(ctx.Node(), rw.key, j)
-	w0, w1 := regenToken{walkID: walkID, pos: pos + 1}.encode()
-	ctx.SendPort(port, kindRegenToken, regenWords, w0, w1, 0, 0)
 }
 
 // record notes that the walk was at v at position pos. Only the node the
@@ -126,7 +134,9 @@ func (tr *Trace) record(v graph.NodeID, pos int32) bool {
 // The replay reproduces only walks of this walker's current seed and
 // Reset epoch. A walk it does not reproduce — its replayed segments do
 // not meet where the walk's next segment starts, or at its destination —
-// fails with ErrNoRegen and no trace, as does any walk under Metropolis.
+// fails with ErrNoRegen and no trace. Metropolis-Hastings walks replay
+// like simple ones: a stay is a keyed draw too, recomputed where the walk
+// stayed.
 func (w *Walker) Regenerate(res *WalkResult) (*Trace, error) {
 	if err := w.acquire(); err != nil {
 		return nil, err
@@ -160,9 +170,6 @@ func (w *Walker) RegenerateMany(walks []*WalkResult) ([]*Trace, error) {
 func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if len(walks) == 0 {
 		return nil, fmt.Errorf("%w: no walks to regenerate", ErrNoRegen)
-	}
-	if w.prm.Metropolis {
-		return nil, fmt.Errorf("%w: Metropolis-Hastings walks are not replayed", ErrNoRegen)
 	}
 	n := w.g.N()
 	traces := make([]*Trace, len(walks))

@@ -60,12 +60,15 @@ type WalkResult struct {
 	Breakdown Breakdown
 }
 
-// Walker runs the paper's walk algorithms over one simulated network. A
-// Walker may run many walks; unused short-walk coupons persist between
-// walks exactly as in MANY-RANDOM-WALKS (Phase 1 provisions once, Phase 2
-// stitches per walk and refills on demand). The inventory outlives a
-// change of λ too: a call whose λ is below twice the inventory's stitches
-// with the inventory's λ, which keeps Theorem 2.8's O(λ + kℓD/λ) rounds
+// Walker runs the paper's walk algorithms over one simulated network. Its
+// one walk driver is MANY-RANDOM-WALKS (manyRandomWalks):
+// SINGLE-RANDOM-WALK is its k = 1 case with Theorem 2.5's λ = √(ℓD), and
+// NaiveWalk its naive branch with k = 1. A Walker may run many walks;
+// unused short-walk coupons persist between walks exactly as in
+// MANY-RANDOM-WALKS (Phase 1 provisions once, Phase 2 stitches per walk
+// and refills on demand). The inventory outlives a change of λ too: a
+// call whose λ is below twice the inventory's stitches with the
+// inventory's λ, which keeps Theorem 2.8's O(λ + kℓD/λ) rounds
 // within a factor of 2, so the doubling phases of RandomSpanningTree
 // share one Phase 1 until λ doubles (see ensurePhase1).
 //
@@ -224,99 +227,71 @@ func (w *Walker) Prepare(source graph.NodeID) (congest.Result, error) {
 // from source (Algorithm 1, SINGLE-RANDOM-WALK) and returns the walk's
 // composition and exact simulated cost. The returned destination is an
 // exact sample of the ℓ-step walk distribution (Theorem 2.5: Las Vegas).
+// It is MANY-RANDOM-WALKS with k = 1 and Theorem 2.5's λ = √(ℓD) (see
+// single).
 func (w *Walker) SingleRandomWalk(source graph.NodeID, ell int) (*WalkResult, error) {
 	if err := w.acquire(); err != nil {
 		return nil, err
 	}
 	defer w.release()
-	res, err := w.singleRandomWalk(source, ell)
-	if err != nil {
+	return w.single(source, ell, func(diam int) int { return w.prm.lambda(ell, diam, w.g.N()) })
+}
+
+// NaiveWalk runs the paper's O(ℓ)-round baseline: pure token forwarding
+// plus the destination report. It shares the Walker's BFS tree so the
+// comparison with SINGLE-RANDOM-WALK is infrastructure-for-infrastructure.
+// It is the naive branch of MANY-RANDOM-WALKS with k = 1.
+func (w *Walker) NaiveWalk(source graph.NodeID, ell int) (*WalkResult, error) {
+	if err := w.acquire(); err != nil {
+		return nil, err
+	}
+	defer w.release()
+	return w.single(source, ell, nil)
+}
+
+// single runs one walk from source as the walk driver's k = 1 call
+// (manyRandomWalks) with the λ rule lambda, nil for the naive walk. Only
+// the returned walk is allocated here: the call's per-walk storage lives
+// on the stack. The stages the driver shares among its walks are folded
+// into the walk's Cost and Breakdown: the opening announce is a stitch,
+// and the tree, Phase 1, the tail and the destination report are the
+// walk's own.
+func (w *Walker) single(source graph.NodeID, ell int, lambda func(diam int) int) (*WalkResult, error) {
+	wr := new(WalkResult)
+	sources, walks := [1]graph.NodeID{source}, [1]*WalkResult{wr}
+	var (
+		dests [1]graph.NodeID
+		tails [1]tailSpec
+	)
+	c := walkCall{ManyResult: ManyResult{Destinations: dests[:], Walks: walks[:]}, tails: tails[:]}
+	if err := w.manyRandomWalks(&c, sources[:], ell, lambda); err != nil {
 		return nil, w.faultize(err)
 	}
-	return res, nil
-}
-
-func (w *Walker) singleRandomWalk(source graph.NodeID, ell int) (*WalkResult, error) {
-	if err := w.checkNode(source); err != nil {
-		return nil, err
+	wr.Cost = c.Cost
+	b, sh := &wr.Breakdown, c.shared
+	b.TreeBuild, b.Phase1, b.Tail, b.Report = sh.TreeBuild, sh.Phase1, sh.Tail, sh.Report
+	b.Stitch += sh.Stitch
+	if c.NaiveFallback {
+		wr.Lambda = c.ownLambda
 	}
-	if err := CheckLength(ell); err != nil {
-		return nil, err
-	}
-	out := &WalkResult{Source: source, Destination: source, Length: ell}
-	if ell == 0 {
-		return out, nil
-	}
-	if w.g.N() == 1 {
-		return nil, fmt.Errorf("%w: cannot walk on a single-node graph", ErrGraphTooSmall)
-	}
-	treeRes, err := w.ensureTree(source)
-	if err != nil {
-		return nil, err
-	}
-	out.Cost.Add(treeRes)
-	out.Breakdown.TreeBuild = treeRes.Rounds
-
-	diam := w.tree.Height
-	if diam < 1 {
-		diam = 1
-	}
-	lam := w.prm.lambda(ell, diam, w.g.N())
-	out.Lambda = lam
-
-	if !canStitch(ell, lam) {
-		out.Naive = true
-		if err := w.naiveTail(out, source, ell); err != nil {
-			return nil, err
-		}
-		return out, w.report(out)
-	}
-
-	p1, err := w.ensurePhase1(lam, map[graph.NodeID]int{source: 1})
-	if err != nil {
-		return nil, err
-	}
-	out.Cost.Add(p1)
-	out.Breakdown.Phase1 = p1.Rounds
-	lam = w.lambda
-	out.Lambda = lam
-	// Every stitched segment is at least λ long and leaves at least 2λ
-	// steps, so the walk has at most ℓ/λ segments, tail included.
-	out.Segments = make([]Segment, 0, ell/lam)
-
-	if err := w.stitch(out, source, ell, lam); err != nil {
-		return nil, err
-	}
-	return out, w.report(out)
-}
-
-// stitch runs Phase 2: repeatedly sample an unused short walk at the
-// current connector and jump to its destination, until fewer than 2λ steps
-// remain; then finish naively.
-func (w *Walker) stitch(out *WalkResult, source graph.NodeID, ell, lam int) error {
-	cur, completed, err := w.stitchSegments(out, source, ell, lam, false, graph.None)
-	if err != nil {
-		return err
-	}
-	return w.naiveTail(out, cur, ell-completed)
+	return wr, nil
 }
 
 // canStitch is Phase 2's loop condition: a short walk (up to 2λ−1 steps)
 // is stitched only while at least 2λ steps remain. It is also the one
-// naive-fallback rule of both walkers: a walk with !canStitch(ℓ, λ) never
-// stitches, Phase 1 would buy nothing, and the walk is the naive one
-// (Theorem 2.5's ℓ term; Theorem 2.8's k+ℓ term for k walks).
+// naive-fallback rule: a call with !canStitch(ℓ, λ) never stitches,
+// Phase 1 would buy nothing, and its walks are naive ones (Theorem 2.5's
+// ℓ term; Theorem 2.8's k+ℓ term for k walks).
 func canStitch(remaining, lam int) bool { return 2*lam <= remaining }
 
 // stitchSegments runs the stitching loop of Phase 2 and stops when fewer
 // than 2λ steps remain, returning the final connector and completed step
-// count. The ≤2λ-step naive tail is left to the caller: SINGLE-RANDOM-WALK
-// runs it immediately, MANY-RANDOM-WALKS defers all k tails and runs them
-// concurrently (sequential tails of Θ(λ)=Θ(√(kℓD)) steps each would cost
-// k√(kℓD) rounds and break Theorem 2.8's bound). announced says the
-// source's first stitch was announced already; next, when a node, is the
-// source of the walk stitched after this one, whose announcement the last
-// result carries.
+// count. The ≤2λ-step naive tail is left to the caller, which defers all
+// k tails and runs them concurrently (sequential tails of Θ(λ)=Θ(√(kℓD))
+// steps each would cost k√(kℓD) rounds and break Theorem 2.8's bound).
+// announced says the source's first stitch was announced already; next,
+// when a node, is the source of the walk stitched after this one, whose
+// announcement the last result carries.
 func (w *Walker) stitchSegments(out *WalkResult, source graph.NodeID, ell, lam int, announced bool, next graph.NodeID) (graph.NodeID, int, error) {
 	cur := source
 	completed := 0
@@ -376,75 +351,6 @@ func (w *Walker) stitchOnce(out *WalkResult, v graph.NodeID, announced bool, sla
 	return pick, err
 }
 
-// naiveTail walks the remaining steps by token forwarding and records the
-// final segment and destination.
-func (w *Walker) naiveTail(out *WalkResult, from graph.NodeID, steps int) error {
-	dest, wid, res, err := w.naiveSegment(from, steps)
-	out.Cost.Add(res)
-	out.Breakdown.Tail += res.Rounds
-	if err != nil {
-		return err
-	}
-	out.Segments = append(out.Segments, Segment{
-		Start:  from,
-		End:    dest,
-		WalkID: wid,
-		Length: steps,
-	})
-	out.Destination = dest
-	return nil
-}
-
-// report notifies the source of the destination over the BFS tree.
-func (w *Walker) report(out *WalkResult) error {
-	last := out.Segments[len(out.Segments)-1]
-	res, err := w.reportToSource(w.tree, out.Destination, last.WalkID)
-	out.Cost.Add(res)
-	out.Breakdown.Report += res.Rounds
-	return err
-}
-
-// NaiveWalk runs the paper's O(ℓ)-round baseline: pure token forwarding
-// plus the destination report. It shares the Walker's BFS tree so the
-// comparison with SINGLE-RANDOM-WALK is infrastructure-for-infrastructure.
-func (w *Walker) NaiveWalk(source graph.NodeID, ell int) (*WalkResult, error) {
-	if err := w.acquire(); err != nil {
-		return nil, err
-	}
-	defer w.release()
-	res, err := w.naiveWalk(source, ell)
-	if err != nil {
-		return nil, w.faultize(err)
-	}
-	return res, nil
-}
-
-func (w *Walker) naiveWalk(source graph.NodeID, ell int) (*WalkResult, error) {
-	if err := w.checkNode(source); err != nil {
-		return nil, err
-	}
-	if err := CheckLength(ell); err != nil {
-		return nil, err
-	}
-	out := &WalkResult{Source: source, Destination: source, Length: ell, Naive: true}
-	if ell == 0 {
-		return out, nil
-	}
-	if w.g.N() == 1 {
-		return nil, fmt.Errorf("%w: cannot walk on a single-node graph", ErrGraphTooSmall)
-	}
-	treeRes, err := w.ensureTree(source)
-	if err != nil {
-		return nil, err
-	}
-	out.Cost.Add(treeRes)
-	out.Breakdown.TreeBuild = treeRes.Rounds
-	if err := w.naiveTail(out, source, ell); err != nil {
-		return nil, err
-	}
-	return out, w.report(out)
-}
-
 // ensureTree (re)builds the BFS tree when the source changes; reuse across
 // walks from the same source is free. A tree retired by Reset donates its
 // slabs to the rebuild, so warm workers pay no tree allocation either.
@@ -461,7 +367,7 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 	return res, nil
 }
 
-// ensurePhase1 is the one provisioning rule of both walkers; afterwards
+// ensurePhase1 is the walk driver's one provisioning rule; afterwards
 // w.lambda is the λ the call stitches, refills and reports with. extra
 // names the walks the call starts at each source, which Lemma 2.6 adds to
 // the sources' inventories (its "+k"). A call whose λ is within a factor
