@@ -290,11 +290,11 @@ func TestBatchedGoldenCounters(t *testing.T) {
 		}
 	}
 	info := handles[0].Batch()
-	wantCost := distwalk.Cost{Rounds: 4379, Messages: 1154758, Words: 3458146, MaxQueue: 15}
+	wantCost := distwalk.Cost{Rounds: 4379, Messages: 1154501, Words: 3457889, MaxQueue: 15}
 	if info.Cost != wantCost {
 		t.Errorf("golden batch cost changed:\n got %+v\nwant %+v", info.Cost, wantCost)
 	}
-	wantAm := distwalk.Cost{Rounds: 547, Messages: 144344, Words: 432268, MaxQueue: 15}
+	wantAm := distwalk.Cost{Rounds: 547, Messages: 144312, Words: 432236, MaxQueue: 15}
 	if info.Amortized != wantAm {
 		t.Errorf("golden amortized cost changed:\n got %+v\nwant %+v", info.Amortized, wantAm)
 	}

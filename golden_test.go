@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 1609, Messages: 399945, Words: 1197277, MaxQueue: 15},
+			want: distwalk.Cost{Rounds: 1609, Messages: 399688, Words: 1197020, MaxQueue: 15},
 		},
 		{
 			name: "SingleRandomWalk/torus16x16/ell256/seed7",
@@ -83,7 +83,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 381, Messages: 100337, Words: 298453, MaxQueue: 17},
+			want: distwalk.Cost{Rounds: 381, Messages: 100080, Words: 298196, MaxQueue: 17},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024/seed9",
@@ -99,7 +99,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2083, Messages: 587261, Words: 1755561, MaxQueue: 13},
+			want: distwalk.Cost{Rounds: 2083, Messages: 587004, Words: 1755304, MaxQueue: 13},
 		},
 		{
 			name: "NaiveWalk/torus16x16/ell2048/seed3",
@@ -111,7 +111,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2075, Messages: 3082, Words: 7198, MaxQueue: 1},
+			want: distwalk.Cost{Rounds: 2075, Messages: 2825, Words: 6941, MaxQueue: 1},
 		},
 		{
 			name: "MetropolisSingleWalk/torus16x16/ell512/seed5",
@@ -125,7 +125,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 564, Messages: 142662, Words: 425428, MaxQueue: 11},
+			want: distwalk.Cost{Rounds: 564, Messages: 142405, Words: 425171, MaxQueue: 11},
 		},
 		{
 			name: "RandomSpanningTree/torus8x8/seed11",
@@ -141,7 +141,7 @@ func goldenCases() []goldenCase {
 				}
 				return res.Cost
 			},
-			want: distwalk.Cost{Rounds: 2247, Messages: 63970, Words: 182410, MaxQueue: 10},
+			want: distwalk.Cost{Rounds: 2247, Messages: 63905, Words: 182345, MaxQueue: 10},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4/seed13",
@@ -157,7 +157,7 @@ func goldenCases() []goldenCase {
 				}
 				return est.Cost
 			},
-			want: distwalk.Cost{Rounds: 378, Messages: 4902, Words: 15328, MaxQueue: 17},
+			want: distwalk.Cost{Rounds: 378, Messages: 4871, Words: 15297, MaxQueue: 17},
 		},
 	}
 }
@@ -262,12 +262,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 1637, Messages: 400016, Words: 1197490},
+			want: serviceGolden{Rounds: 1637, Messages: 399759, Words: 1197233},
 		},
 		{
 			name: "ManyRandomWalks/torus16x16/k8/ell1024", graph: torus,
 			run:  manyFromZero(8),
-			want: serviceGolden{Rounds: 2094, Messages: 584182, Words: 1746418},
+			want: serviceGolden{Rounds: 2094, Messages: 583925, Words: 1746161},
 		},
 		{
 			// Four shards pinned, not GOMAXPROCS: the same workload on
@@ -285,7 +285,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 4820, Messages: 12451052, Words: 37297684},
+			want: serviceGolden{Rounds: 4820, Messages: 12448747, Words: 37295379},
 		},
 		{
 			// Starts cold, then 16 requests over 4 distinct keys: 4
@@ -313,7 +313,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return total, nil
 			},
-			want: serviceGolden{Rounds: 32404, Messages: 9300564, Words: 27803644, CacheHits: 12, CacheMisses: 4},
+			want: serviceGolden{Rounds: 32404, Messages: 9296452, Words: 27799532, CacheHits: 12, CacheMisses: 4},
 		},
 		{
 			// A churn window, two lossy links and one slow link, up to 3
@@ -337,7 +337,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				distwalk.WithRetry(3),
 			},
 			run:   manyFromZero(8),
-			want:  serviceGolden{Rounds: 2220, Messages: 532716, Words: 1592020, Dropped: 114},
+			want:  serviceGolden{Rounds: 2220, Messages: 532459, Words: 1591763, Dropped: 114},
 			retry: &distwalk.RetryStats{Attempts: 1},
 		},
 		{
@@ -349,7 +349,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 2067, Messages: 3074, Words: 7174},
+			want: serviceGolden{Rounds: 2067, Messages: 2817, Words: 6917},
 		},
 		{
 			name: "RandomSpanningTree/torus16x16", graph: torus,
@@ -360,7 +360,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return res.Cost, nil
 			},
-			want: serviceGolden{Rounds: 7578, Messages: 686672, Words: 2012188},
+			want: serviceGolden{Rounds: 7578, Messages: 686415, Words: 2011931},
 		},
 		{
 			// The walk plus its full regeneration (Section 2.2).
@@ -374,12 +374,12 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				cost.Add(trace.Cost)
 				return cost, nil
 			},
-			want: serviceGolden{Rounds: 1363, Messages: 286664, Words: 855386},
+			want: serviceGolden{Rounds: 1363, Messages: 286407, Words: 855129},
 		},
 		{
 			name: "RefillWalks/torus16x16/k16/ell1024/lambda64", graph: torus,
 			run:  manyFromZero(16, distwalk.WithParams(refill)),
-			want: serviceGolden{Rounds: 10915, Messages: 183510, Words: 524568},
+			want: serviceGolden{Rounds: 10915, Messages: 183253, Words: 524311},
 		},
 		{
 			name: "EstimateMixingTime/regular64x4", graph: regular,
@@ -390,7 +390,7 @@ func serviceGoldenCases(t *testing.T) []serviceGoldenCase {
 				}
 				return est.Cost, nil
 			},
-			want: serviceGolden{Rounds: 291, Messages: 2961, Words: 9505},
+			want: serviceGolden{Rounds: 291, Messages: 2930, Words: 9474},
 		},
 	}
 }

@@ -173,18 +173,32 @@ func BenchmarkEngineTreeSweeps(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBFSBuild rebuilds a BFS tree over the slabs of the last
+// one, as a warm walker does for every request, and reports the flood's
+// messages beside its time. Torus(48,48) is cache-churn's graph, where a
+// miss is mostly this tree.
 func BenchmarkEngineBFSBuild(b *testing.B) {
-	g, err := graph.Torus(16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := NewNetwork(g, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildBFSTree(net, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, side := range []int{16, 48} {
+		b.Run(fmt.Sprintf("torus%dx%d", side, side), func(b *testing.B) {
+			g, err := graph.Torus(side, side)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net := NewNetwork(g, 1)
+			tree, _, err := BuildBFSTree(net, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tree, res, err = BuildBFSTreeReuse(net, 0, tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Messages), "msgs/op")
+		})
 	}
 }
 

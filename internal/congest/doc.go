@@ -140,6 +140,21 @@
 // BFS build marks visited nodes by stamping. One scratch suffices
 // because the engine executes one Run at a time.
 //
+// The BFS flood sends no announce that cannot change the tree. A node
+// visited in round r acks its parent and announces on each port whose
+// neighbor did not announce to it in round r; those neighbors are
+// visited already. Its inbox is sorted by sender, so a binary search per
+// port finds them, with no per-node state. Every directed edge then
+// carries at most one message, so a build sends at most 2m. Fault-free
+// it sends m + n − 1 plus one per edge within a BFS layer: m + n − 1 on
+// a bipartite graph such as a torus of even side (6 911 on
+// Torus(48,48), against 2m = 9 216 when every node announces on every
+// port but its parent's). An omitted announce would reach a visited
+// node on an edge no other message of the build uses, so omitting it
+// changes no tree, child order, queue depth or fault decision on
+// another edge, and no round count unless its link is delayed: only
+// there could it have been a build's last delivery.
+//
 // # One round kernel, three transports
 //
 // The code that charges a round exists once (kernel.go). A shard is a

@@ -86,8 +86,9 @@ func (p *bfsProto) Step(ctx *Ctx) {
 			p.parent[v] = m.From
 			p.depth[v] = depth
 			ctx.SendTo(m.From, kindChildAck, 1, 0, 0, 0, 0)
+			in := ctx.Inbox()
 			for port, h := range ctx.Neighbors() {
-				if h.To != m.From {
+				if !announcedBy(in, h.To) {
 					ctx.SendPort(port, kindAnnounce, 1, uint64(uint32(depth+1)), 0, 0, 0)
 				}
 			}
@@ -97,9 +98,32 @@ func (p *bfsProto) Step(ctx *Ctx) {
 	}
 }
 
+// announcedBy reports whether the inbox of the round a node is visited
+// holds a message from u. Only announces reach a node before it is
+// visited (acks go to parents), and an inbox is in ascending
+// directed-edge order, so it is sorted by From.
+func announcedBy(in []Message, u graph.NodeID) bool {
+	lo, hi := 0, len(in)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if in[mid].From < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(in) && in[lo].From == u
+}
+
 // BuildBFSTree runs the flooding BFS-tree protocol from root and returns
-// the resulting tree and the run cost (O(D) rounds, O(m) messages). It
-// fails if the graph is disconnected.
+// the resulting tree and the run cost. It fails if the graph is
+// disconnected. It takes O(D) rounds. A node visited by an announce acks
+// its parent and announces on every port whose neighbor did not announce
+// to it in the same round: that neighbor is visited already. Every
+// directed edge carries at most one message, so a build sends at most 2m.
+// Fault-free it sends exactly m + n − 1 plus one for each edge whose ends
+// share a depth: n − 1 acks, one announce down each edge and two across
+// an edge within a layer. On a bipartite graph that is m + n − 1.
 func BuildBFSTree(net *Network, root graph.NodeID) (*Tree, Result, error) {
 	return BuildBFSTreeReuse(net, root, nil)
 }

@@ -7,7 +7,13 @@
 //     walk in Õ(√(ℓD)) rounds by preparing short walks of random length in
 //     [λ, 2λ−1] (Phase 1) and stitching them at connector nodes (Phase 2).
 //   - SAMPLE-DESTINATION (Algorithm 3): uniform sampling of an unused
-//     short-walk coupon via BFS-tree convergecast in O(D) rounds.
+//     short-walk coupon via BFS-tree convergecast in O(D) rounds. The
+//     tree is built once per source by congest.BuildBFSTree's flood, in
+//     O(D) rounds and at most 2m messages: m + n − 1 on a bipartite
+//     graph, since no node announces back to a neighbor it heard from.
+//     On a short walk over a large graph the tree is most of the cost:
+//     6 911 of the 6 977–6 995 messages of an ℓ = 64 naive walk on
+//     Torus(48,48) (service seed 42, keys 1–3).
 //   - GET-MORE-WALKS (Algorithm 2): refill of a node's short walks, run
 //     as a Phase 1 in which that node alone starts ⌊ℓ/λ⌋ walks, each with
 //     its own walk ID and keyed length and hops. This deviates from

@@ -40,8 +40,9 @@ func TestGetMoreWalksMintsCoupons(t *testing.T) {
 }
 
 func TestGetMoreWalksLengthsUniform(t *testing.T) {
-	// Reservoir sampling (Algorithm 2 + Lemma 2.4): lengths must be
-	// uniform on [λ, 2λ-1]. Mint a large batch and chi-square the lengths.
+	// A refill walk draws its length by Phase 1's lengthKey, so lengths
+	// must be uniform on [λ, 2λ-1] (Lemma 2.4). Mint a large batch and
+	// chi-square the lengths.
 	g, err := graph.Complete(8)
 	if err != nil {
 		t.Fatal(err)

@@ -182,7 +182,7 @@ func TestRegenerateTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v len=%d attempts=%d cost=%+v", res.Parent, res.WalkLength, res.Attempts, res.Cost)
 			return h.Sum64()
-		}, 0x5defa538223d3af5},
+		}, 0x52110592c2d2ddcf},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2, 4} {
