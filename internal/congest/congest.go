@@ -132,16 +132,21 @@ type Network struct {
 // fresh protocol run costs one increment, not a sweep. acc/pending carry
 // convergecast state and items the messages a Broadcast floods — runs
 // execute one at a time, so a single scratch serves every protocol on
-// the network. bc and cc are the one Broadcast and Convergecast run
-// state, which a run's Proto points at instead of a fresh allocation.
+// the network. bfs, bc, cc and up are the one BFS build, Broadcast,
+// Convergecast and Upcast run state, which a run's Proto points at
+// instead of a fresh allocation, and collected the items an Upcast
+// returns.
 type nodeScratch struct {
-	epoch   uint32
-	stamp   []uint32
-	acc     []Message
-	pending []int32
-	items   []Message
-	bc      broadcastProto
-	cc      convergecastProto
+	epoch     uint32
+	stamp     []uint32
+	acc       []Message
+	pending   []int32
+	items     []Message
+	collected []Message
+	bfs       bfsProto
+	bc        broadcastProto
+	cc        convergecastProto
+	up        upcastProto
 }
 
 // scratch hands out the node scratch for one protocol run, advancing the

@@ -279,7 +279,9 @@
 //	Reseed(derivedSeed)     -> the seed every draw keys on, O(1)
 //	Walker.Reset(params)    -> shelves truncate, the walker re-reads
 //	                           the graph, tree slabs retire for recycling
-//	serve request           -> steady-state allocation-free
+//	serve request           -> the result and a few per-call lists:
+//	                           4–5 allocations for a warm single
+//	                           walk (core's TestSingleWalkAllocs)
 //
 // Reset restores the exact observable state of a freshly built walker, so
 // warm reuse is invisible to the cost model: the golden counter tests and

@@ -263,9 +263,6 @@ func NewLoopbackGroup(g *graph.G, s, edgeCap int, plan *fault.Plan) ([]RemoteSha
 	return group, bounds, nil
 }
 
-// Engine returns the underlying ShardEngine.
-func (l *LoopbackShard) Engine() *ShardEngine { return l.eng }
-
 // RunBegin implements RemoteShard.
 func (l *LoopbackShard) RunBegin() error {
 	l.eng.RunBegin()

@@ -134,8 +134,9 @@ func BuildBFSTree(net *Network, root graph.NodeID) (*Tree, Result, error) {
 // overwritten in place. A recycled Tree's child lists are carved from one
 // slab by degree (a fresh build appends to them instead, so a one-off tree
 // such as Params.PerCallBFS's pays no Σdeg slab), and the build borrows
-// the network's epoch-stamped node scratch for the visited set, so a warm
-// rebuild allocates nothing.
+// the network's epoch-stamped node scratch for the visited set and its
+// run state, so a warm rebuild allocates nothing
+// (TestBFSTreeReuseMatchesFresh).
 func BuildBFSTreeReuse(net *Network, root graph.NodeID, recycle *Tree) (*Tree, Result, error) {
 	n := net.Graph().N()
 	if root < 0 || int(root) >= n {
@@ -153,27 +154,22 @@ func BuildBFSTreeReuse(net *Network, root graph.NodeID, recycle *Tree) (*Tree, R
 	}
 	t.Root = root
 	t.Height = 0
-	p := &bfsProto{
-		root:     root,
-		sc:       net.scratch(),
-		parent:   t.Parent,
-		children: t.Children,
-		depth:    t.Depth,
+	for i := range t.Parent {
+		t.Parent[i] = graph.None
 	}
-	for i := range p.parent {
-		p.parent[i] = graph.None
-	}
+	sc := net.scratch()
+	p := &sc.bfs
+	*p = bfsProto{root: root, sc: sc, parent: t.Parent, children: t.Children, depth: t.Depth}
 	res, err := net.Run(p)
+	*p = bfsProto{} // let go of the tree
 	if err != nil {
 		return nil, res, err
 	}
 	for v := 0; v < n; v++ {
-		if !p.visited(graph.NodeID(v)) {
+		if sc.stamp[v] != sc.epoch {
 			return nil, res, fmt.Errorf("congest: BFS from %d did not reach node %d (graph disconnected?)", root, v)
 		}
-		if int(p.depth[v]) > t.Height {
-			t.Height = int(p.depth[v])
-		}
+		t.Height = max(t.Height, int(t.Depth[v]))
 	}
 	return t, res, nil
 }
@@ -339,12 +335,17 @@ func (p *upcastProto) forward(ctx *Ctx, v graph.NodeID, m *Message) {
 // one message per edge per round (the standard upcast primitive; see
 // Peleg's book). With a total of s items the run takes O(s + Height)
 // rounds, which the engine's queueing measures naturally. Items arrive in
-// a deterministic order.
+// a deterministic order. The run state and the collected items live in
+// the network's scratch: the returned slice is valid until the next
+// Upcast on net, and a warm Upcast allocates nothing.
 func Upcast(net *Network, t *Tree, items func(graph.NodeID) []Message) ([]Message, Result, error) {
-	p := &upcastProto{t: t, items: items}
+	p := &net.ns.up
+	*p = upcastProto{t: t, items: items, collected: net.ns.collected[:0]}
 	res, err := net.Run(p)
+	net.ns.collected = p.collected
+	*p = upcastProto{} // let go of the caller's tree and callback
 	if err != nil {
 		return nil, res, err
 	}
-	return p.collected, res, nil
+	return net.ns.collected, res, nil
 }

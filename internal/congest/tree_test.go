@@ -133,8 +133,8 @@ func TestBFSTreeReuseMatchesFresh(t *testing.T) {
 	if &tree.childSlab[0] != slab {
 		t.Fatal("a rebuild replaced the child slab")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { rebuild(7) }); allocs > 1 {
-		t.Fatalf("a recycled rebuild allocated %.0f times, want at most the protocol value", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { rebuild(7) }); allocs > 0 {
+		t.Fatalf("a recycled rebuild allocated %.0f times, want none", allocs)
 	}
 }
 

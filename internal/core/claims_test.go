@@ -405,7 +405,7 @@ func TestClaimRegenerationWithinPhase1(t *testing.T) {
 					t.Fatal(err)
 				}
 				lam := prm.lambdaMany(kl.k, kl.ell, w.Tree().Height, g.N())
-				p1, err := fresh.ensurePhase1(lam, map[graph.NodeID]int{0: kl.k})
+				p1, err := phase1With(fresh, lam, map[graph.NodeID]int{0: kl.k})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,21 +34,19 @@ func checkShape(t *testing.T, name string, m *congest.Message, kind uint16, word
 }
 
 func TestCodecWalkToken(t *testing.T) {
-	for _, kind := range []uint16{kindWalkToken, kindNaiveToken} {
-		for _, tk := range []walkToken{
-			{walkID: highWalk, remaining: maxLen, total: maxLen},
-			{walkID: 0, remaining: 0, total: 1},
-			{walkID: int64(7) << 32, remaining: 1, total: maxLen},
-		} {
-			w0, w1 := tk.encode()
-			m := pointToPoint(kind, tokenWords, w0, w1)
-			if got := readToken(m); got != tk {
-				t.Fatalf("walkToken %+v read back as %+v", tk, got)
-			}
+	for _, tk := range []walkToken{
+		{walkID: highWalk, remaining: maxLen, total: maxLen},
+		{walkID: 0, remaining: 0, total: 1},
+		{walkID: int64(7) << 32, remaining: 1, total: maxLen},
+	} {
+		w0, w1 := tk.encode()
+		m := pointToPoint(kindWalkToken, tokenWords, w0, w1)
+		if got := readToken(m); got != tk {
+			t.Fatalf("walkToken %+v read back as %+v", tk, got)
 		}
 	}
-	if kindWalkToken != 1 || kindNaiveToken != 2 || tokenWords != 3 {
-		t.Fatalf("walk tokens: kinds %d/%d, %d words; want 1/2, 3", kindWalkToken, kindNaiveToken, tokenWords)
+	if kindWalkToken != 1 || tokenWords != 3 {
+		t.Fatalf("walk tokens: kind %d, %d words; want 1, 3", kindWalkToken, tokenWords)
 	}
 }
 

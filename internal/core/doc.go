@@ -25,6 +25,13 @@
 //     the one walk driver: SINGLE-RANDOM-WALK is its k = 1 case with
 //     Theorem 2.5's λ = √(ℓD) in place of Theorem 2.8's, and the naive
 //     walk its naive branch.
+//   - One walk-token protocol (tokenProto): Phase 1's short walks,
+//     GET-MORE-WALKS' refills, the naive walks and the stitched walks'
+//     tails are the same 3-word token (walk ID, steps left, length) and
+//     differ only in the tokens a run starts and in what a finished one
+//     leaves, a coupon or its walk's destination. Regeneration keeps its
+//     own 2-word position token: merging it into the walk token would
+//     move the Words counter every golden pins.
 //   - One short-walk inventory per Walker: unused walks persist between
 //     calls, and a call whose λ is below twice the inventory's stitches
 //     with the inventory's λ instead of re-running Phase 1; a top-up

@@ -17,6 +17,6 @@ import (
 // of queueing on v's edges, and ℓ/λ ≤ λ whenever λ ≥ √ℓ, as the paper's
 // λ is, so Lemma 2.2's O(λ) rounds hold.
 func (w *Walker) getMoreWalks(v graph.NodeID, ell, lambda int) (congest.Result, error) {
-	count := max(1, ell/lambda)
-	return w.net.Run(&phase1Proto{w: w, lambda: int32(lambda), extra: map[graph.NodeID]int{v: count}, refill: true})
+	w.tok = tokenProto{w: w, lambda: int32(lambda), node: v, count: max(1, ell/lambda)}
+	return w.net.Run(&w.tok)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"distwalk/internal/congest"
 	"distwalk/internal/dist"
 	"distwalk/internal/graph"
 	"distwalk/internal/stats"
@@ -19,6 +20,19 @@ func inventory(w *Walker) map[int64]coupon {
 		}
 	}
 	return all
+}
+
+// phase1With runs ensurePhase1 at lam for a call that starts extra[v]
+// walks at each node v.
+func phase1With(w *Walker, lam int, extra map[graph.NodeID]int) (congest.Result, error) {
+	var sources []graph.NodeID
+	for _, v := range slices.Sorted(maps.Keys(extra)) {
+		for range extra[v] {
+			sources = append(sources, v)
+		}
+	}
+	w.beginCall(sources)
+	return w.ensurePhase1(lam)
 }
 
 // TestKeptInventoryRule pins ensurePhase1's one provisioning rule by exact
@@ -40,7 +54,7 @@ func TestKeptInventoryRule(t *testing.T) {
 	provisioned := func(t *testing.T, w *Walker, lam int, extra map[graph.NodeID]int) {
 		t.Helper()
 		old := inventory(w)
-		res, err := w.ensurePhase1(lam, extra)
+		res, err := phase1With(w, lam, extra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +117,7 @@ func TestKeptInventoryRule(t *testing.T) {
 				lack = map[graph.NodeID]int{}
 			}
 			old := inventory(w)
-			res, err := w.ensurePhase1(c.lam, c.extra)
+			res, err := phase1With(w, c.lam, c.extra)
 			if err != nil {
 				t.Fatal(err)
 			}

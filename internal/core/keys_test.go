@@ -96,7 +96,7 @@ func TestPhase1LengthsUniform(t *testing.T) {
 	prm.Eta = 8
 	w := newWalker(t, g, 7, prm)
 	const lambda = 8
-	if _, err := w.ensurePhase1(lambda, nil); err != nil {
+	if _, err := phase1With(w, lambda, nil); err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, lambda) // index length−λ

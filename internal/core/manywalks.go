@@ -43,10 +43,7 @@ func (w *Walker) ManyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 	}
 	defer w.release()
 	k := len(sources)
-	c := &walkCall{
-		ManyResult: ManyResult{Destinations: make([]graph.NodeID, k), Walks: make([]*WalkResult, k)},
-		tails:      make([]tailSpec, k),
-	}
+	c := &walkCall{ManyResult: ManyResult{Destinations: make([]graph.NodeID, k), Walks: make([]*WalkResult, k)}}
 	walks := make([]WalkResult, k)
 	for i := range walks {
 		c.Walks[i] = &walks[i]
@@ -60,10 +57,9 @@ func (w *Walker) ManyRandomWalks(sources []graph.NodeID, ell int) (*ManyResult, 
 
 // walkCall is one call of the walk driver: its result with the per-walk
 // storage the caller owns (k Destinations, k Walks each pointing at a
-// WalkResult, k tails), and what a k = 1 caller folds into its one walk.
+// WalkResult), and what a k = 1 caller folds into its one walk.
 type walkCall struct {
 	ManyResult
-	tails []tailSpec
 	// shared holds the rounds of the stages the k walks share: the tree,
 	// Phase 1, the opening announce (Stitch; see requestAll), the tails
 	// and the destination report.
@@ -109,18 +105,15 @@ func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, l
 	if lambda != nil {
 		c.ownLambda = lambda(max(w.tree.Height, 1))
 	}
+	w.beginCall(sources)
 	if lambda == nil || !canStitch(ell, c.ownLambda) {
 		// The paper's "if λ > ℓ then run the naive random walk algorithm",
 		// already at 2λ > ℓ: no walk stitches, so Phase 1 would buy nothing.
 		c.NaiveFallback = true
-		naiveMany(c, sources, ell)
+		w.naiveMany(c, sources, ell)
 		return w.finish(c)
 	}
-	extra := make(map[graph.NodeID]int, len(sources))
-	for _, s := range sources {
-		extra[s]++
-	}
-	p1, err := w.ensurePhase1(c.ownLambda, extra)
+	p1, err := w.ensurePhase1(c.ownLambda)
 	if err != nil {
 		return err
 	}
@@ -135,7 +128,7 @@ func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, l
 	// result broadcast announces the next walk's source.
 	announced := !w.prm.PerCallBFS
 	if announced {
-		res, err := w.requestAll(sources)
+		res, err := w.requestAll(w.tree, sources)
 		c.Cost.Add(res)
 		c.shared.Stitch = res.Rounds
 		if err != nil {
@@ -158,30 +151,31 @@ func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, l
 		if err != nil {
 			return fmt.Errorf("core: walk %d from %d: %w", i, s, err)
 		}
-		c.tails[i] = tailSpec{start: cur, steps: int32(ell - completed)}
+		w.walks[i].at, w.walks[i].steps = cur, int32(ell-completed)
 		c.Refills += wr.Refills
 		c.Cost.Add(wr.Cost)
 	}
 	return w.finish(c)
 }
 
-// requestAll opens MANY-RANDOM-WALKS' stitching. One pipelined upcast
-// carries a SAMPLE-DESTINATION request for every walk whose source is
-// not the tree root, in O(k + D) rounds where one request each would
-// cost Σ depth(sᵢ), and the root announces the first walk's source.
-func (w *Walker) requestAll(sources []graph.NodeID) (congest.Result, error) {
+// requestAll is SAMPLE-DESTINATION's announce part for the first of
+// sources, and opens MANY-RANDOM-WALKS' stitching. One pipelined upcast
+// over tree carries a request for every walk whose source is not the
+// root, in O(k + D) rounds where one request each would cost Σ depth(sᵢ),
+// and the root announces the first walk's source.
+func (w *Walker) requestAll(tree *congest.Tree, sources []graph.NodeID) (congest.Result, error) {
 	var cost congest.Result
 	// One flat list sorted by source, searched per node, as notifyAll's.
-	var reqs []congest.Message
+	reqs := make([]congest.Message, 0, len(sources))
 	for _, s := range sources {
-		if s != w.tree.Root {
+		if s != tree.Root {
 			reqs = append(reqs, ownerMsg(kindSampleRequest, s))
 		}
 	}
 	if len(reqs) > 0 { // walks from the root need no request
 		slices.SortFunc(reqs, func(a, b congest.Message) int { return cmp.Compare(a.W[0], b.W[0]) })
 		byOwner := func(m congest.Message, u graph.NodeID) int { return cmp.Compare(graph.NodeID(m.W[0]), u) }
-		_, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
+		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
 			lo, _ := slices.BinarySearchFunc(reqs, u, byOwner)
 			hi, _ := slices.BinarySearchFunc(reqs, u+1, byOwner)
 			return reqs[lo:hi]
@@ -191,7 +185,7 @@ func (w *Walker) requestAll(sources []graph.NodeID) (congest.Result, error) {
 			return cost, fmt.Errorf("core: sample-destination requests: %w", err)
 		}
 	}
-	res, err := congest.Broadcast(w.net, w.tree, []congest.Message{ownerMsg(kindSampleAnnounce, sources[0])}, nil)
+	res, err := congest.Broadcast(w.net, tree, []congest.Message{ownerMsg(kindSampleAnnounce, sources[0])}, nil)
 	cost.Add(res)
 	if err != nil {
 		return cost, fmt.Errorf("core: sample-destination announce: %w", err)
@@ -199,51 +193,61 @@ func (w *Walker) requestAll(sources []graph.NodeID) (congest.Result, error) {
 	return cost, nil
 }
 
-// tailSpec is one deferred naive tail: steps hops remaining from start.
-type tailSpec struct {
-	start graph.NodeID
-	steps int32
+// callWalk is one walk of the walk driver's current call (Walker.walks):
+// at is its source, and after stitching its tail's start; the tail's
+// steps, walk ID and destination (None until its token ends) follow.
+type callWalk struct {
+	walkID int64
+	at     graph.NodeID
+	steps  int32
+	dest   graph.NodeID
 }
 
-// finish completes every walk's remaining steps (c.tails) by simultaneous
-// token forwarding, in O(max tail + congestion) rounds instead of the
-// sum, appends each tail to c.Walks[i] as its last segment, then notifies
-// the sources. A tail whose token vanished (lost to a fault) fails the batch.
+// beginCall lists the call's walks, one per source, in walk order.
+func (w *Walker) beginCall(sources []graph.NodeID) {
+	w.walks = w.walks[:0]
+	for _, s := range sources {
+		w.walks = append(w.walks, callWalk{at: s})
+	}
+}
+
+// walksAt counts the call's walks at v: before stitching, the walks that
+// start at v, which Phase 1 adds to v's inventory (Lemma 2.6's "+k").
+func (w *Walker) walksAt(v graph.NodeID) int {
+	n := 0
+	for i := range w.walks {
+		if w.walks[i].at == v {
+			n++
+		}
+	}
+	return n
+}
+
+// finish completes every walk's remaining steps (its tail in w.walks) by
+// simultaneous token forwarding, in O(max tail + congestion) rounds
+// instead of the sum, appends each tail to c.Walks[i] as its last
+// segment, then notifies the sources. A tail whose token vanished (lost to
+// a fault) fails the batch.
 func (w *Walker) finish(c *walkCall) error {
-	tails := c.tails
-	p := &naiveManyProto{
-		w:       w,
-		steps:   make([]int32, len(tails)),
-		walkIDs: make([]int64, len(tails)),
-		index:   make(map[int64]int, len(tails)),
-		dest:    make([]graph.NodeID, len(tails)),
+	for i := range w.walks {
+		cw := &w.walks[i]
+		cw.walkID, cw.dest = w.st.newWalkID(cw.at), graph.None
 	}
-	for i, tl := range tails {
-		wid := w.st.newWalkID(tl.start)
-		p.walkIDs[i] = wid
-		p.index[wid] = i
-		p.steps[i] = tl.steps
-		p.dest[i] = graph.None
-	}
-	res, err := w.net.Run(p)
+	w.tok = tokenProto{w: w, tails: true}
+	res, err := w.net.Run(&w.tok)
 	c.Cost.Add(res)
 	c.shared.Tail = res.Rounds
 	if err != nil {
 		return err
 	}
-	for i, tl := range tails {
-		if p.dest[i] == graph.None {
+	for i, cw := range w.walks {
+		if cw.dest == graph.None {
 			return fmt.Errorf("core: token of walk %d did not complete", i)
 		}
 		wr := c.Walks[i]
-		wr.Segments = append(wr.Segments, Segment{
-			Start:  tl.start,
-			End:    p.dest[i],
-			WalkID: p.walkIDs[i],
-			Length: int(tl.steps),
-		})
-		wr.Destination = p.dest[i]
-		c.Destinations[i] = p.dest[i]
+		wr.Segments = append(wr.Segments, Segment{Start: cw.at, End: cw.dest, WalkID: cw.walkID, Length: int(cw.steps)})
+		wr.Destination = cw.dest
+		c.Destinations[i] = cw.dest
 	}
 	return w.notifyAll(c)
 }
@@ -251,11 +255,11 @@ func (w *Walker) finish(c *walkCall) error {
 // naiveMany sets up the naive k-walk (the k+ℓ regime): every walk is one
 // ℓ-step tail from its source. The k one-segment lists are carved from
 // one slab.
-func naiveMany(c *walkCall, sources []graph.NodeID, ell int) {
+func (w *Walker) naiveMany(c *walkCall, sources []graph.NodeID, ell int) {
 	segs := make([]Segment, len(sources))
 	for i, s := range sources {
 		*c.Walks[i] = WalkResult{Source: s, Destination: s, Length: ell, Naive: true, Segments: segs[i : i : i+1]}
-		c.tails[i] = tailSpec{start: s, steps: int32(ell)}
+		w.walks[i].steps = int32(ell)
 	}
 }
 
@@ -308,55 +312,4 @@ func (w *Walker) notifyAll(c *walkCall) error {
 	c.Cost.Add(res)
 	c.shared.Report += res.Rounds
 	return err
-}
-
-// naiveManyProto is the classic token walk: "The walk of length ℓ is
-// performed by sending a token for ℓ steps, picking a random neighbor with
-// each step" (Section 1.2). It is both the paper's baseline and the final
-// ≤ 2λ-step tails of the stitched walks (Algorithm 1, Phase 2 line 14).
-// It forwards k tokens (of possibly different lengths) simultaneously,
-// each a walkToken sent under kindNaiveToken; the engine's per-edge
-// queues charge any congestion between them.
-type naiveManyProto struct {
-	w       *Walker
-	steps   []int32 // per walk index
-	walkIDs []int64
-	index   map[int64]int // walkID -> walk index
-	dest    []graph.NodeID
-}
-
-func (p *naiveManyProto) Init(ctx *congest.Ctx) {
-	v := ctx.Node()
-	// Walk order, not map order: a node's tokens enter its edge queues in
-	// the order it sends them, so the order decides the run's queueing.
-	for i, wid := range p.walkIDs {
-		if walkOwner(wid) != v {
-			continue
-		}
-		if p.steps[i] == 0 {
-			p.dest[i] = v
-			continue
-		}
-		p.forward(ctx, walkToken{walkID: wid, remaining: p.steps[i], total: p.steps[i]})
-	}
-}
-
-// Step forwards every token that arrived: a Run carries only its own
-// protocol's messages (wire.go), so every one is a naive token.
-func (p *naiveManyProto) Step(ctx *congest.Ctx) {
-	in := ctx.Inbox()
-	for i := range in {
-		p.forward(ctx, readToken(&in[i]))
-	}
-}
-
-func (p *naiveManyProto) forward(ctx *congest.Ctx, t walkToken) {
-	port, rem := p.w.advanceToken(ctx, t)
-	if port < 0 {
-		p.dest[p.index[t.walkID]] = ctx.Node()
-		return
-	}
-	t.remaining = rem
-	w0, w1 := t.encode()
-	ctx.SendPort(port, kindNaiveToken, tokenWords, w0, w1, 0, 0)
 }

@@ -267,7 +267,7 @@ func TestNaiveManyAllocs(t *testing.T) {
 	for _, c := range []struct {
 		k     int
 		bound float64
-	}{{8, 23}, {96, 32}} {
+	}{{8, 7}, {96, 10}} {
 		w := newWalker(t, g, 5, DefaultParams())
 		sources := make([]graph.NodeID, c.k)
 		for i := range sources {
@@ -293,6 +293,55 @@ func TestNaiveManyAllocs(t *testing.T) {
 		if allocs > c.bound {
 			t.Errorf("k=%d: %.0f allocs per ManyRandomWalks, want at most %.0f", c.k, allocs, c.bound)
 		}
+	}
+}
+
+// TestManyWalksAllocs gates a stitched batch's allocations on a warm
+// walker, reseeded and reset per request as a Service worker is: 8 walks
+// of ℓ = 1 024 on Torus(16,16), the cluster-walks request. Phase 1, the
+// refills and the tails run as one walk-token protocol value the walker
+// keeps, so what is left is the result, the segment lists and the
+// batched request and report sweeps.
+func TestManyWalksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := DefaultParams()
+	w := newWalker(t, g, 1, prm)
+	sources := make([]graph.NodeID, 8)
+	for i := range sources {
+		sources[i] = graph.NodeID(i * 37 % g.N())
+	}
+	key := uint64(0)
+	var runErr error
+	request := func() {
+		key++
+		w.Network().Reseed(key)
+		if err := w.Reset(prm); err != nil {
+			runErr = err
+			return
+		}
+		res, err := w.ManyRandomWalks(sources, 1024)
+		if err != nil {
+			runErr = err
+			return
+		}
+		if res.NaiveFallback {
+			runErr = fmt.Errorf("k=8, ℓ=1024 took the naive path")
+		}
+	}
+	request() // warm the slabs
+	allocs := testing.AllocsPerRun(10, request)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("%.0f allocs per request", allocs)
+	if allocs > 16 {
+		t.Errorf("%.0f allocs per request, want at most %d", allocs, 16)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"distwalk/internal/graph"
 )
 
-// walkToken carries one Phase 1 short walk: the walk ID (which encodes the
-// owner), the hops still to take, and the total length (stored in the
-// coupon at the destination). All O(log n) bits, as in Section 2.1: "Each
+// walkToken carries one walk: the walk ID (which encodes the owner), the
+// hops still to take, and the total length (stored in the coupon at a
+// short walk's destination). All O(log n) bits, as in Section 2.1: "Each
 // node simply sends η tokens containing the source ID and the desired
 // length. The nodes keep forwarding these tokens with decreased desired
-// walk length". The naive walks forward the same three fields under their
-// own kind (naive.go).
+// walk length". The naive walks and the tails are the same tokens
+// (tokenProto).
 type walkToken struct {
 	walkID    int64
 	remaining int32
@@ -34,45 +34,64 @@ func readToken(m *congest.Message) walkToken {
 	return walkToken{walkID: int64(m.W[0]), remaining: rem, total: total}
 }
 
-// phase1Proto performs Phase 1 of SINGLE-RANDOM-WALK: every node v starts
-// η·deg(v) independent short walks (η with UniformCounts), each of length
-// λ + r with r uniform in [0, λ−1] (exactly λ with FixedLength). Each
-// hop is a keyed draw the forwarding node can recompute, so the walk can
-// be replayed later (see hopPort); the destination stores a coupon. The
-// engine's per-edge queues charge the congestion this phase is known for
-// (Lemma 2.1: O(λη log n) rounds w.h.p.).
-type phase1Proto struct {
+// tokenProto is the one walk-token protocol: "The walk of length ℓ is
+// performed by sending a token for ℓ steps, picking a random neighbor with
+// each step" (Section 1.2). A run starts one token set. Phase 1's: every
+// node v starts η·deg(v) short walks (η with UniformCounts) plus one per
+// call walk that starts at v (Lemma 2.6's "+k": each source is a
+// connector once per walk it starts). A refill's: count walks at node
+// alone (GET-MORE-WALKS). Each such walk is λ + r steps long, r uniform in
+// [0, λ−1] (exactly λ with FixedLength), and stores a coupon where it
+// ends. Or the call's tails (Walker.walks): the naive walks and the
+// stitched walks' last ≤ 2λ steps (Algorithm 1, Phase 2 line 14), which
+// end in their walk's destination. Each hop is a keyed draw the forwarding
+// node can recompute, so every walk can be replayed (see hopPort). The
+// engine's per-edge queues charge the congestion between tokens (Lemma
+// 2.1: O(λη log n) rounds w.h.p. for Phase 1).
+type tokenProto struct {
 	w      *Walker
 	lambda int32
-	// extra adds walks at walk sources: Lemma 2.6's visit bound carries a
-	// "+k" term precisely because the k sources are each used as a
-	// connector once per walk they start, on top of the d(y)√(kℓ)
-	// stationary visits — so sources provision k extra short walks.
-	extra map[graph.NodeID]int
+	tails  bool
 	// topUp tops a kept inventory up instead (Walker.ensurePhase1): a node
 	// starts only the walks it lacks to hold that many unused walks of its
 	// own again.
 	topUp bool
-	// refill makes the run GET-MORE-WALKS (getMoreWalks): only the extra
-	// walks start.
-	refill bool
+	// count > 0 makes the run a refill of node.
+	node  graph.NodeID
+	count int
 }
 
-func (p *phase1Proto) Init(ctx *congest.Ctx) {
+func (p *tokenProto) Init(ctx *congest.Ctx) {
 	v := ctx.Node()
-	if ctx.Degree() == 0 {
+	if p.tails {
+		// Walk order: a node's tokens enter its edge queues in the order it
+		// sends them, so the order decides the run's queueing.
+		for i := range p.w.walks {
+			c := &p.w.walks[i]
+			if c.at != v {
+				continue
+			}
+			if c.steps == 0 {
+				c.dest = v
+				continue
+			}
+			p.forward(ctx, walkToken{walkID: c.walkID, remaining: c.steps, total: c.steps})
+		}
 		return
 	}
-	count := 0
-	if !p.refill {
+	if ctx.Degree() == 0 || p.count > 0 && v != p.node {
+		return
+	}
+	count := p.count
+	if count == 0 {
 		count = p.w.prm.Eta
 		if !p.w.prm.UniformCounts {
 			count *= ctx.Degree()
 		}
-	}
-	count += p.extra[v]
-	if p.topUp {
-		count = max(0, count-int(p.w.st.owned[v]))
+		count += p.w.walksAt(v)
+		if p.topUp {
+			count = max(0, count-int(p.w.st.owned[v]))
+		}
 	}
 	p.w.st.owned[v] += int32(count)
 	for i := 0; i < count; i++ {
@@ -85,7 +104,9 @@ func (p *phase1Proto) Init(ctx *congest.Ctx) {
 	}
 }
 
-func (p *phase1Proto) Step(ctx *congest.Ctx) {
+// Step forwards every token that arrived: a Run carries only its own
+// protocol's messages (wire.go), so every one is a walk token.
+func (p *tokenProto) Step(ctx *congest.Ctx) {
 	in := ctx.Inbox()
 	for i := range in {
 		p.forward(ctx, readToken(&in[i]))
@@ -95,18 +116,24 @@ func (p *phase1Proto) Step(ctx *congest.Ctx) {
 // forward takes walk steps of the token at the executing node until it
 // either moves to a neighbor or finishes here (stay steps of the
 // Metropolis-Hastings variant are free: they consume walk steps but no
-// messages), storing the coupon when the walk completes.
-func (p *phase1Proto) forward(ctx *congest.Ctx, t walkToken) {
+// messages). A finished tail records its walk's destination; any other
+// finished walk stores its coupon.
+func (p *tokenProto) forward(ctx *congest.Ctx, t walkToken) {
 	port, rem := p.w.advanceToken(ctx, t)
-	if port < 0 {
-		p.w.st.addCoupon(ctx.Node(), coupon{
-			owner:  walkOwner(t.walkID),
-			walkID: t.walkID,
-			length: t.total,
-		})
+	if port >= 0 {
+		t.remaining = rem
+		w0, w1 := t.encode()
+		ctx.SendPort(port, kindWalkToken, tokenWords, w0, w1, 0, 0)
 		return
 	}
-	t.remaining = rem
-	w0, w1 := t.encode()
-	ctx.SendPort(port, kindWalkToken, tokenWords, w0, w1, 0, 0)
+	if !p.tails {
+		p.w.st.addCoupon(ctx.Node(), coupon{owner: walkOwner(t.walkID), walkID: t.walkID, length: t.total})
+		return
+	}
+	for i := range p.w.walks {
+		if c := &p.w.walks[i]; c.walkID == t.walkID {
+			c.dest = ctx.Node()
+			return
+		}
+	}
 }

@@ -112,7 +112,7 @@ func readSampleResult(m *congest.Message) sampleResult {
 
 // announce runs the announce part for connector v and returns the tree
 // the sample part runs on: under PerCallBFS a fresh BFS tree rooted at v,
-// which replaces the request, and otherwise the walker's tree.
+// which makes the request empty, and otherwise the walker's tree.
 func (w *Walker) announce(v graph.NodeID) (*congest.Tree, congest.Result, error) {
 	var cost congest.Result
 	tree := w.tree
@@ -124,28 +124,10 @@ func (w *Walker) announce(v graph.NodeID) (*congest.Tree, congest.Result, error)
 			return nil, cost, fmt.Errorf("sample-destination: %w", err)
 		}
 		tree = t
-	} else if v != tree.Root {
-		// Request sweep: v -> root along parent pointers (depth(v) rounds;
-		// the root asks itself).
-		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
-			if u == v {
-				return []congest.Message{ownerMsg(kindSampleRequest, v)}
-			}
-			return nil
-		})
-		cost.Add(res)
-		if err != nil {
-			return nil, cost, fmt.Errorf("sample-destination request: %w", err)
-		}
 	}
-
-	// Announce sweep: every node learns whose coupons are being sampled.
-	res, err := congest.Broadcast(w.net, tree, []congest.Message{ownerMsg(kindSampleAnnounce, v)}, nil)
+	res, err := w.requestAll(tree, []graph.NodeID{v})
 	cost.Add(res)
-	if err != nil {
-		return nil, cost, fmt.Errorf("sample-destination announce: %w", err)
-	}
-	return tree, cost, nil
+	return tree, cost, err
 }
 
 // sample runs the sample part for connector v over tree and returns the

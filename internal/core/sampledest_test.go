@@ -220,7 +220,7 @@ func TestLaterStitchesSkipAnnounce(t *testing.T) {
 	}
 	later, announce := stitchSweeps(t, w)
 	lam := w.prm.lambda(ell, w.tree.Height, g.N())
-	if _, err := w.ensurePhase1(lam, map[graph.NodeID]int{0: 1}); err != nil {
+	if _, err := phase1With(w, lam, map[graph.NodeID]int{0: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := &WalkResult{}

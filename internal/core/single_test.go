@@ -125,7 +125,9 @@ func sameAsK1(t *testing.T, name string, single *WalkResult, many *ManyResult) {
 // a warm walker, reseeded and reset per request as a Service worker is,
 // to the counts measured on Torus(48,48): the walk driver shared with
 // MANY-RANDOM-WALKS must not cost the k = 1 call a batch result or
-// per-walk slices.
+// per-walk slices. What is left is the result, its segment list and the
+// destination report's sorted list and lookup; the ℓ = 1 024 walks
+// refill now and then, and a refilled connector's request adds its own.
 func TestSingleWalkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -142,9 +144,9 @@ func TestSingleWalkAllocs(t *testing.T) {
 		naive bool
 		bound float64
 	}{
-		{"SingleRandomWalk ℓ=64", 64, false, 13},
-		{"SingleRandomWalk ℓ=1024", 1024, false, 16},
-		{"NaiveWalk ℓ=64", 64, true, 13},
+		{"SingleRandomWalk ℓ=64", 64, false, 4},
+		{"SingleRandomWalk ℓ=1024", 1024, false, 5},
+		{"NaiveWalk ℓ=64", 64, true, 4},
 	} {
 		key := uint64(0)
 		var runErr error

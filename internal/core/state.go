@@ -80,7 +80,7 @@ type couponLayout struct {
 }
 
 // starts returns how many walks Phase 1 starts at v, leaving out the
-// sources' extra walks (phase1Proto.Init).
+// sources' extra walks (tokenProto.Init).
 func (l couponLayout) starts(g *graph.G, v graph.NodeID) int {
 	switch d := g.Degree(v); {
 	case d == 0:

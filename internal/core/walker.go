@@ -102,6 +102,11 @@ type Walker struct {
 	keep      func(u graph.NodeID, acc, child *congest.Message)
 	take      func(graph.NodeID, *congest.Message)
 
+	// walks lists the current call's k walks (beginCall), and tok is the
+	// walk-token protocol value its Phase 1, refills and tails run as.
+	walks []callWalk
+	tok   tokenProto
+
 	busy atomic.Bool // in-use flag; see ErrConcurrentUse
 }
 
@@ -160,12 +165,15 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 //
 // This is the warm-pooling half of NewWalkerOn: distwalk.Service keeps one
 // Walker per worker and Resets it per request instead of reallocating, so
-// sequential requests run allocation-free in steady state. Every draw is
-// keyed by the network's seed and by what it decides, walk IDs and the
-// stitch count among them, so combined with Network.Reseed the execution
-// stays bit-identical to a fresh walker on a fresh network — determinism
-// is a function of (graph, seed, request), never of what the walker
-// served before or which graph it served it on.
+// a warm request allocates its result and little else: 4 objects for a
+// SingleRandomWalk or NaiveWalk of ℓ = 64 on Torus(48,48)
+// (TestSingleWalkAllocs) and 16 for eight walks of ℓ = 1 024 on
+// Torus(16,16) (TestManyWalksAllocs). Every draw is keyed by the
+// network's seed and by what it decides, walk IDs and the stitch count
+// among them, so combined with Network.Reseed the execution stays
+// bit-identical to a fresh walker on a fresh network — determinism is a
+// function of (graph, seed, request), never of what the walker served
+// before or which graph it served it on.
 func (w *Walker) Reset(prm Params) error {
 	if err := w.acquire(); err != nil {
 		return err
@@ -259,11 +267,8 @@ func (w *Walker) NaiveWalk(source graph.NodeID, ell int) (*WalkResult, error) {
 func (w *Walker) single(source graph.NodeID, ell int, lambda func(diam int) int) (*WalkResult, error) {
 	wr := new(WalkResult)
 	sources, walks := [1]graph.NodeID{source}, [1]*WalkResult{wr}
-	var (
-		dests [1]graph.NodeID
-		tails [1]tailSpec
-	)
-	c := walkCall{ManyResult: ManyResult{Destinations: dests[:], Walks: walks[:]}, tails: tails[:]}
+	var dests [1]graph.NodeID
+	c := walkCall{ManyResult: ManyResult{Destinations: dests[:], Walks: walks[:]}}
 	if err := w.manyRandomWalks(&c, sources[:], ell, lambda); err != nil {
 		return nil, w.faultize(err)
 	}
@@ -368,8 +373,8 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 }
 
 // ensurePhase1 is the walk driver's one provisioning rule; afterwards
-// w.lambda is the λ the call stitches, refills and reports with. extra
-// names the walks the call starts at each source, which Lemma 2.6 adds to
+// w.lambda is the λ the call stitches, refills and reports with. The
+// call's walks (w.walks) start at their sources, which Lemma 2.6 adds to
 // the sources' inventories (its "+k"). A call whose λ is within a factor
 // of 2 above the current inventory's (λ/2 < λ_inv ≤ λ) keeps that
 // inventory. Its Phase 1 runs only if a source holds fewer unused walks
@@ -379,12 +384,12 @@ func (w *Walker) ensureTree(source graph.NodeID) (congest.Result, error) {
 // the walks earlier stitches used at Phase 1's round cost. Any other call (no inventory,
 // λ ≥ 2λ_inv or λ < λ_inv) re-provisions at λ. Walk IDs survive
 // re-provisioning, so previously returned walks still regenerate.
-func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Result, error) {
+func (w *Walker) ensurePhase1(lam int) (congest.Result, error) {
 	topUp := w.lambda > 0 && w.lambda <= lam && lam < 2*w.lambda
 	if topUp {
 		lacks := false
-		for s, n := range extra {
-			lacks = lacks || n > int(w.st.owned[s])
+		for _, c := range w.walks {
+			lacks = lacks || w.walksAt(c.at) > int(w.st.owned[c.at])
 		}
 		if !lacks {
 			return congest.Result{}, nil
@@ -393,7 +398,8 @@ func (w *Walker) ensurePhase1(lam int, extra map[graph.NodeID]int) (congest.Resu
 		w.st.provisionCoupons(w.g, w.prm)
 		w.lambda = lam
 	}
-	res, err := w.net.Run(&phase1Proto{w: w, lambda: int32(w.lambda), extra: extra, topUp: topUp})
+	w.tok = tokenProto{w: w, lambda: int32(w.lambda), topUp: topUp}
+	res, err := w.net.Run(&w.tok)
 	if err != nil {
 		w.lambda = 0 // the next call re-provisions the partial inventory
 		return res, fmt.Errorf("core: phase 1: %w", err)

@@ -69,11 +69,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, mirroring
 // math/rand; callers in this module always pass positive bounds.
 func (r *RNG) Intn(n int) int {

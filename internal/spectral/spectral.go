@@ -114,20 +114,5 @@ func MixingTimeFrom(g *graph.G, x graph.NodeID, eps float64, tMax int) (int, err
 	return 0, fmt.Errorf("spectral: walk from %d not %v-mixed within %d steps (bipartite graph?)", x, eps, tMax)
 }
 
-// MixingTime returns max_x τ^x(ε), the paper's τ_mix when ε = 1/2e.
-func MixingTime(g *graph.G, eps float64, tMax int) (int, error) {
-	worst := 0
-	for x := 0; x < g.N(); x++ {
-		t, err := MixingTimeFrom(g, graph.NodeID(x), eps, tMax)
-		if err != nil {
-			return 0, err
-		}
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst, nil
-}
-
 // EpsMix is the ε defining the paper's τ_mix (Definition 4.3: τ^x(1/2e)).
 const EpsMix = 1 / (2 * math.E)

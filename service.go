@@ -27,8 +27,8 @@ import (
 // network and one long-lived walker on it. A request is identified by a
 // caller-chosen request key; before executing, the worker reseeds its
 // network with a seed derived from (service seed, key) and Resets its warm
-// walker — coupon shelves and tree slabs keep their capacity across
-// requests, so steady-state requests allocate nothing for protocol state.
+// walker — its slabs and protocol state are reused, so a warm single walk
+// allocates 4–5 objects in the walker, its result among them.
 // Determinism is per request key, not per call order or worker history:
 // Reset restores the exact observable state of a fresh walker, so the
 // result of (graph, service seed, key, request) is bit-identical no matter how many requests run concurrently, which
