@@ -101,6 +101,7 @@ type Network struct {
 	// contiguous ascending ranges, each a node half plus an edge half of
 	// the round kernel. There is always at least one; see shard.go.
 	shards []*shard
+	run    shardRun // a multi-shard Run's control state; see runSharded
 	// counters is the block sharded Runs add their per-shard work to
 	// (nil unless WithShardCounters); see ShardCounters.
 	counters ShardCounters

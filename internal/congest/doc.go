@@ -195,7 +195,10 @@
 //     thread down and the wake-up costs more than the round. Waiters
 //     spin only while the shard workers of all sharded Runs in flight
 //     fit GOMAXPROCS; beyond that a spinner would hold the P its peer
-//     needs, so they park at once.
+//     needs, so they park at once. The workers are started per Run, but
+//     the run's control state lives in the Network and each worker body
+//     is bound once per shard, so starting them allocates nothing
+//     (TestShardedRunAllocs).
 //   - ConnectRemote: the edge halves run as ShardEngines in other
 //     processes (engine.go, internal/wire, cmd/distwalkd) and the client
 //     keeps one node half over all nodes (remote.go). A send is validated
@@ -279,9 +282,10 @@
 //	Reseed(derivedSeed)     -> the seed every draw keys on, O(1)
 //	Walker.Reset(params)    -> shelves truncate, the walker re-reads
 //	                           the graph, tree slabs retire for recycling
-//	serve request           -> the result and a few per-call lists:
-//	                           4–5 allocations for a warm single
-//	                           walk (core's TestSingleWalkAllocs)
+//	serve request           -> the result and its per-call slabs:
+//	                           2 allocations for a warm single walk,
+//	                           5 for eight walks (core's
+//	                           TestSingleWalkAllocs, TestManyWalksAllocs)
 //
 // Reset restores the exact observable state of a freshly built walker, so
 // warm reuse is invisible to the cost model: the golden counter tests and

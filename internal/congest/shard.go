@@ -28,6 +28,10 @@ type shard struct {
 	nodeHalf
 	edgeHalf
 	id int
+	// work is the shard's worker body in a multi-shard Run, bound once
+	// when the shard is built so that starting its goroutine allocates
+	// nothing.
+	work func()
 }
 
 // roundBarrier synchronizes the shard workers twice per round. The last
@@ -203,6 +207,10 @@ func (n *Network) applyShardBounds(bounds []int32) {
 			id:       i,
 		}
 		sh.ctx = Ctx{net: n, sh: sh}
+		sh.work = func() {
+			defer n.run.wg.Done()
+			sh.loop(&n.run)
+		}
 		if len(old) == s {
 			sh.adopt(&old[i].edgeHalf)
 		}
@@ -218,12 +226,16 @@ func (n *Network) applyShardBounds(bounds []int32) {
 // Shards reports the current shard count.
 func (n *Network) Shards() int { return len(n.shards) }
 
-// shardRun is the shared control state of one multi-shard Run: the
-// barrier and the serial verdict the last arriver publishes each round.
+// shardRun is the shared control state of a multi-shard Run: the
+// protocol, the barrier, the workers' WaitGroup and the serial verdict
+// the last arriver publishes each round. The network keeps one
+// (Network.run) and reuses it from Run to Run.
 type shardRun struct {
 	net    *Network
+	proto  Proto
 	halter Halter
 	bar    roundBarrier
+	wg     sync.WaitGroup
 	stop   bool
 	err    error
 }
@@ -241,19 +253,17 @@ func (sr *shardRun) advance() {
 // runSharded is the multi-shard driver. The calling goroutine drives
 // shard 0; shards 1..S-1 get a goroutine each for the duration of the run.
 func (n *Network) runSharded(p Proto, halter Halter) error {
-	sr := &shardRun{net: n, halter: halter}
+	sr := &n.run
+	sr.net, sr.proto, sr.halter, sr.stop, sr.err = n, p, halter, false, nil
 	sr.bar.open(len(n.shards))
 	defer sr.bar.close()
-	var wg sync.WaitGroup
+	sr.wg.Add(len(n.shards) - 1)
 	for _, sh := range n.shards[1:] {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.loop(sr, p)
-		}(sh)
+		go sh.work()
 	}
-	n.shards[0].loop(sr, p)
-	wg.Wait()
+	n.shards[0].loop(sr)
+	sr.wg.Wait()
+	sr.proto, sr.halter = nil, nil // let go of the caller's protocol
 	n.collectShards()
 	if n.counters != nil {
 		n.counters.add(n.shards)
@@ -265,7 +275,8 @@ func (n *Network) runSharded(p Proto, halter Halter) error {
 // two-barrier round cadence — drain owned edges into the transfer buffers,
 // barrier, merge the buffers addressed here in ascending source order and
 // step, barrier (with the serial verdict) — until the verdict stops the run.
-func (sh *shard) loop(sr *shardRun, p Proto) {
+func (sh *shard) loop(sr *shardRun) {
+	p := sr.proto
 	sh.init(p)
 	sh.wait(sr, sr.advance)
 	for !sr.stop {

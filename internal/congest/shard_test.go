@@ -419,6 +419,38 @@ func TestShardedReuseAndReshard(t *testing.T) {
 	}
 }
 
+// TestShardedRunAllocs holds a warm BFS rebuild to no allocation at one,
+// two and four shards: a multi-shard Run keeps its control state and its
+// WaitGroup in the network, and each shard's worker body is bound once,
+// so starting the per-Run workers allocates nothing.
+func TestShardedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := graph.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		net := NewNetwork(g, 3, WithShards(shards))
+		var tree *Tree
+		root := graph.NodeID(0)
+		rebuild := func() {
+			root = (root + 37) % graph.NodeID(g.N())
+			tree, _, err = BuildBFSTreeReuse(net, root, tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range g.N() { // every root once: grow the slabs
+			rebuild()
+		}
+		if allocs := testing.AllocsPerRun(10, rebuild); allocs != 0 {
+			t.Errorf("shards=%d: a warm rebuild allocated %.0f times, want none", shards, allocs)
+		}
+	}
+}
+
 func TestShardStatsOccupancy(t *testing.T) {
 	g, err := graph.Torus(6, 6)
 	if err != nil {

@@ -138,15 +138,18 @@ func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, l
 
 	// Stitch the k walks one at a time (as in the paper), but defer every
 	// walk's ≤2λ-step naive tail so all k tails run concurrently below.
+	// Every stitched segment is at least λ long and leaves at least 2λ
+	// steps, so a walk has at most ℓ/λ segments, tail included; the k
+	// segment lists are carved from one slab.
+	per := ell / lam
+	segs := make([]Segment, len(sources)*per)
 	for i, s := range sources {
 		next := graph.None
 		if i+1 < len(sources) {
 			next = sources[i+1]
 		}
-		// Every stitched segment is at least λ long and leaves at least
-		// 2λ steps, so a walk has at most ℓ/λ segments, tail included.
 		wr := c.Walks[i]
-		*wr = WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam, Segments: make([]Segment, 0, ell/lam)}
+		*wr = WalkResult{Source: s, Destination: s, Length: ell, Lambda: lam, Segments: segs[i*per : i*per : (i+1)*per]}
 		cur, completed, err := w.stitchSegments(wr, s, ell, lam, announced, next)
 		if err != nil {
 			return fmt.Errorf("core: walk %d from %d: %w", i, s, err)
@@ -166,20 +169,15 @@ func (w *Walker) manyRandomWalks(c *walkCall, sources []graph.NodeID, ell int, l
 func (w *Walker) requestAll(tree *congest.Tree, sources []graph.NodeID) (congest.Result, error) {
 	var cost congest.Result
 	// One flat list sorted by source, searched per node, as notifyAll's.
-	reqs := make([]congest.Message, 0, len(sources))
+	w.requests = w.requests[:0]
 	for _, s := range sources {
 		if s != tree.Root {
-			reqs = append(reqs, ownerMsg(kindSampleRequest, s))
+			w.requests = append(w.requests, ownerMsg(kindSampleRequest, s))
 		}
 	}
-	if len(reqs) > 0 { // walks from the root need no request
-		slices.SortFunc(reqs, func(a, b congest.Message) int { return cmp.Compare(a.W[0], b.W[0]) })
-		byOwner := func(m congest.Message, u graph.NodeID) int { return cmp.Compare(graph.NodeID(m.W[0]), u) }
-		_, res, err := congest.Upcast(w.net, tree, func(u graph.NodeID) []congest.Message {
-			lo, _ := slices.BinarySearchFunc(reqs, u, byOwner)
-			hi, _ := slices.BinarySearchFunc(reqs, u+1, byOwner)
-			return reqs[lo:hi]
-		})
+	if len(w.requests) > 0 { // walks from the root need no request
+		slices.SortFunc(w.requests, func(a, b congest.Message) int { return cmp.Compare(a.W[0], b.W[0]) })
+		_, res, err := congest.Upcast(w.net, tree, w.requestsAt)
 		cost.Add(res)
 		if err != nil {
 			return cost, fmt.Errorf("core: sample-destination requests: %w", err)
@@ -191,6 +189,14 @@ func (w *Walker) requestAll(tree *congest.Tree, sources []graph.NodeID) (congest
 		return cost, fmt.Errorf("core: sample-destination announce: %w", err)
 	}
 	return cost, nil
+}
+
+// requestsOf returns the requests of u's walks (requestAll).
+func (w *Walker) requestsOf(u graph.NodeID) []congest.Message {
+	byOwner := func(m congest.Message, u graph.NodeID) int { return cmp.Compare(graph.NodeID(m.W[0]), u) }
+	lo, _ := slices.BinarySearchFunc(w.requests, u, byOwner)
+	hi, _ := slices.BinarySearchFunc(w.requests[lo:], u+1, byOwner)
+	return w.requests[lo : lo+hi]
 }
 
 // callWalk is one walk of the walk driver's current call (Walker.walks):
@@ -273,29 +279,20 @@ func (w *Walker) notifyAll(c *walkCall) error {
 	root := w.tree.Root
 	// One flat list, stable-sorted by destination: each node's reports go
 	// up in walk order.
-	byDest := make([]congest.Message, len(c.Walks))
-	for i, wr := range c.Walks {
+	w.reports = w.reports[:0]
+	for _, wr := range c.Walks {
 		last := wr.Segments[len(wr.Segments)-1]
-		byDest[i] = destReport{
+		w.reports = append(w.reports, destReport{
 			walkID:     last.WalkID,
 			dest:       wr.Destination,
 			deg:        int32(w.g.Degree(wr.Destination)),
 			rootSource: wr.Source == root,
-		}.msg()
+		}.msg())
 	}
-	slices.SortStableFunc(byDest, func(a, b congest.Message) int {
+	slices.SortStableFunc(w.reports, func(a, b congest.Message) int {
 		return cmp.Compare(readDestReport(&a).dest, readDestReport(&b).dest)
 	})
-	reports, res, err := congest.Upcast(w.net, w.tree, func(u graph.NodeID) []congest.Message {
-		// All n nodes ask for their reports, so the lookup is one search
-		// over byDest: a single decode when there is one walk.
-		lo := sort.Search(len(byDest), func(i int) bool { return readDestReport(&byDest[i]).dest >= u })
-		hi := lo
-		for hi < len(byDest) && readDestReport(&byDest[hi]).dest == u {
-			hi++
-		}
-		return byDest[lo:hi]
-	})
+	reports, res, err := congest.Upcast(w.net, w.tree, w.reportsAt)
 	c.Cost.Add(res)
 	c.shared.Report = res.Rounds
 	if err != nil {
@@ -312,4 +309,16 @@ func (w *Walker) notifyAll(c *walkCall) error {
 	c.Cost.Add(res)
 	c.shared.Report += res.Rounds
 	return err
+}
+
+// reportsOf returns the destination reports u sends (notifyAll). All n
+// nodes ask, so the lookup is one search over the list: a single decode
+// when there is one walk.
+func (w *Walker) reportsOf(u graph.NodeID) []congest.Message {
+	lo := sort.Search(len(w.reports), func(i int) bool { return readDestReport(&w.reports[i]).dest >= u })
+	hi := lo
+	for hi < len(w.reports) && readDestReport(&w.reports[hi]).dest == u {
+		hi++
+	}
+	return w.reports[lo:hi]
 }

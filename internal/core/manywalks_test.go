@@ -254,8 +254,11 @@ func TestNotifyFloodsOnlyForeignReports(t *testing.T) {
 }
 
 // TestNaiveManyAllocs gates the naive k-walk path's allocations on a warm
-// walker: the results, their segments and the destination reports come
-// from a fixed number of slabs, not one allocation per walk.
+// walker: the results and their segments come from a fixed number of
+// slabs, not one allocation per walk, and the destination reports from
+// the walker's list. What k = 96 adds is the engine's: each call walks
+// fresh walk IDs, and now and then its tokens crowd a node's inbox more
+// than any call before (congest's mergeIn grows it).
 func TestNaiveManyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -267,7 +270,7 @@ func TestNaiveManyAllocs(t *testing.T) {
 	for _, c := range []struct {
 		k     int
 		bound float64
-	}{{8, 7}, {96, 10}} {
+	}{{8, 5}, {96, 8}} {
 		w := newWalker(t, g, 5, DefaultParams())
 		sources := make([]graph.NodeID, c.k)
 		for i := range sources {
@@ -300,8 +303,9 @@ func TestNaiveManyAllocs(t *testing.T) {
 // walker, reseeded and reset per request as a Service worker is: 8 walks
 // of ℓ = 1 024 on Torus(16,16), the cluster-walks request. Phase 1, the
 // refills and the tails run as one walk-token protocol value the walker
-// keeps, so what is left is the result, the segment lists and the
-// batched request and report sweeps.
+// keeps, and the request and report lists are the walker's, so what is
+// left is the result (the ManyResult, its Destinations, Walks and
+// WalkResults) and one slab of segment lists.
 func TestManyWalksAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -340,8 +344,8 @@ func TestManyWalksAllocs(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	t.Logf("%.0f allocs per request", allocs)
-	if allocs > 16 {
-		t.Errorf("%.0f allocs per request, want at most %d", allocs, 16)
+	if allocs > 5 {
+		t.Errorf("%.0f allocs per request, want at most %d", allocs, 5)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"distwalk/internal/congest"
 	"distwalk/internal/graph"
@@ -45,34 +47,40 @@ func readRegenToken(m *congest.Message) regenToken {
 	return regenToken{walkID: int64(m.W[0]), pos: int32(uint32(m.W[1]))}
 }
 
-// regenWalk is what the replay knows of one forward segment: the trace its
-// visits go to, the global walk position of its first node, its length,
-// and the key its hops were drawn from (walkKey).
-type regenWalk struct {
+// regenSeg is what the replay knows of one forward segment: its walk ID,
+// the node it starts at, the trace its visits go to, the global walk
+// position of its first node, its length, and the key its hops were
+// drawn from (walkKey).
+type regenSeg struct {
+	walkID int64
+	key    uint64
 	trace  *Trace
+	from   graph.NodeID
 	start  int32
 	length int32
-	key    uint64
 }
 
+// regenProto is the replay protocol; the walker keeps one (Walker.regen),
+// so that its segment lists are reused from call to call.
 type regenProto struct {
 	w *Walker
-	// emits[v] lists the walk IDs of the segments that start at v.
-	emits map[graph.NodeID][]int64
-
-	// walks routes each segment's visits to its own trace and turns a
-	// token's walk position into the segment's hop index; walk IDs are
-	// network-unique, so many walks replay concurrently in one run.
-	walks map[int64]regenWalk
+	// segs lists the segments grouped by start node, each node's in walk
+	// order and then segment order: the order a node emits them in
+	// decides the run's queueing. byID indexes segs by walk ID, which is
+	// network-unique, so many walks replay concurrently in one run and
+	// each token's visits go to its own trace.
+	segs []regenSeg
+	byID []int32
 	// bad is set by a visit recorded twice or off the walk; a sound
 	// replay never writes it.
 	bad bool
 }
 
 func (p *regenProto) Init(ctx *congest.Ctx) {
-	for _, wid := range p.emits[ctx.Node()] {
-		rw := p.walks[wid]
-		p.advance(ctx, wid, rw.start, rw)
+	v := ctx.Node()
+	i, _ := slices.BinarySearchFunc(p.segs, v, func(s regenSeg, v graph.NodeID) int { return cmp.Compare(s.from, v) })
+	for ; i < len(p.segs) && p.segs[i].from == v; i++ {
+		p.advance(ctx, p.segs[i].start, &p.segs[i])
 	}
 }
 
@@ -81,14 +89,23 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 	in := ctx.Inbox()
 	for i := range in {
 		t := readRegenToken(&in[i])
-		if rw, ok := p.walks[t.walkID]; ok {
-			if !rw.trace.record(v, t.pos) {
+		if s := p.segment(t.walkID); s != nil {
+			if !s.trace.record(v, t.pos) {
 				p.bad = true
 				return
 			}
-			p.advance(ctx, t.walkID, t.pos, rw)
+			p.advance(ctx, t.pos, s)
 		}
 	}
+}
+
+// segment returns the segment with the given walk ID, or nil.
+func (p *regenProto) segment(walkID int64) *regenSeg {
+	i, ok := slices.BinarySearchFunc(p.byID, walkID, func(i int32, id int64) int { return cmp.Compare(p.segs[i].walkID, id) })
+	if !ok {
+		return nil
+	}
+	return &p.segs[p.byID[i]]
 }
 
 // advance forwards the replay token at walk position pos along the hop
@@ -97,15 +114,15 @@ func (p *regenProto) Step(ctx *congest.Ctx) {
 // walk at this node one position later, so the node records that
 // position and replays the next hop itself, sending nothing, as the walk
 // token did. The segment ends after its length hops.
-func (p *regenProto) advance(ctx *congest.Ctx, walkID int64, pos int32, rw regenWalk) {
+func (p *regenProto) advance(ctx *congest.Ctx, pos int32, s *regenSeg) {
 	v := ctx.Node()
-	for ; pos-rw.start < rw.length; pos++ {
-		if port := p.w.hopPort(v, rw.key, pos-rw.start); port >= 0 {
-			w0, w1 := regenToken{walkID: walkID, pos: pos + 1}.encode()
+	for ; pos-s.start < s.length; pos++ {
+		if port := p.w.hopPort(v, s.key, pos-s.start); port >= 0 {
+			w0, w1 := regenToken{walkID: s.walkID, pos: pos + 1}.encode()
 			ctx.SendPort(port, kindRegenToken, regenWords, w0, w1, 0, 0)
 			return
 		}
-		if !rw.trace.record(v, pos+1) {
+		if !s.trace.record(v, pos+1) {
 			p.bad = true
 			return
 		}
@@ -167,52 +184,61 @@ func (w *Walker) RegenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	return traces, nil
 }
 
+// regenerateMany replays walks in one run. Their traces come from one
+// slab per element type, each array a capped sub-slice the caller owns,
+// so a call allocates the same few objects for any number of walks and
+// segments.
 func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 	if len(walks) == 0 {
 		return nil, fmt.Errorf("%w: no walks to regenerate", ErrNoRegen)
 	}
-	n := w.g.N()
-	traces := make([]*Trace, len(walks))
-	seedMix := w.net.SeedMix()
-	emits := make(map[graph.NodeID][]int64)
-	segs := make(map[int64]regenWalk)
+	n, k := w.g.N(), len(walks)
+	positions := 0
 	for i, res := range walks {
 		if res == nil {
 			return nil, fmt.Errorf("%w: nil walk result (index %d)", ErrNoRegen, i)
 		}
-		trace := &Trace{
-			Path:           make([]graph.NodeID, res.Length+1),
-			FirstVisitTime: make([]int32, n),
-			FirstVisitFrom: make([]graph.NodeID, n),
+		pos := 0
+		for _, s := range res.Segments {
+			pos += s.Length
 		}
-		for pos := range trace.Path {
-			trace.Path[pos] = graph.None
+		if pos != res.Length || pos < 0 {
+			return nil, fmt.Errorf("%w: segments sum to %d, walk length is %d", ErrNoRegen, pos, res.Length)
 		}
-		for v := range trace.FirstVisitTime {
-			trace.FirstVisitTime[v] = -1
-			trace.FirstVisitFrom[v] = graph.None
-		}
+		positions += pos + 1
+	}
+	traces := make([]*Trace, k)
+	slab := make([]Trace, k)
+	nodes := make([]graph.NodeID, positions+k*n)
+	times := make([]int32, k*n)
+	for i := range nodes {
+		nodes[i] = graph.None
+	}
+	for i := range times {
+		times[i] = -1
+	}
+	p := &w.regen
+	defer p.drop()
+	seedMix := w.net.SeedMix()
+	for i, res := range walks {
+		trace := &slab[i]
+		trace.Path, nodes = nodes[:res.Length+1:res.Length+1], nodes[res.Length+1:]
+		trace.FirstVisitFrom, nodes = nodes[:n:n], nodes[n:]
+		trace.FirstVisitTime = times[i*n : (i+1)*n : (i+1)*n]
 		// The source knows it is position 0.
 		trace.Path[0] = res.Source
 		traces[i] = trace
 
 		pos := int32(0)
 		for _, s := range res.Segments {
-			if _, dup := segs[s.WalkID]; dup {
-				// One walker mints each ID once per epoch, so one of
-				// the two walks is not of this epoch.
-				return nil, fmt.Errorf("%w: walk ID %d regenerated twice", ErrNoRegen, s.WalkID)
-			}
-			emits[s.Start] = append(emits[s.Start], s.WalkID)
-			segs[s.WalkID] = regenWalk{trace: trace, start: pos, length: int32(s.Length), key: walkKey(seedMix, s.WalkID)}
+			p.segs = append(p.segs, regenSeg{walkID: s.WalkID, key: walkKey(seedMix, s.WalkID), trace: trace, from: s.Start, start: pos, length: int32(s.Length)})
 			pos += int32(s.Length)
 		}
-		if int(pos) != res.Length {
-			return nil, fmt.Errorf("%w: segments sum to %d, walk length is %d", ErrNoRegen, pos, res.Length)
-		}
+	}
+	if err := p.index(); err != nil {
+		return nil, err
 	}
 
-	p := &regenProto{w: w, emits: emits, walks: segs}
 	cost, err := w.net.Run(p)
 	traces[0].Cost = cost
 	if err != nil {
@@ -248,6 +274,33 @@ func (w *Walker) regenerateMany(walks []*WalkResult) ([]*Trace, error) {
 		}
 	}
 	return traces, nil
+}
+
+// index groups the segments, listed in walk order and then segment
+// order, by start node (a stable sort keeps each node's in that order)
+// and indexes them by walk ID. Two segments with one walk ID fail it.
+func (p *regenProto) index() error {
+	slices.SortStableFunc(p.segs, func(a, b regenSeg) int { return cmp.Compare(a.from, b.from) })
+	p.byID = p.byID[:0]
+	for i := range p.segs {
+		p.byID = append(p.byID, int32(i))
+	}
+	slices.SortFunc(p.byID, func(a, b int32) int { return cmp.Compare(p.segs[a].walkID, p.segs[b].walkID) })
+	for i := 1; i < len(p.byID); i++ {
+		if id := p.segs[p.byID[i]].walkID; id == p.segs[p.byID[i-1]].walkID {
+			// One walker mints each ID once per epoch, so one of the two
+			// walks is not of this epoch.
+			return fmt.Errorf("%w: walk ID %d regenerated twice", ErrNoRegen, id)
+		}
+	}
+	return nil
+}
+
+// drop empties the segment list, keeping its capacity but no trace: the
+// walker must not keep a caller's traces reachable.
+func (p *regenProto) drop() {
+	clear(p.segs)
+	p.segs, p.byID, p.bad = p.segs[:0], p.byID[:0], false
 }
 
 // checkJunctions checks that every segment's replay ended where the

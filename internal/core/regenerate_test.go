@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"distwalk/internal/graph"
 )
@@ -253,13 +255,14 @@ func TestRegenerateCostComparableToWalk(t *testing.T) {
 	}
 }
 
-// TestRegenerateAllocsFollowSegments: regenerating a walk allocates its
-// trace (the ℓ+1 path and two per-node arrays) and the replay's per-segment
-// bookkeeping, not one entry per recorded position. Measured on
-// Torus(16,16), seed 5, source 0, default parameters: 13 / 16 / 26
-// allocations per Regenerate at ℓ = 256 / 1 024 / 4 096 (go 1.24); the
-// bounds are about 1.5 times those.
-func TestRegenerateAllocsFollowSegments(t *testing.T) {
+// TestRegenerateManyAllocs: a replay allocates its traces from one slab
+// per element type, and its segment lists are the walker's, so the
+// allocations per call are the same for one walk or sixteen and for one
+// segment or many. Measured on Torus(16,16), seed 5, default parameters:
+// 4 per call (the trace pointers, the traces, their node and time
+// slabs) for k ∈ {1, 4, 16} at ℓ ∈ {8, 256, 4 096}; ℓ = 8 takes the naive
+// path, one segment per walk. k = 1 goes through Regenerate.
+func TestRegenerateManyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -267,27 +270,67 @@ func TestRegenerateAllocsFollowSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		ell   int
-		bound float64
-	}{{256, 20}, {1024, 24}, {4096, 40}} {
-		w := newWalker(t, g, 5, DefaultParams())
-		res, err := w.SingleRandomWalk(0, c.ell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var regenErr error
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := w.Regenerate(res); err != nil {
-				regenErr = err
+	const bound = 4
+	for _, k := range []int{1, 4, 16} {
+		for _, ell := range []int{8, 256, 4096} {
+			w := newWalker(t, g, 5, DefaultParams())
+			sources := make([]graph.NodeID, k)
+			for i := range sources {
+				sources[i] = graph.NodeID(i * 37 % g.N())
 			}
-		})
-		if regenErr != nil {
-			t.Fatal(regenErr)
-		}
-		t.Logf("ℓ=%d: %.0f allocs per Regenerate", c.ell, allocs)
-		if allocs > c.bound {
-			t.Errorf("ℓ=%d: %.0f allocs per Regenerate, want at most %.0f", c.ell, allocs, c.bound)
+			many, err := w.ManyRandomWalks(sources, ell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segments := 0
+			for _, wr := range many.Walks {
+				segments += len(wr.Segments)
+			}
+			var regenErr error
+			allocs := testing.AllocsPerRun(10, func() {
+				if k == 1 {
+					_, regenErr = w.Regenerate(many.Walks[0])
+				} else {
+					_, regenErr = w.RegenerateMany(many.Walks)
+				}
+			})
+			if regenErr != nil {
+				t.Fatal(regenErr)
+			}
+			t.Logf("k=%d ℓ=%d (%d segments): %.0f allocs per call", k, ell, segments, allocs)
+			if allocs > bound {
+				t.Errorf("k=%d ℓ=%d (%d segments): %.0f allocs per call, want at most %d", k, ell, segments, allocs, bound)
+			}
 		}
 	}
+}
+
+// TestRegenerateRetainsNoTrace: the walker keeps no trace reachable once
+// a replay returns, so traces the caller drops are collected.
+func TestRegenerateRetainsNoTrace(t *testing.T) {
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(t, g, 3, DefaultParams())
+	many, err := w.ManyRandomWalks([]graph.NodeID{0, 9, 27, 36, 63}, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := w.RegenerateMany(many.Walks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weaks := make([]weak.Pointer[Trace], len(traces))
+	for i, tr := range traces {
+		weaks[i] = weak.Make(tr)
+	}
+	traces = nil
+	runtime.GC()
+	for i, p := range weaks {
+		if p.Value() != nil {
+			t.Errorf("trace %d is still reachable after the caller dropped it", i)
+		}
+	}
+	runtime.KeepAlive(w)
 }

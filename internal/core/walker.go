@@ -107,6 +107,15 @@ type Walker struct {
 	walks []callWalk
 	tok   tokenProto
 
+	// requests and reports are the walk driver's request list
+	// (requestAll) and destination reports (notifyAll), each sorted by the
+	// node that sends it; requestsAt and reportsAt, bound once like offer,
+	// give a node its share. regen is the replay protocol value
+	// (regenerateMany), whose segment lists are kept too.
+	requests, reports     []congest.Message
+	requestsAt, reportsAt func(graph.NodeID) []congest.Message
+	regen                 regenProto
+
 	busy atomic.Bool // in-use flag; see ErrConcurrentUse
 }
 
@@ -127,6 +136,8 @@ func NewWalker(g *graph.G, seed uint64, prm Params) (*Walker, error) {
 func walkerOver(net *congest.Network, prm Params) *Walker {
 	w := &Walker{g: net.Graph(), net: net, prm: prm, st: newNetState(net.Graph().N())}
 	w.offer, w.keep, w.take = w.offerCoupon, w.keepCandidate, w.takeResult
+	w.requestsAt, w.reportsAt = w.requestsOf, w.reportsOf
+	w.regen.w = w
 	return w
 }
 
@@ -165,15 +176,16 @@ func (w *Walker) SetContext(ctx context.Context) { w.net.SetContext(ctx) }
 //
 // This is the warm-pooling half of NewWalkerOn: distwalk.Service keeps one
 // Walker per worker and Resets it per request instead of reallocating, so
-// a warm request allocates its result and little else: 4 objects for a
-// SingleRandomWalk or NaiveWalk of ℓ = 64 on Torus(48,48)
-// (TestSingleWalkAllocs) and 16 for eight walks of ℓ = 1 024 on
-// Torus(16,16) (TestManyWalksAllocs). Every draw is keyed by the
-// network's seed and by what it decides, walk IDs and the stitch count
-// among them, so combined with Network.Reseed the execution stays
-// bit-identical to a fresh walker on a fresh network — determinism is a
-// function of (graph, seed, request), never of what the walker served
-// before or which graph it served it on.
+// a warm call allocates per call, not per walk, phase or segment: 2
+// objects (the result and its segment list) for a SingleRandomWalk or
+// NaiveWalk on Torus(48,48) (TestSingleWalkAllocs), 5 for eight walks of
+// ℓ = 1 024 on Torus(16,16) (TestManyWalksAllocs) and 4 for a
+// RegenerateMany of any number of walks (TestRegenerateManyAllocs).
+// Every draw is keyed by the network's seed and by what it decides, walk
+// IDs and the stitch count among them, so combined with Network.Reseed
+// the execution stays bit-identical to a fresh walker on a fresh network
+// — determinism is a function of (graph, seed, request), never of what
+// the walker served before or which graph it served it on.
 func (w *Walker) Reset(prm Params) error {
 	if err := w.acquire(); err != nil {
 		return err

@@ -59,17 +59,6 @@ func (r *BFSResult) Eccentricity() int {
 	return int(ecc)
 }
 
-// Farthest returns a node at maximum distance from the source.
-func (r *BFSResult) Farthest() NodeID {
-	far, fd := r.Source, int32(0)
-	for v, d := range r.Dist {
-		if d > fd {
-			far, fd = NodeID(v), d
-		}
-	}
-	return far
-}
-
 // PathTo reconstructs the shortest path from the BFS source to v, inclusive
 // of both endpoints. It returns nil if v is unreachable.
 func (r *BFSResult) PathTo(v NodeID) []NodeID {
@@ -100,8 +89,8 @@ func (g *G) Connected() bool {
 }
 
 // Diameter computes the exact diameter by all-pairs BFS. It is O(n·m) and
-// intended for small and medium graphs; use ApproxDiameter for large ones.
-// It returns an error if the graph is empty or disconnected.
+// intended for small and medium graphs. It returns an error if the graph
+// is empty or disconnected.
 func (g *G) Diameter() (int, error) {
 	if g.N() == 0 {
 		return 0, errEmpty
@@ -120,26 +109,4 @@ func (g *G) Diameter() (int, error) {
 		}
 	}
 	return diam, nil
-}
-
-// ApproxDiameter estimates the diameter with the classic double-sweep
-// heuristic: BFS from node 0, then BFS from the farthest node found. The
-// result is a lower bound on the true diameter and is exact on trees; on
-// the regular families the tests use it is within a factor 2.
-func (g *G) ApproxDiameter() (int, error) {
-	if g.N() == 0 {
-		return 0, errEmpty
-	}
-	first, err := g.BFS(0)
-	if err != nil {
-		return 0, err
-	}
-	if len(first.Order) != g.N() {
-		return 0, errDisconnected
-	}
-	second, err := g.BFS(first.Farthest())
-	if err != nil {
-		return 0, err
-	}
-	return second.Eccentricity(), nil
 }

@@ -74,27 +74,43 @@ func IdentityL1Estimate(samples []Sample, buckets []Bucket, ratio float64) (floa
 		return 0, fmt.Errorf("mixing: no buckets")
 	}
 	k := float64(len(samples))
-	perBucket := make([][]Sample, len(buckets))
-	for _, s := range samples {
-		j := BucketOf(s.Pi, ratio, len(buckets))
-		perBucket[j] = append(perBucket[j], s)
+	// One stable counting sort by bucket into one slab: order lists the
+	// sample indices bucket by bucket, each bucket's in sample order, so
+	// every sum below adds in the order the samples came. bucket[i] is
+	// sample i's bucket; end[j] counts the samples of buckets below j,
+	// and after placing them, up to j.
+	ends, ns := len(buckets)+1, len(samples)
+	slab := make([]int, ends+2*ns)
+	end, bucket, order := slab[:ends], slab[ends:ends+ns], slab[ends+ns:]
+	for i, s := range samples {
+		bucket[i] = BucketOf(s.Pi, ratio, len(buckets))
+		end[bucket[i]+1]++
+	}
+	for j := range buckets {
+		end[j+1] += end[j]
+	}
+	for i, j := range bucket {
+		order[end[j]] = i
+		end[j]++
 	}
 	total := 0.0
+	lo := 0
 	for j, b := range buckets {
-		kj := float64(len(perBucket[j]))
+		group := order[lo:end[j]]
+		lo = end[j]
+		kj := float64(len(group))
 		wj := kj / k
 		// Across-bucket mass mismatch.
 		total += math.Abs(wj - b.Mass)
-		if b.Count == 0 || len(perBucket[j]) < 2 {
+		if b.Count == 0 || len(group) < 2 {
 			continue
 		}
 		// Within-bucket ℓ₂ identity estimate.
 		var collisions, dot float64
-		group := perBucket[j]
 		for a := 0; a < len(group); a++ {
-			dot += group[a].Pi / b.Mass
+			dot += samples[group[a]].Pi / b.Mass
 			for c := a + 1; c < len(group); c++ {
-				if group[a].Node == group[c].Node {
+				if samples[group[a]].Node == samples[group[c]].Node {
 					collisions++
 				}
 			}

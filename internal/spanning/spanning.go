@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,8 +56,10 @@ type Options struct {
 	// WalksPerPhase is the number of walks per doubling phase
 	// (default ⌈log₂ n⌉).
 	WalksPerPhase int
-	// MaxLength caps ℓ (default 1024·m·D, far above the O(mD) expected
-	// cover time).
+	// MaxLength caps ℓ (default 1024·m·2h, where h is the height of the
+	// walker's BFS tree from the root, known to every node once the first
+	// phase has built it: 2h ≥ D, so the cap is far above the O(mD)
+	// expected cover time).
 	MaxLength int
 	// Deliver additionally upcasts the n-1 tree edges to the root
 	// (O(n + D) extra rounds — the paper's optional "additional O(n)
@@ -130,15 +133,8 @@ func RandomSpanningTree(w *core.Walker, root graph.NodeID, opt Options) (*Result
 			walksPerPhase = 1
 		}
 	}
-	maxLen := opt.MaxLength
-	if maxLen <= 0 {
-		diam := 1
-		if d, err := g.ApproxDiameter(); err == nil && d > 0 {
-			diam = d
-		}
-		maxLen = 1024 * g.M() * diam
-	}
-	if ell > maxLen {
+	maxLen := opt.MaxLength // the default is set after the first phase
+	if maxLen > 0 && ell > maxLen {
 		maxLen = ell
 	}
 
@@ -147,12 +143,15 @@ func RandomSpanningTree(w *core.Walker, root graph.NodeID, opt Options) (*Result
 	for i := range sources {
 		sources[i] = root
 	}
-	for ; ell <= maxLen; ell *= 2 {
+	for ; maxLen <= 0 || ell <= maxLen; ell *= 2 {
 		out.Phases++
 		out.WalkLength = ell
 		many, err := w.ManyRandomWalks(sources, ell)
 		if err != nil {
 			return nil, fmt.Errorf("spanning: phase ℓ=%d: %w", ell, err)
+		}
+		if maxLen <= 0 {
+			maxLen = max(ell, 1024*g.M()*2*w.Tree().Height)
 		}
 		out.Cost.Add(many.Cost)
 		out.Attempts += walksPerPhase
@@ -172,8 +171,10 @@ func RandomSpanningTree(w *core.Walker, root graph.NodeID, opt Options) (*Result
 			continue
 		}
 		// Aldous-Broder rule: each non-root node outputs its first-visit
-		// edge. FirstVisitFrom is node-local knowledge.
-		out.Parent = traces[first].FirstVisitFrom
+		// edge. FirstVisitFrom is node-local knowledge. It is copied:
+		// the phase's traces share one slab, which a kept result (a
+		// cached one, say) must not hold.
+		out.Parent = slices.Clone(traces[first].FirstVisitFrom)
 		if opt.Deliver {
 			res, err := deliver(w, out)
 			out.Cost.Add(res)

@@ -443,3 +443,45 @@ func TestRSTKeptInventoryMatchesNaiveSchedule(t *testing.T) {
 		t.Fatalf("tree law differs from the naive schedule's: χ²=%.1f (df %d), p=%v", stat, df, p)
 	}
 }
+
+// TestRandomSpanningTreeAllocs gates a warm spanning-tree request's
+// allocations on Torus(8,8), on a walker reseeded and reset per request
+// as a Service worker is. A phase's ⌈log₂ n⌉ = 7 walks and their replay
+// allocate per call, not per walk, and the length cap needs no diameter
+// sweep: measured 41 allocations per request over keys 11–31, which take
+// 3.81 phases on average (240 with per-walk trace arrays, replay maps
+// and a diameter sweep). One of them is the copy of the tree's parent
+// list, which keeps the result from holding the phase's trace slab.
+func TestRandomSpanningTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := graph.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(t, g, 0)
+	key, phases := uint64(0), 0
+	request := func() {
+		key++
+		w.Network().Reseed(key)
+		if err := w.Reset(core.DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := RandomSpanningTree(w, graph.NodeID(key%64), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases += res.Phases
+	}
+	for range 10 { // warm the slabs
+		request()
+	}
+	phases = 0
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, request)
+	t.Logf("%.1f allocs per request, %.2f phases per request", allocs, float64(phases)/(runs+1))
+	if allocs > 41 {
+		t.Errorf("%.1f allocs per request, want at most %d", allocs, 41)
+	}
+}
